@@ -47,6 +47,7 @@ from .coarsegrain import (
     mollify_in_time,
     reconstruct_from_coarse,
     shift_positive,
+    slow_manifold_defect,
 )
 from .solver import (
     IntegrationError,
@@ -68,7 +69,6 @@ from .dissipation import (
     hat_flux_dissipation,
     primal_R_eps,
     primal_objective,
-    slow_manifold_defect,
 )
 from .multispecies import (
     GeneratorReport,

@@ -4,20 +4,16 @@ Configs are single JSON documents with all physical parameters explicit (no
 defaults for diffusion constants, rates, or scales).  Each experiment writes
 raw per-run CSV tables plus a machine-readable summary with fitted exponents
 and pass/fail flags; outputs are reproducible bit-for-bit for a fixed config
-and seed (runs within a sweep execute in a worker pool, but results are sorted
-by scale before writing).
+and seed.
 
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``export-defaults``.
 Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error.
-The environment variable ``EDPFLOW_THREADS`` caps the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -303,24 +299,6 @@ def _build_initial_hat(spec: dict, grid: SpatialGrid, params: SystemParams, tilt
     return _build_initial(spec, grid, params, tilt).c.sum(axis=0)
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("EDPFLOW_THREADS", "")
-    if cap.strip():
-        try:
-            return max(1, min(n_jobs, int(cap)))
-        except ValueError:
-            pass
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
-def _parallel_map(fn, items):
-    workers = _max_workers(len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -404,8 +382,7 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentR
         fitted = fit_decay_rate(coarse_grain_trajectory(traj))
         return eps, fitted, traj
 
-    results = _parallel_map(one, sorted(cfg.epsilons, reverse=True))
-    results.sort(key=lambda r: -r[0])
+    results = [one(eps) for eps in sorted(cfg.epsilons, reverse=True)]
     rows = []
     files = []
     for eps, fitted, traj in results:
@@ -456,8 +433,7 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
         integral = float(np.sum(defect_sq[:-1].sum(axis=1) * h * dts))
         return eps, dt, integral
 
-    results = _parallel_map(one, sorted(cfg.epsilons, reverse=True))
-    results.sort(key=lambda r: -r[0])
+    results = [one(eps) for eps in sorted(cfg.epsilons, reverse=True)]
     rows = [(eps, defect, defect / eps) for eps, _, defect in results]
     slope_fit = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log([r[1] for r in rows]), 1)[0])
@@ -561,8 +537,7 @@ def _run_recovery_study(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         bd = flux_dissipation(rec.trajectory, cfg.params, tilt, eps)
         return eps, rec, bd
 
-    results = _parallel_map(one, sorted(cfg.epsilons, reverse=True))
-    results.sort(key=lambda r: -r[0])
+    results = [one(eps) for eps in sorted(cfg.epsilons, reverse=True)]
     rows = []
     for eps, rec, bd in results:
         rows.append((eps, rec.gamma, bd.vel_react, bd.total, d0, abs(bd.total - d0)))

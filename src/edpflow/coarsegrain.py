@@ -8,7 +8,7 @@ two-species densities and fluxes from coarse data, and the approximation
 pipeline (positive shift plus temporal mollification) used to build
 scale-indexed trajectories from a limit trajectory.
 
-All transformations are pure; scale sweeps can run them in parallel.
+All transformations are pure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "coarse_grain_trajectory",
     "coarse_params",
     "hat_energy",
+    "slow_manifold_defect",
     "Reconstruction",
     "reconstruct_from_coarse",
     "flux_equilibration_check",
@@ -139,6 +140,19 @@ def hat_energy(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> float:
     cp = coarse_params(params, tilt)
     h = 1.0 / hat_c.size
     return float(np.sum(xlogy(hat_c, hat_c) + hat_c * cp.v_hat)) * h
+
+
+def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
+    """Relative distance of a state or trajectory from the slow manifold.
+
+    max over cells (and times) of |rho_1 - rho_2| / (1 + rho_hat) in the
+    relative densities with respect to the tilted stationary measure.
+    """
+    states = traj.c[None] if isinstance(traj, State) else traj.states
+    w_v, _ = stationary_measure(params, tilt)
+    rho = states / w_v[None]
+    rho_hat = states.sum(axis=1) / w_v.sum(axis=0)[None]
+    return float(np.max(np.abs(rho[:, 0] - rho[:, 1]) / (1.0 + rho_hat)))
 
 
 def manifold_split(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> np.ndarray:
@@ -365,10 +379,7 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
         raise ValueError("limit trajectory must be finite")
     # off the slow manifold the limit dissipation is not finite (the exchange
     # gate), so there is nothing to approximate
-    w_v, _ = stationary_measure(params, tilt)
-    rho = limit_traj.states / w_v[None]
-    rho_hat = limit_traj.states.sum(axis=1) / w_v.sum(axis=0)[None]
-    defect = float(np.max(np.abs(rho[:, 0] - rho[:, 1]) / (1.0 + rho_hat)))
+    defect = slow_manifold_defect(limit_traj, params, tilt)
     if defect > 1e-6:
         raise ValueError(
             f"limit trajectory is off the slow manifold (relative defect {defect:.3e}), "

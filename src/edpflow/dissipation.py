@@ -13,8 +13,7 @@ The module also evaluates the time-integrated dissipation of trajectories
 energy-dissipation-balance residual, and the coarse (slow-variable) versions
 of all three.
 
-Per-interval evaluations are independent and parallelizable; the Newton solve
-itself is single-threaded and deterministic.
+The Newton solve is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -31,17 +30,19 @@ from .coarsegrain import (
     coarse_params,
     hat_energy,
     optimal_coarse_flux,
+    slow_manifold_defect,
 )
 from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory
 from .functionals import (
     DissipationBreakdown,
+    _face_fisher,
+    _face_kinetic,
     cosh_star,
     cosh_star_prime,
     cosh_star_second,
     energy,
     perspective_eval,
     slope,
-    stationary_measure,
 )
 
 __all__ = [
@@ -137,6 +138,68 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     raise DualAscentError("iteration limit reached", float(np.linalg.norm(grad)))
 
 
+def _network_dual(c, delta, edges, v, h):
+    """Dual objective of the flux cost of rate v on a reaction network.
+
+    Species i diffuses with mobility delta_i cbar_i on interior faces; each
+    edge (i, j, kappa) with i < j exchanges through a cosh term of strength
+    kappa sqrt(c_i c_j).  Unknowns are cell-interleaved, x[I*k + i] = xi[i, k],
+    so the negative Hessian is banded with bandwidth I: species couple within
+    a cell, cells couple within a species.
+
+    Returns ``(value_grad, hess_banded, fluxes)`` for :func:`damped_newton_max`;
+    ``fluxes(x)`` reads off the potentials xi, the face fluxes J and the list
+    of per-edge exchange fluxes (entering species i with + and j with -).
+    """
+    i_sp, n = c.shape
+    wdiff = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h
+    hv = (h * v).T.ravel()
+    ew = [(i, j, kappa * h * np.sqrt(c[i] * c[j])) for i, j, kappa in edges]
+
+    def value_grad(x):
+        xi = x.reshape(n, i_sp).T
+        dxi = xi[:, 1:] - xi[:, :-1]
+        t = wdiff * dxi
+        val = float(hv @ x) - 0.5 * float(np.sum(t * dxi))
+        grad_r = np.zeros_like(xi)
+        grad_r[:, 1:] += t
+        grad_r[:, :-1] -= t
+        for i, j, rw in ew:
+            u = xi[i] - xi[j]
+            with np.errstate(over="ignore"):
+                val -= float(rw @ cosh_star(u))
+                s = rw * cosh_star_prime(u)
+            grad_r[i] += s
+            grad_r[j] -= s
+        return val, hv - grad_r.T.ravel()
+
+    def hess_banded(x):
+        xi = x.reshape(n, i_sp).T
+        ab = np.zeros((2 * i_sp + 1, i_sp * n))
+        diag = ab[i_sp]
+        for sp in range(i_sp):
+            diag[sp:i_sp * (n - 1):i_sp] += wdiff[sp]
+            diag[i_sp + sp::i_sp] += wdiff[sp]
+            ab[0, i_sp + sp::i_sp] = -wdiff[sp]
+        for i, j, rw in ew:
+            with np.errstate(over="ignore"):
+                r2 = rw * cosh_star_second(xi[i] - xi[j])
+            diag[i::i_sp] += r2
+            diag[j::i_sp] += r2
+            ab[i_sp - (j - i), j::i_sp] -= r2
+        for d in range(1, i_sp + 1):
+            ab[i_sp + d, :-d] = ab[i_sp - d, d:]
+        return ab
+
+    def fluxes(x):
+        xi = x.reshape(n, i_sp).T
+        J = np.zeros((i_sp, n + 1))
+        J[:, 1:-1] = wdiff * (xi[:, 1:] - xi[:, :-1])
+        return xi, J, [rw / h * cosh_star_prime(xi[i] - xi[j]) for i, j, rw in ew]
+
+    return value_grad, hess_banded, fluxes
+
+
 @dataclass(frozen=True, eq=False)
 class PrimalRate:
     """Primal flux cost of a rate, with the optimal fluxes and dual diagnostics."""
@@ -166,8 +229,9 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     (sqrt(c_1 c_2)/eps) (C*)'(xi_1 - xi_2) on cells satisfy the discrete
     continuity equation with rate v up to the dual tolerance.
 
-    The rate must preserve total mass; the dual objective is invariant under
-    the shared constant mode, which is gauged to mean zero.
+    This is the network dual with the single fast edge (0, 1, 1/eps).  The
+    rate must preserve total mass; the dual objective is invariant under the
+    shared constant mode, which is gauged to mean zero.
     """
     _ = tilt
     eps = params.epsilon if epsilon is None else epsilon
@@ -182,59 +246,12 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     _mass_balance_check(v, h)
     v = v - v.sum() / v.size
 
-    delta = params.delta_array
-    wdiff = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])  # interior-face mobilities
-    sqc = np.sqrt(c[0] * c[1])
-    rw = h / eps * sqc
-    hv = h * v
-
-    # unknowns are cell-interleaved, x[2k + j] = xi[j, k], so the Hessian is
-    # pentadiagonal: species couple within a cell, cells couple within a species
-    def value_grad(x):
-        xi = x.reshape(n, 2).T
-        dxi = xi[:, 1:] - xi[:, :-1]
-        u = xi[0] - xi[1]
-        with np.errstate(over="ignore"):
-            cu = cosh_star(u)
-            su = cosh_star_prime(u)
-        diff_val = 0.5 * float(np.sum(wdiff * dxi * dxi)) / h
-        react_val = float(rw @ cu)
-        val = float(np.sum(hv * xi)) - diff_val - react_val
-        t = wdiff * dxi / h
-        grad_r = np.zeros_like(xi)
-        grad_r[:, 1:] += t
-        grad_r[:, :-1] -= t
-        grad_r[0] += rw * su
-        grad_r[1] -= rw * su
-        return val, (hv - grad_r).T.ravel()
-
-    def hess_banded(x):
-        xi = x.reshape(n, 2).T
-        u = xi[0] - xi[1]
-        with np.errstate(over="ignore"):
-            r2 = rw * cosh_star_second(u)
-        ab = np.zeros((5, 2 * n))
-        diag = ab[2]
-        wh = wdiff / h
-        for j in range(2):
-            diag[j:2 * (n - 1) + j:2] += wh[j]
-            diag[2 + j::2] += wh[j]
-            ab[0, 2 + j::2] = -wh[j]
-        diag[0::2] += r2
-        diag[1::2] += r2
-        ab[1, 1::2] = -r2
-        ab[3, :-1] = ab[1, 1:]
-        ab[4, :-2] = ab[0, 2:]
-        return ab
-
+    vg, hess, fluxes = _network_dual(c, params.delta_array, [(0, 1, 1.0 / eps)], v, h)
     x0 = np.zeros(2 * n) if xi0 is None else np.asarray(xi0, dtype=float).T.ravel()
     x, val, gnorm, iters = damped_newton_max(
-        value_grad, hess_banded, x0, bandwidth=2, tol=tol, max_iter=max_iter
+        vg, hess, x0, bandwidth=2, tol=tol, max_iter=max_iter
     )
-    xi = x.reshape(n, 2).T
-    J = np.zeros((2, n + 1))
-    J[:, 1:-1] = wdiff * (xi[:, 1:] - xi[:, :-1]) / h
-    b1 = sqc / eps * cosh_star_prime(xi[0] - xi[1])
+    xi, J, (b1,) = fluxes(x)
     b = np.stack([b1, -b1])
     dual = DualMaximizerState(xi=xi, value=val, gradient_norm=gnorm, iterations=iters)
     return PrimalRate(value=val, fluxes=FluxAssignment(J, b), dual=dual)
@@ -254,14 +271,7 @@ def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
     c = state.c
     h = 1.0 / state.n_cells
     wdiff = params.delta_array[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
-    jint = fluxes.J[..., 1:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kin = np.where(
-            wdiff > 0,
-            jint * jint / np.where(wdiff > 0, wdiff, 1.0),
-            np.where(jint == 0, 0.0, np.inf),
-        )
-    vel_diff = 0.5 * float(np.sum(kin)) * h
+    vel_diff = 0.5 * float(np.sum(_face_kinetic(fluxes.J[..., 1:-1], wdiff))) * h
     a = np.sqrt(c[0] * c[1]) / eps
     vel_react = float(np.sum(perspective_eval("cosh", a, fluxes.b[..., 1, :]))) * h
     return vel_diff, vel_react
@@ -343,19 +353,6 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
     return e1 + breakdown.total - e0
 
 
-def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
-    """Relative distance of a state or trajectory from the slow manifold.
-
-    max over cells (and times) of |rho_1 - rho_2| / (1 + rho_hat) in the
-    relative densities with respect to the tilted stationary measure.
-    """
-    states = traj.c[None] if isinstance(traj, State) else traj.states
-    w_v, _ = stationary_measure(params, tilt)
-    rho = states / w_v[None]
-    rho_hat = states.sum(axis=1) / w_v.sum(axis=0)[None]
-    return float(np.max(np.abs(rho[:, 0] - rho[:, 1]) / (1.0 + rho_hat)))
-
-
 def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
                use_stored_fluxes: bool):
     cp = coarse_params(params, tilt)
@@ -363,6 +360,7 @@ def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
     h = 1.0 / n
     dts = np.diff(hat_traj.times)
     slope_weight = cp.delta_hat * cp.w_hat
+    swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
     vel = 0.0
     slp = 0.0
     for m, dt in enumerate(dts):
@@ -374,18 +372,8 @@ def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
         else:
             rate = (hat_traj.states[m + 1] - hat_c) / dt
             jint = optimal_coarse_flux(mob_f, rate, h)[1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kin = np.where(mob_f > 0, jint * jint / np.where(mob_f > 0, mob_f, 1.0),
-                           np.where(jint == 0, 0.0, np.inf))
-        vel += dt * 0.5 * float(np.sum(kin)) * h
-        rho = hat_c / cp.w_hat
-        rbar = 0.5 * (rho[1:] + rho[:-1])
-        drho = rho[1:] - rho[:-1]
-        swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fisher = np.where(rbar > 0, drho * drho / np.where(rbar > 0, rbar, 1.0),
-                              np.where(drho == 0, 0.0, np.inf))
-        slp += dt * 0.5 * float(np.sum(swf * fisher)) / h
+        vel += dt * 0.5 * float(np.sum(_face_kinetic(jint, mob_f))) * h
+        slp += dt * 0.5 * float(np.sum(swf * _face_fisher(hat_c / cp.w_hat))) / h
     return vel, slp
 
 

@@ -3,9 +3,7 @@
 The driving functional is the relative free energy with respect to a tilted
 stationary measure; the dual dissipation potential is the sum of a quadratic
 mobility term for diffusion and a cosh-type exchange term whose strength grows
-like 1/epsilon.  All functions here are pure functions of immutable inputs and
-re-entrant, so they can be evaluated in parallel across scales or
-trajectories.
+like 1/epsilon.  All functions here are pure functions of immutable inputs.
 
 Spatial quadrature is the midpoint rule on cells; gradient-like quantities are
 assembled on interior faces with arithmetic-mean face densities.  Boundary
@@ -118,6 +116,17 @@ def perspective_eval(base: str, a, x):
     return out
 
 
+def _face_kinetic(j, mob):
+    """Kinetic cost |J|^2 / mobility per face: 0 for J = 0 and +inf for J != 0 at zero mobility."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mob > 0, j * j / np.where(mob > 0, mob, 1.0), np.where(j == 0, 0.0, np.inf))
+
+
+def _face_fisher(rho):
+    """Fisher quotient |d rho|^2 / rho_bar on interior faces (last axis), same zero convention."""
+    return _face_kinetic(rho[..., 1:] - rho[..., :-1], 0.5 * (rho[..., 1:] + rho[..., :-1]))
+
+
 def _check_shapes(state: State, tilt: Tilt):
     if tilt.v_cells.shape != state.c.shape:
         raise ValueError(
@@ -213,11 +222,7 @@ def slope(state: State, params: SystemParams, tilt: Tilt, epsilon=None):
     w_v, _ = stationary_measure(params, tilt)
     rho = state.c / w_v
     wbar = 0.5 * (w_v[:, 1:] + w_v[:, :-1])
-    rbar = 0.5 * (rho[:, 1:] + rho[:, :-1])
-    drho = rho[:, 1:] - rho[:, :-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rbar > 0, drho * drho / np.where(rbar > 0, rbar, 1.0), np.where(drho == 0, 0.0, np.inf))
-    slope_diff = 0.5 * float(np.sum(params.delta_array[:, None] * wbar * ratio)) / h
+    slope_diff = 0.5 * float(np.sum(params.delta_array[:, None] * wbar * _face_fisher(rho))) / h
     sq = np.sqrt(rho)
     slope_react = 2.0 * h / eps * float(np.sum(np.sqrt(w_v[0] * w_v[1]) * (sq[0] - sq[1]) ** 2))
     return slope_diff, slope_react

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .core import FluxAssignment, State, Trajectory, _readonly
-from .dissipation import damped_newton_max
-from .functionals import cosh_star, cosh_star_prime, cosh_star_second, perspective_eval
+from .dissipation import _network_dual, damped_newton_max
+from .functionals import _face_fisher, _face_kinetic, perspective_eval
 from .solver import SolverConfig, IntegrationError, _diffusion_step
 
 __all__ = [
@@ -401,66 +401,6 @@ def _edge_weights(gen: MarkovGenerator, epsilon: float):
     return [(i, j, kappa[i, j], kind) for i, j, kind in gen.edges()]
 
 
-def _multispecies_rate_cost(c, delta, edges, v, h, tol, max_iter):
-    """Dual ascent for the I-species flux cost; returns (J, per-edge b, xi)."""
-    i_sp, n = c.shape
-    cbar = 0.5 * (c[:, 1:] + c[:, :-1])
-    wdiff = delta[:, None] * cbar / h
-    hv = (h * v).T.ravel()  # cell-interleaved unknowns, x[i_sp*k + i] = xi[i, k]
-    ew = [(i, j, k * h * np.sqrt(c[i] * c[j])) for i, j, k, _ in edges]
-
-    def value_grad(x):
-        xi = x.reshape(n, i_sp).T
-        dxi = xi[:, 1:] - xi[:, :-1]
-        val = float(hv @ x) - 0.5 * float(np.sum(wdiff * dxi * dxi))
-        grad_r = np.zeros_like(xi)
-        t = wdiff * dxi
-        grad_r[:, 1:] += t
-        grad_r[:, :-1] -= t
-        for i, j, rw in ew:
-            u = xi[i] - xi[j]
-            with np.errstate(over="ignore"):
-                val -= float(rw @ cosh_star(u))
-                s = rw * cosh_star_prime(u)
-            grad_r[i] += s
-            grad_r[j] -= s
-        return val, hv - grad_r.T.ravel()
-
-    def hess_banded(x):
-        xi = x.reshape(n, i_sp).T
-        ab = np.zeros((2 * i_sp + 1, i_sp * n))
-        diag = ab[i_sp]
-        for sp in range(i_sp):
-            w = wdiff[sp]
-            diag[sp:i_sp * (n - 1) + sp:i_sp] += w
-            diag[i_sp + sp::i_sp] += w
-            ab[0, i_sp + sp::i_sp] -= w
-        for i, j, rw in ew:
-            with np.errstate(over="ignore"):
-                r2 = rw * cosh_star_second(xi[i] - xi[j])
-            cols_i = i_sp * np.arange(n) + i
-            cols_j = i_sp * np.arange(n) + j
-            diag[cols_i] += r2
-            diag[cols_j] += r2
-            ab[i_sp - (j - i), cols_j] -= r2
-        ab[i_sp + 1:] = 0.0
-        for d in range(1, i_sp + 1):
-            ab[i_sp + d, :-d] = ab[i_sp - d, d:]
-        return ab
-
-    x, val, gnorm, iters = damped_newton_max(
-        value_grad, hess_banded, np.zeros(i_sp * n),
-        bandwidth=i_sp, tol=tol, max_iter=max_iter,
-    )
-    xi = x.reshape(n, i_sp).T
-    J = np.zeros((i_sp, n + 1))
-    J[:, 1:-1] = wdiff * (xi[:, 1:] - xi[:, :-1])
-    edge_b = {
-        (i, j): rw / h * cosh_star_prime(xi[i] - xi[j]) for i, j, rw in ew
-    }
-    return J, edge_b, val, gnorm, iters
-
-
 def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: float,
                              *, tol: float = 1e-10, max_iter: int = 200) -> MultispeciesBreakdown:
     """Time-integrated dissipation of an I-species trajectory.
@@ -473,38 +413,31 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     """
     w = gen.stationary(epsilon)
     edges = _edge_weights(gen, epsilon)
+    kappa_edges = [(i, j, kappa) for i, j, kappa, _ in edges]
     delta = gen.delta
-    n = traj.n_cells
+    i_sp, n = traj.states.shape[1:]
     h = 1.0 / n
     dts = np.diff(traj.times)
     out = np.zeros(6)
     for m, dt in enumerate(dts):
         c = traj.states[m]
         v = (traj.states[m + 1] - c) / dt
-        J, edge_b, _, _, _ = _multispecies_rate_cost(
-            c, delta, edges, v, h, tol, max_iter
-        )
-        cbar = 0.5 * (c[:, 1:] + c[:, :-1])
-        mob = delta[:, None] * cbar
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kin = np.where(mob > 0, J[:, 1:-1] ** 2 / np.where(mob > 0, mob, 1.0),
-                           np.where(J[:, 1:-1] == 0, 0.0, np.inf))
-        vel_diff = 0.5 * float(np.sum(kin)) * h
+        vg, hess, fluxes = _network_dual(c, delta, kappa_edges, v, h)
+        x, _, _, _ = damped_newton_max(vg, hess, np.zeros(i_sp * n), bandwidth=i_sp,
+                                       tol=tol, max_iter=max_iter)
+        _, J, edge_b = fluxes(x)
+        mob = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
+        vel_diff = 0.5 * float(np.sum(_face_kinetic(J[:, 1:-1], mob))) * h
         vel_rs = vel_rf = 0.0
-        for i, j, kappa, kind in edges:
+        for (i, j, kappa, kind), b in zip(edges, edge_b):
             a = kappa * np.sqrt(c[i] * c[j])
-            cost = float(np.sum(perspective_eval("cosh", a, edge_b[(i, j)]))) * h
+            cost = float(np.sum(perspective_eval("cosh", a, b))) * h
             if kind == "fast":
                 vel_rf += cost
             else:
                 vel_rs += cost
         rho = c / w[:, None]
-        rbar = 0.5 * (rho[:, 1:] + rho[:, :-1])
-        drho = rho[:, 1:] - rho[:, :-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fisher = np.where(rbar > 0, drho * drho / np.where(rbar > 0, rbar, 1.0),
-                              np.where(drho == 0, 0.0, np.inf))
-        slope_diff = 0.5 * float(np.sum(delta[:, None] * w[:, None] * fisher)) / h
+        slope_diff = 0.5 * float(np.sum(delta[:, None] * w[:, None] * _face_fisher(rho))) / h
         sq = np.sqrt(rho)
         slope_rs = slope_rf = 0.0
         for i, j, kappa, kind in edges:

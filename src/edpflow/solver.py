@@ -14,8 +14,7 @@ increments, so the discrete generalized continuity equation holds on solver
 output to machine precision (and bit-exactly after reconstruction, which
 defines its reaction fluxes as the exact residuals).
 
-Each run is single-threaded and deterministic; independent runs (scale sweeps)
-are parallelized by the experiment layer.
+Each run is single-threaded and deterministic.
 """
 
 from __future__ import annotations

@@ -201,14 +201,3 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         code = main(["run", str(path)])
         assert code in (0, 1)  # depends on measured slope; exercise the path
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EDPFLOW_THREADS", "1")
-        doc = small_config(
-            "eps_sweep", tmp_path / "out",
-            grid={"n_cells": 30},
-            solver={"dt": 1e-3, "t_final": 0.01},
-            epsilons=[1e-1, 1e-2],
-        )
-        result = run_experiment(load_config(doc))
-        assert set(result.summary) >= {"loglog_slope", "passed"}

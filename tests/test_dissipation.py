@@ -20,6 +20,7 @@ from edpflow import (
     energy_gradient,
     hat_dissipation,
     hat_edb_residual,
+    hat_flux_dissipation,
     manifold_split,
     perspective_eval,
     primal_R_eps,
@@ -31,6 +32,8 @@ from edpflow import (
     solve_eps_system,
     stationary_measure,
 )
+
+from edpflow.dissipation import _network_dual
 
 from conftest import cosine_tilt, positive_state
 
@@ -151,6 +154,84 @@ class TestPrimalRate:
         with pytest.raises(DualAscentError) as err:
             primal_R_eps(State(c), params, Tilt.zero(4), v)
         assert err.value.gradient_norm > 0
+
+
+def _central_jacobian(fn, x, step=1e-5):
+    cols = []
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = step
+        cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * step))
+    return np.array(cols).T
+
+
+def _banded_to_dense(ab, bw):
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for r in range(size):
+        for c in range(max(0, r - bw), min(size, r + bw + 1)):
+            dense[r, c] = ab[bw + r - c, c]
+    return dense
+
+
+class TestNetworkDualKernel:
+    @pytest.mark.parametrize("case", ["three_species", "two_species"])
+    def test_banded_hessian_and_gradient_match_differences(self, case, params, rng):
+        if case == "three_species":
+            c = rng.uniform(0.3, 1.5, (3, 6))
+            delta = np.array([1.0, 2.0, 0.5])
+            edges = [(0, 1, 2.0), (1, 2, 0.7), (0, 2, 1.3)]
+        else:
+            c = positive_state(rng, 6).c
+            delta = params.delta_array
+            edges = [(0, 1, 1.0 / params.epsilon)]
+        i_sp, n = c.shape
+        v = rng.normal(size=c.shape)
+        value_grad, hess_banded, _ = _network_dual(c, delta, edges, v, 1.0 / n)
+        x = rng.normal(scale=0.3, size=i_sp * n)
+
+        grad = value_grad(x)[1]
+        fd_grad = _central_jacobian(lambda y: [value_grad(y)[0]], x)[0]
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+
+        dense = _banded_to_dense(hess_banded(x), i_sp)
+        fd_hess = -_central_jacobian(lambda y: value_grad(y)[1], x)
+        assert np.max(np.abs(dense - fd_hess)) <= 1e-6 * np.max(np.abs(dense))
+        if case == "three_species":
+            # every band offset up to the bandwidth carries a coupling
+            assert all(np.any(np.diag(dense, d) != 0) for d in (1, 2, 3))
+
+
+class TestZeroMobility:
+    """Zero flux through zero mobility costs nothing; any other flux costs +inf."""
+
+    def test_two_species_kinetic_cost_and_slope(self, params):
+        c = np.array([[1.0, 1.2, 0.8, 0.9, 1.1, 1.0],
+                      [0.9, 1.1, 0.0, 0.0, 1.0, 1.2]])
+        st = State(c)
+        tilt = Tilt.zero(6)
+        J = np.zeros((2, 7))
+        J[:, 1:-1] = [[0.1, -0.2, 0.3, 0.1, -0.1], [0.2, 0.0, 0.0, 0.0, 0.1]]
+        b = np.zeros((2, 6))  # exchange mobility vanishes where species 2 is empty
+        finite = primal_objective(st, params, FluxAssignment(J, b))
+        assert np.all(np.isfinite(finite))
+        J[1, 3] = 0.05  # face between the two empty cells
+        vel_diff, vel_react = primal_objective(st, params, FluxAssignment(J, b))
+        assert vel_diff == np.inf and vel_react == finite[1]
+        assert np.all(np.isfinite(slope(st, params, tilt)))
+
+    def test_coarse_kinetic_cost(self, params):
+        hat_c = np.array([1.5, 2.0, 0.0, 0.0, 1.9, 0.6])
+        fluxes = np.zeros((1, 7))
+        fluxes[0, 1:-1] = [0.1, 0.0, 0.0, 0.0, -0.2]
+        times = np.array([0.0, 0.01])
+        tilt = Tilt.zero(6)
+        hat = CoarseTrajectory(times, np.stack([hat_c, hat_c]), fluxes)
+        assert np.isfinite(hat_flux_dissipation(hat, params, tilt).total)
+        fluxes[0, 3] = 0.05
+        hat = CoarseTrajectory(times, np.stack([hat_c, hat_c]), fluxes)
+        bd = hat_flux_dissipation(hat, params, tilt)
+        assert bd.vel_diff == np.inf and np.isfinite(bd.slope_diff)
 
 
 class TestDissipationFunctional:
