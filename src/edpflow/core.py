@@ -291,7 +291,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     values of the interval ``[t[m], t[m+1])``; the J columns carry the flux on
     the left face of each cell (the right boundary face is identically zero).
     Rows of the final time carry zero flux columns.  Values are written with
-    17 significant digits so a round trip is bit-exact.
+    17 significant digits so a round trip is bit-exact, and rows end in
+    ``\\r\\n`` (the ``csv`` module's default dialect).  The file is written one
+    time level at a time, with one format string per level.
     """
     if traj.n_species != 2:
         raise ValueError("CSV layout is fixed to two species")
@@ -300,23 +302,21 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     x = (np.arange(n) + 0.5) / n
     with_flux = traj.fluxes is not None
     header = _CSV_BASE + (_CSV_FLUX if with_flux else ())
+    values = ",%.17g" * (len(header) - 2) + "\r\n"
+    # t is spliced in per level; neither it nor x can contain a '%'
+    level = "".join("\0,%.17g" % xk + values for xk in x)
+    no_flux = np.zeros((4, n))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for m, t in enumerate(traj.times):
-            for k in range(n):
-                row = [t, x[k], traj.states[m, 0, k], traj.states[m, 1, k]]
-                if with_flux:
-                    if m < traj.n_times - 1:
-                        row += [
-                            traj.fluxes.J[m, 0, k],
-                            traj.fluxes.J[m, 1, k],
-                            traj.fluxes.b[m, 0, k],
-                            traj.fluxes.b[m, 1, k],
-                        ]
-                    else:
-                        row += [0.0, 0.0, 0.0, 0.0]
-                writer.writerow(f"{v:.17g}" for v in row)
+            cols = [traj.states[m]]
+            if with_flux:
+                if m < traj.n_times - 1:
+                    cols += [traj.fluxes.J[m, :, :n], traj.fluxes.b[m]]
+                else:
+                    cols.append(no_flux)
+            block = np.concatenate(cols).T.ravel().tolist()
+            fh.write(level.replace("\0", "%.17g" % t) % tuple(block))
     return path
 
 

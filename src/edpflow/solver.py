@@ -2,11 +2,14 @@
 
 The stiff exchange term is integrated exactly: per cell it is a two-state
 generator whose exponential has a closed form, so the scale separation costs
-nothing in stability.  Drift-diffusion is advanced implicitly per species with
-an exponentially fitted face flux (the flux depends on the potential only
-through its face differences), which makes the tilted stationary measure an
-exact fixed point, conserves mass to machine precision, and preserves
-positivity (the implicit matrix is an M-matrix).
+nothing in stability.  Drift-diffusion is advanced implicitly with an
+exponentially fitted face flux (the flux depends on the potential only through
+its face differences), which makes the tilted stationary measure an exact
+fixed point, conserves mass to machine precision, and preserves positivity
+(the implicit matrix is an M-matrix).  The implicit matrix of all species is
+one block-diagonal tridiagonal system, LU-factored once per run; each step
+advances every species with a single triangular solve.  The same stepper
+serves the two-species, coarse and I-species solvers.
 
 Per-interval fluxes are recorded from the solves themselves: face fluxes from
 the implicit step's internal fluxes and reaction fluxes from the exchange-step
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coarsegrain import CoarseTrajectory, coarse_params
 from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, total_mass
@@ -82,56 +85,76 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def _implicit_banded(delta_faces, g, dt, h):
-    """Banded matrix of I - dt*L for the fitted drift-diffusion operator."""
-    n = delta_faces.size + 1
-    r = dt / (h * h)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0
-    ab[1, :-1] += r * delta_faces / g
-    ab[1, 1:] += r * delta_faces * g
-    ab[0, 1:] = -r * delta_faces * g
-    ab[2, :-1] = -r * delta_faces / g
-    return ab
+def _implicit_banded(delta_faces, g, tau, h):
+    """Banded matrix of I - tau*L for a stack of species, shape (3, k*n).
 
-
-def _face_fluxes(c, delta_faces, g, h):
-    """Internal face fluxes of the fitted operator; boundary faces are zero."""
-    J = np.zeros(c.size + 1)
-    J[1:-1] = -(delta_faces / h) * (c[1:] * g - c[:-1] / g)
-    return J
-
-
-def _apply_l(c, delta_faces, g, h):
-    J = _face_fluxes(c, delta_faces, g, h)
-    return -(J[1:] - J[:-1]) / h
-
-
-def _diffusion_step(c, delta_faces, g, dt, h, crank_nicolson):
-    """Advance one species by dt; returns the new cells and the interval flux.
-
-    The accepted update is recomputed from the recorded face fluxes (rather
-    than taken from the linear solve directly), so the discrete continuity
-    pairing of states and fluxes holds to the last bit instead of inheriting
-    the solver's algebraic residual divided by dt.
+    ``delta_faces`` and ``g`` have shape (k, n - 1); species occupy
+    consecutive blocks of n unknowns and the entries coupling two blocks are
+    zero.
     """
-    if crank_nicolson:
-        rhs = c + 0.5 * dt * _apply_l(c, delta_faces, g, h)
-        ab = _implicit_banded(delta_faces, g, 0.5 * dt, h)
-        c_sol = solve_banded((1, 1), ab, rhs)
-        J = 0.5 * (_face_fluxes(c, delta_faces, g, h) + _face_fluxes(c_sol, delta_faces, g, h))
-    else:
-        ab = _implicit_banded(delta_faces, g, dt, h)
-        c_sol = solve_banded((1, 1), ab, c)
-        J = _face_fluxes(c_sol, delta_faces, g, h)
-    c_new = c - (dt / h) * (J[1:] - J[:-1])
-    return c_new, J
+    k, n_faces = delta_faces.shape
+    r = tau / (h * h)
+    ab = np.zeros((3, k, n_faces + 1))
+    ab[1] = 1.0
+    ab[1, :, :-1] += r * delta_faces / g
+    ab[1, :, 1:] += r * delta_faces * g
+    ab[0, :, 1:] = -r * delta_faces * g
+    ab[2, :, :-1] = -r * delta_faces / g
+    return ab.reshape(3, -1)
+
+
+class _ImplicitStepper:
+    """Fitted drift-diffusion step for a stack of species, factored once per run.
+
+    The tridiagonal matrix of I - tau*L (tau = dt for implicit Euler, dt/2
+    for Crank-Nicolson) is LU-factored once; each step advances all species
+    with one triangular solve.  The accepted update is recomputed from the
+    recorded face fluxes (rather than taken from the linear solve directly),
+    so the discrete continuity pairing of states and fluxes holds to the last
+    bit instead of inheriting the solver's algebraic residual divided by dt.
+    """
+
+    def __init__(self, delta_faces, g, dt, h, crank_nicolson):
+        # delta_faces and g: shape (k, n - 1), one row per species
+        self._neg_dh = -(delta_faces / h)
+        self._g = g
+        self._h = h
+        self._dt_h = dt / h
+        self._half_dt = 0.5 * dt
+        self._cn = crank_nicolson
+        ab = _implicit_banded(delta_faces, g, 0.5 * dt if crank_nicolson else dt, h)
+        dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info != 0 or not np.all(np.isfinite(ab)):
+            raise IntegrationError(
+                "tilt too large: the drift factors exp(dV/2) leave the floating-point "
+                "range and the implicit matrix is not finite or not invertible", 0)
+        self._factors = (dl, d, du, du2, ipiv)
+
+    def fluxes(self, c):
+        """Internal face fluxes of the fitted operator; boundary faces are zero."""
+        J = np.zeros((c.shape[0], c.shape[1] + 1))
+        J[:, 1:-1] = self._neg_dh * (c[:, 1:] * self._g - c[:, :-1] / self._g)
+        return J
+
+    def _solve(self, rhs):
+        x, _ = dgttrs(*self._factors, rhs.ravel())
+        return x.reshape(rhs.shape)
+
+    def step(self, c):
+        """Advance the (k, n) stack by dt; returns the new cells and the interval flux."""
+        if self._cn:
+            J0 = self.fluxes(c)
+            rhs = c + self._half_dt * (-(J0[:, 1:] - J0[:, :-1]) / self._h)
+            J = 0.5 * (J0 + self.fluxes(self._solve(rhs)))
+        else:
+            J = self.fluxes(self._solve(c))
+        return c - self._dt_h * (J[:, 1:] - J[:, :-1]), J
 
 
 def _guard_nonnegative(c, step: int):
     """Clamp roundoff-negative cells to zero; genuine negativity is an error."""
     lowest = float(c.min())
-    if lowest < -1e-12 * max(1.0, float(np.max(np.abs(c)))):
+    if lowest < -1e-12 and lowest < -1e-12 * max(1.0, float(np.abs(c).max())):
         raise IntegrationError(f"density went negative ({lowest:.3e})", step)
     return np.maximum(c, 0.0)
 
@@ -144,15 +167,8 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
     return a, b
 
 
-def _exchange_step(c, a, b, tau, epsilon):
-    """Exact exponential of the cellwise exchange generator over time tau.
-
-    Returns the new densities and the species-1 increment.
-    """
-    s = a + b
-    theta = -np.expm1(-s * tau / epsilon) / s
-    d1 = theta * (b * c[1] - a * c[0])
-    return np.stack([c[0] + d1, c[1] - d1]), d1
+# c + _SPECIES_SIGN * d gives (c1 + d, c2 - d) bit for bit in one expression
+_SPECIES_SIGN = np.array([[1.0], [-1.0]])
 
 
 def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
@@ -175,10 +191,18 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     dt = config.dt_effective
     steps = config.n_steps
     eps = params.epsilon
-    a, b = _exchange_rates(params, tilt)
-    g = [np.exp(np.diff(tilt.v_cells[j]) / 2.0) for j in range(2)]
-    delta_faces = [np.full(n - 1, params.delta[j]) for j in range(2)]
-    cn = config.scheme == "strang_cn"
+    imex = config.scheme == "imex_euler"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b = _exchange_rates(params, tilt)
+        s = a + b
+        theta = -np.expm1(-s * (0.5 * dt) / eps) / s
+        g = np.exp(np.diff(tilt.v_cells) / 2.0)
+    if not all(np.all(np.isfinite(x)) for x in (a, b, theta)):
+        vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
+        raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
+    delta_faces = np.repeat(params.delta_array[:, None], n - 1, axis=1)
+    stepper = _ImplicitStepper(delta_faces, g, dt, h, config.scheme == "strang_cn")
+    rate_dt = dt / eps
 
     states = np.empty((steps + 1, 2, n))
     J = np.empty((steps, 2, n + 1))
@@ -186,23 +210,18 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     states[0] = initial.c
     c = initial.c.copy()
     for m in range(steps):
-        if config.scheme == "imex_euler":
-            d1 = dt / eps * (b * c[1] - a * c[0])
-            c_star = np.stack([c[0] + d1, c[1] - d1])
-            c_next = np.empty_like(c)
-            for j in range(2):
-                c_next[j], J[m, j] = _diffusion_step(c_star[j], delta_faces[j], g[j], dt, h, False)
-            exch = d1
+        if imex:
+            exch = rate_dt * (b * c[1] - a * c[0])
+            c_next, J[m] = stepper.step(c + _SPECIES_SIGN * exch)
         else:
-            c_half, d1a = _exchange_step(c, a, b, 0.5 * dt, eps)
-            c_mid = np.empty_like(c)
-            for j in range(2):
-                c_mid[j], J[m, j] = _diffusion_step(c_half[j], delta_faces[j], g[j], dt, h, cn)
-            c_next, d1b = _exchange_step(c_mid, a, b, 0.5 * dt, eps)
+            d1a = theta * (b * c[1] - a * c[0])
+            c_mid, J[m] = stepper.step(c + _SPECIES_SIGN * d1a)
+            d1b = theta * (b * c_mid[1] - a * c_mid[0])
+            c_next = c_mid + _SPECIES_SIGN * d1b
             exch = d1a + d1b
         bflux[m, 0] = exch / dt
         bflux[m, 1] = -exch / dt
-        if not np.all(np.isfinite(c_next)):
+        if not np.isfinite(c_next).all():
             raise IntegrationError("state left the finite range", m)
         c_next = _guard_nonnegative(c_next, m)
         states[m + 1] = c_next
@@ -229,20 +248,21 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
         raise ValueError("initial coarse density must have unit mass")
     n = hat_c.size
     h = 1.0 / n
-    cp = coarse_params(params, tilt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cp = coarse_params(params, tilt)
+        g = np.exp(np.diff(cp.v_hat) / 2.0)
     delta_faces = 0.5 * (cp.delta_hat[1:] + cp.delta_hat[:-1])
-    g = np.exp(np.diff(cp.v_hat) / 2.0)
     dt = config.dt_effective
     steps = config.n_steps
-    cn = config.scheme == "strang_cn"
+    stepper = _ImplicitStepper(delta_faces[None], g[None], dt, h, config.scheme == "strang_cn")
 
     states = np.empty((steps + 1, n))
     J = np.empty((steps, n + 1))
     states[0] = hat_c
-    c = hat_c.copy()
+    c = hat_c[None].copy()
     for m in range(steps):
-        c, J[m] = _diffusion_step(c, delta_faces, g, dt, h, cn)
-        if not np.all(np.isfinite(c)):
+        c, J[m] = stepper.step(c)
+        if not np.isfinite(c).all():
             raise IntegrationError("state left the finite range", m)
         c = _guard_nonnegative(c, m)
         states[m + 1] = c

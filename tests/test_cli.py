@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from edpflow import (
     run_experiment,
     solve_effective,
 )
+import edpflow
 from edpflow.cli import main
 
 
@@ -172,6 +177,18 @@ class TestMainEntry:
         files = sorted(p.name for p in (tmp_path / "configs").glob("*.json"))
         assert len(files) == 5
         assert main(["validate", str(tmp_path / "configs" / "multispecies_check.json")]) == 0
+
+    def test_python_dash_m_entry(self, tmp_path):
+        src = str(Path(edpflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "edpflow", "export-defaults", "-o", str(tmp_path / "configs")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "wrote 5 configs" in proc.stdout
+        assert len(list((tmp_path / "configs").glob("*.json"))) == 5
 
     def test_run_exit_codes(self, tmp_path, capsys):
         doc = small_config(

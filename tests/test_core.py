@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,52 @@ def test_csv_header_fixed(tmp_path):
     path = trajectory_to_csv(traj, tmp_path / "t.csv")
     header = path.read_text().splitlines()[0]
     assert header == "t,x,c1,c2,J1,J2,b1,b2"
+
+
+def _reference_csv(traj, path):
+    """Row-at-a-time ``csv.writer`` layout that the block writer must reproduce."""
+    n = traj.n_cells
+    x = (np.arange(n) + 0.5) / n
+    with_flux = traj.fluxes is not None
+    header = ("t", "x", "c1", "c2") + (("J1", "J2", "b1", "b2") if with_flux else ())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for m, t in enumerate(traj.times):
+            for k in range(n):
+                row = [t, x[k], traj.states[m, 0, k], traj.states[m, 1, k]]
+                if with_flux:
+                    if m < traj.n_times - 1:
+                        row += [traj.fluxes.J[m, 0, k], traj.fluxes.J[m, 1, k],
+                                traj.fluxes.b[m, 0, k], traj.fluxes.b[m, 1, k]]
+                    else:
+                        row += [0.0, 0.0, 0.0, 0.0]
+                writer.writerow(f"{v:.17g}" for v in row)
+
+
+@pytest.mark.parametrize("with_flux", [True, False])
+def test_csv_bytes_match_row_writer(tmp_path, rng, with_flux):
+    n, steps = 7, 3
+    special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 0.0]
+    c = rng.uniform(0.0, 1.0, (steps + 1, 2, n))
+    c[0, 0] = special
+    c[1, 1] = special[::-1]
+    times = np.array([0.0, 0.1 + 0.2, 1.0 / 3.0 + 1.0, 1e3 + 1e-9])
+    fluxes = None
+    if with_flux:
+        J = np.zeros((steps, 2, n + 1))
+        J[:, :, 1:-1] = rng.normal(size=(steps, 2, n - 1))
+        J[0, 0, 1:-1] = [-0.0, -5e-324, 5e-324, -1e308, 1e308, 0.1 + 0.2]
+        b1 = rng.normal(size=(steps, n))
+        b1[1] = [-0.0, 5e-324, -1e308, 1e308, 0.1 + 0.2, -1.0 / 3.0, 0.0]
+        fluxes = FluxAssignment(J, np.stack([b1, -b1], axis=1))
+    traj = Trajectory(times, c, fluxes)
+    got = trajectory_to_csv(traj, tmp_path / "block.csv").read_bytes()
+    _reference_csv(traj, tmp_path / "rows.csv")
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    lines = got.split(b"\n")
+    assert lines[-1] == b""
+    assert len(lines) == 1 + (steps + 1) * n + 1
+    assert all(line.endswith(b"\r") for line in lines[:-1])
+    assert b",-0," in got and b"4.9406564584124654e-324" in got and b"e+308" in got
+    assert b"0.30000000000000004" in got

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm, solve_banded
 
 from edpflow import (
     IntegrationError,
@@ -11,15 +14,19 @@ from edpflow import (
     gce_residual,
     lagrange_multipliers,
     manifold_split,
+    random_detailed_balance_generator,
     solve_effective,
     solve_eps_system,
+    solve_multispecies,
     stationary_measure,
     total_mass,
 )
 from edpflow.coarsegrain import coarse_grain_trajectory, coarse_params
-from edpflow.solver import central_first_derivative, central_second_derivative
+from edpflow.solver import _exchange_rates, central_first_derivative, central_second_derivative
 
-from conftest import cosine_tilt
+from conftest import cosine_tilt, positive_state
+
+_ALL_SCHEMES = ["strang_exact_reaction", "imex_euler", "strang_cn"]
 
 
 def test_config_validation():
@@ -113,6 +120,35 @@ def test_imex_blowup_reports_step():
     with pytest.raises(IntegrationError) as err:
         solve_eps_system(c0, p, Tilt.zero(n), SolverConfig(1e-2, 0.1, "imex_euler"))
     assert err.value.step >= 0
+
+
+def _steep_tilt(n, slope, common):
+    """Linear potentials with face differences of ``slope`` per cell.
+
+    With ``common`` both species share the slope, so only the drift factors
+    overflow; otherwise species 1 alone is tilted and |V1 - V2| grows to
+    about ``slope * n``, which overflows the exchange rates.
+    """
+    ramp = slope * np.arange(n + 1.0)
+    v_faces = np.stack([ramp, ramp if common else np.zeros(n + 1)])
+    v_cells = 0.5 * (v_faces[:, 1:] + v_faces[:, :-1])
+    return Tilt(v_cells, v_faces)
+
+
+@pytest.mark.parametrize("common", [False, True], ids=["exchange", "drift"])
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_overflowing_tilt_raises_typed_error(params, scheme, common):
+    n = 8
+    tilt = _steep_tilt(n, 1500.0 if common else 400.0, common)
+    c0 = State(np.full((2, n), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="tilt too large") as err:
+            solve_eps_system(c0, params, tilt, SolverConfig(1e-3, 0.01, scheme))
+        assert err.value.step == 0
+        if common:
+            with pytest.raises(IntegrationError, match="tilt too large"):
+                solve_effective(np.ones(n), params, tilt, SolverConfig(1e-3, 0.01, scheme))
 
 
 def test_initial_mass_checked(params):
@@ -252,3 +288,116 @@ class TestLagrangeMultipliers:
                 res.append(np.max(np.abs(cdot[j] - op - lam)[2:-2]))
             errs.append(max(res))
         assert errs[1] < errs[0] / 1.7
+
+
+def _reference_diffusion_step(c, delta_faces, g, dt, h, crank_nicolson):
+    """One species, one fresh ``solve_banded`` per step: the pre-factoring stepper."""
+    def fluxes(u):
+        J = np.zeros(u.size + 1)
+        J[1:-1] = -(delta_faces / h) * (u[1:] * g - u[:-1] / g)
+        return J
+
+    def banded(tau):
+        r = tau / (h * h)
+        ab = np.zeros((3, c.size))
+        ab[1, :] = 1.0
+        ab[1, :-1] += r * delta_faces / g
+        ab[1, 1:] += r * delta_faces * g
+        ab[0, 1:] = -r * delta_faces * g
+        ab[2, :-1] = -r * delta_faces / g
+        return ab
+
+    if crank_nicolson:
+        J0 = fluxes(c)
+        rhs = c + 0.5 * dt * (-(J0[1:] - J0[:-1]) / h)
+        J = 0.5 * (J0 + fluxes(solve_banded((1, 1), banded(0.5 * dt), rhs)))
+    else:
+        J = fluxes(solve_banded((1, 1), banded(dt), c))
+    return c - (dt / h) * (J[1:] - J[:-1]), J
+
+
+def _reference_eps_system(c, params, tilt, config):
+    n = c.shape[1]
+    h, dt, eps = 1.0 / n, config.dt_effective, params.epsilon
+    cn = config.scheme == "strang_cn"
+    a, b = _exchange_rates(params, tilt)
+    g = [np.exp(np.diff(tilt.v_cells[j]) / 2.0) for j in range(2)]
+    delta_faces = [np.full(n - 1, params.delta[j]) for j in range(2)]
+
+    def exchange(u):
+        s = a + b
+        d1 = -np.expm1(-s * (0.5 * dt) / eps) / s * (b * u[1] - a * u[0])
+        return np.stack([u[0] + d1, u[1] - d1]), d1
+
+    states, J, bflux = [c], [], []
+    for _ in range(config.n_steps):
+        if config.scheme == "imex_euler":
+            exch = dt / eps * (b * c[1] - a * c[0])
+            c_half = np.stack([c[0] + exch, c[1] - exch])
+        else:
+            c_half, exch = exchange(c)
+        steps = [_reference_diffusion_step(c_half[j], delta_faces[j], g[j], dt, h, cn)
+                 for j in range(2)]
+        c = np.stack([s[0] for s in steps])
+        if config.scheme != "imex_euler":
+            c, d1b = exchange(c)
+            exch = exch + d1b
+        J.append(np.stack([s[1] for s in steps]))
+        bflux.append(np.stack([exch / dt, -exch / dt]))
+        c = np.maximum(c, 0.0)
+        states.append(c)
+    return np.array(states), np.array(J), np.array(bflux)
+
+
+@pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+def test_factored_stepper_matches_per_species_solves(params, scheme, rng):
+    n = 37
+    tilt = cosine_tilt(n, [[0.8, -0.3], [-0.5, 0.2]])
+    c0 = positive_state(rng, n)
+    config = SolverConfig(2e-3, 0.1, scheme)
+    traj = solve_eps_system(c0, params, tilt, config)
+    states, J, b = _reference_eps_system(c0.c.copy(), params, tilt, config)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.fluxes.J, J)
+    assert np.array_equal(traj.fluxes.b, b)
+
+    cp = coarse_params(params, tilt)
+    delta_faces = 0.5 * (cp.delta_hat[1:] + cp.delta_hat[:-1])
+    g = np.exp(np.diff(cp.v_hat) / 2.0)
+    coarse = solve_effective(c0.c.sum(axis=0), params, tilt, config)
+    hat = c0.c.sum(axis=0)
+    for m in range(config.n_steps):
+        hat, J_hat = _reference_diffusion_step(hat, delta_faces, g, config.dt_effective,
+                                               1.0 / n, scheme == "strang_cn")
+        hat = np.maximum(hat, 0.0)
+        assert np.array_equal(coarse.fluxes[m], J_hat)
+        assert np.array_equal(coarse.states[m + 1], hat)
+
+
+@pytest.mark.parametrize("scheme", ["strang_exact_reaction", "strang_cn"])
+def test_factored_stepper_matches_per_species_solves_multispecies(scheme):
+    gen = random_detailed_balance_generator(np.random.default_rng(5), 4)
+    n, eps = 37, 1e-3
+    # unequal deltas, one of which does not survive (delta / h) * h; on this
+    # generator a matrix built from those scaled deltas changes the fluxes
+    assert np.unique(gen.delta).size == 4
+    assert np.any((gen.delta / (1.0 / n)) * (1.0 / n) != gen.delta)
+    c = np.random.default_rng(12).uniform(0.2, 2.0, (4, n))
+    c /= c.sum() / n
+    config = SolverConfig(1e-3, 0.05, scheme)
+    traj = solve_multispecies(State(c), gen, eps, config)
+    dt, h = config.dt_effective, 1.0 / n
+    propagator = expm(gen.assemble(eps) * (0.5 * dt))
+    for m in range(config.n_steps):
+        c_half = propagator @ c
+        steps = [_reference_diffusion_step(c_half[j], np.full(n - 1, d), np.ones(n - 1), dt, h,
+                                           scheme == "strang_cn")
+                 for j, d in enumerate(gen.delta)]
+        c_mid = np.stack([s[0] for s in steps])
+        c_next = propagator @ c_mid
+        exch = c_half - c + (c_next - c_mid)
+        exch -= exch.sum(axis=0) / 4
+        assert np.array_equal(traj.fluxes.J[m], np.stack([s[1] for s in steps]))
+        assert np.array_equal(traj.fluxes.b[m], exch / dt)
+        assert np.array_equal(traj.states[m + 1], c_next)
+        c = c_next
