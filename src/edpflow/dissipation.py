@@ -3,7 +3,7 @@
 The primal flux cost of a density rate is evaluated as the supremum of
 <xi, v> - R*(c, xi) over potential fields xi.  The dual objective is smooth
 (quadratic mobility plus cosh exchange) and strictly concave once the constant
-mode shared by both species is gauged away, so a damped Newton ascent with a
+mode shared by all species is gauged away, so a damped Newton ascent with a
 banded Hessian converges quadratically; optimal fluxes are read off the
 maximizer.  Weak duality makes every returned value a certified lower bound of
 the primal cost.
@@ -11,18 +11,18 @@ the primal cost.
 The module also evaluates the time-integrated dissipation of trajectories
 (variationally, and directly on stored fluxes), its four-term breakdown, the
 energy-dissipation-balance residual, and the coarse (slow-variable) versions
-of all three.
-
-The Newton solve is single-threaded and deterministic.
+of all three, in chunks of intervals: a chunk's dual problems form one
+stacked Newton solve, and no interval's result depends on its chunk.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .coarsegrain import (
     CoarseTrajectory,
@@ -35,14 +35,16 @@ from .coarsegrain import (
 from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory
 from .functionals import (
     DissipationBreakdown,
+    _check_shapes,
     _face_fisher,
     _face_kinetic,
+    _network_cost,
+    _network_slope,
     cosh_star,
     cosh_star_prime,
     cosh_star_second,
     energy,
-    perspective_eval,
-    slope,
+    stationary_measure,
 )
 
 __all__ = [
@@ -61,6 +63,28 @@ __all__ = [
     "hat_edb_residual",
     "damped_newton_max",
 ]
+
+logger = logging.getLogger(__name__)
+
+# unknowns per chunk of intervals: bounds the working set of a trajectory
+# evaluation whatever its length.  Twice this kept about 4 MB more heap
+# resident between the levels of a refinement study, for no speed gain.
+_CHUNK_UNKNOWNS = 8192
+
+
+def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
+    """Consecutive interval ranges of at most ``_CHUNK_UNKNOWNS`` unknowns (one interval at least)."""
+    size = max(1, _CHUNK_UNKNOWNS // unknowns)
+    return [slice(s, min(s + size, n_intervals)) for s in range(0, n_intervals, size)]
+
+
+def _log_ascent(log: logging.Logger, chunks: list):
+    """Debug record of one evaluation from the (gradient norm, per-problem iterations) of its chunks."""
+    if log.isEnabledFor(logging.DEBUG):
+        counts = np.bincount(np.concatenate([iters for _, iters in chunks]))
+        log.debug("dual ascent over %d intervals in %d chunks: Newton iterations per interval %s, "
+                  "max final gradient norm %.3e", counts.sum(), len(chunks),
+                  {k: int(m) for k, m in enumerate(counts) if m}, max(g for g, _ in chunks))
 
 
 class DualAscentError(RuntimeError):
@@ -87,115 +111,135 @@ class DualMaximizerState:
 
 def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
                       tol: float = 1e-10, max_iter: int = 200):
-    """Maximize a smooth concave function with Armijo-damped Newton steps.
+    """Maximize a stack of independent smooth concave functions by Armijo-damped Newton.
 
-    ``value_grad(x)`` returns the objective and its gradient; ``hess_banded(x)``
-    the banded storage (2*bandwidth+1, n) of the negative Hessian, which must
-    be positive semidefinite with null space at most the constant vector.  The
-    constant mode is pinned inside the solve and projected out of the steps,
-    so objectives invariant under constant shifts are handled exactly.
+    Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x, act)``
+    returns values and gradients of the problems ``act`` (an index array) at
+    the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
+    banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
+    between blocks.  Each must be positive semidefinite with null space at most
+    the constant vector, which is pinned inside the banded Cholesky solve and
+    projected out of the steps.  Each problem has its own stopping test, line
+    search and iteration count, and drops out once converged.  Returns
+    ``(x, values, gradient_norm, iterations, iterations_per_problem)``, the
+    middle two the largest over the stack; failures raise
+    :class:`DualAscentError` with the failing problem's gradient norm.
     """
     x = np.array(x0, dtype=float)
-    size = x.size
-    q = np.full(size, 1.0 / np.sqrt(size))
-    val, grad = value_grad(x)
-    grad = grad - q * (q @ grad)
-    for it in range(max_iter):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            return x, float(val), gnorm, it
-        ab = hess_banded(x)
-        pin = max(float(ab[bandwidth].max()), 1.0)
-        ab[bandwidth, 0] += pin
-        try:
-            step = solve_banded((bandwidth, bandwidth), ab, grad)
-        except LinAlgError as exc:
-            raise DualAscentError(f"singular dual Hessian: {exc}", gnorm) from None
-        step -= q * (q @ step)
-        ascent = float(grad @ step)
-        if not np.isfinite(ascent) or ascent <= 0:
-            raise DualAscentError("dual Hessian lost definiteness", gnorm)
-        if ascent <= 1e-12 * (1.0 + abs(val)):
-            # predicted gain is below the objective's floating-point
-            # resolution: the value can no longer gate progress, but the raw
-            # Newton step still contracts the gradient quadratically
-            cand = x + step
-            cval, cgrad = value_grad(cand)
-            if not np.isfinite(cval):
-                raise DualAscentError("terminal Newton step left the finite range", gnorm)
-        else:
-            t = 1.0
-            while True:
-                cand = x + t * step
-                cval, cgrad = value_grad(cand)
-                if np.isfinite(cval) and cval >= val + 1e-4 * t * ascent:
-                    break
-                t *= 0.5
-                if t < 1e-14:
-                    raise DualAscentError("line search stalled", gnorm)
-        x, val = cand, cval
-        grad = cgrad - q * (q @ cgrad)
-    raise DualAscentError("iteration limit reached", float(np.linalg.norm(grad)))
+    n_prob, size = x.shape
+    val, grad = value_grad(x, np.arange(n_prob))
+    grad -= grad.mean(axis=1, keepdims=True)
+    gnorm = np.linalg.norm(grad, axis=1)
+    iters = np.zeros(n_prob, dtype=int)
+    while True:
+        act = np.flatnonzero(~(gnorm <= tol))
+        if act.size == 0:
+            return x, val, float(gnorm.max()), int(iters.max()), iters
+        if iters[act[0]] == max_iter:  # every active problem has run every iteration
+            raise DualAscentError("iteration limit reached", float(gnorm[act[0]]))
+        ab = hess_banded(x[act], act)
+        diag = ab[bandwidth].reshape(act.size, size)
+        diag[:, 0] += np.maximum(diag.max(axis=1), 1.0)
+        chol, info = dpbtrf(ab, overwrite_ab=1)
+        if info > 0:
+            raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
+        g = grad[act]
+        step = dpbtrs(chol, g.ravel())[0].reshape(act.size, size)
+        step -= step.mean(axis=1, keepdims=True)
+        ascent = np.sum(g * step, axis=1)
+        bad = ~(np.isfinite(ascent) & (ascent > 0))
+        if np.any(bad):
+            raise DualAscentError("dual Hessian lost definiteness", float(gnorm[act[bad][0]]))
+        # terminal steps: the predicted gain is below the objective's
+        # floating-point resolution, so the value can no longer gate progress,
+        # but the raw Newton step still contracts the gradient quadratically
+        terminal = ascent <= 1e-12 * (1.0 + np.abs(val[act]))
+        # every problem still searching has been halved equally often
+        t = 1.0
+        todo = np.arange(act.size)
+        while todo.size:
+            k = act[todo]
+            cand = x[k] + t * step[todo]
+            cval, cgrad = value_grad(cand, k)
+            finite = np.isfinite(cval)
+            if not np.all(finite[terminal[todo]]):
+                raise DualAscentError("terminal Newton step left the finite range",
+                                      float(gnorm[k[terminal[todo] & ~finite][0]]))
+            ok = terminal[todo] | (finite & (cval >= val[k] + 1e-4 * t * ascent[todo]))
+            x[k[ok]], val[k[ok]], grad[k[ok]] = cand[ok], cval[ok], cgrad[ok]
+            todo = todo[~ok]
+            t *= 0.5
+            if todo.size and t < 1e-14:
+                raise DualAscentError("line search stalled", float(gnorm[act[todo[0]]]))
+        grad[act] -= grad[act].mean(axis=1, keepdims=True)
+        gnorm[act] = np.linalg.norm(grad[act], axis=1)
+        iters[act] += 1
 
 
 def _network_dual(c, delta, edges, v, h):
-    """Dual objective of the flux cost of rate v on a reaction network.
+    """Dual objectives of the flux costs of rates v on a reaction network, one per problem.
 
+    ``c`` and ``v`` have shape (M, I, n): a state and a rate per problem.
     Species i diffuses with mobility delta_i cbar_i on interior faces; each
     edge (i, j, kappa) with i < j exchanges through a cosh term of strength
-    kappa sqrt(c_i c_j).  Unknowns are cell-interleaved, x[I*k + i] = xi[i, k],
-    so the negative Hessian is banded with bandwidth I: species couple within
-    a cell, cells couple within a species.
+    kappa sqrt(c_i c_j).  Unknowns are cell-interleaved, x[m, I*k + i] =
+    xi[m, i, k], so each negative Hessian is banded with bandwidth I: species
+    couple within a cell, cells couple within a species.
 
     Returns ``(value_grad, hess_banded, fluxes)`` for :func:`damped_newton_max`;
-    ``fluxes(x)`` reads off the potentials xi, the face fluxes J and the list
-    of per-edge exchange fluxes (entering species i with + and j with -).
+    ``fluxes(x)`` reads off the potentials xi (M, I, n), the face fluxes J
+    (M, I, n + 1) and the list of per-edge exchange fluxes (M, n), entering
+    species i with + and j with -.
     """
-    i_sp, n = c.shape
-    wdiff = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h
-    hv = (h * v).T.ravel()
-    ew = [(i, j, kappa * h * np.sqrt(c[i] * c[j])) for i, j, kappa in edges]
+    n_prob, i_sp, n = c.shape
+    cs = c.transpose(0, 2, 1)  # per-problem data in the layout of the unknowns
+    wdiff = delta * 0.5 * (cs[:, 1:] + cs[:, :-1]) / h
+    hv = (h * v).transpose(0, 2, 1).reshape(n_prob, n * i_sp)
+    ew = [(i, j, kappa * h * np.sqrt(c[:, i] * c[:, j])) for i, j, kappa in edges]
 
-    def value_grad(x):
-        xi = x.reshape(n, i_sp).T
+    def value_grad(x, act):
+        xi = x.reshape(act.size, n, i_sp)
         dxi = xi[:, 1:] - xi[:, :-1]
-        t = wdiff * dxi
-        val = float(hv @ x) - 0.5 * float(np.sum(t * dxi))
+        t = wdiff[act] * dxi
+        hva = hv[act]
+        val = np.sum(hva * x, axis=1) - 0.5 * np.sum((t * dxi).reshape(act.size, -1), axis=1)
         grad_r = np.zeros_like(xi)
         grad_r[:, 1:] += t
         grad_r[:, :-1] -= t
         for i, j, rw in ew:
-            u = xi[i] - xi[j]
+            u = xi[..., i] - xi[..., j]
+            rwa = rw[act]
             with np.errstate(over="ignore"):
-                val -= float(rw @ cosh_star(u))
-                s = rw * cosh_star_prime(u)
-            grad_r[i] += s
-            grad_r[j] -= s
-        return val, hv - grad_r.T.ravel()
+                val -= np.sum(rwa * cosh_star(u), axis=1)
+                s = rwa * cosh_star_prime(u)
+            grad_r[..., i] += s
+            grad_r[..., j] -= s
+        hva -= grad_r.reshape(act.size, -1)
+        return val, hva
 
-    def hess_banded(x):
-        xi = x.reshape(n, i_sp).T
-        ab = np.zeros((2 * i_sp + 1, i_sp * n))
-        diag = ab[i_sp]
-        for sp in range(i_sp):
-            diag[sp:i_sp * (n - 1):i_sp] += wdiff[sp]
-            diag[i_sp + sp::i_sp] += wdiff[sp]
-            ab[0, i_sp + sp::i_sp] = -wdiff[sp]
+    def hess_banded(x, act):
+        xi = x.reshape(act.size, n, i_sp)
+        wd = wdiff[act]
+        ab = np.zeros((i_sp + 1, x.size), order="F")  # the layout LAPACK factors in place
+        bands = ab.reshape(i_sp + 1, act.size, n, i_sp)
+        diag = bands[i_sp]
+        diag[:, 1:] += wd
+        diag[:, :-1] += wd
+        bands[0, :, 1:] = -wd  # same species in the next cell; zero on each block's first cell
         for i, j, rw in ew:
             with np.errstate(over="ignore"):
-                r2 = rw * cosh_star_second(xi[i] - xi[j])
-            diag[i::i_sp] += r2
-            diag[j::i_sp] += r2
-            ab[i_sp - (j - i), j::i_sp] -= r2
-        for d in range(1, i_sp + 1):
-            ab[i_sp + d, :-d] = ab[i_sp - d, d:]
+                r2 = rw[act] * cosh_star_second(xi[..., i] - xi[..., j])
+            diag[..., i] += r2
+            diag[..., j] += r2
+            bands[i_sp - (j - i), ..., j] -= r2
         return ab
 
     def fluxes(x):
-        xi = x.reshape(n, i_sp).T
-        J = np.zeros((i_sp, n + 1))
-        J[:, 1:-1] = wdiff * (xi[:, 1:] - xi[:, :-1])
-        return xi, J, [rw / h * cosh_star_prime(xi[i] - xi[j]) for i, j, rw in ew]
+        xi = x.reshape(n_prob, n, i_sp)
+        J = np.zeros((n_prob, i_sp, n + 1))
+        J[..., 1:-1] = (wdiff * (xi[:, 1:] - xi[:, :-1])).transpose(0, 2, 1)
+        b = [rw / h * cosh_star_prime(xi[..., i] - xi[..., j]) for i, j, rw in ew]
+        return xi.transpose(0, 2, 1), J, b
 
     return value_grad, hess_banded, fluxes
 
@@ -210,11 +254,15 @@ class PrimalRate:
 
 
 def _mass_balance_check(v: np.ndarray, h: float):
-    imbalance = abs(float(v.sum()) * h)
-    if imbalance > 1e-7 * max(1.0, float(np.max(np.abs(v)))):
-        raise ValueError(
-            f"rate must preserve total mass (imbalance {imbalance:.3e})"
-        )
+    imbalance = np.abs(v.sum(axis=(-2, -1))) * h  # one per rate along the leading axes
+    if np.any(imbalance > 1e-7 * np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))):
+        raise ValueError(f"rate must preserve total mass (imbalance {np.max(imbalance):.3e})")
+
+
+def _two_species_edges(traj_or_state, epsilon: float):
+    if traj_or_state.n_species != 2:
+        raise ValueError("two-species evaluation; see multispecies for the general case")
+    return [(0, 1, 1.0 / epsilon)]
 
 
 def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
@@ -229,15 +277,15 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     (sqrt(c_1 c_2)/eps) (C*)'(xi_1 - xi_2) on cells satisfy the discrete
     continuity equation with rate v up to the dual tolerance.
 
-    This is the network dual with the single fast edge (0, 1, 1/eps).  The
-    rate must preserve total mass; the dual objective is invariant under the
-    shared constant mode, which is gauged to mean zero.
+    This is the network dual with the single fast edge (0, 1, 1/eps), solved
+    as a stack of one problem.  The rate must preserve total mass; the dual
+    objective is invariant under the shared constant mode, which is gauged to
+    mean zero.
     """
     _ = tilt
     eps = params.epsilon if epsilon is None else epsilon
+    edges = _two_species_edges(state, eps)
     c = state.c
-    if c.shape[0] != 2:
-        raise ValueError("two-species evaluation; see multispecies for the general case")
     n = state.n_cells
     h = 1.0 / n
     v = np.asarray(v, dtype=float)
@@ -246,15 +294,16 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     _mass_balance_check(v, h)
     v = v - v.sum() / v.size
 
-    vg, hess, fluxes = _network_dual(c, params.delta_array, [(0, 1, 1.0 / eps)], v, h)
-    x0 = np.zeros(2 * n) if xi0 is None else np.asarray(xi0, dtype=float).T.ravel()
-    x, val, gnorm, iters = damped_newton_max(
+    vg, hess, fluxes = _network_dual(c[None], params.delta_array, edges, v[None], h)
+    x0 = np.zeros((1, 2 * n)) if xi0 is None else np.asarray(xi0, dtype=float).T.reshape(1, -1)
+    x, val, gnorm, iters, _ = damped_newton_max(
         vg, hess, x0, bandwidth=2, tol=tol, max_iter=max_iter
     )
     xi, J, (b1,) = fluxes(x)
-    b = np.stack([b1, -b1])
-    dual = DualMaximizerState(xi=xi, value=val, gradient_norm=gnorm, iterations=iters)
-    return PrimalRate(value=val, fluxes=FluxAssignment(J, b), dual=dual)
+    b = np.stack([b1[0], -b1[0]])
+    value = float(val[0])
+    dual = DualMaximizerState(xi=xi[0], value=value, gradient_norm=gnorm, iterations=iters)
+    return PrimalRate(value=value, fluxes=FluxAssignment(J[0], b), dual=dual)
 
 
 def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
@@ -268,13 +317,45 @@ def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
     any rate the fluxes realize.
     """
     eps = params.epsilon if epsilon is None else epsilon
-    c = state.c
-    h = 1.0 / state.n_cells
-    wdiff = params.delta_array[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
-    vel_diff = 0.5 * float(np.sum(_face_kinetic(fluxes.J[..., 1:-1], wdiff))) * h
-    a = np.sqrt(c[0] * c[1]) / eps
-    vel_react = float(np.sum(perspective_eval("cosh", a, fluxes.b[..., 1, :]))) * h
-    return vel_diff, vel_react
+    vel_diff, (vel_react,) = _network_cost(
+        state.c, params.delta_array, _two_species_edges(state, eps),
+        fluxes.J, [fluxes.b[1]], 1.0 / state.n_cells,
+    )
+    return float(vel_diff), float(vel_react)
+
+
+def _two_species_terms(traj: Trajectory, params: SystemParams, tilt: Tilt, eps: float,
+                       use_stored_fluxes: bool, tol: float = 1e-10, max_iter: int = 200):
+    """Time integrals of vel_diff, vel_react, slope_diff and slope_react, chunk by chunk."""
+    edges = _two_species_edges(traj, eps)
+    _check_shapes(traj.initial_state, tilt)
+    w_v, _ = stationary_measure(params, tilt)
+    delta = params.delta_array
+    n = traj.n_cells
+    h = 1.0 / n
+    dts = np.diff(traj.times)
+    acc = np.zeros(4)
+    ascent = []
+    for s in _chunks(dts.size, 2 * n):
+        c = traj.states[s]
+        if use_stored_fluxes:
+            J, b = traj.fluxes.J[s], [traj.fluxes.b[s, 1]]
+        else:
+            v = (traj.states[s.start + 1:s.stop + 1] - c) / dts[s, None, None]
+            _mass_balance_check(v, h)
+            v -= v.mean(axis=(1, 2), keepdims=True)
+            vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
+            x, _, gnorm, _, iters = damped_newton_max(
+                vg, hess, np.zeros((c.shape[0], 2 * n)), bandwidth=2, tol=tol, max_iter=max_iter
+            )
+            ascent.append((gnorm, iters))
+            _, J, b = fluxes(x)
+        vel_diff, (vel_react,) = _network_cost(c, delta, edges, J, b, h)
+        slope_diff, (slope_react,) = _network_slope(c, w_v, delta, edges, h)
+        acc += np.array([vel_diff, vel_react, slope_diff, slope_react]) @ dts[s]
+    if ascent:
+        _log_ascent(logger, ascent)
+    return acc
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -283,35 +364,19 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     """Time-integrated dissipation of a trajectory, split into its four terms.
 
     Per interval the velocity part is the primal flux cost of the difference
-    quotient rate (via the dual ascent, warm-started across intervals) and the
-    slope part the Fisher-information terms at the left endpoint; time
-    integration is the left-endpoint rule.  If the trajectory carries explicit
-    fluxes, the same velocity terms evaluated directly on those fluxes are
-    reported alongside.
+    quotient rate (the dual ascent from a cold start, the intervals of a chunk
+    in one stacked Newton solve) and the slope part the Fisher-information
+    terms at the left endpoint; time integration is the left-endpoint rule.
+    If the trajectory carries explicit fluxes, the same velocity terms
+    evaluated directly on those fluxes are reported alongside.
     """
     eps = params.epsilon if epsilon is None else epsilon
-    dts = np.diff(traj.times)
-    acc = np.zeros(4)
-    flux_acc = np.zeros(2) if traj.fluxes is not None else None
-    xi_warm = None
-    for m, dt in enumerate(dts):
-        st = State(traj.states[m])
-        rate = (traj.states[m + 1] - traj.states[m]) / dt
-        res = primal_R_eps(st, params, tilt, rate, eps, xi0=xi_warm,
-                           tol=tol, max_iter=max_iter)
-        xi_warm = res.dual.xi
-        vd, vr = primal_objective(st, params, res.fluxes, eps)
-        sd, sr = slope(st, params, tilt, eps)
-        acc += dt * np.array([vd, vr, sd, sr])
-        if flux_acc is not None:
-            fd, fr = primal_objective(
-                st, params,
-                FluxAssignment(traj.fluxes.J[m], traj.fluxes.b[m]), eps,
-            )
-            flux_acc += dt * np.array([fd, fr])
-    if flux_acc is None:
+    acc = _two_species_terms(traj, params, tilt, eps, False, tol, max_iter)
+    if traj.fluxes is None:
         return DissipationBreakdown(*acc)
-    return DissipationBreakdown(*acc, flux_vel_diff=flux_acc[0], flux_vel_react=flux_acc[1])
+    stored = flux_dissipation(traj, params, tilt, eps)
+    return DissipationBreakdown(*acc, flux_vel_diff=stored.vel_diff,
+                                flux_vel_react=stored.vel_react)
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -326,15 +391,7 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     if traj.fluxes is None:
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
     eps = params.epsilon if epsilon is None else epsilon
-    dts = np.diff(traj.times)
-    acc = np.zeros(4)
-    for m, dt in enumerate(dts):
-        st = State(traj.states[m])
-        vd, vr = primal_objective(
-            st, params, FluxAssignment(traj.fluxes.J[m], traj.fluxes.b[m]), eps
-        )
-        sd, sr = slope(st, params, tilt, eps)
-        acc += dt * np.array([vd, vr, sd, sr])
+    acc = _two_species_terms(traj, params, tilt, eps, True)
     return DissipationBreakdown(*acc, flux_vel_diff=acc[0], flux_vel_react=acc[1])
 
 
@@ -361,20 +418,20 @@ def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
     dts = np.diff(hat_traj.times)
     slope_weight = cp.delta_hat * cp.w_hat
     swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-    vel = 0.0
-    slp = 0.0
-    for m, dt in enumerate(dts):
-        hat_c = hat_traj.states[m]
+    acc = np.zeros(2)
+    for s in _chunks(dts.size, n):
+        hat_c = hat_traj.states[s]
         mob = cp.delta_hat * hat_c
-        mob_f = 0.5 * (mob[1:] + mob[:-1])
+        mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
         if use_stored_fluxes:
-            jint = hat_traj.fluxes[m, 1:-1]
+            jint = hat_traj.fluxes[s, 1:-1]
         else:
-            rate = (hat_traj.states[m + 1] - hat_c) / dt
-            jint = optimal_coarse_flux(mob_f, rate, h)[1:-1]
-        vel += dt * 0.5 * float(np.sum(_face_kinetic(jint, mob_f))) * h
-        slp += dt * 0.5 * float(np.sum(swf * _face_fisher(hat_c / cp.w_hat))) / h
-    return vel, slp
+            rate = (hat_traj.states[s.start + 1:s.stop + 1] - hat_c) / dts[s, None]
+            jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
+        vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
+        slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
+        acc += np.array([vel, slp]) @ dts[s]
+    return acc
 
 
 def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -382,8 +439,9 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     """Coarse dissipation: minimal kinetic cost of the coarse rate plus coarse slope.
 
     The velocity part solves the single-species quadratic dual (one elliptic
-    solve per interval); the slope part is the coarse Fisher information with
-    the mixing-weighted mobility.  Exchange terms vanish on the coarse level.
+    problem per interval, a chunk of them in one batched solve); the slope part
+    is the coarse Fisher information with the mixing-weighted mobility.
+    Exchange terms vanish on the coarse level.
     """
     vel, slp = _hat_terms(hat_traj, params, tilt, use_stored_fluxes=False)
     return DissipationBreakdown(vel, 0.0, slp, 0.0)

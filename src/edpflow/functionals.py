@@ -206,6 +206,42 @@ def dual_dissipation(state: State, params: SystemParams, tilt: Tilt, xi, epsilon
     return _diffusion_dual(c, params.delta_array, xi, h) + react
 
 
+def _network_cost(c, delta, edges, J, edge_b, h):
+    """Primal flux cost of explicit fluxes on a reaction network, per state.
+
+    ``c`` has shape (..., I, n), ``J`` (..., I, n + 1) and ``edge_b`` holds one
+    exchange flux (..., n) per edge (i, j, kappa).  Returns the kinetic cost of
+    the interior face fluxes through the mobilities delta_i cbar_i and the list
+    of perspective cosh costs of the exchange fluxes through
+    kappa sqrt(c_i c_j), each with the leading shape of ``c``.
+    """
+    mob = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1])
+    kinetic = 0.5 * np.sum(_face_kinetic(J[..., 1:-1], mob), axis=(-2, -1)) * h
+    exchange = [
+        np.sum(perspective_eval("cosh", kappa * np.sqrt(c[..., i, :] * c[..., j, :]), b), axis=-1) * h
+        for (i, j, kappa), b in zip(edges, edge_b)
+    ]
+    return kinetic, exchange
+
+
+def _network_slope(c, w, delta, edges, h):
+    """Fisher-information slope terms of a reaction network, per state.
+
+    ``c`` has shape (..., I, n), ``w`` (I, n) is the stationary measure on
+    cells and ``edges`` lists (i, j, kappa).  Returns the diffusion part and
+    the list of per-edge exchange parts, each with the leading shape of ``c``.
+    """
+    rho = c / w
+    wbar = 0.5 * (w[:, 1:] + w[:, :-1])
+    diff = 0.5 * np.sum(delta[:, None] * wbar * _face_fisher(rho), axis=(-2, -1)) / h
+    sq = np.sqrt(rho)
+    react = [
+        2.0 * kappa * h * np.sum(np.sqrt(w[i] * w[j]) * (sq[..., i, :] - sq[..., j, :]) ** 2, axis=-1)
+        for i, j, kappa in edges
+    ]
+    return diff, react
+
+
 def slope(state: State, params: SystemParams, tilt: Tilt, epsilon=None):
     """Fisher-information slope terms of the dissipation functional.
 
@@ -218,14 +254,11 @@ def slope(state: State, params: SystemParams, tilt: Tilt, epsilon=None):
     """
     _check_shapes(state, tilt)
     eps = params.epsilon if epsilon is None else epsilon
-    h = 1.0 / state.n_cells
     w_v, _ = stationary_measure(params, tilt)
-    rho = state.c / w_v
-    wbar = 0.5 * (w_v[:, 1:] + w_v[:, :-1])
-    slope_diff = 0.5 * float(np.sum(params.delta_array[:, None] * wbar * _face_fisher(rho))) / h
-    sq = np.sqrt(rho)
-    slope_react = 2.0 * h / eps * float(np.sum(np.sqrt(w_v[0] * w_v[1]) * (sq[0] - sq[1]) ** 2))
-    return slope_diff, slope_react
+    slope_diff, (slope_react,) = _network_slope(
+        state.c, w_v, params.delta_array, [(0, 1, 1.0 / eps)], 1.0 / state.n_cells
+    )
+    return float(slope_diff), float(slope_react)
 
 
 def r_eff_dual(state: State, params: SystemParams, tilt: Tilt, xi, tol_eq: float = EQUAL_POTENTIAL_TOL) -> float:

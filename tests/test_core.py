@@ -192,8 +192,8 @@ def _reference_csv(traj, path):
                 writer.writerow(f"{v:.17g}" for v in row)
 
 
-@pytest.mark.parametrize("with_flux", [True, False])
-def test_csv_bytes_match_row_writer(tmp_path, rng, with_flux):
+def _edge_value_trajectory(rng, with_flux):
+    """Trajectory holding the writer's edge values: signed zeros, subnormals, +-1e308, 17 digits."""
     n, steps = 7, 3
     special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 0.0]
     c = rng.uniform(0.0, 1.0, (steps + 1, 2, n))
@@ -208,7 +208,13 @@ def test_csv_bytes_match_row_writer(tmp_path, rng, with_flux):
         b1 = rng.normal(size=(steps, n))
         b1[1] = [-0.0, 5e-324, -1e308, 1e308, 0.1 + 0.2, -1.0 / 3.0, 0.0]
         fluxes = FluxAssignment(J, np.stack([b1, -b1], axis=1))
-    traj = Trajectory(times, c, fluxes)
+    return Trajectory(times, c, fluxes)
+
+
+@pytest.mark.parametrize("with_flux", [True, False])
+def test_csv_bytes_match_row_writer(tmp_path, rng, with_flux):
+    n, steps = 7, 3
+    traj = _edge_value_trajectory(rng, with_flux)
     got = trajectory_to_csv(traj, tmp_path / "block.csv").read_bytes()
     _reference_csv(traj, tmp_path / "rows.csv")
     assert got == (tmp_path / "rows.csv").read_bytes()
@@ -218,3 +224,76 @@ def test_csv_bytes_match_row_writer(tmp_path, rng, with_flux):
     assert all(line.endswith(b"\r") for line in lines[:-1])
     assert b",-0," in got and b"4.9406564584124654e-324" in got and b"e+308" in got
     assert b"0.30000000000000004" in got
+
+
+@pytest.mark.parametrize("with_flux", [True, False])
+def test_csv_round_trip_bit_exact(tmp_path, rng, with_flux):
+    traj = _edge_value_trajectory(rng, with_flux)
+    back = trajectory_from_csv(trajectory_to_csv(traj, tmp_path / "t.csv"))
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.states.tobytes() == traj.states.tobytes()
+    if with_flux:
+        assert back.fluxes.J.tobytes() == traj.fluxes.J.tobytes()
+        assert back.fluxes.b.tobytes() == traj.fluxes.b.tobytes()
+    else:
+        assert back.fluxes is None
+
+
+def test_csv_read_spans_several_blocks(tmp_path, rng, monkeypatch):
+    import edpflow.core
+
+    monkeypatch.setattr(edpflow.core, "_CSV_READ_BYTES", 200)
+    traj = _edge_value_trajectory(rng, True)
+    back = trajectory_from_csv(trajectory_to_csv(traj, tmp_path / "t.csv"))
+    assert back.states.tobytes() == traj.states.tobytes()
+    assert back.fluxes.b.tobytes() == traj.fluxes.b.tobytes()
+
+
+def _written_lines(tmp_path, rng):
+    path = trajectory_to_csv(_edge_value_trajectory(rng, True), tmp_path / "t.csv")
+    return path.read_bytes().split(b"\r\n")[:-1]
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "edited.csv"
+    path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    return path
+
+
+def test_csv_read_rejects_unknown_header(tmp_path, rng):
+    lines = _written_lines(tmp_path, rng)
+    lines[0] = b"t,x,c1,c3"
+    with pytest.raises(ValueError, match="unrecognized CSV header"):
+        trajectory_from_csv(_write_lines(tmp_path, lines))
+    with pytest.raises(ValueError, match="unrecognized CSV header"):
+        trajectory_from_csv(_write_lines(tmp_path, []))
+
+
+def test_csv_read_rejects_empty_body(tmp_path, rng):
+    lines = _written_lines(tmp_path, rng)
+    with pytest.raises(ValueError, match="empty trajectory file"):
+        trajectory_from_csv(_write_lines(tmp_path, lines[:1]))
+
+
+def test_csv_read_rejects_unequal_blocks(tmp_path, rng):
+    lines = _written_lines(tmp_path, rng)
+    with pytest.raises(ValueError, match="equal size"):
+        trajectory_from_csv(_write_lines(tmp_path, lines[:-1]))
+
+
+def test_csv_read_rejects_ragged_rows(tmp_path, rng):
+    lines = _written_lines(tmp_path, rng)
+    # one field moved from one row to the next: the total count still fits
+    fields = lines[1].split(b",")
+    lines[1] = b",".join(fields[:-1])
+    lines[2] = lines[2] + b"," + fields[-1]
+    with pytest.raises(ValueError, match="8 fields"):
+        trajectory_from_csv(_write_lines(tmp_path, lines))
+
+
+def test_csv_read_rejects_non_numeric_value(tmp_path, rng):
+    lines = _written_lines(tmp_path, rng)
+    lines[3] = lines[3].replace(b",", b",x", 1)
+    with pytest.raises(ValueError, match="could not convert"):
+        trajectory_from_csv(_write_lines(tmp_path, lines))

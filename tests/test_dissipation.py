@@ -1,3 +1,7 @@
+import ast
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -21,19 +25,23 @@ from edpflow import (
     hat_dissipation,
     hat_edb_residual,
     hat_flux_dissipation,
+    kappa_coefficients,
     manifold_split,
+    multispecies_dissipation,
     perspective_eval,
     primal_R_eps,
     primal_objective,
+    random_detailed_balance_generator,
     reconstruct_from_coarse,
     slope,
     slow_manifold_defect,
     solve_effective,
     solve_eps_system,
+    solve_multispecies,
     stationary_measure,
 )
 
-from edpflow.dissipation import _network_dual
+from edpflow.dissipation import _chunks, _network_dual, damped_newton_max
 
 from conftest import cosine_tilt, positive_state
 
@@ -166,40 +174,50 @@ def _central_jacobian(fn, x, step=1e-5):
 
 
 def _banded_to_dense(ab, bw):
+    """Symmetric dense matrix from upper banded storage (bw + 1 rows)."""
     size = ab.shape[1]
     dense = np.zeros((size, size))
-    for r in range(size):
-        for c in range(max(0, r - bw), min(size, r + bw + 1)):
-            dense[r, c] = ab[bw + r - c, c]
+    for c in range(size):
+        for r in range(max(0, c - bw), c + 1):
+            dense[r, c] = dense[c, r] = ab[bw + r - c, c]
     return dense
 
 
 class TestNetworkDualKernel:
     @pytest.mark.parametrize("case", ["three_species", "two_species"])
     def test_banded_hessian_and_gradient_match_differences(self, case, params, rng):
+        # two stacked problems: each block matches the differences of its own
+        # objective, and nothing couples the blocks
         if case == "three_species":
-            c = rng.uniform(0.3, 1.5, (3, 6))
+            c = rng.uniform(0.3, 1.5, (2, 3, 6))
             delta = np.array([1.0, 2.0, 0.5])
             edges = [(0, 1, 2.0), (1, 2, 0.7), (0, 2, 1.3)]
         else:
-            c = positive_state(rng, 6).c
+            c = np.stack([positive_state(rng, 6).c for _ in range(2)])
             delta = params.delta_array
             edges = [(0, 1, 1.0 / params.epsilon)]
-        i_sp, n = c.shape
+        n_prob, i_sp, n = c.shape
+        size = i_sp * n
         v = rng.normal(size=c.shape)
         value_grad, hess_banded, _ = _network_dual(c, delta, edges, v, 1.0 / n)
-        x = rng.normal(scale=0.3, size=i_sp * n)
+        x = rng.normal(scale=0.3, size=(n_prob, size))
+        both = np.arange(n_prob)
 
-        grad = value_grad(x)[1]
-        fd_grad = _central_jacobian(lambda y: [value_grad(y)[0]], x)[0]
-        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+        dense = _banded_to_dense(hess_banded(x, both), i_sp)
+        for m in range(n_prob):
+            one = np.array([m])
+            grad = value_grad(x[m:m + 1], one)[1][0]
+            assert np.array_equal(grad, value_grad(x, both)[1][m])
+            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
+            assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
 
-        dense = _banded_to_dense(hess_banded(x), i_sp)
-        fd_hess = -_central_jacobian(lambda y: value_grad(y)[1], x)
-        assert np.max(np.abs(dense - fd_hess)) <= 1e-6 * np.max(np.abs(dense))
-        if case == "three_species":
-            # every band offset up to the bandwidth carries a coupling
-            assert all(np.any(np.diag(dense, d) != 0) for d in (1, 2, 3))
+            block = dense[m * size:(m + 1) * size, m * size:(m + 1) * size]
+            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
+            assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
+            if case == "three_species":
+                # every band offset up to the bandwidth carries a coupling
+                assert all(np.any(np.diag(block, d) != 0) for d in (1, 2, 3))
+        assert np.all(dense[:size, size:] == 0.0)
 
 
 class TestZeroMobility:
@@ -378,3 +396,183 @@ class TestGammaTrend:
                 for eps in (1.0, 0.1, 0.01, 0.001)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4
+
+
+def _criterion_3_level_0(params, dt=4e-4, t_final=0.25):
+    """Solver trajectory of acceptance criterion 3 at its coarsest level (n = 20)."""
+    n = 20
+    tilt = cosine_tilt(n, [[0.3], [-0.2]])
+    w_v, _ = stationary_measure(params, tilt)
+    c0 = w_v * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    c0 /= c0.sum() / n
+    return solve_eps_system(State(c0), params, tilt, SolverConfig(dt, t_final)), tilt
+
+
+def _sequential_breakdown(traj, params, tilt):
+    """One interval at a time, warm-started across intervals: the evaluation the batch replaced."""
+    acc = np.zeros(6)
+    xi = None
+    for m, dt in enumerate(np.diff(traj.times)):
+        st = State(traj.states[m])
+        rate = (traj.states[m + 1] - traj.states[m]) / dt
+        res = primal_R_eps(st, params, tilt, rate, xi0=xi)
+        xi = res.dual.xi
+        stored = FluxAssignment(traj.fluxes.J[m], traj.fluxes.b[m])
+        acc += dt * np.array([*primal_objective(st, params, res.fluxes), *slope(st, params, tilt),
+                              *primal_objective(st, params, stored)])
+    return acc
+
+
+def _sequential_multispecies(traj, gen, eps):
+    """One interval at a time with explicit cost and slope formulas (strictly positive states)."""
+    w = gen.stationary(eps)
+    kappa = kappa_coefficients(gen, eps)
+    edges = [(i, j, kappa[i, j], kind) for i, j, kind in gen.edges()]
+    i_sp, n = traj.states.shape[1:]
+    h = 1.0 / n
+    out = np.zeros(6)
+    for m, dt in enumerate(np.diff(traj.times)):
+        c = traj.states[m]
+        v = (traj.states[m + 1] - c) / dt
+        vg, hess, fluxes = _network_dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
+        x = damped_newton_max(vg, hess, np.zeros((1, i_sp * n)), bandwidth=i_sp)[0]
+        _, J, edge_b = fluxes(x)
+        terms = np.zeros(6)
+        mob = gen.delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
+        terms[0] = 0.5 * np.sum(J[0, :, 1:-1] ** 2 / mob) * h
+        rho = c / w[:, None]
+        rho_f = 0.5 * (rho[:, 1:] + rho[:, :-1])
+        terms[3] = 0.5 * np.sum(gen.delta[:, None] * w[:, None] * np.diff(rho) ** 2 / rho_f) / h
+        sq = np.sqrt(rho)
+        for (i, j, k, kind), b in zip(edges, edge_b):
+            col = 2 if kind == "fast" else 1
+            terms[col] += np.sum(perspective_eval("cosh", k * np.sqrt(c[i] * c[j]), b[0])) * h
+            terms[col + 3] += 2.0 * k * np.sqrt(w[i] * w[j]) * np.sum((sq[i] - sq[j]) ** 2) * h
+        out += dt * terms
+    return out
+
+
+def _relative_gaps(got, want):
+    return np.abs(np.asarray(got) - want) / np.abs(want)
+
+
+class TestBatchedEvaluation:
+    """The chunked, stacked evaluation against one interval at a time."""
+
+    def test_two_species_matches_sequential_loop(self, params):
+        traj, tilt = _criterion_3_level_0(params)
+        assert traj.n_times - 1 == 625
+        bd = dissipation_functional(traj, params, tilt)
+        got = [bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react,
+               bd.flux_vel_diff, bd.flux_vel_react]
+        gaps = _relative_gaps(got, _sequential_breakdown(traj, params, tilt))
+        # vel_react: the absolute 1e-10 gradient tolerance is reached from a
+        # cold start here and from the previous interval's maximizer there
+        assert gaps[1] <= 5e-9
+        assert np.all(np.delete(gaps, 1) <= 1e-9), gaps
+
+    def test_network_matches_sequential_loop(self):
+        gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
+        n, eps = 16, 1e-2
+        x = (np.arange(n) + 0.5) / n
+        c0 = gen.stationary(eps)[:, None] * (1 + 0.4 * np.cos(np.pi * x))[None, :]
+        traj = solve_multispecies(State(c0), gen, eps, SolverConfig(1e-3, 0.5))
+        assert len(_chunks(traj.n_times - 1, 3 * n)) > 1
+        bd = multispecies_dissipation(traj, gen, eps)
+        got = [bd.vel_diff, bd.vel_react_slow, bd.vel_react_fast,
+               bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
+        want = _sequential_multispecies(traj, gen, eps)
+        assert np.all(np.array(want) > 0)
+        gaps = _relative_gaps(got, want)
+        assert np.all(gaps[[1, 2]] <= 5e-9) and np.all(gaps[[0, 3, 4, 5]] <= 1e-9), gaps
+
+    def test_stacked_newton_matches_single_problems(self, rng):
+        # a converged start, a mild rate and a strong exchange rate whose full
+        # Newton step overflows, so only that problem backtracks
+        n = 6
+        c = rng.uniform(0.5, 1.5, (3, 2, n))
+        v = np.zeros((3, 2, n))
+        v[1] = 0.1 * rng.normal(size=(2, n))
+        v[2] = [[2000.0] * n, [-2000.0] * n]
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        delta, edges = np.array([1.0, 2.0]), [(0, 1, 1.0)]
+        value_grad, hess, _ = _network_dual(c, delta, edges, v, 1.0 / n)
+        evaluated = []
+
+        def counted(x, act):
+            evaluated.append(act.copy())
+            return value_grad(x, act)
+
+        x, val, gnorm, sweeps, iters = damped_newton_max(
+            counted, hess, np.zeros((3, 2 * n)), bandwidth=2)
+        assert iters[0] == 0 < iters[1] < iters[2] == sweeps and gnorm <= 1e-10
+        assert len(evaluated) > 1 + sweeps  # the line search halved
+        assert any(len(act) < 3 for act in evaluated[1:])  # converged problems dropped out
+        for m in range(3):
+            one = _network_dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
+            x1, val1, _, sweeps1, _ = damped_newton_max(
+                one[0], one[1], np.zeros((1, 2 * n)), bandwidth=2)
+            assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and sweeps1 == iters[m]
+
+    def test_chunking_does_not_change_intervals(self, params):
+        # dt is a power of two, so both halves keep the exact time steps
+        dt = 2.0 ** -11
+        traj, tilt = _criterion_3_level_0(params, dt, 640 * dt)
+        assert len(_chunks(traj.n_times - 1, 2 * traj.n_cells)) > 1
+        halves = []
+        for lo, hi in ((0, 320), (320, 640)):
+            fluxes = FluxAssignment(traj.fluxes.J[lo:hi], traj.fluxes.b[lo:hi])
+            times = traj.times[lo:hi + 1] - traj.times[lo]
+            assert np.array_equal(np.diff(times), np.diff(traj.times[lo:hi + 1]))
+            halves.append(Trajectory(times, traj.states[lo:hi + 1], fluxes))
+        whole = dissipation_functional(traj, params, tilt)
+        parts = [dissipation_functional(half, params, tilt) for half in halves]
+        for name in ("vel_diff", "vel_react", "slope_diff", "slope_react",
+                     "flux_vel_diff", "flux_vel_react"):
+            assert getattr(whole, name) == pytest.approx(
+                sum(getattr(p, name) for p in parts), rel=1e-13, abs=0), name
+
+    def test_blocked_interval_inside_a_batch_raises_typed_error(self, params):
+        # the empty-pair state of test_blocked_transport_fails_with_diagnostics
+        # as the third of four intervals, after two regular ones
+        blocked = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+        v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
+        dt = 0.1
+        moved = blocked + dt * v
+        states = np.array([np.full((2, 4), 0.5), np.full((2, 4), 0.5), blocked, moved, moved])
+        traj = Trajectory(dt * np.arange(5), states)
+        with pytest.raises(DualAscentError) as err:
+            dissipation_functional(traj, params, Tilt.zero(4))
+        assert err.value.gradient_norm > 0
+        with pytest.raises(DualAscentError) as alone:
+            primal_R_eps(State(blocked), params, Tilt.zero(4), v)
+        # the error is the blocked interval's (its rate differs in the last bit)
+        assert err.value.gradient_norm == pytest.approx(alone.value.gradient_norm, rel=1e-12)
+
+    def test_debug_log_reports_the_ascent(self, params, caplog):
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
+        quiet = dissipation_functional(traj, params, tilt)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
+            logged = dissipation_functional(traj, params, tilt)
+        assert logged == quiet
+        (record,) = caplog.records
+        msg = record.getMessage()
+        assert record.levelno == logging.DEBUG and record.name == "edpflow.dissipation"
+        assert "over 50 intervals in 1 chunks" in msg
+        hist, gnorm = re.search(r"per interval (\{.*\}), max final gradient norm (\S+)$", msg).groups()
+        hist = ast.literal_eval(hist)
+        assert sum(hist.values()) == 50 and min(hist) >= 1
+        assert float(gnorm) <= 1e-10
+
+        gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
+        c0 = np.repeat(gen.stationary(1e-2)[:, None], 6, axis=1)
+        c0[:, :3] *= 1.2
+        c0 /= c0.sum() / 6
+        net_traj = solve_multispecies(State(c0), gen, 1e-2, SolverConfig(1e-3, 0.01))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="edpflow.multispecies"):
+            multispecies_dissipation(net_traj, gen, 1e-2)
+        (record,) = caplog.records
+        assert record.name == "edpflow.multispecies"
+        assert "over 10 intervals in 1 chunks" in record.getMessage()
