@@ -12,7 +12,10 @@ The module also evaluates the time-integrated dissipation of trajectories
 (variationally, and directly on stored fluxes), its four-term breakdown, the
 energy-dissipation-balance residual, and the coarse (slow-variable) versions
 of all three, in chunks of intervals: a chunk's dual problems form one
-stacked Newton solve, and no interval's result depends on its chunk.
+stacked Newton solve.  Every block of consecutive intervals, counted from
+the trajectory's start, first solves its first and last interval from zero;
+the intervals between start from the interpolation of those two maximizers.
+No interval's result depends on its chunk.
 """
 
 from __future__ import annotations
@@ -71,6 +74,12 @@ logger = logging.getLogger(__name__)
 # resident between the levels of a refinement study, for no speed gain.
 _CHUNK_UNKNOWNS = 8192
 
+# intervals per warm-start block of _warm_started_ascent: of 8, 16, 32 and 64,
+# 32 took the fewest Newton iterations and the least time on the refinement
+# study.  A power of two, so that a trajectory cut at a multiple of it keeps
+# its blocks.
+_WARM_BLOCK = 32
+
 
 def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
     """Consecutive interval ranges of at most ``_CHUNK_UNKNOWNS`` unknowns (one interval at least)."""
@@ -78,13 +87,17 @@ def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
     return [slice(s, min(s + size, n_intervals)) for s in range(0, n_intervals, size)]
 
 
-def _log_ascent(log: logging.Logger, chunks: list):
-    """Debug record of one evaluation from the (gradient norm, per-problem iterations) of its chunks."""
+def _log_ascent(log: logging.Logger, n_chunks: int, anchors: list, interior: list):
+    """Debug record of one evaluation from the (gradient norm, per-problem iterations) of its solves."""
     if log.isEnabledFor(logging.DEBUG):
-        counts = np.bincount(np.concatenate([iters for _, iters in chunks]))
-        log.debug("dual ascent over %d intervals in %d chunks: Newton iterations per interval %s, "
-                  "max final gradient norm %.3e", counts.sum(), len(chunks),
-                  {k: int(m) for k, m in enumerate(counts) if m}, max(g for g, _ in chunks))
+        def hist(solves):
+            counts = np.bincount(np.concatenate([iters for _, iters in solves] or [[]]).astype(int))
+            return {k: int(m) for k, m in enumerate(counts) if m}
+
+        log.debug("dual ascent over %d intervals in %d chunks (block anchors %s, warm-started %s): "
+                  "Newton iterations per interval %s, max final gradient norm %.3e",
+                  sum(iters.size for _, iters in anchors + interior), n_chunks, hist(anchors),
+                  hist(interior), hist(anchors + interior), max(g for g, _ in anchors + interior))
 
 
 class DualAscentError(RuntimeError):
@@ -100,7 +113,8 @@ class DualMaximizerState:
     """Converged dual ascent: maximizer, value, and convergence diagnostics.
 
     By weak duality the value is a lower bound of the primal flux cost; at
-    convergence the gradient norm is below the solver tolerance.
+    convergence the gradient norm is below the solver tolerance or the
+    gradient's rounding level, whichever is larger.
     """
 
     xi: np.ndarray
@@ -120,7 +134,12 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     between blocks.  Each must be positive semidefinite with null space at most
     the constant vector, which is pinned inside the banded Cholesky solve and
     projected out of the steps.  Each problem has its own stopping test, line
-    search and iteration count, and drops out once converged.  Returns
+    search and iteration count, and drops out once converged: its projected
+    gradient norm is at most ``tol``, or at most the rounding level of the
+    gradient, machine epsilon times the largest negative-Hessian diagonal
+    times (1 + max |x|) at the last Newton point (an exchange weight of
+    order h/epsilon amplifies the rounding of a potential difference by as
+    much, which is what binds for epsilon near 1e-8).  Returns
     ``(x, values, gradient_norm, iterations, iterations_per_problem)``, the
     middle two the largest over the stack; failures raise
     :class:`DualAscentError` with the failing problem's gradient norm.
@@ -131,15 +150,18 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     grad -= grad.mean(axis=1, keepdims=True)
     gnorm = np.linalg.norm(grad, axis=1)
     iters = np.zeros(n_prob, dtype=int)
+    floor = np.zeros(n_prob)
     while True:
-        act = np.flatnonzero(~(gnorm <= tol))
+        act = np.flatnonzero(~(gnorm <= np.maximum(tol, floor)))
         if act.size == 0:
             return x, val, float(gnorm.max()), int(iters.max()), iters
         if iters[act[0]] == max_iter:  # every active problem has run every iteration
             raise DualAscentError("iteration limit reached", float(gnorm[act[0]]))
         ab = hess_banded(x[act], act)
         diag = ab[bandwidth].reshape(act.size, size)
-        diag[:, 0] += np.maximum(diag.max(axis=1), 1.0)
+        dmax = diag.max(axis=1)
+        floor[act] = np.finfo(float).eps * dmax * (1.0 + np.abs(x[act]).max(axis=1))
+        diag[:, 0] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
@@ -324,37 +346,96 @@ def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
     return float(vel_diff), float(vel_react)
 
 
+def _rates(c, c_next, dts, h):
+    """Mass-balanced difference-quotient rates of a stack of intervals."""
+    v = (c_next - c) / dts[:, None, None]
+    _mass_balance_check(v, h)
+    v -= v.mean(axis=(1, 2), keepdims=True)
+    return v
+
+
+def _warm_started_ascent(states, dts, delta, edges, h, tol, max_iter, log, newton):
+    """Optimal fluxes of the difference-quotient rates of a trajectory, chunk by chunk.
+
+    Intervals fall into blocks of ``_WARM_BLOCK`` counted from the start.  The
+    first and last interval of every block (its anchors) are solved from zero
+    in one stacked solve; every other interval starts from the linear
+    interpolation, in interval index, of its block's two anchor maximizers
+    and is solved with the rest of its chunk in a second stacked solve.  Both
+    solves are chunked by ``_CHUNK_UNKNOWNS``, and each interval keeps its own
+    stopping test, so only its start depends on its neighbours.  Yields
+    ``(s, c, J, edge_b)`` per chunk ``s`` of intervals, then logs the ascent
+    to ``log``.  ``newton`` is :func:`damped_newton_max` as the caller's
+    module binds it, so that instrumentation wrapping it per module
+    attributes the solves to the calling evaluator.
+    """
+    n_int = dts.size
+    size = states.shape[1] * states.shape[2]
+    band = states.shape[1]
+    first = np.arange(n_int) // _WARM_BLOCK * _WARM_BLOCK
+    last = np.minimum(first + _WARM_BLOCK, n_int) - 1
+    anchors = np.union1d(first, last)
+    x_anchor = np.empty((anchors.size, size))
+    anchor_log, interior_log = [], []
+    for s in _chunks(anchors.size, size):
+        idx = anchors[s]
+        c = states[idx]
+        vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
+        x_anchor[s], _, gnorm, _, iters = newton(
+            vg, hess, np.zeros((idx.size, size)), bandwidth=band, tol=tol, max_iter=max_iter
+        )
+        anchor_log.append((gnorm, iters))
+    chunks = _chunks(n_int, size)
+    for s in chunks:
+        c = states[s]
+        v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
+        vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
+        a, b = first[s], last[s]
+        w = (np.arange(s.start, s.stop) - a) / np.maximum(b - a, 1)
+        # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
+        x = ((1.0 - w)[:, None] * x_anchor[np.searchsorted(anchors, a)]
+             + w[:, None] * x_anchor[np.searchsorted(anchors, b)])
+        inner = np.flatnonzero((w > 0) & (w < 1))
+        if inner.size:
+            x[inner], _, gnorm, _, iters = newton(
+                lambda y, act: vg(y, inner[act]), lambda y, act: hess(y, inner[act]), x[inner],
+                bandwidth=band, tol=tol, max_iter=max_iter,
+            )
+            interior_log.append((gnorm, iters))
+        _, J, edge_b = fluxes(x)
+        yield s, c, J, edge_b
+    _log_ascent(log, len(chunks), anchor_log, interior_log)
+
+
 def _two_species_terms(traj: Trajectory, params: SystemParams, tilt: Tilt, eps: float,
-                       use_stored_fluxes: bool, tol: float = 1e-10, max_iter: int = 200):
-    """Time integrals of vel_diff, vel_react, slope_diff and slope_react, chunk by chunk."""
+                       variational: bool, tol: float = 1e-10, max_iter: int = 200):
+    """Time integrals of the four dissipation terms, then the two velocity terms of the stored fluxes.
+
+    The velocity terms are the variational ones if ``variational`` (zero
+    otherwise); the stored-flux terms are zero for a trajectory without
+    fluxes.  Slope and stored-flux terms are evaluated once per chunk.
+    """
     edges = _two_species_edges(traj, eps)
     _check_shapes(traj.initial_state, tilt)
     w_v, _ = stationary_measure(params, tilt)
     delta = params.delta_array
-    n = traj.n_cells
-    h = 1.0 / n
+    h = 1.0 / traj.n_cells
     dts = np.diff(traj.times)
-    acc = np.zeros(4)
-    ascent = []
-    for s in _chunks(dts.size, 2 * n):
-        c = traj.states[s]
-        if use_stored_fluxes:
-            J, b = traj.fluxes.J[s], [traj.fluxes.b[s, 1]]
-        else:
-            v = (traj.states[s.start + 1:s.stop + 1] - c) / dts[s, None, None]
-            _mass_balance_check(v, h)
-            v -= v.mean(axis=(1, 2), keepdims=True)
-            vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
-            x, _, gnorm, _, iters = damped_newton_max(
-                vg, hess, np.zeros((c.shape[0], 2 * n)), bandwidth=2, tol=tol, max_iter=max_iter
-            )
-            ascent.append((gnorm, iters))
-            _, J, b = fluxes(x)
-        vel_diff, (vel_react,) = _network_cost(c, delta, edges, J, b, h)
-        slope_diff, (slope_react,) = _network_slope(c, w_v, delta, edges, h)
-        acc += np.array([vel_diff, vel_react, slope_diff, slope_react]) @ dts[s]
-    if ascent:
-        _log_ascent(logger, ascent)
+    if variational:
+        chunks = _warm_started_ascent(traj.states, dts, delta, edges, h, tol, max_iter, logger,
+                                      damped_newton_max)
+    else:
+        chunks = ((s, traj.states[s], None, None) for s in _chunks(dts.size, 2 * traj.n_cells))
+    acc = np.zeros(6)
+    for s, c, J, edge_b in chunks:
+        terms = np.zeros((6, c.shape[0]))
+        if J is not None:
+            terms[0], (terms[1],) = _network_cost(c, delta, edges, J, edge_b, h)
+        terms[2], (terms[3],) = _network_slope(c, w_v, delta, edges, h)
+        if traj.fluxes is not None:
+            terms[4], (terms[5],) = _network_cost(
+                c, delta, edges, traj.fluxes.J[s], [traj.fluxes.b[s, 1]], h)
+        acc += terms @ dts[s]
     return acc
 
 
@@ -364,19 +445,20 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     """Time-integrated dissipation of a trajectory, split into its four terms.
 
     Per interval the velocity part is the primal flux cost of the difference
-    quotient rate (the dual ascent from a cold start, the intervals of a chunk
-    in one stacked Newton solve) and the slope part the Fisher-information
-    terms at the left endpoint; time integration is the left-endpoint rule.
+    quotient rate and the slope part the Fisher-information terms at the left
+    endpoint; time integration is the left-endpoint rule.  The dual ascents
+    of all intervals run as stacked Newton solves: the first and last
+    interval of every block of consecutive intervals from zero, the others
+    warm-started from the interpolation of their block's two maximizers.
     If the trajectory carries explicit fluxes, the same velocity terms
-    evaluated directly on those fluxes are reported alongside.
+    evaluated directly on those fluxes are reported alongside, from the same
+    pass over the intervals.
     """
     eps = params.epsilon if epsilon is None else epsilon
-    acc = _two_species_terms(traj, params, tilt, eps, False, tol, max_iter)
+    acc = _two_species_terms(traj, params, tilt, eps, True, tol, max_iter)
     if traj.fluxes is None:
-        return DissipationBreakdown(*acc)
-    stored = flux_dissipation(traj, params, tilt, eps)
-    return DissipationBreakdown(*acc, flux_vel_diff=stored.vel_diff,
-                                flux_vel_react=stored.vel_react)
+        return DissipationBreakdown(*acc[:4])
+    return DissipationBreakdown(*acc)
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -391,8 +473,10 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     if traj.fluxes is None:
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
     eps = params.epsilon if epsilon is None else epsilon
-    acc = _two_species_terms(traj, params, tilt, eps, True)
-    return DissipationBreakdown(*acc, flux_vel_diff=acc[0], flux_vel_react=acc[1])
+    _, _, slope_diff, slope_react, vel_diff, vel_react = _two_species_terms(
+        traj, params, tilt, eps, False)
+    return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
+                                flux_vel_diff=vel_diff, flux_vel_react=vel_react)
 
 
 def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,

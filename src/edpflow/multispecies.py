@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .core import FluxAssignment, State, Trajectory, _readonly
-from .dissipation import _chunks, _log_ascent, _network_dual, damped_newton_max
+from .dissipation import _warm_started_ascent, damped_newton_max
 from .functionals import _network_cost, _network_slope
 from .solver import SolverConfig, IntegrationError, _ImplicitStepper
 
@@ -354,14 +354,14 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
                                config.scheme == "strang_cn")
 
     states = np.empty((steps + 1, i_sp, n))
-    J = np.empty((steps, i_sp, n + 1))
+    J = np.zeros((steps, i_sp, n + 1))
     b = np.empty((steps, i_sp, n))
     states[0] = initial.c
     c = initial.c.copy()
     for m in range(steps):
         c_half = propagator @ c
         exch = c_half - c
-        c_mid, J[m] = stepper.step(c_half)
+        c_mid = stepper.step(c_half, J[m])
         c_next = propagator @ c_mid
         exch += c_next - c_mid
         exch -= exch.sum(axis=0) / i_sp  # exact zero species sum despite expm roundoff
@@ -404,36 +404,28 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
 
     Diffusion slope per species, one cosh exchange term per reacting pair
     weighted by kappa_ij, and the velocity part by the I-species dual
-    maximization (cold-started; the intervals of a chunk are solved as one
-    stacked Newton problem); exchange contributions are reported separately
-    for slow and fast edges.  With two species the values coincide with the
-    two-species evaluator.
+    maximization (stacked Newton solves, warm-started from block anchors as
+    in :func:`~edpflow.dissipation.dissipation_functional`); exchange
+    contributions are reported separately for slow and fast edges.  With two
+    species the values coincide with the two-species evaluator.
     """
     w = gen.stationary(epsilon)
     kappa = kappa_coefficients(gen, epsilon)
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
     delta = gen.delta
-    i_sp, n = traj.states.shape[1:]
+    n = traj.n_cells
     h = 1.0 / n
     w_cells = np.repeat(w[:, None], n, axis=1)
     dts = np.diff(traj.times)
     out = np.zeros(6)
-    ascent = []
-    for s in _chunks(dts.size, i_sp * n):
-        c = traj.states[s]
-        v = (traj.states[s.start + 1:s.stop + 1] - c) / dts[s, None, None]
-        vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
-        x, _, gnorm, _, iters = damped_newton_max(
-            vg, hess, np.zeros((c.shape[0], i_sp * n)), bandwidth=i_sp, tol=tol, max_iter=max_iter
-        )
-        ascent.append((gnorm, iters))
-        _, J, edge_b = fluxes(x)
+    ascent = _warm_started_ascent(traj.states, dts, delta, edges, h, tol, max_iter, logger,
+                                  damped_newton_max)
+    for s, c, J, edge_b in ascent:
         vel_diff, vel_edge = _network_cost(c, delta, edges, J, edge_b, h)
         slope_diff, slope_edge = _network_slope(c, w_cells, delta, edges, h)
         vel_edge, slope_edge = np.array(vel_edge), np.array(slope_edge)
         terms = [vel_diff, vel_edge[~fast].sum(axis=0), vel_edge[fast].sum(axis=0),
                  slope_diff, slope_edge[~fast].sum(axis=0), slope_edge[fast].sum(axis=0)]
         out += np.array(terms) @ dts[s]
-    _log_ascent(logger, ascent)
     return MultispeciesBreakdown(*out)

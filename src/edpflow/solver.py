@@ -122,6 +122,7 @@ class _ImplicitStepper:
         self._dt_h = dt / h
         self._half_dt = 0.5 * dt
         self._cn = crank_nicolson
+        self._J_new = np.zeros((g.shape[0], g.shape[1] + 2))  # end-of-step flux of Crank-Nicolson
         ab = _implicit_banded(delta_faces, g, 0.5 * dt if crank_nicolson else dt, h)
         dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info != 0 or not np.all(np.isfinite(ab)):
@@ -130,30 +131,31 @@ class _ImplicitStepper:
                 "range and the implicit matrix is not finite or not invertible", 0)
         self._factors = (dl, d, du, du2, ipiv)
 
-    def fluxes(self, c):
-        """Internal face fluxes of the fitted operator; boundary faces are zero."""
-        J = np.zeros((c.shape[0], c.shape[1] + 1))
-        J[:, 1:-1] = self._neg_dh * (c[:, 1:] * self._g - c[:, :-1] / self._g)
-        return J
+    def fluxes(self, c, out):
+        """Internal face fluxes of the fitted operator into ``out``, whose boundary faces stay zero."""
+        out[:, 1:-1] = self._neg_dh * (c[:, 1:] * self._g - c[:, :-1] / self._g)
+        return out
 
     def _solve(self, rhs):
         x, _ = dgttrs(*self._factors, rhs.ravel())
         return x.reshape(rhs.shape)
 
-    def step(self, c):
-        """Advance the (k, n) stack by dt; returns the new cells and the interval flux."""
+    def step(self, c, J):
+        """Advance the (k, n) stack by dt, writing the interval flux into the zero-bordered ``J``."""
         if self._cn:
-            J0 = self.fluxes(c)
-            rhs = c + self._half_dt * (-(J0[:, 1:] - J0[:, :-1]) / self._h)
-            J = 0.5 * (J0 + self.fluxes(self._solve(rhs)))
+            self.fluxes(c, J)
+            rhs = c + self._half_dt * (-(J[:, 1:] - J[:, :-1]) / self._h)
+            J[:] = 0.5 * (J + self.fluxes(self._solve(rhs), self._J_new))
         else:
-            J = self.fluxes(self._solve(c))
-        return c - self._dt_h * (J[:, 1:] - J[:, :-1]), J
+            self.fluxes(self._solve(c), J)
+        return c - self._dt_h * (J[:, 1:] - J[:, :-1])
 
 
 def _guard_nonnegative(c, step: int):
     """Clamp roundoff-negative cells to zero; genuine negativity is an error."""
     lowest = float(c.min())
+    if lowest > 0.0:  # not >= 0: the clamp also turns -0.0 into +0.0
+        return c
     if lowest < -1e-12 and lowest < -1e-12 * max(1.0, float(np.abs(c).max())):
         raise IntegrationError(f"density went negative ({lowest:.3e})", step)
     return np.maximum(c, 0.0)
@@ -205,27 +207,28 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     rate_dt = dt / eps
 
     states = np.empty((steps + 1, 2, n))
-    J = np.empty((steps, 2, n + 1))
+    J = np.zeros((steps, 2, n + 1))
     bflux = np.empty((steps, 2, n))
+    exch = bflux[:, 0]  # the exchanged amount per step, scaled to the flux after the loop
     states[0] = initial.c
     c = initial.c.copy()
     for m in range(steps):
         if imex:
-            exch = rate_dt * (b * c[1] - a * c[0])
-            c_next, J[m] = stepper.step(c + _SPECIES_SIGN * exch)
+            exch[m] = rate_dt * (b * c[1] - a * c[0])
+            c_next = stepper.step(c + _SPECIES_SIGN * exch[m], J[m])
         else:
             d1a = theta * (b * c[1] - a * c[0])
-            c_mid, J[m] = stepper.step(c + _SPECIES_SIGN * d1a)
+            c_mid = stepper.step(c + _SPECIES_SIGN * d1a, J[m])
             d1b = theta * (b * c_mid[1] - a * c_mid[0])
             c_next = c_mid + _SPECIES_SIGN * d1b
-            exch = d1a + d1b
-        bflux[m, 0] = exch / dt
-        bflux[m, 1] = -exch / dt
+            np.add(d1a, d1b, out=exch[m])
         if not np.isfinite(c_next).all():
             raise IntegrationError("state left the finite range", m)
         c_next = _guard_nonnegative(c_next, m)
         states[m + 1] = c_next
         c = c_next
+    exch /= dt
+    np.negative(exch, out=bflux[:, 1])  # -(x / dt) and (-x) / dt agree bit for bit
     times = dt * np.arange(steps + 1)
     return Trajectory(times, states, FluxAssignment(J, bflux))
 
@@ -257,11 +260,11 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
     stepper = _ImplicitStepper(delta_faces[None], g[None], dt, h, config.scheme == "strang_cn")
 
     states = np.empty((steps + 1, n))
-    J = np.empty((steps, n + 1))
+    J = np.zeros((steps, n + 1))
     states[0] = hat_c
     c = hat_c[None].copy()
     for m in range(steps):
-        c, J[m] = stepper.step(c)
+        c = stepper.step(c, J[m, None])
         if not np.isfinite(c).all():
             raise IntegrationError("state left the finite range", m)
         c = _guard_nonnegative(c, m)

@@ -18,6 +18,7 @@ from edpflow import (
     coarse_params,
     dissipation_functional,
     dual_dissipation,
+    flux_dissipation,
     edb_residual,
     effective_dissipation,
     energy,
@@ -41,6 +42,7 @@ from edpflow import (
     stationary_measure,
 )
 
+import edpflow.dissipation as dissipation_module
 from edpflow.dissipation import _chunks, _network_dual, damped_newton_max
 
 from conftest import cosine_tilt, positive_state
@@ -398,9 +400,8 @@ class TestGammaTrend:
         assert gaps[-1] < 1e-4
 
 
-def _criterion_3_level_0(params, dt=4e-4, t_final=0.25):
-    """Solver trajectory of acceptance criterion 3 at its coarsest level (n = 20)."""
-    n = 20
+def _criterion_3_level_0(params, dt=4e-4, t_final=0.25, n=20):
+    """Solver trajectory of acceptance criterion 3 at its coarsest level (n = 20), or on n cells."""
     tilt = cosine_tilt(n, [[0.3], [-0.2]])
     w_v, _ = stationary_measure(params, tilt)
     c0 = w_v * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
@@ -452,6 +453,15 @@ def _sequential_multispecies(traj, gen, eps):
     return out
 
 
+def _network_trajectory():
+    """A 3-species solver trajectory spanning several chunks and warm-start blocks."""
+    gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
+    n, eps = 16, 1e-2
+    x = (np.arange(n) + 0.5) / n
+    c0 = gen.stationary(eps)[:, None] * (1 + 0.4 * np.cos(np.pi * x))[None, :]
+    return solve_multispecies(State(c0), gen, eps, SolverConfig(1e-3, 0.5)), gen, eps
+
+
 def _relative_gaps(got, want):
     return np.abs(np.asarray(got) - want) / np.abs(want)
 
@@ -472,12 +482,8 @@ class TestBatchedEvaluation:
         assert np.all(np.delete(gaps, 1) <= 1e-9), gaps
 
     def test_network_matches_sequential_loop(self):
-        gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
-        n, eps = 16, 1e-2
-        x = (np.arange(n) + 0.5) / n
-        c0 = gen.stationary(eps)[:, None] * (1 + 0.4 * np.cos(np.pi * x))[None, :]
-        traj = solve_multispecies(State(c0), gen, eps, SolverConfig(1e-3, 0.5))
-        assert len(_chunks(traj.n_times - 1, 3 * n)) > 1
+        traj, gen, eps = _network_trajectory()
+        assert len(_chunks(traj.n_times - 1, 3 * traj.n_cells)) > 1
         bd = multispecies_dissipation(traj, gen, eps)
         got = [bd.vel_diff, bd.vel_react_slow, bd.vel_react_fast,
                bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
@@ -576,3 +582,150 @@ class TestBatchedEvaluation:
         (record,) = caplog.records
         assert record.name == "edpflow.multispecies"
         assert "over 10 intervals in 1 chunks" in record.getMessage()
+
+
+def _breakdown_terms(bd):
+    return [bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react,
+            bd.flux_vel_diff, bd.flux_vel_react]
+
+
+def _network_breakdown_terms(bd):
+    return [bd.vel_react_slow, bd.vel_react_fast, bd.vel_diff,
+            bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
+
+
+class TestWarmStart:
+    """Block anchors solved from zero, the intervals between them warm-started."""
+
+    @pytest.fixture
+    def all_cold(self, monkeypatch):
+        # blocks of one interval: every interval is an anchor, solved from zero
+        def evaluate(fn, *args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(dissipation_module, "_WARM_BLOCK", 1)
+                return fn(*args, **kwargs)
+        return evaluate
+
+    @pytest.fixture
+    def newton_counts(self, monkeypatch):
+        counts = []
+
+        def recorded(*args, **kwargs):
+            result = damped_newton_max(*args, **kwargs)
+            counts.append(result[4])
+            return result
+
+        monkeypatch.setattr(dissipation_module, "damped_newton_max", recorded)
+        return counts
+
+    def test_block_is_a_small_power_of_two(self):
+        block = dissipation_module._WARM_BLOCK
+        assert 2 <= block <= 64 and block & (block - 1) == 0
+
+    def test_two_species_matches_all_cold(self, params, all_cold):
+        traj, tilt = _criterion_3_level_0(params)
+        assert traj.n_times - 1 > 4 * dissipation_module._WARM_BLOCK
+        got = _breakdown_terms(dissipation_functional(traj, params, tilt))
+        cold = _breakdown_terms(all_cold(dissipation_functional, traj, params, tilt))
+        gaps = _relative_gaps(got, cold)
+        # only the start of each interval's ascent moved; the absolute gradient
+        # tolerance leaves vel_react, the smallest term, the least accurate
+        assert gaps[1] <= 5e-9
+        assert np.all(np.delete(gaps, 1) <= 1e-9), gaps
+
+    def test_network_matches_all_cold(self, all_cold):
+        traj, gen, eps = _network_trajectory()
+        got = _network_breakdown_terms(multispecies_dissipation(traj, gen, eps))
+        cold = _network_breakdown_terms(all_cold(multispecies_dissipation, traj, gen, eps))
+        gaps = _relative_gaps(got, cold)
+        assert np.all(gaps[:2] <= 5e-9) and np.all(gaps[2:] <= 1e-9), gaps
+
+    def test_mean_newton_iterations_per_interval(self, params, newton_counts):
+        # criterion 3 at n = 40 (its second level), about forty blocks
+        traj, tilt = _criterion_3_level_0(params, 2e-4, 0.25, n=40)
+        dissipation_functional(traj, params, tilt)
+        iters = np.concatenate(newton_counts)
+        assert iters.size == traj.n_times - 1  # every interval solved exactly once
+        assert iters.mean() <= 1.25, np.bincount(iters)
+
+    @pytest.mark.parametrize("extra", [1, 2, 5])
+    def test_partial_last_block(self, params, all_cold, newton_counts, extra):
+        block = dissipation_module._WARM_BLOCK
+        n_int = 2 * block + extra  # the last block has one, two or five intervals
+        traj, tilt = _criterion_3_level_0(params, 4e-4, n_int * 4e-4)
+        assert traj.n_times - 1 == n_int
+        got = _breakdown_terms(dissipation_functional(traj, params, tilt))
+        assert np.concatenate(newton_counts).size == n_int
+        cold = _breakdown_terms(all_cold(dissipation_functional, traj, params, tilt))
+        gaps = _relative_gaps(got, cold)
+        assert gaps[1] <= 5e-9 and np.all(np.delete(gaps, 1) <= 1e-9), gaps
+
+    def test_single_interval(self, params, newton_counts):
+        traj, tilt = _criterion_3_level_0(params, 4e-4, 4e-4)
+        assert traj.n_times == 2
+        bd = dissipation_functional(traj, params, tilt)
+        (iters,) = newton_counts  # the single interval is its block's only anchor
+        assert iters.size == 1
+        rate = (traj.states[1] - traj.states[0]) / 4e-4
+        res = primal_R_eps(State(traj.states[0]), params, tilt, rate)
+        diff, react = primal_objective(State(traj.states[0]), params, res.fluxes)
+        assert bd.vel_diff == pytest.approx(4e-4 * diff, rel=1e-12)
+        assert bd.vel_react == pytest.approx(4e-4 * react, rel=1e-9)
+
+    def test_stored_flux_terms_match_flux_dissipation(self, params):
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
+        bd = dissipation_functional(traj, params, tilt)
+        stored = flux_dissipation(traj, params, tilt)
+        assert bd.flux_vel_diff == pytest.approx(stored.vel_diff, rel=1e-14)
+        assert bd.flux_vel_react == pytest.approx(stored.vel_react, rel=1e-14)
+        assert bd.slope_diff == pytest.approx(stored.slope_diff, rel=1e-14)
+        assert bd.slope_react == pytest.approx(stored.slope_react, rel=1e-14)
+
+    def test_debug_log_splits_anchors_and_interior(self, params, caplog):
+        block = dissipation_module._WARM_BLOCK
+        traj, tilt = _criterion_3_level_0(params, 4e-4, (block + 3) * 4e-4)
+        with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
+            dissipation_functional(traj, params, tilt)
+        (record,) = caplog.records
+        anchors, interior, total = (
+            ast.literal_eval(h) for h in re.search(
+                r"block anchors (\{.*?\}), warm-started (\{.*?\})\): "
+                r"Newton iterations per interval (\{.*?\})", record.getMessage()).groups())
+        # blocks [0, block) and [block, block + 3): anchors 0, block - 1, block, block + 2
+        assert sum(anchors.values()) == 4 and sum(interior.values()) == block - 1
+        assert {k: anchors.get(k, 0) + interior.get(k, 0) for k in total} == total
+
+
+class TestRoundoffFloor:
+    """The stopping test accepts the gradient's rounding level when it exceeds tol."""
+
+    def _slow_manifold_trajectory(self, epsilon):
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=epsilon)
+        n = 40
+        hat = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        hat /= hat.sum() / n
+        c0 = manifold_split(hat, params, Tilt.zero(n))
+        return solve_eps_system(State(c0), params, Tilt.zero(n), SolverConfig(1e-3, 0.05)), params
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-10])
+    def test_tiny_epsilon_evaluates(self, epsilon):
+        # tol = 1e-10 is below the rounding level of an exchange weight of order h / epsilon
+        traj, params = self._slow_manifold_trajectory(epsilon)
+        bd = dissipation_functional(traj, params, Tilt.zero(40))
+        terms = np.array(_breakdown_terms(bd))
+        assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
+        traj_ref, params_ref = self._slow_manifold_trajectory(1e-6)
+        ref = dissipation_functional(traj_ref, params_ref, Tilt.zero(40))
+        # on the slow manifold the diffusion terms have reached their limit
+        assert bd.vel_diff == pytest.approx(ref.vel_diff, rel=1e-6)
+        assert bd.slope_diff == pytest.approx(ref.slope_diff, rel=1e-6)
+
+    def test_single_interval_stops_at_its_rounding_level(self):
+        traj, params = self._slow_manifold_trajectory(1e-8)
+        st = State(traj.states[0])
+        rate = (traj.states[1] - traj.states[0]) / (traj.times[1] - traj.times[0])
+        res = primal_R_eps(st, params, Tilt.zero(40), rate)
+        # Newton reaches the rounding level in a few steps; tol alone is out of reach
+        assert res.dual.iterations <= 3
+        assert 1e-10 < res.dual.gradient_norm < 1e-8
+        assert np.isfinite(res.value) and res.value > 0
