@@ -7,7 +7,8 @@ and pass/fail flags; outputs are reproducible bit-for-bit for a fixed config
 and seed.
 
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``export-defaults``.
-Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error.
+Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error,
+3 on a numerical failure (``IntegrationError`` or ``DualAscentError``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .coarsegrain import (
 )
 from .core import SpatialGrid, State, SystemParams, Tilt, trajectory_to_csv
 from .dissipation import (
+    DualAscentError,
     dissipation_functional,
     flux_dissipation,
     hat_dissipation,
@@ -42,7 +44,7 @@ from .multispecies import (
     random_detailed_balance_generator,
     validate_generator,
 )
-from .solver import SolverConfig, solve_effective, solve_eps_system
+from .solver import IntegrationError, SolverConfig, solve_effective, solve_eps_system
 
 __all__ = [
     "ConfigError",
@@ -472,6 +474,7 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         bd = dissipation_functional(traj, p, tilt, eps)
         drop = energy(traj.initial_state, p, tilt) - energy(traj.final_state, p, tilt)
         res = -drop + bd.total
+        del traj  # release the fine trajectory before the coarse solve allocates its own
         hat0 = _build_initial_hat(cfg.initial_spec, grid, p, tilt)
         hat_traj = solve_effective(hat0, p, tilt, sc)
         hbd = hat_dissipation(hat_traj, p, tilt)
@@ -741,7 +744,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("config ok")
         return 0
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except (IntegrationError, DualAscentError) as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}")
+        return 3
     for key in sorted(result.summary):
         print(f"{key} = {result.summary[key]}")
     print("PASS" if result.passed else "FAIL")

@@ -20,7 +20,16 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dptsv
 from scipy.special import xlogy
 
-from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _readonly
+from .core import (
+    FluxAssignment,
+    State,
+    SystemParams,
+    Tilt,
+    Trajectory,
+    _finite_nonnegative,
+    _Owned,
+    _readonly,
+)
 from .functionals import stationary_measure, stationary_measure_faces
 
 __all__ = [
@@ -82,7 +91,7 @@ class CoarseTrajectory:
             raise ValueError("times must be strictly increasing")
         if s.ndim != 2 or s.shape[0] != t.size:
             raise ValueError(f"states shape {s.shape} does not match {t.size} times")
-        if np.any(s < 0) or not np.all(np.isfinite(s)):
+        if not _finite_nonnegative(s):
             raise ValueError("coarse states must be finite and nonnegative")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
@@ -110,8 +119,8 @@ def coarse_grain(state: State) -> np.ndarray:
 
 def coarse_grain_trajectory(traj: Trajectory) -> CoarseTrajectory:
     """Coarse-grain a two-species trajectory; summed fluxes carry over when present."""
-    hat_j = traj.fluxes.J.sum(axis=1) if traj.fluxes is not None else None
-    return CoarseTrajectory(traj.times, traj.states.sum(axis=1), hat_j)
+    hat_j = _Owned(traj.fluxes.J.sum(axis=1)) if traj.fluxes is not None else None
+    return CoarseTrajectory(traj.times, _Owned(traj.states.sum(axis=1)), hat_j)
 
 
 def coarse_params(params: SystemParams, tilt: Tilt) -> CoarseParams:
@@ -229,8 +238,8 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, ti
     b1_form = a1[None, :] * div_j + jbar * grad_phi1[None, :]
     b_closed = np.stack([b1_form, -b1_form], axis=1)
 
-    traj = Trajectory(hat_traj.times, c, FluxAssignment(J, b))
-    return Reconstruction(traj, b_closed)
+    traj = Trajectory(hat_traj.times, _Owned(c), FluxAssignment(_Owned(J), _Owned(b)))
+    return Reconstruction(traj, _Owned(b_closed))
 
 
 def flux_equilibration_check(state: State, j1: np.ndarray, j2: np.ndarray,

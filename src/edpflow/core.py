@@ -7,7 +7,11 @@ which builds the no-flux condition and exact mass conservation into the data
 layout.  Reaction fluxes live on cells and sum to zero across species.
 
 Everything here is a frozen dataclass wrapping read-only numpy arrays; values
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads.  The
+public constructors copy the arrays they are given, so a caller's later
+writes never reach the object.  Solvers instead hand over the output arrays
+they allocated themselves: the result adopts them, frozen in place, so it
+holds the only copy.  Either way the arrays are read-only.
 """
 
 from __future__ import annotations
@@ -32,10 +36,44 @@ __all__ = [
 ]
 
 
+class _Owned:
+    """A freshly allocated array whose ownership passes to the object built from it.
+
+    The constructor adopts the wrapped array, frozen in place, instead of
+    copying it; whoever allocated it must keep no writeable reference.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _readonly(values, dtype=float):
-    out = np.array(values, dtype=dtype)
+    """Read-only array: a copy of ``values``, or an :class:`_Owned` array adopted in place."""
+    if isinstance(values, _Owned):
+        out = np.asarray(values.array, dtype=dtype)
+    else:
+        out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _finite_nonnegative(a: np.ndarray) -> bool:
+    """Every entry finite and >= 0, from two reductions rather than full-size masks."""
+    return a.size == 0 or bool(a.min() >= 0.0 and np.isfinite(a.max()))
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a|, 0 when empty and NaN if any entry is, without a full-size ``np.abs``."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
+
+
+def _any_abs_above(a: np.ndarray, bound: float) -> bool:
+    """Whether some entry has |a| > bound; NaN entries never count, as in ``np.abs(a) > bound``."""
+    return a.size > 0 and bool(
+        np.fmax.reduce(a, axis=None) > bound or np.fmin.reduce(a, axis=None) < -bound
+    )
 
 
 @dataclass(frozen=True)
@@ -194,8 +232,8 @@ class FluxAssignment:
         if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
             raise ValueError("boundary faces must carry zero flux")
         bsum = b.sum(axis=-2)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-        if np.any(np.abs(bsum) > tol):
+        tol = 1e-12 * max(1.0, _abs_max(b))
+        if _any_abs_above(bsum, tol):
             raise ValueError(
                 f"reaction fluxes must sum to zero across species (max {np.max(np.abs(bsum)):.3e})"
             )
@@ -223,7 +261,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing and start at 0")
         if s.ndim != 3 or s.shape[0] != t.size:
             raise ValueError(f"states shape {s.shape} does not match {t.size} times")
-        if np.any(s < 0) or not np.all(np.isfinite(s)):
+        if not _finite_nonnegative(s):
             raise ValueError("trajectory states must be finite and nonnegative")
         if self.fluxes is not None:
             J = self.fluxes.J

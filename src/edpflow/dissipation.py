@@ -139,7 +139,9 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     gradient, machine epsilon times the largest negative-Hessian diagonal
     times (1 + max |x|) at the last Newton point (an exchange weight of
     order h/epsilon amplifies the rounding of a potential difference by as
-    much, which is what binds for epsilon near 1e-8).  Returns
+    much, which is what binds for epsilon near 1e-8), times sqrt(size): that
+    is the rounding level of one entry, and the norm adds up ``size`` of them.
+    Returns
     ``(x, values, gradient_norm, iterations, iterations_per_problem)``, the
     middle two the largest over the stack; failures raise
     :class:`DualAscentError` with the failing problem's gradient norm.
@@ -151,6 +153,7 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     gnorm = np.linalg.norm(grad, axis=1)
     iters = np.zeros(n_prob, dtype=int)
     floor = np.zeros(n_prob)
+    rounding = np.finfo(float).eps * np.sqrt(size)  # per entry, summed in the 2-norm
     while True:
         act = np.flatnonzero(~(gnorm <= np.maximum(tol, floor)))
         if act.size == 0:
@@ -160,7 +163,7 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         ab = hess_banded(x[act], act)
         diag = ab[bandwidth].reshape(act.size, size)
         dmax = diag.max(axis=1)
-        floor[act] = np.finfo(float).eps * dmax * (1.0 + np.abs(x[act]).max(axis=1))
+        floor[act] = rounding * dmax * (1.0 + np.abs(x[act]).max(axis=1))
         diag[:, 0] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .core import FluxAssignment, State, Trajectory, _readonly
+from .core import FluxAssignment, State, Trajectory, _Owned, _readonly
 from .dissipation import _warm_started_ascent, damped_newton_max
 from .functionals import _network_cost, _network_slope
 from .solver import SolverConfig, IntegrationError, _ImplicitStepper
@@ -371,7 +371,7 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
         states[m + 1] = c_next
         c = c_next
     times = dt * np.arange(steps + 1)
-    return Trajectory(times, states, FluxAssignment(J, b))
+    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coarsegrain import CoarseTrajectory, coarse_params
-from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, total_mass
+from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _Owned, total_mass
 from .functionals import stationary_measure
 
 __all__ = [
@@ -230,7 +230,7 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     exch /= dt
     np.negative(exch, out=bflux[:, 1])  # -(x / dt) and (-x) / dt agree bit for bit
     times = dt * np.arange(steps + 1)
-    return Trajectory(times, states, FluxAssignment(J, bflux))
+    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(bflux)))
 
 
 def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
@@ -270,7 +270,7 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
         c = _guard_nonnegative(c, m)
         states[m + 1] = c
     times = dt * np.arange(steps + 1)
-    return CoarseTrajectory(times, states, J)
+    return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
 
 
 def central_first_derivative(f, h):

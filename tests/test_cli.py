@@ -10,6 +10,8 @@ import pytest
 from edpflow import (
     CoarseTrajectory,
     ConfigError,
+    DualAscentError,
+    IntegrationError,
     SolverConfig,
     SystemParams,
     Tilt,
@@ -20,6 +22,7 @@ from edpflow import (
     solve_effective,
 )
 import edpflow
+import edpflow.cli as cli_module
 from edpflow.cli import main
 
 
@@ -218,3 +221,20 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         code = main(["run", str(path)])
         assert code in (0, 1)  # depends on measured slope; exercise the path
+
+    @pytest.mark.parametrize("error", [
+        IntegrationError("state left the finite range", 7),
+        DualAscentError("iteration limit reached", 1.82e-10),
+    ])
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config("eps_sweep", tmp_path / "out")))
+
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setattr(cli_module, "run_experiment", fail)
+        assert main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [f"numerical error: {type(error).__name__}: {error}"]
+        assert err == ""

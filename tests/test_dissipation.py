@@ -720,6 +720,21 @@ class TestRoundoffFloor:
         assert bd.vel_diff == pytest.approx(ref.vel_diff, rel=1e-6)
         assert bd.slope_diff == pytest.approx(ref.slope_diff, rel=1e-6)
 
+    @pytest.mark.parametrize("dt", [2.5e-4, 1e-3])
+    def test_tilted_fine_grid_evaluates(self, dt):
+        # at n = 160 the gradient norm sums the rounding of 2n entries, which
+        # the per-entry level alone (gradient norm 1.82e-10) left out of reach
+        n, epsilon = 160, 1e-8
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=epsilon)
+        tilt = cosine_tilt(n, [[0.3], [-0.2]])
+        hat = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        c0 = manifold_split(hat, params, tilt)
+        traj = solve_eps_system(State(c0), params, tilt, SolverConfig(dt, 0.05))
+        bd = dissipation_functional(traj, params, tilt)
+        terms = np.array(_breakdown_terms(bd))
+        assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
+        assert bd.total == pytest.approx(0.0823, rel=2e-3)
+
     def test_single_interval_stops_at_its_rounding_level(self):
         traj, params = self._slow_manifold_trajectory(1e-8)
         st = State(traj.states[0])
