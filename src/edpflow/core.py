@@ -16,6 +16,9 @@ holds the only copy.  Either way the arrays are read-only.
 
 from __future__ import annotations
 
+import functools
+import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,6 +37,11 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
+
+logger = logging.getLogger(__name__)
+
+# values per chunk of the species sums that FluxAssignment checks
+_SUM_CHUNK_VALUES = 1 << 14
 
 
 class _Owned:
@@ -74,6 +82,14 @@ def _any_abs_above(a: np.ndarray, bound: float) -> bool:
     return a.size > 0 and bool(
         np.fmax.reduce(a, axis=None) > bound or np.fmin.reduce(a, axis=None) < -bound
     )
+
+
+def _species_sums(b: np.ndarray):
+    """``b.sum(axis=-2)`` in chunks over the leading axes, without a full-size temporary."""
+    flat = b.reshape((-1,) + b.shape[-2:])
+    step = max(1, _SUM_CHUNK_VALUES // max(1, b.shape[-1]))
+    for i in range(0, flat.shape[0], step):
+        yield flat[i : i + step].sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -231,11 +247,11 @@ class FluxAssignment:
             )
         if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
             raise ValueError("boundary faces must carry zero flux")
-        bsum = b.sum(axis=-2)
         tol = 1e-12 * max(1.0, _abs_max(b))
-        if _any_abs_above(bsum, tol):
+        if any(_any_abs_above(bsum, tol) for bsum in _species_sums(b)):
+            worst = np.max([np.max(np.abs(bsum)) for bsum in _species_sums(b)])
             raise ValueError(
-                f"reaction fluxes must sum to zero across species (max {np.max(np.abs(bsum)):.3e})"
+                f"reaction fluxes must sum to zero across species (max {worst:.3e})"
             )
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
@@ -319,6 +335,213 @@ def gce_residual(traj: Trajectory) -> np.ndarray:
 _CSV_BASE = ("t", "x", "c1", "c2")
 _CSV_FLUX = ("J1", "J2", "b1", "b2")
 _CSV_READ_BYTES = 1 << 20
+# rows per block of trajectory_to_csv: bounds the writer's working set (about
+# 2 kB per row) whatever the trajectory's length.  4096 rows were no faster
+# and kept about 6 MB more resident after the first file.
+_CSV_BLOCK_ROWS = 1024
+
+# _format_g17 lays each value out in 32 zero-padded bytes, four little-endian
+# words, and the zero bytes are dropped when the fields are joined:
+#   0-1  separator written before the field
+#   2    '-'
+#   3-7  '0.' and up to three zeros, for values below 1e-1 in fixed notation
+#   8-25 the 17 digits, trailing zeros cleared, with the decimal point inserted
+#   26-30 'e', exponent sign, two or three exponent digits
+_G17_WORDS = 4
+_G17_WORD = np.dtype("<u8")
+# |v| in this range scales to 17 digits without overflow or subnormals, by
+# 10^p with p in the table's range
+_G17_MIN, _G17_MAX = 1e-290, 1e290
+_G17_POW_MIN, _G17_POW_MAX = -280, 308
+# fractions of y within this of 1/2 or of an integer are not certified where
+# 10^p is inexact; the double-double's error is below 2^-47 there (y < 2^57)
+_G17_MARGIN = 2.0**-30
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _power_of_ten(p: int) -> tuple[float, float]:
+    """``10^p = hi + lo``, ``hi`` correctly rounded and ``lo`` the rounded remainder.
+
+    Both come from exact integer arithmetic and Python's correctly rounded
+    integer division.
+    """
+    if p >= 0:
+        hi = float(10**p)
+        return hi, float(10**p - int(hi))
+    d = 10**-p
+    hi = 1 / d
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _words(text: np.ndarray) -> np.ndarray:
+    """Little-endian words of byte rows; a row of 8m bytes gives m words."""
+    return np.ascontiguousarray(text.astype(np.uint8)).view(_G17_WORD)
+
+
+@functools.cache
+def _g17_tables() -> dict:
+    """Powers of ten as split double-doubles, and the word tables of the layout.
+
+    Built on first use.  ``hi`` of each power of ten is also Veltkamp-split,
+    on its mantissa so the split cannot overflow.
+    """
+    hi, lo = np.array([_power_of_ten(p) for p in range(_G17_POW_MIN, _G17_POW_MAX + 1)]).T
+    m, e = np.frexp(hi)
+    t = _SPLIT * m
+    m_hi = t - (t - m)
+    g = np.arange(10000)
+    digits = ord("0") + np.stack([g // 10 ** (3 - j) % 10 for j in range(4)], axis=1)
+    # bytes j of the digit string (field bytes 8-31) against a count c = 0..17
+    j, c = np.arange(24), np.arange(18)[:, None]
+    # '0.' and -k - 1 zeros at bytes 3-7 for k = -1..-4
+    prefix = np.zeros((5, 8))
+    for n in range(1, 5):
+        prefix[n, 3:5] = ord("0"), ord(".")
+        prefix[n, 5 : 4 + n] = ord("0")
+    # 'e', sign and exponent digits at bytes 26-30 for k outside the fixed range
+    exponent = np.zeros((_G17_POW_MAX - _G17_POW_MIN + 2, 8))
+    for i, k in enumerate(range(16 - _G17_POW_MAX, 18 - _G17_POW_MIN)):
+        if not -4 <= k < 17:
+            text = b"e%+03d" % k
+            exponent[i, 2 : 2 + len(text)] = list(text)
+    tables = {
+        "hi": hi, "lo": lo, "hi_hi": np.ldexp(m_hi, e), "hi_lo": np.ldexp(m - m_hi, e),
+        # four ASCII digits of a group, the first in the lowest byte
+        "group": _words(np.pad(digits, ((0, 0), (0, 4))))[:, 0],
+        # trailing zeros of a group, 4 for 0000
+        "zeros": sum((g % 10**n == 0).astype(np.int64) for n in range(1, 5)),
+        # digit string: the first c bytes kept
+        "keep": _words(255 * (j < c)).T,
+        # decimal point after digit c (17: none): bytes 0..c stay, byte c + 1
+        # takes the point, later bytes move up by one
+        "low": _words(255 * (j <= c)).T,
+        "high": _words(255 * ((j >= c + 2) & (j < 18))).T,
+        "point": _words(ord(".") * ((j == c + 1) & (c < 17))).T,
+        "prefix": _words(prefix)[:, 0],
+        "minus": _words(np.outer([0, ord("-")], np.arange(8) == 2))[:, 0],
+        "exponent": _words(exponent)[:, 0],
+    }
+    for name, a in tables.items():
+        tables[name] = np.ascontiguousarray(a)
+        tables[name].setflags(write=False)
+    return tables
+
+
+def _scaled(a, p, tab):
+    """``a * 10^p`` as ``hi + lo``: Dekker's exact product with the split ``hi`` of ``10^p``."""
+    i = p - _G17_POW_MIN
+    ph, ph_hi, ph_lo = tab["hi"][i], tab["hi_hi"][i], tab["hi_lo"][i]
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    hi = a * ph
+    err = ((a_hi * ph_hi - hi) + a_hi * ph_lo + a_lo * ph_hi) + a_lo * ph_lo
+    return hi, err + a * tab["lo"][i]
+
+
+def _decade_step(hi, lo):
+    """+1 where ``hi + lo >= 1e17``, -1 where it is below 1e16, else 0."""
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    return above.view(np.int8) - below.view(np.int8)
+
+
+def _decimal_digits(v: np.ndarray, tab: dict):
+    """17-digit integers ``d`` and exponents ``k`` with ``|v| ~ d * 10^(k - 16)``.
+
+    Also returns which values are certified: zeros (``d = k = 0``) and
+    values whose rounding the double-double product decides.
+    """
+    a = np.abs(v)
+    zero = a == 0.0
+    ok = (a >= _G17_MIN) & (a <= _G17_MAX)
+    a = np.where(ok, a, 1.0)  # the others run through as 1.0, so nothing overflows
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - k, tab)
+    # log10 may miss the decade by one next to a power of ten
+    step = _decade_step(hi, lo)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        k[fix] += step[fix]
+        hi[fix], lo[fix] = _scaled(a[fix], 16 - k[fix], tab)
+        miss = fix[_decade_step(hi[fix], lo[fix]) != 0]
+        ok[miss] = False  # not seen; Python formats them
+        hi[miss], lo[miss] = 1e16, 0.0
+    whole = np.floor(lo)
+    f = lo - whole
+    half = np.abs(f - 0.5)
+    exact = (k >= -6) & (k <= 16)  # 10^(16 - k) is a double for 0 <= 16 - k <= 22
+    ok &= (half != 0.0) & (exact | ((half >= _G17_MARGIN) & (half <= 0.5 - _G17_MARGIN)))
+    d = hi.astype(np.int64) + whole.astype(np.int64) + (f > 0.5)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    d[zero] = 0
+    k[zero] = 0
+    return d, k, ok | zero
+
+
+def _format_g17(values: np.ndarray, sep: bytes) -> tuple[np.ndarray, int]:
+    """``sep + '%.17g' % v`` for every value, as zero-padded ASCII fields.
+
+    Returns little-endian words of shape ``values.shape + (4,)`` (the layout
+    above; ``sep`` has at most two bytes) and the number of values handed to
+    Python's formatter.  A value with |v| in [1e-290, 1e290] is scaled to
+    ``y = |v| * 10^(16 - k)`` in [1e16, 1e17) as a double-double and rounded
+    to 17 digits; the scaling is exact for 0 <= 16 - k <= 22.  Exact ties,
+    and elsewhere fractions of y within 2^-30 of 1/2 or of an integer, go to
+    Python's formatter, as do inf, NaN and values outside that range.  Zeros
+    are written directly.
+    """
+    tab = _g17_tables()
+    v = np.asarray(values, dtype=float).ravel()
+    d, k, ok = _decimal_digits(v, tab)
+
+    # 17 digits: the leading one and four groups of four
+    lead = d // 10**16
+    r = d - lead * 10**16
+    groups = []
+    for scale in (10**12, 10**8, 10**4):
+        g = r // scale
+        groups.append(g)
+        r -= g * scale
+    groups.append(r)
+    zeros = tab["zeros"]
+    trailing = zeros[groups[0]]
+    for g in groups[1:]:
+        trailing = np.where(g == 0, trailing + 4, zeros[g])
+    nd = 17 - trailing  # significant digits
+    # the digit string as three words, digit j at byte j
+    g1, g2, g3, g4 = (tab["group"][g] for g in groups)
+    s = [(lead + ord("0")).astype(_G17_WORD) | g1 << 8 | g2 << 40,
+         g2 >> 24 | g3 << 8 | g4 << 40,
+         g4 >> 24]
+    # %g: fixed notation for -4 <= k < 17 with all integer digits kept
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)
+    point = fixed & (k >= 0)
+    keep = np.where(point, np.maximum(nd, k + 1), nd)
+    # the digit the decimal point follows, 17 for none
+    at = np.where(point, k, 0)
+    at = np.where(~small & (nd > at + 1), at, 17)
+    s = [word & tab["keep"][w][keep] for w, word in enumerate(s)]
+    shifted = [s[0] << 8, s[1] << 8 | s[0] >> 56, s[2] << 8 | s[1] >> 56]
+    out = np.empty((v.size, _G17_WORDS), _G17_WORD)
+    for w in range(3):
+        out[:, 1 + w] = (s[w] & tab["low"][w][at]) | (shifted[w] & tab["high"][w][at]) | \
+            tab["point"][w][at]
+    out[:, 0] = _words(np.frombuffer(sep.ljust(8, b"\0"), np.uint8))[0] | \
+        tab["minus"][np.signbit(v).view(np.int8)] | tab["prefix"][np.where(small, -k, 0)]
+    out[:, 3] |= tab["exponent"][k - (16 - _G17_POW_MAX)]
+
+    rest = np.flatnonzero(~ok)
+    text = out.view(np.uint8).reshape(v.size, 8 * _G17_WORDS)
+    for i in rest.tolist():
+        python = ("%.17g" % v[i]).encode()
+        text[i, 2:] = 0
+        text[i, 2 : 2 + len(python)] = np.frombuffer(python, np.uint8)
+    return out.reshape(np.shape(values) + (_G17_WORDS,)), rest.size
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
@@ -328,33 +551,55 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     ``J1, J2, b1, b2``.  Flux columns on the rows of time ``t[m]`` hold the
     values of the interval ``[t[m], t[m+1])``; the J columns carry the flux on
     the left face of each cell (the right boundary face is identically zero).
-    Rows of the final time carry zero flux columns.  Values are written with
-    17 significant digits so a round trip is bit-exact, and rows end in
-    ``\\r\\n`` (the ``csv`` module's default dialect).  The file is written one
-    time level at a time, with one format string per level.
+    Rows of the final time carry zero flux columns.  Values are written as
+    ``'%.17g' % value`` writes them, so a round trip is bit-exact, and rows
+    end in ``\\r\\n`` (the ``csv`` module's default dialect).
+
+    The file is written in blocks of whole time levels.  Each block's values
+    are formatted with array operations: scaled to 17 digits as a
+    double-double product with a power of ten, rounded, and laid out as
+    ``%g`` does.  A value whose rounding this cannot certify (an exact tie,
+    or a fraction within 2^-30 of 1/2 or of an integer when the power of ten
+    is inexact), inf, NaN, and |values| outside [1e-290, 1e290] (subnormals
+    included) are formatted by Python instead; zeros are written directly.
+    Times and cell centres are formatted once per file.  One DEBUG record
+    per file gives the values written, how many went to Python, the size and
+    the time taken.
     """
     if traj.n_species != 2:
         raise ValueError("CSV layout is fixed to two species")
+    start = time.perf_counter()
     path = Path(path)
-    n = traj.n_cells
-    x = (np.arange(n) + 0.5) / n
+    n, n_times = traj.n_cells, traj.n_times
     with_flux = traj.fluxes is not None
     header = _CSV_BASE + (_CSV_FLUX if with_flux else ())
-    values = ",%.17g" * (len(header) - 2) + "\r\n"
-    # t is spliced in per level; neither it nor x can contain a '%'
-    level = "".join("\0,%.17g" % xk + values for xk in x)
-    no_flux = np.zeros((4, n))
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for m, t in enumerate(traj.times):
-            cols = [traj.states[m]]
+    # each row starts with the line break that ends the row before it
+    t_fields, fallback = _format_g17(traj.times, b"\r\n")
+    x_fields, x_fallback = _format_g17((np.arange(n) + 0.5) / n, b",")
+    fallback += x_fallback
+    levels = max(1, _CSV_BLOCK_ROWS // n)
+    with path.open("wb") as fh:
+        size = fh.write(",".join(header).encode())
+        for m0 in range(0, n_times, levels):
+            m1 = min(m0 + levels, n_times)
+            block = np.empty((m1 - m0, n, len(header) - 2))
+            block[..., 0:2] = traj.states[m0:m1].transpose(0, 2, 1)
             if with_flux:
-                if m < traj.n_times - 1:
-                    cols += [traj.fluxes.J[m, :, :n], traj.fluxes.b[m]]
-                else:
-                    cols.append(no_flux)
-            block = np.concatenate(cols).T.ravel().tolist()
-            fh.write(level.replace("\0", "%.17g" % t) % tuple(block))
+                last = min(m1, n_times - 1) - m0  # the final time has no interval
+                block[:last, :, 2:4] = traj.fluxes.J[m0 : m0 + last, :, :n].transpose(0, 2, 1)
+                block[:last, :, 4:6] = traj.fluxes.b[m0 : m0 + last].transpose(0, 2, 1)
+                block[last:, :, 2:] = 0.0
+            buf = np.empty((m1 - m0, n, len(header), _G17_WORDS), _G17_WORD)
+            buf[:, :, 0] = t_fields[m0:m1, None]
+            buf[:, :, 1] = x_fields
+            fields, block_fallback = _format_g17(block, b",")
+            buf[:, :, 2:] = fields
+            fallback += block_fallback
+            text = buf.view(np.uint8).ravel()
+            size += fh.write(np.compress(text != 0, text).tobytes())
+        size += fh.write(b"\r\n")
+    logger.debug("trajectory_to_csv: %d values (%d formatted by Python), %.1f MB in %.3f s to %s",
+                 n_times * n * len(header), fallback, size / 1e6, time.perf_counter() - start, path)
     return path
 
 

@@ -1,7 +1,14 @@
 import csv
+import logging
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import edpflow.core
 
 from edpflow import (
     FluxAssignment,
@@ -241,8 +248,6 @@ def test_csv_round_trip_bit_exact(tmp_path, rng, with_flux):
 
 
 def test_csv_read_spans_several_blocks(tmp_path, rng, monkeypatch):
-    import edpflow.core
-
     monkeypatch.setattr(edpflow.core, "_CSV_READ_BYTES", 200)
     traj = _edge_value_trajectory(rng, True)
     back = trajectory_from_csv(trajectory_to_csv(traj, tmp_path / "t.csv"))
@@ -297,3 +302,176 @@ def test_csv_read_rejects_non_numeric_value(tmp_path, rng):
     lines[3] = lines[3].replace(b",", b",x", 1)
     with pytest.raises(ValueError, match="could not convert"):
         trajectory_from_csv(_write_lines(tmp_path, lines))
+
+
+def _block_trajectory(rng, n_times, n, with_flux):
+    """Random trajectory whose values span many decades and both notations of %g."""
+    c = rng.uniform(0.0, 1.0, (n_times, 2, n)) * 10.0 ** rng.integers(-8, 20, (n_times, 2, n))
+    times = np.cumsum(rng.uniform(0.5, 1.5, n_times)) * 1e-3
+    times[0] = 0.0
+    fluxes = None
+    if with_flux:
+        J = np.zeros((n_times - 1, 2, n + 1))
+        J[:, :, 1:-1] = rng.normal(size=(n_times - 1, 2, n - 1)) * 10.0 ** rng.integers(
+            -6, 18, (n_times - 1, 2, n - 1))
+        b1 = rng.normal(size=(n_times - 1, n))
+        fluxes = FluxAssignment(J, np.stack([b1, -b1], axis=1))
+    return Trajectory(times, c, fluxes)
+
+
+class TestWriterBlocks:
+    """The block writer's bytes equal the row writer's at and around the block boundaries."""
+
+    N_CELLS = 7
+    LEVELS = edpflow.core._CSV_BLOCK_ROWS // N_CELLS
+
+    def _check(self, tmp_path, rng, n_times, with_flux):
+        traj = _block_trajectory(rng, n_times, self.N_CELLS, with_flux)
+        got = trajectory_to_csv(traj, tmp_path / "block.csv").read_bytes()
+        _reference_csv(traj, tmp_path / "rows.csv")
+        assert got == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_flux", [True, False])
+    @pytest.mark.parametrize("n_times", [2, 3, LEVELS - 1, LEVELS, LEVELS + 1, 2 * LEVELS + 1])
+    def test_level_counts_around_the_block_size(self, tmp_path, rng, n_times, with_flux):
+        assert self.LEVELS > 3
+        self._check(tmp_path, rng, n_times, with_flux)
+
+    @pytest.mark.parametrize("with_flux", [True, False])
+    @pytest.mark.parametrize("rows", [1, N_CELLS, 2 * N_CELLS])
+    def test_blocks_of_one_and_two_levels(self, tmp_path, rng, monkeypatch, rows, with_flux):
+        # a block never splits a level: fewer rows than cells still write one level
+        monkeypatch.setattr(edpflow.core, "_CSV_BLOCK_ROWS", rows)
+        self._check(tmp_path, rng, 5, with_flux)
+
+
+def test_csv_writer_logs_one_debug_record(tmp_path, rng, caplog):
+    traj = _edge_value_trajectory(rng, True)
+    path = trajectory_to_csv(traj, tmp_path / "quiet.csv")
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="edpflow.core"):
+        logged = trajectory_to_csv(traj, tmp_path / "logged.csv")
+    assert logged.read_bytes() == path.read_bytes()
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "edpflow.core"
+    values, fallback, mb, seconds = re.search(
+        r"(\d+) values \((\d+) formatted by Python\), (\S+) MB in (\S+) s", record.getMessage()
+    ).groups()
+    assert int(values) == traj.n_times * traj.n_cells * 8
+    # 5e-324 and +-1e308 lie outside the certified range
+    c, J, b = traj.states, traj.fluxes.J[:, :, :-1], traj.fluxes.b
+    outside = sum(int(np.sum((np.abs(a) > 1e290) | ((a != 0) & (np.abs(a) < 1e-290))))
+                  for a in (c, J, b))
+    assert int(fallback) == outside > 0
+    assert float(mb) == pytest.approx(path.stat().st_size / 1e6, abs=0.05)
+    assert float(seconds) >= 0.0
+
+
+def _python_bytes(values):
+    return [("%.17g" % v).encode() for v in values.tolist()]
+
+
+def _formatted_bytes(values):
+    """The fields of ``_format_g17`` as bytes, and its count of values formatted by Python."""
+    fields, fallback = edpflow.core._format_g17(values, b",")
+    assert fields.shape == values.shape + (4,)
+    text = fields.view(np.uint8).ravel()
+    return text[text != 0].tobytes().split(b",")[1:], fallback
+
+
+def _ties(rng, float32):
+    """Doubles m * 2^-p whose exact decimal expansion has 18 digits ending in 5."""
+    out = []
+    for p in range(2, 26):
+        # odd m in [lo, hi): m * 5^p has 18 digits and m fits the mantissa
+        lo, hi = 10**17 // 5**p + 1, min(10**18 // 5**p, 2**24 if float32 else 2**53)
+        if lo // 2 < (hi - 1) // 2:
+            m = 2 * rng.integers(lo // 2, (hi - 1) // 2, 40) + 1
+            out.append(m * 2.0**-p)
+    ties = np.concatenate(out)
+    if float32:
+        assert np.array_equal(ties.astype(np.float32).astype(float), ties)
+    for x in ties.tolist():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return ties
+
+
+@pytest.mark.filterwarnings("error")
+class TestFormatG17:
+    """Every value is written as Python's ``'%.17g' %`` writes it, with warnings as errors."""
+
+    def _check(self, values):
+        values = np.asarray(values, dtype=float)
+        got, fallback = _formatted_bytes(values)
+        assert got == _python_bytes(values)
+        return fallback
+
+    def test_power_table_is_exact(self):
+        tab = edpflow.core._g17_tables()
+        powers = range(edpflow.core._G17_POW_MIN, edpflow.core._G17_POW_MAX + 1)
+        for i, p in enumerate(powers):
+            exact = Fraction(10) ** p
+            hi, lo = tab["hi"][i], tab["lo"][i]
+            assert hi == float(exact) and lo == float(exact - Fraction(hi))
+            # the split halves of hi are exact and short enough for Dekker's product
+            assert tab["hi_hi"][i] + tab["hi_lo"][i] == hi
+            for half in (tab["hi_hi"][i], tab["hi_lo"][i]):
+                assert (math.frexp(half)[0] * 2**26).is_integer()
+
+    def test_seeded_sample_spanning_all_exponents(self):
+        rng = np.random.default_rng(1990)
+        bits = rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64, endpoint=True).view(float)
+        decimal = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-300, 300, 100_000)
+        values = np.concatenate([bits, decimal * rng.choice([-1.0, 1.0], 100_000)])
+        fallback = self._check(values)
+        # bit patterns cover NaN, subnormals and |v| > 1e290: both paths run
+        assert 0 < fallback < values.size // 10
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        nonzero = powers[powers > 0]
+        values = np.concatenate([powers, np.nextafter(nonzero, 0), np.nextafter(powers, np.inf)])
+        self._check(np.concatenate([values, -values]))
+
+    def test_notation_switch_points(self):
+        values = []
+        for x in (1e-5, 1e-4, 1e16, 1e17):
+            up = down = x
+            for _ in range(5):
+                values += [up, down]
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+        values = np.unique(values)
+        # 1e17 scales by the inexact 10^-1 to an integer: not certified
+        assert self._check(np.concatenate([values, -values])) == 2
+        got, _ = _formatted_bytes(np.array([1e-5, 1e-4, 1e16, 1e17]))
+        assert got == [b"1.0000000000000001e-05", b"0.0001", b"10000000000000000", b"1e+17"]
+
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_exact_ties_go_to_python(self, float32):
+        ties = _ties(np.random.default_rng(7), float32)
+        assert self._check(np.concatenate([ties, -ties])) == 2 * ties.size
+
+    def test_dyadic_values(self):
+        rng = np.random.default_rng(11)
+        m = rng.integers(1, 2**53, 20_000)
+        values = m * 2.0 ** rng.integers(-80, 40, m.size)
+        short = np.arange(1, 4097) / 1024.0  # few digits: trailing zeros are cleared
+        # many are ties, or integers that an inexact 10^p scales to integers
+        assert 0 < self._check(np.concatenate([values, short, -short])) < values.size // 10
+
+    def test_zeros_subnormals_extremes_and_non_finite(self):
+        tiny = 2.2250738585072014e-308
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0), tiny / 3,
+                           1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+                           1e-290, 1e290, np.nextafter(1e-290, 0), np.nextafter(1e290, np.inf),
+                           np.inf, -np.inf, np.nan, -np.nan])
+        fallback = self._check(values)
+        assert fallback == values.size - 4  # zeros are written directly; 1e-290 and 1e290 certified
+
+    def test_shape_and_separator(self):
+        values = np.array([[0.5, -2.0], [6.02214076e23, 3.0]])
+        fields, fallback = edpflow.core._format_g17(values, b"\r\n")
+        assert fields.shape == (2, 2, 4) and fallback == 0
+        text = fields.view(np.uint8).ravel()
+        assert text[text != 0].tobytes() == b"\r\n0.5\r\n-2\r\n6.0221407599999999e+23\r\n3"

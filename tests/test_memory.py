@@ -1,12 +1,15 @@
-"""Array ownership: solver results hold one read-only copy of their arrays.
+"""Array ownership and bounded working sets.
 
 Solvers hand the arrays they allocate to their result, which freezes them in
-place; the public constructors copy what callers pass in.  Peaks are measured
-with ``tracemalloc``, which numpy reports its buffers to, so the bounds are
-deterministic and need nothing from the operating system.
+place; the public constructors copy what callers pass in.  The flux check and
+the CSV writer work in chunks, so their temporaries do not grow with the
+trajectory.  Peaks are measured with ``tracemalloc``, which numpy reports its
+buffers to, so the bounds are deterministic and need nothing from the
+operating system.
 """
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,14 +30,17 @@ from edpflow import (
     solve_effective,
     solve_eps_system,
     solve_multispecies,
+    trajectory_to_csv,
 )
-from edpflow.core import _Owned
+from edpflow.core import _g17_tables, _Owned
 
 from conftest import cosine_tilt
 
-# states, J and b are the output; the b-sum of the flux check is the one
-# allowed temporary (half of b for two species)
-PEAK_OVER_OUTPUT = 1.25
+# states, J and b are the output; the flux check's species sums are taken in
+# chunks, so a temporary of half of b (a full two-species sum) exceeds this
+PEAK_OVER_OUTPUT = 1.1
+# bytes the CSV writer may hold at once, whatever the trajectory's length
+CSV_WRITER_BUDGET = 3_000_000
 
 N_CELLS = 80
 CONFIG = SolverConfig(5e-5, 0.05)  # 1000 steps
@@ -200,3 +206,46 @@ class TestReductionChecks:
         b[0, 0, 2] = 1e-3
         with pytest.raises(ValueError, match="sum to zero"):
             FluxAssignment(J, b)
+
+
+def test_flux_check_sums_species_in_chunks():
+    b1 = np.random.default_rng(3).normal(size=(2000, 200))
+    b = np.stack([b1, -b1], axis=1)
+    J = np.zeros((2000, 2, 201))
+    _, peak = _traced_peak(lambda: FluxAssignment(_Owned(J), _Owned(b)))
+    # a full species sum would be half of b
+    assert peak <= b.nbytes / 16, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("nan_first", [False, True])
+def test_flux_check_reports_the_largest_sum_over_all_chunks(nan_first):
+    J = np.zeros((3000, 2, 21))
+    b = np.zeros((3000, 2, 20))
+    b[10, 0, 3] = 5e-4
+    b[2990, 0, 5] = -1e-3  # in the last chunk
+    if nan_first:
+        b[0, 1, 0] = np.nan  # skipped by the check, but it makes the reported max NaN
+    expected = f"max {np.max(np.abs(b.sum(axis=-2))):.3e}"
+    assert expected == ("max nan" if nan_first else "max 1.000e-03")
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        FluxAssignment(J, b)
+
+
+def _export_like(n_times, n_cells=200):
+    rng = np.random.default_rng(n_times)
+    J = np.zeros((n_times - 1, 2, n_cells + 1))
+    J[:, :, 1:-1] = rng.normal(size=(n_times - 1, 2, n_cells - 1))
+    b1 = rng.normal(size=(n_times - 1, n_cells))
+    return Trajectory(1e-4 * np.arange(n_times), rng.uniform(0.1, 2.0, (n_times, 2, n_cells)),
+                      FluxAssignment(J, np.stack([b1, -b1], axis=1)))
+
+
+def test_csv_writer_peak_is_bounded_whatever_the_length(tmp_path):
+    _g17_tables()  # built once per process, not per file
+    peaks = {}
+    for n_times in (101, 1001):
+        traj = _export_like(n_times)
+        path, peaks[n_times] = _traced_peak(lambda: trajectory_to_csv(traj, tmp_path / "t.csv"))
+        assert path.stat().st_size > 1000 * n_times
+    assert peaks[1001] <= CSV_WRITER_BUDGET, f"peak {peaks[1001]} bytes"
+    assert peaks[1001] <= peaks[101] + 100_000, peaks
