@@ -74,7 +74,7 @@ logger = logging.getLogger(__name__)
 # resident between the levels of a refinement study, for no speed gain.
 _CHUNK_UNKNOWNS = 8192
 
-# intervals per warm-start block of _warm_started_ascent: of 8, 16, 32 and 64,
+# intervals per warm-start block of _network_terms: of 8, 16, 32 and 64,
 # 32 took the fewest Newton iterations and the least time on the refinement
 # study.  A power of two, so that a trajectory cut at a multiple of it keeps
 # its blocks.
@@ -85,19 +85,6 @@ def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
     """Consecutive interval ranges of at most ``_CHUNK_UNKNOWNS`` unknowns (one interval at least)."""
     size = max(1, _CHUNK_UNKNOWNS // unknowns)
     return [slice(s, min(s + size, n_intervals)) for s in range(0, n_intervals, size)]
-
-
-def _log_ascent(log: logging.Logger, n_chunks: int, anchors: list, interior: list):
-    """Debug record of one evaluation from the (gradient norm, per-problem iterations) of its solves."""
-    if log.isEnabledFor(logging.DEBUG):
-        def hist(solves):
-            counts = np.bincount(np.concatenate([iters for _, iters in solves] or [[]]).astype(int))
-            return {k: int(m) for k, m in enumerate(counts) if m}
-
-        log.debug("dual ascent over %d intervals in %d chunks (block anchors %s, warm-started %s): "
-                  "Newton iterations per interval %s, max final gradient norm %.3e",
-                  sum(iters.size for _, iters in anchors + interior), n_chunks, hist(anchors),
-                  hist(interior), hist(anchors + interior), max(g for g, _ in anchors + interior))
 
 
 class DualAscentError(RuntimeError):
@@ -311,18 +298,19 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     eps = params.epsilon if epsilon is None else epsilon
     edges = _two_species_edges(state, eps)
     c = state.c
-    n = state.n_cells
-    h = 1.0 / n
+    h = 1.0 / state.n_cells
     v = np.asarray(v, dtype=float)
     if v.shape != c.shape:
         raise ValueError(f"rate shape {v.shape} does not match state {c.shape}")
+    x0 = np.zeros_like(c) if xi0 is None else np.asarray(xi0, dtype=float)
+    if x0.shape != c.shape:
+        raise ValueError(f"xi0 shape {x0.shape} does not match state {c.shape}")
     _mass_balance_check(v, h)
     v = v - v.sum() / v.size
 
     vg, hess, fluxes = _network_dual(c[None], params.delta_array, edges, v[None], h)
-    x0 = np.zeros((1, 2 * n)) if xi0 is None else np.asarray(xi0, dtype=float).T.reshape(1, -1)
     x, val, gnorm, iters, _ = damped_newton_max(
-        vg, hess, x0, bandwidth=2, tol=tol, max_iter=max_iter
+        vg, hess, x0.T.reshape(1, -1), bandwidth=2, tol=tol, max_iter=max_iter
     )
     xi, J, (b1,) = fluxes(x)
     b = np.stack([b1[0], -b1[0]])
@@ -357,89 +345,101 @@ def _rates(c, c_next, dts, h):
     return v
 
 
-def _warm_started_ascent(states, dts, delta, edges, h, tol, max_iter, log, newton):
-    """Optimal fluxes of the difference-quotient rates of a trajectory, chunk by chunk.
+def _network_terms(states, dts, w, delta, edges, groups, *, variational=True, stored=None,
+                   tol=1e-10, max_iter=200, log=logger, newton=None):
+    """Time integrals (left-endpoint rule) of the dissipation terms of a trajectory on a network.
 
-    Intervals fall into blocks of ``_WARM_BLOCK`` counted from the start.  The
-    first and last interval of every block (its anchors) are solved from zero
-    in one stacked solve; every other interval starts from the linear
-    interpolation, in interval index, of its block's two anchor maximizers
-    and is solved with the rest of its chunk in a second stacked solve.  Both
-    solves are chunked by ``_CHUNK_UNKNOWNS``, and each interval keeps its own
-    stopping test, so only its start depends on its neighbours.  Yields
-    ``(s, c, J, edge_b)`` per chunk ``s`` of intervals, then logs the ascent
-    to ``log``.  ``newton`` is :func:`damped_newton_max` as the caller's
-    module binds it, so that instrumentation wrapping it per module
-    attributes the solves to the calling evaluator.
+    ``states`` (n_int + 1, I, n) are the states at times spaced by ``dts``,
+    ``w`` (I, n) is the stationary measure on cells and ``edges`` lists
+    (i, j, kappa).  Returns three sets of terms, or two without ``stored``:
+    the velocity terms of the optimal fluxes of the difference-quotient rates
+    (zero unless ``variational``), the slope terms, and the velocity terms of
+    the stored fluxes ``stored`` = (J (n_int, I, n + 1), per-edge exchange
+    fluxes (E, n_int, n)).  A set is the diffusion term followed by the
+    exchange terms summed over each boolean edge mask in ``groups``.
+
+    The dual ascents run chunk by chunk, warm-started from block anchors as
+    the module docstring describes; each interval keeps its own stopping
+    test, so only its start depends on its neighbours.  The ascent is logged
+    to ``log``; ``newton`` is :func:`damped_newton_max` as the caller's
+    module binds it (this module's by default), so that instrumentation
+    wrapping it per module attributes the solves to the calling evaluator.
     """
+    newton = newton or damped_newton_max
     n_int = dts.size
     size = states.shape[1] * states.shape[2]
     band = states.shape[1]
-    first = np.arange(n_int) // _WARM_BLOCK * _WARM_BLOCK
-    last = np.minimum(first + _WARM_BLOCK, n_int) - 1
-    anchors = np.union1d(first, last)
-    x_anchor = np.empty((anchors.size, size))
-    anchor_log, interior_log = [], []
-    for s in _chunks(anchors.size, size):
-        idx = anchors[s]
-        c = states[idx]
-        vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
-        x_anchor[s], _, gnorm, _, iters = newton(
-            vg, hess, np.zeros((idx.size, size)), bandwidth=band, tol=tol, max_iter=max_iter
-        )
-        anchor_log.append((gnorm, iters))
+    h = 1.0 / states.shape[2]
+    anchor_log, interior_log = [], []  # (gradient norm, per-problem iterations) per solve
+
+    def solve(vg, hess, x0, record):
+        x, _, gnorm, _, iters = newton(vg, hess, x0, bandwidth=band, tol=tol, max_iter=max_iter)
+        record.append((gnorm, iters))
+        return x
+
+    if variational:
+        first = np.arange(n_int) // _WARM_BLOCK * _WARM_BLOCK
+        last = np.minimum(first + _WARM_BLOCK, n_int) - 1
+        anchors = np.union1d(first, last)
+        x_anchor = np.empty((anchors.size, size))
+        for s in _chunks(anchors.size, size):
+            idx = anchors[s]
+            c = states[idx]
+            vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
+            x_anchor[s] = solve(vg, hess, np.zeros((idx.size, size)), anchor_log)
     chunks = _chunks(n_int, size)
+    acc = 0.0
     for s in chunks:
         c = states[s]
-        v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
-        vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
-        a, b = first[s], last[s]
-        w = (np.arange(s.start, s.stop) - a) / np.maximum(b - a, 1)
-        # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
-        x = ((1.0 - w)[:, None] * x_anchor[np.searchsorted(anchors, a)]
-             + w[:, None] * x_anchor[np.searchsorted(anchors, b)])
-        inner = np.flatnonzero((w > 0) & (w < 1))
-        if inner.size:
-            x[inner], _, gnorm, _, iters = newton(
-                lambda y, act: vg(y, inner[act]), lambda y, act: hess(y, inner[act]), x[inner],
-                bandwidth=band, tol=tol, max_iter=max_iter,
-            )
-            interior_log.append((gnorm, iters))
-        _, J, edge_b = fluxes(x)
-        yield s, c, J, edge_b
-    _log_ascent(log, len(chunks), anchor_log, interior_log)
+        sets = []
+        if variational:
+            v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
+            vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
+            a, b = first[s], last[s]
+            wa = (np.arange(s.start, s.stop) - a) / np.maximum(b - a, 1)
+            # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
+            x = ((1.0 - wa)[:, None] * x_anchor[np.searchsorted(anchors, a)]
+                 + wa[:, None] * x_anchor[np.searchsorted(anchors, b)])
+            inner = np.flatnonzero((wa > 0) & (wa < 1))
+            if inner.size:
+                x[inner] = solve(lambda y, k: vg(y, inner[k]), lambda y, k: hess(y, inner[k]),
+                                 x[inner], interior_log)
+            _, J, edge_b = fluxes(x)
+            sets.append(_network_cost(c, delta, edges, J, edge_b, h))
+        else:
+            # zero rows: the matrix product below may round a row differently
+            # at another position, so every set keeps its place
+            sets.append((np.zeros(c.shape[0]), np.zeros((len(edges), c.shape[0]))))
+        sets.append(_network_slope(c, w, delta, edges, h))
+        if stored is not None:
+            sets.append(_network_cost(c, delta, edges, stored[0][s], stored[1][:, s], h))
+        terms = []
+        for diff, per_edge in sets:
+            per_edge = np.array(per_edge)
+            terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
+        acc += np.array(terms) @ dts[s]
+    if variational and log.isEnabledFor(logging.DEBUG):
+        def hist(solves):
+            counts = np.bincount(np.concatenate([iters for _, iters in solves] or [[]]).astype(int))
+            return {k: int(m) for k, m in enumerate(counts) if m}
+
+        solves = anchor_log + interior_log
+        log.debug("dual ascent over %d intervals in %d chunks (block anchors %s, warm-started %s): "
+                  "Newton iterations per interval %s, max final gradient norm %.3e",
+                  sum(iters.size for _, iters in solves), len(chunks), hist(anchor_log),
+                  hist(interior_log), hist(solves), max(g for g, _ in solves))
+    return acc
 
 
-def _two_species_terms(traj: Trajectory, params: SystemParams, tilt: Tilt, eps: float,
-                       variational: bool, tol: float = 1e-10, max_iter: int = 200):
-    """Time integrals of the four dissipation terms, then the two velocity terms of the stored fluxes.
-
-    The velocity terms are the variational ones if ``variational`` (zero
-    otherwise); the stored-flux terms are zero for a trajectory without
-    fluxes.  Slope and stored-flux terms are evaluated once per chunk.
-    """
+def _two_species_network(traj: Trajectory, params: SystemParams, tilt: Tilt, epsilon):
+    """Positional arguments and stored fluxes of :func:`_network_terms` for two species."""
+    eps = params.epsilon if epsilon is None else epsilon
     edges = _two_species_edges(traj, eps)
     _check_shapes(traj.initial_state, tilt)
     w_v, _ = stationary_measure(params, tilt)
-    delta = params.delta_array
-    h = 1.0 / traj.n_cells
-    dts = np.diff(traj.times)
-    if variational:
-        chunks = _warm_started_ascent(traj.states, dts, delta, edges, h, tol, max_iter, logger,
-                                      damped_newton_max)
-    else:
-        chunks = ((s, traj.states[s], None, None) for s in _chunks(dts.size, 2 * traj.n_cells))
-    acc = np.zeros(6)
-    for s, c, J, edge_b in chunks:
-        terms = np.zeros((6, c.shape[0]))
-        if J is not None:
-            terms[0], (terms[1],) = _network_cost(c, delta, edges, J, edge_b, h)
-        terms[2], (terms[3],) = _network_slope(c, w_v, delta, edges, h)
-        if traj.fluxes is not None:
-            terms[4], (terms[5],) = _network_cost(
-                c, delta, edges, traj.fluxes.J[s], [traj.fluxes.b[s, 1]], h)
-        acc += terms @ dts[s]
-    return acc
+    stored = None if traj.fluxes is None else (traj.fluxes.J, traj.fluxes.b[None, :, 1])
+    args = (traj.states, np.diff(traj.times), w_v, params.delta_array, edges, [np.array([True])])
+    return args, stored
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -450,18 +450,13 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     Per interval the velocity part is the primal flux cost of the difference
     quotient rate and the slope part the Fisher-information terms at the left
     endpoint; time integration is the left-endpoint rule.  The dual ascents
-    of all intervals run as stacked Newton solves: the first and last
-    interval of every block of consecutive intervals from zero, the others
-    warm-started from the interpolation of their block's two maximizers.
-    If the trajectory carries explicit fluxes, the same velocity terms
-    evaluated directly on those fluxes are reported alongside, from the same
-    pass over the intervals.
+    run as stacked Newton solves, warm-started from block anchors (see the
+    module docstring).  If the trajectory carries explicit fluxes, the same
+    velocity terms evaluated directly on those fluxes are reported alongside,
+    from the same pass over the intervals.
     """
-    eps = params.epsilon if epsilon is None else epsilon
-    acc = _two_species_terms(traj, params, tilt, eps, True, tol, max_iter)
-    if traj.fluxes is None:
-        return DissipationBreakdown(*acc[:4])
-    return DissipationBreakdown(*acc)
+    args, stored = _two_species_network(traj, params, tilt, epsilon)
+    return DissipationBreakdown(*_network_terms(*args, stored=stored, tol=tol, max_iter=max_iter))
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -475,9 +470,9 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     """
     if traj.fluxes is None:
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
-    eps = params.epsilon if epsilon is None else epsilon
-    _, _, slope_diff, slope_react, vel_diff, vel_react = _two_species_terms(
-        traj, params, tilt, eps, False)
+    args, stored = _two_species_network(traj, params, tilt, epsilon)
+    _, _, slope_diff, slope_react, vel_diff, vel_react = _network_terms(
+        *args, variational=False, stored=stored)
     return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
                                 flux_vel_diff=vel_diff, flux_vel_react=vel_react)
 
@@ -499,6 +494,8 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
 
 def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
                use_stored_fluxes: bool):
+    if tilt.n_cells != hat_traj.n_cells:
+        raise ValueError("tilt does not match coarse trajectory")
     cp = coarse_params(params, tilt)
     n = hat_traj.n_cells
     h = 1.0 / n
@@ -568,6 +565,4 @@ def effective_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
             stacklevel=2,
         )
         return np.inf
-    hat = coarse_grain_trajectory(traj)
-    hat = CoarseTrajectory(hat.times, hat.states)  # variational velocity part
-    return hat_dissipation(hat, params, tilt).total
+    return hat_dissipation(coarse_grain_trajectory(traj), params, tilt).total

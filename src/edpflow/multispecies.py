@@ -7,9 +7,10 @@ respect to its stationary composition.  Edges with a fast entry are "fast",
 edges carried only by the slow part are "slow"; the classification does not
 depend on epsilon.
 
-The dissipation machinery mirrors the two-species case: per-species diffusion
-terms plus one cosh exchange term per reacting pair, weighted by the
-symmetrized rate coefficients kappa_ij = A_ij sqrt(w_j / w_i).
+The dissipation is the general case of the network evaluator in
+:mod:`edpflow.dissipation`, whose single fast edge is the two-species system:
+per-species diffusion terms plus one cosh exchange term per reacting pair,
+weighted by the symmetrized rate coefficients kappa_ij = A_ij sqrt(w_j / w_i).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .core import FluxAssignment, State, Trajectory, _Owned, _readonly
-from .dissipation import _warm_started_ascent, damped_newton_max
-from .functionals import _network_cost, _network_slope
+from .dissipation import _network_terms, damped_newton_max
 from .solver import SolverConfig, IntegrationError, _ImplicitStepper
 
 __all__ = [
@@ -335,15 +335,19 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
     The reaction half step applies the exact exponential of the assembled
     generator (scaling-and-squaring on the I x I matrix, shared by all cells),
     the diffusion step advances all species with one solve per step against
-    a matrix factored once per run.  Mass and positivity are
-    preserved; recorded fluxes satisfy the discrete continuity equation with
-    species-summed reaction fluxes equal to zero.
+    a matrix factored once per run: implicit Euler for the scheme
+    "strang_exact_reaction", Crank-Nicolson for "strang_cn" ("imex_euler" is
+    rejected).  Mass and positivity are preserved; recorded fluxes satisfy
+    the discrete continuity equation with species-summed reaction fluxes
+    equal to zero.
     """
     i_sp = gen.n_species
     if initial.n_species != i_sp:
         raise ValueError(
             f"state has {initial.n_species} species, generator {i_sp}"
         )
+    if config.scheme == "imex_euler":
+        raise ValueError("scheme 'imex_euler' is not available for networks")
     n = initial.n_cells
     h = 1.0 / n
     dt = config.dt_effective
@@ -404,28 +408,19 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
 
     Diffusion slope per species, one cosh exchange term per reacting pair
     weighted by kappa_ij, and the velocity part by the I-species dual
-    maximization (stacked Newton solves, warm-started from block anchors as
-    in :func:`~edpflow.dissipation.dissipation_functional`); exchange
-    contributions are reported separately for slow and fast edges.  With two
-    species the values coincide with the two-species evaluator.
+    maximization, from the evaluator behind
+    :func:`~edpflow.dissipation.dissipation_functional` (which is its case
+    of one fast edge); exchange contributions are reported separately for
+    slow and fast edges.
     """
+    if traj.n_species != gen.n_species:
+        raise ValueError(f"trajectory has {traj.n_species} species, generator {gen.n_species}")
     w = gen.stationary(epsilon)
     kappa = kappa_coefficients(gen, epsilon)
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
-    delta = gen.delta
-    n = traj.n_cells
-    h = 1.0 / n
-    w_cells = np.repeat(w[:, None], n, axis=1)
-    dts = np.diff(traj.times)
-    out = np.zeros(6)
-    ascent = _warm_started_ascent(traj.states, dts, delta, edges, h, tol, max_iter, logger,
-                                  damped_newton_max)
-    for s, c, J, edge_b in ascent:
-        vel_diff, vel_edge = _network_cost(c, delta, edges, J, edge_b, h)
-        slope_diff, slope_edge = _network_slope(c, w_cells, delta, edges, h)
-        vel_edge, slope_edge = np.array(vel_edge), np.array(slope_edge)
-        terms = [vel_diff, vel_edge[~fast].sum(axis=0), vel_edge[fast].sum(axis=0),
-                 slope_diff, slope_edge[~fast].sum(axis=0), slope_edge[fast].sum(axis=0)]
-        out += np.array(terms) @ dts[s]
+    w_cells = np.repeat(w[:, None], traj.n_cells, axis=1)
+    out = _network_terms(traj.states, np.diff(traj.times), w_cells, gen.delta, edges,
+                         [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
+                         newton=damped_newton_max)
     return MultispeciesBreakdown(*out)

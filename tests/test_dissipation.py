@@ -155,6 +155,13 @@ class TestPrimalRate:
         with pytest.raises(ValueError, match="mass"):
             primal_R_eps(st, params, Tilt.zero(6), v)
 
+    @pytest.mark.parametrize("shape", [(6, 2), (2, 7)])
+    def test_xi0_of_another_shape_rejected(self, params, rng, shape):
+        # an (n, 2) start must not be read as the transpose of a (2, n) one
+        st = positive_state(rng, 6)
+        with pytest.raises(ValueError, match=r"xi0 shape .* does not match state \(2, 6\)"):
+            primal_R_eps(st, params, Tilt.zero(6), np.zeros((2, 6)), xi0=np.zeros(shape))
+
     def test_blocked_transport_fails_with_diagnostics(self, params):
         # two adjacent empty cells cut the domain (the face between them has
         # zero mobility); rates requiring transport across make the dual
@@ -380,6 +387,41 @@ class TestEffectiveDissipation:
             htraj = solve_effective(hat0, params, tilt, SolverConfig(dt, 0.2))
             residuals.append(abs(hat_edb_residual(htraj, params, tilt)))
         assert residuals[1] < residuals[0] / 1.7
+
+
+    @pytest.mark.parametrize("evaluate", [hat_dissipation, hat_flux_dissipation, hat_edb_residual])
+    def test_tilt_of_another_grid_rejected(self, params, evaluate):
+        hat0 = 1 + 0.4 * np.cos(np.pi * (np.arange(10) + 0.5) / 10)
+        htraj = solve_effective(hat0, params, Tilt.zero(10), SolverConfig(1e-3, 0.01))
+        with pytest.raises(ValueError, match="tilt does not match coarse trajectory"):
+            evaluate(htraj, params, cosine_tilt(12, [[0.3], [-0.2]]))
+
+
+class TestEDPConvergence:
+    """The paper's claim on computed solutions: D_eps approaches the coarse D_0 as the grid refines.
+
+    Both systems start on the slow manifold from the same coarse density; the
+    fast-slow dissipation stays below the coarse one, and their gap closes at
+    first order in h (dt = 0.04 h) for every small epsilon.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
+    def test_gap_to_coarse_dissipation_closes_at_first_order(self, eps):
+        p = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=eps)
+        sizes = np.array([20, 40, 80])
+        gaps = []
+        for n in sizes:
+            tilt = cosine_tilt(n, [[0.3], [-0.2]])
+            c0 = manifold_split(1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n), p, tilt)
+            cfg = SolverConfig(0.04 / n, 0.05)
+            d_eps = dissipation_functional(solve_eps_system(State(c0), p, tilt, cfg), p, tilt).total
+            d_0 = hat_dissipation(solve_effective(c0.sum(axis=0), p, tilt, cfg), p, tilt).total
+            gaps.append((d_eps - d_0) / d_0)
+        gaps = np.array(gaps)
+        # about -1.9e-3, -9.5e-4 and -4.8e-4 at every epsilon here
+        assert np.all(gaps < 0), gaps
+        order = np.polyfit(np.log(1.0 / sizes), np.log(-gaps), 1)[0]
+        assert order >= 0.8, (order, gaps)
 
 
 class TestGammaTrend:

@@ -193,7 +193,21 @@ class TestSolver:
         assert np.max(np.abs(gce_residual(traj))) < 1e-9
 
 
+    def test_imex_scheme_rejected(self, pair_gen, params):
+        # the reaction step is always the exact exponential here
+        c0 = State(np.ones((2, 8)))
+        with pytest.raises(ValueError, match="imex_euler"):
+            solve_multispecies(c0, pair_gen, params.epsilon, SolverConfig(1e-3, 0.01, "imex_euler"))
+
+
 class TestDissipation:
+    def test_species_count_mismatch_rejected(self):
+        gen3 = random_detailed_balance_generator(np.random.default_rng(11), 3)
+        gen4 = random_detailed_balance_generator(np.random.default_rng(11), 4)
+        traj = solve_multispecies(State(np.ones((3, 9))), gen3, 1e-2, SolverConfig(1e-3, 0.002))
+        with pytest.raises(ValueError, match="trajectory has 3 species, generator 4"):
+            multispecies_dissipation(traj, gen4, 1e-2)
+
     def test_two_species_consistency(self, params, pair_gen):
         n = 14
         x = (np.arange(n) + 0.5) / n
