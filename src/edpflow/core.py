@@ -595,8 +595,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
             fields, block_fallback = _format_g17(block, b",")
             buf[:, :, 2:] = fields
             fallback += block_fallback
-            text = buf.view(np.uint8).ravel()
-            size += fh.write(np.compress(text != 0, text).tobytes())
+            size += fh.write(buf.tobytes().translate(None, b"\0"))
         size += fh.write(b"\r\n")
     logger.debug("trajectory_to_csv: %d values (%d formatted by Python), %.1f MB in %.3f s to %s",
                  n_times * n * len(header), fallback, size / 1e6, time.perf_counter() - start, path)

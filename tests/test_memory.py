@@ -3,7 +3,7 @@
 Solvers hand the arrays they allocate to their result, which freezes them in
 place; the public constructors copy what callers pass in.  The flux check and
 the CSV writer work in chunks, so their temporaries do not grow with the
-trajectory.  Peaks are measured with ``tracemalloc``, which numpy reports its
+trajectory, and the scale sweeps hold one trajectory at a time.  Peaks are measured with ``tracemalloc``, which numpy reports its
 buffers to, so the bounds are deterministic and need nothing from the
 operating system.
 """
@@ -11,6 +11,7 @@ operating system.
 import gc
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,14 +25,17 @@ from edpflow import (
     SystemParams,
     Trajectory,
     coarse_grain_trajectory,
+    load_config,
     manifold_split,
     random_detailed_balance_generator,
     reconstruct_from_coarse,
+    run_experiment,
     solve_effective,
     solve_eps_system,
     solve_multispecies,
     trajectory_to_csv,
 )
+from edpflow.cli import _build_initial, _build_tilt
 from edpflow.core import _g17_tables, _Owned
 
 from conftest import cosine_tilt
@@ -41,6 +45,10 @@ from conftest import cosine_tilt
 PEAK_OVER_OUTPUT = 1.1
 # bytes the CSV writer may hold at once, whatever the trajectory's length
 CSV_WRITER_BUDGET = 3_000_000
+# a sweep holds one trajectory and what is derived from it, never one per scale
+SWEEP_PEAK_OVER_TRAJECTORY = 2.0
+# eps_sweep reduces its trajectory block by block, without full-size temporaries
+DEFECT_PEAK_OVER_TRAJECTORY = 1.3
 
 N_CELLS = 80
 CONFIG = SolverConfig(5e-5, 0.05)  # 1000 steps
@@ -249,3 +257,55 @@ def test_csv_writer_peak_is_bounded_whatever_the_length(tmp_path):
         assert path.stat().st_size > 1000 * n_times
     assert peaks[1001] <= CSV_WRITER_BUDGET, f"peak {peaks[1001]} bytes"
     assert peaks[1001] <= peaks[101] + 100_000, peaks
+
+
+def _sweep_config(experiment, tmp_path, **extra):
+    doc = {
+        "experiment": experiment,
+        "output_dir": str(tmp_path / experiment),
+        "grid": {"n_cells": N_CELLS},
+        "params": {"delta": [1.0, 2.0], "alpha": 1.0, "beta": 3.0},
+        "tilt": {"kind": "zero"},
+        "epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
+    }
+    doc.update(extra)
+    return load_config(doc)
+
+
+def _trajectory_bytes(cfg, eps, solver_config):
+    """Bytes of the arrays of the trajectory an experiment solves at scale ``eps``."""
+    grid = SpatialGrid(cfg.n_cells)
+    tilt = _build_tilt(cfg.tilt_spec, grid)
+    initial = _build_initial(cfg.initial_spec, grid, cfg.params, tilt)
+    traj = solve_eps_system(initial, replace(cfg.params, epsilon=eps), tilt, solver_config)
+    return sum(a.nbytes for a in _arrays(traj))
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_mixed_diffusion_fit_holds_one_trajectory_at_a_time(tmp_path, write):
+    cfg = _sweep_config("mixed_diffusion_fit", tmp_path, write_trajectories=write,
+                        solver={"dt": 5e-5, "t_final": 0.05, "scheme": "strang_cn"},
+                        initial={"kind": "slow_manifold_cosine", "amplitude": 0.5})
+    one = _trajectory_bytes(cfg, 1e-4, cfg.solver)
+    assert one > 3_000_000
+    _g17_tables()  # built once per process, not per file
+    result, peak = _traced_peak(lambda: run_experiment(cfg))
+    assert result.passed
+    names = [p.name for p in result.files]
+    expected = ["trajectory_eps_0.1.csv", "trajectory_eps_0.01.csv", "trajectory_eps_0.001.csv",
+                "trajectory_eps_0.0001.csv"] if write else []
+    assert names == expected + ["mixed_diffusion_fit.csv", "summary.json", "summary.txt"]
+    # four trajectories held until the end of the sweep would make it over 4x
+    assert peak <= SWEEP_PEAK_OVER_TRAJECTORY * one, f"peak {peak / one:.2f} x one trajectory"
+
+
+def test_eps_sweep_peak_is_close_to_its_largest_trajectory(tmp_path):
+    cfg = _sweep_config("eps_sweep", tmp_path, solver={"dt": 1e-4, "t_final": 0.02},
+                        initial={"kind": "off_manifold_cosine", "amplitude": 0.5,
+                                 "fractions": [0.55, 0.45]})
+    # the smallest scale has the finest step, dt = epsilon / 5, and the largest trajectory
+    largest = _trajectory_bytes(cfg, 1e-4, SolverConfig(2e-5, 0.02))
+    assert largest > 3_000_000
+    _, peak = _traced_peak(lambda: run_experiment(cfg))
+    # full-size density ratios and square roots would add over half the states again
+    assert peak <= DEFECT_PEAK_OVER_TRAJECTORY * largest, f"peak {peak / largest:.2f} x trajectory"
