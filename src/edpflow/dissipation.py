@@ -351,12 +351,12 @@ def _network_terms(states, dts, w, delta, edges, groups, *, variational=True, st
 
     ``states`` (n_int + 1, I, n) are the states at times spaced by ``dts``,
     ``w`` (I, n) is the stationary measure on cells and ``edges`` lists
-    (i, j, kappa).  Returns three sets of terms, or two without ``stored``:
-    the velocity terms of the optimal fluxes of the difference-quotient rates
-    (zero unless ``variational``), the slope terms, and the velocity terms of
-    the stored fluxes ``stored`` = (J (n_int, I, n + 1), per-edge exchange
-    fluxes (E, n_int, n)).  A set is the diffusion term followed by the
-    exchange terms summed over each boolean edge mask in ``groups``.
+    (i, j, kappa).  Returns up to three sets of terms, in this order: the
+    velocity terms of the optimal fluxes of the difference-quotient rates
+    (only if ``variational``), the slope terms, and the velocity terms of the
+    stored fluxes ``stored`` = (J (n_int, I, n + 1), per-edge exchange
+    fluxes (E, n_int, n)), if given.  A set is the diffusion term followed
+    by the exchange terms summed over each boolean edge mask in ``groups``.
 
     The dual ascents run chunk by chunk, warm-started from block anchors as
     the module docstring describes; each interval keeps its own stopping
@@ -406,10 +406,6 @@ def _network_terms(states, dts, w, delta, edges, groups, *, variational=True, st
                                  x[inner], interior_log)
             _, J, edge_b = fluxes(x)
             sets.append(_network_cost(c, delta, edges, J, edge_b, h))
-        else:
-            # zero rows: the matrix product below may round a row differently
-            # at another position, so every set keeps its place
-            sets.append((np.zeros(c.shape[0]), np.zeros((len(edges), c.shape[0]))))
         sets.append(_network_slope(c, w, delta, edges, h))
         if stored is not None:
             sets.append(_network_cost(c, delta, edges, stored[0][s], stored[1][:, s], h))
@@ -417,7 +413,9 @@ def _network_terms(states, dts, w, delta, edges, groups, *, variational=True, st
         for diff, per_edge in sets:
             per_edge = np.array(per_edge)
             terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
-        acc += np.array(terms) @ dts[s]
+        # one reduction per row, so a row's rounding does not depend on its
+        # position or on how many rows there are
+        acc += (np.array(terms) * dts[s]).sum(axis=1)
     if variational and log.isEnabledFor(logging.DEBUG):
         def hist(solves):
             counts = np.bincount(np.concatenate([iters for _, iters in solves] or [[]]).astype(int))
@@ -471,7 +469,7 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     if traj.fluxes is None:
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
     args, stored = _two_species_network(traj, params, tilt, epsilon)
-    _, _, slope_diff, slope_react, vel_diff, vel_react = _network_terms(
+    slope_diff, slope_react, vel_diff, vel_react = _network_terms(
         *args, variational=False, stored=stored)
     return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
                                 flux_vel_diff=vel_diff, flux_vel_react=vel_react)
@@ -514,7 +512,7 @@ def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
             jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
         vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
         slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
-        acc += np.array([vel, slp]) @ dts[s]
+        acc += (np.array([vel, slp]) * dts[s]).sum(axis=1)  # per row, as in _network_terms
     return acc
 
 

@@ -723,6 +723,16 @@ class TestWarmStart:
         assert bd.slope_diff == pytest.approx(stored.slope_diff, rel=1e-14)
         assert bd.slope_react == pytest.approx(stored.slope_react, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [20, 160])
+    def test_stored_flux_terms_equal_flux_dissipation_bitwise(self, params, n):
+        # each term is integrated on its own, so its bits do not depend on
+        # which other terms are evaluated with it (n = 160 runs several chunks)
+        traj, tilt = _criterion_3_level_0(params, 4e-4, 0.25, n)
+        bd = dissipation_functional(traj, params, tilt)
+        stored = flux_dissipation(traj, params, tilt)
+        assert (bd.flux_vel_diff, bd.flux_vel_react) == (stored.flux_vel_diff, stored.flux_vel_react)
+        assert (bd.slope_diff, bd.slope_react) == (stored.slope_diff, stored.slope_react)
+
     def test_debug_log_splits_anchors_and_interior(self, params, caplog):
         block = dissipation_module._WARM_BLOCK
         traj, tilt = _criterion_3_level_0(params, 4e-4, (block + 3) * 4e-4)
