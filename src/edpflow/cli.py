@@ -540,13 +540,12 @@ def _run_recovery_study(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
 
     rows = []
     for eps in sorted(cfg.epsilons, reverse=True):
-        # keep the scalars of each recovery sequence, not the sequence itself
         rec = build_recovery_sequence(limit, cfg.params, tilt, eps,
                                       lam=cfg.lam, alpha=cfg.alpha_exp,
                                       width_scale=cfg.width_scale)
         bd = flux_dissipation(rec.trajectory, cfg.params, tilt, eps)
         rows.append((eps, rec.gamma, bd.vel_react, bd.total, d0, abs(bd.total - d0)))
-        del rec
+        del rec  # keep only its scalars: release it before the next one is built
     files = [_write_csv(outdir / "recovery_study.csv",
                         ("epsilon", "gamma", "reaction_cost_term", "D_eps", "D_0", "gap"),
                         rows)]
