@@ -29,8 +29,12 @@ from .coarsegrain import (
     reconstruct_from_coarse,
 )
 from .core import SpatialGrid, State, SystemParams, Tilt, trajectory_to_csv
-from .dissipation import (
+# dissipation_functional and hat_dissipation stay importable from this module
+from .dissipation import (  # noqa: F401
     DualAscentError,
+    _streamed_dissipation,
+    _streamed_hat_dissipation,
+    _window_intervals,
     dissipation_functional,
     flux_dissipation,
     hat_dissipation,
@@ -44,7 +48,14 @@ from .multispecies import (
     random_detailed_balance_generator,
     validate_generator,
 )
-from .solver import IntegrationError, SolverConfig, solve_effective, solve_eps_system
+from .solver import (
+    IntegrationError,
+    SolverConfig,
+    _effective_windows,
+    _eps_windows,
+    solve_effective,
+    solve_eps_system,
+)
 
 __all__ = [
     "ConfigError",
@@ -428,16 +439,19 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
         dt = min(cfg.solver.dt, eps / 5.0)
         sc = SolverConfig(dt, cfg.solver.t_final, cfg.solver.scheme)
         p = replace(cfg.params, epsilon=eps)
-        traj = solve_eps_system(initial, p, tilt, sc)
-        # the defect's sum over cells at each left endpoint, a block of time
-        # levels at a time: a row's sum does not depend on the blocking
-        states = traj.states[:-1]
+        # the defect's sum over cells at each left endpoint times the step,
+        # window by window of the solve and a block of time levels at a time:
+        # a row's value depends on neither
         levels = max(1, _DEFECT_BLOCK_VALUES // grid.n_cells)
-        row_sums = np.empty(states.shape[0])
-        for m in range(0, states.shape[0], levels):
-            rho = states[m:m + levels] / w_v[None]
-            row_sums[m:m + levels] = ((np.sqrt(rho[:, 0]) - np.sqrt(rho[:, 1])) ** 2).sum(axis=1)
-        integral = float(np.sum(row_sums * h * np.diff(traj.times)))
+        terms = []
+        for times, states, _, _ in _eps_windows(initial, p, tilt, sc,
+                                                _window_intervals(2 * grid.n_cells)):
+            dts = np.diff(times)
+            for m in range(0, dts.size, levels):
+                rho = states[m:min(m + levels, dts.size)] / w_v[None]
+                row_sums = ((np.sqrt(rho[:, 0]) - np.sqrt(rho[:, 1])) ** 2).sum(axis=1)
+                terms.append(row_sums * h * dts[m:m + levels])
+        integral = float(np.sum(np.concatenate(terms)))
         return eps, dt, integral
 
     results = [one(eps) for eps in sorted(cfg.epsilons, reverse=True)]
@@ -475,15 +489,16 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         sc = SolverConfig(cfg.solver.dt / 2**level, cfg.solver.t_final, cfg.solver.scheme)
         p = replace(cfg.params, epsilon=eps)
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
-        traj = solve_eps_system(initial, p, tilt, sc)
-        bd = dissipation_functional(traj, p, tilt, eps)
-        drop = energy(traj.initial_state, p, tilt) - energy(traj.final_state, p, tilt)
+        # each solve hands its windows straight to the evaluator, so no
+        # level holds a whole trajectory
+        bd, final = _streamed_dissipation(
+            _eps_windows(initial, p, tilt, sc, _window_intervals(2 * n)), initial, p, tilt, eps)
+        drop = energy(initial, p, tilt) - energy(final, p, tilt)
         res = -drop + bd.total
-        del traj  # release the fine trajectory before the coarse solve allocates its own
         hat0 = _build_initial_hat(cfg.initial_spec, grid, p, tilt)
-        hat_traj = solve_effective(hat0, p, tilt, sc)
-        hbd = hat_dissipation(hat_traj, p, tilt)
-        hdrop = hat_energy(hat_traj.states[0], p, tilt) - hat_energy(hat_traj.states[-1], p, tilt)
+        hbd, hat_final = _streamed_hat_dissipation(
+            _effective_windows(hat0, p, tilt, sc, _window_intervals(n)), p, tilt)
+        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_final, p, tilt)
         hres = -hdrop + hbd.total
         return level, n, sc.dt_effective, bd, res, drop, hbd, hres, hdrop
 

@@ -92,6 +92,42 @@ def _species_sums(b: np.ndarray):
         yield flat[i : i + step].sum(axis=-2)
 
 
+def _check_fluxes(J: np.ndarray, b: np.ndarray):
+    """The invariants of a :class:`FluxAssignment`: face and cell shapes, zero
+    boundary faces, reaction fluxes summing to zero across species."""
+    if J.ndim < 2 or b.ndim < 2 or J.shape[:-1] != b.shape[:-1]:
+        raise ValueError(f"inconsistent flux shapes J {J.shape}, b {b.shape}")
+    if J.shape[-1] != b.shape[-1] + 1:
+        raise ValueError(
+            f"J must live on faces (n_cells+1), got J {J.shape} vs b {b.shape}"
+        )
+    if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
+        raise ValueError("boundary faces must carry zero flux")
+    tol = 1e-12 * max(1.0, _abs_max(b))
+    if any(_any_abs_above(bsum, tol) for bsum in _species_sums(b)):
+        worst = np.max([np.max(np.abs(bsum)) for bsum in _species_sums(b)])
+        raise ValueError(
+            f"reaction fluxes must sum to zero across species (max {worst:.3e})"
+        )
+
+
+def _check_trajectory(t: np.ndarray, s: np.ndarray, J):
+    """The invariants of a :class:`Trajectory` but its start at time 0.
+
+    So a solver can check each window of a trajectory it hands out without
+    storing the whole.  ``J`` is the face flux array, or None.
+    """
+    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing and start at 0")
+    if s.ndim != 3 or s.shape[0] != t.size:
+        raise ValueError(f"states shape {s.shape} does not match {t.size} times")
+    if not _finite_nonnegative(s):
+        raise ValueError("trajectory states must be finite and nonnegative")
+    if J is not None and (J.ndim != 3 or J.shape[0] != t.size - 1
+                          or J.shape[1:] != (s.shape[1], s.shape[2] + 1)):
+        raise ValueError(f"flux shape {J.shape} does not match trajectory {s.shape}")
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform cell grid on [0, 1] with ``n_cells`` cells and ``n_cells + 1`` faces."""
@@ -239,20 +275,7 @@ class FluxAssignment:
     def __post_init__(self):
         J = _readonly(self.J)
         b = _readonly(self.b)
-        if J.ndim < 2 or b.ndim < 2 or J.shape[:-1] != b.shape[:-1]:
-            raise ValueError(f"inconsistent flux shapes J {J.shape}, b {b.shape}")
-        if J.shape[-1] != b.shape[-1] + 1:
-            raise ValueError(
-                f"J must live on faces (n_cells+1), got J {J.shape} vs b {b.shape}"
-            )
-        if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
-            raise ValueError("boundary faces must carry zero flux")
-        tol = 1e-12 * max(1.0, _abs_max(b))
-        if any(_any_abs_above(bsum, tol) for bsum in _species_sums(b)):
-            worst = np.max([np.max(np.abs(bsum)) for bsum in _species_sums(b)])
-            raise ValueError(
-                f"reaction fluxes must sum to zero across species (max {worst:.3e})"
-            )
+        _check_fluxes(J, b)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
 
@@ -273,21 +296,9 @@ class Trajectory:
     def __post_init__(self):
         t = _readonly(self.times)
         s = _readonly(self.states)
-        if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        _check_trajectory(t, s, None if self.fluxes is None else self.fluxes.J)
+        if t[0] != 0.0:
             raise ValueError("times must be strictly increasing and start at 0")
-        if s.ndim != 3 or s.shape[0] != t.size:
-            raise ValueError(f"states shape {s.shape} does not match {t.size} times")
-        if not _finite_nonnegative(s):
-            raise ValueError("trajectory states must be finite and nonnegative")
-        if self.fluxes is not None:
-            J = self.fluxes.J
-            if J.ndim != 3 or J.shape[0] != t.size - 1 or J.shape[1:] != (
-                s.shape[1],
-                s.shape[2] + 1,
-            ):
-                raise ValueError(
-                    f"flux shape {J.shape} does not match trajectory {s.shape}"
-                )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 

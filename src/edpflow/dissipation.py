@@ -16,11 +16,19 @@ stacked Newton solve.  Every block of consecutive intervals, counted from
 the trajectory's start, first solves its first and last interval from zero;
 the intervals between start from the interpolation of those two maximizers.
 No interval's result depends on its chunk.
+
+The evaluators take a trajectory as consecutive windows of whole blocks: a
+stored trajectory is one window, and a solve can be piped in window by
+window without ever being stored.  Since blocks are counted from the start
+and no interval depends on its chunk, each interval's terms are the same
+whatever the windows; they are integrated over the chunks of the whole
+trajectory as the chunks fill, so the results are bit-identical too.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -345,99 +353,175 @@ def _rates(c, c_next, dts, h):
     return v
 
 
-def _network_terms(states, dts, w, delta, edges, groups, *, variational=True, stored=None,
+def _window_intervals(unknowns: int) -> int:
+    """Intervals per solver window of a trajectory with ``unknowns`` values per state.
+
+    The least common multiple of the warm-start block and the chunk length:
+    a window holds whole blocks, as :func:`_network_terms` requires, and
+    whole chunks, so a streamed evaluation stacks its interior solves as the
+    evaluation of the stored trajectory does.  At most ``_WARM_BLOCK``
+    chunks, so the window's size does not grow with the trajectory.
+    """
+    return math.lcm(_WARM_BLOCK, max(1, _CHUNK_UNKNOWNS // unknowns))
+
+
+class _TimeIntegral:
+    """Left-endpoint time integrals of per-interval term rows, added in order.
+
+    Rows are summed over the chunks :func:`_chunks` cuts the whole
+    trajectory into, one reduction per term and chunk, as soon as a chunk is
+    complete; only the rows of an unfinished chunk are held.  So a term's
+    rounding depends neither on how the rows arrive nor on which other terms
+    are evaluated with it.
+    """
+
+    def __init__(self, unknowns: int):
+        self._size = max(1, _CHUNK_UNKNOWNS // unknowns)
+        self._rows = self._dts = None
+        self._acc = 0.0
+
+    def add(self, rows, dts):
+        """Add the rows (terms, k) of the next k intervals, of lengths ``dts``."""
+        if self._dts is not None:
+            rows = np.concatenate([self._rows, rows], axis=1)
+            dts = np.concatenate([self._dts, dts])
+        done = dts.size - dts.size % self._size
+        for start in range(0, done, self._size):
+            s = slice(start, start + self._size)
+            self._acc += (rows[:, s] * dts[s]).sum(axis=1)
+        self._rows, self._dts = rows[:, done:].copy(), dts[done:].copy()
+
+    def total(self):
+        """The integrals of all rows added, the last chunk the one unfinished."""
+        if self._dts.size:
+            return self._acc + (self._rows * self._dts).sum(axis=1)
+        return self._acc
+
+
+def _network_terms(windows, w, delta, edges, groups, *, variational=True,
                    tol=1e-10, max_iter=200, log=logger, newton=None):
     """Time integrals (left-endpoint rule) of the dissipation terms of a trajectory on a network.
 
-    ``states`` (n_int + 1, I, n) are the states at times spaced by ``dts``,
-    ``w`` (I, n) is the stationary measure on cells and ``edges`` lists
-    (i, j, kappa).  Returns up to three sets of terms, in this order: the
-    velocity terms of the optimal fluxes of the difference-quotient rates
+    ``windows`` yields ``(states, dts, stored)`` for consecutive windows of
+    the trajectory: the states (k + 1, I, n) at times spaced by ``dts`` (the
+    first the previous window's last) and either None or the stored fluxes
+    (J (k, I, n + 1), per-edge exchange fluxes (E, k, n)).  Every window but
+    the last holds whole warm-start blocks; a stored trajectory is one
+    window.  ``w`` (I, n) is the stationary measure on cells and ``edges``
+    lists (i, j, kappa).  Returns up to three sets of terms, in this order:
+    the velocity terms of the optimal fluxes of the difference-quotient rates
     (only if ``variational``), the slope terms, and the velocity terms of the
-    stored fluxes ``stored`` = (J (n_int, I, n + 1), per-edge exchange
-    fluxes (E, n_int, n)), if given.  A set is the diffusion term followed
-    by the exchange terms summed over each boolean edge mask in ``groups``.
+    stored fluxes, if the windows carry them.  A set is the diffusion term
+    followed by the exchange terms summed over each boolean edge mask in
+    ``groups``.
 
-    The dual ascents run chunk by chunk, warm-started from block anchors as
-    the module docstring describes; each interval keeps its own stopping
-    test, so only its start depends on its neighbours.  The ascent is logged
-    to ``log``; ``newton`` is :func:`damped_newton_max` as the caller's
-    module binds it (this module's by default), so that instrumentation
-    wrapping it per module attributes the solves to the calling evaluator.
+    The dual ascents run chunk by chunk within each window, warm-started from
+    block anchors as the module docstring describes; each interval keeps its
+    own stopping test, so only its start depends on its neighbours.  The
+    ascent is logged to ``log``, one record per trajectory; ``newton`` is
+    :func:`damped_newton_max` as the caller's module binds it (this module's
+    by default), so that instrumentation wrapping it per module attributes
+    the solves to the calling evaluator.
     """
     newton = newton or damped_newton_max
-    n_int = dts.size
-    size = states.shape[1] * states.shape[2]
-    band = states.shape[1]
-    h = 1.0 / states.shape[2]
-    anchor_log, interior_log = [], []  # (gradient norm, per-problem iterations) per solve
+    anchor_log, interior_log = [], []  # (gradient norm, histogram of iterations) per solve
+    integral = None
+    n_chunks = offset = 0
 
     def solve(vg, hess, x0, record):
         x, _, gnorm, _, iters = newton(vg, hess, x0, bandwidth=band, tol=tol, max_iter=max_iter)
-        record.append((gnorm, iters))
+        record.append((gnorm, np.bincount(iters)))
         return x
 
-    if variational:
-        first = np.arange(n_int) // _WARM_BLOCK * _WARM_BLOCK
-        last = np.minimum(first + _WARM_BLOCK, n_int) - 1
-        anchors = np.union1d(first, last)
-        x_anchor = np.empty((anchors.size, size))
-        for s in _chunks(anchors.size, size):
-            idx = anchors[s]
-            c = states[idx]
-            vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
-            x_anchor[s] = solve(vg, hess, np.zeros((idx.size, size)), anchor_log)
-    chunks = _chunks(n_int, size)
-    acc = 0.0
-    for s in chunks:
-        c = states[s]
-        sets = []
+    for states, dts, stored in windows:
+        if offset % _WARM_BLOCK:
+            raise ValueError("a window of the trajectory ends inside a warm-start block")
+        n_int = dts.size
+        size = states.shape[1] * states.shape[2]
+        band = states.shape[1]
+        h = 1.0 / states.shape[2]
+        if integral is None:
+            integral = _TimeIntegral(size)
         if variational:
-            v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
-            vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
-            a, b = first[s], last[s]
-            wa = (np.arange(s.start, s.stop) - a) / np.maximum(b - a, 1)
-            # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
-            x = ((1.0 - wa)[:, None] * x_anchor[np.searchsorted(anchors, a)]
-                 + wa[:, None] * x_anchor[np.searchsorted(anchors, b)])
-            inner = np.flatnonzero((wa > 0) & (wa < 1))
-            if inner.size:
-                x[inner] = solve(lambda y, k: vg(y, inner[k]), lambda y, k: hess(y, inner[k]),
-                                 x[inner], interior_log)
-            _, J, edge_b = fluxes(x)
-            sets.append(_network_cost(c, delta, edges, J, edge_b, h))
-        sets.append(_network_slope(c, w, delta, edges, h))
-        if stored is not None:
-            sets.append(_network_cost(c, delta, edges, stored[0][s], stored[1][:, s], h))
-        terms = []
-        for diff, per_edge in sets:
-            per_edge = np.array(per_edge)
-            terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
-        # one reduction per row, so a row's rounding does not depend on its
-        # position or on how many rows there are
-        acc += (np.array(terms) * dts[s]).sum(axis=1)
+            # blocks and interpolation weights from the trajectory's start
+            index = np.arange(offset, offset + n_int)
+            first = index // _WARM_BLOCK * _WARM_BLOCK
+            last = np.minimum(first + _WARM_BLOCK, offset + n_int) - 1
+            weight = (index - first) / np.maximum(last - first, 1)
+            first, last = first - offset, last - offset
+            anchors = np.union1d(first, last)
+            x_anchor = np.empty((anchors.size, size))
+            for s in _chunks(anchors.size, size):
+                idx = anchors[s]
+                c = states[idx]
+                vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
+                x_anchor[s] = solve(vg, hess, np.zeros((idx.size, size)), anchor_log)
+        chunks = _chunks(n_int, size)
+        n_chunks += len(chunks)
+        for s in chunks:
+            c = states[s]
+            sets = []
+            if variational:
+                v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
+                vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
+                wa = weight[s]
+                # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
+                x = ((1.0 - wa)[:, None] * x_anchor[np.searchsorted(anchors, first[s])]
+                     + wa[:, None] * x_anchor[np.searchsorted(anchors, last[s])])
+                inner = np.flatnonzero((wa > 0) & (wa < 1))
+                if inner.size:
+                    x[inner] = solve(lambda y, k: vg(y, inner[k]), lambda y, k: hess(y, inner[k]),
+                                     x[inner], interior_log)
+                _, J, edge_b = fluxes(x)
+                sets.append(_network_cost(c, delta, edges, J, edge_b, h))
+            sets.append(_network_slope(c, w, delta, edges, h))
+            if stored is not None:
+                sets.append(_network_cost(c, delta, edges, stored[0][s], stored[1][:, s], h))
+            terms = []
+            for diff, per_edge in sets:
+                per_edge = np.array(per_edge)
+                terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
+            integral.add(np.array(terms), dts[s])
+        offset += n_int
     if variational and log.isEnabledFor(logging.DEBUG):
         def hist(solves):
-            counts = np.bincount(np.concatenate([iters for _, iters in solves] or [[]]).astype(int))
+            counts = np.zeros(max((c.size for _, c in solves), default=0), dtype=int)
+            for _, c in solves:
+                counts[:c.size] += c
             return {k: int(m) for k, m in enumerate(counts) if m}
 
         solves = anchor_log + interior_log
         log.debug("dual ascent over %d intervals in %d chunks (block anchors %s, warm-started %s): "
                   "Newton iterations per interval %s, max final gradient norm %.3e",
-                  sum(iters.size for _, iters in solves), len(chunks), hist(anchor_log),
+                  sum(int(c.sum()) for _, c in solves), n_chunks, hist(anchor_log),
                   hist(interior_log), hist(solves), max(g for g, _ in solves))
-    return acc
+    return integral.total()
 
 
-def _two_species_network(traj: Trajectory, params: SystemParams, tilt: Tilt, epsilon):
-    """Positional arguments and stored fluxes of :func:`_network_terms` for two species."""
+def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
+    """The arguments of :func:`_network_terms` after the windows, for two species."""
     eps = params.epsilon if epsilon is None else epsilon
-    edges = _two_species_edges(traj, eps)
-    _check_shapes(traj.initial_state, tilt)
+    edges = _two_species_edges(state, eps)
+    _check_shapes(state, tilt)
     w_v, _ = stationary_measure(params, tilt)
+    return w_v, params.delta_array, edges, [np.array([True])]
+
+
+def _solver_windows(windows, final: list):
+    """Solver windows ``(times, states, ...)`` as evaluator windows without stored fluxes.
+
+    A copy of the last state seen is kept as ``final[0]``, since a solver
+    may overwrite a window's arrays with the next window.
+    """
+    for times, states, *_ in windows:
+        final[:] = [states[-1].copy()]
+        yield states, np.diff(times), None
+
+
+def _one_window(traj: Trajectory):
+    """A stored trajectory as the one window of :func:`_network_terms`, with its fluxes if any."""
     stored = None if traj.fluxes is None else (traj.fluxes.J, traj.fluxes.b[None, :, 1])
-    args = (traj.states, np.diff(traj.times), w_v, params.delta_array, edges, [np.array([True])])
-    return args, stored
+    return [(traj.states, np.diff(traj.times), stored)]
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -453,8 +537,24 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     velocity terms evaluated directly on those fluxes are reported alongside,
     from the same pass over the intervals.
     """
-    args, stored = _two_species_network(traj, params, tilt, epsilon)
-    return DissipationBreakdown(*_network_terms(*args, stored=stored, tol=tol, max_iter=max_iter))
+    args = _two_species_args(traj.initial_state, params, tilt, epsilon)
+    return DissipationBreakdown(*_network_terms(_one_window(traj), *args, tol=tol, max_iter=max_iter))
+
+
+def _streamed_dissipation(windows, initial: State, params: SystemParams, tilt: Tilt,
+                          epsilon=None):
+    """:func:`dissipation_functional` of a trajectory that is never stored, and its final state.
+
+    ``windows`` yields ``(times, states, ...)`` per window of the trajectory
+    from ``initial``, each window whole warm-start blocks (see
+    :func:`_window_intervals`), and may reuse its arrays for the next
+    window.  The terms are those of the stored trajectory, bit for bit; the
+    stored-flux terms are left out.
+    """
+    final = []
+    terms = _network_terms(_solver_windows(windows, final),
+                           *_two_species_args(initial, params, tilt, epsilon))
+    return DissipationBreakdown(*terms), State(final[0])
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -468,9 +568,9 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     """
     if traj.fluxes is None:
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
-    args, stored = _two_species_network(traj, params, tilt, epsilon)
+    args = _two_species_args(traj.initial_state, params, tilt, epsilon)
     slope_diff, slope_react, vel_diff, vel_react = _network_terms(
-        *args, variational=False, stored=stored)
+        _one_window(traj), *args, variational=False)
     return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
                                 flux_vel_diff=vel_diff, flux_vel_react=vel_react)
 
@@ -490,30 +590,37 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
     return e1 + breakdown.total - e0
 
 
-def _hat_terms(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
-               use_stored_fluxes: bool):
-    if tilt.n_cells != hat_traj.n_cells:
+def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_fluxes: bool):
+    """Time integrals of the coarse velocity and slope terms.
+
+    ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
+    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them.
+    """
+    if tilt.n_cells != n:
         raise ValueError("tilt does not match coarse trajectory")
     cp = coarse_params(params, tilt)
-    n = hat_traj.n_cells
     h = 1.0 / n
-    dts = np.diff(hat_traj.times)
     slope_weight = cp.delta_hat * cp.w_hat
     swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-    acc = np.zeros(2)
-    for s in _chunks(dts.size, n):
-        hat_c = hat_traj.states[s]
-        mob = cp.delta_hat * hat_c
-        mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
-        if use_stored_fluxes:
-            jint = hat_traj.fluxes[s, 1:-1]
-        else:
-            rate = (hat_traj.states[s.start + 1:s.stop + 1] - hat_c) / dts[s, None]
-            jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
-        vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
-        slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
-        acc += (np.array([vel, slp]) * dts[s]).sum(axis=1)  # per row, as in _network_terms
-    return acc
+    integral = _TimeIntegral(n)
+    for states, dts, fluxes in windows:
+        for s in _chunks(dts.size, n):
+            hat_c = states[s]
+            mob = cp.delta_hat * hat_c
+            mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
+            if use_stored_fluxes:
+                jint = fluxes[s, 1:-1]
+            else:
+                rate = (states[s.start + 1:s.stop + 1] - hat_c) / dts[s, None]
+                jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
+            vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
+            slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
+            integral.add(np.array([vel, slp]), dts[s])
+    return integral.total()
+
+
+def _coarse_window(hat_traj: CoarseTrajectory):
+    return [(hat_traj.states, np.diff(hat_traj.times), hat_traj.fluxes)]
 
 
 def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -525,8 +632,22 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     is the coarse Fisher information with the mixing-weighted mobility.
     Exchange terms vanish on the coarse level.
     """
-    vel, slp = _hat_terms(hat_traj, params, tilt, use_stored_fluxes=False)
+    vel, slp = _hat_terms(_coarse_window(hat_traj), hat_traj.n_cells, params, tilt,
+                          use_stored_fluxes=False)
     return DissipationBreakdown(vel, 0.0, slp, 0.0)
+
+
+def _streamed_hat_dissipation(windows, params: SystemParams, tilt: Tilt):
+    """:func:`hat_dissipation` of a coarse trajectory that is never stored, and its final state.
+
+    ``windows`` yields ``(times, states, ...)`` as for
+    :func:`_streamed_dissipation`; the terms are those of the stored
+    trajectory, bit for bit.
+    """
+    final = []
+    vel, slp = _hat_terms(_solver_windows(windows, final), tilt.n_cells, params, tilt,
+                          use_stored_fluxes=False)
+    return DissipationBreakdown(vel, 0.0, slp, 0.0), final[0]
 
 
 def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -534,7 +655,8 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes."""
     if hat_traj.fluxes is None:
         raise ValueError("no flux data: coarse trajectory carries no fluxes")
-    vel, slp = _hat_terms(hat_traj, params, tilt, use_stored_fluxes=True)
+    vel, slp = _hat_terms(_coarse_window(hat_traj), hat_traj.n_cells, params, tilt,
+                          use_stored_fluxes=True)
     return DissipationBreakdown(vel, 0.0, slp, 0.0, flux_vel_diff=vel, flux_vel_react=0.0)
 
 

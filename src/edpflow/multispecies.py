@@ -420,7 +420,7 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
     w_cells = np.repeat(w[:, None], traj.n_cells, axis=1)
-    out = _network_terms(traj.states, np.diff(traj.times), w_cells, gen.delta, edges,
-                         [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
+    out = _network_terms([(traj.states, np.diff(traj.times), None)], w_cells, gen.delta,
+                         edges, [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
                          newton=damped_newton_max)
     return MultispeciesBreakdown(*out)

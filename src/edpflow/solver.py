@@ -17,18 +17,40 @@ increments, so the discrete generalized continuity equation holds on solver
 output to machine precision (and bit-exactly after reconstruction, which
 defines its reaction fluxes as the exact residuals).
 
+The two-species and coarse stepping loops hand out their trajectory in
+windows of consecutive steps, each written into buffers reused for the next:
+a caller that reduces each window as it comes (the refinement study and the
+scale sweep do) never holds the whole trajectory.  Every step depends only
+on the state before it, and the times are computed from the step index, so
+a window's values do not depend on the window length; the solvers return the
+single window of all steps, adopted by the result without a copy.  Each
+window passes the checks a stored result runs, and each solve writes one
+DEBUG record: steps, windows, and how many steps the nonnegativity guard
+clamped.
+
 Each run is single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .coarsegrain import CoarseTrajectory, coarse_params
-from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _Owned, total_mass
+from .coarsegrain import CoarseTrajectory, _check_coarse, coarse_params
+from .core import (
+    FluxAssignment,
+    State,
+    SystemParams,
+    Tilt,
+    Trajectory,
+    _check_fluxes,
+    _check_trajectory,
+    _Owned,
+    total_mass,
+)
 from .functionals import stationary_measure
 
 __all__ = [
@@ -40,6 +62,8 @@ __all__ = [
     "central_first_derivative",
     "central_second_derivative",
 ]
+
+logger = logging.getLogger(__name__)
 
 _SCHEMES = ("strang_exact_reaction", "imex_euler", "strang_cn")
 
@@ -151,13 +175,43 @@ class _ImplicitStepper:
         return c - self._dt_h * (J[:, 1:] - J[:, :-1])
 
 
-def _guard_nonnegative(c, step: int):
+class _Clamps:
+    """Steps whose state :func:`_guard_nonnegative` clamped, and the lowest value it clamped.
+
+    ``limit`` is the threshold that lowest value was held against; below it
+    the guard raises instead.
+    """
+
+    __slots__ = ("steps", "lowest", "limit")
+
+    def __init__(self):
+        self.steps, self.lowest, self.limit = 0, 0.0, -1e-12
+
+    def add(self, lowest: float, limit: float):
+        self.steps += 1
+        if lowest < self.lowest:
+            self.lowest, self.limit = lowest, limit
+
+    def log(self, solver: str, steps: int, windows: int):
+        """One DEBUG record for the solve."""
+        if not logger.isEnabledFor(logging.DEBUG):
+            return
+        clamped = (f"{self.steps} clamped (lowest value {self.lowest:.3e}, limit {self.limit:.3e}, "
+                   f"margin {self.lowest - self.limit:.3e})" if self.steps else "none clamped")
+        logger.debug("%s: %d steps in %d windows, %s", solver, steps, windows, clamped)
+
+
+def _guard_nonnegative(c, step: int, clamps: _Clamps):
     """Clamp roundoff-negative cells to zero; genuine negativity is an error."""
     lowest = float(c.min())
     if lowest > 0.0:  # not >= 0: the clamp also turns -0.0 into +0.0
         return c
-    if lowest < -1e-12 and lowest < -1e-12 * max(1.0, float(np.abs(c).max())):
-        raise IntegrationError(f"density went negative ({lowest:.3e})", step)
+    limit = -1e-12
+    if lowest < limit:
+        limit *= max(1.0, float(np.abs(c).max()))
+        if lowest < limit:
+            raise IntegrationError(f"density went negative ({lowest:.3e})", step)
+    clamps.add(lowest, limit)
     return np.maximum(c, 0.0)
 
 
@@ -173,14 +227,15 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
 _SPECIES_SIGN = np.array([[1.0], [-1.0]])
 
 
-def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
-                     config: SolverConfig) -> Trajectory:
-    """Integrate the tilted two-species reaction-drift-diffusion system.
+def _eps_steps(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig,
+               window: int):
+    """The stepping loop of :func:`solve_eps_system`, ``window`` steps at a time.
 
-    Returns a trajectory with per-interval fluxes satisfying the discrete
-    generalized continuity equation exactly.  Mass is conserved and, for the
-    splitting schemes with exact exchange, positivity is preserved for any
-    step size.
+    Yields ``(times, states, J, b)`` per window: ``window`` intervals (the
+    last window the rest) and their states, the first the previous window's
+    last.  The arrays are the loop's own buffers, overwritten by the next
+    window; with ``window >= config.n_steps`` they are the whole trajectory,
+    allocated once and never touched again.
     """
     if initial.n_species != 2 or tilt.n_species != 2:
         raise ValueError("the fast-slow solver is two-species")
@@ -205,42 +260,75 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     delta_faces = np.repeat(params.delta_array[:, None], n - 1, axis=1)
     stepper = _ImplicitStepper(delta_faces, g, dt, h, config.scheme == "strang_cn")
     rate_dt = dt / eps
+    clamps = _Clamps()
 
-    states = np.empty((steps + 1, 2, n))
-    J = np.zeros((steps, 2, n + 1))
-    bflux = np.empty((steps, 2, n))
-    exch = bflux[:, 0]  # the exchanged amount per step, scaled to the flux after the loop
+    width = min(window, steps)
+    states = np.empty((width + 1, 2, n))
+    J = np.zeros((width, 2, n + 1))
+    bflux = np.empty((width, 2, n))
+    exch = bflux[:, 0]  # the exchanged amount per step, scaled to the flux after the window
     states[0] = initial.c
     c = initial.c.copy()
-    for m in range(steps):
-        if imex:
-            exch[m] = rate_dt * (b * c[1] - a * c[0])
-            c_next = stepper.step(c + _SPECIES_SIGN * exch[m], J[m])
-        else:
-            d1a = theta * (b * c[1] - a * c[0])
-            c_mid = stepper.step(c + _SPECIES_SIGN * d1a, J[m])
-            d1b = theta * (b * c_mid[1] - a * c_mid[0])
-            c_next = c_mid + _SPECIES_SIGN * d1b
-            np.add(d1a, d1b, out=exch[m])
-        if not np.isfinite(c_next).all():
-            raise IntegrationError("state left the finite range", m)
-        c_next = _guard_nonnegative(c_next, m)
-        states[m + 1] = c_next
-        c = c_next
-    exch /= dt
-    np.negative(exch, out=bflux[:, 1])  # -(x / dt) and (-x) / dt agree bit for bit
-    times = dt * np.arange(steps + 1)
-    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(bflux)))
+    for first in range(0, steps, width):
+        if first:
+            states[0] = c
+        k = min(width, steps - first)
+        for i, m in enumerate(range(first, first + k)):
+            if imex:
+                exch[i] = rate_dt * (b * c[1] - a * c[0])
+                c_next = stepper.step(c + _SPECIES_SIGN * exch[i], J[i])
+            else:
+                d1a = theta * (b * c[1] - a * c[0])
+                c_mid = stepper.step(c + _SPECIES_SIGN * d1a, J[i])
+                d1b = theta * (b * c_mid[1] - a * c_mid[0])
+                c_next = c_mid + _SPECIES_SIGN * d1b
+                np.add(d1a, d1b, out=exch[i])
+            if not np.isfinite(c_next).all():
+                raise IntegrationError("state left the finite range", m)
+            c_next = _guard_nonnegative(c_next, m, clamps)
+            states[i + 1] = c_next
+            c = c_next
+        exch[:k] /= dt
+        np.negative(exch[:k], out=bflux[:k, 1])  # -(x / dt) and (-x) / dt agree bit for bit
+        yield dt * np.arange(first, first + k + 1), states[:k + 1], J[:k], bflux[:k]
+    clamps.log("solve_eps_system", steps, -(-steps // width))
 
 
-def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
-                    config: SolverConfig) -> CoarseTrajectory:
-    """Integrate the coarse drift-diffusion problem with the mixed coefficients.
+def _eps_windows(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig,
+                 window: int):
+    """The trajectory of :func:`solve_eps_system`, one window of ``window`` steps at a time.
 
-    Face diffusion coefficients are arithmetic means of the cell values of the
-    mixing-weighted coefficient; the drift enters through face differences of
-    the mixed potential.  Mass is conserved exactly and the coarse stationary
-    measure is an exact fixed point.
+    Yields read-only ``(times, states, J, b)`` that pass the checks of
+    :class:`Trajectory` and :class:`FluxAssignment`; they are valid until
+    the next window is requested.
+    """
+    for times, states, J, b in _eps_steps(initial, params, tilt, config, window):
+        for a in (times, states, J, b):
+            a.flags.writeable = False
+        _check_fluxes(J, b)
+        _check_trajectory(times, states, J)
+        yield times, states, J, b
+
+
+def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
+                     config: SolverConfig) -> Trajectory:
+    """Integrate the tilted two-species reaction-drift-diffusion system.
+
+    Returns a trajectory with per-interval fluxes satisfying the discrete
+    generalized continuity equation exactly.  Mass is conserved and, for the
+    splitting schemes with exact exchange, positivity is preserved for any
+    step size.
+    """
+    ((times, states, J, b),) = _eps_steps(initial, params, tilt, config, config.n_steps)
+    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b)))
+
+
+def _effective_steps(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig,
+                     window: int):
+    """The stepping loop of :func:`solve_effective`, ``window`` steps at a time.
+
+    Yields ``(times, states, J)`` per window, in the loop's own buffers as
+    :func:`_eps_steps` does.
     """
     hat_c = np.asarray(initial_hat, dtype=float)
     if hat_c.ndim != 1 or hat_c.size != tilt.n_cells:
@@ -258,18 +346,47 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
     dt = config.dt_effective
     steps = config.n_steps
     stepper = _ImplicitStepper(delta_faces[None], g[None], dt, h, config.scheme == "strang_cn")
+    clamps = _Clamps()
 
-    states = np.empty((steps + 1, n))
-    J = np.zeros((steps, n + 1))
+    width = min(window, steps)
+    states = np.empty((width + 1, n))
+    J = np.zeros((width, n + 1))
     states[0] = hat_c
     c = hat_c[None].copy()
-    for m in range(steps):
-        c = stepper.step(c, J[m, None])
-        if not np.isfinite(c).all():
-            raise IntegrationError("state left the finite range", m)
-        c = _guard_nonnegative(c, m)
-        states[m + 1] = c
-    times = dt * np.arange(steps + 1)
+    for first in range(0, steps, width):
+        if first:
+            states[0] = c
+        k = min(width, steps - first)
+        for i, m in enumerate(range(first, first + k)):
+            c = stepper.step(c, J[i, None])
+            if not np.isfinite(c).all():
+                raise IntegrationError("state left the finite range", m)
+            c = _guard_nonnegative(c, m, clamps)
+            states[i + 1] = c
+        yield dt * np.arange(first, first + k + 1), states[:k + 1], J[:k]
+    clamps.log("solve_effective", steps, -(-steps // width))
+
+
+def _effective_windows(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig,
+                       window: int):
+    """The trajectory of :func:`solve_effective` window by window, as :func:`_eps_windows`."""
+    for times, states, J in _effective_steps(initial_hat, params, tilt, config, window):
+        for a in (times, states, J):
+            a.flags.writeable = False
+        _check_coarse(times, states, J)
+        yield times, states, J
+
+
+def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
+                    config: SolverConfig) -> CoarseTrajectory:
+    """Integrate the coarse drift-diffusion problem with the mixed coefficients.
+
+    Face diffusion coefficients are arithmetic means of the cell values of the
+    mixing-weighted coefficient; the drift enters through face differences of
+    the mixed potential.  Mass is conserved exactly and the coarse stationary
+    measure is an exact fixed point.
+    """
+    ((times, states, J),) = _effective_steps(initial_hat, params, tilt, config, config.n_steps)
     return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
 
 

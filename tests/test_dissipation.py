@@ -10,6 +10,7 @@ from edpflow import (
     CoarseTrajectory,
     DualAscentError,
     FluxAssignment,
+    IntegrationError,
     SolverConfig,
     State,
     SystemParams,
@@ -43,7 +44,15 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
-from edpflow.dissipation import _chunks, _network_dual, damped_newton_max
+from edpflow.dissipation import (
+    _chunks,
+    _network_dual,
+    _streamed_dissipation,
+    _streamed_hat_dissipation,
+    _window_intervals,
+    damped_newton_max,
+)
+from edpflow.solver import _effective_windows, _eps_windows
 
 from conftest import cosine_tilt, positive_state
 
@@ -796,3 +805,107 @@ class TestRoundoffFloor:
         assert res.dual.iterations <= 3
         assert 1e-10 < res.dual.gradient_norm < 1e-8
         assert np.isfinite(res.value) and res.value > 0
+
+
+def _hex(bd):
+    return [float(t).hex() for t in (bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react)]
+
+
+class TestStreamedEvaluation:
+    """The solvers' windows piped into the evaluators, against the stored trajectories."""
+
+    SCHEMES = ["strang_exact_reaction", "imex_euler", "strang_cn"]
+
+    def _initial(self, params, n):
+        tilt = cosine_tilt(n, [[0.3], [-0.2]])
+        w_v, _ = stationary_measure(params, tilt)
+        c0 = w_v * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+        return State(c0 / (c0.sum() / n)), tilt
+
+    def _compare(self, params, n, config, window, hat_window):
+        c0, tilt = self._initial(params, n)
+        steps = config.n_steps
+        assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
+        traj = solve_eps_system(c0, params, tilt, config)
+        streamed, final = _streamed_dissipation(
+            _eps_windows(c0, params, tilt, config, window), c0, params, tilt)
+        assert _hex(streamed) == _hex(dissipation_functional(traj, params, tilt))
+        assert np.array_equal(final.c, traj.states[-1])
+        hat0 = c0.c.sum(axis=0)
+        hat_traj = solve_effective(hat0, params, tilt, config)
+        hat_streamed, hat_final = _streamed_hat_dissipation(
+            _effective_windows(hat0, params, tilt, config, hat_window), params, tilt)
+        assert _hex(hat_streamed) == _hex(hat_dissipation(hat_traj, params, tilt))
+        assert np.array_equal(hat_final, hat_traj.states[-1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("window", [32, 96])
+    def test_bit_identical_to_the_stored_trajectory(self, params, scheme, window):
+        # 250 intervals: windows end inside the 204-interval chunks on 20 cells
+        self._compare(params, 20, SolverConfig(1e-3, 0.25, scheme), window, window)
+
+    def test_default_windows_on_a_fine_grid(self, params):
+        n = 160
+        window = _window_intervals(2 * n)
+        config = SolverConfig(2.5e-4, 0.25)
+        assert window < config.n_steps < 2 * window  # two windows, the second partial
+        self._compare(params, n, config, window, _window_intervals(n))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_windows_are_the_stored_trajectory(self, params, scheme):
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1, scheme)
+        traj = solve_eps_system(c0, params, tilt, config)
+        hat_traj = solve_effective(c0.c.sum(axis=0), params, tilt, config)
+        parts = [[a.copy() for a in window] for window in _eps_windows(c0, params, tilt, config, 32)]
+        hat_parts = [[a.copy() for a in window] for window in
+                     _effective_windows(c0.c.sum(axis=0), params, tilt, config, 32)]
+        assert [p[2].shape[0] for p in parts] == [32, 32, 32, 4]
+        for got, want in ((parts, [traj.times, traj.states, traj.fluxes.J, traj.fluxes.b]),
+                          (hat_parts, [hat_traj.times, hat_traj.states, hat_traj.fluxes])):
+            # each window starts at the last time level of the one before
+            for p, q in zip(got, got[1:]):
+                assert p[0][-1] == q[0][0] and np.array_equal(p[1][-1], q[1][0])
+            joined = [np.concatenate([p[0][:-1] for p in got] + [got[-1][0][-1:]]),
+                      np.concatenate([p[1][:-1] for p in got] + [got[-1][1][-1:]]),
+                      *(np.concatenate([p[k] for p in got]) for k in range(2, len(want)))]
+            for a, b in zip(joined, want):
+                assert np.array_equal(a, b)
+
+    def test_window_arrays_are_read_only(self, params):
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1)
+        for window in (*_eps_windows(c0, params, tilt, config, 64),
+                       *_effective_windows(c0.c.sum(axis=0), params, tilt, config, 64)):
+            assert not any(a.flags.writeable for a in window)
+
+    def test_windows_must_hold_whole_blocks(self, params):
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1)
+        with pytest.raises(ValueError, match="inside a warm-start block"):
+            _streamed_dissipation(_eps_windows(c0, params, tilt, config, 40), c0, params, tilt)
+
+    def test_blow_up_raises_integration_error(self):
+        # test_imex_blowup_reports_step, streamed: the solver's own step is reported
+        p = SystemParams((1.0, 1.0), 1.0, 3.0, epsilon=1e-9)
+        n = 6
+        c0 = State(np.stack([np.full(n, 0.9), np.full(n, 0.1)]))
+        config = SolverConfig(1e-2, 0.1, "imex_euler")
+        with pytest.raises(IntegrationError) as stored:
+            solve_eps_system(c0, p, Tilt.zero(n), config)
+        with pytest.raises(IntegrationError) as streamed:
+            _streamed_dissipation(_eps_windows(c0, p, Tilt.zero(n), config, 32), c0, p, Tilt.zero(n))
+        assert streamed.value.step == stored.value.step
+
+    def test_blocked_interval_raises_dual_ascent_error(self, params):
+        # the blocked state of test_blocked_interval_inside_a_batch_raises_typed_error,
+        # handed over as the second of two windows of one block each
+        blocked = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+        v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
+        dt = 0.1
+        block = dissipation_module._WARM_BLOCK
+        regular = np.full((block + 1, 2, 4), 0.5)
+        windows = [(dt * np.arange(block + 1), regular),
+                   (dt * np.arange(block, block + 3), np.array([regular[-1], blocked, blocked + dt * v]))]
+        with pytest.raises(DualAscentError):
+            _streamed_dissipation(iter(windows), State(regular[0]), params, Tilt.zero(4))

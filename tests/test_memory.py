@@ -3,7 +3,8 @@
 Solvers hand the arrays they allocate to their result, which freezes them in
 place; the public constructors copy what callers pass in.  The flux check and
 the CSV writer work in chunks, so their temporaries do not grow with the
-trajectory, and the scale sweeps hold one trajectory at a time.  Peaks are
+trajectory, the scale sweeps hold one trajectory at a time, and the
+refinement study and ``eps_sweep`` hold one solver window at a time.  Peaks are
 measured with ``tracemalloc``, which numpy reports its buffers to, so the
 bounds are deterministic and need nothing from the operating system.
 """
@@ -37,6 +38,7 @@ from edpflow import (
 )
 from edpflow.cli import _build_initial, _build_tilt
 from edpflow.core import _g17_tables, _Owned
+from edpflow.dissipation import _window_intervals
 
 from conftest import cosine_tilt
 
@@ -309,3 +311,49 @@ def test_eps_sweep_peak_is_close_to_its_largest_trajectory(tmp_path):
     _, peak = _traced_peak(lambda: run_experiment(cfg))
     # full-size density ratios and square roots would add over half the states again
     assert peak <= DEFECT_PEAK_OVER_TRAJECTORY * largest, f"peak {peak / largest:.2f} x trajectory"
+
+
+# a streamed solve holds one window of the trajectory, whatever its length
+STREAMED_PEAK_GROWTH = 1.1
+
+
+def _peak_growth(make_config, steps):
+    """Traced peaks of an experiment at ``steps`` and at four times as many time steps."""
+    peaks = []
+    for factor in (1, 4):
+        cfg = make_config(factor * steps)
+        peaks.append(_traced_peak(lambda: run_experiment(cfg))[1])
+    return peaks
+
+
+def test_edb_refinement_level_does_not_grow_with_the_steps(tmp_path):
+    # levels on 32 and 64 cells: every solve of the shorter run already
+    # fills its windows, so only a stored trajectory would grow
+    dt = 1e-3
+    steps = max(_window_intervals(u) for u in (32, 64, 128))
+
+    def config(n_steps):
+        return _sweep_config("edb_refinement", tmp_path / str(n_steps), grid={"n_cells": 32},
+                             tilt={"kind": "cosine", "coefficients": [[0.3], [-0.2]]},
+                             initial={"kind": "stationary_perturbation", "amplitude": 0.4},
+                             solver={"dt": dt, "t_final": n_steps * dt}, epsilons=[0.1], levels=2)
+
+    short, long = _peak_growth(config, steps)
+    # the level on 64 cells would hold over 6 MB of trajectory after quadrupling
+    assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
+
+
+def test_eps_sweep_does_not_grow_with_the_steps(tmp_path):
+    # the smallest scale steps at epsilon / 5 and fills its windows; the
+    # sweep keeps one value per interval, a small fraction of one window
+    n, eps = 80, [1e-3, 1e-4]
+    dt = eps[-1] / 5
+
+    def config(n_steps):
+        return _sweep_config("eps_sweep", tmp_path / str(n_steps), grid={"n_cells": n},
+                             solver={"dt": 1e-4, "t_final": n_steps * dt}, epsilons=eps,
+                             initial={"kind": "off_manifold_cosine", "amplitude": 0.5,
+                                      "fractions": [0.55, 0.45]})
+
+    short, long = _peak_growth(config, _window_intervals(2 * n))
+    assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"

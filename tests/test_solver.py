@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -22,7 +23,14 @@ from edpflow import (
     total_mass,
 )
 from edpflow.coarsegrain import coarse_grain_trajectory, coarse_params
-from edpflow.solver import _exchange_rates, central_first_derivative, central_second_derivative
+from edpflow.solver import (
+    _Clamps,
+    _eps_windows,
+    _exchange_rates,
+    _guard_nonnegative,
+    central_first_derivative,
+    central_second_derivative,
+)
 
 from conftest import cosine_tilt, positive_state
 
@@ -401,3 +409,48 @@ def test_factored_stepper_matches_per_species_solves_multispecies(scheme):
         assert np.array_equal(traj.fluxes.b[m], exch / dt)
         assert np.array_equal(traj.states[m + 1], c_next)
         c = c_next
+
+
+class TestClampRecord:
+    """One DEBUG record per solve: steps, windows and what the nonnegativity guard clamped."""
+
+    def test_guard_counts_only_clamped_steps(self):
+        clamps = _Clamps()
+        c = np.array([[0.5, 0.25], [0.25, 0.5]])
+        assert _guard_nonnegative(c, 0, clamps) is c and clamps.steps == 0
+        out = _guard_nonnegative(np.array([[0.5, -0.0], [-3e-13, 1.0]]), 1, clamps)
+        assert out.min() == 0.0 and not np.signbit(out).any()
+        assert (clamps.steps, clamps.lowest, clamps.limit) == (1, -3e-13, -1e-12)
+        # below -1e-12 the limit scales with the largest density
+        _guard_nonnegative(np.array([[4.0, -2e-12], [0.5, 0.5]]), 2, clamps)
+        assert (clamps.steps, clamps.lowest, clamps.limit) == (2, -2e-12, -4e-12)
+        _guard_nonnegative(np.array([[0.5, -1e-13], [0.5, 0.5]]), 3, clamps)
+        assert (clamps.steps, clamps.lowest) == (3, -2e-12)  # the lowest value is kept
+        with pytest.raises(IntegrationError, match="went negative"):
+            _guard_nonnegative(np.array([[1.0, -2e-12], [0.5, 0.5]]), 4, clamps)
+        assert clamps.steps == 3
+
+    def test_record_reports_the_clamps(self, caplog):
+        clamps = _Clamps()
+        _guard_nonnegative(np.array([[4.0, -2e-12], [0.5, 0.5]]), 0, clamps)
+        with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+            clamps.log("solve_eps_system", 100, 2)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "solve_eps_system: 100 steps in 2 windows, 1 clamped "
+            "(lowest value -2.000e-12, limit -4.000e-12, margin 2.000e-12)")
+
+    def test_one_record_per_solve(self, params, caplog):
+        n = 8
+        c0 = State(np.full((2, n), 0.5))
+        config = SolverConfig(1e-3, 0.1)
+        with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+            solve_eps_system(c0, params, Tilt.zero(n), config)
+            solve_effective(np.ones(n), params, Tilt.zero(n), config)
+            for _ in _eps_windows(c0, params, Tilt.zero(n), config, 32):
+                pass
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_eps_system: 100 steps in 1 windows, none clamped",
+            "solve_effective: 100 steps in 1 windows, none clamped",
+            "solve_eps_system: 100 steps in 4 windows, none clamped",
+        ]
