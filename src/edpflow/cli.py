@@ -29,11 +29,8 @@ from .coarsegrain import (
     reconstruct_from_coarse,
 )
 from .core import SpatialGrid, State, SystemParams, Tilt, trajectory_to_csv
-# dissipation_functional and hat_dissipation stay importable from this module
-from .dissipation import (  # noqa: F401
+from .dissipation import (
     DualAscentError,
-    _streamed_dissipation,
-    _streamed_hat_dissipation,
     _window_intervals,
     dissipation_functional,
     flux_dissipation,
@@ -53,6 +50,7 @@ from .solver import (
     SolverConfig,
     _effective_windows,
     _eps_windows,
+    _StreamedTrajectory,
     solve_effective,
     solve_eps_system,
 )
@@ -490,15 +488,17 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         p = replace(cfg.params, epsilon=eps)
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
         # each solve hands its windows straight to the evaluator, so no
-        # level holds a whole trajectory
-        bd, final = _streamed_dissipation(
-            _eps_windows(initial, p, tilt, sc, _window_intervals(2 * n)), initial, p, tilt, eps)
-        drop = energy(initial, p, tilt) - energy(final, p, tilt)
+        # level holds a whole trajectory; the last window holds the final state
+        traj = _StreamedTrajectory(
+            _eps_windows(initial, p, tilt, sc, _window_intervals(2 * n)), sc, initial.c)
+        bd = dissipation_functional(traj, p, tilt, eps)
+        drop = energy(initial, p, tilt) - energy(State(traj.states[-1]), p, tilt)
         res = -drop + bd.total
         hat0 = _build_initial_hat(cfg.initial_spec, grid, p, tilt)
-        hbd, hat_final = _streamed_hat_dissipation(
-            _effective_windows(hat0, p, tilt, sc, _window_intervals(n)), p, tilt)
-        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_final, p, tilt)
+        hat_traj = _StreamedTrajectory(
+            _effective_windows(hat0, p, tilt, sc, _window_intervals(n)), sc, hat0)
+        hbd = hat_dissipation(hat_traj, p, tilt)
+        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_traj.states[-1], p, tilt)
         hres = -hdrop + hbd.total
         return level, n, sc.dt_effective, bd, res, drop, hbd, hres, hdrop
 

@@ -17,12 +17,13 @@ the trajectory's start, first solves its first and last interval from zero;
 the intervals between start from the interpolation of those two maximizers.
 No interval's result depends on its chunk.
 
-The evaluators take a trajectory as consecutive windows of whole blocks: a
-stored trajectory is one window, and a solve can be piped in window by
-window without ever being stored.  Since blocks are counted from the start
-and no interval depends on its chunk, each interval's terms are the same
-whatever the windows; they are integrated over the chunks of the whole
-trajectory as the chunks fill, so the results are bit-identical too.
+The evaluators take a trajectory as consecutive windows of whole blocks and
+whole chunks: a stored trajectory is one window, and a solve can be streamed
+in window by window without ever being stored.  Since blocks are counted
+from the start and no interval depends on its chunk, each interval's terms
+are the same whatever the windows; since windows hold whole chunks, the
+chunks, and so the sums that integrate the terms over time, are those of the
+stored trajectory, so the results are bit-identical too.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .functionals import (
     energy,
     stationary_measure,
 )
+from .solver import _StreamedTrajectory
 
 __all__ = [
     "DualMaximizerState",
@@ -89,9 +91,14 @@ _CHUNK_UNKNOWNS = 8192
 _WARM_BLOCK = 32
 
 
+def _chunk_length(unknowns: int) -> int:
+    """Intervals per chunk: at most ``_CHUNK_UNKNOWNS`` unknowns, one interval at least."""
+    return max(1, _CHUNK_UNKNOWNS // unknowns)
+
+
 def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
-    """Consecutive interval ranges of at most ``_CHUNK_UNKNOWNS`` unknowns (one interval at least)."""
-    size = max(1, _CHUNK_UNKNOWNS // unknowns)
+    """Consecutive interval ranges of :func:`_chunk_length` intervals, the last the rest."""
+    size = _chunk_length(unknowns)
     return [slice(s, min(s + size, n_intervals)) for s in range(0, n_intervals, size)]
 
 
@@ -357,45 +364,13 @@ def _window_intervals(unknowns: int) -> int:
     """Intervals per solver window of a trajectory with ``unknowns`` values per state.
 
     The least common multiple of the warm-start block and the chunk length:
-    a window holds whole blocks, as :func:`_network_terms` requires, and
-    whole chunks, so a streamed evaluation stacks its interior solves as the
-    evaluation of the stored trajectory does.  At most ``_WARM_BLOCK``
-    chunks, so the window's size does not grow with the trajectory.
+    the shortest window that holds whole blocks and whole chunks, as
+    :func:`_network_terms` requires, so a streamed evaluation stacks its
+    solves as the evaluation of the stored trajectory does.  At most
+    ``_WARM_BLOCK`` chunks, so the window's size does not grow with the
+    trajectory.
     """
-    return math.lcm(_WARM_BLOCK, max(1, _CHUNK_UNKNOWNS // unknowns))
-
-
-class _TimeIntegral:
-    """Left-endpoint time integrals of per-interval term rows, added in order.
-
-    Rows are summed over the chunks :func:`_chunks` cuts the whole
-    trajectory into, one reduction per term and chunk, as soon as a chunk is
-    complete; only the rows of an unfinished chunk are held.  So a term's
-    rounding depends neither on how the rows arrive nor on which other terms
-    are evaluated with it.
-    """
-
-    def __init__(self, unknowns: int):
-        self._size = max(1, _CHUNK_UNKNOWNS // unknowns)
-        self._rows = self._dts = None
-        self._acc = 0.0
-
-    def add(self, rows, dts):
-        """Add the rows (terms, k) of the next k intervals, of lengths ``dts``."""
-        if self._dts is not None:
-            rows = np.concatenate([self._rows, rows], axis=1)
-            dts = np.concatenate([self._dts, dts])
-        done = dts.size - dts.size % self._size
-        for start in range(0, done, self._size):
-            s = slice(start, start + self._size)
-            self._acc += (rows[:, s] * dts[s]).sum(axis=1)
-        self._rows, self._dts = rows[:, done:].copy(), dts[done:].copy()
-
-    def total(self):
-        """The integrals of all rows added, the last chunk the one unfinished."""
-        if self._dts.size:
-            return self._acc + (self._rows * self._dts).sum(axis=1)
-        return self._acc
+    return math.lcm(_WARM_BLOCK, _chunk_length(unknowns))
 
 
 def _network_terms(windows, w, delta, edges, groups, *, variational=True,
@@ -406,26 +381,30 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
     the trajectory: the states (k + 1, I, n) at times spaced by ``dts`` (the
     first the previous window's last) and either None or the stored fluxes
     (J (k, I, n + 1), per-edge exchange fluxes (E, k, n)).  Every window but
-    the last holds whole warm-start blocks; a stored trajectory is one
-    window.  ``w`` (I, n) is the stationary measure on cells and ``edges``
-    lists (i, j, kappa).  Returns up to three sets of terms, in this order:
-    the velocity terms of the optimal fluxes of the difference-quotient rates
-    (only if ``variational``), the slope terms, and the velocity terms of the
-    stored fluxes, if the windows carry them.  A set is the diffusion term
+    the last holds whole warm-start blocks and whole chunks (a multiple of
+    :func:`_window_intervals`); a stored trajectory is one window.  ``w``
+    (I, n) is the stationary measure on cells and ``edges`` lists (i, j,
+    kappa).  Returns up to three sets of terms, in this order: the velocity
+    terms of the optimal fluxes of the difference-quotient rates (only if
+    ``variational``), the slope terms, and the velocity terms of the stored
+    fluxes, if the windows carry them.  A set is the diffusion term
     followed by the exchange terms summed over each boolean edge mask in
     ``groups``.
 
     The dual ascents run chunk by chunk within each window, warm-started from
     block anchors as the module docstring describes; each interval keeps its
-    own stopping test, so only its start depends on its neighbours.  The
-    ascent is logged to ``log``, one record per trajectory; ``newton`` is
+    own stopping test, so only its start depends on its neighbours.  Each
+    term is summed over a chunk in one reduction per row and the chunk sums
+    are added in order, so a term's rounding depends neither on the windows
+    nor on which other terms are evaluated with it.  The ascent is logged to
+    ``log``, one record per trajectory; ``newton`` is
     :func:`damped_newton_max` as the caller's module binds it (this module's
     by default), so that instrumentation wrapping it per module attributes
     the solves to the calling evaluator.
     """
     newton = newton or damped_newton_max
     anchor_log, interior_log = [], []  # (gradient norm, histogram of iterations) per solve
-    integral = None
+    acc = 0.0
     n_chunks = offset = 0
 
     def solve(vg, hess, x0, record):
@@ -434,14 +413,12 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
         return x
 
     for states, dts, stored in windows:
-        if offset % _WARM_BLOCK:
-            raise ValueError("a window of the trajectory ends inside a warm-start block")
         n_int = dts.size
         size = states.shape[1] * states.shape[2]
         band = states.shape[1]
         h = 1.0 / states.shape[2]
-        if integral is None:
-            integral = _TimeIntegral(size)
+        if offset % _window_intervals(size):
+            raise ValueError("a window of the trajectory ends inside a warm-start block or a chunk")
         if variational:
             # blocks and interpolation weights from the trajectory's start
             index = np.arange(offset, offset + n_int)
@@ -481,7 +458,7 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
             for diff, per_edge in sets:
                 per_edge = np.array(per_edge)
                 terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
-            integral.add(np.array(terms), dts[s])
+            acc += (np.array(terms) * dts[s]).sum(axis=1)
         offset += n_int
     if variational and log.isEnabledFor(logging.DEBUG):
         def hist(solves):
@@ -495,7 +472,7 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
                   "Newton iterations per interval %s, max final gradient norm %.3e",
                   sum(int(c.sum()) for _, c in solves), n_chunks, hist(anchor_log),
                   hist(interior_log), hist(solves), max(g for g, _ in solves))
-    return integral.total()
+    return acc
 
 
 def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
@@ -507,21 +484,20 @@ def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
     return w_v, params.delta_array, edges, [np.array([True])]
 
 
-def _solver_windows(windows, final: list):
-    """Solver windows ``(times, states, ...)`` as evaluator windows without stored fluxes.
+def _windows(traj, stored):
+    """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
 
-    A copy of the last state seen is kept as ``final[0]``, since a solver
-    may overwrite a window's arrays with the next window.
+    A streamed trajectory yields its solver's windows as the solve runs, and
+    carries no fluxes; a stored one is one window, with the fluxes ``stored``.
     """
-    for times, states, *_ in windows:
-        final[:] = [states[-1].copy()]
-        yield states, np.diff(times), None
-
-
-def _one_window(traj: Trajectory):
-    """A stored trajectory as the one window of :func:`_network_terms`, with its fluxes if any."""
-    stored = None if traj.fluxes is None else (traj.fluxes.J, traj.fluxes.b[None, :, 1])
+    if isinstance(traj, _StreamedTrajectory):
+        return ((states, np.diff(times), None) for times, states, *_ in traj)
     return [(traj.states, np.diff(traj.times), stored)]
+
+
+def _stored_fluxes(traj: Trajectory):
+    """The stored fluxes of a two-species trajectory as :func:`_network_terms` takes them."""
+    return None if traj.fluxes is None else (traj.fluxes.J, traj.fluxes.b[None, :, 1])
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -536,25 +512,14 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     module docstring).  If the trajectory carries explicit fluxes, the same
     velocity terms evaluated directly on those fluxes are reported alongside,
     from the same pass over the intervals.
+
+    ``traj`` may also be a solve streamed window by window (see
+    :class:`edpflow.solver._StreamedTrajectory`); the terms are those of the
+    stored trajectory, bit for bit, and the solve is never stored.
     """
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
-    return DissipationBreakdown(*_network_terms(_one_window(traj), *args, tol=tol, max_iter=max_iter))
-
-
-def _streamed_dissipation(windows, initial: State, params: SystemParams, tilt: Tilt,
-                          epsilon=None):
-    """:func:`dissipation_functional` of a trajectory that is never stored, and its final state.
-
-    ``windows`` yields ``(times, states, ...)`` per window of the trajectory
-    from ``initial``, each window whole warm-start blocks (see
-    :func:`_window_intervals`), and may reuse its arrays for the next
-    window.  The terms are those of the stored trajectory, bit for bit; the
-    stored-flux terms are left out.
-    """
-    final = []
-    terms = _network_terms(_solver_windows(windows, final),
-                           *_two_species_args(initial, params, tilt, epsilon))
-    return DissipationBreakdown(*terms), State(final[0])
+    return DissipationBreakdown(*_network_terms(_windows(traj, _stored_fluxes(traj)), *args,
+                                                tol=tol, max_iter=max_iter))
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -570,7 +535,7 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
     slope_diff, slope_react, vel_diff, vel_react = _network_terms(
-        _one_window(traj), *args, variational=False)
+        _windows(traj, _stored_fluxes(traj)), *args, variational=False)
     return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
                                 flux_vel_diff=vel_diff, flux_vel_react=vel_react)
 
@@ -594,7 +559,8 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
     """Time integrals of the coarse velocity and slope terms.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
-    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them.
+    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them;
+    every window but the last holds whole chunks.
     """
     if tilt.n_cells != n:
         raise ValueError("tilt does not match coarse trajectory")
@@ -602,8 +568,12 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
     h = 1.0 / n
     slope_weight = cp.delta_hat * cp.w_hat
     swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-    integral = _TimeIntegral(n)
+    acc = np.zeros(2)
+    offset = 0
     for states, dts, fluxes in windows:
+        if offset % _chunk_length(n):
+            raise ValueError("a window of the coarse trajectory ends inside a chunk")
+        offset += dts.size
         for s in _chunks(dts.size, n):
             hat_c = states[s]
             mob = cp.delta_hat * hat_c
@@ -615,12 +585,8 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
                 jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
             vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
             slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
-            integral.add(np.array([vel, slp]), dts[s])
-    return integral.total()
-
-
-def _coarse_window(hat_traj: CoarseTrajectory):
-    return [(hat_traj.states, np.diff(hat_traj.times), hat_traj.fluxes)]
+            acc += (np.array([vel, slp]) * dts[s]).sum(axis=1)  # per row, as in _network_terms
+    return acc
 
 
 def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -630,24 +596,13 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     The velocity part solves the single-species quadratic dual (one elliptic
     problem per interval, a chunk of them in one batched solve); the slope part
     is the coarse Fisher information with the mixing-weighted mobility.
-    Exchange terms vanish on the coarse level.
+    Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
+    coarse solve streamed window by window, as for
+    :func:`dissipation_functional`.
     """
-    vel, slp = _hat_terms(_coarse_window(hat_traj), hat_traj.n_cells, params, tilt,
+    vel, slp = _hat_terms(_windows(hat_traj, None), hat_traj.n_cells, params, tilt,
                           use_stored_fluxes=False)
     return DissipationBreakdown(vel, 0.0, slp, 0.0)
-
-
-def _streamed_hat_dissipation(windows, params: SystemParams, tilt: Tilt):
-    """:func:`hat_dissipation` of a coarse trajectory that is never stored, and its final state.
-
-    ``windows`` yields ``(times, states, ...)`` as for
-    :func:`_streamed_dissipation`; the terms are those of the stored
-    trajectory, bit for bit.
-    """
-    final = []
-    vel, slp = _hat_terms(_solver_windows(windows, final), tilt.n_cells, params, tilt,
-                          use_stored_fluxes=False)
-    return DissipationBreakdown(vel, 0.0, slp, 0.0), final[0]
 
 
 def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -655,7 +610,7 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes."""
     if hat_traj.fluxes is None:
         raise ValueError("no flux data: coarse trajectory carries no fluxes")
-    vel, slp = _hat_terms(_coarse_window(hat_traj), hat_traj.n_cells, params, tilt,
+    vel, slp = _hat_terms(_windows(hat_traj, hat_traj.fluxes), hat_traj.n_cells, params, tilt,
                           use_stored_fluxes=True)
     return DissipationBreakdown(vel, 0.0, slp, 0.0, flux_vel_diff=vel, flux_vel_react=0.0)
 

@@ -20,7 +20,9 @@ defines its reaction fluxes as the exact residuals).
 The two-species and coarse stepping loops hand out their trajectory in
 windows of consecutive steps, each written into buffers reused for the next:
 a caller that reduces each window as it comes (the refinement study and the
-scale sweep do) never holds the whole trajectory.  Every step depends only
+scale sweep do) never holds the whole trajectory.  Wrapped as a streamed
+trajectory, a solve goes to the dissipation evaluators in place of a stored
+one, and they read it window by window.  Every step depends only
 on the state before it, and the times are computed from the step index, so
 a window's values do not depend on the window length; the solvers return the
 single window of all steps, adopted by the result without a copy.  Each
@@ -308,6 +310,45 @@ def _eps_windows(initial: State, params: SystemParams, tilt: Tilt, config: Solve
         _check_fluxes(J, b)
         _check_trajectory(times, states, J)
         yield times, states, J, b
+
+
+class _StreamedTrajectory:
+    """A solver's trajectory handed out window by window as the solve runs, never stored whole.
+
+    ``windows`` yields the windows ``(times, states, ...)`` of the solve of
+    ``config`` from ``initial`` (:func:`_eps_windows` or
+    :func:`_effective_windows`).  Iterating runs the solve, once; a window is
+    valid until the next is requested.  ``times`` is the whole time grid and
+    ``states`` the states of the window last handed out (before the first,
+    the initial state alone), so after the solve ``states[-1]`` is the final
+    state.  A stream carries no fluxes.  :func:`edpflow.dissipation_functional`
+    and :func:`edpflow.hat_dissipation` take it in place of a stored
+    trajectory.
+    """
+
+    fluxes = None
+
+    def __init__(self, windows, config: SolverConfig, initial):
+        self._windows = windows
+        self._initial = np.asarray(initial)
+        self.times = config.dt_effective * np.arange(config.n_steps + 1)
+        self.states = self._initial[None]
+
+    @property
+    def n_cells(self) -> int:
+        return self.states.shape[-1]
+
+    @property
+    def initial_state(self) -> State:
+        return State(self._initial)
+
+    def __iter__(self):
+        windows, self._windows = self._windows, None
+        if windows is None:
+            raise RuntimeError("a streamed trajectory can be read only once")
+        for window in windows:
+            self.states = window[1]
+            yield window
 
 
 def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,

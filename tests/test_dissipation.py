@@ -44,15 +44,8 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
-from edpflow.dissipation import (
-    _chunks,
-    _network_dual,
-    _streamed_dissipation,
-    _streamed_hat_dissipation,
-    _window_intervals,
-    damped_newton_max,
-)
-from edpflow.solver import _effective_windows, _eps_windows
+from edpflow.dissipation import _chunks, _network_dual, _window_intervals, damped_newton_max
+from edpflow.solver import _effective_windows, _eps_windows, _StreamedTrajectory
 
 from conftest import cosine_tilt, positive_state
 
@@ -812,7 +805,7 @@ def _hex(bd):
 
 
 class TestStreamedEvaluation:
-    """The solvers' windows piped into the evaluators, against the stored trajectories."""
+    """Solves streamed window by window into the evaluators, against the stored trajectories."""
 
     SCHEMES = ["strang_exact_reaction", "imex_euler", "strang_cn"]
 
@@ -827,24 +820,32 @@ class TestStreamedEvaluation:
         steps = config.n_steps
         assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
         traj = solve_eps_system(c0, params, tilt, config)
-        streamed, final = _streamed_dissipation(
-            _eps_windows(c0, params, tilt, config, window), c0, params, tilt)
+        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, window), config, c0.c)
+        streamed = dissipation_functional(stream, params, tilt)
         assert _hex(streamed) == _hex(dissipation_functional(traj, params, tilt))
-        assert np.array_equal(final.c, traj.states[-1])
+        assert streamed.flux_vel_diff is None and streamed.flux_vel_react is None
+        assert np.array_equal(stream.states[-1], traj.states[-1])
+        assert np.array_equal(stream.times, traj.times)
         hat0 = c0.c.sum(axis=0)
         hat_traj = solve_effective(hat0, params, tilt, config)
-        hat_streamed, hat_final = _streamed_hat_dissipation(
-            _effective_windows(hat0, params, tilt, config, hat_window), params, tilt)
-        assert _hex(hat_streamed) == _hex(hat_dissipation(hat_traj, params, tilt))
-        assert np.array_equal(hat_final, hat_traj.states[-1])
+        hat_stream = _StreamedTrajectory(
+            _effective_windows(hat0, params, tilt, config, hat_window), config, hat0)
+        assert _hex(hat_dissipation(hat_stream, params, tilt)) == \
+            _hex(hat_dissipation(hat_traj, params, tilt))
+        assert np.array_equal(hat_stream.states[-1], hat_traj.states[-1])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("window", [32, 96])
-    def test_bit_identical_to_the_stored_trajectory(self, params, scheme, window):
-        # 250 intervals: windows end inside the 204-interval chunks on 20 cells
-        self._compare(params, 20, SolverConfig(1e-3, 0.25, scheme), window, window)
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_bit_identical_to_the_stored_trajectory(self, params, scheme, windows):
+        # on 256 cells a chunk is 16 fine and 32 coarse intervals, so the
+        # shortest window is one block; 250 intervals end inside a block
+        n = 256
+        window = windows * _window_intervals(2 * n)
+        assert window == windows * _window_intervals(n) == windows * dissipation_module._WARM_BLOCK
+        self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), window, window)
 
     def test_default_windows_on_a_fine_grid(self, params):
+        # chunks of 25 fine and 51 coarse intervals, windows of 800 and 1632
         n = 160
         window = _window_intervals(2 * n)
         config = SolverConfig(2.5e-4, 0.25)
@@ -879,11 +880,30 @@ class TestStreamedEvaluation:
                        *_effective_windows(c0.c.sum(axis=0), params, tilt, config, 64)):
             assert not any(a.flags.writeable for a in window)
 
-    def test_windows_must_hold_whole_blocks(self, params):
+    def test_windows_must_hold_whole_chunks(self, params):
+        # on 12 cells a chunk is 341 fine or 682 coarse intervals: windows of
+        # whole blocks but not whole chunks are rejected
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        with pytest.raises(ValueError, match="inside a warm-start block"):
-            _streamed_dissipation(_eps_windows(c0, params, tilt, config, 40), c0, params, tilt)
+        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, 32), config, c0.c)
+        with pytest.raises(ValueError, match="inside a warm-start block or a chunk"):
+            dissipation_functional(stream, params, tilt)
+        hat0 = c0.c.sum(axis=0)
+        hat_stream = _StreamedTrajectory(_effective_windows(hat0, params, tilt, config, 32),
+                                         config, hat0)
+        with pytest.raises(ValueError, match="inside a chunk"):
+            hat_dissipation(hat_stream, params, tilt)
+
+    def test_a_stream_is_read_once_and_carries_no_fluxes(self, params):
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1)
+        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, 200), config, c0.c)
+        assert np.array_equal(stream.states, c0.c[None]) and stream.n_cells == 12
+        with pytest.raises(ValueError, match="no flux data"):
+            flux_dissipation(stream, params, tilt)
+        dissipation_functional(stream, params, tilt)
+        with pytest.raises(RuntimeError, match="read only once"):
+            dissipation_functional(stream, params, tilt)
 
     def test_blow_up_raises_integration_error(self):
         # test_imex_blowup_reports_step, streamed: the solver's own step is reported
@@ -893,19 +913,24 @@ class TestStreamedEvaluation:
         config = SolverConfig(1e-2, 0.1, "imex_euler")
         with pytest.raises(IntegrationError) as stored:
             solve_eps_system(c0, p, Tilt.zero(n), config)
+        stream = _StreamedTrajectory(
+            _eps_windows(c0, p, Tilt.zero(n), config, _window_intervals(2 * n)), config, c0.c)
         with pytest.raises(IntegrationError) as streamed:
-            _streamed_dissipation(_eps_windows(c0, p, Tilt.zero(n), config, 32), c0, p, Tilt.zero(n))
+            dissipation_functional(stream, p, Tilt.zero(n))
         assert streamed.value.step == stored.value.step
 
     def test_blocked_interval_raises_dual_ascent_error(self, params):
         # the blocked state of test_blocked_interval_inside_a_batch_raises_typed_error,
-        # handed over as the second of two windows of one block each
+        # handed over as the second of two windows, the first a whole window of
+        # regular states
         blocked = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
         dt = 0.1
-        block = dissipation_module._WARM_BLOCK
-        regular = np.full((block + 1, 2, 4), 0.5)
-        windows = [(dt * np.arange(block + 1), regular),
-                   (dt * np.arange(block, block + 3), np.array([regular[-1], blocked, blocked + dt * v]))]
+        window = _window_intervals(8)
+        regular = np.full((window + 1, 2, 4), 0.5)
+        windows = [(dt * np.arange(window + 1), regular),
+                   (dt * np.arange(window, window + 3),
+                    np.array([regular[-1], blocked, blocked + dt * v]))]
+        stream = _StreamedTrajectory(iter(windows), SolverConfig(dt, dt * (window + 2)), regular[0])
         with pytest.raises(DualAscentError):
-            _streamed_dissipation(iter(windows), State(regular[0]), params, Tilt.zero(4))
+            dissipation_functional(stream, params, Tilt.zero(4))
