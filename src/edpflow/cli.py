@@ -48,9 +48,8 @@ from .multispecies import (
 from .solver import (
     IntegrationError,
     SolverConfig,
-    _effective_windows,
-    _eps_windows,
-    _StreamedTrajectory,
+    _effective_solve,
+    _eps_solve,
     solve_effective,
     solve_eps_system,
 )
@@ -442,8 +441,8 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
         # a row's value depends on neither
         levels = max(1, _DEFECT_BLOCK_VALUES // grid.n_cells)
         terms = []
-        for times, states, _, _ in _eps_windows(initial, p, tilt, sc,
-                                                _window_intervals(2 * grid.n_cells)):
+        for times, states, _, _ in _eps_solve(initial, p, tilt, sc).stream(
+                _window_intervals(2 * grid.n_cells)):
             dts = np.diff(times)
             for m in range(0, dts.size, levels):
                 rho = states[m:min(m + levels, dts.size)] / w_v[None]
@@ -489,14 +488,12 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
         # each solve hands its windows straight to the evaluator, so no
         # level holds a whole trajectory; the last window holds the final state
-        traj = _StreamedTrajectory(
-            _eps_windows(initial, p, tilt, sc, _window_intervals(2 * n)), sc, initial.c)
+        traj = _eps_solve(initial, p, tilt, sc).stream(_window_intervals(2 * n))
         bd = dissipation_functional(traj, p, tilt, eps)
         drop = energy(initial, p, tilt) - energy(State(traj.states[-1]), p, tilt)
         res = -drop + bd.total
         hat0 = _build_initial_hat(cfg.initial_spec, grid, p, tilt)
-        hat_traj = _StreamedTrajectory(
-            _effective_windows(hat0, p, tilt, sc, _window_intervals(n)), sc, hat0)
+        hat_traj = _effective_solve(hat0, p, tilt, sc).stream(_window_intervals(n))
         hbd = hat_dissipation(hat_traj, p, tilt)
         hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_traj.states[-1], p, tilt)
         hres = -hdrop + hbd.total

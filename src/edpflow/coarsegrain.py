@@ -13,6 +13,7 @@ All transformations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,19 @@ class Reconstruction:
         object.__setattr__(self, "b_closed_form", _readonly(self.b_closed_form))
 
 
+def _split(fractions, total):
+    """Two species' shares ``fractions * total``, adding up to ``total`` exactly.
+
+    The larger share is the product and the other the remainder, which is
+    exact because that product is at least half the total.
+    """
+    share = fractions.max(axis=0) * total
+    out = np.stack([share, total - share], axis=-2)
+    minor_first = fractions[0] < fractions[1]
+    out[..., minor_first] = out[..., ::-1, :][..., minor_first]
+    return out
+
+
 def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
                             ce_tol: float = 1e-9) -> Reconstruction:
     """Reconstruct two-species densities and fluxes from a coarse trajectory.
@@ -204,7 +218,13 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, ti
     output sits exactly on the slow manifold), diffusion fluxes by the
     mobility fractions delta_i w_i^V / (delta_1 w_1^V + delta_2 w_2^V) sampled
     at faces.  Requires the coarse pair (c, J) to satisfy the discrete
-    continuity equation; raises otherwise.
+    continuity equation; raises otherwise.  Its residual, of order
+    (machine epsilon) |c| / dt, is moved into the face fluxes first: the
+    states go to a grid on which their differences are exact, each level
+    gets exactly the mass of the first, and the residual's running sum
+    corrects the fluxes.  Each species' reaction flux is its continuity
+    residual, so that equation holds to the last bit, and the reaction
+    fluxes sum to zero to the rounding of the rates, whatever the step.
     """
     if hat_traj.fluxes is None:
         raise ValueError("coarse trajectory carries no fluxes")
@@ -222,16 +242,23 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, ti
             f"coarse continuity equation violated (max residual {np.max(np.abs(ce)):.3e})"
         )
 
+    q = np.ldexp(1.0, int(np.frexp(hat_c.max())[1]) - 52)  # 52 bits below the largest state
+    hat_c = np.rint(hat_c / q) * q
+    # each level's exact mass defect against the first, taken from its largest cell
+    hat_c[np.arange(len(hat_c)), hat_c.argmax(axis=1)] -= [math.fsum(d) for d in hat_c - hat_c[0]]
+    hat_j = hat_j.copy()
+    hat_j[:, 1:-1] -= h * np.cumsum((hat_c[1:] - hat_c[:-1]) / dt
+                                    + (hat_j[:, 1:] - hat_j[:, :-1]) / h, axis=1)[:, :-1]
+
     w_v, _ = stationary_measure(params, tilt)
     w_vf = stationary_measure_faces(params, tilt)
     delta = params.delta_array
     theta = w_v / w_v.sum(axis=0)
     phi_f = delta[:, None] * w_vf / (delta[:, None] * w_vf).sum(axis=0)
 
-    c = theta[None] * hat_c[:, None, :]
-    J = phi_f[None] * hat_j[:, None, :]
-    dtiv = np.diff(hat_traj.times)[:, None, None]
-    b = (c[1:] - c[:-1]) / dtiv + (J[..., 1:] - J[..., :-1]) / h
+    c = _split(theta, hat_c)
+    J = _split(phi_f, hat_j)
+    b = (c[1:] - c[:-1]) / dt[:, None] + (J[..., 1:] - J[..., :-1]) / h
 
     # closed-form reaction flux from the coefficient fields
     dbar = delta[0] - delta[1]

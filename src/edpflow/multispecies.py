@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .core import FluxAssignment, State, Trajectory, _Owned, _readonly
-from .dissipation import _network_terms, damped_newton_max
-from .solver import SolverConfig, IntegrationError, _ImplicitStepper
+from .core import State, Trajectory, _readonly
+from .dissipation import _network_terms, _windows, damped_newton_max
+from .solver import SolverConfig, _Solve
 
 __all__ = [
     "MarkovGenerator",
@@ -328,6 +328,32 @@ def random_detailed_balance_generator(rng, n_species: int = 4) -> MarkovGenerato
     return build_detailed_balance_generator(species, w, slow_edges, fast_edges, delta)
 
 
+def _multispecies_solve(initial: State, gen: MarkovGenerator, epsilon: float,
+                        config: SolverConfig) -> _Solve:
+    if initial.n_species != gen.n_species:
+        raise ValueError(
+            f"state has {initial.n_species} species, generator {gen.n_species}"
+        )
+    if config.scheme == "imex_euler":
+        raise ValueError("scheme 'imex_euler' is not available for networks")
+    propagator = expm(gen.assemble(epsilon) * (0.5 * config.dt_effective))
+
+    def first(c, b):
+        c_half = propagator @ c
+        np.subtract(c_half, c, out=b)
+        return c_half
+
+    def second(c, b):
+        c_next = propagator @ c
+        b += c_next - c
+        b -= b.sum(axis=0) / len(b)  # exact zero species sum despite expm roundoff
+        return c_next
+
+    delta_faces = np.repeat(gen.delta[:, None], initial.n_cells - 1, axis=1)
+    return _Solve("solve_multispecies", initial.c, config, delta_faces,
+                  np.ones_like(delta_faces), (first, second))
+
+
 def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
                        config: SolverConfig) -> Trajectory:
     """Strang-split integration of the I-species reaction-diffusion system.
@@ -340,42 +366,15 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
     rejected).  Mass and positivity are preserved; recorded fluxes satisfy
     the discrete continuity equation with species-summed reaction fluxes
     equal to zero.
-    """
-    i_sp = gen.n_species
-    if initial.n_species != i_sp:
-        raise ValueError(
-            f"state has {initial.n_species} species, generator {i_sp}"
-        )
-    if config.scheme == "imex_euler":
-        raise ValueError("scheme 'imex_euler' is not available for networks")
-    n = initial.n_cells
-    h = 1.0 / n
-    dt = config.dt_effective
-    steps = config.n_steps
-    propagator = expm(gen.assemble(epsilon) * (0.5 * dt))
-    delta_faces = np.repeat(gen.delta[:, None], n - 1, axis=1)
-    stepper = _ImplicitStepper(delta_faces, np.ones_like(delta_faces), dt, h,
-                               config.scheme == "strang_cn")
 
-    states = np.empty((steps + 1, i_sp, n))
-    J = np.zeros((steps, i_sp, n + 1))
-    b = np.empty((steps, i_sp, n))
-    states[0] = initial.c
-    c = initial.c.copy()
-    for m in range(steps):
-        c_half = propagator @ c
-        exch = c_half - c
-        c_mid = stepper.step(c_half, J[m])
-        c_next = propagator @ c_mid
-        exch += c_next - c_mid
-        exch -= exch.sum(axis=0) / i_sp  # exact zero species sum despite expm roundoff
-        b[m] = exch / dt
-        if not np.all(np.isfinite(c_next)):
-            raise IntegrationError("state left the finite range", m)
-        states[m + 1] = c_next
-        c = c_next
-    times = dt * np.arange(steps + 1)
-    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b)))
+    The stepping loop is that of :func:`~edpflow.solve_eps_system`: each
+    step's state passes its nonnegativity guard (roundoff negatives are
+    clamped to zero, genuine ones raise :class:`~edpflow.IntegrationError`),
+    and each solve writes one DEBUG record on the ``edpflow.solver`` logger:
+    ``solve_multispecies: N steps in 1 windows``, followed by how many steps
+    the guard clamped.
+    """
+    return _multispecies_solve(initial, gen, epsilon, config).result()
 
 
 @dataclass(frozen=True)
@@ -411,16 +410,18 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     maximization, from the evaluator behind
     :func:`~edpflow.dissipation.dissipation_functional` (which is its case
     of one fast edge); exchange contributions are reported separately for
-    slow and fast edges.
+    slow and fast edges.  ``traj`` may also be a solve streamed window by
+    window (see :class:`edpflow.solver._StreamedTrajectory`), with the terms
+    of the stored trajectory, bit for bit.
     """
-    if traj.n_species != gen.n_species:
-        raise ValueError(f"trajectory has {traj.n_species} species, generator {gen.n_species}")
+    if traj.states.shape[1] != gen.n_species:
+        raise ValueError(f"trajectory has {traj.states.shape[1]} species, generator {gen.n_species}")
     w = gen.stationary(epsilon)
     kappa = kappa_coefficients(gen, epsilon)
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
     w_cells = np.repeat(w[:, None], traj.n_cells, axis=1)
-    out = _network_terms([(traj.states, np.diff(traj.times), None)], w_cells, gen.delta,
+    out = _network_terms(_windows(traj, None), w_cells, gen.delta,
                          edges, [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
                          newton=damped_newton_max)
     return MultispeciesBreakdown(*out)

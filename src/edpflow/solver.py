@@ -1,15 +1,19 @@
-"""Time integration of the fast-slow two-species system and of its coarse limit.
+"""Time integration of the fast-slow two-species system, its coarse limit and I-species networks.
 
-The stiff exchange term is integrated exactly: per cell it is a two-state
-generator whose exponential has a closed form, so the scale separation costs
-nothing in stability.  Drift-diffusion is advanced implicitly with an
-exponentially fitted face flux (the flux depends on the potential only through
-its face differences), which makes the tilted stationary measure an exact
-fixed point, conserves mass to machine precision, and preserves positivity
-(the implicit matrix is an M-matrix).  The implicit matrix of all species is
-one block-diagonal tridiagonal system, LU-factored once per run; each step
-advances every species with a single triangular solve.  The same stepper
-serves the two-species, coarse and I-species solvers.
+One stepping loop (:class:`_Solve`) serves all three systems: a Strang
+splitting into an exchange half step, a drift-diffusion step and a second
+exchange half step.  Drift-diffusion is advanced implicitly with an
+exponentially fitted face flux (the flux depends on the potential only
+through its face differences), which makes the tilted stationary measure an
+exact fixed point, conserves mass to machine precision, and preserves
+positivity (the implicit matrix is an M-matrix).  The implicit matrix of all
+species is one block-diagonal tridiagonal system, LU-factored once per run;
+each step advances every species with a single triangular solve.  The
+exchange is integrated exactly, so the scale separation costs nothing in
+stability, by one of three half-step maps: per cell the closed-form
+exponential of the two-state generator (its ``imex_euler`` variant takes one
+explicit step before the diffusion instead), the exponential of an I-species
+generator shared by all cells, or none for the coarse system.
 
 Per-interval fluxes are recorded from the solves themselves: face fluxes from
 the implicit step's internal fluxes and reaction fluxes from the exchange-step
@@ -17,20 +21,15 @@ increments, so the discrete generalized continuity equation holds on solver
 output to machine precision (and bit-exactly after reconstruction, which
 defines its reaction fluxes as the exact residuals).
 
-The two-species and coarse stepping loops hand out their trajectory in
-windows of consecutive steps, each written into buffers reused for the next:
-a caller that reduces each window as it comes (the refinement study and the
-scale sweep do) never holds the whole trajectory.  Wrapped as a streamed
-trajectory, a solve goes to the dissipation evaluators in place of a stored
-one, and they read it window by window.  Every step depends only
-on the state before it, and the times are computed from the step index, so
-a window's values do not depend on the window length; the solvers return the
-single window of all steps, adopted by the result without a copy.  Each
-window passes the checks a stored result runs, and each solve writes one
-DEBUG record: steps, windows, and how many steps the nonnegativity guard
-clamped.
-
-Each run is single-threaded and deterministic.
+The loop hands out the trajectory in windows of consecutive steps written
+into reused buffers, so a caller that reduces each window as it comes never
+holds the whole trajectory; wrapped as a streamed trajectory, a solve goes
+to the dissipation evaluators in place of a stored one.  A step depends only
+on the state before it and the times on the step index, so a window's
+values do not depend on the window length; the solvers return the single
+window of all steps without a copy.  Every state passes the nonnegativity
+guard, and each solve writes one DEBUG record: steps, windows, and how many
+steps the guard clamped.  Each run is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -111,24 +110,6 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def _implicit_banded(delta_faces, g, tau, h):
-    """Banded matrix of I - tau*L for a stack of species, shape (3, k*n).
-
-    ``delta_faces`` and ``g`` have shape (k, n - 1); species occupy
-    consecutive blocks of n unknowns and the entries coupling two blocks are
-    zero.
-    """
-    k, n_faces = delta_faces.shape
-    r = tau / (h * h)
-    ab = np.zeros((3, k, n_faces + 1))
-    ab[1] = 1.0
-    ab[1, :, :-1] += r * delta_faces / g
-    ab[1, :, 1:] += r * delta_faces * g
-    ab[0, :, 1:] = -r * delta_faces * g
-    ab[2, :, :-1] = -r * delta_faces / g
-    return ab.reshape(3, -1)
-
-
 class _ImplicitStepper:
     """Fitted drift-diffusion step for a stack of species, factored once per run.
 
@@ -149,7 +130,15 @@ class _ImplicitStepper:
         self._half_dt = 0.5 * dt
         self._cn = crank_nicolson
         self._J_new = np.zeros((g.shape[0], g.shape[1] + 2))  # end-of-step flux of Crank-Nicolson
-        ab = _implicit_banded(delta_faces, g, 0.5 * dt if crank_nicolson else dt, h)
+        # I - tau*L, one block of n unknowns per species, no entries coupling two blocks
+        r = (0.5 * dt if crank_nicolson else dt) / (h * h)
+        ab = np.zeros((3, g.shape[0], g.shape[1] + 1))
+        ab[1] = 1.0
+        ab[1, :, :-1] += r * delta_faces / g
+        ab[1, :, 1:] += r * delta_faces * g
+        ab[0, :, 1:] = -r * delta_faces * g
+        ab[2, :, :-1] = -r * delta_faces / g
+        ab = ab.reshape(3, -1)
         dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info != 0 or not np.all(np.isfinite(ab)):
             raise IntegrationError(
@@ -229,114 +218,106 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
 _SPECIES_SIGN = np.array([[1.0], [-1.0]])
 
 
-def _eps_steps(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig,
-               window: int):
-    """The stepping loop of :func:`solve_eps_system`, ``window`` steps at a time.
+class _Solve:
+    """A solve of ``config`` from ``initial`` (the (k, n) densities, or the (n,) coarse one).
 
-    Yields ``(times, states, J, b)`` per window: ``window`` intervals (the
-    last window the rest) and their states, the first the previous window's
-    last.  The arrays are the loop's own buffers, overwritten by the next
-    window; with ``window >= config.n_steps`` they are the whole trajectory,
-    allocated once and never touched again.
+    ``delta_faces`` and ``g`` (k, n - 1) define the drift-diffusion step of
+    :class:`_ImplicitStepper`; ``exchange`` is None for the coarse system,
+    else the half-step maps ``(first, second)``.  ``first(c, b)`` advances
+    the (k, n) stack ``c`` before the diffusion step and writes the amounts
+    exchanged into the step's row ``b`` of reaction fluxes; ``second``
+    (None for ``imex_euler``) advances it after and adds its amounts to
+    ``b``.  ``solver`` names the solve in its DEBUG record.
     """
-    if initial.n_species != 2 or tilt.n_species != 2:
-        raise ValueError("the fast-slow solver is two-species")
-    if tilt.n_cells != initial.n_cells:
-        raise ValueError("tilt does not match initial state")
-    if abs(total_mass(initial) - 1.0) > 1e-6:
-        raise ValueError(f"initial state must have unit mass, got {total_mass(initial)!r}")
-    n = initial.n_cells
-    h = 1.0 / n
-    dt = config.dt_effective
-    steps = config.n_steps
-    eps = params.epsilon
-    imex = config.scheme == "imex_euler"
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b = _exchange_rates(params, tilt)
-        s = a + b
-        theta = -np.expm1(-s * (0.5 * dt) / eps) / s
-        g = np.exp(np.diff(tilt.v_cells) / 2.0)
-    if not all(np.all(np.isfinite(x)) for x in (a, b, theta)):
-        vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
-        raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
-    delta_faces = np.repeat(params.delta_array[:, None], n - 1, axis=1)
-    stepper = _ImplicitStepper(delta_faces, g, dt, h, config.scheme == "strang_cn")
-    rate_dt = dt / eps
-    clamps = _Clamps()
 
-    width = min(window, steps)
-    states = np.empty((width + 1, 2, n))
-    J = np.zeros((width, 2, n + 1))
-    bflux = np.empty((width, 2, n))
-    exch = bflux[:, 0]  # the exchanged amount per step, scaled to the flux after the window
-    states[0] = initial.c
-    c = initial.c.copy()
-    for first in range(0, steps, width):
-        if first:
+    def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, exchange=None):
+        self.solver, self.initial, self.config, self.exchange = solver, initial, config, exchange
+        self.step = _ImplicitStepper(delta_faces, g, config.dt_effective, 1.0 / initial.shape[-1],
+                                     config.scheme == "strang_cn").step
+
+    def windows(self, window: int):
+        """The stepping loop, ``window`` steps at a time.
+
+        Yields ``(times, states, J)``, and ``b`` if the system exchanges, per
+        window of ``window`` intervals (the last the rest), shaped as
+        ``initial``; its first state is the previous window's last.  The
+        arrays are the loop's buffers, overwritten by the next window.
+        """
+        shape = self.initial.shape
+        c = self.initial.reshape(-1, shape[-1]).copy()
+        steps, dt = self.config.n_steps, self.config.dt_effective
+        step, (first_half, second_half) = self.step, self.exchange or (None, None)
+        clamps = _Clamps()
+        width = min(window, steps)
+        states = np.empty((width + 1, *c.shape))
+        J = np.zeros((width, c.shape[0], c.shape[1] + 1))
+        b = np.empty((width, *c.shape)) if self.exchange else None
+        for start in range(0, steps, width):
             states[0] = c
-        k = min(width, steps - first)
-        for i, m in enumerate(range(first, first + k)):
-            if imex:
-                exch[i] = rate_dt * (b * c[1] - a * c[0])
-                c_next = stepper.step(c + _SPECIES_SIGN * exch[i], J[i])
-            else:
-                d1a = theta * (b * c[1] - a * c[0])
-                c_mid = stepper.step(c + _SPECIES_SIGN * d1a, J[i])
-                d1b = theta * (b * c_mid[1] - a * c_mid[0])
-                c_next = c_mid + _SPECIES_SIGN * d1b
-                np.add(d1a, d1b, out=exch[i])
-            if not np.isfinite(c_next).all():
-                raise IntegrationError("state left the finite range", m)
-            c_next = _guard_nonnegative(c_next, m, clamps)
-            states[i + 1] = c_next
-            c = c_next
-        exch[:k] /= dt
-        np.negative(exch[:k], out=bflux[:k, 1])  # -(x / dt) and (-x) / dt agree bit for bit
-        yield dt * np.arange(first, first + k + 1), states[:k + 1], J[:k], bflux[:k]
-    clamps.log("solve_eps_system", steps, -(-steps // width))
+            k = min(width, steps - start)
+            for i, m in enumerate(range(start, start + k)):
+                c_next = step(first_half(c, b[i]) if first_half else c, J[i])
+                if second_half:
+                    c_next = second_half(c_next, b[i])
+                if not np.isfinite(c_next).all():
+                    raise IntegrationError("state left the finite range", m)
+                c = _guard_nonnegative(c_next, m, clamps)
+                states[i + 1] = c
+            out = (dt * np.arange(start, start + k + 1), states[:k + 1].reshape(k + 1, *shape),
+                   J[:k].reshape(k, *shape[:-1], shape[-1] + 1))
+            if self.exchange:
+                b[:k] /= dt
+                out += (b[:k],)
+            yield out
+        clamps.log(self.solver, steps, -(-steps // width))
 
+    def result(self):
+        """The stored trajectory: the single window of all steps, adopted without a copy."""
+        ((times, states, J, *b),) = self.windows(self.config.n_steps)
+        if not b:
+            return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
+        return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b[0])))
 
-def _eps_windows(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig,
-                 window: int):
-    """The trajectory of :func:`solve_eps_system`, one window of ``window`` steps at a time.
+    def stream(self, window: int) -> "_StreamedTrajectory":
+        """The solve as a :class:`_StreamedTrajectory` of windows of ``window`` steps.
 
-    Yields read-only ``(times, states, J, b)`` that pass the checks of
-    :class:`Trajectory` and :class:`FluxAssignment`; they are valid until
-    the next window is requested.
-    """
-    for times, states, J, b in _eps_steps(initial, params, tilt, config, window):
-        for a in (times, states, J, b):
-            a.flags.writeable = False
-        _check_fluxes(J, b)
-        _check_trajectory(times, states, J)
-        yield times, states, J, b
+        The windows are read-only and pass the checks of :class:`Trajectory`
+        and :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
+        """
+        def checked():
+            for out in self.windows(window):
+                for a in out:
+                    a.flags.writeable = False
+                times, states, J, *b = out
+                if b:
+                    _check_fluxes(J, *b)
+                    _check_trajectory(times, states, J)
+                else:
+                    _check_coarse(times, states, J)
+                yield out
+
+        times = self.config.dt_effective * np.arange(self.config.n_steps + 1)
+        return _StreamedTrajectory(checked(), times, self.initial)
 
 
 class _StreamedTrajectory:
-    """A solver's trajectory handed out window by window as the solve runs, never stored whole.
+    """A trajectory handed out window by window as it is computed, never stored whole.
 
-    ``windows`` yields the windows ``(times, states, ...)`` of the solve of
-    ``config`` from ``initial`` (:func:`_eps_windows` or
-    :func:`_effective_windows`).  Iterating runs the solve, once; a window is
-    valid until the next is requested.  ``times`` is the whole time grid and
-    ``states`` the states of the window last handed out (before the first,
-    the initial state alone), so after the solve ``states[-1]`` is the final
-    state.  A stream carries no fluxes.  :func:`edpflow.dissipation_functional`
-    and :func:`edpflow.hat_dissipation` take it in place of a stored
-    trajectory.
+    ``windows`` yields the windows ``(times, states, ...)`` on the time grid
+    ``times`` from ``initial``, as :meth:`_Solve.stream` builds them, once;
+    a window is valid until the next is requested.  ``states`` are those of
+    the window last handed out (before the first, the initial state alone),
+    so after the solve ``states[-1]`` is the final state.  A stream carries
+    no fluxes; the dissipation evaluators take it in place of a stored one.
     """
 
     fluxes = None
 
-    def __init__(self, windows, config: SolverConfig, initial):
-        self._windows = windows
+    def __init__(self, windows, times, initial):
+        self._windows, self.times = windows, times
         self._initial = np.asarray(initial)
-        self.times = config.dt_effective * np.arange(config.n_steps + 1)
         self.states = self._initial[None]
-
-    @property
-    def n_cells(self) -> int:
-        return self.states.shape[-1]
+        self.n_cells = self._initial.shape[-1]
 
     @property
     def initial_state(self) -> State:
@@ -351,6 +332,39 @@ class _StreamedTrajectory:
             yield window
 
 
+def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:
+    if initial.n_species != 2 or tilt.n_species != 2:
+        raise ValueError("the fast-slow solver is two-species")
+    if tilt.n_cells != initial.n_cells:
+        raise ValueError("tilt does not match initial state")
+    if abs(total_mass(initial) - 1.0) > 1e-6:
+        raise ValueError(f"initial state must have unit mass, got {total_mass(initial)!r}")
+    dt, eps = config.dt_effective, params.epsilon
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b = _exchange_rates(params, tilt)
+        s = a + b
+        theta = -np.expm1(-s * (0.5 * dt) / eps) / s
+        g = np.exp(np.diff(tilt.v_cells) / 2.0)
+    if not all(np.all(np.isfinite(x)) for x in (a, b, theta)):
+        vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
+        raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
+    imex = config.scheme == "imex_euler"
+    factor = dt / eps if imex else theta  # imex_euler: one explicit step over the whole step
+
+    def first(c, out):  # the amounts (d, -d), d moved into species 1
+        np.multiply(_SPECIES_SIGN, factor * (b * c[1] - a * c[0]), out=out)
+        return c + out
+
+    def second(c, out):
+        d = _SPECIES_SIGN * (factor * (b * c[1] - a * c[0]))
+        out += d
+        return c + d
+
+    delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
+    return _Solve("solve_eps_system", initial.c, config, delta_faces, g,
+                  (first, None if imex else second))
+
+
 def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
                      config: SolverConfig) -> Trajectory:
     """Integrate the tilted two-species reaction-drift-diffusion system.
@@ -360,17 +374,10 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     splitting schemes with exact exchange, positivity is preserved for any
     step size.
     """
-    ((times, states, J, b),) = _eps_steps(initial, params, tilt, config, config.n_steps)
-    return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b)))
+    return _eps_solve(initial, params, tilt, config).result()
 
 
-def _effective_steps(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig,
-                     window: int):
-    """The stepping loop of :func:`solve_effective`, ``window`` steps at a time.
-
-    Yields ``(times, states, J)`` per window, in the loop's own buffers as
-    :func:`_eps_steps` does.
-    """
+def _effective_solve(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:
     hat_c = np.asarray(initial_hat, dtype=float)
     if hat_c.ndim != 1 or hat_c.size != tilt.n_cells:
         raise ValueError("initial coarse density does not match the tilt")
@@ -378,44 +385,11 @@ def _effective_steps(initial_hat, params: SystemParams, tilt: Tilt, config: Solv
         raise ValueError("initial coarse density must be nonnegative")
     if abs(hat_c.sum() / hat_c.size - 1.0) > 1e-6:
         raise ValueError("initial coarse density must have unit mass")
-    n = hat_c.size
-    h = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cp = coarse_params(params, tilt)
         g = np.exp(np.diff(cp.v_hat) / 2.0)
     delta_faces = 0.5 * (cp.delta_hat[1:] + cp.delta_hat[:-1])
-    dt = config.dt_effective
-    steps = config.n_steps
-    stepper = _ImplicitStepper(delta_faces[None], g[None], dt, h, config.scheme == "strang_cn")
-    clamps = _Clamps()
-
-    width = min(window, steps)
-    states = np.empty((width + 1, n))
-    J = np.zeros((width, n + 1))
-    states[0] = hat_c
-    c = hat_c[None].copy()
-    for first in range(0, steps, width):
-        if first:
-            states[0] = c
-        k = min(width, steps - first)
-        for i, m in enumerate(range(first, first + k)):
-            c = stepper.step(c, J[i, None])
-            if not np.isfinite(c).all():
-                raise IntegrationError("state left the finite range", m)
-            c = _guard_nonnegative(c, m, clamps)
-            states[i + 1] = c
-        yield dt * np.arange(first, first + k + 1), states[:k + 1], J[:k]
-    clamps.log("solve_effective", steps, -(-steps // width))
-
-
-def _effective_windows(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig,
-                       window: int):
-    """The trajectory of :func:`solve_effective` window by window, as :func:`_eps_windows`."""
-    for times, states, J in _effective_steps(initial_hat, params, tilt, config, window):
-        for a in (times, states, J):
-            a.flags.writeable = False
-        _check_coarse(times, states, J)
-        yield times, states, J
+    return _Solve("solve_effective", hat_c, config, delta_faces[None], g[None])
 
 
 def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
@@ -427,8 +401,7 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
     the mixed potential.  Mass is conserved exactly and the coarse stationary
     measure is an exact fixed point.
     """
-    ((times, states, J),) = _effective_steps(initial_hat, params, tilt, config, config.n_steps)
-    return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
+    return _effective_solve(initial_hat, params, tilt, config).result()
 
 
 def central_first_derivative(f, h):

@@ -134,6 +134,17 @@ class TestReconstruction:
         rec = reconstruct_from_coarse(hat, params, tilt)
         assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
 
+    def test_reaction_fluxes_sum_to_zero_at_small_steps(self, params):
+        # a peaked coarse density (max 4) near equilibrium: the solver's own
+        # continuity residual, about 1e-16 |c| / dt = 1.7e-12 at dt = 5e-4,
+        # exceeds the tolerance of FluxAssignment if it stays in b1 + b2
+        tilt = cosine_tilt(16, [[3.0], [3.0]])
+        hat = reference_hat_trajectory(params, tilt, n=16, dt=5e-4, t_final=5e-3, amp=0.05)
+        rec = reconstruct_from_coarse(hat, params, tilt)
+        b = rec.trajectory.fluxes.b
+        assert np.max(np.abs(b.sum(axis=1))) < 1e-14
+        assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
+
     def test_output_on_slow_manifold(self, params):
         tilt = cosine_tilt(24, [[0.4], [-0.3]])
         hat = reference_hat_trajectory(params, tilt, n=24)

@@ -1,6 +1,7 @@
 import ast
 import logging
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ from edpflow import (
 
 import edpflow.dissipation as dissipation_module
 from edpflow.dissipation import _chunks, _network_dual, _window_intervals, damped_newton_max
-from edpflow.solver import _effective_windows, _eps_windows, _StreamedTrajectory
+from edpflow.multispecies import _multispecies_solve
+from edpflow.solver import _effective_solve, _eps_solve, _StreamedTrajectory
 
 from conftest import cosine_tilt, positive_state
 
@@ -820,7 +822,7 @@ class TestStreamedEvaluation:
         steps = config.n_steps
         assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
         traj = solve_eps_system(c0, params, tilt, config)
-        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, window), config, c0.c)
+        stream = _eps_solve(c0, params, tilt, config).stream(window)
         streamed = dissipation_functional(stream, params, tilt)
         assert _hex(streamed) == _hex(dissipation_functional(traj, params, tilt))
         assert streamed.flux_vel_diff is None and streamed.flux_vel_react is None
@@ -828,11 +830,23 @@ class TestStreamedEvaluation:
         assert np.array_equal(stream.times, traj.times)
         hat0 = c0.c.sum(axis=0)
         hat_traj = solve_effective(hat0, params, tilt, config)
-        hat_stream = _StreamedTrajectory(
-            _effective_windows(hat0, params, tilt, config, hat_window), config, hat0)
+        hat_stream = _effective_solve(hat0, params, tilt, config).stream(hat_window)
         assert _hex(hat_dissipation(hat_stream, params, tilt)) == \
             _hex(hat_dissipation(hat_traj, params, tilt))
         assert np.array_equal(hat_stream.states[-1], hat_traj.states[-1])
+        if config.scheme == "imex_euler":
+            return  # networks have no explicit exchange step
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        net0 = State(gen.stationary(params.epsilon)[:, None] * hat0)
+        net = solve_multispecies(net0, gen, params.epsilon, config)
+        net_stream = _multispecies_solve(net0, gen, params.epsilon, config).stream(
+            _window_intervals(4 * n))
+        assert net_stream.n_cells == n and config.n_steps > _window_intervals(4 * n)
+        streamed = multispecies_dissipation(net_stream, gen, params.epsilon)
+        stored = multispecies_dissipation(net, gen, params.epsilon)
+        assert [float(v).hex() for v in astuple(streamed)] == \
+            [float(v).hex() for v in astuple(stored)]
+        assert np.array_equal(net_stream.states[-1], net.states[-1])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("windows", [1, 3])
@@ -858,9 +872,10 @@ class TestStreamedEvaluation:
         config = SolverConfig(1e-3, 0.1, scheme)
         traj = solve_eps_system(c0, params, tilt, config)
         hat_traj = solve_effective(c0.c.sum(axis=0), params, tilt, config)
-        parts = [[a.copy() for a in window] for window in _eps_windows(c0, params, tilt, config, 32)]
+        parts = [[a.copy() for a in window]
+                 for window in _eps_solve(c0, params, tilt, config).stream(32)]
         hat_parts = [[a.copy() for a in window] for window in
-                     _effective_windows(c0.c.sum(axis=0), params, tilt, config, 32)]
+                     _effective_solve(c0.c.sum(axis=0), params, tilt, config).stream(32)]
         assert [p[2].shape[0] for p in parts] == [32, 32, 32, 4]
         for got, want in ((parts, [traj.times, traj.states, traj.fluxes.J, traj.fluxes.b]),
                           (hat_parts, [hat_traj.times, hat_traj.states, hat_traj.fluxes])):
@@ -876,8 +891,8 @@ class TestStreamedEvaluation:
     def test_window_arrays_are_read_only(self, params):
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        for window in (*_eps_windows(c0, params, tilt, config, 64),
-                       *_effective_windows(c0.c.sum(axis=0), params, tilt, config, 64)):
+        for window in (*_eps_solve(c0, params, tilt, config).stream(64),
+                       *_effective_solve(c0.c.sum(axis=0), params, tilt, config).stream(64)):
             assert not any(a.flags.writeable for a in window)
 
     def test_windows_must_hold_whole_chunks(self, params):
@@ -885,19 +900,18 @@ class TestStreamedEvaluation:
         # whole blocks but not whole chunks are rejected
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, 32), config, c0.c)
+        stream = _eps_solve(c0, params, tilt, config).stream(32)
         with pytest.raises(ValueError, match="inside a warm-start block or a chunk"):
             dissipation_functional(stream, params, tilt)
         hat0 = c0.c.sum(axis=0)
-        hat_stream = _StreamedTrajectory(_effective_windows(hat0, params, tilt, config, 32),
-                                         config, hat0)
+        hat_stream = _effective_solve(hat0, params, tilt, config).stream(32)
         with pytest.raises(ValueError, match="inside a chunk"):
             hat_dissipation(hat_stream, params, tilt)
 
     def test_a_stream_is_read_once_and_carries_no_fluxes(self, params):
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        stream = _StreamedTrajectory(_eps_windows(c0, params, tilt, config, 200), config, c0.c)
+        stream = _eps_solve(c0, params, tilt, config).stream(200)
         assert np.array_equal(stream.states, c0.c[None]) and stream.n_cells == 12
         with pytest.raises(ValueError, match="no flux data"):
             flux_dissipation(stream, params, tilt)
@@ -913,8 +927,7 @@ class TestStreamedEvaluation:
         config = SolverConfig(1e-2, 0.1, "imex_euler")
         with pytest.raises(IntegrationError) as stored:
             solve_eps_system(c0, p, Tilt.zero(n), config)
-        stream = _StreamedTrajectory(
-            _eps_windows(c0, p, Tilt.zero(n), config, _window_intervals(2 * n)), config, c0.c)
+        stream = _eps_solve(c0, p, Tilt.zero(n), config).stream(_window_intervals(2 * n))
         with pytest.raises(IntegrationError) as streamed:
             dissipation_functional(stream, p, Tilt.zero(n))
         assert streamed.value.step == stored.value.step
@@ -931,6 +944,6 @@ class TestStreamedEvaluation:
         windows = [(dt * np.arange(window + 1), regular),
                    (dt * np.arange(window, window + 3),
                     np.array([regular[-1], blocked, blocked + dt * v]))]
-        stream = _StreamedTrajectory(iter(windows), SolverConfig(dt, dt * (window + 2)), regular[0])
+        stream = _StreamedTrajectory(iter(windows), dt * np.arange(window + 3), regular[0])
         with pytest.raises(DualAscentError):
             dissipation_functional(stream, params, Tilt.zero(4))

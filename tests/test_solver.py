@@ -25,7 +25,7 @@ from edpflow import (
 from edpflow.coarsegrain import coarse_grain_trajectory, coarse_params
 from edpflow.solver import (
     _Clamps,
-    _eps_windows,
+    _eps_solve,
     _exchange_rates,
     _guard_nonnegative,
     central_first_derivative,
@@ -447,10 +447,14 @@ class TestClampRecord:
         with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
             solve_eps_system(c0, params, Tilt.zero(n), config)
             solve_effective(np.ones(n), params, Tilt.zero(n), config)
-            for _ in _eps_windows(c0, params, Tilt.zero(n), config, 32):
+            solve_multispecies(State(np.full((4, n), 0.25)),
+                               random_detailed_balance_generator(np.random.default_rng(0), 4),
+                               0.1, config)
+            for _ in _eps_solve(c0, params, Tilt.zero(n), config).stream(32):
                 pass
         assert [r.getMessage() for r in caplog.records] == [
             "solve_eps_system: 100 steps in 1 windows, none clamped",
             "solve_effective: 100 steps in 1 windows, none clamped",
+            "solve_multispecies: 100 steps in 1 windows, none clamped",
             "solve_eps_system: 100 steps in 4 windows, none clamped",
         ]
