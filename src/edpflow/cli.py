@@ -23,12 +23,11 @@ import numpy as np
 from .coarsegrain import (
     CoarseTrajectory,
     build_recovery_sequence,
-    coarse_grain_trajectory,
     hat_energy,
     manifold_split,
     reconstruct_from_coarse,
 )
-from .core import SpatialGrid, State, SystemParams, Tilt, trajectory_to_csv
+from .core import SpatialGrid, State, SystemParams, Tilt, _csv_block_levels, trajectory_to_csv
 from .dissipation import (
     DualAscentError,
     _window_intervals,
@@ -51,7 +50,6 @@ from .solver import (
     _effective_solve,
     _eps_solve,
     solve_effective,
-    solve_eps_system,
 )
 
 __all__ = [
@@ -347,6 +345,67 @@ def _write_summary(outdir: Path, summary: dict) -> list[Path]:
     return [jpath, tpath]
 
 
+# levels per call of the cosine projection.  A BLAS matrix-vector product
+# rounds a row by its place in the call (OpenBLAS takes the rows four at a
+# time and the rest one by one; projecting each solver window of the shipped
+# mixed_diffusion_fit on its own moved three of its five fits by an ulp), so
+# the levels are projected in panels counted from the first, whether a
+# trajectory is stored or arrives window by window.  A multiple of four, so
+# that the panels group the rows as one call over all levels does.
+_MODE_PANEL_LEVELS = 64
+
+
+class _CosineModes:
+    """Amplitudes of cos(pi x) in the densities of ``n_levels`` time levels on ``n_cells`` cells.
+
+    :meth:`add` takes the levels window by window, each window's first level
+    the previous window's last, and projects them in panels of
+    ``_MODE_PANEL_LEVELS``; the last panel takes the remaining levels as well,
+    so no call holds fewer levels than a panel unless the whole trajectory does.
+    """
+
+    def __init__(self, n_levels: int, n_cells: int):
+        self.modes = np.empty(n_levels)
+        self._cos = np.cos(np.pi * ((np.arange(n_cells) + 0.5) / n_cells))
+        self._panel = np.empty((2 * _MODE_PANEL_LEVELS, n_cells))
+        self._done = self._held = 0
+
+    def _project(self, k: int):
+        n = self._cos.size
+        self.modes[self._done:self._done + k] = (2.0 / n) * self._panel[:k] @ self._cos
+        self._done += k
+
+    def add(self, densities):
+        """Take the (levels, n_cells) densities of the next window."""
+        new = densities[1:] if self._done + self._held else densities
+        while new.shape[0]:
+            if self._held == self._panel.shape[0]:
+                self._project(_MODE_PANEL_LEVELS)
+                self._panel[:_MODE_PANEL_LEVELS] = self._panel[_MODE_PANEL_LEVELS:]
+                self._held = _MODE_PANEL_LEVELS
+            take = min(self._panel.shape[0] - self._held, new.shape[0])
+            self._panel[self._held:self._held + take] = new[:take]
+            self._held += take
+            new = new[take:]
+
+    def result(self) -> np.ndarray:
+        """The amplitudes of all levels, once every level has been added."""
+        self._project(self._held)
+        self._held = 0
+        return self.modes
+
+
+def _fit_mode_decay(times, mode) -> float:
+    """Diffusion coefficient from the amplitudes ``mode`` of cos(pi x) at ``times``."""
+    if abs(mode[0]) < 1e-12:
+        raise ValueError("degenerate mode amplitude: initial cosine content too small")
+    keep = np.abs(mode) > 1e-12 * abs(mode[0])
+    if keep.sum() < 2:
+        raise ValueError("degenerate mode amplitude: decay too fast to fit")
+    slope_fit = np.polyfit(times[keep], np.log(np.abs(mode[keep])), 1)[0]
+    return float(-slope_fit / np.pi**2)
+
+
 def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
     """Diffusion coefficient measured from the decay of the first cosine mode.
 
@@ -354,16 +413,30 @@ def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
     time by least squares, and returns rate / pi^2.  Requires a nondegenerate
     initial mode amplitude.
     """
-    n = hat_traj.n_cells
-    x = (np.arange(n) + 0.5) / n
-    mode = (2.0 / n) * hat_traj.states @ np.cos(np.pi * x)
-    if abs(mode[0]) < 1e-12:
-        raise ValueError("degenerate mode amplitude: initial cosine content too small")
-    keep = np.abs(mode) > 1e-12 * abs(mode[0])
-    if keep.sum() < 2:
-        raise ValueError("degenerate mode amplitude: decay too fast to fit")
-    slope_fit = np.polyfit(hat_traj.times[keep], np.log(np.abs(mode[keep])), 1)[0]
-    return float(-slope_fit / np.pi**2)
+    modes = _CosineModes(hat_traj.n_times, hat_traj.n_cells)
+    modes.add(hat_traj.states)
+    return _fit_mode_decay(hat_traj.times, modes.result())
+
+
+def _streamed_decay_rate(stream, path=None) -> float:
+    """:func:`fit_decay_rate` of a solve streamed window by window, bit for bit.
+
+    The densities are summed over the species, if the solve has them, as
+    coarse-graining sums them.  With a ``path`` the stream is written there
+    by :func:`trajectory_to_csv` as it passes.
+    """
+    def add(window):
+        states = window[1]
+        modes.add(states if states.ndim == 2 else states.sum(axis=1))
+
+    modes = _CosineModes(stream.times.size, stream.n_cells)
+    stream = stream.tap(add)
+    if path is None:
+        for _ in stream:
+            pass
+    else:
+        trajectory_to_csv(stream, path)
+    return _fit_mode_decay(stream.times, modes.result())
 
 
 def equation_generator(params: SystemParams) -> MarkovGenerator:
@@ -378,6 +451,13 @@ def equation_generator(params: SystemParams) -> MarkovGenerator:
 # experiments
 
 
+# blocks of trajectory_to_csv per solver window of mixed_diffusion_fit.  A
+# window costs about as much overhead as a step (its checks and hand-over),
+# so eight blocks keep that under 3 % at 200 cells, while the window's
+# buffers stay below half a megabyte
+_FIT_WINDOW_BLOCKS = 8
+
+
 def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
@@ -386,17 +466,20 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentR
         cfg.params.alpha + cfg.params.beta
     )
 
+    window = _FIT_WINDOW_BLOCKS * _csv_block_levels(grid.n_cells)
     rows = []
     files = []
     for eps in sorted(cfg.epsilons, reverse=True):
-        traj = solve_eps_system(initial, replace(cfg.params, epsilon=eps), tilt, cfg.solver)
-        fitted = fit_decay_rate(coarse_grain_trajectory(traj))
+        path = outdir / f"trajectory_eps_{eps:g}.csv" if cfg.write_trajectories else None
+        fitted = _streamed_decay_rate(
+            _eps_solve(initial, replace(cfg.params, epsilon=eps), tilt, cfg.solver).stream(window),
+            path)
         rows.append((eps, fitted, abs(fitted - target) / target))
-        if cfg.write_trajectories:
-            files.append(trajectory_to_csv(traj, outdir / f"trajectory_eps_{eps:g}.csv"))
-        del traj  # release this trajectory before the next solve allocates its own
+        if path is not None:
+            files.append(path)
     hat0 = _build_initial_hat(cfg.initial_spec, grid, cfg.params, tilt)
-    eff_fit = fit_decay_rate(solve_effective(hat0, cfg.params, tilt, cfg.solver))
+    eff_fit = _streamed_decay_rate(
+        _effective_solve(hat0, cfg.params, tilt, cfg.solver).stream(window))
 
     errors = [r[2] for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))

@@ -555,62 +555,96 @@ def _format_g17(values: np.ndarray, sep: bytes) -> tuple[np.ndarray, int]:
     return out.reshape(np.shape(values) + (_G17_WORDS,)), rest.size
 
 
+def _csv_block_levels(n_cells: int) -> int:
+    """Time levels per block of :func:`trajectory_to_csv`: whole levels, one at least."""
+    return max(1, _CSV_BLOCK_ROWS // n_cells)
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """Write a two-species trajectory as CSV, one row per (time, cell).
 
-    Columns are ``t, x, c1, c2`` and, when fluxes are present,
-    ``J1, J2, b1, b2``.  Flux columns on the rows of time ``t[m]`` hold the
-    values of the interval ``[t[m], t[m+1])``; the J columns carry the flux on
-    the left face of each cell (the right boundary face is identically zero).
-    Rows of the final time carry zero flux columns.  Values are written as
-    ``'%.17g' % value`` writes them, so a round trip is bit-exact, and rows
-    end in ``\\r\\n`` (the ``csv`` module's default dialect).
+    ``traj`` is a stored :class:`Trajectory` or a two-species solve streamed
+    window by window (see :class:`edpflow.solver._StreamedTrajectory`); a
+    stream is written as its windows arrive and is never held whole, and
+    its file is byte for byte that of the stored solve.
 
-    The file is written in blocks of whole time levels.  Each block's values
-    are formatted with array operations: scaled to 17 digits as a
-    double-double product with a power of ten, rounded, and laid out as
-    ``%g`` does.  A value whose rounding this cannot certify (an exact tie,
-    or a fraction within 2^-30 of 1/2 or of an integer when the power of ten
-    is inexact), inf, NaN, and |values| outside [1e-290, 1e290] (subnormals
-    included) are formatted by Python instead; zeros are written directly.
-    Times and cell centres are formatted once per file.  One DEBUG record
-    per file gives the values written, how many went to Python, the size and
-    the time taken.
+    Columns are ``t, x, c1, c2`` and, when fluxes are present (a stream
+    always carries them), ``J1, J2, b1, b2``.  Flux columns on the rows of
+    time ``t[m]`` hold the values of the interval ``[t[m], t[m+1])``; the J
+    columns carry the flux on the left face of each cell (the right boundary
+    face is identically zero).  Rows of the final time carry zero flux
+    columns.  Values are written as ``'%.17g' % value`` writes them, so a
+    round trip is bit-exact, and rows end in ``\\r\\n`` (the ``csv`` module's
+    default dialect).
+
+    A stored trajectory is one window.  Each window's rows are written in
+    blocks of whole time levels, and each block's values are formatted with
+    array operations: scaled to 17 digits as a double-double product with a
+    power of ten, rounded, and laid out as ``%g`` does.  A value whose
+    rounding this cannot certify (an exact tie, or a fraction within 2^-30
+    of 1/2 or of an integer when the power of ten is inexact), inf, NaN, and
+    |values| outside [1e-290, 1e290] (subnormals included) are formatted by
+    Python instead; zeros are written directly.  Times and cell centres are
+    formatted once per file.  One DEBUG record per file gives the values
+    written, how many went to Python, the size and the time taken.
     """
-    if traj.n_species != 2:
+    if traj.states.shape[1:-1] != (2,):
         raise ValueError("CSV layout is fixed to two species")
     start = time.perf_counter()
     path = Path(path)
-    n, n_times = traj.n_cells, traj.n_times
-    with_flux = traj.fluxes is not None
+    n = traj.n_cells
+    if isinstance(traj, Trajectory):
+        f = traj.fluxes
+        windows = [(traj.times, traj.states) + (() if f is None else (f.J, f.b))]
+        with_flux = f is not None
+    else:
+        windows, with_flux = traj, True  # a two-species solve's windows carry J and b
     header = _CSV_BASE + (_CSV_FLUX if with_flux else ())
     # each row starts with the line break that ends the row before it
     t_fields, fallback = _format_g17(traj.times, b"\r\n")
-    x_fields, x_fallback = _format_g17((np.arange(n) + 0.5) / n, b",")
-    fallback += x_fallback
-    levels = max(1, _CSV_BLOCK_ROWS // n)
+    x_fields, count = _format_g17((np.arange(n) + 0.5) / n, b",")
+    fallback += count
+    levels = _csv_block_levels(n)
+    done = 0  # levels written
     with path.open("wb") as fh:
         size = fh.write(",".join(header).encode())
-        for m0 in range(0, n_times, levels):
-            m1 = min(m0 + levels, n_times)
-            block = np.empty((m1 - m0, n, len(header) - 2))
-            block[..., 0:2] = traj.states[m0:m1].transpose(0, 2, 1)
-            if with_flux:
-                last = min(m1, n_times - 1) - m0  # the final time has no interval
-                block[:last, :, 2:4] = traj.fluxes.J[m0 : m0 + last, :, :n].transpose(0, 2, 1)
-                block[:last, :, 4:6] = traj.fluxes.b[m0 : m0 + last].transpose(0, 2, 1)
-                block[last:, :, 2:] = 0.0
-            buf = np.empty((m1 - m0, n, len(header), _G17_WORDS), _G17_WORD)
-            buf[:, :, 0] = t_fields[m0:m1, None]
-            buf[:, :, 1] = x_fields
-            fields, block_fallback = _format_g17(block, b",")
-            buf[:, :, 2:] = fields
-            fallback += block_fallback
-            size += fh.write(buf.tobytes().translate(None, b"\0"))
-        size += fh.write(b"\r\n")
+        for _, states, *fluxes in windows:
+            # a window's last level is the next window's first, or the final time
+            k = states.shape[0] - 1
+            for m0 in range(0, k, levels):
+                m = slice(m0, min(m0 + levels, k))
+                rows, count = _csv_rows(t_fields[done + m.start:done + m.stop], states[m],
+                                        [f[m] for f in fluxes], x_fields, len(header))
+                size += fh.write(rows)
+                fallback += count
+            done += k
+        rows, count = _csv_rows(t_fields[done:], states[-1:], [], x_fields, len(header))
+        size += fh.write(rows + b"\r\n")
+        fallback += count
     logger.debug("trajectory_to_csv: %d values (%d formatted by Python), %.1f MB in %.3f s to %s",
-                 n_times * n * len(header), fallback, size / 1e6, time.perf_counter() - start, path)
+                 traj.times.size * n * len(header), fallback, size / 1e6,
+                 time.perf_counter() - start, path)
     return path
+
+
+def _csv_rows(t_fields, states, fluxes, x_fields, width: int) -> tuple[bytes, int]:
+    """The CSV rows of a block of time levels and how many values Python formatted.
+
+    ``t_fields`` and ``x_fields`` are the levels' times and the cell centres
+    formatted by :func:`_format_g17`; ``fluxes`` holds the levels' J and b,
+    or is empty for zero flux columns (or none, if ``width`` has no room for
+    them).
+    """
+    k, n = states.shape[0], states.shape[2]
+    values = np.zeros((k, n, width - 2))
+    values[..., 0:2] = states.transpose(0, 2, 1)
+    for col, f in zip((2, 4), fluxes):
+        values[..., col:col + 2] = f[..., :n].transpose(0, 2, 1)  # J: left faces only
+    buf = np.empty((k, n, width, _G17_WORDS), _G17_WORD)
+    buf[:, :, 0] = t_fields[:, None]
+    buf[:, :, 1] = x_fields
+    buf[:, :, 2:], count = _format_g17(values, b",")
+    return buf.tobytes().translate(None, b"\0"), count
 
 
 def trajectory_from_csv(path) -> Trajectory:

@@ -143,6 +143,11 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     order h/epsilon amplifies the rounding of a potential difference by as
     much, which is what binds for epsilon near 1e-8), times sqrt(size): that
     is the rounding level of one entry, and the norm adds up ``size`` of them.
+    A step is terminal, taken whole without a line search, once its predicted
+    gain (the gradient against the Newton step) is at most the value's
+    rounding level: the larger of 1e-12 (1 + |value|) and that gradient
+    rounding level times sqrt(size) (1 + max |x|), which is what a gradient
+    wrong by its rounding level can misstate over a step the size of x.
     Returns
     ``(x, values, gradient_norm, iterations, iterations_per_problem)``, the
     middle two the largest over the stack; failures raise
@@ -165,7 +170,8 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         ab = hess_banded(x[act], act)
         diag = ab[bandwidth].reshape(act.size, size)
         dmax = diag.max(axis=1)
-        floor[act] = rounding * dmax * (1.0 + np.abs(x[act]).max(axis=1))
+        xmax = np.abs(x[act]).max(axis=1)
+        floor[act] = rounding * dmax * (1.0 + xmax)
         diag[:, 0] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:
@@ -180,7 +186,8 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         # terminal steps: the predicted gain is below the objective's
         # floating-point resolution, so the value can no longer gate progress,
         # but the raw Newton step still contracts the gradient quadratically
-        terminal = ascent <= 1e-12 * (1.0 + np.abs(val[act]))
+        terminal = ascent <= np.maximum(1e-12 * (1.0 + np.abs(val[act])),
+                                        floor[act] * np.sqrt(size) * (1.0 + xmax))
         # every problem still searching has been halved equally often
         t = 1.0
         todo = np.arange(act.size)

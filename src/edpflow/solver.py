@@ -323,6 +323,15 @@ class _StreamedTrajectory:
     def initial_state(self) -> State:
         return State(self._initial)
 
+    def tap(self, fn) -> "_StreamedTrajectory":
+        """This stream, with ``fn(window)`` called on each window before it is handed on."""
+        def tapped():
+            for window in self:
+                fn(window)
+                yield window
+
+        return _StreamedTrajectory(tapped(), self.times, self._initial)
+
     def __iter__(self):
         windows, self._windows = self._windows, None
         if windows is None:

@@ -13,17 +13,25 @@ from edpflow import (
     DualAscentError,
     IntegrationError,
     SolverConfig,
+    State,
     SystemParams,
     Tilt,
+    coarse_grain_trajectory,
     default_configs,
     fit_decay_rate,
     load_config,
+    manifold_split,
     run_experiment,
     solve_effective,
+    solve_eps_system,
 )
 import edpflow
 import edpflow.cli as cli_module
-from edpflow.cli import main
+from edpflow.cli import _MODE_PANEL_LEVELS, _streamed_decay_rate, main
+from edpflow.core import _csv_block_levels
+from edpflow.solver import _effective_solve, _eps_solve
+
+from conftest import cosine_tilt
 
 
 def small_config(kind, outdir, **overrides):
@@ -98,6 +106,33 @@ class TestFitDecayRate:
         traj = CoarseTrajectory(np.array([0.0, 0.1]), np.ones((2, 10)))
         with pytest.raises(ValueError, match="degenerate"):
             fit_decay_rate(traj)
+
+
+class TestStreamedDecayFit:
+    """The decay fit of a streamed solve is that of the stored solve, bit for bit."""
+
+    N_CELLS = 40
+    CONFIG = SolverConfig(5e-4, 0.1, "strang_cn")  # 200 steps
+
+    @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
+    def test_same_bits_as_the_stored_fit(self, window):
+        steps, levels = self.CONFIG.n_steps, _csv_block_levels(self.N_CELLS)
+        # levels pass through more than two projection panels
+        assert steps % 3 and 1 < levels < steps and steps > 2 * _MODE_PANEL_LEVELS
+        size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
+        n = self.N_CELLS
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-2)
+        tilt = cosine_tilt(n, [[0.3], [-0.2]])
+        hat0 = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        c0 = State(manifold_split(hat0, params, tilt))
+        stored = fit_decay_rate(coarse_grain_trajectory(solve_eps_system(c0, params, tilt,
+                                                                         self.CONFIG)))
+        streamed = _streamed_decay_rate(_eps_solve(c0, params, tilt, self.CONFIG).stream(size))
+        assert streamed.hex() == stored.hex()
+        stored = fit_decay_rate(solve_effective(hat0, params, tilt, self.CONFIG))
+        streamed = _streamed_decay_rate(
+            _effective_solve(hat0, params, tilt, self.CONFIG).stream(size))
+        assert streamed.hex() == stored.hex()
 
 
 class TestRunners:

@@ -12,16 +12,23 @@ import edpflow.core
 
 from edpflow import (
     FluxAssignment,
+    SolverConfig,
     SpatialGrid,
     State,
     SystemParams,
     Tilt,
     Trajectory,
     gce_residual,
+    manifold_split,
+    solve_eps_system,
     total_mass,
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from edpflow.core import _csv_block_levels
+from edpflow.solver import _effective_solve, _eps_solve
+
+from conftest import cosine_tilt
 
 
 def test_grid_unit_measure():
@@ -343,6 +350,39 @@ class TestWriterBlocks:
         # a block never splits a level: fewer rows than cells still write one level
         monkeypatch.setattr(edpflow.core, "_CSV_BLOCK_ROWS", rows)
         self._check(tmp_path, rng, 5, with_flux)
+
+
+class TestStreamedWriter:
+    """A solve streamed window by window is written as its stored trajectory is."""
+
+    N_CELLS = 40
+    CONFIG = SolverConfig(5e-4, 0.1, "strang_cn")  # 200 steps
+
+    def _solve(self):
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-2)
+        tilt = cosine_tilt(self.N_CELLS, [[0.3], [-0.2]])
+        hat = 1 + 0.5 * np.cos(np.pi * SpatialGrid(self.N_CELLS).cell_centers)
+        return State(manifold_split(hat, params, tilt)), params, tilt
+
+    @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
+    def test_bytes_equal_the_stored_trajectory(self, tmp_path, window):
+        steps, levels = self.CONFIG.n_steps, _csv_block_levels(self.N_CELLS)
+        assert steps % 3 and steps % levels == 0 and 1 < levels < steps
+        size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
+        c0, params, tilt = self._solve()
+        stored = trajectory_to_csv(solve_eps_system(c0, params, tilt, self.CONFIG),
+                                   tmp_path / "stored.csv")
+        stream = _eps_solve(c0, params, tilt, self.CONFIG).stream(size)
+        streamed = trajectory_to_csv(stream, tmp_path / "streamed.csv")
+        assert streamed.read_bytes() == stored.read_bytes()
+        back = trajectory_from_csv(streamed)
+        assert back.n_times == steps + 1 and np.array_equal(back.states[-1], stream.states[-1])
+
+    def test_coarse_stream_rejected(self, tmp_path):
+        c0, params, tilt = self._solve()
+        stream = _effective_solve(c0.c.sum(axis=0), params, tilt, self.CONFIG).stream(8)
+        with pytest.raises(ValueError, match="two species"):
+            trajectory_to_csv(stream, tmp_path / "coarse.csv")
 
 
 def test_csv_writer_logs_one_debug_record(tmp_path, rng, caplog):

@@ -791,6 +791,47 @@ class TestRoundoffFloor:
         assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
         assert bd.total == pytest.approx(0.0823, rel=2e-3)
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_network_terminal_step_at_the_value_rounding_level(self, n):
+        # the seed-0 network at epsilon = 1e-5: the predicted gain of the last
+        # Newton steps sits between the value's 1e-12 relative resolution and
+        # what the gradient's rounding level can misstate, so the line search
+        # rejected them and the ascent hit its iteration limit at a gradient
+        # norm of 4.5e-7 (n = 20) and 2.4e-7 (n = 40)
+        eps = 1e-5
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        w = gen.stationary(eps)
+        c0 = State(w[:, None] * (1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)))
+        traj = solve_multispecies(c0, gen, eps, SolverConfig(0.04 / n, 0.05))
+        terms = np.array(astuple(multispecies_dissipation(traj, gen, eps)))
+        assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
+
+    def test_graded_ill_prepared_trajectory_at_tiny_epsilon(self):
+        # off the slow manifold at epsilon = 1e-8, on a time grid graded
+        # through the exchange layer: the first step is epsilon / 5 and the
+        # step doubles every 4 steps up to 1e-3, spliced from uniform solves.
+        # The ascent used to stall at a gradient norm of 2.7e-2
+        n, eps, dt_max = 40, 1e-8, 1e-3
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=eps)
+        x = (np.arange(n) + 0.5) / n
+        c = np.stack([1 + 0.5 * np.cos(np.pi * x), np.full(n, 0.5)])
+        times, states, J, b = [0.0], [c / (c.sum() / n)], [], []
+        dt = eps / 5
+        while times[-1] < 0.05:
+            steps = 4 if dt < dt_max else round((0.05 - times[-1]) / dt)
+            seg = solve_eps_system(State(states[-1]), params, Tilt.zero(n),
+                                   SolverConfig(dt, steps * dt))
+            times += list(times[-1] + seg.times[1:])
+            states += list(seg.states[1:])
+            J.append(seg.fluxes.J)
+            b.append(seg.fluxes.b)
+            dt = min(2 * dt, dt_max)
+        traj = Trajectory(np.array(times), np.array(states),
+                          FluxAssignment(np.concatenate(J), np.concatenate(b)))
+        assert traj.n_times == 123
+        # the residual at epsilon = 1e-4 on its own graded grid is 7.99e-3
+        assert edb_residual(traj, params, Tilt.zero(n)) == pytest.approx(7.99e-3, rel=1e-3)
+
     def test_single_interval_stops_at_its_rounding_level(self):
         traj, params = self._slow_manifold_trajectory(1e-8)
         st = State(traj.states[0])

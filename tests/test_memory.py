@@ -4,7 +4,8 @@ Solvers hand the arrays they allocate to their result, which freezes them in
 place; the public constructors copy what callers pass in.  The flux check and
 the CSV writer work in chunks, so their temporaries do not grow with the
 trajectory, the scale sweeps hold one trajectory at a time, and the
-refinement study and ``eps_sweep`` hold one solver window at a time.  Peaks are
+refinement study, the scale sweeps and a streamed network evaluation hold
+one solver window at a time.  Peaks are
 measured with ``tracemalloc``, which numpy reports its buffers to, so the
 bounds are deterministic and need nothing from the operating system.
 """
@@ -28,6 +29,7 @@ from edpflow import (
     coarse_grain_trajectory,
     load_config,
     manifold_split,
+    multispecies_dissipation,
     random_detailed_balance_generator,
     reconstruct_from_coarse,
     run_experiment,
@@ -36,9 +38,10 @@ from edpflow import (
     solve_multispecies,
     trajectory_to_csv,
 )
-from edpflow.cli import _build_initial, _build_tilt
-from edpflow.core import _g17_tables, _Owned
+from edpflow.cli import _FIT_WINDOW_BLOCKS, _build_initial, _build_tilt
+from edpflow.core import _csv_block_levels, _g17_tables, _Owned
 from edpflow.dissipation import _window_intervals
+from edpflow.multispecies import _multispecies_solve
 
 from conftest import cosine_tilt
 
@@ -356,4 +359,43 @@ def test_eps_sweep_does_not_grow_with_the_steps(tmp_path):
                                       "fractions": [0.55, 0.45]})
 
     short, long = _peak_growth(config, _window_intervals(2 * n))
+    assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_mixed_diffusion_fit_does_not_grow_with_the_steps(tmp_path, write):
+    # two solver windows in the shorter run; the fit keeps one amplitude
+    # per time level, a small fraction of one level's densities and fluxes
+    dt = 5e-5
+    steps = 2 * _FIT_WINDOW_BLOCKS * _csv_block_levels(N_CELLS)
+
+    def config(n_steps):
+        return _sweep_config("mixed_diffusion_fit", tmp_path / str(n_steps),
+                             write_trajectories=write,
+                             solver={"dt": dt, "t_final": n_steps * dt, "scheme": "strang_cn"},
+                             initial={"kind": "slow_manifold_cosine", "amplitude": 0.5})
+
+    _g17_tables()  # built once per process, not per file
+    short, long = _peak_growth(config, steps)
+    # a stored trajectory would hold over 2 MB more after quadrupling
+    assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
+
+
+def test_streamed_network_evaluation_does_not_grow_with_the_steps():
+    # on 64 cells and 4 species a chunk is one warm-start block, so a window
+    # is 32 intervals; the shorter run streams two windows
+    n, eps = 64, 1e-3
+    gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+    hat = 1 + 0.5 * np.cos(np.pi * SpatialGrid(n).cell_centers)
+    c0 = State(gen.stationary(eps)[:, None] * hat[None])
+    window = _window_intervals(4 * n)
+
+    def evaluate(n_steps):
+        config = SolverConfig(1e-4, n_steps * 1e-4)
+        stream = _multispecies_solve(c0, gen, eps, config).stream(window)
+        return lambda: multispecies_dissipation(stream, gen, eps)
+
+    short = _traced_peak(evaluate(2 * window))[1]
+    long = _traced_peak(evaluate(8 * window))[1]
+    # the stored trajectory would make the longer evaluation's peak over 1.5 x
     assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
