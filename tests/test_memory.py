@@ -3,9 +3,9 @@
 Solvers hand the arrays they allocate to their result, which freezes them in
 place; the public constructors copy what callers pass in.  The flux check and
 the CSV writer work in chunks, so their temporaries do not grow with the
-trajectory, the scale sweeps hold one trajectory at a time, and the
-refinement study, the scale sweeps and a streamed network evaluation hold
-one solver window at a time.  Peaks are
+trajectory, the scale sweeps hold at most one trajectory at a time, and the
+refinement study, ``eps_sweep``, ``mixed_diffusion_fit`` and a streamed
+network evaluation hold one solver window at a time.  Peaks are
 measured with ``tracemalloc``, which numpy reports its buffers to, so the
 bounds are deterministic and need nothing from the operating system.
 """
