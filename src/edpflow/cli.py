@@ -1,10 +1,15 @@
 """Experiment orchestration and the command-line interface.
 
 Configs are single JSON documents with all physical parameters explicit (no
-defaults for diffusion constants, rates, or scales).  Each experiment writes
-raw per-run CSV tables plus a machine-readable summary with fitted exponents
-and pass/fail flags; outputs are reproducible bit-for-bit for a fixed config
-and seed.
+defaults for diffusion constants, rates, or scales).  :func:`load_config`
+checks every key, scalar keys included, and parses a ``generator`` spec, so a
+malformed config fails there and not halfway through a run.  Each experiment
+writes raw per-run CSV tables; :func:`run_experiment` then writes the
+machine-readable summary with fitted exponents and pass/fail flags, and the
+experiment, seed and overall flag that every summary carries.  Outputs are
+reproducible bit-for-bit for a fixed config and seed; the decay fit projects
+each time level on its own, so its amplitudes do not depend on how the levels
+are batched.
 
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``export-defaults``.
 Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error,
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -215,6 +221,9 @@ def load_config(source) -> ExperimentConfig:
                 amp = idoc.get("amplitude")
                 if not isinstance(amp, (int, float)) or not 0 <= abs(amp) < 1:
                     problems.append("'initial.amplitude' must satisfy |amplitude| < 1")
+                elif amp == 0 and experiment == "mixed_diffusion_fit":
+                    problems.append("'initial.amplitude' must be nonzero: the fit follows"
+                                    " the decay of the cosine mode")
                 if kind == "off_manifold_cosine":
                     fr = idoc.get("fractions")
                     if (not isinstance(fr, list) or len(fr) != 2
@@ -242,18 +251,37 @@ def load_config(source) -> ExperimentConfig:
 
     generator_spec = doc.get("generator")
     if experiment == "multispecies_check" and generator_spec is not None:
-        if isinstance(generator_spec, dict) and set(generator_spec) == {"path"}:
-            if not Path(generator_spec["path"]).exists():
-                problems.append(f"generator file {generator_spec['path']!r} does not exist")
-        elif not isinstance(generator_spec, dict):
+        if not isinstance(generator_spec, dict):
             problems.append("'generator' must be an object (inline spec or {'path': ...})")
+        elif set(generator_spec) == {"path"} and not Path(str(generator_spec["path"])).exists():
+            problems.append(f"generator file {generator_spec['path']!r} does not exist")
+        else:
+            try:
+                load_generator(_generator_source(generator_spec))
+            except (OSError, TypeError, ValueError) as exc:
+                problems.append(f"'generator': {exc}")
 
-    levels = doc.get("levels", 4)
-    if not isinstance(levels, int) or levels < 2:
-        problems.append("'levels' must be an integer >= 2")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("'seed' must be an integer")
+    def scalar(key, default, admissible, need):
+        value = doc.get(key, default)
+        if not admissible(value):
+            problems.append(f"{key!r} must be {need}, got {value!r}")
+        return value
+
+    def integer(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def real(v):  # a finite float, or an integer within its range
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+    seed = scalar("seed", 0, lambda v: integer(v) and v >= 0, "a non-negative integer")
+    levels = scalar("levels", 4, lambda v: integer(v) and v >= 2, "an integer >= 2")
+    lam = scalar("lam", 0.9, real, "a finite number")
+    alpha_exp = scalar("alpha", 0.2, real, "a finite number")
+    width_scale = scalar("width_scale", None, lambda v: v is None or real(v),
+                         "a finite number or null")
+    n_species = scalar("n_species", 4, lambda v: integer(v) and v >= 3, "an integer >= 3")
+    write_trajectories = scalar("write_trajectories", False, lambda v: isinstance(v, bool),
+                                "true or false")
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -268,13 +296,18 @@ def load_config(source) -> ExperimentConfig:
         initial_spec=initial_spec,
         epsilons=epsilons,
         levels=levels,
-        lam=float(doc.get("lam", 0.9)),
-        alpha_exp=float(doc.get("alpha", 0.2)),
-        width_scale=doc.get("width_scale"),
+        lam=float(lam),
+        alpha_exp=float(alpha_exp),
+        width_scale=width_scale,
         generator_spec=generator_spec,
-        n_species=int(doc.get("n_species", 4)),
-        write_trajectories=bool(doc.get("write_trajectories", False)),
+        n_species=n_species,
+        write_trajectories=write_trajectories,
     )
+
+
+def _generator_source(spec: dict):
+    """What :func:`load_generator` reads for a ``generator`` spec: its file or the spec itself."""
+    return spec["path"] if set(spec) == {"path"} else spec
 
 
 def _build_tilt(spec: dict, grid: SpatialGrid) -> Tilt:
@@ -301,10 +334,6 @@ def _build_initial(spec: dict, grid: SpatialGrid, params: SystemParams, tilt: Ti
         c = w_v * hat[None, :]
     c = c / (c.sum() / grid.n_cells)
     return State(c)
-
-
-def _build_initial_hat(spec: dict, grid: SpatialGrid, params: SystemParams, tilt: Tilt) -> np.ndarray:
-    return _build_initial(spec, grid, params, tilt).c.sum(axis=0)
 
 
 def _fmt(value) -> str:
@@ -345,54 +374,16 @@ def _write_summary(outdir: Path, summary: dict) -> list[Path]:
     return [jpath, tpath]
 
 
-# levels per call of the cosine projection.  A BLAS matrix-vector product
-# rounds a row by its place in the call (OpenBLAS takes the rows four at a
-# time and the rest one by one; projecting each solver window of the shipped
-# mixed_diffusion_fit on its own moved three of its five fits by an ulp), so
-# the levels are projected in panels counted from the first, whether a
-# trajectory is stored or arrives window by window.  A multiple of four, so
-# that the panels group the rows as one call over all levels does.
-_MODE_PANEL_LEVELS = 64
+def _cosine_modes(states) -> np.ndarray:
+    """Amplitudes of cos(pi x) in the density of each time level of ``states``.
 
-
-class _CosineModes:
-    """Amplitudes of cos(pi x) in the densities of ``n_levels`` time levels on ``n_cells`` cells.
-
-    :meth:`add` takes the levels window by window, each window's first level
-    the previous window's last, and projects them in panels of
-    ``_MODE_PANEL_LEVELS``; the last panel takes the remaining levels as well,
-    so no call holds fewer levels than a panel unless the whole trajectory does.
+    Two-species states are summed over the species first, as coarse-graining
+    sums them.  Each level is reduced on its own, so its amplitude does not
+    depend on which other levels, or how many, are projected with it.
     """
-
-    def __init__(self, n_levels: int, n_cells: int):
-        self.modes = np.empty(n_levels)
-        self._cos = np.cos(np.pi * ((np.arange(n_cells) + 0.5) / n_cells))
-        self._panel = np.empty((2 * _MODE_PANEL_LEVELS, n_cells))
-        self._done = self._held = 0
-
-    def _project(self, k: int):
-        n = self._cos.size
-        self.modes[self._done:self._done + k] = (2.0 / n) * self._panel[:k] @ self._cos
-        self._done += k
-
-    def add(self, densities):
-        """Take the (levels, n_cells) densities of the next window."""
-        new = densities[1:] if self._done + self._held else densities
-        while new.shape[0]:
-            if self._held == self._panel.shape[0]:
-                self._project(_MODE_PANEL_LEVELS)
-                self._panel[:_MODE_PANEL_LEVELS] = self._panel[_MODE_PANEL_LEVELS:]
-                self._held = _MODE_PANEL_LEVELS
-            take = min(self._panel.shape[0] - self._held, new.shape[0])
-            self._panel[self._held:self._held + take] = new[:take]
-            self._held += take
-            new = new[take:]
-
-    def result(self) -> np.ndarray:
-        """The amplitudes of all levels, once every level has been added."""
-        self._project(self._held)
-        self._held = 0
-        return self.modes
+    dens = states if states.ndim == 2 else states.sum(axis=1)
+    n = dens.shape[-1]
+    return (2.0 / n) * (dens * np.cos(np.pi * ((np.arange(n) + 0.5) / n))).sum(axis=1)
 
 
 def _fit_mode_decay(times, mode) -> float:
@@ -413,30 +404,28 @@ def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
     time by least squares, and returns rate / pi^2.  Requires a nondegenerate
     initial mode amplitude.
     """
-    modes = _CosineModes(hat_traj.n_times, hat_traj.n_cells)
-    modes.add(hat_traj.states)
-    return _fit_mode_decay(hat_traj.times, modes.result())
+    return _fit_mode_decay(hat_traj.times, _cosine_modes(hat_traj.states))
 
 
 def _streamed_decay_rate(stream, path=None) -> float:
     """:func:`fit_decay_rate` of a solve streamed window by window, bit for bit.
 
-    The densities are summed over the species, if the solve has them, as
-    coarse-graining sums them.  With a ``path`` the stream is written there
-    by :func:`trajectory_to_csv` as it passes.
+    With a ``path`` the stream is written there by :func:`trajectory_to_csv`
+    as it passes.
     """
-    def add(window):
-        states = window[1]
-        modes.add(states if states.ndim == 2 else states.sum(axis=1))
+    modes = []
 
-    modes = _CosineModes(stream.times.size, stream.n_cells)
+    def add(window):
+        # a window's first level is the previous window's last
+        modes.append(_cosine_modes(window[1])[1 if modes else 0:])
+
     stream = stream.tap(add)
     if path is None:
         for _ in stream:
             pass
     else:
         trajectory_to_csv(stream, path)
-    return _fit_mode_decay(stream.times, modes.result())
+    return _fit_mode_decay(stream.times, np.concatenate(modes))
 
 
 def equation_generator(params: SystemParams) -> MarkovGenerator:
@@ -458,7 +447,7 @@ def equation_generator(params: SystemParams) -> MarkovGenerator:
 _FIT_WINDOW_BLOCKS = 8
 
 
-def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
+def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path):
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
     initial = _build_initial(cfg.initial_spec, grid, cfg.params, tilt)
@@ -477,7 +466,7 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentR
         rows.append((eps, fitted, abs(fitted - target) / target))
         if path is not None:
             files.append(path)
-    hat0 = _build_initial_hat(cfg.initial_spec, grid, cfg.params, tilt)
+    hat0 = initial.c.sum(axis=0)
     eff_fit = _streamed_decay_rate(
         _effective_solve(hat0, cfg.params, tilt, cfg.solver).stream(window))
 
@@ -487,8 +476,6 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentR
     files.append(_write_csv(outdir / "mixed_diffusion_fit.csv",
                             ("epsilon", "delta_hat_fit", "rel_error"), rows))
     summary = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "target_delta_hat": target,
         "delta_hat_fit_by_epsilon": {f"{eps:g}": fit for eps, fit, _ in rows},
         "rel_error_by_epsilon": {f"{eps:g}": err for eps, _, err in rows},
@@ -496,17 +483,15 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path) -> ExperimentR
         "final_rel_error": errors[-1],
         "rel_error_monotone_decreasing": monotone,
         "pass_final_error_le_2pct": errors[-1] <= 0.02,
-        "passed": passed,
     }
-    files.extend(_write_summary(outdir, summary))
-    return ExperimentResult(passed, summary, tuple(files))
+    return passed, summary, files
 
 
 # cell values per block of the eps_sweep defect integral: bounds its temporaries
 _DEFECT_BLOCK_VALUES = 8192
 
 
-def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
+def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path):
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
     initial = _build_initial(cfg.initial_spec, grid, cfg.params, tilt)
@@ -542,16 +527,12 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
     files = [_write_csv(outdir / "eps_sweep.csv",
                         ("epsilon", "defect", "ratio"), rows)]
     summary = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "dt_rule": "min(config dt, epsilon / 5)",
         "dt_by_epsilon": {f"{eps:g}": dt for eps, dt, _ in results},
         "loglog_slope": slope_fit,
         "pass_slope_ge_0.9": passed,
-        "passed": passed,
     }
-    files.extend(_write_summary(outdir, summary))
-    return ExperimentResult(passed, summary, tuple(files))
+    return passed, summary, files
 
 
 def _breakdown_row(eps, breakdown, edb):
@@ -559,7 +540,7 @@ def _breakdown_row(eps, breakdown, edb):
             breakdown.slope_react, breakdown.total, edb)
 
 
-def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
+def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
     eps = cfg.epsilons[0]
 
     def level_run(level):
@@ -575,7 +556,7 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         bd = dissipation_functional(traj, p, tilt, eps)
         drop = energy(initial, p, tilt) - energy(State(traj.states[-1]), p, tilt)
         res = -drop + bd.total
-        hat0 = _build_initial_hat(cfg.initial_spec, grid, p, tilt)
+        hat0 = initial.c.sum(axis=0)
         hat_traj = _effective_solve(hat0, p, tilt, sc).stream(_window_intervals(n))
         hbd = hat_dissipation(hat_traj, p, tilt)
         hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_traj.states[-1], p, tilt)
@@ -608,8 +589,6 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         and res_eps[-1] <= 1e-3 * drop_eps and res_eff[-1] <= 1e-3 * drop_eff
     )
     summary = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "epsilon": eps,
         "fitted_order_fast_slow": order_eps,
         "fitted_order_effective": order_eff,
@@ -619,16 +598,14 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
         "finest_energy_drop_effective": drop_eff,
         "pass_orders_ge_0.8": order_eps >= 0.8 and order_eff >= 0.8,
         "pass_finest_residual": bool(res_eps[-1] <= 1e-3 * drop_eps and res_eff[-1] <= 1e-3 * drop_eff),
-        "passed": passed,
     }
-    files.extend(_write_summary(outdir, summary))
-    return ExperimentResult(passed, summary, tuple(files))
+    return passed, summary, files
 
 
-def _run_recovery_study(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
+def _run_recovery_study(cfg: ExperimentConfig, outdir: Path):
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
-    hat0 = _build_initial_hat(cfg.initial_spec, grid, cfg.params, tilt)
+    hat0 = _build_initial(cfg.initial_spec, grid, cfg.params, tilt).c.sum(axis=0)
     hat_traj = solve_effective(hat0, cfg.params, tilt, cfg.solver)
     limit = reconstruct_from_coarse(hat_traj, cfg.params, tilt).trajectory
     d0 = hat_flux_dissipation(hat_traj, cfg.params, tilt).total
@@ -650,20 +627,16 @@ def _run_recovery_study(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult
     gap_monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     passed = cost_monotone and costs[-1] < 1e-4 and gap_monotone
     summary = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "D_0": d0,
         "final_reaction_cost": costs[-1],
         "reaction_cost_monotone": cost_monotone,
         "gap_monotone": gap_monotone,
         "pass_final_cost_lt_1e-4": costs[-1] < 1e-4,
-        "passed": passed,
     }
-    files.extend(_write_summary(outdir, summary))
-    return ExperimentResult(passed, summary, tuple(files))
+    return passed, summary, files
 
 
-def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path) -> ExperimentResult:
+def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path):
     pair_gen = equation_generator(cfg.params)
     pair_report = validate_generator(pair_gen)
     w = pair_gen.stationary(1.0)
@@ -678,13 +651,10 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path) -> ExperimentRe
         kappa_rows.append((eps, kappa[0, 1], scaled))
         kappa_ok = kappa_ok and abs(scaled - 1.0) <= 1e-13
 
-    rng = np.random.default_rng(cfg.seed)
     if cfg.generator_spec is None:
-        net = random_detailed_balance_generator(rng, cfg.n_species)
-    elif set(cfg.generator_spec) == {"path"}:
-        net = load_generator(cfg.generator_spec["path"])
+        net = random_detailed_balance_generator(np.random.default_rng(cfg.seed), cfg.n_species)
     else:
-        net = load_generator(cfg.generator_spec)
+        net = load_generator(_generator_source(cfg.generator_spec))
     net_report = validate_generator(net)
     sym_defect = 0.0
     for eps in cfg.epsilons:
@@ -710,8 +680,6 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path) -> ExperimentRe
     files = [_write_csv(outdir / "kappa.csv",
                         ("epsilon", "kappa12", "kappa12_times_epsilon"), kappa_rows)]
     summary = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "pair_generator_valid": pair_report.ok,
         "pair_stationary_matches": pair_w_ok,
         "kappa12_equals_inverse_epsilon": kappa_ok,
@@ -722,10 +690,8 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path) -> ExperimentRe
         "kappa_symmetric_1e-13": sym_ok,
         "non_detailed_balance_rejected": rejection_ok,
         "broken_failures": list(broken_report.failures),
-        "passed": passed,
     }
-    files.extend(_write_summary(outdir, summary))
-    return ExperimentResult(passed, summary, tuple(files))
+    return passed, summary, files
 
 
 _RUNNERS = {
@@ -738,10 +704,16 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute the configured study; writes CSV tables and summaries, returns flags."""
+    """Execute the configured study; writes CSV tables and summaries, returns flags.
+
+    Each runner writes its tables and returns ``(passed, summary, files)``;
+    the summary gets the experiment, the seed and the overall flag here.
+    """
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, outdir)
+    passed, summary, files = _RUNNERS[config.experiment](config, outdir)
+    summary = {"experiment": config.experiment, "seed": config.seed, **summary, "passed": passed}
+    return ExperimentResult(passed, summary, (*files, *_write_summary(outdir, summary)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from edpflow import (
     DualAscentError,
     IntegrationError,
     SolverConfig,
+    SpatialGrid,
     State,
     SystemParams,
     Tilt,
@@ -27,7 +28,7 @@ from edpflow import (
 )
 import edpflow
 import edpflow.cli as cli_module
-from edpflow.cli import _MODE_PANEL_LEVELS, _streamed_decay_rate, main
+from edpflow.cli import _build_initial, _cosine_modes, _streamed_decay_rate, main
 from edpflow.core import _csv_block_levels
 from edpflow.solver import _effective_solve, _eps_solve
 
@@ -84,6 +85,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="fractions"):
             load_config(doc)
 
+    # each passed validation, or failed it untyped, and ran into a traceback,
+    # a wrong result or a silently altered value
+    @pytest.mark.parametrize("kind, key, value", [
+        ("recovery_study", "lam", "abc"),
+        ("recovery_study", "width_scale", "wide"),
+        ("multispecies_check", "n_species", 2),
+        ("multispecies_check", "n_species", 4.7),
+        ("mixed_diffusion_fit", "write_trajectories", "false"),
+        ("multispecies_check", "seed", True),
+        ("multispecies_check", "generator", {"species": ["A", "B", "C"], "delta": [1, 1, 1]}),
+        ("mixed_diffusion_fit", "initial", {"kind": "slow_manifold_cosine", "amplitude": 0}),
+    ])
+    def test_malformed_value_rejected_at_load(self, tmp_path, capsys, kind, key, value):
+        doc = small_config(kind, tmp_path / "out", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("config error: ")
+
 
 class TestFitDecayRate:
     def test_exact_heat_mode(self):
@@ -108,6 +130,22 @@ class TestFitDecayRate:
             fit_decay_rate(traj)
 
 
+def test_each_level_is_projected_on_its_own():
+    # the shipped mixed_diffusion_fit solve at epsilon = 1e-2: a BLAS product
+    # over all levels rounds most of them otherwise than a product of one
+    doc = default_configs()["mixed_diffusion_fit"]
+    n = doc["grid"]["n_cells"]
+    grid, tilt = SpatialGrid(n), Tilt.zero(n)
+    params = SystemParams(tuple(doc["params"]["delta"]), doc["params"]["alpha"],
+                          doc["params"]["beta"], epsilon=1e-2)
+    initial = _build_initial(doc["initial"], grid, params, tilt)
+    states = solve_eps_system(initial, params, tilt, SolverConfig(**doc["solver"])).states
+    modes = _cosine_modes(states)
+    assert modes.shape == (1001,)
+    alone = np.array([_cosine_modes(states[k:k + 1])[0] for k in range(modes.size)])
+    assert alone.tobytes() == modes.tobytes()
+
+
 class TestStreamedDecayFit:
     """The decay fit of a streamed solve is that of the stored solve, bit for bit."""
 
@@ -117,8 +155,7 @@ class TestStreamedDecayFit:
     @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
     def test_same_bits_as_the_stored_fit(self, window):
         steps, levels = self.CONFIG.n_steps, _csv_block_levels(self.N_CELLS)
-        # levels pass through more than two projection panels
-        assert steps % 3 and 1 < levels < steps and steps > 2 * _MODE_PANEL_LEVELS
+        assert steps % 3 and 1 < levels < steps
         size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
         n = self.N_CELLS
         params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-2)
@@ -135,6 +172,15 @@ class TestStreamedDecayFit:
         assert streamed.hex() == stored.hex()
 
 
+def written_summary(result, outdir, kind):
+    """``summary.json`` in ``outdir``, checked for the keys every experiment writes."""
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["experiment"] == kind
+    assert summary["seed"] == default_configs()[kind]["seed"]
+    assert summary["passed"] is bool(result.passed)
+    return summary
+
+
 class TestRunners:
     def test_mixed_diffusion_fit_small(self, tmp_path):
         doc = small_config(
@@ -146,8 +192,7 @@ class TestRunners:
         result = run_experiment(load_config(doc))
         assert result.passed
         assert (tmp_path / "out" / "mixed_diffusion_fit.csv").exists()
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["passed"] is True
+        summary = written_summary(result, tmp_path / "out", "mixed_diffusion_fit")
         assert summary["target_delta_hat"] == 1.25
 
     def test_eps_sweep_small(self, tmp_path):
@@ -159,6 +204,7 @@ class TestRunners:
         )
         result = run_experiment(load_config(doc))
         assert result.passed
+        written_summary(result, tmp_path / "out", "eps_sweep")
         rows = (tmp_path / "out" / "eps_sweep.csv").read_text().splitlines()
         assert rows[0] == "epsilon,defect,ratio"
         assert len(rows) == 4
@@ -172,6 +218,7 @@ class TestRunners:
         )
         result = run_experiment(load_config(doc))
         assert result.passed
+        written_summary(result, tmp_path / "out", "recovery_study")
         header = (tmp_path / "out" / "recovery_study.csv").read_text().splitlines()[0]
         assert header == "epsilon,gamma,reaction_cost_term,D_eps,D_0,gap"
 
@@ -183,6 +230,7 @@ class TestRunners:
             levels=3,
         )
         result = run_experiment(load_config(doc))
+        written_summary(result, tmp_path / "out", "edb_refinement")
         assert result.summary["fitted_order_fast_slow"] >= 0.8
         assert result.summary["fitted_order_effective"] >= 0.8
 
@@ -190,6 +238,7 @@ class TestRunners:
         doc = small_config("multispecies_check", tmp_path / "out")
         result = run_experiment(load_config(doc))
         assert result.passed
+        written_summary(result, tmp_path / "out", "multispecies_check")
         assert result.summary["non_detailed_balance_rejected"] is True
 
     def test_reports_reproducible_bitwise(self, tmp_path):
