@@ -85,6 +85,7 @@ from .multispecies import (
 )
 from .cli import (
     ConfigError,
+    DecayFitError,
     ExperimentConfig,
     ExperimentResult,
     default_configs,

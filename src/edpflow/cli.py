@@ -13,7 +13,7 @@ are batched.
 
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``export-defaults``.
 Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error,
-3 on a numerical failure (``IntegrationError`` or ``DualAscentError``).
+3 on a numerical failure (``IntegrationError``, ``DualAscentError``, ``DecayFitError``).
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .coarsegrain import (
     manifold_split,
     reconstruct_from_coarse,
 )
-from .core import SpatialGrid, State, SystemParams, Tilt, _csv_block_levels, trajectory_to_csv
+from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows
 from .dissipation import (
     DualAscentError,
-    _window_intervals,
     dissipation_functional,
     flux_dissipation,
     hat_dissipation,
@@ -60,6 +59,7 @@ from .solver import (
 
 __all__ = [
     "ConfigError",
+    "DecayFitError",
     "ExperimentConfig",
     "ExperimentResult",
     "load_config",
@@ -81,6 +81,10 @@ _EXPERIMENTS = (
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message lists every offending key."""
+
+
+class DecayFitError(ValueError):
+    """A decay fit without the cosine content to fit: too little at the start, or gone in a step."""
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,17 @@ _TOP_KEYS = {
 _NEEDS_PDE = {"eps_sweep", "edb_refinement", "mixed_diffusion_fit", "recovery_study"}
 
 
+def _real(v) -> bool:  # a finite float, or an integer within its range; booleans are not numbers
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _check_epsilons(values, problems):
     if not isinstance(values, list) or not values:
         problems.append("'epsilons' must be a non-empty list")
         return ()
     eps = []
     for v in values:
-        if not isinstance(v, (int, float)) or not v > 0:
+        if not _real(v) or not v > 0:
             problems.append(f"'epsilons' entries must be positive numbers, got {v!r}")
             return ()
         eps.append(float(v))
@@ -170,6 +178,9 @@ def load_config(source) -> ExperimentConfig:
         extra = [k for k in pdoc if k not in ("delta", "alpha", "beta")]
         if missing or extra:
             problems.append(f"'params' missing {missing}, unknown {extra}")
+        elif not isinstance(pdoc["delta"], list) or not all(
+                map(_real, [*pdoc["delta"], pdoc["alpha"], pdoc["beta"]])):
+            problems.append("'params': delta (a list), alpha and beta must be finite numbers")
         else:
             try:
                 params = SystemParams(tuple(pdoc["delta"]), pdoc["alpha"], pdoc["beta"])
@@ -198,6 +209,8 @@ def load_config(source) -> ExperimentConfig:
         sdoc = doc.get("solver")
         if not isinstance(sdoc, dict) or not {"dt", "t_final"} <= set(sdoc) or not set(sdoc) <= {"dt", "t_final", "scheme"}:
             problems.append("'solver' must provide dt, t_final and optionally scheme")
+        elif not _real(sdoc["dt"]) or not _real(sdoc["t_final"]):
+            problems.append("'solver': dt and t_final must be finite numbers")
         else:
             try:
                 solver = SolverConfig(**sdoc)
@@ -219,15 +232,16 @@ def load_config(source) -> ExperimentConfig:
                 problems.append(f"'initial' for kind {kind!r} needs exactly keys {sorted(known[kind])}")
             else:
                 amp = idoc.get("amplitude")
-                if not isinstance(amp, (int, float)) or not 0 <= abs(amp) < 1:
-                    problems.append("'initial.amplitude' must satisfy |amplitude| < 1")
-                elif amp == 0 and experiment == "mixed_diffusion_fit":
-                    problems.append("'initial.amplitude' must be nonzero: the fit follows"
-                                    " the decay of the cosine mode")
+                if not _real(amp) or not abs(amp) < 1:
+                    problems.append("'initial.amplitude' must be a number with |amplitude| < 1")
+                elif abs(amp) <= 1e-12 and experiment == "mixed_diffusion_fit":
+                    # the decay fit's own floor on the initial mode amplitude
+                    problems.append("'initial.amplitude' must exceed 1e-12 in magnitude: the fit"
+                                    " follows the decay of the cosine mode")
                 if kind == "off_manifold_cosine":
                     fr = idoc.get("fractions")
                     if (not isinstance(fr, list) or len(fr) != 2
-                            or any(not isinstance(f, (int, float)) or f <= 0 for f in fr)
+                            or any(not _real(f) or f <= 0 for f in fr)
                             or abs(sum(fr) - 1.0) > 1e-12):
                         problems.append("'initial.fractions' must be two positive numbers summing to 1")
                 initial_spec = idoc
@@ -240,8 +254,10 @@ def load_config(source) -> ExperimentConfig:
             coeffs = tdoc.get("coefficients")
             if (set(tdoc) != {"kind", "coefficients"} or not isinstance(coeffs, list)
                     or len(coeffs) != 2
-                    or any(not isinstance(row, list) or not row for row in coeffs)):
-                problems.append("'tilt' of kind cosine needs 'coefficients': two lists of mode amplitudes")
+                    or any(not isinstance(row, list) or not row or not all(map(_real, row))
+                           for row in coeffs)):
+                problems.append("'tilt' of kind cosine needs 'coefficients': two lists of"
+                                " finite mode amplitudes")
             else:
                 tilt_spec = tdoc
         else:
@@ -270,14 +286,11 @@ def load_config(source) -> ExperimentConfig:
     def integer(v):
         return isinstance(v, int) and not isinstance(v, bool)
 
-    def real(v):  # a finite float, or an integer within its range
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
     seed = scalar("seed", 0, lambda v: integer(v) and v >= 0, "a non-negative integer")
     levels = scalar("levels", 4, lambda v: integer(v) and v >= 2, "an integer >= 2")
-    lam = scalar("lam", 0.9, real, "a finite number")
-    alpha_exp = scalar("alpha", 0.2, real, "a finite number")
-    width_scale = scalar("width_scale", None, lambda v: v is None or real(v),
+    lam = scalar("lam", 0.9, _real, "a finite number")
+    alpha_exp = scalar("alpha", 0.2, _real, "a finite number")
+    width_scale = scalar("width_scale", None, lambda v: v is None or _real(v),
                          "a finite number or null")
     n_species = scalar("n_species", 4, lambda v: integer(v) and v >= 3, "an integer >= 3")
     write_trajectories = scalar("write_trajectories", False, lambda v: isinstance(v, bool),
@@ -386,15 +399,25 @@ def _cosine_modes(states) -> np.ndarray:
     return (2.0 / n) * (dens * np.cos(np.pi * ((np.arange(n) + 0.5) / n))).sum(axis=1)
 
 
-def _fit_mode_decay(times, mode) -> float:
-    """Diffusion coefficient from the amplitudes ``mode`` of cos(pi x) at ``times``."""
+def _fit_mode_decay(times, windows) -> float:
+    """Diffusion coefficient from the decay of cos(pi x) in consecutive ``windows`` on ``times``."""
+    modes = []
+    for _, states, *_ in windows:
+        # a window's first level is the previous window's last
+        modes.append(_cosine_modes(states)[1 if modes else 0:])
+    mode = np.concatenate(modes)
     if abs(mode[0]) < 1e-12:
-        raise ValueError("degenerate mode amplitude: initial cosine content too small")
+        raise DecayFitError("degenerate mode amplitude: initial cosine content too small")
     keep = np.abs(mode) > 1e-12 * abs(mode[0])
     if keep.sum() < 2:
-        raise ValueError("degenerate mode amplitude: decay too fast to fit")
+        raise DecayFitError("degenerate mode amplitude: decay too fast to fit")
     slope_fit = np.polyfit(times[keep], np.log(np.abs(mode[keep])), 1)[0]
     return float(-slope_fit / np.pi**2)
+
+
+# time levels x cells per window that the experiments read from a solve: 40
+# levels at 200 cells, enough to make a window's cost (about a step's) small
+_WINDOW_VALUES = 8192
 
 
 def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
@@ -402,30 +425,12 @@ def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
 
     Projects the coarse density on cos(pi x), fits log |amplitude| against
     time by least squares, and returns rate / pi^2.  Requires a nondegenerate
-    initial mode amplitude.
+    initial mode amplitude.  ``hat_traj`` may also be a coarse or two-species
+    solve (its species summed), read window by window and never stored; the
+    fit is that of the stored coarse trajectory, bit for bit.
     """
-    return _fit_mode_decay(hat_traj.times, _cosine_modes(hat_traj.states))
-
-
-def _streamed_decay_rate(stream, path=None) -> float:
-    """:func:`fit_decay_rate` of a solve streamed window by window, bit for bit.
-
-    With a ``path`` the stream is written there by :func:`trajectory_to_csv`
-    as it passes.
-    """
-    modes = []
-
-    def add(window):
-        # a window's first level is the previous window's last
-        modes.append(_cosine_modes(window[1])[1 if modes else 0:])
-
-    stream = stream.tap(add)
-    if path is None:
-        for _ in stream:
-            pass
-    else:
-        trajectory_to_csv(stream, path)
-    return _fit_mode_decay(stream.times, np.concatenate(modes))
+    return _fit_mode_decay(hat_traj.times,
+                           hat_traj.windows(max(1, _WINDOW_VALUES // hat_traj.n_cells)))
 
 
 def equation_generator(params: SystemParams) -> MarkovGenerator:
@@ -440,13 +445,6 @@ def equation_generator(params: SystemParams) -> MarkovGenerator:
 # experiments
 
 
-# blocks of trajectory_to_csv per solver window of mixed_diffusion_fit.  A
-# window costs about as much overhead as a step (its checks and hand-over),
-# so eight blocks keep that under 3 % at 200 cells, while the window's
-# buffers stay below half a megabyte
-_FIT_WINDOW_BLOCKS = 8
-
-
 def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path):
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
@@ -455,20 +453,20 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path):
         cfg.params.alpha + cfg.params.beta
     )
 
-    window = _FIT_WINDOW_BLOCKS * _csv_block_levels(grid.n_cells)
     rows = []
     files = []
     for eps in sorted(cfg.epsilons, reverse=True):
-        path = outdir / f"trajectory_eps_{eps:g}.csv" if cfg.write_trajectories else None
-        fitted = _streamed_decay_rate(
-            _eps_solve(initial, replace(cfg.params, epsilon=eps), tilt, cfg.solver).stream(window),
-            path)
-        rows.append((eps, fitted, abs(fitted - target) / target))
-        if path is not None:
+        solve = _eps_solve(initial, replace(cfg.params, epsilon=eps), tilt, cfg.solver)
+        if cfg.write_trajectories:
+            # the fit reads the windows as they are written, so the solve runs once
+            path = outdir / f"trajectory_eps_{eps:g}.csv"
+            fitted = _fit_mode_decay(solve.times, _csv_windows(solve, path))
             files.append(path)
+        else:
+            fitted = fit_decay_rate(solve)
+        rows.append((eps, fitted, abs(fitted - target) / target))
     hat0 = initial.c.sum(axis=0)
-    eff_fit = _streamed_decay_rate(
-        _effective_solve(hat0, cfg.params, tilt, cfg.solver).stream(window))
+    eff_fit = fit_decay_rate(_effective_solve(hat0, cfg.params, tilt, cfg.solver))
 
     errors = [r[2] for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
@@ -487,10 +485,6 @@ def _run_mixed_diffusion_fit(cfg: ExperimentConfig, outdir: Path):
     return passed, summary, files
 
 
-# cell values per block of the eps_sweep defect integral: bounds its temporaries
-_DEFECT_BLOCK_VALUES = 8192
-
-
 def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path):
     grid = SpatialGrid(cfg.n_cells)
     tilt = _build_tilt(cfg.tilt_spec, grid)
@@ -505,18 +499,15 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path):
         sc = SolverConfig(dt, cfg.solver.t_final, cfg.solver.scheme)
         p = replace(cfg.params, epsilon=eps)
         # the defect's sum over cells at each left endpoint times the step,
-        # window by window of the solve and a block of time levels at a time:
-        # a row's value depends on neither
-        levels = max(1, _DEFECT_BLOCK_VALUES // grid.n_cells)
-        terms = []
-        for times, states, _, _ in _eps_solve(initial, p, tilt, sc).stream(
-                _window_intervals(2 * grid.n_cells)):
-            dts = np.diff(times)
-            for m in range(0, dts.size, levels):
-                rho = states[m:min(m + levels, dts.size)] / w_v[None]
-                row_sums = ((np.sqrt(rho[:, 0]) - np.sqrt(rho[:, 1])) ** 2).sum(axis=1)
-                terms.append(row_sums * h * dts[m:m + levels])
-        integral = float(np.sum(np.concatenate(terms)))
+        # window by window of the solve: a row's value does not depend on it
+        terms, done = np.empty(sc.n_steps), 0
+        for times, states, _, _ in _eps_solve(initial, p, tilt, sc).windows(
+                max(1, _WINDOW_VALUES // grid.n_cells)):
+            rho = states[:-1] / w_v[None]
+            row_sums = ((np.sqrt(rho[:, 0]) - np.sqrt(rho[:, 1])) ** 2).sum(axis=1)
+            terms[done:done + row_sums.size] = row_sums * h * np.diff(times)
+            done += row_sums.size
+        integral = float(np.sum(terms))
         return eps, dt, integral
 
     results = [one(eps) for eps in sorted(cfg.epsilons, reverse=True)]
@@ -552,14 +543,14 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
         # each solve hands its windows straight to the evaluator, so no
         # level holds a whole trajectory; the last window holds the final state
-        traj = _eps_solve(initial, p, tilt, sc).stream(_window_intervals(2 * n))
-        bd = dissipation_functional(traj, p, tilt, eps)
-        drop = energy(initial, p, tilt) - energy(State(traj.states[-1]), p, tilt)
+        solve = _eps_solve(initial, p, tilt, sc)
+        bd = dissipation_functional(solve, p, tilt, eps)
+        drop = energy(initial, p, tilt) - energy(State(solve.states[-1]), p, tilt)
         res = -drop + bd.total
         hat0 = initial.c.sum(axis=0)
-        hat_traj = _effective_solve(hat0, p, tilt, sc).stream(_window_intervals(n))
-        hbd = hat_dissipation(hat_traj, p, tilt)
-        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_traj.states[-1], p, tilt)
+        hat_solve = _effective_solve(hat0, p, tilt, sc)
+        hbd = hat_dissipation(hat_solve, p, tilt)
+        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_solve.states[-1], p, tilt)
         hres = -hdrop + hbd.total
         return level, n, sc.dt_effective, bd, res, drop, hbd, hres, hdrop
 
@@ -815,7 +806,7 @@ def main(argv=None) -> int:
         return 0
     try:
         result = run_experiment(cfg)
-    except (IntegrationError, DualAscentError) as exc:
+    except (IntegrationError, DualAscentError, DecayFitError) as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}")
         return 3
     for key in sorted(result.summary):

@@ -117,6 +117,11 @@ class CoarseTrajectory:
     def n_cells(self) -> int:
         return self.states.shape[1]
 
+    def windows(self, unit: int):
+        """The trajectory as its own single window ``(times, states[, fluxes])`` (see
+        :meth:`Trajectory.windows`)."""
+        yield (self.times, self.states) + (() if self.fluxes is None else (self.fluxes,))
+
 
 def coarse_grain(state: State) -> np.ndarray:
     """Coarse density: sum of the species densities, cellwise.  Preserves mass."""

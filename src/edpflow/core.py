@@ -325,6 +325,12 @@ class Trajectory:
     def final_state(self) -> State:
         return State(self.states[-1])
 
+    def windows(self, unit: int):
+        """The trajectory as its own single window ``(times, states[, J, b])``, whatever
+        ``unit``: read as a solve is (see :meth:`edpflow.solver._Solve.windows`)."""
+        f = self.fluxes
+        yield (self.times, self.states) + (() if f is None else (f.J, f.b))
+
 
 def gce_residual(traj: Trajectory) -> np.ndarray:
     """Residual of the discrete generalized continuity equation.
@@ -350,6 +356,9 @@ _CSV_READ_BYTES = 1 << 20
 # 2 kB per row) whatever the trajectory's length.  4096 rows were no faster
 # and kept about 6 MB more resident after the first file.
 _CSV_BLOCK_ROWS = 1024
+# blocks per window that trajectory_to_csv reads from a solve: a window costs
+# about as much as a step, and its buffers stay below half a megabyte
+_CSV_WINDOW_BLOCKS = 8
 
 # _format_g17 lays each value out in 32 zero-padded bytes, four little-endian
 # words, and the zero bytes are dropped when the fields are joined:
@@ -555,60 +564,59 @@ def _format_g17(values: np.ndarray, sep: bytes) -> tuple[np.ndarray, int]:
     return out.reshape(np.shape(values) + (_G17_WORDS,)), rest.size
 
 
-def _csv_block_levels(n_cells: int) -> int:
-    """Time levels per block of :func:`trajectory_to_csv`: whole levels, one at least."""
-    return max(1, _CSV_BLOCK_ROWS // n_cells)
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
     """Write a two-species trajectory as CSV, one row per (time, cell).
 
-    ``traj`` is a stored :class:`Trajectory` or a two-species solve streamed
-    window by window (see :class:`edpflow.solver._StreamedTrajectory`); a
-    stream is written as its windows arrive and is never held whole, and
-    its file is byte for byte that of the stored solve.
+    ``traj`` is a stored :class:`Trajectory` or a two-species solve (see
+    :meth:`edpflow.solver._Solve.windows`); a solve is written as its
+    windows arrive and is never held whole, and its file is byte for byte
+    that of the stored solve.
 
-    Columns are ``t, x, c1, c2`` and, when fluxes are present (a stream
-    always carries them), ``J1, J2, b1, b2``.  Flux columns on the rows of
-    time ``t[m]`` hold the values of the interval ``[t[m], t[m+1])``; the J
-    columns carry the flux on the left face of each cell (the right boundary
-    face is identically zero).  Rows of the final time carry zero flux
-    columns.  Values are written as ``'%.17g' % value`` writes them, so a
-    round trip is bit-exact, and rows end in ``\\r\\n`` (the ``csv`` module's
-    default dialect).
+    Columns are ``t, x, c1, c2`` and, when fluxes are present (a solve's
+    windows always carry them), ``J1, J2, b1, b2``.  Flux columns on the
+    rows of time ``t[m]`` hold the values of the interval ``[t[m], t[m+1])``;
+    the J columns carry the flux on the left face of each cell (the right
+    boundary face is identically zero).  Rows of the final time carry zero
+    flux columns.  Values are written as ``'%.17g' % value`` writes them, so
+    a round trip is bit-exact, and rows end in ``\\r\\n`` (the ``csv``
+    module's default dialect).
 
-    A stored trajectory is one window.  Each window's rows are written in
-    blocks of whole time levels, and each block's values are formatted with
-    array operations: scaled to 17 digits as a double-double product with a
-    power of ten, rounded, and laid out as ``%g`` does.  A value whose
-    rounding this cannot certify (an exact tie, or a fraction within 2^-30
-    of 1/2 or of an integer when the power of ten is inexact), inf, NaN, and
-    |values| outside [1e-290, 1e290] (subnormals included) are formatted by
-    Python instead; zeros are written directly.  Times and cell centres are
-    formatted once per file.  One DEBUG record per file gives the values
-    written, how many went to Python, the size and the time taken.
+    The trajectory is read in windows of eight blocks, a stored one as its
+    single window.  Each window's rows are written in blocks of whole time
+    levels, and each block's values are formatted with array operations:
+    scaled to 17 digits as a double-double product with a power of ten,
+    rounded, and laid out as ``%g`` does.  A value whose rounding this
+    cannot certify (an exact tie, or a fraction within 2^-30 of 1/2 or of an
+    integer when the power of ten is inexact), inf, NaN, and |values| outside
+    [1e-290, 1e290] (subnormals included) are formatted by Python instead;
+    zeros are written directly.  Times and cell centres are formatted once
+    per file.  One DEBUG record per file gives the values written, how many
+    went to Python, the size and the time taken.
     """
+    path = Path(path)
+    for _ in _csv_windows(traj, path):
+        pass
+    return path
+
+
+def _csv_windows(traj, path: Path):
+    """:func:`trajectory_to_csv`, yielding each window once written, so a caller can reduce it too."""
     if traj.states.shape[1:-1] != (2,):
         raise ValueError("CSV layout is fixed to two species")
     start = time.perf_counter()
-    path = Path(path)
     n = traj.n_cells
-    if isinstance(traj, Trajectory):
-        f = traj.fluxes
-        windows = [(traj.times, traj.states) + (() if f is None else (f.J, f.b))]
-        with_flux = f is not None
-    else:
-        windows, with_flux = traj, True  # a two-species solve's windows carry J and b
-    header = _CSV_BASE + (_CSV_FLUX if with_flux else ())
     # each row starts with the line break that ends the row before it
     t_fields, fallback = _format_g17(traj.times, b"\r\n")
     x_fields, count = _format_g17((np.arange(n) + 0.5) / n, b",")
     fallback += count
-    levels = _csv_block_levels(n)
-    done = 0  # levels written
+    levels = max(1, _CSV_BLOCK_ROWS // n)  # per block: whole levels, one at least
+    header, done = None, 0  # levels written
     with path.open("wb") as fh:
-        size = fh.write(",".join(header).encode())
-        for _, states, *fluxes in windows:
+        for window in traj.windows(_CSV_WINDOW_BLOCKS * levels):
+            _, states, *fluxes = window
+            if header is None:
+                header = _CSV_BASE + (_CSV_FLUX if fluxes else ())
+                size = fh.write(",".join(header).encode())
             # a window's last level is the next window's first, or the final time
             k = states.shape[0] - 1
             for m0 in range(0, k, levels):
@@ -618,13 +626,13 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
                 size += fh.write(rows)
                 fallback += count
             done += k
+            yield window
         rows, count = _csv_rows(t_fields[done:], states[-1:], [], x_fields, len(header))
         size += fh.write(rows + b"\r\n")
         fallback += count
     logger.debug("trajectory_to_csv: %d values (%d formatted by Python), %.1f MB in %.3f s to %s",
-                 traj.times.size * n * len(header), fallback, size / 1e6,
+                 len(t_fields) * n * len(header), fallback, size / 1e6,
                  time.perf_counter() - start, path)
-    return path
 
 
 def _csv_rows(t_fields, states, fluxes, x_fields, width: int) -> tuple[bytes, int]:

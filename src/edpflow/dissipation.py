@@ -17,13 +17,14 @@ the trajectory's start, first solves its first and last interval from zero;
 the intervals between start from the interpolation of those two maximizers.
 No interval's result depends on its chunk.
 
-The evaluators take a trajectory as consecutive windows of whole blocks and
-whole chunks: a stored trajectory is one window, and a solve can be streamed
-in window by window without ever being stored.  Since blocks are counted
-from the start and no interval depends on its chunk, each interval's terms
-are the same whatever the windows; since windows hold whole chunks, the
-chunks, and so the sums that integrate the terms over time, are those of the
-stored trajectory, so the results are bit-identical too.
+The evaluators read a trajectory through its ``windows`` method, in
+consecutive windows of whole blocks and whole chunks: a stored trajectory is
+one window, and a solve hands its windows over as it steps, without ever
+being stored.  Since blocks are counted from the start and no interval
+depends on its chunk, each interval's terms are the same whatever the
+windows; since windows hold whole chunks, the chunks, and so the sums that
+integrate the terms over time, are those of the stored trajectory, so the
+results are bit-identical too.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .functionals import (
     energy,
     stationary_measure,
 )
-from .solver import _StreamedTrajectory
 
 __all__ = [
     "DualMaximizerState",
@@ -372,7 +372,7 @@ def _window_intervals(unknowns: int) -> int:
 
     The least common multiple of the warm-start block and the chunk length:
     the shortest window that holds whole blocks and whole chunks, as
-    :func:`_network_terms` requires, so a streamed evaluation stacks its
+    :func:`_network_terms` requires, so the evaluation of a solve stacks its
     solves as the evaluation of the stored trajectory does.  At most
     ``_WARM_BLOCK`` chunks, so the window's size does not grow with the
     trajectory.
@@ -491,20 +491,21 @@ def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
     return w_v, params.delta_array, edges, [np.array([True])]
 
 
-def _windows(traj, stored):
+def _windows(traj, stored=None):
     """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
 
-    A streamed trajectory yields its solver's windows as the solve runs, and
-    carries no fluxes; a stored one is one window, with the fluxes ``stored``.
+    Windows of :func:`_window_intervals` for the values of one state;
+    ``stored`` maps a window's fluxes to those the evaluator reads, if any
+    and if the trajectory stores fluxes (a solve does not).
     """
-    if isinstance(traj, _StreamedTrajectory):
-        return ((states, np.diff(times), None) for times, states, *_ in traj)
-    return [(traj.states, np.diff(traj.times), stored)]
+    stored = None if traj.fluxes is None else stored
+    for times, states, *fluxes in traj.windows(_window_intervals(traj.states[0].size)):
+        yield states, np.diff(times), None if stored is None else stored(*fluxes)
 
 
-def _stored_fluxes(traj: Trajectory):
-    """The stored fluxes of a two-species trajectory as :func:`_network_terms` takes them."""
-    return None if traj.fluxes is None else (traj.fluxes.J, traj.fluxes.b[None, :, 1])
+def _two_species_fluxes(J, b):
+    """The fluxes of a two-species window as :func:`_network_terms` takes them."""
+    return J, b[None, :, 1]
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -520,12 +521,12 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     velocity terms evaluated directly on those fluxes are reported alongside,
     from the same pass over the intervals.
 
-    ``traj`` may also be a solve streamed window by window (see
-    :class:`edpflow.solver._StreamedTrajectory`); the terms are those of the
+    ``traj`` may also be a solve, read window by window (see
+    :meth:`edpflow.solver._Solve.windows`); the terms are those of the
     stored trajectory, bit for bit, and the solve is never stored.
     """
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
-    return DissipationBreakdown(*_network_terms(_windows(traj, _stored_fluxes(traj)), *args,
+    return DissipationBreakdown(*_network_terms(_windows(traj, _two_species_fluxes), *args,
                                                 tol=tol, max_iter=max_iter))
 
 
@@ -542,7 +543,7 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
         raise ValueError("no flux data: trajectory carries no FluxAssignment")
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
     slope_diff, slope_react, vel_diff, vel_react = _network_terms(
-        _windows(traj, _stored_fluxes(traj)), *args, variational=False)
+        _windows(traj, _two_species_fluxes), *args, variational=False)
     return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
                                 flux_vel_diff=vel_diff, flux_vel_react=vel_react)
 
@@ -604,10 +605,9 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     problem per interval, a chunk of them in one batched solve); the slope part
     is the coarse Fisher information with the mixing-weighted mobility.
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
-    coarse solve streamed window by window, as for
-    :func:`dissipation_functional`.
+    coarse solve, read window by window as for :func:`dissipation_functional`.
     """
-    vel, slp = _hat_terms(_windows(hat_traj, None), hat_traj.n_cells, params, tilt,
+    vel, slp = _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt,
                           use_stored_fluxes=False)
     return DissipationBreakdown(vel, 0.0, slp, 0.0)
 
@@ -617,7 +617,7 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes."""
     if hat_traj.fluxes is None:
         raise ValueError("no flux data: coarse trajectory carries no fluxes")
-    vel, slp = _hat_terms(_windows(hat_traj, hat_traj.fluxes), hat_traj.n_cells, params, tilt,
+    vel, slp = _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt,
                           use_stored_fluxes=True)
     return DissipationBreakdown(vel, 0.0, slp, 0.0, flux_vel_diff=vel, flux_vel_react=0.0)
 

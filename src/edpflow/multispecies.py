@@ -410,9 +410,9 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     maximization, from the evaluator behind
     :func:`~edpflow.dissipation.dissipation_functional` (which is its case
     of one fast edge); exchange contributions are reported separately for
-    slow and fast edges.  ``traj`` may also be a solve streamed window by
-    window (see :class:`edpflow.solver._StreamedTrajectory`), with the terms
-    of the stored trajectory, bit for bit.
+    slow and fast edges.  ``traj`` may also be a solve, read window by
+    window (see :meth:`edpflow.solver._Solve.windows`), with the terms of
+    the stored trajectory, bit for bit.
     """
     if traj.states.shape[1] != gen.n_species:
         raise ValueError(f"trajectory has {traj.states.shape[1]} species, generator {gen.n_species}")
@@ -421,7 +421,7 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
     w_cells = np.repeat(w[:, None], traj.n_cells, axis=1)
-    out = _network_terms(_windows(traj, None), w_cells, gen.delta,
+    out = _network_terms(_windows(traj), w_cells, gen.delta,
                          edges, [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
                          newton=damped_newton_max)
     return MultispeciesBreakdown(*out)

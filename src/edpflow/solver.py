@@ -23,13 +23,14 @@ defines its reaction fluxes as the exact residuals).
 
 The loop hands out the trajectory in windows of consecutive steps written
 into reused buffers, so a caller that reduces each window as it comes never
-holds the whole trajectory; wrapped as a streamed trajectory, a solve goes
-to the dissipation evaluators in place of a stored one.  A step depends only
-on the state before it and the times on the step index, so a window's
-values do not depend on the window length; the solvers return the single
-window of all steps without a copy.  Every state passes the nonnegativity
-guard, and each solve writes one DEBUG record: steps, windows, and how many
-steps the guard clamped.  Each run is single-threaded and deterministic.
+holds the whole trajectory; a solve has the ``windows`` method of a stored
+trajectory (its own single window), so the evaluators and the CSV writer
+take either.  A step depends only on the state before it and the times on
+the step index, so a window's values do not depend on the window length;
+the solvers return the single window of all steps without a copy.  Every
+state passes the nonnegativity guard, and each solve writes one DEBUG
+record: steps, windows, and how many steps the guard clamped.  Each run is
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be at least one step")
+        if not self.dt <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and at least one step, got {self.t_final!r}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
 
@@ -228,27 +229,46 @@ class _Solve:
     exchanged into the step's row ``b`` of reaction fluxes; ``second``
     (None for ``imex_euler``) advances it after and adds its amounts to
     ``b``.  ``solver`` names the solve in its DEBUG record.
+
+    A solve is read as a trajectory is, through :meth:`windows`; ``states``
+    is the window handed out last (before the first, the initial state), and
+    ``fluxes`` is None: a solve stores none, although its windows carry them.
     """
+
+    fluxes = None
 
     def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, exchange=None):
         self.solver, self.initial, self.config, self.exchange = solver, initial, config, exchange
         self.step = _ImplicitStepper(delta_faces, g, config.dt_effective, 1.0 / initial.shape[-1],
                                      config.scheme == "strang_cn").step
+        self.n_cells = initial.shape[-1]
+        self.states = initial[None]
 
-    def windows(self, window: int):
-        """The stepping loop, ``window`` steps at a time.
+    @property
+    def times(self) -> np.ndarray:
+        """The time grid, built when asked for: a solve holds nothing that grows with its steps."""
+        return self.config.dt_effective * np.arange(self.config.n_steps + 1)
+
+    @property
+    def initial_state(self) -> State:
+        return State(self.initial)
+
+    def windows(self, unit: int):
+        """The stepping loop, stepped afresh on each call, ``unit`` steps at a time.
 
         Yields ``(times, states, J)``, and ``b`` if the system exchanges, per
-        window of ``window`` intervals (the last the rest), shaped as
+        window of ``unit`` intervals (the last the rest), shaped as
         ``initial``; its first state is the previous window's last.  The
-        arrays are the loop's buffers, overwritten by the next window.
+        windows are read-only views of the loop's buffers, valid until the
+        next is requested, and pass the checks of :class:`Trajectory` and
+        :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
         """
         shape = self.initial.shape
         c = self.initial.reshape(-1, shape[-1]).copy()
         steps, dt = self.config.n_steps, self.config.dt_effective
         step, (first_half, second_half) = self.step, self.exchange or (None, None)
         clamps = _Clamps()
-        width = min(window, steps)
+        width = min(unit, steps)
         states = np.empty((width + 1, *c.shape))
         J = np.zeros((width, c.shape[0], c.shape[1] + 1))
         b = np.empty((width, *c.shape)) if self.exchange else None
@@ -268,6 +288,13 @@ class _Solve:
             if self.exchange:
                 b[:k] /= dt
                 out += (b[:k],)
+                _check_fluxes(*out[2:])
+                _check_trajectory(*out[:3])
+            else:
+                _check_coarse(*out)
+            for a in out:
+                a.flags.writeable = False
+            self.states = out[1]
             yield out
         clamps.log(self.solver, steps, -(-steps // width))
 
@@ -277,68 +304,6 @@ class _Solve:
         if not b:
             return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
         return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b[0])))
-
-    def stream(self, window: int) -> "_StreamedTrajectory":
-        """The solve as a :class:`_StreamedTrajectory` of windows of ``window`` steps.
-
-        The windows are read-only and pass the checks of :class:`Trajectory`
-        and :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
-        """
-        def checked():
-            for out in self.windows(window):
-                for a in out:
-                    a.flags.writeable = False
-                times, states, J, *b = out
-                if b:
-                    _check_fluxes(J, *b)
-                    _check_trajectory(times, states, J)
-                else:
-                    _check_coarse(times, states, J)
-                yield out
-
-        times = self.config.dt_effective * np.arange(self.config.n_steps + 1)
-        return _StreamedTrajectory(checked(), times, self.initial)
-
-
-class _StreamedTrajectory:
-    """A trajectory handed out window by window as it is computed, never stored whole.
-
-    ``windows`` yields the windows ``(times, states, ...)`` on the time grid
-    ``times`` from ``initial``, as :meth:`_Solve.stream` builds them, once;
-    a window is valid until the next is requested.  ``states`` are those of
-    the window last handed out (before the first, the initial state alone),
-    so after the solve ``states[-1]`` is the final state.  A stream carries
-    no fluxes; the dissipation evaluators take it in place of a stored one.
-    """
-
-    fluxes = None
-
-    def __init__(self, windows, times, initial):
-        self._windows, self.times = windows, times
-        self._initial = np.asarray(initial)
-        self.states = self._initial[None]
-        self.n_cells = self._initial.shape[-1]
-
-    @property
-    def initial_state(self) -> State:
-        return State(self._initial)
-
-    def tap(self, fn) -> "_StreamedTrajectory":
-        """This stream, with ``fn(window)`` called on each window before it is handed on."""
-        def tapped():
-            for window in self:
-                fn(window)
-                yield window
-
-        return _StreamedTrajectory(tapped(), self.times, self._initial)
-
-    def __iter__(self):
-        windows, self._windows = self._windows, None
-        if windows is None:
-            raise RuntimeError("a streamed trajectory can be read only once")
-        for window in windows:
-            self.states = window[1]
-            yield window
 
 
 def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:

@@ -27,3 +27,20 @@ def cosine_tilt(n_cells, coeffs):
 def positive_state(rng, n_cells, lo=0.3, hi=1.5):
     c = rng.uniform(lo, hi, (2, n_cells))
     return State(c / (c.sum() / n_cells))
+
+
+class Windowed:
+    """``traj``, a solve or a stored trajectory, read in windows of ``steps`` steps.
+
+    Whatever window length its reader asks for, so a test can hand a reader
+    windows of its own choosing.
+    """
+
+    def __init__(self, traj, steps):
+        self._traj, self._steps = traj, steps
+
+    def __getattr__(self, name):
+        return getattr(self._traj, name)
+
+    def windows(self, unit):
+        return self._traj.windows(self._steps)

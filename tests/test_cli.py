@@ -10,6 +10,7 @@ import pytest
 from edpflow import (
     CoarseTrajectory,
     ConfigError,
+    DecayFitError,
     DualAscentError,
     IntegrationError,
     SolverConfig,
@@ -28,11 +29,11 @@ from edpflow import (
 )
 import edpflow
 import edpflow.cli as cli_module
-from edpflow.cli import _build_initial, _cosine_modes, _streamed_decay_rate, main
-from edpflow.core import _csv_block_levels
+from edpflow.cli import _build_initial, _cosine_modes, _fit_mode_decay, main
+from edpflow.core import _CSV_BLOCK_ROWS, _csv_windows, trajectory_to_csv
 from edpflow.solver import _effective_solve, _eps_solve
 
-from conftest import cosine_tilt
+from conftest import Windowed, cosine_tilt
 
 
 def small_config(kind, outdir, **overrides):
@@ -96,6 +97,19 @@ class TestConfigValidation:
         ("multispecies_check", "seed", True),
         ("multispecies_check", "generator", {"species": ["A", "B", "C"], "delta": [1, 1, 1]}),
         ("mixed_diffusion_fit", "initial", {"kind": "slow_manifold_cosine", "amplitude": 0}),
+        ("mixed_diffusion_fit", "initial", {"kind": "slow_manifold_cosine", "amplitude": 1e-13}),
+        ("eps_sweep", "epsilons", [True]),
+        ("eps_sweep", "params", {"delta": [1.0, 2.0], "alpha": True, "beta": 3.0}),
+        ("eps_sweep", "params", {"delta": [True, 2.0], "alpha": 1.0, "beta": 3.0}),
+        ("eps_sweep", "params", {"delta": [1.0, 2.0], "alpha": 1.0, "beta": float("inf")}),
+        ("edb_refinement", "tilt", {"kind": "cosine", "coefficients": [["a"], [-0.2]]}),
+        ("edb_refinement", "tilt", {"kind": "cosine", "coefficients": [[0.3], [float("nan")]]}),
+        ("eps_sweep", "solver", {"dt": 1e-4, "t_final": float("inf")}),
+        ("eps_sweep", "solver", {"dt": True, "t_final": 2.0}),
+        ("eps_sweep", "initial", {"kind": "off_manifold_cosine", "amplitude": False,
+                                  "fractions": [0.55, 0.45]}),
+        ("eps_sweep", "initial", {"kind": "off_manifold_cosine", "amplitude": 0.5,
+                                  "fractions": [float("nan"), 0.45]}),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, kind, key, value):
         doc = small_config(kind, tmp_path / "out", **{key: value})
@@ -103,8 +117,10 @@ class TestConfigValidation:
             load_config(doc)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().out.startswith("config error: ")
+        for verb in ("validate", "run"):
+            assert main([verb, str(path)]) == 2
+            assert capsys.readouterr().out.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestFitDecayRate:
@@ -126,7 +142,15 @@ class TestFitDecayRate:
 
     def test_degenerate_amplitude_rejected(self):
         traj = CoarseTrajectory(np.array([0.0, 0.1]), np.ones((2, 10)))
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(DecayFitError, match="initial cosine content too small"):
+            fit_decay_rate(traj)
+
+    def test_decay_too_fast_to_fit_rejected(self):
+        # the mode falls below 1e-12 of its start within the first step
+        n = 10
+        mode = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        traj = CoarseTrajectory(np.array([0.0, 0.1, 0.2]), 1 + np.outer([0.5, 1e-14, 0.0], mode))
+        with pytest.raises(DecayFitError, match="decay too fast to fit"):
             fit_decay_rate(traj)
 
 
@@ -147,29 +171,49 @@ def test_each_level_is_projected_on_its_own():
 
 
 class TestStreamedDecayFit:
-    """The decay fit of a streamed solve is that of the stored solve, bit for bit."""
+    """The decay fit of a solve, read window by window, is that of the stored solve, bit for bit."""
 
     N_CELLS = 40
     CONFIG = SolverConfig(5e-4, 0.1, "strang_cn")  # 200 steps
 
-    @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
-    def test_same_bits_as_the_stored_fit(self, window):
-        steps, levels = self.CONFIG.n_steps, _csv_block_levels(self.N_CELLS)
-        assert steps % 3 and 1 < levels < steps
-        size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
+    def _initial(self):
         n = self.N_CELLS
         params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-2)
         tilt = cosine_tilt(n, [[0.3], [-0.2]])
         hat0 = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        c0 = State(manifold_split(hat0, params, tilt))
-        stored = fit_decay_rate(coarse_grain_trajectory(solve_eps_system(c0, params, tilt,
-                                                                         self.CONFIG)))
-        streamed = _streamed_decay_rate(_eps_solve(c0, params, tilt, self.CONFIG).stream(size))
+        return hat0, State(manifold_split(hat0, params, tilt)), params, tilt
+
+    @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
+    def test_same_bits_as_the_stored_fit(self, tmp_path, window):
+        steps, levels = self.CONFIG.n_steps, _CSV_BLOCK_ROWS // self.N_CELLS
+        assert steps % 3 and 1 < levels < steps
+        size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
+        hat0, c0, params, tilt = self._initial()
+        traj = solve_eps_system(c0, params, tilt, self.CONFIG)
+        stored = fit_decay_rate(coarse_grain_trajectory(traj))
+        streamed = fit_decay_rate(Windowed(_eps_solve(c0, params, tilt, self.CONFIG), size))
         assert streamed.hex() == stored.hex()
+        # fitted while the CSV writer reads the same windows
+        solve = Windowed(_eps_solve(c0, params, tilt, self.CONFIG), size)
+        written = _fit_mode_decay(solve.times, _csv_windows(solve, tmp_path / "written.csv"))
+        assert written.hex() == stored.hex()
+        assert (tmp_path / "written.csv").read_bytes() == \
+            trajectory_to_csv(traj, tmp_path / "stored.csv").read_bytes()
         stored = fit_decay_rate(solve_effective(hat0, params, tilt, self.CONFIG))
-        streamed = _streamed_decay_rate(
-            _effective_solve(hat0, params, tilt, self.CONFIG).stream(size))
+        streamed = fit_decay_rate(
+            Windowed(_effective_solve(hat0, params, tilt, self.CONFIG), size))
         assert streamed.hex() == stored.hex()
+
+    def test_stored_solved_and_written_fits_agree(self, tmp_path):
+        # each read in the windows its reader chooses
+        hat0, c0, params, tilt = self._initial()
+        stored = fit_decay_rate(solve_effective(hat0, params, tilt, self.CONFIG)).hex()
+        assert fit_decay_rate(_effective_solve(hat0, params, tilt, self.CONFIG)).hex() == stored
+        stored = fit_decay_rate(coarse_grain_trajectory(
+            solve_eps_system(c0, params, tilt, self.CONFIG))).hex()
+        solve = _eps_solve(c0, params, tilt, self.CONFIG)
+        assert fit_decay_rate(solve).hex() == stored
+        assert _fit_mode_decay(solve.times, _csv_windows(solve, tmp_path / "t.csv")).hex() == stored
 
 
 def written_summary(result, outdir, kind):
@@ -309,6 +353,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("error", [
         IntegrationError("state left the finite range", 7),
         DualAscentError("iteration limit reached", 1.82e-10),
+        DecayFitError("degenerate mode amplitude: decay too fast to fit"),
     ])
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, error):
         path = tmp_path / "cfg.json"

@@ -25,10 +25,10 @@ from edpflow import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from edpflow.core import _csv_block_levels
+from edpflow.core import _CSV_BLOCK_ROWS
 from edpflow.solver import _effective_solve, _eps_solve
 
-from conftest import cosine_tilt
+from conftest import Windowed, cosine_tilt
 
 
 def test_grid_unit_measure():
@@ -353,7 +353,7 @@ class TestWriterBlocks:
 
 
 class TestStreamedWriter:
-    """A solve streamed window by window is written as its stored trajectory is."""
+    """A solve read window by window is written as its stored trajectory is."""
 
     N_CELLS = 40
     CONFIG = SolverConfig(5e-4, 0.1, "strang_cn")  # 200 steps
@@ -366,13 +366,13 @@ class TestStreamedWriter:
 
     @pytest.mark.parametrize("window", ["one step", "three steps", "one block", "all steps"])
     def test_bytes_equal_the_stored_trajectory(self, tmp_path, window):
-        steps, levels = self.CONFIG.n_steps, _csv_block_levels(self.N_CELLS)
+        steps, levels = self.CONFIG.n_steps, _CSV_BLOCK_ROWS // self.N_CELLS
         assert steps % 3 and steps % levels == 0 and 1 < levels < steps
         size = {"one step": 1, "three steps": 3, "one block": levels, "all steps": steps}[window]
         c0, params, tilt = self._solve()
         stored = trajectory_to_csv(solve_eps_system(c0, params, tilt, self.CONFIG),
                                    tmp_path / "stored.csv")
-        stream = _eps_solve(c0, params, tilt, self.CONFIG).stream(size)
+        stream = Windowed(_eps_solve(c0, params, tilt, self.CONFIG), size)
         streamed = trajectory_to_csv(stream, tmp_path / "streamed.csv")
         assert streamed.read_bytes() == stored.read_bytes()
         back = trajectory_from_csv(streamed)
@@ -380,7 +380,7 @@ class TestStreamedWriter:
 
     def test_coarse_stream_rejected(self, tmp_path):
         c0, params, tilt = self._solve()
-        stream = _effective_solve(c0.c.sum(axis=0), params, tilt, self.CONFIG).stream(8)
+        stream = _effective_solve(c0.c.sum(axis=0), params, tilt, self.CONFIG)
         with pytest.raises(ValueError, match="two species"):
             trajectory_to_csv(stream, tmp_path / "coarse.csv")
 

@@ -2,6 +2,7 @@ import ast
 import logging
 import re
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,9 +48,9 @@ from edpflow import (
 import edpflow.dissipation as dissipation_module
 from edpflow.dissipation import _chunks, _network_dual, _window_intervals, damped_newton_max
 from edpflow.multispecies import _multispecies_solve
-from edpflow.solver import _effective_solve, _eps_solve, _StreamedTrajectory
+from edpflow.solver import _effective_solve, _eps_solve
 
-from conftest import cosine_tilt, positive_state
+from conftest import Windowed, cosine_tilt, positive_state
 
 
 def brute_force_three_cell(c, v, params, epsilon):
@@ -848,7 +849,7 @@ def _hex(bd):
 
 
 class TestStreamedEvaluation:
-    """Solves streamed window by window into the evaluators, against the stored trajectories."""
+    """Solves read window by window by the evaluators, against the stored trajectories."""
 
     SCHEMES = ["strang_exact_reaction", "imex_euler", "strang_cn"]
 
@@ -863,7 +864,7 @@ class TestStreamedEvaluation:
         steps = config.n_steps
         assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
         traj = solve_eps_system(c0, params, tilt, config)
-        stream = _eps_solve(c0, params, tilt, config).stream(window)
+        stream = Windowed(_eps_solve(c0, params, tilt, config), window)
         streamed = dissipation_functional(stream, params, tilt)
         assert _hex(streamed) == _hex(dissipation_functional(traj, params, tilt))
         assert streamed.flux_vel_diff is None and streamed.flux_vel_react is None
@@ -871,7 +872,7 @@ class TestStreamedEvaluation:
         assert np.array_equal(stream.times, traj.times)
         hat0 = c0.c.sum(axis=0)
         hat_traj = solve_effective(hat0, params, tilt, config)
-        hat_stream = _effective_solve(hat0, params, tilt, config).stream(hat_window)
+        hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), hat_window)
         assert _hex(hat_dissipation(hat_stream, params, tilt)) == \
             _hex(hat_dissipation(hat_traj, params, tilt))
         assert np.array_equal(hat_stream.states[-1], hat_traj.states[-1])
@@ -880,8 +881,7 @@ class TestStreamedEvaluation:
         gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
         net0 = State(gen.stationary(params.epsilon)[:, None] * hat0)
         net = solve_multispecies(net0, gen, params.epsilon, config)
-        net_stream = _multispecies_solve(net0, gen, params.epsilon, config).stream(
-            _window_intervals(4 * n))
+        net_stream = _multispecies_solve(net0, gen, params.epsilon, config)
         assert net_stream.n_cells == n and config.n_steps > _window_intervals(4 * n)
         streamed = multispecies_dissipation(net_stream, gen, params.epsilon)
         stored = multispecies_dissipation(net, gen, params.epsilon)
@@ -914,9 +914,9 @@ class TestStreamedEvaluation:
         traj = solve_eps_system(c0, params, tilt, config)
         hat_traj = solve_effective(c0.c.sum(axis=0), params, tilt, config)
         parts = [[a.copy() for a in window]
-                 for window in _eps_solve(c0, params, tilt, config).stream(32)]
+                 for window in _eps_solve(c0, params, tilt, config).windows(32)]
         hat_parts = [[a.copy() for a in window] for window in
-                     _effective_solve(c0.c.sum(axis=0), params, tilt, config).stream(32)]
+                     _effective_solve(c0.c.sum(axis=0), params, tilt, config).windows(32)]
         assert [p[2].shape[0] for p in parts] == [32, 32, 32, 4]
         for got, want in ((parts, [traj.times, traj.states, traj.fluxes.J, traj.fluxes.b]),
                           (hat_parts, [hat_traj.times, hat_traj.states, hat_traj.fluxes])):
@@ -932,8 +932,8 @@ class TestStreamedEvaluation:
     def test_window_arrays_are_read_only(self, params):
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        for window in (*_eps_solve(c0, params, tilt, config).stream(64),
-                       *_effective_solve(c0.c.sum(axis=0), params, tilt, config).stream(64)):
+        for window in (*_eps_solve(c0, params, tilt, config).windows(64),
+                       *_effective_solve(c0.c.sum(axis=0), params, tilt, config).windows(64)):
             assert not any(a.flags.writeable for a in window)
 
     def test_windows_must_hold_whole_chunks(self, params):
@@ -941,24 +941,47 @@ class TestStreamedEvaluation:
         # whole blocks but not whole chunks are rejected
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        stream = _eps_solve(c0, params, tilt, config).stream(32)
+        stream = Windowed(_eps_solve(c0, params, tilt, config), 32)
         with pytest.raises(ValueError, match="inside a warm-start block or a chunk"):
             dissipation_functional(stream, params, tilt)
         hat0 = c0.c.sum(axis=0)
-        hat_stream = _effective_solve(hat0, params, tilt, config).stream(32)
+        hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), 32)
         with pytest.raises(ValueError, match="inside a chunk"):
             hat_dissipation(hat_stream, params, tilt)
 
-    def test_a_stream_is_read_once_and_carries_no_fluxes(self, params):
+    def test_a_solve_read_twice_gives_the_same_terms(self, params):
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        stream = _eps_solve(c0, params, tilt, config).stream(200)
-        assert np.array_equal(stream.states, c0.c[None]) and stream.n_cells == 12
+        solve = _eps_solve(c0, params, tilt, config)
+        assert np.array_equal(solve.states, c0.c[None]) and solve.n_cells == 12
         with pytest.raises(ValueError, match="no flux data"):
-            flux_dissipation(stream, params, tilt)
-        dissipation_functional(stream, params, tilt)
-        with pytest.raises(RuntimeError, match="read only once"):
-            dissipation_functional(stream, params, tilt)
+            flux_dissipation(solve, params, tilt)
+        first = dissipation_functional(solve, params, tilt)
+        assert _hex(dissipation_functional(solve, params, tilt)) == _hex(first)
+        hat_solve = _effective_solve(c0.c.sum(axis=0), params, tilt, config)
+        first = hat_dissipation(hat_solve, params, tilt)
+        assert _hex(hat_dissipation(hat_solve, params, tilt)) == _hex(first)
+
+    def test_evaluated_solve_ends_at_the_final_state(self, params):
+        # on 64 cells the windows are 64 two-species, 128 coarse and 32
+        # network intervals, so each solve ends in a partial window
+        c0, tilt = self._initial(params, 64)
+        config = SolverConfig(1e-3, 0.15)
+        hat0 = c0.c.sum(axis=0)
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        net0 = State(gen.stationary(params.epsilon)[:, None] * hat0)
+        for solve, stored, evaluate in (
+                (_eps_solve(c0, params, tilt, config), solve_eps_system(c0, params, tilt, config),
+                 lambda s: dissipation_functional(s, params, tilt)),
+                (_effective_solve(hat0, params, tilt, config),
+                 solve_effective(hat0, params, tilt, config),
+                 lambda s: hat_dissipation(s, params, tilt)),
+                (_multispecies_solve(net0, gen, params.epsilon, config),
+                 solve_multispecies(net0, gen, params.epsilon, config),
+                 lambda s: multispecies_dissipation(s, gen, params.epsilon))):
+            evaluate(solve)
+            assert solve.times.size - 1 == config.n_steps
+            assert np.array_equal(solve.states[-1], stored.states[-1])
 
     def test_blow_up_raises_integration_error(self):
         # test_imex_blowup_reports_step, streamed: the solver's own step is reported
@@ -968,9 +991,8 @@ class TestStreamedEvaluation:
         config = SolverConfig(1e-2, 0.1, "imex_euler")
         with pytest.raises(IntegrationError) as stored:
             solve_eps_system(c0, p, Tilt.zero(n), config)
-        stream = _eps_solve(c0, p, Tilt.zero(n), config).stream(_window_intervals(2 * n))
         with pytest.raises(IntegrationError) as streamed:
-            dissipation_functional(stream, p, Tilt.zero(n))
+            dissipation_functional(_eps_solve(c0, p, Tilt.zero(n), config), p, Tilt.zero(n))
         assert streamed.value.step == stored.value.step
 
     def test_blocked_interval_raises_dual_ascent_error(self, params):
@@ -985,6 +1007,8 @@ class TestStreamedEvaluation:
         windows = [(dt * np.arange(window + 1), regular),
                    (dt * np.arange(window, window + 3),
                     np.array([regular[-1], blocked, blocked + dt * v]))]
-        stream = _StreamedTrajectory(iter(windows), dt * np.arange(window + 3), regular[0])
+        stream = SimpleNamespace(times=dt * np.arange(window + 3), states=regular[:1],
+                                 initial_state=State(regular[0]), fluxes=None,
+                                 windows=lambda unit: windows)
         with pytest.raises(DualAscentError):
             dissipation_functional(stream, params, Tilt.zero(4))

@@ -38,8 +38,8 @@ from edpflow import (
     solve_multispecies,
     trajectory_to_csv,
 )
-from edpflow.cli import _FIT_WINDOW_BLOCKS, _build_initial, _build_tilt
-from edpflow.core import _csv_block_levels, _g17_tables, _Owned
+from edpflow.cli import _build_initial, _build_tilt
+from edpflow.core import _CSV_BLOCK_ROWS, _CSV_WINDOW_BLOCKS, _g17_tables, _Owned
 from edpflow.dissipation import _window_intervals
 from edpflow.multispecies import _multispecies_solve
 
@@ -367,7 +367,7 @@ def test_mixed_diffusion_fit_does_not_grow_with_the_steps(tmp_path, write):
     # two solver windows in the shorter run; the fit keeps one amplitude
     # per time level, a small fraction of one level's densities and fluxes
     dt = 5e-5
-    steps = 2 * _FIT_WINDOW_BLOCKS * _csv_block_levels(N_CELLS)
+    steps = 2 * _CSV_WINDOW_BLOCKS * _CSV_BLOCK_ROWS // N_CELLS
 
     def config(n_steps):
         return _sweep_config("mixed_diffusion_fit", tmp_path / str(n_steps),
@@ -392,8 +392,8 @@ def test_streamed_network_evaluation_does_not_grow_with_the_steps():
 
     def evaluate(n_steps):
         config = SolverConfig(1e-4, n_steps * 1e-4)
-        stream = _multispecies_solve(c0, gen, eps, config).stream(window)
-        return lambda: multispecies_dissipation(stream, gen, eps)
+        solve = _multispecies_solve(c0, gen, eps, config)
+        return lambda: multispecies_dissipation(solve, gen, eps)
 
     short = _traced_peak(evaluate(2 * window))[1]
     long = _traced_peak(evaluate(8 * window))[1]

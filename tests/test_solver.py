@@ -44,6 +44,9 @@ def test_config_validation():
         SolverConfig(0.5, 0.1)
     with pytest.raises(ValueError):
         SolverConfig(0.1, 1.0, scheme="rk4")
+    for t_final in (np.inf, np.nan):  # no step count: round() overflows or fails
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(0.1, t_final)
     cfg = SolverConfig(0.3, 1.0)
     assert cfg.n_steps == 3
     assert cfg.n_steps * cfg.dt_effective == pytest.approx(1.0)
@@ -450,7 +453,7 @@ class TestClampRecord:
             solve_multispecies(State(np.full((4, n), 0.25)),
                                random_detailed_balance_generator(np.random.default_rng(0), 4),
                                0.1, config)
-            for _ in _eps_solve(c0, params, Tilt.zero(n), config).stream(32):
+            for _ in _eps_solve(c0, params, Tilt.zero(n), config).windows(32):
                 pass
         assert [r.getMessage() for r in caplog.records] == [
             "solve_eps_system: 100 steps in 1 windows, none clamped",
