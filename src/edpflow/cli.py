@@ -363,22 +363,10 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_summary(outdir: Path, summary: dict) -> list[Path]:
     jpath = outdir / "summary.json"
     with jpath.open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     tpath = outdir / "summary.txt"
     with tpath.open("w") as fh:
@@ -575,7 +563,7 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
     order_eps = float(np.polyfit(lv, np.log2(res_eps), 1)[0] * -1)
     order_eff = float(np.polyfit(lv, np.log2(res_eff), 1)[0] * -1)
     drop_eps, drop_eff = results[-1][5], results[-1][8]
-    passed = (
+    passed = bool(
         order_eps >= 0.8 and order_eff >= 0.8
         and res_eps[-1] <= 1e-3 * drop_eps and res_eff[-1] <= 1e-3 * drop_eff
     )
@@ -616,13 +604,13 @@ def _run_recovery_study(cfg: ExperimentConfig, outdir: Path):
     gaps = [r[5] for r in rows]
     cost_monotone = all(b < a for a, b in zip(costs, costs[1:]))
     gap_monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    passed = cost_monotone and costs[-1] < 1e-4 and gap_monotone
+    passed = bool(cost_monotone and costs[-1] < 1e-4 and gap_monotone)
     summary = {
-        "D_0": d0,
-        "final_reaction_cost": costs[-1],
+        "D_0": float(d0),
+        "final_reaction_cost": float(costs[-1]),
         "reaction_cost_monotone": cost_monotone,
         "gap_monotone": gap_monotone,
-        "pass_final_cost_lt_1e-4": costs[-1] < 1e-4,
+        "pass_final_cost_lt_1e-4": bool(costs[-1] < 1e-4),
     }
     return passed, summary, files
 
@@ -640,7 +628,7 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path):
         kappa = kappa_coefficients(pair_gen, eps)
         scaled = kappa[0, 1] * eps
         kappa_rows.append((eps, kappa[0, 1], scaled))
-        kappa_ok = kappa_ok and abs(scaled - 1.0) <= 1e-13
+        kappa_ok = kappa_ok and bool(abs(scaled - 1.0) <= 1e-13)
 
     if cfg.generator_spec is None:
         net = random_detailed_balance_generator(np.random.default_rng(cfg.seed), cfg.n_species)

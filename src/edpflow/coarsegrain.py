@@ -28,6 +28,7 @@ from .core import (
     Tilt,
     Trajectory,
     _finite_nonnegative,
+    _interval_windows,
     _Owned,
     _readonly,
 )
@@ -118,9 +119,10 @@ class CoarseTrajectory:
         return self.states.shape[1]
 
     def windows(self, unit: int):
-        """The trajectory as its own single window ``(times, states[, fluxes])`` (see
+        """Views ``(times, states[, fluxes])`` of ``unit`` intervals (see
         :meth:`Trajectory.windows`)."""
-        yield (self.times, self.states) + (() if self.fluxes is None else (self.fluxes,))
+        fluxes = () if self.fluxes is None else (self.fluxes,)
+        return _interval_windows(unit, self.times, self.states, *fluxes)
 
 
 def coarse_grain(state: State) -> np.ndarray:

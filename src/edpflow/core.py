@@ -92,6 +92,13 @@ def _species_sums(b: np.ndarray):
         yield flat[i : i + step].sum(axis=-2)
 
 
+def _interval_windows(unit: int, times, states, *per_interval):
+    """Views ``(times, states, *per_interval)`` of consecutive windows of ``unit`` intervals,
+    the last the rest; as in a solve's, a window's first level is the last one's last."""
+    for s in range(0, times.size - 1, unit):
+        yield times[s:s + unit + 1], states[s:s + unit + 1], *(a[s:s + unit] for a in per_interval)
+
+
 def _check_fluxes(J: np.ndarray, b: np.ndarray):
     """The invariants of a :class:`FluxAssignment`: face and cell shapes, zero
     boundary faces, reaction fluxes summing to zero across species."""
@@ -326,10 +333,10 @@ class Trajectory:
         return State(self.states[-1])
 
     def windows(self, unit: int):
-        """The trajectory as its own single window ``(times, states[, J, b])``, whatever
-        ``unit``: read as a solve is (see :meth:`edpflow.solver._Solve.windows`)."""
+        """Views ``(times, states[, J, b])`` of ``unit`` intervals, read as a solve is
+        (see :meth:`edpflow.solver._Solve.windows`)."""
         f = self.fluxes
-        yield (self.times, self.states) + (() if f is None else (f.J, f.b))
+        return _interval_windows(unit, self.times, self.states, *(() if f is None else (f.J, f.b)))
 
 
 def gce_residual(traj: Trajectory) -> np.ndarray:
@@ -581,8 +588,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     a round trip is bit-exact, and rows end in ``\\r\\n`` (the ``csv``
     module's default dialect).
 
-    The trajectory is read in windows of eight blocks, a stored one as its
-    single window.  Each window's rows are written in blocks of whole time
+    The trajectory, stored or solved, is read in windows of eight blocks.
+    Each window's rows are written in blocks of whole time
     levels, and each block's values are formatted with array operations:
     scaled to 17 digits as a double-double product with a power of ten,
     rounded, and laid out as ``%g`` does.  A value whose rounding this

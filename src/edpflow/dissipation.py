@@ -11,26 +11,23 @@ the primal cost.
 The module also evaluates the time-integrated dissipation of trajectories
 (variationally, and directly on stored fluxes), its four-term breakdown, the
 energy-dissipation-balance residual, and the coarse (slow-variable) versions
-of all three, in chunks of intervals: a chunk's dual problems form one
-stacked Newton solve.  Every block of consecutive intervals, counted from
-the trajectory's start, first solves its first and last interval from zero;
-the intervals between start from the interpolation of those two maximizers.
-No interval's result depends on its chunk.
+of all three.  Every block of consecutive intervals, counted from the
+trajectory's start, first solves its first and last interval from zero; the
+intervals between start from the interpolation of those two maximizers.
 
 The evaluators read a trajectory through its ``windows`` method, in
-consecutive windows of whole blocks and whole chunks: a stored trajectory is
-one window, and a solve hands its windows over as it steps, without ever
-being stored.  Since blocks are counted from the start and no interval
-depends on its chunk, each interval's terms are the same whatever the
-windows; since windows hold whole chunks, the chunks, and so the sums that
-integrate the terms over time, are those of the stored trajectory, so the
-results are bit-identical too.
+consecutive windows of whole blocks, and evaluate one window at a time: its
+block anchors form one stacked Newton solve and its other intervals a
+second.  A stored trajectory and a solve, which hands its windows over as it
+steps without ever being stored, are read alike.  No interval's terms depend
+on the other problems stacked with it, and the terms are added to their
+running sums one interval at a time, so the results do not depend on the
+windows either: a stored trajectory and its solve give the same bits.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -79,27 +76,16 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# unknowns per chunk of intervals: bounds the working set of a trajectory
-# evaluation whatever its length.  Twice this kept about 4 MB more heap
-# resident between the levels of a refinement study, for no speed gain.
-_CHUNK_UNKNOWNS = 8192
+# unknowns per window of an evaluation, about: bounds its working set
+# whatever the trajectory's length.  Half this, rounded down to whole blocks,
+# took twice as many stacked Newton solves on the 4-species network benchmark.
+_WINDOW_UNKNOWNS = 16384
 
 # intervals per warm-start block of _network_terms: of 8, 16, 32 and 64,
 # 32 took the fewest Newton iterations and the least time on the refinement
 # study.  A power of two, so that a trajectory cut at a multiple of it keeps
 # its blocks.
 _WARM_BLOCK = 32
-
-
-def _chunk_length(unknowns: int) -> int:
-    """Intervals per chunk: at most ``_CHUNK_UNKNOWNS`` unknowns, one interval at least."""
-    return max(1, _CHUNK_UNKNOWNS // unknowns)
-
-
-def _chunks(n_intervals: int, unknowns: int) -> list[slice]:
-    """Consecutive interval ranges of :func:`_chunk_length` intervals, the last the rest."""
-    size = _chunk_length(unknowns)
-    return [slice(s, min(s + size, n_intervals)) for s in range(0, n_intervals, size)]
 
 
 class DualAscentError(RuntimeError):
@@ -134,10 +120,11 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
     banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
     between blocks.  Each must be positive semidefinite with null space at most
-    the constant vector, which is pinned inside the banded Cholesky solve and
-    projected out of the steps.  Each problem has its own stopping test, line
-    search and iteration count, and drops out once converged: its projected
-    gradient norm is at most ``tol``, or at most the rounding level of the
+    the constant vector, which is pinned inside the banded Cholesky solve, at
+    the problem's largest diagonal entry, and projected out of the steps.
+    Each problem has its own stopping test, line search and iteration count,
+    and drops out once converged: its projected gradient norm is at most
+    ``tol``, or at most the rounding level of the
     gradient, machine epsilon times the largest negative-Hessian diagonal
     times (1 + max |x|) at the last Newton point (an exchange weight of
     order h/epsilon amplifies the rounding of a potential difference by as
@@ -172,7 +159,9 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         dmax = diag.max(axis=1)
         xmax = np.abs(x[act]).max(axis=1)
         floor[act] = rounding * dmax * (1.0 + xmax)
-        diag[:, 0] += np.maximum(dmax, 1.0)
+        # pinned where the Hessian is largest: the entries of a species below
+        # rounding are too small to lift the constant mode of the others
+        diag[np.arange(act.size), diag.argmax(axis=1)] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
@@ -368,16 +357,20 @@ def _rates(c, c_next, dts, h):
 
 
 def _window_intervals(unknowns: int) -> int:
-    """Intervals per solver window of a trajectory with ``unknowns`` values per state.
+    """Intervals per window of a trajectory with ``unknowns`` values per state.
 
-    The least common multiple of the warm-start block and the chunk length:
-    the shortest window that holds whole blocks and whole chunks, as
-    :func:`_network_terms` requires, so the evaluation of a solve stacks its
-    solves as the evaluation of the stored trajectory does.  At most
-    ``_WARM_BLOCK`` chunks, so the window's size does not grow with the
-    trajectory.
+    Whole warm-start blocks, as :func:`_network_terms` requires: the fewest
+    that hold ``_WINDOW_UNKNOWNS`` unknowns.
     """
-    return math.lcm(_WARM_BLOCK, _chunk_length(unknowns))
+    return _WARM_BLOCK * -(-_WINDOW_UNKNOWNS // (_WARM_BLOCK * unknowns))
+
+
+def _integrate(acc, terms, dts):
+    """The running sums ``acc`` plus the left-endpoint integrals of the rows ``terms`` over
+    ``dts``, added one interval at a time, so that no sum depends on the windows."""
+    rows = np.array(terms) * dts
+    rows[:, 0] += acc
+    return rows.cumsum(axis=1)[:, -1]
 
 
 def _network_terms(windows, w, delta, edges, groups, *, variational=True,
@@ -388,22 +381,20 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
     the trajectory: the states (k + 1, I, n) at times spaced by ``dts`` (the
     first the previous window's last) and either None or the stored fluxes
     (J (k, I, n + 1), per-edge exchange fluxes (E, k, n)).  Every window but
-    the last holds whole warm-start blocks and whole chunks (a multiple of
-    :func:`_window_intervals`); a stored trajectory is one window.  ``w``
-    (I, n) is the stationary measure on cells and ``edges`` lists (i, j,
-    kappa).  Returns up to three sets of terms, in this order: the velocity
-    terms of the optimal fluxes of the difference-quotient rates (only if
-    ``variational``), the slope terms, and the velocity terms of the stored
-    fluxes, if the windows carry them.  A set is the diffusion term
-    followed by the exchange terms summed over each boolean edge mask in
-    ``groups``.
+    the last holds whole warm-start blocks.  ``w`` (I, n) is the stationary
+    measure on cells and ``edges`` lists (i, j, kappa).  Returns up to three
+    sets of terms, in this order: the velocity terms of the optimal fluxes of
+    the difference-quotient rates (only if ``variational``), the slope terms,
+    and the velocity terms of the stored fluxes, if the windows carry them.
+    A set is the diffusion term followed by the exchange terms summed over
+    each boolean edge mask in ``groups``.
 
-    The dual ascents run chunk by chunk within each window, warm-started from
-    block anchors as the module docstring describes; each interval keeps its
-    own stopping test, so only its start depends on its neighbours.  Each
-    term is summed over a chunk in one reduction per row and the chunk sums
-    are added in order, so a term's rounding depends neither on the windows
-    nor on which other terms are evaluated with it.  The ascent is logged to
+    The dual ascents of a window run as two stacked Newton solves, the block
+    anchors' and then the warm-started intervals' (see the module
+    docstring); each interval keeps its own stopping test, so only its start
+    depends on its neighbours.  Each term is integrated on its own by
+    :func:`_integrate`, so its rounding depends neither on the windows nor
+    on which other terms are evaluated with it.  The ascent is logged to
     ``log``, one record per trajectory; ``newton`` is
     :func:`damped_newton_max` as the caller's module binds it (this module's
     by default), so that instrumentation wrapping it per module attributes
@@ -411,62 +402,49 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
     """
     newton = newton or damped_newton_max
     anchor_log, interior_log = [], []  # (gradient norm, histogram of iterations) per solve
-    acc = 0.0
-    n_chunks = offset = 0
+    acc, ragged = 0.0, False
 
-    def solve(vg, hess, x0, record):
-        x, _, gnorm, _, iters = newton(vg, hess, x0, bandwidth=band, tol=tol, max_iter=max_iter)
+    def solve(vg, hess, rows, x0, record):
+        """The ascents of the window's intervals ``rows``, from ``x0``."""
+        x, _, gnorm, _, iters = newton(lambda y, k: vg(y, rows[k]), lambda y, k: hess(y, rows[k]),
+                                       x0, bandwidth=band, tol=tol, max_iter=max_iter)
         record.append((gnorm, np.bincount(iters)))
         return x
 
-    for states, dts, stored in windows:
+    for n_windows, (states, dts, stored) in enumerate(windows, 1):
+        if ragged:
+            raise ValueError("a window of the trajectory ends inside a warm-start block")
         n_int = dts.size
-        size = states.shape[1] * states.shape[2]
-        band = states.shape[1]
-        h = 1.0 / states.shape[2]
-        if offset % _window_intervals(size):
-            raise ValueError("a window of the trajectory ends inside a warm-start block or a chunk")
+        ragged = n_int % _WARM_BLOCK
+        c = states[:-1]
+        band, n = c.shape[1:]
+        h = 1.0 / n
+        sets = []
         if variational:
-            # blocks and interpolation weights from the trajectory's start
-            index = np.arange(offset, offset + n_int)
+            vg, hess, fluxes = _network_dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
+            # blocks and interpolation weights: the window starts a block
+            index = np.arange(n_int)
             first = index // _WARM_BLOCK * _WARM_BLOCK
-            last = np.minimum(first + _WARM_BLOCK, offset + n_int) - 1
+            last = np.minimum(first + _WARM_BLOCK, n_int) - 1
             weight = (index - first) / np.maximum(last - first, 1)
-            first, last = first - offset, last - offset
             anchors = np.union1d(first, last)
-            x_anchor = np.empty((anchors.size, size))
-            for s in _chunks(anchors.size, size):
-                idx = anchors[s]
-                c = states[idx]
-                vg, hess, _ = _network_dual(c, delta, edges, _rates(c, states[idx + 1], dts[idx], h), h)
-                x_anchor[s] = solve(vg, hess, np.zeros((idx.size, size)), anchor_log)
-        chunks = _chunks(n_int, size)
-        n_chunks += len(chunks)
-        for s in chunks:
-            c = states[s]
-            sets = []
-            if variational:
-                v = _rates(c, states[s.start + 1:s.stop + 1], dts[s], h)
-                vg, hess, fluxes = _network_dual(c, delta, edges, v, h)
-                wa = weight[s]
-                # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
-                x = ((1.0 - wa)[:, None] * x_anchor[np.searchsorted(anchors, first[s])]
-                     + wa[:, None] * x_anchor[np.searchsorted(anchors, last[s])])
-                inner = np.flatnonzero((wa > 0) & (wa < 1))
-                if inner.size:
-                    x[inner] = solve(lambda y, k: vg(y, inner[k]), lambda y, k: hess(y, inner[k]),
-                                     x[inner], interior_log)
-                _, J, edge_b = fluxes(x)
-                sets.append(_network_cost(c, delta, edges, J, edge_b, h))
-            sets.append(_network_slope(c, w, delta, edges, h))
-            if stored is not None:
-                sets.append(_network_cost(c, delta, edges, stored[0][s], stored[1][:, s], h))
-            terms = []
-            for diff, per_edge in sets:
-                per_edge = np.array(per_edge)
-                terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
-            acc += (np.array(terms) * dts[s]).sum(axis=1)
-        offset += n_int
+            x_anchor = solve(vg, hess, anchors, np.zeros((anchors.size, band * n)), anchor_log)
+            # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
+            x = ((1.0 - weight)[:, None] * x_anchor[np.searchsorted(anchors, first)]
+                 + weight[:, None] * x_anchor[np.searchsorted(anchors, last)])
+            inner = np.flatnonzero((weight > 0) & (weight < 1))
+            if inner.size:
+                x[inner] = solve(vg, hess, inner, x[inner], interior_log)
+            _, J, edge_b = fluxes(x)
+            sets.append(_network_cost(c, delta, edges, J, edge_b, h))
+        sets.append(_network_slope(c, w, delta, edges, h))
+        if stored is not None:
+            sets.append(_network_cost(c, delta, edges, *stored, h))
+        terms = []
+        for diff, per_edge in sets:
+            per_edge = np.array(per_edge)
+            terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
+        acc = _integrate(acc, terms, dts)
     if variational and log.isEnabledFor(logging.DEBUG):
         def hist(solves):
             counts = np.zeros(max((c.size for _, c in solves), default=0), dtype=int)
@@ -475,9 +453,9 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
             return {k: int(m) for k, m in enumerate(counts) if m}
 
         solves = anchor_log + interior_log
-        log.debug("dual ascent over %d intervals in %d chunks (block anchors %s, warm-started %s): "
+        log.debug("dual ascent over %d intervals in %d windows (block anchors %s, warm-started %s): "
                   "Newton iterations per interval %s, max final gradient norm %.3e",
-                  sum(int(c.sum()) for _, c in solves), n_chunks, hist(anchor_log),
+                  sum(int(c.sum()) for _, c in solves), n_windows, hist(anchor_log),
                   hist(interior_log), hist(solves), max(g for g, _ in solves))
     return acc
 
@@ -567,8 +545,8 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
     """Time integrals of the coarse velocity and slope terms.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
-    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them;
-    every window but the last holds whole chunks.
+    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them,
+    of any length: each window's elliptic problems are one batched solve.
     """
     if tilt.n_cells != n:
         raise ValueError("tilt does not match coarse trajectory")
@@ -576,24 +554,18 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
     h = 1.0 / n
     slope_weight = cp.delta_hat * cp.w_hat
     swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-    acc = np.zeros(2)
-    offset = 0
+    acc = 0.0
     for states, dts, fluxes in windows:
-        if offset % _chunk_length(n):
-            raise ValueError("a window of the coarse trajectory ends inside a chunk")
-        offset += dts.size
-        for s in _chunks(dts.size, n):
-            hat_c = states[s]
-            mob = cp.delta_hat * hat_c
-            mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
-            if use_stored_fluxes:
-                jint = fluxes[s, 1:-1]
-            else:
-                rate = (states[s.start + 1:s.stop + 1] - hat_c) / dts[s, None]
-                jint = optimal_coarse_flux(mob_f, rate, h)[:, 1:-1]
-            vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
-            slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
-            acc += (np.array([vel, slp]) * dts[s]).sum(axis=1)  # per row, as in _network_terms
+        hat_c = states[:-1]
+        mob = cp.delta_hat * hat_c
+        mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
+        if use_stored_fluxes:
+            jint = fluxes[:, 1:-1]
+        else:
+            jint = optimal_coarse_flux(mob_f, (states[1:] - hat_c) / dts[:, None], h)[:, 1:-1]
+        vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
+        slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
+        acc = _integrate(acc, [vel, slp], dts)
     return acc
 
 
@@ -602,7 +574,7 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     """Coarse dissipation: minimal kinetic cost of the coarse rate plus coarse slope.
 
     The velocity part solves the single-species quadratic dual (one elliptic
-    problem per interval, a chunk of them in one batched solve); the slope part
+    problem per interval, a window of them in one batched solve); the slope part
     is the coarse Fisher information with the mixing-weighted mobility.
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
     coarse solve, read window by window as for :func:`dissipation_functional`.

@@ -24,8 +24,8 @@ defines its reaction fluxes as the exact residuals).
 The loop hands out the trajectory in windows of consecutive steps written
 into reused buffers, so a caller that reduces each window as it comes never
 holds the whole trajectory; a solve has the ``windows`` method of a stored
-trajectory (its own single window), so the evaluators and the CSV writer
-take either.  A step depends only on the state before it and the times on
+trajectory (whose windows are views of its arrays), so the evaluators and
+the CSV writer take either.  A step depends only on the state before it and the times on
 the step index, so a window's values do not depend on the window length;
 the solvers return the single window of all steps without a copy.  Every
 state passes the nonnegativity guard, and each solve writes one DEBUG

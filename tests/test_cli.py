@@ -216,12 +216,27 @@ class TestStreamedDecayFit:
         assert _fit_mode_decay(solve.times, _csv_windows(solve, tmp_path / "t.csv")).hex() == stored
 
 
+def plain_python(value) -> bool:
+    """Whether ``value`` is built of Python's own types only, as ``json.dump`` writes them."""
+    if isinstance(value, dict):
+        return all(type(k) is str and plain_python(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(plain_python(v) for v in value)
+    return type(value) in (bool, int, float, str, type(None))
+
+
 def written_summary(result, outdir, kind):
-    """``summary.json`` in ``outdir``, checked for the keys every experiment writes."""
+    """``summary.json`` in ``outdir``, checked for the keys every experiment writes.
+
+    The summary returned by the run holds Python values only (a numpy bool
+    or float is not one), so it is written without a converter.
+    """
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["experiment"] == kind
     assert summary["seed"] == default_configs()[kind]["seed"]
-    assert summary["passed"] is bool(result.passed)
+    assert type(result.passed) is bool and summary["passed"] is result.passed
+    assert plain_python(result.summary), result.summary
+    assert summary == result.summary
     return summary
 
 

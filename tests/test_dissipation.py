@@ -1,4 +1,5 @@
 import ast
+import json
 import logging
 import re
 from dataclasses import astuple
@@ -19,6 +20,7 @@ from edpflow import (
     Tilt,
     Trajectory,
     coarse_params,
+    default_configs,
     dissipation_functional,
     dual_dissipation,
     flux_dissipation,
@@ -30,6 +32,7 @@ from edpflow import (
     hat_edb_residual,
     hat_flux_dissipation,
     kappa_coefficients,
+    load_config,
     manifold_split,
     multispecies_dissipation,
     perspective_eval,
@@ -37,6 +40,7 @@ from edpflow import (
     primal_objective,
     random_detailed_balance_generator,
     reconstruct_from_coarse,
+    run_experiment,
     slope,
     slow_manifold_defect,
     solve_effective,
@@ -46,7 +50,7 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
-from edpflow.dissipation import _chunks, _network_dual, _window_intervals, damped_newton_max
+from edpflow.dissipation import _network_dual, _window_intervals, damped_newton_max
 from edpflow.multispecies import _multispecies_solve
 from edpflow.solver import _effective_solve, _eps_solve
 
@@ -501,7 +505,7 @@ def _sequential_multispecies(traj, gen, eps):
 
 
 def _network_trajectory():
-    """A 3-species solver trajectory spanning several chunks and warm-start blocks."""
+    """A 3-species solver trajectory spanning two windows and several warm-start blocks."""
     gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
     n, eps = 16, 1e-2
     x = (np.arange(n) + 0.5) / n
@@ -514,7 +518,7 @@ def _relative_gaps(got, want):
 
 
 class TestBatchedEvaluation:
-    """The chunked, stacked evaluation against one interval at a time."""
+    """The windowed, stacked evaluation against one interval at a time."""
 
     def test_two_species_matches_sequential_loop(self, params):
         traj, tilt = _criterion_3_level_0(params)
@@ -530,7 +534,7 @@ class TestBatchedEvaluation:
 
     def test_network_matches_sequential_loop(self):
         traj, gen, eps = _network_trajectory()
-        assert len(_chunks(traj.n_times - 1, 3 * traj.n_cells)) > 1
+        assert traj.n_times - 1 > _window_intervals(3 * traj.n_cells)
         bd = multispecies_dissipation(traj, gen, eps)
         got = [bd.vel_diff, bd.vel_react_slow, bd.vel_react_fast,
                bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
@@ -571,7 +575,7 @@ class TestBatchedEvaluation:
         # dt is a power of two, so both halves keep the exact time steps
         dt = 2.0 ** -11
         traj, tilt = _criterion_3_level_0(params, dt, 640 * dt)
-        assert len(_chunks(traj.n_times - 1, 2 * traj.n_cells)) > 1
+        assert traj.n_times - 1 > _window_intervals(2 * traj.n_cells)
         halves = []
         for lo, hi in ((0, 320), (320, 640)):
             fluxes = FluxAssignment(traj.fluxes.J[lo:hi], traj.fluxes.b[lo:hi])
@@ -612,7 +616,7 @@ class TestBatchedEvaluation:
         (record,) = caplog.records
         msg = record.getMessage()
         assert record.levelno == logging.DEBUG and record.name == "edpflow.dissipation"
-        assert "over 50 intervals in 1 chunks" in msg
+        assert "over 50 intervals in 1 windows" in msg
         hist, gnorm = re.search(r"per interval (\{.*\}), max final gradient norm (\S+)$", msg).groups()
         hist = ast.literal_eval(hist)
         assert sum(hist.values()) == 50 and min(hist) >= 1
@@ -628,7 +632,16 @@ class TestBatchedEvaluation:
             multispecies_dissipation(net_traj, gen, 1e-2)
         (record,) = caplog.records
         assert record.name == "edpflow.multispecies"
-        assert "over 10 intervals in 1 chunks" in record.getMessage()
+        assert "over 10 intervals in 1 windows" in record.getMessage()
+
+        # 625 intervals on 20 cells: a window of 13 blocks and the rest
+        traj, tilt = _criterion_3_level_0(params)
+        assert _window_intervals(2 * traj.n_cells) == 13 * dissipation_module._WARM_BLOCK
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
+            dissipation_functional(traj, params, tilt)
+        (record,) = caplog.records
+        assert "over 625 intervals in 2 windows" in record.getMessage()
 
 
 def _breakdown_terms(bd):
@@ -731,7 +744,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("n", [20, 160])
     def test_stored_flux_terms_equal_flux_dissipation_bitwise(self, params, n):
         # each term is integrated on its own, so its bits do not depend on
-        # which other terms are evaluated with it (n = 160 runs several chunks)
+        # which other terms are evaluated with it (n = 160 runs several windows)
         traj, tilt = _criterion_3_level_0(params, 4e-4, 0.25, n)
         bd = dissipation_functional(traj, params, tilt)
         stored = flux_dissipation(traj, params, tilt)
@@ -844,6 +857,54 @@ class TestRoundoffFloor:
         assert np.isfinite(res.value) and res.value > 0
 
 
+class TestGaugePin:
+    """The gauge is pinned at each problem's largest negative-Hessian diagonal entry."""
+
+    def _evaluate(self, delta_v, epsilon):
+        # constant tilt V_1 = delta_v / 2, V_2 = -delta_v / 2 on slow-manifold data
+        n = 40
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=epsilon)
+        v = np.array([[0.5], [-0.5]]) * delta_v
+        tilt = Tilt(v * np.ones(n), v * np.ones(n + 1))
+        hat = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        c0 = manifold_split(hat, params, tilt)
+        traj = solve_eps_system(State(c0), params, tilt, SolverConfig(1e-3, 0.01))
+        bd = dissipation_functional(traj, params, tilt)
+        return traj, bd.total, edb_residual(traj, params, tilt)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-8])
+    @pytest.mark.parametrize("delta_v", [70, 100])
+    def test_species_below_rounding_under_a_constant_tilt(self, delta_v, epsilon):
+        # species 1 falls below 1e-29: a pin on unknown 0 (species 1 in cell
+        # 0, diagonal about 4e-14) left the constant mode of species 2 lifted
+        # by an exchange coupling below rounding, and "singular dual Hessian"
+        # was raised at delta_v = 100, and at 70 for epsilon = 1e-3
+        traj, total, residual = self._evaluate(delta_v, epsilon)
+        assert traj.states[:, 0].max() < 1e-29
+        # species 2 carries the dynamics alone, as it does at delta_v = 60,
+        # which the pin on unknown 0 evaluated too
+        assert total == pytest.approx(0.0216421, rel=1e-6)
+        assert residual == pytest.approx(2.376e-4, rel=1e-3)
+        _, total_60, residual_60 = self._evaluate(60.0, epsilon)
+        assert total == pytest.approx(total_60, rel=1e-8)
+        assert residual == pytest.approx(residual_60, rel=1e-6)
+
+    # still a DualAscentError: a species below rounding in every cell
+    # defeats one pin per problem (ROADMAP item 2(b)); this list may only shrink
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-8])
+    def test_still_raising_constant_tilt(self, epsilon):
+        with pytest.raises(DualAscentError):
+            self._evaluate(200.0, epsilon)
+
+    def test_still_raising_edb_refinement(self, tmp_path):
+        doc = dict(default_configs()["edb_refinement"], output_dir=str(tmp_path / "out"),
+                   tilt={"kind": "cosine", "coefficients": [[35], [-35]]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DualAscentError):
+            run_experiment(load_config(path))
+
+
 def _hex(bd):
     return [float(t).hex() for t in (bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react)]
 
@@ -859,7 +920,8 @@ class TestStreamedEvaluation:
         c0 = w_v * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
         return State(c0 / (c0.sum() / n)), tilt
 
-    def _compare(self, params, n, config, window, hat_window):
+    def _compare(self, params, n, config, window, hat_window, net_window):
+        # the stored trajectories are read in the evaluators' default windows
         c0, tilt = self._initial(params, n)
         steps = config.n_steps
         assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
@@ -881,8 +943,8 @@ class TestStreamedEvaluation:
         gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
         net0 = State(gen.stationary(params.epsilon)[:, None] * hat0)
         net = solve_multispecies(net0, gen, params.epsilon, config)
-        net_stream = _multispecies_solve(net0, gen, params.epsilon, config)
-        assert net_stream.n_cells == n and config.n_steps > _window_intervals(4 * n)
+        net_stream = Windowed(_multispecies_solve(net0, gen, params.epsilon, config), net_window)
+        assert net_stream.n_cells == n and config.n_steps > net_window
         streamed = multispecies_dissipation(net_stream, gen, params.epsilon)
         stored = multispecies_dissipation(net, gen, params.epsilon)
         assert [float(v).hex() for v in astuple(streamed)] == \
@@ -892,20 +954,32 @@ class TestStreamedEvaluation:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("windows", [1, 3])
     def test_bit_identical_to_the_stored_trajectory(self, params, scheme, windows):
-        # on 256 cells a chunk is 16 fine and 32 coarse intervals, so the
-        # shortest window is one block; 250 intervals end inside a block
+        # solves read in windows of one or three blocks, against the stored
+        # trajectories' default windows of one fine, two coarse and one
+        # network block on 256 cells; 250 intervals end inside a block
         n = 256
-        window = windows * _window_intervals(2 * n)
-        assert window == windows * _window_intervals(n) == windows * dissipation_module._WARM_BLOCK
-        self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), window, window)
+        assert [_window_intervals(k * n) for k in (2, 1, 4)] == \
+            [dissipation_module._WARM_BLOCK * k for k in (1, 2, 1)]
+        window = windows * dissipation_module._WARM_BLOCK
+        self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), window, window, window)
 
     def test_default_windows_on_a_fine_grid(self, params):
-        # chunks of 25 fine and 51 coarse intervals, windows of 800 and 1632
+        # windows of 64 fine, 128 coarse and 64 network intervals on 160 cells
         n = 160
         window = _window_intervals(2 * n)
-        config = SolverConfig(2.5e-4, 0.25)
+        config = SolverConfig(2.5e-4, 0.025)
         assert window < config.n_steps < 2 * window  # two windows, the second partial
-        self._compare(params, n, config, window, _window_intervals(n))
+        self._compare(params, n, config, window, _window_intervals(n), _window_intervals(4 * n))
+
+    def test_coarse_windows_of_any_length(self, params):
+        # the coarse evaluator needs no warm-start blocks, so any window will do
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1)
+        hat0 = c0.c.sum(axis=0)
+        want = _hex(hat_dissipation(solve_effective(hat0, params, tilt, config), params, tilt))
+        for window in (7, 33):
+            hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), window)
+            assert _hex(hat_dissipation(hat_stream, params, tilt)) == want, window
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_windows_are_the_stored_trajectory(self, params, scheme):
@@ -929,6 +1003,22 @@ class TestStreamedEvaluation:
             for a, b in zip(joined, want):
                 assert np.array_equal(a, b)
 
+    def test_stored_windows_are_views_of_the_solve_windows(self, params):
+        c0, tilt = self._initial(params, 12)
+        config = SolverConfig(1e-3, 0.1)
+        hat0 = c0.c.sum(axis=0)
+        for solve, stored in ((_eps_solve(c0, params, tilt, config),
+                               solve_eps_system(c0, params, tilt, config)),
+                              (_effective_solve(hat0, params, tilt, config),
+                               solve_effective(hat0, params, tilt, config))):
+            got = list(stored.windows(32))
+            assert [window[0].size for window in got] == [33, 33, 33, 5]
+            for window, want in zip(got, solve.windows(32)):
+                assert len(window) == len(want)
+                for a, b in zip(window, want):
+                    assert np.array_equal(a, b) and a.base is not None and not a.flags.writeable
+            assert np.shares_memory(got[-1][1], stored.states)
+
     def test_window_arrays_are_read_only(self, params):
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
@@ -936,18 +1026,19 @@ class TestStreamedEvaluation:
                        *_effective_solve(c0.c.sum(axis=0), params, tilt, config).windows(64)):
             assert not any(a.flags.writeable for a in window)
 
-    def test_windows_must_hold_whole_chunks(self, params):
-        # on 12 cells a chunk is 341 fine or 682 coarse intervals: windows of
-        # whole blocks but not whole chunks are rejected
+    def test_windows_must_hold_whole_blocks(self, params):
+        # two-species and network windows that end inside a warm-start block
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
-        stream = Windowed(_eps_solve(c0, params, tilt, config), 32)
-        with pytest.raises(ValueError, match="inside a warm-start block or a chunk"):
-            dissipation_functional(stream, params, tilt)
-        hat0 = c0.c.sum(axis=0)
-        hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), 32)
-        with pytest.raises(ValueError, match="inside a chunk"):
-            hat_dissipation(hat_stream, params, tilt)
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        net0 = State(gen.stationary(params.epsilon)[:, None] * c0.c.sum(axis=0))
+        for window in (7, 33):
+            stream = Windowed(_eps_solve(c0, params, tilt, config), window)
+            with pytest.raises(ValueError, match="ends inside a warm-start block"):
+                dissipation_functional(stream, params, tilt)
+            net_stream = Windowed(_multispecies_solve(net0, gen, params.epsilon, config), window)
+            with pytest.raises(ValueError, match="ends inside a warm-start block"):
+                multispecies_dissipation(net_stream, gen, params.epsilon)
 
     def test_a_solve_read_twice_gives_the_same_terms(self, params):
         c0, tilt = self._initial(params, 12)
@@ -963,7 +1054,7 @@ class TestStreamedEvaluation:
         assert _hex(hat_dissipation(hat_solve, params, tilt)) == _hex(first)
 
     def test_evaluated_solve_ends_at_the_final_state(self, params):
-        # on 64 cells the windows are 64 two-species, 128 coarse and 32
+        # on 64 cells the windows are 128 two-species, 256 coarse and 64
         # network intervals, so each solve ends in a partial window
         c0, tilt = self._initial(params, 64)
         config = SolverConfig(1e-3, 0.15)

@@ -38,7 +38,7 @@ from edpflow import (
     solve_multispecies,
     trajectory_to_csv,
 )
-from edpflow.cli import _build_initial, _build_tilt
+from edpflow.cli import _WINDOW_VALUES, _build_initial, _build_tilt
 from edpflow.core import _CSV_BLOCK_ROWS, _CSV_WINDOW_BLOCKS, _g17_tables, _Owned
 from edpflow.dissipation import _window_intervals
 from edpflow.multispecies import _multispecies_solve
@@ -358,7 +358,8 @@ def test_eps_sweep_does_not_grow_with_the_steps(tmp_path):
                              initial={"kind": "off_manifold_cosine", "amplitude": 0.5,
                                       "fractions": [0.55, 0.45]})
 
-    short, long = _peak_growth(config, _window_intervals(2 * n))
+    # the sweep reads its solves in windows of its own
+    short, long = _peak_growth(config, _WINDOW_VALUES // n)
     assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
 
 
@@ -382,8 +383,8 @@ def test_mixed_diffusion_fit_does_not_grow_with_the_steps(tmp_path, write):
 
 
 def test_streamed_network_evaluation_does_not_grow_with_the_steps():
-    # on 64 cells and 4 species a chunk is one warm-start block, so a window
-    # is 32 intervals; the shorter run streams two windows
+    # on 64 cells and 4 species a window is two warm-start blocks, 64
+    # intervals; the shorter run streams two windows
     n, eps = 64, 1e-3
     gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
     hat = 1 + 0.5 * np.cos(np.pi * SpatialGrid(n).cell_centers)
