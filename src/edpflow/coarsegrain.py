@@ -60,21 +60,17 @@ class CoarseParams:
     ``delta_hat`` is the stationary-weighted mean of the two diffusion
     constants (cellwise between min and max of the two), ``v_hat`` the mixed
     potential with exp(-v_hat) equal to the stationary-weighted mean of the
-    per-species exponentials, and ``w_hat`` the coarse stationary measure.
-    ``*_faces`` variants are sampled at face midpoints from the face-sampled
-    tilt.
+    per-species exponentials, and ``w_hat`` the coarse stationary measure,
+    all on cells.  Each is taken relative to the least potential, so all are
+    finite whatever the tilt's level.
     """
 
     delta_hat: np.ndarray
     v_hat: np.ndarray
     w_hat: np.ndarray
-    delta_hat_faces: np.ndarray
-    v_hat_faces: np.ndarray
-    w_hat_faces: np.ndarray
-    z: float
 
     def __post_init__(self):
-        for name in ("delta_hat", "v_hat", "w_hat", "delta_hat_faces", "v_hat_faces", "w_hat_faces"):
+        for name in ("delta_hat", "v_hat", "w_hat"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
@@ -138,17 +134,12 @@ def coarse_grain_trajectory(traj: Trajectory) -> CoarseTrajectory:
 
 def coarse_params(params: SystemParams, tilt: Tilt) -> CoarseParams:
     """Coefficient fields of the coarse problem for the given tilt."""
-    w_v, z = stationary_measure(params, tilt)
-    w_vf = stationary_measure_faces(params, tilt)
-    delta = params.delta_array
+    w_v, _ = stationary_measure(params, tilt)
     w_hat = w_v.sum(axis=0)
-    w_hat_f = w_vf.sum(axis=0)
-    delta_hat = (delta[:, None] * w_v).sum(axis=0) / w_hat
-    delta_hat_f = (delta[:, None] * w_vf).sum(axis=0) / w_hat_f
-    w = params.w[:, None]
-    v_hat = -np.log((w * np.exp(-tilt.v_cells)).sum(axis=0))
-    v_hat_f = -np.log((w * np.exp(-tilt.v_faces)).sum(axis=0))
-    return CoarseParams(delta_hat, v_hat, w_hat, delta_hat_f, v_hat_f, w_hat_f, z)
+    delta_hat = (params.delta_array[:, None] * w_v).sum(axis=0) / w_hat
+    m = tilt.v_cells.min(axis=0)  # v_hat = m - log sum_i w_i exp(m - V_i), cell by cell
+    v_hat = m - np.log((params.w[:, None] * np.exp(m - tilt.v_cells)).sum(axis=0))
+    return CoarseParams(delta_hat, v_hat, w_hat)
 
 
 def hat_energy(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> float:

@@ -8,12 +8,14 @@ banded Hessian converges quadratically; optimal fluxes are read off the
 maximizer.  Weak duality makes every returned value a certified lower bound of
 the primal cost.
 
-The module also evaluates the time-integrated dissipation of trajectories
-(variationally, and directly on stored fluxes), its four-term breakdown, the
-energy-dissipation-balance residual, and the coarse (slow-variable) versions
-of all three.  Every block of consecutive intervals, counted from the
-trajectory's start, first solves its first and last interval from zero; the
-intervals between start from the interpolation of those two maximizers.
+The module also evaluates the time-integrated dissipation of trajectories,
+its four-term breakdown, the energy-dissipation-balance residual, and the
+coarse (slow-variable) versions of all three.  Each evaluation costs one
+set of fluxes: the optimal ones of the rates, which is the dissipation, or
+those the trajectory carries, an upper bound of it.  Every block of
+consecutive intervals, counted from the trajectory's start, first solves its
+first and last interval from zero; the intervals between start from the
+interpolation of those two maximizers.
 
 The evaluators read a trajectory through its ``windows`` method, in
 consecutive windows of whole blocks, and evaluate one window at a time: its
@@ -373,21 +375,20 @@ def _integrate(acc, terms, dts):
     return rows.cumsum(axis=1)[:, -1]
 
 
-def _network_terms(windows, w, delta, edges, groups, *, variational=True,
-                   tol=1e-10, max_iter=200, log=logger, newton=None):
+def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
+                   log=logger, newton=None):
     """Time integrals (left-endpoint rule) of the dissipation terms of a trajectory on a network.
 
-    ``windows`` yields ``(states, dts, stored)`` for consecutive windows of
+    ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of
     the trajectory: the states (k + 1, I, n) at times spaced by ``dts`` (the
-    first the previous window's last) and either None or the stored fluxes
-    (J (k, I, n + 1), per-edge exchange fluxes (E, k, n)).  Every window but
-    the last holds whole warm-start blocks.  ``w`` (I, n) is the stationary
-    measure on cells and ``edges`` lists (i, j, kappa).  Returns up to three
-    sets of terms, in this order: the velocity terms of the optimal fluxes of
-    the difference-quotient rates (only if ``variational``), the slope terms,
-    and the velocity terms of the stored fluxes, if the windows carry them.
-    A set is the diffusion term followed by the exchange terms summed over
-    each boolean edge mask in ``groups``.
+    first the previous window's last) and the fluxes (J (k, I, n + 1),
+    per-edge exchange fluxes (E, k, n)) whose cost is the velocity part, or
+    None for the optimal fluxes of the difference-quotient rates.  Every
+    window but the last holds whole warm-start blocks.  ``w`` (I, n) is the
+    stationary measure on cells and ``edges`` lists (i, j, kappa).  Returns
+    the velocity terms and then the slope terms, each the diffusion term
+    followed by the exchange terms summed over each boolean edge mask in
+    ``groups``.
 
     The dual ascents of a window run as two stacked Newton solves, the block
     anchors' and then the warm-started intervals' (see the module
@@ -411,7 +412,7 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
         record.append((gnorm, np.bincount(iters)))
         return x
 
-    for n_windows, (states, dts, stored) in enumerate(windows, 1):
+    for n_windows, (states, dts, fluxes) in enumerate(windows, 1):
         if ragged:
             raise ValueError("a window of the trajectory ends inside a warm-start block")
         n_int = dts.size
@@ -419,9 +420,8 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
         c = states[:-1]
         band, n = c.shape[1:]
         h = 1.0 / n
-        sets = []
-        if variational:
-            vg, hess, fluxes = _network_dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
+        if fluxes is None:
+            vg, hess, optimal = _network_dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
             # blocks and interpolation weights: the window starts a block
             index = np.arange(n_int)
             first = index // _WARM_BLOCK * _WARM_BLOCK
@@ -435,17 +435,14 @@ def _network_terms(windows, w, delta, edges, groups, *, variational=True,
             inner = np.flatnonzero((weight > 0) & (weight < 1))
             if inner.size:
                 x[inner] = solve(vg, hess, inner, x[inner], interior_log)
-            _, J, edge_b = fluxes(x)
-            sets.append(_network_cost(c, delta, edges, J, edge_b, h))
-        sets.append(_network_slope(c, w, delta, edges, h))
-        if stored is not None:
-            sets.append(_network_cost(c, delta, edges, *stored, h))
+            fluxes = optimal(x)[1:]
         terms = []
-        for diff, per_edge in sets:
+        for diff, per_edge in (_network_cost(c, delta, edges, *fluxes, h),
+                               _network_slope(c, w, delta, edges, h)):
             per_edge = np.array(per_edge)
             terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
         acc = _integrate(acc, terms, dts)
-    if variational and log.isEnabledFor(logging.DEBUG):
+    if anchor_log and log.isEnabledFor(logging.DEBUG):
         def hist(solves):
             counts = np.zeros(max((c.size for _, c in solves), default=0), dtype=int)
             for _, c in solves:
@@ -469,21 +466,17 @@ def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
     return w_v, params.delta_array, edges, [np.array([True])]
 
 
-def _windows(traj, stored=None):
+def _windows(traj, fluxes=None):
     """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
 
-    Windows of :func:`_window_intervals` for the values of one state;
-    ``stored`` maps a window's fluxes to those the evaluator reads, if any
-    and if the trajectory stores fluxes (a solve does not).
+    Windows of :func:`_window_intervals` for the values of one state, with
+    the evaluation's one velocity source: ``fluxes`` maps the fluxes each
+    window carries to those to cost, and without it the optimal ones are.
     """
-    stored = None if traj.fluxes is None else stored
-    for times, states, *fluxes in traj.windows(_window_intervals(traj.states[0].size)):
-        yield states, np.diff(times), None if stored is None else stored(*fluxes)
-
-
-def _two_species_fluxes(J, b):
-    """The fluxes of a two-species window as :func:`_network_terms` takes them."""
-    return J, b[None, :, 1]
+    for times, states, *carried in traj.windows(_window_intervals(traj.states[0].size)):
+        if fluxes is not None and not carried:
+            raise ValueError("no flux data: the trajectory carries no fluxes")
+        yield states, np.diff(times), None if fluxes is None else fluxes(*carried)
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -495,17 +488,15 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     quotient rate and the slope part the Fisher-information terms at the left
     endpoint; time integration is the left-endpoint rule.  The dual ascents
     run as stacked Newton solves, warm-started from block anchors (see the
-    module docstring).  If the trajectory carries explicit fluxes, the same
-    velocity terms evaluated directly on those fluxes are reported alongside,
-    from the same pass over the intervals.
+    module docstring).  Fluxes the trajectory carries do not enter; their
+    cost is :func:`flux_dissipation`.
 
     ``traj`` may also be a solve, read window by window (see
     :meth:`edpflow.solver._Solve.windows`); the terms are those of the
     stored trajectory, bit for bit, and the solve is never stored.
     """
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
-    return DissipationBreakdown(*_network_terms(_windows(traj, _two_species_fluxes), *args,
-                                                tol=tol, max_iter=max_iter))
+    return DissipationBreakdown(*_network_terms(_windows(traj), *args, tol=tol, max_iter=max_iter))
 
 
 def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -515,15 +506,12 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     No optimization is involved: the kinetic and exchange costs of the carried
     fluxes are integrated together with the slope terms (left-endpoint rule).
     Dominates the variational value, with equality when the stored fluxes are
-    optimal.
+    optimal.  ``traj`` may also be a solve, whose windows carry its fluxes,
+    read as for :func:`dissipation_functional`.
     """
-    if traj.fluxes is None:
-        raise ValueError("no flux data: trajectory carries no FluxAssignment")
     args = _two_species_args(traj.initial_state, params, tilt, epsilon)
-    slope_diff, slope_react, vel_diff, vel_react = _network_terms(
-        _windows(traj, _two_species_fluxes), *args, variational=False)
-    return DissipationBreakdown(vel_diff, vel_react, slope_diff, slope_react,
-                                flux_vel_diff=vel_diff, flux_vel_react=vel_react)
+    windows = _windows(traj, lambda J, b: (J, b[None, :, 1]))  # the exchange flux into species 1
+    return DissipationBreakdown(*_network_terms(windows, *args))
 
 
 def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
@@ -541,12 +529,13 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
     return e1 + breakdown.total - e0
 
 
-def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_fluxes: bool):
+def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
     """Time integrals of the coarse velocity and slope terms.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
     coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them,
-    of any length: each window's elliptic problems are one batched solve.
+    of any length: the face fluxes (k, n + 1) to cost, or None for the
+    optimal ones, whose elliptic problems are one batched solve per window.
     """
     if tilt.n_cells != n:
         raise ValueError("tilt does not match coarse trajectory")
@@ -559,11 +548,9 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt, use_stored_flu
         hat_c = states[:-1]
         mob = cp.delta_hat * hat_c
         mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
-        if use_stored_fluxes:
-            jint = fluxes[:, 1:-1]
-        else:
-            jint = optimal_coarse_flux(mob_f, (states[1:] - hat_c) / dts[:, None], h)[:, 1:-1]
-        vel = 0.5 * np.sum(_face_kinetic(jint, mob_f), axis=1) * h
+        if fluxes is None:
+            fluxes = optimal_coarse_flux(mob_f, (states[1:] - hat_c) / dts[:, None], h)
+        vel = 0.5 * np.sum(_face_kinetic(fluxes[:, 1:-1], mob_f), axis=1) * h
         slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
         acc = _integrate(acc, [vel, slp], dts)
     return acc
@@ -579,19 +566,18 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
     coarse solve, read window by window as for :func:`dissipation_functional`.
     """
-    vel, slp = _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt,
-                          use_stored_fluxes=False)
+    vel, slp = _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt)
     return DissipationBreakdown(vel, 0.0, slp, 0.0)
 
 
 def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
                          tilt: Tilt) -> DissipationBreakdown:
-    """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes."""
-    if hat_traj.fluxes is None:
-        raise ValueError("no flux data: coarse trajectory carries no fluxes")
-    vel, slp = _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt,
-                          use_stored_fluxes=True)
-    return DissipationBreakdown(vel, 0.0, slp, 0.0, flux_vel_diff=vel, flux_vel_react=0.0)
+    """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes.
+
+    ``hat_traj`` may also be a coarse solve, read as for :func:`hat_dissipation`.
+    """
+    vel, slp = _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt)
+    return DissipationBreakdown(vel, 0.0, slp, 0.0)
 
 
 def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,

@@ -161,21 +161,31 @@ def energy_gradient(state: State, params: SystemParams, tilt: Tilt) -> np.ndarra
         return np.log(state.c / params.w[:, None]) + tilt.v_cells
 
 
+def _shifted_measure(params: SystemParams, tilt: Tilt):
+    """V_min, the tilt's least cell value, and the cell normalization of w exp(V_min - V)."""
+    v_min = tilt.v_cells.min()
+    return v_min, float((params.w[:, None] * np.exp(v_min - tilt.v_cells)).sum()) / tilt.n_cells
+
+
 def stationary_measure(params: SystemParams, tilt: Tilt):
     """Tilted stationary measure on cells and its normalization.
 
     Returns ``(w_v, z)`` where ``w_v[i, k] = w_i exp(-V_i(x_k)) / z`` and
     ``z`` normalizes the total measure to one under midpoint quadrature.
+    The exponentials are taken relative to V's least cell value V_min, whose
+    factor exp(-V_min) the normalization cancels, so ``w_v`` is finite
+    whatever V's level; ``z`` is the shifted normalization times
+    exp(-V_min) and reads inf or 0 where that leaves the floating-point range.
     """
-    unnorm = params.w[:, None] * np.exp(-tilt.v_cells)
-    z = float(unnorm.sum()) / tilt.n_cells
-    return unnorm / z, z
+    v_min, z = _shifted_measure(params, tilt)
+    with np.errstate(over="ignore"):
+        return params.w[:, None] * np.exp(v_min - tilt.v_cells) / z, z * float(np.exp(-v_min))
 
 
 def stationary_measure_faces(params: SystemParams, tilt: Tilt) -> np.ndarray:
-    """Tilted stationary weights sampled at faces, normalized with the cell z."""
-    _, z = stationary_measure(params, tilt)
-    return params.w[:, None] * np.exp(-tilt.v_faces) / z
+    """Tilted stationary weights sampled at faces, normalized as the cell measure."""
+    v_min, z = _shifted_measure(params, tilt)
+    return params.w[:, None] * np.exp(v_min - tilt.v_faces) / z
 
 
 def _diffusion_dual(c: np.ndarray, delta: np.ndarray, xi: np.ndarray, h: float) -> float:
@@ -280,26 +290,17 @@ def r_eff_dual(state: State, params: SystemParams, tilt: Tilt, xi, tol_eq: float
 class DissipationBreakdown:
     """Additive pieces of the time-integrated dissipation.
 
-    ``vel_*`` are the velocity (flux-cost) terms, ``slope_*`` the
-    Fisher-information terms; all four are nonnegative and ``total`` is the
-    value of the dissipation functional.  When a trajectory carries explicit
-    fluxes, ``flux_vel_*`` report the same two velocity terms evaluated
-    directly on those fluxes instead of on the variational optimizer.
+    ``vel_*`` are the velocity (flux-cost) terms of one set of fluxes, the
+    optimal or the carried ones, by the evaluator that returned it;
+    ``slope_*`` are the Fisher-information terms.  All four are nonnegative
+    and ``total`` is their sum.
     """
 
     vel_diff: float
     vel_react: float
     slope_diff: float
     slope_react: float
-    flux_vel_diff: float | None = None
-    flux_vel_react: float | None = None
 
     @property
     def total(self) -> float:
         return self.vel_diff + self.vel_react + self.slope_diff + self.slope_react
-
-    @property
-    def flux_total(self) -> float | None:
-        if self.flux_vel_diff is None:
-            return None
-        return self.flux_vel_diff + self.flux_vel_react + self.slope_diff + self.slope_react

@@ -230,12 +230,10 @@ class _Solve:
     (None for ``imex_euler``) advances it after and adds its amounts to
     ``b``.  ``solver`` names the solve in its DEBUG record.
 
-    A solve is read as a trajectory is, through :meth:`windows`; ``states``
-    is the window handed out last (before the first, the initial state), and
-    ``fluxes`` is None: a solve stores none, although its windows carry them.
+    A solve is read as a trajectory is, through :meth:`windows`, whose
+    windows carry its fluxes; ``states`` is the window handed out last
+    (before the first, the initial state).
     """
-
-    fluxes = None
 
     def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, exchange=None):
         self.solver, self.initial, self.config, self.exchange = solver, initial, config, exchange

@@ -30,6 +30,7 @@ from edpflow import (
     energy_gradient,
     hat_dissipation,
     hat_edb_residual,
+    hat_energy,
     hat_flux_dissipation,
     kappa_coefficients,
     load_config,
@@ -298,10 +299,10 @@ class TestDissipationFunctional:
         c0 /= c0.sum() / 12
         traj = solve_eps_system(State(c0), params, tilt, SolverConfig(1e-3, 0.01))
         bd = dissipation_functional(traj, params, tilt)
-        assert bd.flux_vel_diff is not None
+        carried = flux_dissipation(traj, params, tilt)
         # solver fluxes are near-optimal: costs agree to leading order
-        assert bd.flux_vel_diff + bd.flux_vel_react >= bd.vel_diff + bd.vel_react - 1e-12
-        assert bd.flux_total >= bd.total - 1e-12
+        assert carried.vel_diff + carried.vel_react >= bd.vel_diff + bd.vel_react - 1e-12
+        assert carried.total >= bd.total - 1e-12
 
 
 class TestEnergyDissipationBalance:
@@ -524,8 +525,8 @@ class TestBatchedEvaluation:
         traj, tilt = _criterion_3_level_0(params)
         assert traj.n_times - 1 == 625
         bd = dissipation_functional(traj, params, tilt)
-        got = [bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react,
-               bd.flux_vel_diff, bd.flux_vel_react]
+        carried = flux_dissipation(traj, params, tilt)
+        got = [*_breakdown_terms(bd), carried.vel_diff, carried.vel_react]
         gaps = _relative_gaps(got, _sequential_breakdown(traj, params, tilt))
         # vel_react: the absolute 1e-10 gradient tolerance is reached from a
         # cold start here and from the previous interval's maximizer there
@@ -582,12 +583,12 @@ class TestBatchedEvaluation:
             times = traj.times[lo:hi + 1] - traj.times[lo]
             assert np.array_equal(np.diff(times), np.diff(traj.times[lo:hi + 1]))
             halves.append(Trajectory(times, traj.states[lo:hi + 1], fluxes))
-        whole = dissipation_functional(traj, params, tilt)
-        parts = [dissipation_functional(half, params, tilt) for half in halves]
-        for name in ("vel_diff", "vel_react", "slope_diff", "slope_react",
-                     "flux_vel_diff", "flux_vel_react"):
-            assert getattr(whole, name) == pytest.approx(
-                sum(getattr(p, name) for p in parts), rel=1e-13, abs=0), name
+        for evaluate in (dissipation_functional, flux_dissipation):
+            whole = evaluate(traj, params, tilt)
+            parts = [evaluate(half, params, tilt) for half in halves]
+            for name in ("vel_diff", "vel_react", "slope_diff", "slope_react"):
+                assert getattr(whole, name) == pytest.approx(
+                    sum(getattr(p, name) for p in parts), rel=1e-13, abs=0), (evaluate, name)
 
     def test_blocked_interval_inside_a_batch_raises_typed_error(self, params):
         # the empty-pair state of test_blocked_transport_fails_with_diagnostics
@@ -645,8 +646,7 @@ class TestBatchedEvaluation:
 
 
 def _breakdown_terms(bd):
-    return [bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react,
-            bd.flux_vel_diff, bd.flux_vel_react]
+    return [bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react]
 
 
 def _network_breakdown_terms(bd):
@@ -733,22 +733,25 @@ class TestWarmStart:
         assert bd.vel_react == pytest.approx(4e-4 * react, rel=1e-9)
 
     def test_stored_flux_terms_match_flux_dissipation(self, params):
+        # the costs of the stored fluxes, one interval at a time
         traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
         bd = dissipation_functional(traj, params, tilt)
         stored = flux_dissipation(traj, params, tilt)
-        assert bd.flux_vel_diff == pytest.approx(stored.vel_diff, rel=1e-14)
-        assert bd.flux_vel_react == pytest.approx(stored.vel_react, rel=1e-14)
+        want = sum(dt * np.array(primal_objective(
+            traj.state(m), params, FluxAssignment(traj.fluxes.J[m], traj.fluxes.b[m])))
+            for m, dt in enumerate(np.diff(traj.times)))
+        assert stored.vel_diff == pytest.approx(want[0], rel=1e-14)
+        assert stored.vel_react == pytest.approx(want[1], rel=1e-14)
         assert bd.slope_diff == pytest.approx(stored.slope_diff, rel=1e-14)
         assert bd.slope_react == pytest.approx(stored.slope_react, rel=1e-14)
 
     @pytest.mark.parametrize("n", [20, 160])
     def test_stored_flux_terms_equal_flux_dissipation_bitwise(self, params, n):
         # each term is integrated on its own, so its bits do not depend on
-        # which other terms are evaluated with it (n = 160 runs several windows)
+        # which velocity terms are evaluated with it (n = 160 runs several windows)
         traj, tilt = _criterion_3_level_0(params, 4e-4, 0.25, n)
         bd = dissipation_functional(traj, params, tilt)
         stored = flux_dissipation(traj, params, tilt)
-        assert (bd.flux_vel_diff, bd.flux_vel_react) == (stored.flux_vel_diff, stored.flux_vel_react)
         assert (bd.slope_diff, bd.slope_react) == (stored.slope_diff, stored.slope_react)
 
     def test_debug_log_splits_anchors_and_interior(self, params, caplog):
@@ -782,7 +785,8 @@ class TestRoundoffFloor:
         # tol = 1e-10 is below the rounding level of an exchange weight of order h / epsilon
         traj, params = self._slow_manifold_trajectory(epsilon)
         bd = dissipation_functional(traj, params, Tilt.zero(40))
-        terms = np.array(_breakdown_terms(bd))
+        terms = np.array(_breakdown_terms(bd)
+                         + _breakdown_terms(flux_dissipation(traj, params, Tilt.zero(40))))
         assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
         traj_ref, params_ref = self._slow_manifold_trajectory(1e-6)
         ref = dissipation_functional(traj_ref, params_ref, Tilt.zero(40))
@@ -801,7 +805,8 @@ class TestRoundoffFloor:
         c0 = manifold_split(hat, params, tilt)
         traj = solve_eps_system(State(c0), params, tilt, SolverConfig(dt, 0.05))
         bd = dissipation_functional(traj, params, tilt)
-        terms = np.array(_breakdown_terms(bd))
+        terms = np.array(_breakdown_terms(bd)
+                         + _breakdown_terms(flux_dissipation(traj, params, tilt)))
         assert np.all(np.isfinite(terms)) and np.all(terms >= 0)
         assert bd.total == pytest.approx(0.0823, rel=2e-3)
 
@@ -905,6 +910,57 @@ class TestGaugePin:
             run_experiment(load_config(path))
 
 
+class TestTiltLevel:
+    """A constant added to both potentials moves no dissipation, however large it is."""
+
+    def _tilt(self, n, s):
+        tilt = cosine_tilt(n, [[0.0], [0.3]])
+        return Tilt(tilt.v_cells + s, tilt.v_faces + s)
+
+    def _evaluate(self, params, s, split):
+        # V_1 = s and V_2 = s + 0.3 cos(pi x) on 20 cells
+        n = 20
+        tilt = self._tilt(n, s)
+        hat = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        hat /= hat.sum() / n
+        c0 = manifold_split(hat, params, tilt) if split else params.w[:, None] * hat
+        config = SolverConfig(1e-3, 0.01)
+        traj = solve_eps_system(State(c0), params, tilt, config)
+        hat_traj = solve_effective(hat, params, tilt, config)
+        return np.array([dissipation_functional(traj, params, tilt).total,
+                         flux_dissipation(traj, params, tilt).total,
+                         hat_dissipation(hat_traj, params, tilt).total,
+                         hat_energy(hat, params, tilt) - s])
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("s", [-720.0, 750.0, -5000.0])
+    def test_values_of_the_untilted_level(self, params, s, split):
+        # exp(-V) overflowed at s = -720 and underflowed to 0 at s = 750,
+        # which gave NaN terms, an energy of -inf and a "tilt too large" solve
+        got, want = self._evaluate(params, s, split), self._evaluate(params, 0.0, split)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got[:3] - want[:3]) <= 1e-12 * want[:3]), got - want
+        assert got[3] == pytest.approx(want[3], abs=1e-15 * abs(s))
+
+    def test_stationary_measure_reads_the_level_in_z_alone(self, params):
+        w_0, z_0 = stationary_measure(params, self._tilt(20, 0.0))
+        for s, z in ((-720.0, np.inf), (750.0, 0.0)):
+            w_v, z_s = stationary_measure(params, self._tilt(20, s))
+            assert np.allclose(w_v, w_0, rtol=1e-13, atol=0) and z_s == z
+        assert stationary_measure(params, self._tilt(20, 720.0))[1] == pytest.approx(
+            z_0 * np.exp(-720.0), rel=1e-9)
+
+    def test_exchange_overflow_is_a_typed_error(self, params):
+        # V_1 - V_2 = 1500: the split is finite, and the solver's exchange rates overflow
+        n = 20
+        v = np.array([[750.0], [-750.0]])
+        tilt = Tilt(v * np.ones(n), v * np.ones(n + 1))
+        c0 = manifold_split(np.ones(n), params, tilt)
+        assert np.all(np.isfinite(c0))
+        with pytest.raises(IntegrationError, match="tilt too large"):
+            solve_eps_system(State(c0), params, tilt, SolverConfig(1e-3, 0.01))
+
+
 def _hex(bd):
     return [float(t).hex() for t in (bd.vel_diff, bd.vel_react, bd.slope_diff, bd.slope_react)]
 
@@ -926,17 +982,17 @@ class TestStreamedEvaluation:
         steps = config.n_steps
         assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
         traj = solve_eps_system(c0, params, tilt, config)
-        stream = Windowed(_eps_solve(c0, params, tilt, config), window)
-        streamed = dissipation_functional(stream, params, tilt)
-        assert _hex(streamed) == _hex(dissipation_functional(traj, params, tilt))
-        assert streamed.flux_vel_diff is None and streamed.flux_vel_react is None
+        # the terms of the fluxes the windows carry, and of the optimal ones
+        for evaluate in (flux_dissipation, dissipation_functional):
+            stream = Windowed(_eps_solve(c0, params, tilt, config), window)
+            assert _hex(evaluate(stream, params, tilt)) == _hex(evaluate(traj, params, tilt))
         assert np.array_equal(stream.states[-1], traj.states[-1])
         assert np.array_equal(stream.times, traj.times)
         hat0 = c0.c.sum(axis=0)
         hat_traj = solve_effective(hat0, params, tilt, config)
-        hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), hat_window)
-        assert _hex(hat_dissipation(hat_stream, params, tilt)) == \
-            _hex(hat_dissipation(hat_traj, params, tilt))
+        for evaluate in (hat_flux_dissipation, hat_dissipation):
+            hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), hat_window)
+            assert _hex(evaluate(hat_stream, params, tilt)) == _hex(evaluate(hat_traj, params, tilt))
         assert np.array_equal(hat_stream.states[-1], hat_traj.states[-1])
         if config.scheme == "imex_euler":
             return  # networks have no explicit exchange step
@@ -1045,13 +1101,20 @@ class TestStreamedEvaluation:
         config = SolverConfig(1e-3, 0.1)
         solve = _eps_solve(c0, params, tilt, config)
         assert np.array_equal(solve.states, c0.c[None]) and solve.n_cells == 12
-        with pytest.raises(ValueError, match="no flux data"):
-            flux_dissipation(solve, params, tilt)
-        first = dissipation_functional(solve, params, tilt)
-        assert _hex(dissipation_functional(solve, params, tilt)) == _hex(first)
         hat_solve = _effective_solve(c0.c.sum(axis=0), params, tilt, config)
-        first = hat_dissipation(hat_solve, params, tilt)
-        assert _hex(hat_dissipation(hat_solve, params, tilt)) == _hex(first)
+        for evaluate, s in ((dissipation_functional, solve), (flux_dissipation, solve),
+                            (hat_dissipation, hat_solve), (hat_flux_dissipation, hat_solve)):
+            first = evaluate(s, params, tilt)
+            assert _hex(evaluate(s, params, tilt)) == _hex(first), evaluate
+
+    def test_no_carried_fluxes_raise(self, params):
+        c0, tilt = self._initial(params, 12)
+        traj = solve_eps_system(c0, params, tilt, SolverConfig(1e-3, 0.1))
+        hat = CoarseTrajectory(traj.times, traj.states.sum(axis=1))
+        for evaluate, stored in ((flux_dissipation, Trajectory(traj.times, traj.states)),
+                                 (hat_flux_dissipation, hat)):
+            with pytest.raises(ValueError, match="no flux data"):
+                evaluate(stored, params, tilt)
 
     def test_evaluated_solve_ends_at_the_final_state(self, params):
         # on 64 cells the windows are 128 two-species, 256 coarse and 64
