@@ -1,7 +1,11 @@
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from edpflow import (
     MarkovGenerator,
@@ -13,6 +17,7 @@ from edpflow import (
     build_detailed_balance_generator,
     dissipation_functional,
     gce_residual,
+    hat_dissipation,
     kappa_coefficients,
     kappa_split,
     load_generator,
@@ -24,6 +29,9 @@ from edpflow import (
     validate_generator,
 )
 from edpflow.cli import equation_generator
+from edpflow.coarsegrain import coarse_grain_trajectory
+from edpflow.multispecies import _generator_exp
+from edpflow.solver import _eps_solve
 
 
 @pytest.fixture
@@ -268,3 +276,105 @@ class TestDissipation:
             vals.append(bd.vel_react_slow + bd.slope_react_slow)
         diffs = np.abs(np.diff(vals))
         assert diffs[-1] < 0.01 * diffs[0]
+
+
+def _cyclic_generator():
+    """Five species on a cycle with unequal forward and backward rates: no detailed balance."""
+    def cycle(rates, step):
+        a = np.zeros((5, 5))
+        for i, r in enumerate(rates):
+            a[(i + step) % 5, i] = r
+        a[np.diag_indices(5)] = -a.sum(axis=0)
+        return a
+
+    return MarkovGenerator(tuple("ABCDE"), cycle([0.3, 0.1, 0.7, 0.2, 0.5], -1),
+                           cycle([1.9, 0.6, 1.2, 2.5, 0.8], 1), np.ones(5))
+
+
+class TestPropagator:
+    """The reaction half step's exp(tau A), from matrix products alone."""
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    def test_matches_scipy_expm(self, eps, dt):
+        u = np.finfo(float).eps
+        gens = [random_detailed_balance_generator(np.random.default_rng(seed), n)
+                for seed, n in ((1, 4), (2, 5), (3, 6))] + [_cyclic_generator()]
+        for gen in gens:
+            a = gen.assemble(eps) * dt
+            p = _generator_exp(a)
+            # the generator's own rounding makes 1^T P - 1^T about u ||tau A||
+            # for either method, so the bound scales with the norm
+            bound = 100 * u * max(1.0, np.abs(a).sum(axis=0).max())
+            assert np.abs(p - expm(a)).max() <= bound
+            assert np.abs(p.sum(axis=0) - 1.0).max() <= bound
+            assert p.min() >= 0.0
+
+    def test_zero_generator_gives_identity(self):
+        assert np.array_equal(_generator_exp(np.zeros((3, 3))), np.eye(3))
+
+    def test_overflowing_non_rate_matrix_ends(self):
+        # negative off-diagonal entries: the terms overflow to inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _generator_exp(np.array([[-1.0, -1e300], [1e300, -1.0]]))
+        assert np.isnan(p).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_generator_rejected(self, bad):
+        fast = np.array([[-bad, 1.0], [bad, -1.0]])
+        gen = MarkovGenerator(("A", "B"), np.zeros((2, 2)), fast, np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            solve_multispecies(State(np.ones((2, 6))), gen, 1e-2, SolverConfig(1e-3, 0.002))
+
+
+def _other_thread_ticks():
+    """CPU clock ticks (utime + stime) of every thread in this process but the caller."""
+    me = threading.get_native_id()
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread /proc stat")
+class TestWorkerThreads:
+    """A run is single-threaded: no BLAS worker is left spinning after it."""
+
+    @staticmethod
+    def _worker_ticks(run):
+        time.sleep(0.4)  # a worker woken before the test goes back to sleep
+        before = _other_thread_ticks()
+        run()
+        time.sleep(0.1)
+        return _other_thread_ticks() - before
+
+    def test_network_solve_and_dissipation(self):
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        c0 = np.random.default_rng(1).uniform(0.5, 1.5, (4, 20))
+        c0 = State(c0 / (c0.sum() / 20))
+
+        def run():
+            traj = solve_multispecies(c0, gen, 1e-3, SolverConfig(1e-3, 0.02))
+            multispecies_dissipation(traj, gen, 1e-3)
+
+        assert self._worker_ticks(run) <= 2
+
+    def test_two_species_solve_and_dissipation(self, params):
+        n = 20
+        tilt = Tilt.zero(n)
+        c0 = State(manifold_split(1 + 0.3 * np.cos(np.pi * (np.arange(n) + 0.5) / n),
+                                  params, tilt))
+
+        def run():
+            solve = _eps_solve(c0, params, tilt, SolverConfig(1e-3, 0.02))
+            dissipation_functional(solve, params, tilt)
+            hat_dissipation(coarse_grain_trajectory(solve.result()), params, tilt)
+
+        assert self._worker_ticks(run) <= 2
