@@ -177,8 +177,8 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
-        if len(self.delta) != 2 or min(self.delta) <= 0:
-            raise ValueError(f"delta must be two positive constants, got {self.delta!r}")
+        if len(self.delta) != 2 or not all(0 < d < np.inf for d in self.delta):
+            raise ValueError(f"delta must be two positive finite constants, got {self.delta!r}")
         for name in ("alpha", "beta", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")

@@ -72,6 +72,8 @@ class MarkovGenerator:
                 f"shape mismatch: {i} species, A_slow {a_s.shape}, "
                 f"A_fast {a_f.shape}, delta {d.shape}"
             )
+        if not np.all((d > 0) & (d < np.inf)):
+            raise ValueError(f"delta must be positive and finite, got {d!r}")
         object.__setattr__(self, "species", tuple(str(s) for s in self.species))
         object.__setattr__(self, "a_slow", a_s)
         object.__setattr__(self, "a_fast", a_f)
@@ -131,7 +133,7 @@ def load_generator(source) -> MarkovGenerator:
     """Build a generator from a JSON document (path or already-parsed dict).
 
     The schema is strict: exactly the keys ``species`` (names), ``A_slow`` and
-    ``A_fast`` (row-major square matrices), and ``delta`` (positive array).
+    ``A_fast`` (row-major square matrices), and ``delta`` (positive finite array).
     Violations raise a ValueError listing every offending key.
     """
     if isinstance(source, (str, Path)):
@@ -172,8 +174,8 @@ def load_generator(source) -> MarkovGenerator:
         delta = np.array(doc["delta"], dtype=float)
         if delta.shape != (n,):
             problems.append(f"'delta' must have one entry per species, got shape {delta.shape}")
-        elif np.any(delta <= 0):
-            problems.append("'delta' entries must be positive")
+        elif not np.all((delta > 0) & (delta < np.inf)):
+            problems.append("'delta' entries must be positive and finite")
     except (TypeError, ValueError):
         problems.append("'delta' is not numeric")
         delta = None
@@ -364,24 +366,17 @@ def _multispecies_solve(initial: State, gen: MarkovGenerator, epsilon: float,
         raise ValueError(
             f"state has {initial.n_species} species, generator {gen.n_species}"
         )
-    if config.scheme == "imex_euler":
-        raise ValueError("scheme 'imex_euler' is not available for networks")
     propagator = _generator_exp(gen.assemble(epsilon) * (0.5 * config.dt_effective))
 
-    def first(c, b):
-        c_half = propagator @ c
-        np.subtract(c_half, c, out=b)
-        return c_half
-
-    def second(c, b):
-        c_next = propagator @ c
-        b += c_next - c
-        b -= b.sum(axis=0) / len(b)  # exact zero species sum despite the propagator's roundoff
-        return c_next
+    def half(c):
+        d = propagator @ c - c
+        # centred, so that the propagator's column sums (1 up to roundoff) move no mass
+        d -= d.sum(axis=0) / len(d)
+        return c + d, d
 
     delta_faces = np.repeat(gen.delta[:, None], initial.n_cells - 1, axis=1)
     return _Solve("solve_multispecies", initial.c, config, delta_faces,
-                  np.ones_like(delta_faces), (first, second))
+                  np.ones_like(delta_faces), half)
 
 
 def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
@@ -391,13 +386,14 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
     The reaction half step applies the exact exponential of the assembled
     generator (uniformization with scaling and squaring on the I x I matrix,
     from matrix products alone, shared by all cells; the propagator is
-    entrywise nonnegative),
-    the diffusion step advances all species with one solve per step against
-    a matrix factored once per run: implicit Euler for the scheme
-    "strang_exact_reaction", Crank-Nicolson for "strang_cn" ("imex_euler" is
-    rejected).  Mass and positivity are preserved; recorded fluxes satisfy
-    the discrete continuity equation with species-summed reaction fluxes
-    equal to zero.
+    entrywise nonnegative) and adds the amounts it moves, centred over the
+    species, to the state; the diffusion step advances all species with one
+    solve per step against a matrix factored once per run: implicit Euler
+    for the scheme "strang_exact_reaction", Crank-Nicolson for "strang_cn".
+    Total mass is conserved to roundoff per step, without a drift that grows
+    with the propagator's column-sum error, and the implicit-Euler scheme
+    preserves positivity; recorded fluxes satisfy the discrete continuity
+    equation with reaction fluxes summing to zero over the species.
 
     The stepping loop is that of :func:`~edpflow.solve_eps_system`: each
     step's state passes its nonnegativity guard (roundoff negatives are

@@ -10,10 +10,11 @@ positivity (the implicit matrix is an M-matrix).  The implicit matrix of all
 species is one block-diagonal tridiagonal system, LU-factored once per run;
 each step advances every species with a single triangular solve.  The
 exchange is integrated exactly, so the scale separation costs nothing in
-stability, by one of three half-step maps: per cell the closed-form
-exponential of the two-state generator (its ``imex_euler`` variant takes one
-explicit step before the diffusion instead), the exponential of an I-species
-generator shared by all cells, or none for the coarse system.
+stability: each solve with an exchange has one half-step map, applied before
+and after the drift-diffusion step, which moves amounts summing to zero over
+the species.  It is per cell the closed-form exponential of the two-state
+generator, or the exponential of an I-species generator shared by all cells;
+the coarse system has none.
 
 Per-interval fluxes are recorded from the solves themselves: face fluxes from
 the implicit step's internal fluxes and reaction fluxes from the exchange-step
@@ -67,18 +68,16 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_SCHEMES = ("strang_exact_reaction", "imex_euler", "strang_cn")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, final time, and splitting scheme.
 
-    ``strang_exact_reaction`` (default): exchange half step by exact matrix
-    exponential, implicit-Euler drift-diffusion, exchange half step.
-    ``strang_cn`` replaces the diffusion step by Crank-Nicolson (for order
-    studies).  ``imex_euler`` treats the exchange explicitly and requires
-    dt = O(epsilon) for stability.
+    Both schemes take an exact exchange half step, a drift-diffusion step and
+    a second exact exchange half step, so epsilon sets no limit on the step
+    size.  ``strang_exact_reaction`` (default) advances the drift-diffusion
+    by implicit Euler, ``strang_cn`` by Crank-Nicolson (for order studies;
+    it does not preserve positivity at large steps).
     """
 
     dt: float
@@ -90,8 +89,9 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not self.dt <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and at least one step, got {self.t_final!r}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
+        if self.scheme not in ("strang_exact_reaction", "strang_cn"):
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected "
+                             "'strang_exact_reaction' or 'strang_cn'")
 
     @property
     def n_steps(self) -> int:
@@ -224,11 +224,10 @@ class _Solve:
 
     ``delta_faces`` and ``g`` (k, n - 1) define the drift-diffusion step of
     :class:`_ImplicitStepper`; ``exchange`` is None for the coarse system,
-    else the half-step maps ``(first, second)``.  ``first(c, b)`` advances
-    the (k, n) stack ``c`` before the diffusion step and writes the amounts
-    exchanged into the step's row ``b`` of reaction fluxes; ``second``
-    (None for ``imex_euler``) advances it after and adds its amounts to
-    ``b``.  ``solver`` names the solve in its DEBUG record.
+    else the half-step map ``half(c) -> (c + d, d)`` of the (k, n) stack
+    ``c``, whose amounts ``d`` sum to zero over the species.  It is applied
+    before and after the diffusion step, and the two amounts over dt are the
+    step's reaction fluxes.  ``solver`` names the solve in its DEBUG record.
 
     A solve is read as a trajectory is, through :meth:`windows`, whose
     windows carry its fluxes; ``states`` is the window handed out last
@@ -264,26 +263,29 @@ class _Solve:
         shape = self.initial.shape
         c = self.initial.reshape(-1, shape[-1]).copy()
         steps, dt = self.config.n_steps, self.config.dt_effective
-        step, (first_half, second_half) = self.step, self.exchange or (None, None)
+        step, half = self.step, self.exchange
         clamps = _Clamps()
         width = min(unit, steps)
         states = np.empty((width + 1, *c.shape))
         J = np.zeros((width, c.shape[0], c.shape[1] + 1))
-        b = np.empty((width, *c.shape)) if self.exchange else None
+        b = np.empty((width, *c.shape)) if half else None
         for start in range(0, steps, width):
             states[0] = c
             k = min(width, steps - start)
             for i, m in enumerate(range(start, start + k)):
-                c_next = step(first_half(c, b[i]) if first_half else c, J[i])
-                if second_half:
-                    c_next = second_half(c_next, b[i])
+                if half:
+                    c_half, d = half(c)
+                    c_next, d_next = half(step(c_half, J[i]))
+                    np.add(d, d_next, out=b[i])
+                else:
+                    c_next = step(c, J[i])
                 if not np.isfinite(c_next).all():
                     raise IntegrationError("state left the finite range", m)
                 c = _guard_nonnegative(c_next, m, clamps)
                 states[i + 1] = c
             out = (dt * np.arange(start, start + k + 1), states[:k + 1].reshape(k + 1, *shape),
                    J[:k].reshape(k, *shape[:-1], shape[-1] + 1))
-            if self.exchange:
+            if half:
                 b[:k] /= dt
                 out += (b[:k],)
                 _check_fluxes(*out[2:])
@@ -320,21 +322,13 @@ def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverC
     if not all(np.all(np.isfinite(x)) for x in (a, b, theta)):
         vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
         raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
-    imex = config.scheme == "imex_euler"
-    factor = dt / eps if imex else theta  # imex_euler: one explicit step over the whole step
 
-    def first(c, out):  # the amounts (d, -d), d moved into species 1
-        np.multiply(_SPECIES_SIGN, factor * (b * c[1] - a * c[0]), out=out)
-        return c + out
-
-    def second(c, out):
-        d = _SPECIES_SIGN * (factor * (b * c[1] - a * c[0]))
-        out += d
-        return c + d
+    def half(c):  # the amounts (d, -d), d moved into species 1
+        d = _SPECIES_SIGN * (theta * (b * c[1] - a * c[0]))
+        return c + d, d
 
     delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
-    return _Solve("solve_eps_system", initial.c, config, delta_faces, g,
-                  (first, None if imex else second))
+    return _Solve("solve_eps_system", initial.c, config, delta_faces, g, half)
 
 
 def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
@@ -342,9 +336,9 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
     """Integrate the tilted two-species reaction-drift-diffusion system.
 
     Returns a trajectory with per-interval fluxes satisfying the discrete
-    generalized continuity equation exactly.  Mass is conserved and, for the
-    splitting schemes with exact exchange, positivity is preserved for any
-    step size.
+    generalized continuity equation exactly.  Mass is conserved, and with
+    the default implicit-Euler scheme positivity is preserved for any step
+    size.
     """
     return _eps_solve(initial, params, tilt, config).result()
 

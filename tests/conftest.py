@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edpflow import SpatialGrid, State, SystemParams, Tilt
+from edpflow import SolverConfig, SpatialGrid, State, SystemParams, Tilt
 
 
 @pytest.fixture
@@ -27,6 +27,19 @@ def cosine_tilt(n_cells, coeffs):
 def positive_state(rng, n_cells, lo=0.3, hi=1.5):
     c = rng.uniform(lo, hi, (2, n_cells))
     return State(c / (c.sum() / n_cells))
+
+
+def blow_up_case():
+    """A solve whose density goes negative at step 1, after a regular step 0.
+
+    Crank-Nicolson does not preserve positivity: at dt = 0.0178 the jump from
+    the two filled cells to the empty rest overshoots below zero.
+    """
+    n = 20
+    c0 = np.zeros((2, n))
+    c0[:, :2] = np.array([[0.75], [0.25]]) * (n / 2)
+    config = SolverConfig(0.0178, 2 * 0.0178, "strang_cn")
+    return State(c0), SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-3), Tilt.zero(n), config
 
 
 class Windowed:

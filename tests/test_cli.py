@@ -23,6 +23,7 @@ from edpflow import (
     fit_decay_rate,
     load_config,
     manifold_split,
+    random_detailed_balance_generator,
     run_experiment,
     solve_effective,
     solve_eps_system,
@@ -110,6 +111,8 @@ class TestConfigValidation:
                                   "fractions": [0.55, 0.45]}),
         ("eps_sweep", "initial", {"kind": "off_manifold_cosine", "amplitude": 0.5,
                                   "fractions": [float("nan"), 0.45]}),
+        # no explicit exchange scheme: it would need dt = O(epsilon)
+        ("eps_sweep", "solver", {"dt": 1e-4, "t_final": 0.1, "scheme": "imex_euler"}),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, kind, key, value):
         doc = small_config(kind, tmp_path / "out", **{key: value})
@@ -299,6 +302,31 @@ class TestRunners:
         assert result.passed
         written_summary(result, tmp_path / "out", "multispecies_check")
         assert result.summary["non_detailed_balance_rejected"] is True
+
+    def test_multispecies_check_generator_spec(self, tmp_path, capsys):
+        # the network of a configured generator, inline and from a file, in
+        # place of the seeded one
+        gen = random_detailed_balance_generator(np.random.default_rng(3), 5)
+        spec = {"species": list("ABCDE"), "A_slow": gen.a_slow.tolist(),
+                "A_fast": gen.a_fast.tolist(), "delta": gen.delta.tolist()}
+        (tmp_path / "gen.json").write_text(json.dumps(spec))
+        for name, generator in (("inline", spec), ("file", {"path": str(tmp_path / "gen.json")})):
+            doc = small_config("multispecies_check", tmp_path / name, generator=generator)
+            result = run_experiment(load_config(doc))
+            summary = written_summary(result, tmp_path / name, "multispecies_check")
+            assert summary["network_species"] == list("ABCDE")
+            assert summary["network_valid"] is True and result.passed
+        # Python's json module writes and reads NaN as a number
+        bad = dict(spec, delta=[1.0, float("nan"), 1.0, 1.0, 1.0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(small_config("multispecies_check", tmp_path / "bad",
+                                                generator=bad)))
+        for verb in ("validate", "run"):
+            assert main([verb, str(path)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("config error: ")
+            assert "'delta' entries must be positive and finite" in out
+        assert not (tmp_path / "bad").exists()
 
     def test_reports_reproducible_bitwise(self, tmp_path):
         outputs = []

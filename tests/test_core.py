@@ -52,8 +52,9 @@ def test_params_weights():
     p = SystemParams((1.0, 2.0), 1.0, 3.0)
     assert np.allclose(p.w, [0.75, 0.25])
     assert p.w.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        SystemParams((1.0, -2.0), 1.0, 3.0)
+    for delta in ((1.0, -2.0), (0.0, 1.0), (np.nan, 2.0), (2.0, np.nan), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="delta must be two positive finite constants"):
+            SystemParams(delta, 1.0, 3.0)
     with pytest.raises(ValueError):
         SystemParams((1.0, 2.0), 0.0, 3.0)
 

@@ -55,7 +55,7 @@ from edpflow.dissipation import _network_dual, _window_intervals, damped_newton_
 from edpflow.multispecies import _multispecies_solve
 from edpflow.solver import _effective_solve, _eps_solve
 
-from conftest import Windowed, cosine_tilt, positive_state
+from conftest import Windowed, blow_up_case, cosine_tilt, positive_state
 
 
 def brute_force_three_cell(c, v, params, epsilon):
@@ -968,7 +968,7 @@ def _hex(bd):
 class TestStreamedEvaluation:
     """Solves read window by window by the evaluators, against the stored trajectories."""
 
-    SCHEMES = ["strang_exact_reaction", "imex_euler", "strang_cn"]
+    SCHEMES = ["strang_exact_reaction", "strang_cn"]
 
     def _initial(self, params, n):
         tilt = cosine_tilt(n, [[0.3], [-0.2]])
@@ -994,8 +994,6 @@ class TestStreamedEvaluation:
             hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), hat_window)
             assert _hex(evaluate(hat_stream, params, tilt)) == _hex(evaluate(hat_traj, params, tilt))
         assert np.array_equal(hat_stream.states[-1], hat_traj.states[-1])
-        if config.scheme == "imex_euler":
-            return  # networks have no explicit exchange step
         gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
         net0 = State(gen.stationary(params.epsilon)[:, None] * hat0)
         net = solve_multispecies(net0, gen, params.epsilon, config)
@@ -1138,16 +1136,14 @@ class TestStreamedEvaluation:
             assert np.array_equal(solve.states[-1], stored.states[-1])
 
     def test_blow_up_raises_integration_error(self):
-        # test_imex_blowup_reports_step, streamed: the solver's own step is reported
-        p = SystemParams((1.0, 1.0), 1.0, 3.0, epsilon=1e-9)
-        n = 6
-        c0 = State(np.stack([np.full(n, 0.9), np.full(n, 0.1)]))
-        config = SolverConfig(1e-2, 0.1, "imex_euler")
+        # test_blowup_reports_step, streamed: the solver's own step is reported
+        c0, p, tilt, config = blow_up_case()
         with pytest.raises(IntegrationError) as stored:
-            solve_eps_system(c0, p, Tilt.zero(n), config)
+            solve_eps_system(c0, p, tilt, config)
         with pytest.raises(IntegrationError) as streamed:
-            dissipation_functional(_eps_solve(c0, p, Tilt.zero(n), config), p, Tilt.zero(n))
-        assert streamed.value.step == stored.value.step
+            dissipation_functional(_eps_solve(c0, p, tilt, config), p, tilt)
+        assert streamed.value.step == stored.value.step == 1
+        assert str(streamed.value) == str(stored.value)
 
     def test_blocked_interval_raises_dual_ascent_error(self, params):
         # the blocked state of test_blocked_interval_inside_a_batch_raises_typed_error,

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import threading
 import time
@@ -80,6 +81,14 @@ class TestValidation:
         report = validate_generator(broken)
         assert not report.ok
         assert any("detailed balance" in f for f in report.failures)
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_diffusion_constant_rejected(self, delta):
+        # rejected here, not later in a solve as a negative density or as a
+        # "tilt too large" that networks do not have
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            MarkovGenerator(("a", "b"), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.array([1.0, delta]))
 
     def test_sign_and_column_sum_violations_itemized(self):
         a = np.array([[-1.0, 2.0], [1.0, -2.0]])
@@ -177,6 +186,18 @@ class TestJsonSchema:
         with pytest.raises(ValueError, match="positive"):
             load_generator(doc)
 
+    @pytest.mark.parametrize("delta", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_delta_rejected(self, delta):
+        # JSON as Python's json module reads it: NaN and Infinity are numbers;
+        # the message keeps listing every offending key
+        doc = json.loads('{"species": ["a", "b"], "A_slow": [[0.0, 0.0]],'
+                         ' "A_fast": [[-1.0, 3.0], [1.0, -3.0]], "delta": [1.0, %s]}' % delta)
+        with pytest.raises(ValueError, match="generator spec invalid") as err:
+            load_generator(doc)
+        msg = str(err.value)
+        assert "'A_slow' must be a 2x2" in msg
+        assert "'delta' entries must be positive and finite" in msg
+
 
 class TestSolver:
     def test_matches_two_species_solver(self, params, pair_gen):
@@ -201,11 +222,27 @@ class TestSolver:
         assert np.max(np.abs(gce_residual(traj))) < 1e-9
 
 
-    def test_imex_scheme_rejected(self, pair_gen, params):
-        # the reaction step is always the exact exponential here
-        c0 = State(np.ones((2, 8)))
-        with pytest.raises(ValueError, match="imex_euler"):
-            solve_multispecies(c0, pair_gen, params.epsilon, SolverConfig(1e-3, 0.01, "imex_euler"))
+    def test_imex_scheme_rejected(self):
+        # every solve takes the exact exchange half step; there is no explicit variant
+        with pytest.raises(ValueError, match="unknown scheme 'imex_euler'"):
+            SolverConfig(1e-3, 0.01, "imex_euler")
+
+    @pytest.mark.parametrize("eps, dt", [(1e-3, 1e-3), (1e-6, 1e-3), (1e-8, 1e-4)])
+    def test_mass_does_not_drift(self, eps, dt, caplog):
+        # the propagator's column sums miss 1 by about u * |tau A|, which the
+        # half step must not carry into the mass, or it drifts linearly in
+        # the step count (to about 5e-9 over these 5000 steps at eps = 1e-8)
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        n = 20
+        x = (np.arange(n) + 0.5) / n
+        c0 = gen.stationary(eps)[:, None] * (1 + 0.5 * np.cos(np.pi * x))[None]
+        c0 /= c0.sum() / n
+        with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+            traj = solve_multispecies(State(c0), gen, eps, SolverConfig(dt, 5000 * dt))
+        masses = traj.states.sum(axis=(1, 2))
+        assert np.abs(masses - masses[0]).max() / masses[0] <= 1e-12
+        assert [r.getMessage() for r in caplog.records] == [
+            "solve_multispecies: 5000 steps in 1 windows, none clamped"]
 
 
 class TestDissipation:
