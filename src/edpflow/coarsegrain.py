@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dptsv
 from scipy.special import xlogy
 
 from .core import (
@@ -353,34 +351,22 @@ def mollify_in_time(hat_traj: CoarseTrajectory, half_width: float) -> CoarseTraj
 def optimal_coarse_flux(weight_faces: np.ndarray, rate: np.ndarray, h: float) -> np.ndarray:
     """Face flux of minimal quadratic cost transporting the given cell rate.
 
-    Solves the weighted elliptic problem for the potential whose flux
-    J = weight * grad(xi) satisfies rate + div J = 0 with zero boundary flux;
-    ``weight_faces`` holds the interior-face mobilities.  The rate must sum to
-    zero (it is centered to machine precision before solving).  Leading axes
-    stack independent problems; they are solved together as one symmetric
-    positive definite block-tridiagonal system (LDL^T factorization).
+    On an interval with zero boundary flux, rate + div J = 0 has exactly one
+    solution, J_{k+1/2} = -h sum_{i<=k} rate_i, so that is the minimizer for
+    every choice of the interior-face mobilities ``weight_faces``: they enter
+    only its cost, which is +inf where a nonzero flux meets zero mobility.
+    The rate must sum to zero (it is centered to machine precision first).
+    Leading axes stack independent problems.
     """
     rate = np.asarray(rate, dtype=float)
     w = np.asarray(weight_faces, dtype=float)
     n = rate.shape[-1]
     if w.shape != rate.shape[:-1] + (n - 1,):
         raise ValueError("weight_faces must hold the interior faces")
-    if np.any(w <= 0):
-        raise ValueError("face mobilities must be strictly positive")
-    rhs = h * h * (rate - rate.mean(axis=-1, keepdims=True))
-    diag = np.zeros(rate.shape)
-    diag[..., :-1] += w
-    diag[..., 1:] += w
-    diag[..., 0] += np.maximum(diag.max(axis=-1), 1.0)  # pins each constant null direction
-    off = np.zeros(rate.shape)  # the last entry of each block couples to the next: zero
-    off[..., :-1] = -w
-    _, _, xi, info = dptsv(diag.ravel(), off.ravel()[:-1], rhs.ravel())
-    if info != 0:
-        raise LinAlgError(f"coarse elliptic system is not positive definite (info {info})")
-    xi = xi.reshape(rate.shape)
-    xi -= xi.mean(axis=-1, keepdims=True)
+    if not np.all(w >= 0):
+        raise ValueError("face mobilities must be nonnegative")
     J = np.zeros(rate.shape[:-1] + (n + 1,))
-    J[..., 1:-1] = w * np.diff(xi, axis=-1) / h
+    J[..., 1:-1] = -h * np.cumsum(rate - rate.mean(axis=-1, keepdims=True), axis=-1)[..., :-1]
     return J
 
 
@@ -414,7 +400,7 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
     constraint lam / (2 alpha) >= 2 for the joint scaling; the measured rate
     bound of the smoothed density is reported so epsilon**(-alpha) growth can
     be verified per run.  If the limit trajectory carries no fluxes, the
-    minimal-cost coarse flux of every interval is computed in one batched solve.
+    minimal-cost coarse flux of every interval is taken (:func:`optimal_coarse_flux`).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")

@@ -179,9 +179,12 @@ class SystemParams:
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         if len(self.delta) != 2 or not all(0 < d < np.inf for d in self.delta):
             raise ValueError(f"delta must be two positive finite constants, got {self.delta!r}")
-        for name in ("alpha", "beta", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        # an infinite rate leaves w = [0, nan]
+        for name in ("alpha", "beta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     @property
     def w(self) -> np.ndarray:

@@ -6,7 +6,13 @@ The primal flux cost of a density rate is evaluated as the supremum of
 mode shared by all species is gauged away, so a damped Newton ascent with a
 banded Hessian converges quadratically; optimal fluxes are read off the
 maximizer.  Weak duality makes every returned value a certified lower bound of
-the primal cost.
+the primal cost.  In one dimension the continuity equation fixes the summed
+flux of all species, so for two species the shared potential is maximized
+out in closed form: the ascent runs on the potential difference, n unknowns
+with a tridiagonal Hessian and no constant mode to gauge.  Networks of more
+species run on the full dual.  The coarse problem has one species, whose
+continuity equation fixes its flux: the optimal coarse flux is a cumulative
+sum of the rate, with no ascent at all.
 
 The module also evaluates the time-integrated dissipation of trajectories,
 its four-term breakdown, the energy-dissipation-balance residual, and the
@@ -102,9 +108,10 @@ class DualAscentError(RuntimeError):
 class DualMaximizerState:
     """Converged dual ascent: maximizer, value, and convergence diagnostics.
 
-    By weak duality the value is a lower bound of the primal flux cost; at
-    convergence the gradient norm is below the solver tolerance or the
-    gradient's rounding level, whichever is larger.
+    By weak duality the value is a lower bound of the primal flux cost.  The
+    gradient norm is that of the full two-species dual at ``xi``, without its
+    constant mode; at convergence it is below sqrt(2) times the solver
+    tolerance or the gradient's rounding level, whichever is larger.
     """
 
     xi: np.ndarray
@@ -114,18 +121,21 @@ class DualMaximizerState:
 
 
 def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
-                      tol: float = 1e-10, max_iter: int = 200):
+                      tol: float = 1e-10, max_iter: int = 200, gauge: bool = True):
     """Maximize a stack of independent smooth concave functions by Armijo-damped Newton.
 
     Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x, act)``
     returns values and gradients of the problems ``act`` (an index array) at
     the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
     banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
-    between blocks.  Each must be positive semidefinite with null space at most
-    the constant vector, which is pinned inside the banded Cholesky solve, at
-    the problem's largest diagonal entry, and projected out of the steps.
+    between blocks.  With ``gauge`` each must be positive semidefinite with
+    null space at most the constant vector, which is pinned inside the banded
+    Cholesky solve, at the problem's largest diagonal entry, and projected out
+    of the gradients and the steps; without it each must be positive definite,
+    and nothing is pinned or projected.  The code that builds the problems
+    knows which holds (see :func:`_dual`).
     Each problem has its own stopping test, line search and iteration count,
-    and drops out once converged: its projected gradient norm is at most
+    and drops out once converged: its (projected) gradient norm is at most
     ``tol``, or at most the rounding level of the
     gradient, machine epsilon times the largest negative-Hessian diagonal
     times (1 + max |x|) at the last Newton point (an exchange weight of
@@ -144,8 +154,15 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     """
     x = np.array(x0, dtype=float)
     n_prob, size = x.shape
+
+    def project(y):
+        """``y`` without its constant mode, in place, if the problems have one."""
+        if gauge:
+            y -= y.mean(axis=1, keepdims=True)
+        return y
+
     val, grad = value_grad(x, np.arange(n_prob))
-    grad -= grad.mean(axis=1, keepdims=True)
+    project(grad)
     gnorm = np.linalg.norm(grad, axis=1)
     iters = np.zeros(n_prob, dtype=int)
     floor = np.zeros(n_prob)
@@ -161,15 +178,15 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         dmax = diag.max(axis=1)
         xmax = np.abs(x[act]).max(axis=1)
         floor[act] = rounding * dmax * (1.0 + xmax)
-        # pinned where the Hessian is largest: the entries of a species below
-        # rounding are too small to lift the constant mode of the others
-        diag[np.arange(act.size), diag.argmax(axis=1)] += np.maximum(dmax, 1.0)
+        if gauge:
+            # pinned where the Hessian is largest: the entries of a species below
+            # rounding are too small to lift the constant mode of the others
+            diag[np.arange(act.size), diag.argmax(axis=1)] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
         g = grad[act]
-        step = dpbtrs(chol, g.ravel())[0].reshape(act.size, size)
-        step -= step.mean(axis=1, keepdims=True)
+        step = project(dpbtrs(chol, g.ravel())[0].reshape(act.size, size))
         ascent = np.sum(g * step, axis=1)
         bad = ~(np.isfinite(ascent) & (ascent > 0))
         if np.any(bad):
@@ -196,7 +213,7 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
             t *= 0.5
             if todo.size and t < 1e-14:
                 raise DualAscentError("line search stalled", float(gnorm[act[todo[0]]]))
-        grad[act] -= grad[act].mean(axis=1, keepdims=True)
+        grad[act] = project(grad[act])
         gnorm[act] = np.linalg.norm(grad[act], axis=1)
         iters[act] += 1
 
@@ -269,6 +286,105 @@ def _network_dual(c, delta, edges, v, h):
     return value_grad, hess_banded, fluxes
 
 
+def _two_species_dual(c, delta, kappa, v, h):
+    """The dual of :func:`_network_dual` for two species, reduced to their potential difference.
+
+    ``c`` and ``v`` have shape (M, 2, n) and the one edge is (0, 1, kappa).
+    In one dimension with no-flux walls the continuity equation fixes the
+    summed face flux J_1 + J_2 = -G, with G_f = sum_{k <= f} h (v_1 + v_2)_k,
+    so the shared potential xi = xi_1 is maximized out in closed form, face by
+    face, and the difference eta = xi_1 - xi_2 is left, n unknowns a problem:
+
+        R(eta) = 1/2 sum G^2 / W - sum beta d(eta) - 1/2 sum mu d(eta)^2
+                 - sum h v_2 eta - sum rw C*(eta),
+
+    sums over interior faces and cells, with the face mobilities w_s = delta_s
+    cbar_s / h, W = w_1 + w_2, mu = w_1 w_2 / W, beta = G w_2 / W and rw =
+    kappa h sqrt(c_1 c_2).  The negative Hessian is tridiagonal and has no
+    constant null direction.  R is the full dual at the potentials
+    reconstructed from eta, where the full gradient is (g, -g) for the
+    gradient g of R.  A face where both species are empty (W = 0) drops out
+    if it carries no summed flux (G = 0); if it must carry one the dual is
+    unbounded, and :class:`DualAscentError` reports the norm of G over such
+    faces of the first problem that has one: the full dual's gradient along
+    the potential jumps across them, whatever the potentials.
+
+    Returns ``(value_grad, hess_banded, fluxes)`` as :func:`_network_dual`
+    does, for the unknowns x[m] = eta[m]; ``fluxes`` reconstructs xi_1 from
+    its face differences (w_2 d(eta) - G) / W and xi_2 = xi_1 - eta, both
+    shifted to a shared mean of zero.
+    """
+    wdiff = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1]) / h
+    w1, w2 = wdiff[:, 0], wdiff[:, 1]
+    G = np.cumsum(h * (v[:, 0] + v[:, 1]), axis=1)[:, :-1]
+    W = w1 + w2
+    empty = W == 0
+    blocked = empty & (G != 0)
+    if np.any(blocked):
+        m = np.flatnonzero(blocked.any(axis=1))[0]
+        raise DualAscentError("the rate needs a flux across a face where both species are empty",
+                              float(np.linalg.norm(G[m, blocked[m]])))
+    W = np.where(empty, 1.0, W)  # those faces have w_1 = w_2 = G = 0
+    mu = w1 * w2 / W
+    beta = G * w2 / W
+    level = 0.5 * np.sum(G * G / W, axis=1)
+    hv2 = h * v[:, 1]
+    rw = kappa * h * np.sqrt(c[:, 0] * c[:, 1])
+
+    def value_grad(x, act):
+        d = x[:, 1:] - x[:, :-1]
+        b, m, r = beta[act], mu[act], rw[act]
+        with np.errstate(over="ignore"):
+            val = (level[act] - np.sum((b + 0.5 * m * d) * d, axis=1)
+                   - np.sum(hv2[act] * x, axis=1) - np.sum(r * cosh_star(x), axis=1))
+            grad = -hv2[act] - r * cosh_star_prime(x)
+        phi = b + m * d
+        grad[:, :-1] += phi
+        grad[:, 1:] -= phi
+        return val, grad
+
+    def hess_banded(x, act):
+        m = mu[act]
+        ab = np.zeros((2, x.size), order="F")  # the layout LAPACK factors in place
+        bands = ab.reshape(2, act.size, -1)
+        with np.errstate(over="ignore"):
+            bands[1] = rw[act] * cosh_star_second(x)
+        bands[1, :, 1:] += m
+        bands[1, :, :-1] += m
+        bands[0, :, 1:] = -m  # the next cell; zero on each block's first cell
+        return ab
+
+    def fluxes(x):
+        d = x[:, 1:] - x[:, :-1]
+        dxi = (w2 * d - G) / W
+        J = np.zeros((x.shape[0], 2, x.shape[1] + 1))
+        J[:, 0, 1:-1] = w1 * dxi
+        J[:, 1, 1:-1] = -w2 * (w1 * d + G) / W
+        xi1 = np.zeros_like(x)
+        xi1[:, 1:] = np.cumsum(dxi, axis=1)
+        xi = np.stack([xi1, xi1 - x], axis=1)
+        xi -= xi.mean(axis=(1, 2), keepdims=True)
+        return xi, J, [rw / h * cosh_star_prime(x)]
+
+    return value_grad, hess_banded, fluxes
+
+
+def _dual(c, delta, edges, v, h):
+    """The dual of the flux costs of rates v, as :func:`damped_newton_max` takes it.
+
+    Returns ``(value_grad, hess_banded, fluxes, bandwidth, gauge)``: one
+    problem of ``bandwidth`` unknowns per cell for each state and rate in
+    ``c`` and ``v`` (M, I, n).  Two species with one edge take the reduced
+    dual of :func:`_two_species_dual`, at bandwidth 1 with no constant mode;
+    larger networks the full one of :func:`_network_dual`, at bandwidth I and
+    with the constant mode shared by all species gauged away.
+    """
+    i_sp = c.shape[1]
+    if i_sp == 2 and len(edges) == 1:
+        return (*_two_species_dual(c, delta, edges[0][2], v, h), 1, False)
+    return (*_network_dual(c, delta, edges, v, h), i_sp, True)
+
+
 @dataclass(frozen=True, eq=False)
 class PrimalRate:
     """Primal flux cost of a rate, with the optimal fluxes and dual diagnostics."""
@@ -302,10 +418,12 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     (sqrt(c_1 c_2)/eps) (C*)'(xi_1 - xi_2) on cells satisfy the discrete
     continuity equation with rate v up to the dual tolerance.
 
-    This is the network dual with the single fast edge (0, 1, 1/eps), solved
-    as a stack of one problem.  The rate must preserve total mass; the dual
-    objective is invariant under the shared constant mode, which is gauged to
-    mean zero.
+    The ascent runs on the potential difference xi_1 - xi_2 alone (n
+    unknowns, a tridiagonal Hessian), the shared potential maximized out in
+    closed form, as :func:`dissipation_functional` runs it; ``xi0`` starts it
+    at xi0[0] - xi0[1].  The rate must preserve total mass; the dual objective
+    is invariant under the shared constant mode, which is gauged to mean
+    zero.
     """
     _ = tilt
     eps = params.epsilon if epsilon is None else epsilon
@@ -321,13 +439,18 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     _mass_balance_check(v, h)
     v = v - v.sum() / v.size
 
-    vg, hess, fluxes = _network_dual(c[None], params.delta_array, edges, v[None], h)
-    x, val, gnorm, iters, _ = damped_newton_max(
-        vg, hess, x0.T.reshape(1, -1), bandwidth=2, tol=tol, max_iter=max_iter
+    (_, _, kappa), = edges
+    vg, hess, fluxes = _two_species_dual(c[None], params.delta_array, kappa, v[None], h)
+    x, val, _, iters, _ = damped_newton_max(
+        vg, hess, (x0[0] - x0[1])[None], bandwidth=1, tol=tol, max_iter=max_iter, gauge=False
     )
     xi, J, (b1,) = fluxes(x)
     b = np.stack([b1[0], -b1[0]])
     value = float(val[0])
+    # the state certifies the potentials xi: its gradient is the full dual's there
+    grad = _network_dual(c[None], params.delta_array, edges, v[None], h)[0](
+        xi.transpose(0, 2, 1).reshape(1, -1), np.arange(1))[1]
+    gnorm = float(np.linalg.norm(grad - grad.mean()))
     dual = DualMaximizerState(xi=xi[0], value=value, gradient_norm=gnorm, iterations=iters)
     return PrimalRate(value=value, fluxes=FluxAssignment(J[0], b), dual=dual)
 
@@ -392,7 +515,8 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
 
     The dual ascents of a window run as two stacked Newton solves, the block
     anchors' and then the warm-started intervals' (see the module
-    docstring); each interval keeps its own stopping test, so only its start
+    docstring), on the dual :func:`_dual` builds for the species count;
+    each interval keeps its own stopping test, so only its start
     depends on its neighbours.  Each term is integrated on its own by
     :func:`_integrate`, so its rounding depends neither on the windows nor
     on which other terms are evaluated with it.  The ascent is logged to
@@ -408,7 +532,7 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
     def solve(vg, hess, rows, x0, record):
         """The ascents of the window's intervals ``rows``, from ``x0``."""
         x, _, gnorm, _, iters = newton(lambda y, k: vg(y, rows[k]), lambda y, k: hess(y, rows[k]),
-                                       x0, bandwidth=band, tol=tol, max_iter=max_iter)
+                                       x0, bandwidth=band, tol=tol, max_iter=max_iter, gauge=gauge)
         record.append((gnorm, np.bincount(iters)))
         return x
 
@@ -418,10 +542,10 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
         n_int = dts.size
         ragged = n_int % _WARM_BLOCK
         c = states[:-1]
-        band, n = c.shape[1:]
+        n = c.shape[2]
         h = 1.0 / n
         if fluxes is None:
-            vg, hess, optimal = _network_dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
+            vg, hess, optimal, band, gauge = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
             # blocks and interpolation weights: the window starts a block
             index = np.arange(n_int)
             first = index // _WARM_BLOCK * _WARM_BLOCK
@@ -535,7 +659,7 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
     coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them,
     of any length: the face fluxes (k, n + 1) to cost, or None for the
-    optimal ones, whose elliptic problems are one batched solve per window.
+    optimal ones, the cumulative sums of the rates.
     """
     if tilt.n_cells != n:
         raise ValueError("tilt does not match coarse trajectory")
@@ -560,9 +684,9 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
                     tilt: Tilt) -> DissipationBreakdown:
     """Coarse dissipation: minimal kinetic cost of the coarse rate plus coarse slope.
 
-    The velocity part solves the single-species quadratic dual (one elliptic
-    problem per interval, a window of them in one batched solve); the slope part
-    is the coarse Fisher information with the mixing-weighted mobility.
+    The velocity part is the kinetic cost of the one flux that realizes the
+    coarse rate (:func:`~edpflow.coarsegrain.optimal_coarse_flux`); the slope
+    part is the coarse Fisher information with the mixing-weighted mobility.
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
     coarse solve, read window by window as for :func:`dissipation_functional`.
     """

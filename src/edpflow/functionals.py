@@ -241,7 +241,7 @@ def _network_slope(c, w, delta, edges, h):
     cells and ``edges`` lists (i, j, kappa).  Returns the diffusion part and
     the list of per-edge exchange parts, each with the leading shape of ``c``.
     """
-    rho = c / w
+    rho = c / np.where(c > 0, w, 1.0)  # an empty species is at rest where its measure underflows too
     wbar = 0.5 * (w[:, 1:] + w[:, :-1])
     diff = 0.5 * np.sum(delta[:, None] * wbar * _face_fisher(rho), axis=(-2, -1)) / h
     sq = np.sqrt(rho)

@@ -273,6 +273,21 @@ def test_optimal_coarse_flux_solves_continuity(rng):
     assert np.max(np.abs(rate + (J[1:] - J[:-1]) / h)) < 1e-11
 
 
+def test_optimal_coarse_flux_is_the_only_flux_of_the_rate(rng):
+    # in one dimension the continuity equation fixes the flux, so the
+    # mobilities, zero ones included, do not change it; stacked rates alike
+    n, h = 9, 1.0 / 9
+    rate = rng.normal(size=(3, n))
+    rate -= rate.mean(axis=1, keepdims=True)
+    w = rng.uniform(0.5, 2.0, (3, n - 1))
+    J = optimal_coarse_flux(w, rate, h)
+    assert np.max(np.abs(J[:, 1:-1] + h * np.cumsum(rate, axis=1)[:, :-1])) < 1e-15
+    w[:, 4] = 0.0
+    assert np.array_equal(optimal_coarse_flux(w, rate, h), J)
+    with pytest.raises(ValueError, match="nonnegative"):
+        optimal_coarse_flux(-w, rate, h)
+
+
 class TestRecoverySequence:
     def test_shift_mollify_reconstruct_pipeline(self, params):
         tilt = Tilt.zero(30)

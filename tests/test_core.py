@@ -59,6 +59,13 @@ def test_params_weights():
         SystemParams((1.0, 2.0), 0.0, 3.0)
 
 
+@pytest.mark.parametrize("rates", [(np.inf, 3.0), (1.0, np.inf), (np.nan, 3.0), (1.0, -np.inf)])
+def test_params_reject_nonfinite_rates(rates):
+    # an infinite rate left w = [0, nan], and a zero tilt then read as too large
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        SystemParams((1.0, 2.0), *rates)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         State(np.array([[0.5, -0.1], [0.5, 0.5]]))

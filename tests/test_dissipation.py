@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf
 from scipy.optimize import minimize
 
 from edpflow import (
@@ -51,7 +52,12 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
-from edpflow.dissipation import _network_dual, _window_intervals, damped_newton_max
+from edpflow.dissipation import (
+    _network_dual,
+    _two_species_dual,
+    _window_intervals,
+    damped_newton_max,
+)
 from edpflow.multispecies import _multispecies_solve
 from edpflow.solver import _effective_solve, _eps_solve
 
@@ -237,6 +243,94 @@ class TestNetworkDualKernel:
                 # every band offset up to the bandwidth carries a coupling
                 assert all(np.any(np.diag(block, d) != 0) for d in (1, 2, 3))
         assert np.all(dense[:size, size:] == 0.0)
+
+
+class TestReducedTwoSpeciesDual:
+    """The two-species dual on the potential difference against the full network dual."""
+
+    @staticmethod
+    def _problems(rng, n, tilt):
+        # three positive states shaped by the tilt's stationary measure, and
+        # mass-balanced rates
+        w, _ = stationary_measure(SystemParams((1.0, 2.0), 1.0, 3.0), tilt)
+        c = w * rng.uniform(0.5, 1.5, (3, 2, n))
+        v = rng.normal(size=(3, 2, n))
+        return c, v - v.mean(axis=(1, 2), keepdims=True)
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-4, 1e-8])
+    @pytest.mark.parametrize("n", [3, 20, 160])
+    def test_agrees_with_the_full_dual(self, n, epsilon, tilted):
+        rng = np.random.default_rng(n + int(tilted))
+        tilt = cosine_tilt(n, [[0.3], [-0.2]]) if tilted else Tilt.zero(n)
+        c, v = self._problems(rng, n, tilt)
+        delta, h, tol = np.array([1.0, 2.0]), 1.0 / n, 1e-10
+        edges = [(0, 1, 1.0 / epsilon)]
+        vg, hess, fluxes = _two_species_dual(c, delta, 1.0 / epsilon, v, h)
+        x, val, gnorm, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), bandwidth=1,
+                                                tol=tol, gauge=False)
+        full_vg, full_hess, full_fluxes = _network_dual(c, delta, edges, v, h)
+        x_full, val_full, _, _, _ = damped_newton_max(full_vg, full_hess, np.zeros((3, 2 * n)),
+                                                      bandwidth=2, tol=tol)
+        assert np.all(np.abs(val - val_full) <= 1e-12 * (1.0 + np.abs(val_full)))
+        xi, J, (b,) = fluxes(x)
+        _, J_full, (b_full,) = full_fluxes(x_full)
+        assert np.max(np.abs(J - J_full)) <= 1e-8 and np.max(np.abs(b - b_full)) <= 1e-8
+        # the reconstructed potentials maximize the full dual: its value there
+        # is the reduced one, and its gradient is below sqrt(2) times the
+        # stopping threshold the full ascent applies
+        everyone = np.arange(3)
+        y = xi.transpose(0, 2, 1).reshape(3, -1)
+        val_at, grad_at = full_vg(y, everyone)
+        assert np.all(np.abs(val_at - val) <= 1e-12 * (1.0 + np.abs(val)))
+        grad_at -= grad_at.mean(axis=1, keepdims=True)
+        dmax = full_hess(y, everyone)[2].reshape(3, -1).max(axis=1)
+        rounding = np.finfo(float).eps * np.sqrt(2 * n) * dmax * (1.0 + np.abs(y).max(axis=1))
+        assert np.all(np.linalg.norm(grad_at, axis=1) <= np.sqrt(2) * np.maximum(tol, rounding))
+
+    def test_banded_hessian_and_gradient_match_differences(self, params, rng):
+        n = 6
+        c = np.stack([positive_state(rng, n).c for _ in range(2)])
+        v = rng.normal(size=c.shape)
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        value_grad, hess_banded, _ = _two_species_dual(c, params.delta_array,
+                                                       1.0 / params.epsilon, v, 1.0 / n)
+        x = rng.normal(scale=0.3, size=(2, n))
+        dense = _banded_to_dense(hess_banded(x, np.arange(2)), 1)
+        for m in range(2):
+            one = np.array([m])
+            grad = value_grad(x[m:m + 1], one)[1][0]
+            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
+            assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+            block = dense[m * n:(m + 1) * n, m * n:(m + 1) * n]
+            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
+            assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
+        assert np.all(dense[:n, n:] == 0.0)
+
+    def test_two_species_paths_factor_tridiagonal_matrices(self, params, monkeypatch):
+        factored = []
+
+        def recorded(ab, **kwargs):
+            factored.append(ab.shape[0] - 1)
+            return dpbtrf(ab, **kwargs)
+
+        monkeypatch.setattr(dissipation_module, "dpbtrf", recorded)
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
+        dissipation_functional(traj, params, tilt)
+        rate = (traj.states[1] - traj.states[0]) / 1e-3
+        primal_R_eps(State(traj.states[0]), params, tilt, rate)
+        assert factored and set(factored) == {1}
+
+    def test_empty_face_without_summed_flux_drops_out(self, params):
+        # cells 1 and 2 are empty, so the face between them has no mobility;
+        # the rate moves mass on the left half only, so nothing crosses it
+        c = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+        v = np.array([[-1.0, 1.0, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]])
+        res = primal_R_eps(State(c), params, Tilt.zero(4), v)
+        assert np.isfinite(res.value) and res.value > 0
+        assert res.fluxes.J[:, 2].tolist() == [0.0, 0.0]
+        assert sum(primal_objective(State(c), params, res.fluxes)) == pytest.approx(
+            res.value, rel=1e-8)
 
 
 class TestZeroMobility:
@@ -863,7 +957,12 @@ class TestRoundoffFloor:
 
 
 class TestGaugePin:
-    """The gauge is pinned at each problem's largest negative-Hessian diagonal entry."""
+    """Species below rounding under large tilts.
+
+    The two-species dual runs on the potential difference, which has no
+    constant mode, so nothing is pinned; the gauge pin, at each problem's
+    largest negative-Hessian diagonal entry, serves the networks only.
+    """
 
     def _evaluate(self, delta_v, epsilon):
         # constant tilt V_1 = delta_v / 2, V_2 = -delta_v / 2 on slow-manifold data
@@ -878,12 +977,13 @@ class TestGaugePin:
         return traj, bd.total, edb_residual(traj, params, tilt)
 
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-8])
-    @pytest.mark.parametrize("delta_v", [70, 100])
+    @pytest.mark.parametrize("delta_v", [70, 100, 200])
     def test_species_below_rounding_under_a_constant_tilt(self, delta_v, epsilon):
         # species 1 falls below 1e-29: a pin on unknown 0 (species 1 in cell
         # 0, diagonal about 4e-14) left the constant mode of species 2 lifted
         # by an exchange coupling below rounding, and "singular dual Hessian"
-        # was raised at delta_v = 100, and at 70 for epsilon = 1e-3
+        # was raised at delta_v = 100, and at 70 for epsilon = 1e-3; with the
+        # pin at the largest diagonal entry, delta_v = 200 still raised
         traj, total, residual = self._evaluate(delta_v, epsilon)
         assert traj.states[:, 0].max() < 1e-29
         # species 2 carries the dynamics alone, as it does at delta_v = 60,
@@ -894,20 +994,31 @@ class TestGaugePin:
         assert total == pytest.approx(total_60, rel=1e-8)
         assert residual == pytest.approx(residual_60, rel=1e-6)
 
-    # still a DualAscentError: a species below rounding in every cell
-    # defeats one pin per problem (ROADMAP item 2(b)); this list may only shrink
     @pytest.mark.parametrize("epsilon", [1e-3, 1e-8])
-    def test_still_raising_constant_tilt(self, epsilon):
-        with pytest.raises(DualAscentError):
-            self._evaluate(200.0, epsilon)
+    def test_underflowing_species_under_a_constant_tilt(self, epsilon):
+        # exp(-1000) underflows: species 1 and its stationary measure are
+        # exactly zero.  The full dual raised "singular dual Hessian"; an
+        # empty species is at rest, and the untilted values come out
+        traj, total, residual = self._evaluate(1000.0, epsilon)
+        assert np.all(traj.states[:, 0] == 0.0)
+        assert total == pytest.approx(0.0216421, rel=1e-6)
+        assert residual == pytest.approx(2.376e-4, rel=1e-3)
 
-    def test_still_raising_edb_refinement(self, tmp_path):
+    def test_edb_refinement_under_a_large_cosine_tilt(self, tmp_path):
+        # raised "singular dual Hessian" before the two-species dual lost its
+        # constant mode; both systems now refine alike, and only the finest
+        # residual misses its bound
         doc = dict(default_configs()["edb_refinement"], output_dir=str(tmp_path / "out"),
                    tilt={"kind": "cosine", "coefficients": [[35], [-35]]})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DualAscentError):
-            run_experiment(load_config(path))
+        summary = run_experiment(load_config(path)).summary
+        assert summary["fitted_order_fast_slow"] == pytest.approx(1.2897, rel=1e-4)
+        assert summary["fitted_order_effective"] == pytest.approx(1.2897, rel=1e-4)
+        assert summary["finest_residual_fast_slow"] == pytest.approx(1.12254e-6, rel=1e-5)
+        assert summary["finest_residual_fast_slow"] == pytest.approx(
+            summary["finest_residual_effective"], rel=1e-6)
+        assert summary["pass_orders_ge_0.8"] and not summary["pass_finest_residual"]
 
 
 class TestTiltLevel:
