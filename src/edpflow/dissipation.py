@@ -2,17 +2,17 @@
 
 The primal flux cost of a density rate is evaluated as the supremum of
 <xi, v> - R*(c, xi) over potential fields xi.  The dual objective is smooth
-(quadratic mobility plus cosh exchange) and strictly concave once the constant
-mode shared by all species is gauged away, so a damped Newton ascent with a
-banded Hessian converges quadratically; optimal fluxes are read off the
-maximizer.  Weak duality makes every returned value a certified lower bound of
-the primal cost.  In one dimension the continuity equation fixes the summed
-flux of all species, so for two species the shared potential is maximized
-out in closed form: the ascent runs on the potential difference, n unknowns
-with a tridiagonal Hessian and no constant mode to gauge.  Networks of more
-species run on the full dual.  The coarse problem has one species, whose
-continuity equation fixes its flux: the optimal coarse flux is a cumulative
-sum of the rate, with no ascent at all.
+(quadratic mobility plus cosh exchange); weak duality makes every returned
+value a certified lower bound of the primal cost, and optimal fluxes are read
+off the maximizer.  In one dimension the continuity equation fixes the summed
+flux of all species from the rate alone, so the potential of species 0 is
+maximized out in closed form, face by face: the ascent runs on the potential
+differences to species 0, I - 1 unknowns per cell for I species, whose
+objective is strictly concave with a banded Hessian of bandwidth 2I - 3
+(tridiagonal for two species) and no constant mode, so a damped Newton
+ascent converges quadratically with nothing to pin.  The coarse problem has
+one species, whose continuity equation fixes its flux: the optimal coarse
+flux is a cumulative sum of the rate, with no ascent at all.
 
 The module also evaluates the time-integrated dissipation of trajectories,
 its four-term breakdown, the energy-dissipation-balance residual, and the
@@ -109,9 +109,9 @@ class DualMaximizerState:
     """Converged dual ascent: maximizer, value, and convergence diagnostics.
 
     By weak duality the value is a lower bound of the primal flux cost.  The
-    gradient norm is that of the full two-species dual at ``xi``, without its
-    constant mode; at convergence it is below sqrt(2) times the solver
-    tolerance or the gradient's rounding level, whichever is larger.
+    gradient norm is that of the full dual, in all I potentials, at ``xi``,
+    without its constant mode; at convergence it is below sqrt(I) times the
+    solver tolerance or the gradient's rounding level, whichever is larger.
     """
 
     xi: np.ndarray
@@ -121,27 +121,23 @@ class DualMaximizerState:
 
 
 def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
-                      tol: float = 1e-10, max_iter: int = 200, gauge: bool = True):
-    """Maximize a stack of independent smooth concave functions by Armijo-damped Newton.
+                      tol: float = 1e-10, max_iter: int = 200):
+    """Maximize a stack of independent smooth strictly concave functions by Armijo-damped Newton.
 
     Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x, act)``
     returns values and gradients of the problems ``act`` (an index array) at
     the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
     banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
-    between blocks.  With ``gauge`` each must be positive semidefinite with
-    null space at most the constant vector, which is pinned inside the banded
-    Cholesky solve, at the problem's largest diagonal entry, and projected out
-    of the gradients and the steps; without it each must be positive definite,
-    and nothing is pinned or projected.  The code that builds the problems
-    knows which holds (see :func:`_dual`).
+    between blocks.  Each negative Hessian must be positive definite, as those
+    of :func:`_dual` are; nothing is pinned or projected.
     Each problem has its own stopping test, line search and iteration count,
-    and drops out once converged: its (projected) gradient norm is at most
-    ``tol``, or at most the rounding level of the
-    gradient, machine epsilon times the largest negative-Hessian diagonal
-    times (1 + max |x|) at the last Newton point (an exchange weight of
-    order h/epsilon amplifies the rounding of a potential difference by as
-    much, which is what binds for epsilon near 1e-8), times sqrt(size): that
-    is the rounding level of one entry, and the norm adds up ``size`` of them.
+    and drops out once converged: its gradient norm is at most ``tol``, or at
+    most the rounding level of the gradient, machine epsilon times the
+    largest negative-Hessian diagonal times (1 + max |x|) at the last Newton
+    point (an exchange weight of order h/epsilon amplifies the rounding of a
+    potential difference by as much, which is what binds for epsilon near
+    1e-8), times sqrt(size): that is the rounding level of one entry, and the
+    norm adds up ``size`` of them.
     A step is terminal, taken whole without a line search, once its predicted
     gain (the gradient against the Newton step) is at most the value's
     rounding level: the larger of 1e-12 (1 + |value|) and that gradient
@@ -154,15 +150,7 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     """
     x = np.array(x0, dtype=float)
     n_prob, size = x.shape
-
-    def project(y):
-        """``y`` without its constant mode, in place, if the problems have one."""
-        if gauge:
-            y -= y.mean(axis=1, keepdims=True)
-        return y
-
     val, grad = value_grad(x, np.arange(n_prob))
-    project(grad)
     gnorm = np.linalg.norm(grad, axis=1)
     iters = np.zeros(n_prob, dtype=int)
     floor = np.zeros(n_prob)
@@ -174,19 +162,14 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         if iters[act[0]] == max_iter:  # every active problem has run every iteration
             raise DualAscentError("iteration limit reached", float(gnorm[act[0]]))
         ab = hess_banded(x[act], act)
-        diag = ab[bandwidth].reshape(act.size, size)
-        dmax = diag.max(axis=1)
+        dmax = ab[bandwidth].reshape(act.size, size).max(axis=1)
         xmax = np.abs(x[act]).max(axis=1)
         floor[act] = rounding * dmax * (1.0 + xmax)
-        if gauge:
-            # pinned where the Hessian is largest: the entries of a species below
-            # rounding are too small to lift the constant mode of the others
-            diag[np.arange(act.size), diag.argmax(axis=1)] += np.maximum(dmax, 1.0)
         chol, info = dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
         g = grad[act]
-        step = project(dpbtrs(chol, g.ravel())[0].reshape(act.size, size))
+        step = dpbtrs(chol, g.ravel())[0].reshape(act.size, size)
         ascent = np.sum(g * step, axis=1)
         bad = ~(np.isfinite(ascent) & (ascent > 0))
         if np.any(bad):
@@ -213,176 +196,144 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
             t *= 0.5
             if todo.size and t < 1e-14:
                 raise DualAscentError("line search stalled", float(gnorm[act[todo[0]]]))
-        grad[act] = project(grad[act])
         gnorm[act] = np.linalg.norm(grad[act], axis=1)
         iters[act] += 1
 
 
-def _network_dual(c, delta, edges, v, h):
-    """Dual objectives of the flux costs of rates v on a reaction network, one per problem.
+def _dual(c, delta, edges, v, h):
+    """The dual of the flux costs of rates v on a reaction network, one problem per state and rate.
 
-    ``c`` and ``v`` have shape (M, I, n): a state and a rate per problem.
-    Species i diffuses with mobility delta_i cbar_i on interior faces; each
-    edge (i, j, kappa) with i < j exchanges through a cosh term of strength
-    kappa sqrt(c_i c_j).  Unknowns are cell-interleaved, x[m, I*k + i] =
-    xi[m, i, k], so each negative Hessian is banded with bandwidth I: species
-    couple within a cell, cells couple within a species.
+    ``c`` and ``v`` have shape (M, I, n), I >= 2.  Species i diffuses with
+    mobility w_i = delta_i cbar_i / h on interior faces, and each edge
+    (a, b, kappa), a < b, exchanges through a cosh term of strength
+    rw = kappa h sqrt(c_a c_b); the full dual of the potentials xi is
 
-    Returns ``(value_grad, hess_banded, fluxes)`` for :func:`damped_newton_max`;
-    ``fluxes(x)`` reads off the potentials xi (M, I, n), the face fluxes J
-    (M, I, n + 1) and the list of per-edge exchange fluxes (M, n), entering
-    species i with + and j with -.
+        F(xi) = sum h v xi - 1/2 sum w (d xi)^2 - sum rw C*(xi_a - xi_b),
+
+    sums over cells, interior faces and edges.  In one dimension with no-flux
+    walls the continuity equation fixes the summed face flux
+    sum_i J_i = -G, G_f = sum_{k <= f} h sum_i v_i,k, so the potential xi_0
+    of species 0 is maximized out in closed form, face by face.  The unknowns
+    are the differences eta_i = xi_0 - xi_i, i >= 1, cell-interleaved,
+    x[m, (I - 1) k + i - 1] = eta_i[k]: I - 1 per cell, and no constant mode.
+    Per face, with the jumps d_i of eta_i (d_0 = 0) and W = sum_i w_i, the
+    jump of xi_0 is s = (sum_i w_i d_i - G) / W, the fluxes are
+    J_i = w_i (s - d_i), and the face adds -G s - 1/2 sum_i w_i (s - d_i)^2;
+    an edge (a, b) sees xi_a - xi_b = eta_b - eta_a.  The reduced objective
+    is the full dual at the potentials reconstructed from eta.  Its negative
+    Hessian, banded with bandwidth 2I - 3, has no constant null direction:
+    each face couples its two cells through diag(w_1, ...) - w w^T / W.
+
+    A face where every species is empty (W = 0) drops out if it carries no
+    summed flux (G = 0); if it must carry one the dual is unbounded, and
+    :class:`DualAscentError` reports the norm of G over such faces of the
+    first problem that has one: the full dual's gradient along the potential
+    jumps across them, whatever the potentials.
+
+    Returns ``(value_grad, hess_banded, fluxes, bandwidth)`` for
+    :func:`damped_newton_max`; ``fluxes(x)`` reads off the potentials xi
+    (M, I, n), xi_0 summed from its jumps s and all shifted to a shared mean
+    of zero, the face fluxes J (M, I, n + 1) and the exchange fluxes
+    (E, M, n) of the edges, entering species a with + and b with -.
     """
     n_prob, i_sp, n = c.shape
-    cs = c.transpose(0, 2, 1)  # per-problem data in the layout of the unknowns
-    wdiff = delta * 0.5 * (cs[:, 1:] + cs[:, :-1]) / h
-    hv = (h * v).transpose(0, 2, 1).reshape(n_prob, n * i_sp)
-    ew = [(i, j, kappa * h * np.sqrt(c[:, i] * c[:, j])) for i, j, kappa in edges]
-
-    def value_grad(x, act):
-        xi = x.reshape(act.size, n, i_sp)
-        dxi = xi[:, 1:] - xi[:, :-1]
-        t = wdiff[act] * dxi
-        hva = hv[act]
-        val = np.sum(hva * x, axis=1) - 0.5 * np.sum((t * dxi).reshape(act.size, -1), axis=1)
-        grad_r = np.zeros_like(xi)
-        grad_r[:, 1:] += t
-        grad_r[:, :-1] -= t
-        for i, j, rw in ew:
-            u = xi[..., i] - xi[..., j]
-            rwa = rw[act]
-            with np.errstate(over="ignore"):
-                val -= np.sum(rwa * cosh_star(u), axis=1)
-                s = rwa * cosh_star_prime(u)
-            grad_r[..., i] += s
-            grad_r[..., j] -= s
-        hva -= grad_r.reshape(act.size, -1)
-        return val, hva
-
-    def hess_banded(x, act):
-        xi = x.reshape(act.size, n, i_sp)
-        wd = wdiff[act]
-        ab = np.zeros((i_sp + 1, x.size), order="F")  # the layout LAPACK factors in place
-        bands = ab.reshape(i_sp + 1, act.size, n, i_sp)
-        diag = bands[i_sp]
-        diag[:, 1:] += wd
-        diag[:, :-1] += wd
-        bands[0, :, 1:] = -wd  # same species in the next cell; zero on each block's first cell
-        for i, j, rw in ew:
-            with np.errstate(over="ignore"):
-                r2 = rw[act] * cosh_star_second(xi[..., i] - xi[..., j])
-            diag[..., i] += r2
-            diag[..., j] += r2
-            bands[i_sp - (j - i), ..., j] -= r2
-        return ab
-
-    def fluxes(x):
-        xi = x.reshape(n_prob, n, i_sp)
-        J = np.zeros((n_prob, i_sp, n + 1))
-        J[..., 1:-1] = (wdiff * (xi[:, 1:] - xi[:, :-1])).transpose(0, 2, 1)
-        b = [rw / h * cosh_star_prime(xi[..., i] - xi[..., j]) for i, j, rw in ew]
-        return xi.transpose(0, 2, 1), J, b
-
-    return value_grad, hess_banded, fluxes
-
-
-def _two_species_dual(c, delta, kappa, v, h):
-    """The dual of :func:`_network_dual` for two species, reduced to their potential difference.
-
-    ``c`` and ``v`` have shape (M, 2, n) and the one edge is (0, 1, kappa).
-    In one dimension with no-flux walls the continuity equation fixes the
-    summed face flux J_1 + J_2 = -G, with G_f = sum_{k <= f} h (v_1 + v_2)_k,
-    so the shared potential xi = xi_1 is maximized out in closed form, face by
-    face, and the difference eta = xi_1 - xi_2 is left, n unknowns a problem:
-
-        R(eta) = 1/2 sum G^2 / W - sum beta d(eta) - 1/2 sum mu d(eta)^2
-                 - sum h v_2 eta - sum rw C*(eta),
-
-    sums over interior faces and cells, with the face mobilities w_s = delta_s
-    cbar_s / h, W = w_1 + w_2, mu = w_1 w_2 / W, beta = G w_2 / W and rw =
-    kappa h sqrt(c_1 c_2).  The negative Hessian is tridiagonal and has no
-    constant null direction.  R is the full dual at the potentials
-    reconstructed from eta, where the full gradient is (g, -g) for the
-    gradient g of R.  A face where both species are empty (W = 0) drops out
-    if it carries no summed flux (G = 0); if it must carry one the dual is
-    unbounded, and :class:`DualAscentError` reports the norm of G over such
-    faces of the first problem that has one: the full dual's gradient along
-    the potential jumps across them, whatever the potentials.
-
-    Returns ``(value_grad, hess_banded, fluxes)`` as :func:`_network_dual`
-    does, for the unknowns x[m] = eta[m]; ``fluxes`` reconstructs xi_1 from
-    its face differences (w_2 d(eta) - G) / W and xi_2 = xi_1 - eta, both
-    shifted to a shared mean of zero.
-    """
-    wdiff = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1]) / h
-    w1, w2 = wdiff[:, 0], wdiff[:, 1]
-    G = np.cumsum(h * (v[:, 0] + v[:, 1]), axis=1)[:, :-1]
-    W = w1 + w2
+    size = i_sp - 1  # unknowns per cell
+    band = 2 * size - 1
+    # per-problem data are species-major, (M, I, n - 1) on faces and
+    # (M, I - 1, n) on cells, so that elementwise work loops over cells, not
+    # over the I - 1 unknowns of a cell
+    w = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1]) / h
+    G = np.cumsum(h * v.sum(axis=1), axis=1)[:, :-1]
+    W = w.sum(axis=1)
     empty = W == 0
     blocked = empty & (G != 0)
     if np.any(blocked):
         m = np.flatnonzero(blocked.any(axis=1))[0]
         raise DualAscentError("the rate needs a flux across a face where both species are empty",
                               float(np.linalg.norm(G[m, blocked[m]])))
-    W = np.where(empty, 1.0, W)  # those faces have w_1 = w_2 = G = 0
-    mu = w1 * w2 / W
-    beta = G * w2 / W
-    level = 0.5 * np.sum(G * G / W, axis=1)
-    hv2 = h * v[:, 1]
-    rw = kappa * h * np.sqrt(c[:, 0] * c[:, 1])
+    W = np.where(empty, 1.0, W)  # those faces have w = G = 0
+    wr = w[:, 1:]
+    wW, GW = wr / W[:, None], G / W
+    beta, level = G[:, None] * wW, 0.5 * np.sum(G * GW, axis=1)
+    hv = h * v[:, 1:]
+
+    # the face part of the negative Hessian, the same at every x: each face
+    # block diag(w_1, ...) - w w^T / W, its diagonal w_i sum_{k != i} w_k / W
+    # summed free of cancellation, adds to the diagonal blocks of its two
+    # cells and couples them.  Stacked per cell k as the columns of
+    # [zeros (I - 2); the coupling to cell k - 1; the diagonal block], a
+    # column j read from row j on is its column of the band, in LAPACK's
+    # upper storage
+    coupling = wr[:, :, None] * wW[:, None]  # minus the face blocks, (M, row, column, face)
+    diag = np.arange(size)
+    coupling[:, diag, diag] = wW * np.einsum("mkf,ik->mif", w, np.eye(i_sp)[1:] - 1.0)
+    stacked = np.zeros((n_prob, 3 * size - 1, size, n))
+    stacked[:, size - 1:band, :, 1:] = coupling
+    cell = stacked[:, band:]
+    np.add(coupling[..., 1:], coupling[..., :-1], out=cell[..., 1:-1])
+    cell[..., 0], cell[..., -1] = coupling[..., 0], coupling[..., -1]
+    np.negative(cell, out=cell)
+    st = stacked.strides
+    face = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        stacked, (n_prob, n, size, band + 1), (st[0], st[3], st[1] + st[2], st[1])))
+
+    ea, eb, kappa = (np.array(col) for col in zip(*edges))
+    rw = kappa[:, None] * h * np.sqrt(c[:, ea] * c[:, eb])  # (M, E, n)
+    inner = np.flatnonzero(ea > 0)  # edges between two unknowns
+    inc = np.zeros((size, ea.size))  # d(eta_b - eta_a) / d eta, per edge
+    inc[eb - 1, np.arange(ea.size)] = 1.0
+    inc[ea[inner] - 1, inner] = -1.0
+
+    def exchange(eta):
+        """eta_b - eta_a (..., E, n) per edge (a, b) of eta (..., I - 1, n)."""
+        u = eta[:, eb - 1]
+        if inner.size:
+            u[:, inner] -= eta[:, ea[inner] - 1]
+        return u
 
     def value_grad(x, act):
-        d = x[:, 1:] - x[:, :-1]
-        b, m, r = beta[act], mu[act], rw[act]
+        eta = x.reshape(act.size, n, size).transpose(0, 2, 1)
+        d = eta[..., 1:] - eta[..., :-1]
+        s = np.einsum("mif,mif->mf", wW.take(act, 0), d) - GW.take(act, 0)
+        J = wr.take(act, 0) * (s[:, None] - d)
+        u = exchange(eta)
+        rwa, hva = rw.take(act, 0), hv.take(act, 0)
         with np.errstate(over="ignore"):
-            val = (level[act] - np.sum((b + 0.5 * m * d) * d, axis=1)
-                   - np.sum(hv2[act] * x, axis=1) - np.sum(r * cosh_star(x), axis=1))
-            grad = -hv2[act] - r * cosh_star_prime(x)
-        phi = b + m * d
-        grad[:, :-1] += phi
-        grad[:, 1:] -= phi
-        return val, grad
+            # the faces' -G s - 1/2 sum_i w_i (s - d_i)^2 is 1/2 G^2 / W + 1/2 (J - beta) . d
+            val = (level[act] + 0.5 * np.sum(((J - beta.take(act, 0)) * d).reshape(act.size, -1), 1)
+                   - np.sum((hva * eta).reshape(act.size, -1), 1)
+                   - np.sum((rwa * cosh_star(u)).reshape(act.size, -1), 1))
+            grad = -hva - np.einsum("je,men->mjn", inc, rwa * cosh_star_prime(u))
+        grad[..., 1:] += J
+        grad[..., :-1] -= J
+        return val, grad.transpose(0, 2, 1).reshape(act.size, -1)
 
     def hess_banded(x, act):
-        m = mu[act]
-        ab = np.zeros((2, x.size), order="F")  # the layout LAPACK factors in place
-        bands = ab.reshape(2, act.size, -1)
+        ab = face.take(act, 0)
         with np.errstate(over="ignore"):
-            bands[1] = rw[act] * cosh_star_second(x)
-        bands[1, :, 1:] += m
-        bands[1, :, :-1] += m
-        bands[0, :, 1:] = -m  # the next cell; zero on each block's first cell
-        return ab
+            r2 = rw.take(act, 0) * cosh_star_second(
+                exchange(x.reshape(act.size, n, size).transpose(0, 2, 1)))
+        b = ab.transpose(3, 0, 1, 2)  # [band row, problem, cell, unknown of the column]
+        b[band] += np.einsum("je,men->mnj", np.abs(inc), r2)
+        if inner.size:
+            b[band - (eb[inner] - ea[inner]), ..., eb[inner] - 1] -= r2[:, inner].transpose(1, 0, 2)
+        return ab.reshape(-1, band + 1).T
 
     def fluxes(x):
-        d = x[:, 1:] - x[:, :-1]
-        dxi = (w2 * d - G) / W
-        J = np.zeros((x.shape[0], 2, x.shape[1] + 1))
-        J[:, 0, 1:-1] = w1 * dxi
-        J[:, 1, 1:-1] = -w2 * (w1 * d + G) / W
-        xi1 = np.zeros_like(x)
-        xi1[:, 1:] = np.cumsum(dxi, axis=1)
-        xi = np.stack([xi1, xi1 - x], axis=1)
+        eta = x.reshape(n_prob, n, size).transpose(0, 2, 1)
+        d = eta[..., 1:] - eta[..., :-1]
+        s = np.einsum("mif,mif->mf", wW, d) - GW
+        J = np.zeros((n_prob, i_sp, n + 1))
+        J[:, 0, 1:-1] = w[:, 0] * s
+        J[:, 1:, 1:-1] = wr * (s[:, None] - d)
+        xi = np.zeros((n_prob, i_sp, n))
+        xi[:, 0, 1:] = np.cumsum(s, axis=1)
+        xi[:, 1:] = xi[:, :1] - eta
         xi -= xi.mean(axis=(1, 2), keepdims=True)
-        return xi, J, [rw / h * cosh_star_prime(x)]
+        b = rw / h * cosh_star_prime(exchange(eta))
+        return xi, J, b.transpose(1, 0, 2)
 
-    return value_grad, hess_banded, fluxes
-
-
-def _dual(c, delta, edges, v, h):
-    """The dual of the flux costs of rates v, as :func:`damped_newton_max` takes it.
-
-    Returns ``(value_grad, hess_banded, fluxes, bandwidth, gauge)``: one
-    problem of ``bandwidth`` unknowns per cell for each state and rate in
-    ``c`` and ``v`` (M, I, n).  Two species with one edge take the reduced
-    dual of :func:`_two_species_dual`, at bandwidth 1 with no constant mode;
-    larger networks the full one of :func:`_network_dual`, at bandwidth I and
-    with the constant mode shared by all species gauged away.
-    """
-    i_sp = c.shape[1]
-    if i_sp == 2 and len(edges) == 1:
-        return (*_two_species_dual(c, delta, edges[0][2], v, h), 1, False)
-    return (*_network_dual(c, delta, edges, v, h), i_sp, True)
+    return value_grad, hess_banded, fluxes, band
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,9 +372,8 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     The ascent runs on the potential difference xi_1 - xi_2 alone (n
     unknowns, a tridiagonal Hessian), the shared potential maximized out in
     closed form, as :func:`dissipation_functional` runs it; ``xi0`` starts it
-    at xi0[0] - xi0[1].  The rate must preserve total mass; the dual objective
-    is invariant under the shared constant mode, which is gauged to mean
-    zero.
+    at xi0[0] - xi0[1].  The rate must preserve total mass; the potentials
+    are returned shifted to a shared mean of zero.
     """
     _ = tilt
     eps = params.epsilon if epsilon is None else epsilon
@@ -440,19 +390,23 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     v = v - v.sum() / v.size
 
     (_, _, kappa), = edges
-    vg, hess, fluxes = _two_species_dual(c[None], params.delta_array, kappa, v[None], h)
-    x, val, _, iters, _ = damped_newton_max(
-        vg, hess, (x0[0] - x0[1])[None], bandwidth=1, tol=tol, max_iter=max_iter, gauge=False
-    )
-    xi, J, (b1,) = fluxes(x)
-    b = np.stack([b1[0], -b1[0]])
+    delta = params.delta_array
+    vg, hess, fluxes, band = _dual(c[None], delta, edges, v[None], h)
+    x, val, _, iters, _ = damped_newton_max(vg, hess, (x0[0] - x0[1])[None], bandwidth=band,
+                                            tol=tol, max_iter=max_iter)
+    xi, J, b_edges = fluxes(x)
+    xi, J, b = xi[0], J[0], np.stack([b_edges[0, 0], -b_edges[0, 0]])
     value = float(val[0])
-    # the state certifies the potentials xi: its gradient is the full dual's there
-    grad = _network_dual(c[None], params.delta_array, edges, v[None], h)[0](
-        xi.transpose(0, 2, 1).reshape(1, -1), np.arange(1))[1]
+    # the potentials certify themselves: the full dual's gradient at xi is h v
+    # plus the divergence of the face fluxes w d(xi) less the exchange
+    flux = np.zeros_like(J)
+    flux[:, 1:-1] = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h * np.diff(xi)
+    with np.errstate(over="ignore"):
+        ex = kappa * h * np.sqrt(c[0] * c[1]) * cosh_star_prime(xi[0] - xi[1])
+    grad = h * v + np.diff(flux) - np.stack([ex, -ex])
     gnorm = float(np.linalg.norm(grad - grad.mean()))
-    dual = DualMaximizerState(xi=xi[0], value=value, gradient_norm=gnorm, iterations=iters)
-    return PrimalRate(value=value, fluxes=FluxAssignment(J[0], b), dual=dual)
+    dual = DualMaximizerState(xi=xi, value=value, gradient_norm=gnorm, iterations=iters)
+    return PrimalRate(value=value, fluxes=FluxAssignment(J, b), dual=dual)
 
 
 def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
@@ -515,11 +469,11 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
 
     The dual ascents of a window run as two stacked Newton solves, the block
     anchors' and then the warm-started intervals' (see the module
-    docstring), on the dual :func:`_dual` builds for the species count;
-    each interval keeps its own stopping test, so only its start
-    depends on its neighbours.  Each term is integrated on its own by
-    :func:`_integrate`, so its rounding depends neither on the windows nor
-    on which other terms are evaluated with it.  The ascent is logged to
+    docstring), on the reduced dual of :func:`_dual`, (I - 1) n unknowns an
+    interval for I species; each interval keeps its own stopping test, so
+    only its start depends on its neighbours.  Each term is integrated on its
+    own by :func:`_integrate`, so its rounding depends neither on the windows
+    nor on which other terms are evaluated with it.  The ascent is logged to
     ``log``, one record per trajectory; ``newton`` is
     :func:`damped_newton_max` as the caller's module binds it (this module's
     by default), so that instrumentation wrapping it per module attributes
@@ -532,7 +486,7 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
     def solve(vg, hess, rows, x0, record):
         """The ascents of the window's intervals ``rows``, from ``x0``."""
         x, _, gnorm, _, iters = newton(lambda y, k: vg(y, rows[k]), lambda y, k: hess(y, rows[k]),
-                                       x0, bandwidth=band, tol=tol, max_iter=max_iter, gauge=gauge)
+                                       x0, bandwidth=band, tol=tol, max_iter=max_iter)
         record.append((gnorm, np.bincount(iters)))
         return x
 
@@ -545,14 +499,15 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
         n = c.shape[2]
         h = 1.0 / n
         if fluxes is None:
-            vg, hess, optimal, band, gauge = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
+            vg, hess, optimal, band = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
             # blocks and interpolation weights: the window starts a block
             index = np.arange(n_int)
             first = index // _WARM_BLOCK * _WARM_BLOCK
             last = np.minimum(first + _WARM_BLOCK, n_int) - 1
             weight = (index - first) / np.maximum(last - first, 1)
             anchors = np.union1d(first, last)
-            x_anchor = solve(vg, hess, anchors, np.zeros((anchors.size, band * n)), anchor_log)
+            size = (c.shape[1] - 1) * n  # unknowns per interval
+            x_anchor = solve(vg, hess, anchors, np.zeros((anchors.size, size)), anchor_log)
             # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
             x = ((1.0 - weight)[:, None] * x_anchor[np.searchsorted(anchors, first)]
                  + weight[:, None] * x_anchor[np.searchsorted(anchors, last)])
@@ -644,12 +599,14 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
 
     Zero for exact solutions of the gradient flow; on discrete solver output
     it converges to zero at first order under joint space-time refinement.
-    The sign is not constrained for arbitrary discrete data.
+    The sign is not constrained for arbitrary discrete data.  ``traj`` may
+    also be a solve, read as for :func:`dissipation_functional`: its last
+    window holds the final state.
     """
     breakdown = dissipation_functional(traj, params, tilt, epsilon,
                                        tol=tol, max_iter=max_iter)
     e0 = energy(traj.initial_state, params, tilt)
-    e1 = energy(traj.final_state, params, tilt)
+    e1 = energy(State(traj.states[-1]), params, tilt)
     return e1 + breakdown.total - e0
 
 
@@ -706,9 +663,16 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
 
 def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,
                      tilt: Tilt) -> float:
-    """Energy-dissipation-balance defect of the coarse problem."""
+    """Energy-dissipation-balance defect of the coarse problem.
+
+    ``hat_traj`` may also be a coarse solve, read as for
+    :func:`hat_dissipation`: its initial state is taken before the
+    evaluation hands its windows over, and its final state, in its last
+    window, after.
+    """
+    initial = hat_traj.states[0]
     breakdown = hat_dissipation(hat_traj, params, tilt)
-    e0 = hat_energy(hat_traj.states[0], params, tilt)
+    e0 = hat_energy(initial, params, tilt)
     e1 = hat_energy(hat_traj.states[-1], params, tilt)
     return e1 + breakdown.total - e0
 

@@ -53,15 +53,16 @@ from edpflow import (
 
 import edpflow.dissipation as dissipation_module
 from edpflow.dissipation import (
-    _network_dual,
-    _two_species_dual,
+    _dual,
     _window_intervals,
     damped_newton_max,
 )
-from edpflow.multispecies import _multispecies_solve
+from edpflow.functionals import _network_cost
+from edpflow.multispecies import _multispecies_solve, build_detailed_balance_generator
 from edpflow.solver import _effective_solve, _eps_solve
 
 from conftest import Windowed, blow_up_case, cosine_tilt, positive_state
+from full_dual import full_dual
 
 
 def brute_force_three_cell(c, v, params, epsilon):
@@ -208,28 +209,52 @@ def _banded_to_dense(ab, bw):
     return dense
 
 
+def _network(rng, i_sp, epsilon):
+    """A seeded network of ``i_sp`` species: its generator and edges (i, j, kappa)."""
+    if i_sp == 2:
+        gen = build_detailed_balance_generator(("A", "B"), rng.uniform(0.5, 2.0, 2), {},
+                                               {(0, 1): float(rng.uniform(0.5, 2.0))},
+                                               rng.uniform(0.5, 2.0, 2))
+    else:
+        gen = random_detailed_balance_generator(rng, i_sp)
+    kappa = kappa_coefficients(gen, epsilon)
+    return gen, [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
+
+
+def _full_dual_at(c, delta, edges, v, h, xi):
+    """The full dual's value, gradient without its constant mode, rounding level and
+    fluxes at the potentials ``xi`` (M, I, n)."""
+    full_vg, full_hess, full_fluxes = full_dual(c, delta, edges, v, h)
+    everyone = np.arange(c.shape[0])
+    y = xi.transpose(0, 2, 1).reshape(c.shape[0], -1)
+    val, grad = full_vg(y, everyone)
+    grad -= grad.mean(axis=1, keepdims=True)
+    dmax = full_hess(y, everyone)[c.shape[1]].reshape(c.shape[0], -1).max(axis=1)
+    rounding = np.finfo(float).eps * np.sqrt(y.shape[1]) * dmax * (1.0 + np.abs(y).max(axis=1))
+    return val, np.linalg.norm(grad, axis=1), rounding, full_fluxes(y)[1:]
+
+
 class TestNetworkDualKernel:
-    @pytest.mark.parametrize("case", ["three_species", "two_species"])
-    def test_banded_hessian_and_gradient_match_differences(self, case, params, rng):
+    """The dual reduced to the potential differences to species 0, for every species count."""
+
+    @pytest.mark.parametrize("i_sp", [2, 3, 4],
+                             ids=["two_species", "three_species", "four_species"])
+    def test_banded_hessian_and_gradient_match_differences(self, i_sp, rng):
         # two stacked problems: each block matches the differences of its own
         # objective, and nothing couples the blocks
-        if case == "three_species":
-            c = rng.uniform(0.3, 1.5, (2, 3, 6))
-            delta = np.array([1.0, 2.0, 0.5])
-            edges = [(0, 1, 2.0), (1, 2, 0.7), (0, 2, 1.3)]
-        else:
-            c = np.stack([positive_state(rng, 6).c for _ in range(2)])
-            delta = params.delta_array
-            edges = [(0, 1, 1.0 / params.epsilon)]
-        n_prob, i_sp, n = c.shape
-        size = i_sp * n
+        n = 6
+        _, edges = _network(rng, i_sp, 0.5)
+        c = rng.uniform(0.3, 1.5, (2, i_sp, n))
         v = rng.normal(size=c.shape)
-        value_grad, hess_banded, _ = _network_dual(c, delta, edges, v, 1.0 / n)
-        x = rng.normal(scale=0.3, size=(n_prob, size))
-        both = np.arange(n_prob)
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        value_grad, hess_banded, _, band = _dual(c, rng.uniform(0.5, 2.0, i_sp), edges, v, 1.0 / n)
+        assert band == 2 * i_sp - 3
+        size = (i_sp - 1) * n
+        x = rng.normal(scale=0.3, size=(2, size))
+        both = np.arange(2)
 
-        dense = _banded_to_dense(hess_banded(x, both), i_sp)
-        for m in range(n_prob):
+        dense = _banded_to_dense(hess_banded(x, both), band)
+        for m in range(2):
             one = np.array([m])
             grad = value_grad(x[m:m + 1], one)[1][0]
             assert np.array_equal(grad, value_grad(x, both)[1][m])
@@ -239,14 +264,61 @@ class TestNetworkDualKernel:
             block = dense[m * size:(m + 1) * size, m * size:(m + 1) * size]
             fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
             assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
-            if case == "three_species":
-                # every band offset up to the bandwidth carries a coupling
-                assert all(np.any(np.diag(block, d) != 0) for d in (1, 2, 3))
+            # every band offset up to the bandwidth carries a coupling
+            assert all(np.any(np.diag(block, d) != 0) for d in range(1, band + 1))
         assert np.all(dense[:size, size:] == 0.0)
+
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-4, 1e-8])
+    @pytest.mark.parametrize("i_sp", [2, 3, 4, 6])
+    def test_agrees_with_the_full_dual(self, i_sp, epsilon):
+        # three states near the stationary composition, with mass-balanced
+        # rates, on seeded networks
+        rng = np.random.default_rng(i_sp)
+        n, h, tol = 20, 1.0 / 20, 1e-10
+        gen, edges = _network(rng, i_sp, epsilon)
+        c = gen.stationary(epsilon)[:, None] * rng.uniform(0.5, 1.5, (3, i_sp, n))
+        v = rng.normal(size=c.shape)
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        vg, hess, fluxes, band = _dual(c, gen.delta, edges, v, h)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, (i_sp - 1) * n)),
+                                            bandwidth=band, tol=tol)
+        xi, J, b = fluxes(x)
+        # the reconstructed potentials maximize the full dual: its value there
+        # is the reduced one, its gradient is below sqrt(I) times the stopping
+        # threshold, and the fluxes it reads off them are the reduced ones
+        val_at, gnorm, rounding, (J_at, b_at) = _full_dual_at(c, gen.delta, edges, v, h, xi)
+        assert np.all(np.abs(val_at - val) <= 1e-12 * np.abs(val))
+        assert np.all(gnorm <= np.sqrt(i_sp) * np.maximum(tol, rounding))
+        assert np.max(np.abs(J - J_at)) <= 1e-8
+        assert max(np.max(np.abs(bb - bb_at)) for bb, bb_at in zip(b, b_at)) <= 1e-8
+
+    def test_face_where_every_species_is_empty(self):
+        # cells 1 and 2 hold no species, so the face between them has no
+        # mobility; it drops out if the rate moves no mass across it
+        gen = random_detailed_balance_generator(np.random.default_rng(3), 3)
+        kappa = kappa_coefficients(gen, 0.1)
+        edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
+        c = np.ones((1, 3, 4))
+        c[..., 1:3] = 0.0
+        v = np.zeros_like(c)
+        v[0, :, :2] = [[-1.0, 1.0], [0.5, -0.5], [0.2, -0.2]]
+        vg, hess, fluxes, band = _dual(c, gen.delta, edges, v, 0.25)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((1, 8)), bandwidth=band)
+        _, J, b = fluxes(x)
+        assert np.isfinite(val[0]) and val[0] > 0
+        assert np.all(J[0, :, 2] == 0.0)
+        kinetic, exchange = _network_cost(c[0], gen.delta, edges, J[0], b[:, 0], 0.25)
+        assert kinetic + sum(exchange) == pytest.approx(val[0], rel=1e-8)
+        # a rate that moves mass across it has no finite cost
+        v[0, 0] = [-1.0, 0.0, 0.0, 1.0]
+        with pytest.raises(DualAscentError, match="needs a flux across a face where both species"
+                           " are empty") as err:
+            _dual(c, gen.delta, edges, v, 0.25)
+        assert err.value.gradient_norm == pytest.approx(0.25)
 
 
 class TestReducedTwoSpeciesDual:
-    """The two-species dual on the potential difference against the full network dual."""
+    """The two-species case of the reduced dual, on the potential difference."""
 
     @staticmethod
     def _problems(rng, n, tilt):
@@ -266,46 +338,16 @@ class TestReducedTwoSpeciesDual:
         c, v = self._problems(rng, n, tilt)
         delta, h, tol = np.array([1.0, 2.0]), 1.0 / n, 1e-10
         edges = [(0, 1, 1.0 / epsilon)]
-        vg, hess, fluxes = _two_species_dual(c, delta, 1.0 / epsilon, v, h)
-        x, val, gnorm, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), bandwidth=1,
-                                                tol=tol, gauge=False)
-        full_vg, full_hess, full_fluxes = _network_dual(c, delta, edges, v, h)
-        x_full, val_full, _, _, _ = damped_newton_max(full_vg, full_hess, np.zeros((3, 2 * n)),
-                                                      bandwidth=2, tol=tol)
-        assert np.all(np.abs(val - val_full) <= 1e-12 * (1.0 + np.abs(val_full)))
+        vg, hess, fluxes, band = _dual(c, delta, edges, v, h)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), bandwidth=band, tol=tol)
         xi, J, (b,) = fluxes(x)
-        _, J_full, (b_full,) = full_fluxes(x_full)
-        assert np.max(np.abs(J - J_full)) <= 1e-8 and np.max(np.abs(b - b_full)) <= 1e-8
         # the reconstructed potentials maximize the full dual: its value there
-        # is the reduced one, and its gradient is below sqrt(2) times the
-        # stopping threshold the full ascent applies
-        everyone = np.arange(3)
-        y = xi.transpose(0, 2, 1).reshape(3, -1)
-        val_at, grad_at = full_vg(y, everyone)
+        # is the reduced one, its gradient is below sqrt(2) times the stopping
+        # threshold, and the fluxes it reads off them are the reduced ones
+        val_at, gnorm, rounding, (J_at, (b_at,)) = _full_dual_at(c, delta, edges, v, h, xi)
         assert np.all(np.abs(val_at - val) <= 1e-12 * (1.0 + np.abs(val)))
-        grad_at -= grad_at.mean(axis=1, keepdims=True)
-        dmax = full_hess(y, everyone)[2].reshape(3, -1).max(axis=1)
-        rounding = np.finfo(float).eps * np.sqrt(2 * n) * dmax * (1.0 + np.abs(y).max(axis=1))
-        assert np.all(np.linalg.norm(grad_at, axis=1) <= np.sqrt(2) * np.maximum(tol, rounding))
-
-    def test_banded_hessian_and_gradient_match_differences(self, params, rng):
-        n = 6
-        c = np.stack([positive_state(rng, n).c for _ in range(2)])
-        v = rng.normal(size=c.shape)
-        v -= v.mean(axis=(1, 2), keepdims=True)
-        value_grad, hess_banded, _ = _two_species_dual(c, params.delta_array,
-                                                       1.0 / params.epsilon, v, 1.0 / n)
-        x = rng.normal(scale=0.3, size=(2, n))
-        dense = _banded_to_dense(hess_banded(x, np.arange(2)), 1)
-        for m in range(2):
-            one = np.array([m])
-            grad = value_grad(x[m:m + 1], one)[1][0]
-            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
-            assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
-            block = dense[m * n:(m + 1) * n, m * n:(m + 1) * n]
-            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
-            assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
-        assert np.all(dense[:n, n:] == 0.0)
+        assert np.all(gnorm <= np.sqrt(2) * np.maximum(tol, rounding))
+        assert np.max(np.abs(J - J_at)) <= 1e-8 and np.max(np.abs(b - b_at)) <= 1e-8
 
     def test_two_species_paths_factor_tridiagonal_matrices(self, params, monkeypatch):
         factored = []
@@ -320,6 +362,15 @@ class TestReducedTwoSpeciesDual:
         rate = (traj.states[1] - traj.states[0]) / 1e-3
         primal_R_eps(State(traj.states[0]), params, tilt, rate)
         assert factored and set(factored) == {1}
+        # networks factor at bandwidth 2 I - 3
+        for i_sp in (3, 4):
+            factored.clear()
+            gen = random_detailed_balance_generator(np.random.default_rng(i_sp), i_sp)
+            x = (np.arange(6) + 0.5) / 6
+            c0 = gen.stationary(1e-2)[:, None] * (1 + 0.4 * np.cos(np.pi * x))
+            net_traj = solve_multispecies(State(c0), gen, 1e-2, SolverConfig(1e-3, 0.01))
+            multispecies_dissipation(net_traj, gen, 1e-2)
+            assert factored and set(factored) == {2 * i_sp - 3}
 
     def test_empty_face_without_summed_flux_drops_out(self, params):
         # cells 1 and 2 are empty, so the face between them has no mobility;
@@ -581,8 +632,8 @@ def _sequential_multispecies(traj, gen, eps):
     for m, dt in enumerate(np.diff(traj.times)):
         c = traj.states[m]
         v = (traj.states[m + 1] - c) / dt
-        vg, hess, fluxes = _network_dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
-        x = damped_newton_max(vg, hess, np.zeros((1, i_sp * n)), bandwidth=i_sp)[0]
+        vg, hess, fluxes, band = _dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
+        x = damped_newton_max(vg, hess, np.zeros((1, (i_sp - 1) * n)), bandwidth=band)[0]
         _, J, edge_b = fluxes(x)
         terms = np.zeros(6)
         mob = gen.delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
@@ -648,7 +699,7 @@ class TestBatchedEvaluation:
         v[2] = [[2000.0] * n, [-2000.0] * n]
         v -= v.mean(axis=(1, 2), keepdims=True)
         delta, edges = np.array([1.0, 2.0]), [(0, 1, 1.0)]
-        value_grad, hess, _ = _network_dual(c, delta, edges, v, 1.0 / n)
+        value_grad, hess, _, band = _dual(c, delta, edges, v, 1.0 / n)
         evaluated = []
 
         def counted(x, act):
@@ -656,14 +707,14 @@ class TestBatchedEvaluation:
             return value_grad(x, act)
 
         x, val, gnorm, sweeps, iters = damped_newton_max(
-            counted, hess, np.zeros((3, 2 * n)), bandwidth=2)
+            counted, hess, np.zeros((3, n)), bandwidth=band)
         assert iters[0] == 0 < iters[1] < iters[2] == sweeps and gnorm <= 1e-10
         assert len(evaluated) > 1 + sweeps  # the line search halved
         assert any(len(act) < 3 for act in evaluated[1:])  # converged problems dropped out
         for m in range(3):
-            one = _network_dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
+            one = _dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
             x1, val1, _, sweeps1, _ = damped_newton_max(
-                one[0], one[1], np.zeros((1, 2 * n)), bandwidth=2)
+                one[0], one[1], np.zeros((1, n)), bandwidth=band)
             assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and sweeps1 == iters[m]
 
     def test_chunking_does_not_change_intervals(self, params):
@@ -959,9 +1010,9 @@ class TestRoundoffFloor:
 class TestGaugePin:
     """Species below rounding under large tilts.
 
-    The two-species dual runs on the potential difference, which has no
-    constant mode, so nothing is pinned; the gauge pin, at each problem's
-    largest negative-Hessian diagonal entry, serves the networks only.
+    Named for the gauge pin of the full dual, which these cases defeated: the
+    reduced dual runs on potential differences, which have no constant mode,
+    so nothing is pinned for any species count.
     """
 
     def _evaluate(self, delta_v, epsilon):
@@ -1245,6 +1296,21 @@ class TestStreamedEvaluation:
             evaluate(solve)
             assert solve.times.size - 1 == config.n_steps
             assert np.array_equal(solve.states[-1], stored.states[-1])
+
+    def test_edb_residuals_of_a_multi_window_solve(self, params):
+        # the balance reads the initial energy before the windows are consumed
+        # and the final state from the last window, bit for bit as stored
+        c0, tilt = self._initial(params, 20)
+        config = SolverConfig(1e-3, 0.1)
+        hat0 = c0.c.sum(axis=0)
+        window = dissipation_module._WARM_BLOCK
+        stream = Windowed(_eps_solve(c0, params, tilt, config), window)
+        hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), window)
+        assert config.n_steps > 3 * window
+        assert edb_residual(stream, params, tilt) == edb_residual(
+            solve_eps_system(c0, params, tilt, config), params, tilt)
+        assert hat_edb_residual(hat_stream, params, tilt) == hat_edb_residual(
+            solve_effective(hat0, params, tilt, config), params, tilt)
 
     def test_blow_up_raises_integration_error(self):
         # test_blowup_reports_step, streamed: the solver's own step is reported
