@@ -349,6 +349,30 @@ class TestReducedTwoSpeciesDual:
         assert np.all(gnorm <= np.sqrt(2) * np.maximum(tol, rounding))
         assert np.max(np.abs(J - J_at)) <= 1e-8 and np.max(np.abs(b - b_at)) <= 1e-8
 
+    def test_banded_hessian_and_gradient_match_differences(self, params, rng):
+        # the system's own rates on positive states: one unknown per cell and
+        # a tridiagonal Hessian, each problem's block matching its differences
+        n = 6
+        c = np.stack([positive_state(rng, n).c for _ in range(2)])
+        v = rng.normal(size=c.shape)
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        edges = [(0, 1, 1.0 / params.epsilon)]
+        value_grad, hess_banded, _, band = _dual(c, params.delta_array, edges, v, 1.0 / n)
+        assert band == 1
+        x = rng.normal(scale=0.3, size=(2, n))
+        ab = hess_banded(x, np.arange(2))
+        assert ab.shape == (2, 2 * n)
+        dense = _banded_to_dense(ab, band)
+        for m in range(2):
+            one = np.array([m])
+            grad = value_grad(x[m:m + 1], one)[1][0]
+            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
+            assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+            block = dense[m * n:(m + 1) * n, m * n:(m + 1) * n]
+            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
+            assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
+        assert np.all(dense[:n, n:] == 0.0)
+
     def test_two_species_paths_factor_tridiagonal_matrices(self, params, monkeypatch):
         factored = []
 
