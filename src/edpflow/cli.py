@@ -2,14 +2,19 @@
 
 Configs are single JSON documents with all physical parameters explicit (no
 defaults for diffusion constants, rates, or scales).  :func:`load_config`
-checks every key, scalar keys included, and parses a ``generator`` spec, so a
-malformed config fails there and not halfway through a run.  Each experiment
-writes raw per-run CSV tables; :func:`run_experiment` then writes the
-machine-readable summary with fitted exponents and pass/fail flags, and the
-experiment, seed and overall flag that every summary carries.  Outputs are
-reproducible bit-for-bit for a fixed config and seed; the decay fit projects
-each time level on its own, so its amplitudes do not depend on how the levels
-are batched.
+walks one table, ``_SCHEMA``, that gives each key its
+:class:`ExperimentConfig` field, the experiments that require it and its
+parser; every key present is parsed, whatever the experiment, a
+``generator`` spec included, so a malformed config fails there and not
+halfway through a run.  Defaults live in :class:`ExperimentConfig` alone.
+Each experiment writes raw per-run CSV tables; :func:`run_experiment` then
+writes the machine-readable summary with fitted exponents and pass/fail
+flags, and the experiment, seed and overall flag that every summary carries.
+The refinement study takes its energy drops and balance residuals from
+:mod:`edpflow.dissipation`, as :func:`~edpflow.dissipation.edb_residual` does.
+Outputs are reproducible bit-for-bit for a fixed config and seed; the decay
+fit projects each time level on its own, so its amplitudes do not depend on
+how the levels are batched.
 
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``export-defaults``.
 Exit codes: 0 on pass, 1 on acceptance-threshold failure, 2 on config error,
@@ -29,19 +34,18 @@ import numpy as np
 from .coarsegrain import (
     CoarseTrajectory,
     build_recovery_sequence,
-    hat_energy,
     manifold_split,
     reconstruct_from_coarse,
 )
 from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows
 from .dissipation import (
     DualAscentError,
-    dissipation_functional,
+    _balance,
+    _hat_balance,
     flux_dissipation,
-    hat_dissipation,
     hat_flux_dissipation,
 )
-from .functionals import energy, stationary_measure
+from .functionals import stationary_measure
 from .multispecies import (
     MarkovGenerator,
     kappa_coefficients,
@@ -69,14 +73,6 @@ __all__ = [
     "default_configs",
     "main",
 ]
-
-_EXPERIMENTS = (
-    "eps_sweep",
-    "edb_refinement",
-    "mixed_diffusion_fit",
-    "recovery_study",
-    "multispecies_check",
-)
 
 
 class ConfigError(ValueError):
@@ -114,213 +110,197 @@ class ExperimentResult:
     files: tuple[Path, ...]
 
 
-_TOP_KEYS = {
-    "experiment", "output_dir", "seed", "grid", "solver", "params", "tilt",
-    "initial", "epsilons", "levels", "lam", "alpha", "width_scale",
-    "generator", "n_species", "write_trajectories",
-}
-_NEEDS_PDE = {"eps_sweep", "edb_refinement", "mixed_diffusion_fit", "recovery_study"}
-
-
 def _real(v) -> bool:  # a finite float, or an integer within its range; booleans are not numbers
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_epsilons(values, problems):
+def _read_json(path, what: str):
+    """The JSON document in the file at ``path``; ValueError, naming ``what``, if none can be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{what} {path} does not exist") from None
+    except OSError as exc:
+        raise ValueError(f"{what} {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _fields(doc, required, optional=()):
+    """``doc``, if it is an object with every key of ``required`` and no key outside ``optional``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"must be an object, got {doc!r}")
+    missing = [k for k in required if k not in doc]
+    unknown = [k for k in doc if k not in required and k not in optional]
+    if missing or unknown:
+        raise ValueError("; ".join(f"{what} {keys}" for what, keys in
+                                   (("missing", missing), ("unknown", unknown)) if keys))
+    return doc
+
+
+# parsers of the config keys: each returns its ExperimentConfig field or
+# raises TypeError or ValueError
+
+
+def _experiment(v):
+    if v not in tuple(_RUNNERS):
+        raise ValueError(f"must be one of {tuple(_RUNNERS)}, got {v!r}")
+    return v
+
+
+def _value(admissible, need: str, convert=lambda v: v):
+    """Parser of a scalar key: its value, converted, if ``admissible``."""
+    def parse(v):
+        if not admissible(v):
+            raise ValueError(f"must be {need}, got {v!r}")
+        return convert(v)
+    return parse
+
+
+def _integer(least: int):
+    return _value(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
+                  f"an integer >= {least}")
+
+
+def _epsilons(values):
     if not isinstance(values, list) or not values:
-        problems.append("'epsilons' must be a non-empty list")
-        return ()
-    eps = []
-    for v in values:
-        if not _real(v) or not v > 0:
-            problems.append(f"'epsilons' entries must be positive numbers, got {v!r}")
-            return ()
-        eps.append(float(v))
+        raise ValueError(f"must be a non-empty list, got {values!r}")
+    if not all(_real(v) and v > 0 for v in values):
+        raise ValueError(f"entries must be positive numbers, got {values!r}")
+    eps = tuple(map(float, values))
     if any(b >= a for a, b in zip(eps, eps[1:])):
-        problems.append("'epsilons' must be strictly decreasing")
-    return tuple(eps)
+        raise ValueError(f"must be strictly decreasing, got {values!r}")
+    return eps
+
+
+def _params(doc):
+    _fields(doc, ("delta", "alpha", "beta"))
+    # SystemParams reads a string as a sequence and a boolean as a number
+    if not isinstance(doc["delta"], list) or not all(
+            map(_real, [*doc["delta"], doc["alpha"], doc["beta"]])):
+        raise TypeError("delta (a list), alpha and beta must be finite numbers")
+    return SystemParams(**doc)
+
+
+def _solver(doc):
+    _fields(doc, ("dt", "t_final"), ("scheme",))
+    if not (_real(doc["dt"]) and _real(doc["t_final"])):  # SolverConfig takes a boolean
+        raise TypeError("dt and t_final must be finite numbers")
+    return SolverConfig(**doc)
+
+
+def _initial(doc):
+    kind = _fields(doc, ("kind",), ("amplitude", "fractions"))["kind"]
+    if kind not in ("slow_manifold_cosine", "off_manifold_cosine", "stationary_perturbation"):
+        raise ValueError(f"'kind' must be slow_manifold_cosine, off_manifold_cosine or"
+                         f" stationary_perturbation, got {kind!r}")
+    off = kind == "off_manifold_cosine"
+    keys = ("kind", "amplitude", "fractions") if off else ("kind", "amplitude")
+    amp = _fields(doc, keys)["amplitude"]
+    if not _real(amp) or not abs(amp) < 1:
+        raise ValueError(f"'amplitude' must be a number with |amplitude| < 1, got {amp!r}")
+    fr = doc.get("fractions")
+    if off and (not isinstance(fr, list) or len(fr) != 2 or not all(_real(f) and f > 0 for f in fr)
+                or abs(sum(fr) - 1.0) > 1e-12):
+        raise ValueError(f"'fractions' must be two positive numbers summing to 1, got {fr!r}")
+    return doc
+
+
+def _tilt(doc):
+    kind = _fields(doc, ("kind",), ("coefficients",))["kind"]
+    if kind not in ("zero", "cosine"):
+        raise ValueError(f"'kind' must be 'zero' or 'cosine', got {kind!r}")
+    if kind == "zero":
+        return _fields(doc, ("kind",))
+    rows = _fields(doc, ("kind", "coefficients"))["coefficients"]
+    if not (isinstance(rows, list) and len(rows) == 2
+            and all(isinstance(row, list) and row and all(map(_real, row)) for row in rows)):
+        raise ValueError("'coefficients' must be two lists of finite mode amplitudes")
+    return doc
+
+
+def _generator(spec):
+    if spec is not None:
+        if not isinstance(spec, dict):
+            raise TypeError(f"must be an object (an inline spec or {{'path': ...}}), got {spec!r}")
+        load_generator(_generator_source(spec))
+    return spec
+
+
+def _generator_source(spec: dict):
+    """What :func:`load_generator` reads for a ``generator`` spec: its file's document or the spec."""
+    if set(spec) != {"path"}:
+        return spec
+    if not isinstance(spec["path"], str):
+        raise TypeError(f"'path' must be a string, got {spec['path']!r}")
+    return _read_json(spec["path"], "generator file")
+
+
+_PDE = ("eps_sweep", "edb_refinement", "mixed_diffusion_fit", "recovery_study")
+
+# each config key: the ExperimentConfig field it sets, the experiments that
+# require it (None: every one) and its parser.  A key left out sets nothing,
+# so ExperimentConfig holds the defaults.
+_SCHEMA = {
+    "experiment": ("experiment", None, _experiment),
+    "output_dir": ("output_dir", None, _value(lambda v: isinstance(v, str), "a string")),
+    "params": ("params", None, _params),
+    "epsilons": ("epsilons", None, _epsilons),
+    "grid": ("n_cells", _PDE, lambda doc: SpatialGrid(**_fields(doc, ("n_cells",))).n_cells),
+    "solver": ("solver", _PDE, _solver),
+    "initial": ("initial_spec", _PDE, _initial),
+    "tilt": ("tilt_spec", _PDE, _tilt),
+    "generator": ("generator_spec", (), _generator),
+    "seed": ("seed", (), _integer(0)),
+    "levels": ("levels", (), _integer(2)),
+    "n_species": ("n_species", (), _integer(3)),
+    "lam": ("lam", (), _value(_real, "a finite number", float)),
+    # a negative exponent widens the mollifier as epsilon shrinks, and a
+    # negative width leaves it a no-op
+    "alpha": ("alpha_exp", (), _value(lambda v: _real(v) and v >= 0, "a number >= 0", float)),
+    "width_scale": ("width_scale", (), _value(lambda v: v is None or _real(v) and v >= 0,
+                                              "a number >= 0 or null")),
+    "write_trajectories": ("write_trajectories", (),
+                           _value(lambda v: isinstance(v, bool), "true or false")),
+}
 
 
 def load_config(source) -> ExperimentConfig:
     """Parse and validate an experiment config (path or already-parsed dict).
 
-    Raises :class:`ConfigError` listing the offending keys; nothing physical is
-    defaulted.
+    Every key present is parsed, whatever the experiment, by its entry of the
+    schema; raises :class:`ConfigError` listing the offending keys.  Nothing
+    physical is defaulted.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        with path.open() as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-    else:
-        doc = source
-    if not isinstance(doc, dict):
+        try:
+            source = _read_json(source, "config file")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    if not isinstance(source, dict):
         raise ConfigError("config must be a JSON object")
-
-    problems = [f"unknown key {k!r}" for k in doc if k not in _TOP_KEYS]
-    experiment = doc.get("experiment")
-    if experiment not in _EXPERIMENTS:
-        problems.append(f"'experiment' must be one of {_EXPERIMENTS}, got {experiment!r}")
-        raise ConfigError("; ".join(problems))
-    if "output_dir" not in doc:
-        problems.append("missing key 'output_dir'")
-
-    params = None
-    pdoc = doc.get("params")
-    if not isinstance(pdoc, dict):
-        problems.append("missing or invalid 'params' (needs delta, alpha, beta)")
-    else:
-        missing = [k for k in ("delta", "alpha", "beta") if k not in pdoc]
-        extra = [k for k in pdoc if k not in ("delta", "alpha", "beta")]
-        if missing or extra:
-            problems.append(f"'params' missing {missing}, unknown {extra}")
-        elif not isinstance(pdoc["delta"], list) or not all(
-                map(_real, [*pdoc["delta"], pdoc["alpha"], pdoc["beta"]])):
-            problems.append("'params': delta (a list), alpha and beta must be finite numbers")
-        else:
+    experiment = source.get("experiment")
+    problems = [f"unknown key {k!r}" for k in source if k not in _SCHEMA]
+    fields = {}
+    for key, (name, required_by, parse) in _SCHEMA.items():
+        if key in source:
             try:
-                params = SystemParams(tuple(pdoc["delta"]), pdoc["alpha"], pdoc["beta"])
+                fields[name] = parse(source[key])
             except (TypeError, ValueError) as exc:
-                problems.append(f"'params': {exc}")
-
-    epsilons = _check_epsilons(doc.get("epsilons"), problems) if "epsilons" in doc else ()
-    if "epsilons" not in doc:
-        problems.append("missing key 'epsilons'")
-    if experiment == "edb_refinement" and len(epsilons) != 1:
+                problems.append(f"{key!r}: {exc}")
+        elif required_by is None or experiment in required_by:
+            problems.append(f"missing key {key!r}")
+    if experiment == "edb_refinement" and len(fields.get("epsilons", ())) != 1:
         problems.append("'epsilons' must hold exactly one scale for edb_refinement")
-
-    n_cells = None
-    solver = None
-    initial_spec = None
-    tilt_spec = {"kind": "zero"}
-    if experiment in _NEEDS_PDE:
-        gdoc = doc.get("grid")
-        if not isinstance(gdoc, dict) or set(gdoc) != {"n_cells"}:
-            problems.append("'grid' must be an object with exactly 'n_cells'")
-        else:
-            try:
-                n_cells = SpatialGrid(gdoc["n_cells"]).n_cells
-            except (TypeError, ValueError) as exc:
-                problems.append(f"'grid': {exc}")
-        sdoc = doc.get("solver")
-        if not isinstance(sdoc, dict) or not {"dt", "t_final"} <= set(sdoc) or not set(sdoc) <= {"dt", "t_final", "scheme"}:
-            problems.append("'solver' must provide dt, t_final and optionally scheme")
-        elif not _real(sdoc["dt"]) or not _real(sdoc["t_final"]):
-            problems.append("'solver': dt and t_final must be finite numbers")
-        else:
-            try:
-                solver = SolverConfig(**sdoc)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"'solver': {exc}")
-        idoc = doc.get("initial")
-        if not isinstance(idoc, dict) or "kind" not in idoc:
-            problems.append("'initial' must be an object with a 'kind'")
-        else:
-            kind = idoc["kind"]
-            known = {
-                "slow_manifold_cosine": {"kind", "amplitude"},
-                "off_manifold_cosine": {"kind", "amplitude", "fractions"},
-                "stationary_perturbation": {"kind", "amplitude"},
-            }
-            if kind not in known:
-                problems.append(f"'initial.kind' must be one of {sorted(known)}, got {kind!r}")
-            elif set(idoc) != known[kind]:
-                problems.append(f"'initial' for kind {kind!r} needs exactly keys {sorted(known[kind])}")
-            else:
-                amp = idoc.get("amplitude")
-                if not _real(amp) or not abs(amp) < 1:
-                    problems.append("'initial.amplitude' must be a number with |amplitude| < 1")
-                elif abs(amp) <= 1e-12 and experiment == "mixed_diffusion_fit":
-                    # the decay fit's own floor on the initial mode amplitude
-                    problems.append("'initial.amplitude' must exceed 1e-12 in magnitude: the fit"
-                                    " follows the decay of the cosine mode")
-                if kind == "off_manifold_cosine":
-                    fr = idoc.get("fractions")
-                    if (not isinstance(fr, list) or len(fr) != 2
-                            or any(not _real(f) or f <= 0 for f in fr)
-                            or abs(sum(fr) - 1.0) > 1e-12):
-                        problems.append("'initial.fractions' must be two positive numbers summing to 1")
-                initial_spec = idoc
-        tdoc = doc.get("tilt")
-        if tdoc is None:
-            problems.append("missing key 'tilt'")
-        elif not isinstance(tdoc, dict) or tdoc.get("kind") not in ("zero", "cosine"):
-            problems.append("'tilt.kind' must be 'zero' or 'cosine'")
-        elif tdoc["kind"] == "cosine":
-            coeffs = tdoc.get("coefficients")
-            if (set(tdoc) != {"kind", "coefficients"} or not isinstance(coeffs, list)
-                    or len(coeffs) != 2
-                    or any(not isinstance(row, list) or not row or not all(map(_real, row))
-                           for row in coeffs)):
-                problems.append("'tilt' of kind cosine needs 'coefficients': two lists of"
-                                " finite mode amplitudes")
-            else:
-                tilt_spec = tdoc
-        else:
-            if set(tdoc) != {"kind"}:
-                problems.append("'tilt' of kind zero takes no other keys")
-            tilt_spec = tdoc
-
-    generator_spec = doc.get("generator")
-    if experiment == "multispecies_check" and generator_spec is not None:
-        if not isinstance(generator_spec, dict):
-            problems.append("'generator' must be an object (inline spec or {'path': ...})")
-        elif set(generator_spec) == {"path"} and not Path(str(generator_spec["path"])).exists():
-            problems.append(f"generator file {generator_spec['path']!r} does not exist")
-        else:
-            try:
-                load_generator(_generator_source(generator_spec))
-            except (OSError, TypeError, ValueError) as exc:
-                problems.append(f"'generator': {exc}")
-
-    def scalar(key, default, admissible, need):
-        value = doc.get(key, default)
-        if not admissible(value):
-            problems.append(f"{key!r} must be {need}, got {value!r}")
-        return value
-
-    def integer(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    seed = scalar("seed", 0, lambda v: integer(v) and v >= 0, "a non-negative integer")
-    levels = scalar("levels", 4, lambda v: integer(v) and v >= 2, "an integer >= 2")
-    lam = scalar("lam", 0.9, _real, "a finite number")
-    alpha_exp = scalar("alpha", 0.2, _real, "a finite number")
-    width_scale = scalar("width_scale", None, lambda v: v is None or _real(v),
-                         "a finite number or null")
-    n_species = scalar("n_species", 4, lambda v: integer(v) and v >= 3, "an integer >= 3")
-    write_trajectories = scalar("write_trajectories", False, lambda v: isinstance(v, bool),
-                                "true or false")
-
+    if (experiment == "mixed_diffusion_fit" and "initial_spec" in fields
+            and abs(fields["initial_spec"]["amplitude"]) <= 1e-12):
+        # the decay fit's own floor on the initial mode amplitude
+        problems.append("'initial': the amplitude must exceed 1e-12 in magnitude: the fit"
+                        " follows the decay of the cosine mode")
     if problems:
         raise ConfigError("; ".join(problems))
-    return ExperimentConfig(
-        experiment=experiment,
-        output_dir=doc["output_dir"],
-        params=params,
-        seed=seed,
-        n_cells=n_cells,
-        solver=solver,
-        tilt_spec=tilt_spec,
-        initial_spec=initial_spec,
-        epsilons=epsilons,
-        levels=levels,
-        lam=float(lam),
-        alpha_exp=float(alpha_exp),
-        width_scale=width_scale,
-        generator_spec=generator_spec,
-        n_species=n_species,
-        write_trajectories=write_trajectories,
-    )
-
-
-def _generator_source(spec: dict):
-    """What :func:`load_generator` reads for a ``generator`` spec: its file or the spec itself."""
-    return spec["path"] if set(spec) == {"path"} else spec
+    return ExperimentConfig(**fields)
 
 
 def _build_tilt(spec: dict, grid: SpatialGrid) -> Tilt:
@@ -363,11 +343,15 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _write_summary(outdir: Path, summary: dict) -> list[Path]:
-    jpath = outdir / "summary.json"
-    with jpath.open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, doc) -> Path:
+    with path.open("w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_summary(outdir: Path, summary: dict) -> list[Path]:
+    jpath = _write_json(outdir / "summary.json", summary)
     tpath = outdir / "summary.txt"
     with tpath.open("w") as fh:
         for key in sorted(summary):
@@ -530,16 +514,10 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
         p = replace(cfg.params, epsilon=eps)
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
         # each solve hands its windows straight to the evaluator, so no
-        # level holds a whole trajectory; the last window holds the final state
-        solve = _eps_solve(initial, p, tilt, sc)
-        bd = dissipation_functional(solve, p, tilt, eps)
-        drop = energy(initial, p, tilt) - energy(State(solve.states[-1]), p, tilt)
-        res = -drop + bd.total
-        hat0 = initial.c.sum(axis=0)
-        hat_solve = _effective_solve(hat0, p, tilt, sc)
-        hbd = hat_dissipation(hat_solve, p, tilt)
-        hdrop = hat_energy(hat0, p, tilt) - hat_energy(hat_solve.states[-1], p, tilt)
-        hres = -hdrop + hbd.total
+        # level holds a whole trajectory
+        bd, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps)
+        hbd, hdrop, hres = _hat_balance(_effective_solve(initial.c.sum(axis=0), p, tilt, sc),
+                                        p, tilt)
         return level, n, sc.dt_effective, bd, res, drop, hbd, hres, hdrop
 
     results = [level_run(level) for level in range(cfg.levels)]
@@ -674,9 +652,9 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path):
 
 
 _RUNNERS = {
-    "mixed_diffusion_fit": _run_mixed_diffusion_fit,
     "eps_sweep": _run_eps_sweep,
     "edb_refinement": _run_edb_refinement,
+    "mixed_diffusion_fit": _run_mixed_diffusion_fit,
     "recovery_study": _run_recovery_study,
     "multispecies_check": _run_multispecies_check,
 }
@@ -777,11 +755,10 @@ def main(argv=None) -> int:
     if args.command == "export-defaults":
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, doc in default_configs().items():
-            with (outdir / f"{name}.json").open("w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        print(f"wrote {len(default_configs())} configs to {outdir}")
+        configs = default_configs()
+        for name, doc in configs.items():
+            _write_json(outdir / f"{name}.json", doc)
+        print(f"wrote {len(configs)} configs to {outdir}")
         return 0
 
     try:

@@ -593,21 +593,30 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     return DissipationBreakdown(*_network_terms(windows, *args))
 
 
+def _balance(traj, params: SystemParams, tilt: Tilt, epsilon=None, **ascent):
+    """``(breakdown, E(start) - E(end), EDB residual)`` of a trajectory or a solve.
+
+    A solve's initial state is read before the evaluation takes its windows,
+    and its final state, in its last window, after; both energies are
+    evaluated after it, so a tilt of another grid raises the evaluator's error.
+    """
+    initial = State(traj.states[0])
+    breakdown = dissipation_functional(traj, params, tilt, epsilon, **ascent)
+    drop = energy(initial, params, tilt) - energy(State(traj.states[-1]), params, tilt)
+    return breakdown, drop, breakdown.total - drop
+
+
 def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
                  epsilon=None, *, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Energy-dissipation-balance defect: E(end) + dissipation - E(start).
+    """Energy-dissipation-balance defect: dissipation - (E(start) - E(end)).
 
     Zero for exact solutions of the gradient flow; on discrete solver output
     it converges to zero at first order under joint space-time refinement.
     The sign is not constrained for arbitrary discrete data.  ``traj`` may
-    also be a solve, read as for :func:`dissipation_functional`: its last
-    window holds the final state.
+    also be a solve, read as for :func:`dissipation_functional`.  The
+    ``edb_refinement`` experiment reports this value, from the same balance.
     """
-    breakdown = dissipation_functional(traj, params, tilt, epsilon,
-                                       tol=tol, max_iter=max_iter)
-    e0 = energy(traj.initial_state, params, tilt)
-    e1 = energy(State(traj.states[-1]), params, tilt)
-    return e1 + breakdown.total - e0
+    return _balance(traj, params, tilt, epsilon, tol=tol, max_iter=max_iter)[2]
 
 
 def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
@@ -661,20 +670,24 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     return DissipationBreakdown(vel, 0.0, slp, 0.0)
 
 
-def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,
-                     tilt: Tilt) -> float:
-    """Energy-dissipation-balance defect of the coarse problem.
+def _hat_balance(hat_traj, params: SystemParams, tilt: Tilt):
+    """``(breakdown, E(start) - E(end), EDB residual)`` of a coarse trajectory or solve.
 
-    ``hat_traj`` may also be a coarse solve, read as for
-    :func:`hat_dissipation`: its initial state is taken before the
-    evaluation hands its windows over, and its final state, in its last
-    window, after.
+    Read as :func:`_balance` reads a trajectory.
     """
     initial = hat_traj.states[0]
     breakdown = hat_dissipation(hat_traj, params, tilt)
-    e0 = hat_energy(initial, params, tilt)
-    e1 = hat_energy(hat_traj.states[-1], params, tilt)
-    return e1 + breakdown.total - e0
+    drop = hat_energy(initial, params, tilt) - hat_energy(hat_traj.states[-1], params, tilt)
+    return breakdown, drop, breakdown.total - drop
+
+
+def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,
+                     tilt: Tilt) -> float:
+    """Energy-dissipation-balance defect of the coarse problem, as :func:`edb_residual`.
+
+    ``hat_traj`` may also be a coarse solve, read as for :func:`hat_dissipation`.
+    """
+    return _hat_balance(hat_traj, params, tilt)[2]
 
 
 def effective_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,

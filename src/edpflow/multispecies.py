@@ -163,7 +163,7 @@ def load_generator(source) -> MarkovGenerator:
     for key in ("A_slow", "A_fast"):
         try:
             m = np.array(doc[key], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"{key!r} is not numeric")
             continue
         if m.shape != (n, n):
@@ -176,7 +176,7 @@ def load_generator(source) -> MarkovGenerator:
             problems.append(f"'delta' must have one entry per species, got shape {delta.shape}")
         elif not np.all((delta > 0) & (delta < np.inf)):
             problems.append("'delta' entries must be positive and finite")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append("'delta' is not numeric")
         delta = None
     if problems:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ from edpflow import (
     Tilt,
     coarse_grain_trajectory,
     default_configs,
+    edb_residual,
     fit_decay_rate,
+    hat_edb_residual,
     load_config,
     manifold_split,
     random_detailed_balance_generator,
@@ -30,8 +33,9 @@ from edpflow import (
 )
 import edpflow
 import edpflow.cli as cli_module
-from edpflow.cli import _build_initial, _cosine_modes, _fit_mode_decay, main
+from edpflow.cli import _build_initial, _build_tilt, _cosine_modes, _fit_mode_decay, main
 from edpflow.core import _CSV_BLOCK_ROWS, _csv_windows, trajectory_to_csv
+from edpflow.dissipation import _balance, _hat_balance
 from edpflow.solver import _effective_solve, _eps_solve
 
 from conftest import Windowed, cosine_tilt
@@ -113,6 +117,20 @@ class TestConfigValidation:
                                   "fractions": [float("nan"), 0.45]}),
         # no explicit exchange scheme: it would need dt = O(epsilon)
         ("eps_sweep", "solver", {"dt": 1e-4, "t_final": 0.1, "scheme": "imex_euler"}),
+        ("recovery_study", "output_dir", 5),
+        # a mollifier widening as epsilon shrinks (2.5 M padded steps a side
+        # at epsilon = 1e-5), and one that smooths nothing
+        ("recovery_study", "alpha", -1),
+        ("recovery_study", "width_scale", -1),
+        ("recovery_study", "alpha", "x"),
+        ("eps_sweep", "grid", {"n_cells": 2.5}),
+        # present keys are parsed whatever the experiment
+        ("multispecies_check", "grid", {"n_cells": 2.5}),
+        ("edb_refinement", "levels", 1),
+        ("edb_refinement", "levels", True),
+        # an integer beyond the float range raised OverflowError
+        ("multispecies_check", "generator", {"species": ["A", "B"], "A_slow": [[0, 0], [0, 0]],
+                                             "A_fast": [[-1, 1], [1, -1]], "delta": [10**400, 1]}),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, kind, key, value):
         doc = small_config(kind, tmp_path / "out", **{key: value})
@@ -296,6 +314,32 @@ class TestRunners:
         assert result.summary["fitted_order_fast_slow"] >= 0.8
         assert result.summary["fitted_order_effective"] >= 0.8
 
+    def test_runner_and_library_report_one_balance(self, tmp_path):
+        # each level's edb_residual and energy_drop columns are the library's
+        # balance of the same solve, bit for bit
+        doc = small_config("edb_refinement", tmp_path / "out", grid={"n_cells": 8},
+                           solver={"dt": 2e-3, "t_final": 0.05}, levels=2)
+        cfg = load_config(doc)
+        run_experiment(cfg)
+        header, *table = (tmp_path / "out" / "edb_refinement.csv").read_text().splitlines()
+        rows = {(r["system"], int(r["level"])): r
+                for r in (dict(zip(header.split(","), line.split(","))) for line in table)}
+        eps = cfg.epsilons[0]
+        p = replace(cfg.params, epsilon=eps)
+        for level in range(cfg.levels):
+            grid = SpatialGrid(cfg.n_cells * 2**level)
+            tilt = _build_tilt(cfg.tilt_spec, grid)
+            sc = SolverConfig(cfg.solver.dt / 2**level, cfg.solver.t_final, cfg.solver.scheme)
+            initial = _build_initial(cfg.initial_spec, grid, p, tilt)
+            hat0 = initial.c.sum(axis=0)
+            _, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps)
+            _, hdrop, hres = _hat_balance(_effective_solve(hat0, p, tilt, sc), p, tilt)
+            for system, pair in (("fast_slow", (drop, res)), ("effective", (hdrop, hres))):
+                row = rows[system, level]
+                assert (float(row["energy_drop"]), float(row["edb_residual"])) == pair
+            assert edb_residual(_eps_solve(initial, p, tilt, sc), p, tilt, eps) == res
+            assert hat_edb_residual(_effective_solve(hat0, p, tilt, sc), p, tilt) == hres
+
     def test_multispecies_check(self, tmp_path):
         doc = small_config("multispecies_check", tmp_path / "out")
         result = run_experiment(load_config(doc))
@@ -379,6 +423,15 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert main(["validate", str(path)]) == 2
         assert main(["validate", str(tmp_path / "missing.json")]) == 2
+        # a directory, and a file that is not UTF-8
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(json.dumps(small_config("eps_sweep", "caf\u00e9"), ensure_ascii=False)
+                          .encode("latin-1"))
+        for path in (tmp_path, latin):
+            for verb in ("validate", "run"):
+                capsys.readouterr()
+                assert main([verb, str(path)]) == 2
+                assert capsys.readouterr().out.startswith(f"config error: config file {path} ")
 
     def test_threshold_failure_exit_code(self, tmp_path, monkeypatch):
         # an unresolvable setup: sweep too short/coarse to meet the slope gate
