@@ -37,11 +37,12 @@ from .coarsegrain import (
     manifold_split,
     reconstruct_from_coarse,
 )
-from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows
+from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _read_json
 from .dissipation import (
     DualAscentError,
     _balance,
     _hat_balance,
+    dissipation_functional,
     flux_dissipation,
     hat_flux_dissipation,
 )
@@ -112,19 +113,6 @@ class ExperimentResult:
 
 def _real(v) -> bool:  # a finite float, or an integer within its range; booleans are not numbers
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _read_json(path, what: str):
-    """The JSON document in the file at ``path``; ValueError, naming ``what``, if none can be read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"{what} {path} does not exist") from None
-    except OSError as exc:
-        raise ValueError(f"{what} {path} cannot be read: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _fields(doc, required, optional=()):
@@ -229,12 +217,12 @@ def _generator(spec):
 
 
 def _generator_source(spec: dict):
-    """What :func:`load_generator` reads for a ``generator`` spec: its file's document or the spec."""
+    """What :func:`load_generator` reads for a ``generator`` spec: its file's path or the spec."""
     if set(spec) != {"path"}:
         return spec
     if not isinstance(spec["path"], str):
         raise TypeError(f"'path' must be a string, got {spec['path']!r}")
-    return _read_json(spec["path"], "generator file")
+    return spec["path"]
 
 
 _PDE = ("eps_sweep", "edb_refinement", "mixed_diffusion_fit", "recovery_study")
@@ -514,8 +502,10 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
         p = replace(cfg.params, epsilon=eps)
         initial = _build_initial(cfg.initial_spec, grid, p, tilt)
         # each solve hands its windows straight to the evaluator, so no
-        # level holds a whole trajectory
-        bd, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps)
+        # level holds a whole trajectory.  The evaluator is looked up here, so
+        # the benchmark's self-test can loosen this module's dual ascent
+        bd, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps,
+                                 evaluate=dissipation_functional)
         hbd, hdrop, hres = _hat_balance(_effective_solve(initial.c.sum(axis=0), p, tilt, sc),
                                         p, tilt)
         return level, n, sc.dt_effective, bd, res, drop, hbd, hres, hdrop

@@ -17,6 +17,7 @@ holds the only copy.  Either way the arrays are read-only.
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import time
 from dataclasses import dataclass
@@ -663,6 +664,19 @@ def _csv_rows(t_fields, states, fluxes, x_fields, width: int) -> tuple[bytes, in
     buf[:, :, 1] = x_fields
     buf[:, :, 2:], count = _format_g17(values, b",")
     return buf.tobytes().translate(None, b"\0"), count
+
+
+def _read_json(path, what: str):
+    """The JSON document in the file at ``path``; ValueError, naming ``what``, if none can be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{what} {path} does not exist") from None
+    except OSError as exc:
+        raise ValueError(f"{what} {path} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def trajectory_from_csv(path) -> Trajectory:

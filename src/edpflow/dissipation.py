@@ -593,15 +593,18 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     return DissipationBreakdown(*_network_terms(windows, *args))
 
 
-def _balance(traj, params: SystemParams, tilt: Tilt, epsilon=None, **ascent):
+def _balance(traj, params: SystemParams, tilt: Tilt, epsilon=None, *,
+             evaluate=dissipation_functional, **ascent):
     """``(breakdown, E(start) - E(end), EDB residual)`` of a trajectory or a solve.
 
-    A solve's initial state is read before the evaluation takes its windows,
-    and its final state, in its last window, after; both energies are
-    evaluated after it, so a tilt of another grid raises the evaluator's error.
+    ``evaluate`` is the dissipation evaluator, called as
+    :func:`dissipation_functional`.  A solve's initial state is read before
+    the evaluation takes its windows, and its final state, in its last
+    window, after; both energies are evaluated after it, so a tilt of another
+    grid raises the evaluator's error.
     """
     initial = State(traj.states[0])
-    breakdown = dissipation_functional(traj, params, tilt, epsilon, **ascent)
+    breakdown = evaluate(traj, params, tilt, epsilon, **ascent)
     drop = energy(initial, params, tilt) - energy(State(traj.states[-1]), params, tilt)
     return breakdown, drop, breakdown.total - drop
 

@@ -16,7 +16,6 @@ weighted by the symmetrized rate coefficients kappa_ij = A_ij sqrt(w_j / w_i).
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import State, Trajectory, _readonly
+from .core import State, Trajectory, _read_json, _readonly
 from .dissipation import _network_terms, _windows, damped_newton_max
 from .solver import SolverConfig, _Solve
 
@@ -134,13 +133,10 @@ def load_generator(source) -> MarkovGenerator:
 
     The schema is strict: exactly the keys ``species`` (names), ``A_slow`` and
     ``A_fast`` (row-major square matrices), and ``delta`` (positive finite array).
-    Violations raise a ValueError listing every offending key.
+    Violations raise a ValueError listing every offending key; so does a path
+    that is missing, a directory, not UTF-8 or not JSON.
     """
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _read_json(source, "generator file") if isinstance(source, (str, Path)) else source
     problems = []
     if not isinstance(doc, dict):
         raise ValueError("generator spec must be a JSON object")

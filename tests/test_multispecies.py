@@ -158,6 +158,14 @@ class TestJsonSchema:
         assert back.species == net.species
         assert np.array_equal(back.a_slow, net.a_slow)
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes('{"species": ["caf\u00e9"]}'.encode("latin-1"))
+        for path, why in ((tmp_path / "nope.json", "does not exist"),
+                          (tmp_path, "cannot be read"), (latin, "is not valid JSON")):
+            with pytest.raises(ValueError, match=f"generator file .* {why}"):
+                load_generator(path)
+
     def test_missing_and_unknown_keys_listed(self):
         with pytest.raises(ValueError) as err:
             load_generator({"species": ["a", "b"], "A_slow": [[0, 0], [0, 0]], "extra": 1})
