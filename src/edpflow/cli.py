@@ -37,7 +37,7 @@ from .coarsegrain import (
     manifold_split,
     reconstruct_from_coarse,
 )
-from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _read_json
+from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _read_json, _window_unit
 from .dissipation import (
     DualAscentError,
     _balance,
@@ -375,11 +375,6 @@ def _fit_mode_decay(times, windows) -> float:
     return float(-slope_fit / np.pi**2)
 
 
-# time levels x cells per window that the experiments read from a solve: 40
-# levels at 200 cells, enough to make a window's cost (about a step's) small
-_WINDOW_VALUES = 8192
-
-
 def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
     """Diffusion coefficient measured from the decay of the first cosine mode.
 
@@ -389,8 +384,7 @@ def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
     solve (its species summed), read window by window and never stored; the
     fit is that of the stored coarse trajectory, bit for bit.
     """
-    return _fit_mode_decay(hat_traj.times,
-                           hat_traj.windows(max(1, _WINDOW_VALUES // hat_traj.n_cells)))
+    return _fit_mode_decay(hat_traj.times, hat_traj.windows(_window_unit(hat_traj.states[0].size)))
 
 
 def equation_generator(params: SystemParams) -> MarkovGenerator:
@@ -462,7 +456,7 @@ def _run_eps_sweep(cfg: ExperimentConfig, outdir: Path):
         # window by window of the solve: a row's value does not depend on it
         terms, done = np.empty(sc.n_steps), 0
         for times, states, _, _ in _eps_solve(initial, p, tilt, sc).windows(
-                max(1, _WINDOW_VALUES // grid.n_cells)):
+                _window_unit(initial.c.size)):
             rho = states[:-1] / w_v[None]
             row_sums = ((np.sqrt(rho[:, 0]) - np.sqrt(rho[:, 1])) ** 2).sum(axis=1)
             terms[done:done + row_sums.size] = row_sums * h * np.diff(times)

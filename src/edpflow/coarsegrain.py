@@ -25,7 +25,7 @@ from .core import (
     SystemParams,
     Tilt,
     Trajectory,
-    _finite_nonnegative,
+    _check_trajectory,
     _interval_windows,
     _Owned,
     _readonly,
@@ -72,21 +72,6 @@ class CoarseParams:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def _check_coarse(t: np.ndarray, s: np.ndarray, J):
-    """The invariants of a :class:`CoarseTrajectory`, or of a window of one; ``J`` may be None."""
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if s.ndim != 2 or s.shape[0] != t.size:
-        raise ValueError(f"states shape {s.shape} does not match {t.size} times")
-    if not _finite_nonnegative(s):
-        raise ValueError("coarse states must be finite and nonnegative")
-    if J is not None:
-        if J.shape != (t.size - 1, s.shape[1] + 1):
-            raise ValueError(f"flux shape {J.shape} does not match trajectory")
-        if np.any(J[:, 0] != 0.0) or np.any(J[:, -1] != 0.0):
-            raise ValueError("boundary faces must carry zero flux")
-
-
 @dataclass(frozen=True, eq=False)
 class CoarseTrajectory:
     """Time series of the coarse density, optionally with face fluxes per interval."""
@@ -99,7 +84,9 @@ class CoarseTrajectory:
         t = _readonly(self.times)
         s = _readonly(self.states)
         J = None if self.fluxes is None else _readonly(self.fluxes)
-        _check_coarse(t, s, J)
+        # checked as a trajectory of one species
+        _check_trajectory(t, s.reshape(s.shape[:1] + (1,) + s.shape[1:]),
+                          None if J is None else J.reshape(J.shape[:1] + (1,) + J.shape[1:]))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "fluxes", J)

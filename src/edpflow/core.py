@@ -41,8 +41,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# values per chunk of the species sums that FluxAssignment checks
-_SUM_CHUNK_VALUES = 1 << 14
+# values per window, about, of every reader that streams a trajectory, a
+# solve or an array in windows: bounds its working set whatever the length.
+# Half this, rounded down to whole warm-start blocks, took twice as many
+# stacked Newton solves on the 4-species network benchmark.
+_WINDOW_BUDGET = 1 << 14
 
 
 class _Owned:
@@ -88,9 +91,15 @@ def _any_abs_above(a: np.ndarray, bound: float) -> bool:
 def _species_sums(b: np.ndarray):
     """``b.sum(axis=-2)`` in chunks over the leading axes, without a full-size temporary."""
     flat = b.reshape((-1,) + b.shape[-2:])
-    step = max(1, _SUM_CHUNK_VALUES // max(1, b.shape[-1]))
+    step = _window_unit(b.shape[-1])
     for i in range(0, flat.shape[0], step):
         yield flat[i : i + step].sum(axis=-2)
+
+
+def _window_unit(values_per_level: int, block: int = 1) -> int:
+    """Levels per window of ``values_per_level`` values each: the fewest whole
+    ``block``s of levels that hold ``_WINDOW_BUDGET`` values."""
+    return block * -(-_WINDOW_BUDGET // (block * max(1, values_per_level)))
 
 
 def _interval_windows(unit: int, times, states, *per_interval):
@@ -120,20 +129,23 @@ def _check_fluxes(J: np.ndarray, b: np.ndarray):
 
 
 def _check_trajectory(t: np.ndarray, s: np.ndarray, J):
-    """The invariants of a :class:`Trajectory` but its start at time 0.
+    """The invariants of a :class:`Trajectory` but its start at time 0, and of a
+    coarse trajectory read as one of one species.
 
     So a solver can check each window of a trajectory it hands out without
     storing the whole.  ``J`` is the face flux array, or None.
     """
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing and start at 0")
+        raise ValueError("times must be strictly increasing")
     if s.ndim != 3 or s.shape[0] != t.size:
         raise ValueError(f"states shape {s.shape} does not match {t.size} times")
     if not _finite_nonnegative(s):
         raise ValueError("trajectory states must be finite and nonnegative")
-    if J is not None and (J.ndim != 3 or J.shape[0] != t.size - 1
-                          or J.shape[1:] != (s.shape[1], s.shape[2] + 1)):
-        raise ValueError(f"flux shape {J.shape} does not match trajectory {s.shape}")
+    if J is not None:
+        if J.shape != (t.size - 1, s.shape[1], s.shape[2] + 1):
+            raise ValueError(f"flux shape {J.shape} does not match trajectory {s.shape}")
+        if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
+            raise ValueError("boundary faces must carry zero flux")
 
 
 @dataclass(frozen=True)
@@ -367,9 +379,6 @@ _CSV_READ_BYTES = 1 << 20
 # 2 kB per row) whatever the trajectory's length.  4096 rows were no faster
 # and kept about 6 MB more resident after the first file.
 _CSV_BLOCK_ROWS = 1024
-# blocks per window that trajectory_to_csv reads from a solve: a window costs
-# about as much as a step, and its buffers stay below half a megabyte
-_CSV_WINDOW_BLOCKS = 8
 
 # _format_g17 lays each value out in 32 zero-padded bytes, four little-endian
 # words, and the zero bytes are dropped when the fields are joined:
@@ -592,10 +601,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     a round trip is bit-exact, and rows end in ``\\r\\n`` (the ``csv``
     module's default dialect).
 
-    The trajectory, stored or solved, is read in windows of eight blocks.
-    Each window's rows are written in blocks of whole time
-    levels, and each block's values are formatted with array operations:
-    scaled to 17 digits as a double-double product with a power of ten,
+    The trajectory, stored or solved, is read in windows of whole blocks
+    (see :func:`_window_unit`).  Each window's rows are written in blocks of
+    whole time levels, and each block's values are formatted with array
+    operations: scaled to 17 digits as a double-double product with a power of ten,
     rounded, and laid out as ``%g`` does.  A value whose rounding this
     cannot certify (an exact tie, or a fraction within 2^-30 of 1/2 or of an
     integer when the power of ten is inexact), inf, NaN, and |values| outside
@@ -623,7 +632,7 @@ def _csv_windows(traj, path: Path):
     levels = max(1, _CSV_BLOCK_ROWS // n)  # per block: whole levels, one at least
     header, done = None, 0  # levels written
     with path.open("wb") as fh:
-        for window in traj.windows(_CSV_WINDOW_BLOCKS * levels):
+        for window in traj.windows(_window_unit(traj.states[0].size, levels)):
             _, states, *fluxes = window
             if header is None:
                 header = _CSV_BASE + (_CSV_FLUX if fluxes else ())

@@ -50,7 +50,7 @@ from .coarsegrain import (
     optimal_coarse_flux,
     slow_manifold_defect,
 )
-from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory
+from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _window_unit
 from .functionals import (
     DissipationBreakdown,
     _check_shapes,
@@ -83,11 +83,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# unknowns per window of an evaluation, about: bounds its working set
-# whatever the trajectory's length.  Half this, rounded down to whole blocks,
-# took twice as many stacked Newton solves on the 4-species network benchmark.
-_WINDOW_UNKNOWNS = 16384
 
 # intervals per warm-start block of _network_terms: of 8, 16, 32 and 64,
 # 32 took the fewest Newton iterations and the least time on the refinement
@@ -260,22 +255,22 @@ def _dual(c, delta, edges, v, h):
     # the face part of the negative Hessian, the same at every x: each face
     # block diag(w_1, ...) - w w^T / W, its diagonal w_i sum_{k != i} w_k / W
     # summed free of cancellation, adds to the diagonal blocks of its two
-    # cells and couples them.  Stacked per cell k as the columns of
-    # [zeros (I - 2); the coupling to cell k - 1; the diagonal block], a
-    # column j read from row j on is its column of the band, in LAPACK's
-    # upper storage
+    # cells and couples them.  In LAPACK's upper band storage, per cell k and
+    # unknown j of the column, the entry of unknown i of cell k - 1 lies at
+    # band row band - size - j + i, and that of unknown i <= j of cell k at
+    # band - j + i
     coupling = wr[:, :, None] * wW[:, None]  # minus the face blocks, (M, row, column, face)
     diag = np.arange(size)
     coupling[:, diag, diag] = wW * np.einsum("mkf,ik->mif", w, np.eye(i_sp)[1:] - 1.0)
-    stacked = np.zeros((n_prob, 3 * size - 1, size, n))
-    stacked[:, size - 1:band, :, 1:] = coupling
-    cell = stacked[:, band:]
-    np.add(coupling[..., 1:], coupling[..., :-1], out=cell[..., 1:-1])
-    cell[..., 0], cell[..., -1] = coupling[..., 0], coupling[..., -1]
-    np.negative(cell, out=cell)
-    st = stacked.strides
-    face = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        stacked, (n_prob, n, size, band + 1), (st[0], st[3], st[1] + st[2], st[1])))
+    face = np.zeros((n_prob, n, size, band + 1))  # [problem, cell, column unknown, band row]
+    for i in range(size):
+        for j in range(size):
+            block = coupling[:, i, j]
+            face[:, 1:, j, band - size - j + i] = block
+            if i <= j:
+                cell = face[:, :, j, band - j + i]
+                cell[:, 1:-1] = -(block[:, 1:] + block[:, :-1])
+                cell[:, 0], cell[:, -1] = -block[:, 0], -block[:, -1]
 
     ea, eb, kappa = (np.array(col) for col in zip(*edges))
     rw = kappa[:, None] * h * np.sqrt(c[:, ea] * c[:, eb])  # (M, E, n)
@@ -435,15 +430,6 @@ def _rates(c, c_next, dts, h):
     return v
 
 
-def _window_intervals(unknowns: int) -> int:
-    """Intervals per window of a trajectory with ``unknowns`` values per state.
-
-    Whole warm-start blocks, as :func:`_network_terms` requires: the fewest
-    that hold ``_WINDOW_UNKNOWNS`` unknowns.
-    """
-    return _WARM_BLOCK * -(-_WINDOW_UNKNOWNS // (_WARM_BLOCK * unknowns))
-
-
 def _integrate(acc, terms, dts):
     """The running sums ``acc`` plus the left-endpoint integrals of the rows ``terms`` over
     ``dts``, added one interval at a time, so that no sum depends on the windows."""
@@ -548,11 +534,11 @@ def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
 def _windows(traj, fluxes=None):
     """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
 
-    Windows of :func:`_window_intervals` for the values of one state, with
-    the evaluation's one velocity source: ``fluxes`` maps the fluxes each
-    window carries to those to cost, and without it the optimal ones are.
+    Windows of whole warm-start blocks, as :func:`_network_terms` requires,
+    with the evaluation's one velocity source: ``fluxes`` maps the fluxes
+    each window carries to those to cost, and without it the optimal ones are.
     """
-    for times, states, *carried in traj.windows(_window_intervals(traj.states[0].size)):
+    for times, states, *carried in traj.windows(_window_unit(traj.states[0].size, _WARM_BLOCK)):
         if fluxes is not None and not carried:
             raise ValueError("no flux data: the trajectory carries no fluxes")
         yield states, np.diff(times), None if fluxes is None else fluxes(*carried)

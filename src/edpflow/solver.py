@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .coarsegrain import CoarseTrajectory, _check_coarse, coarse_params
+from .coarsegrain import CoarseTrajectory, coarse_params
 from .core import (
     FluxAssignment,
     State,
@@ -283,15 +283,14 @@ class _Solve:
                     raise IntegrationError("state left the finite range", m)
                 c = _guard_nonnegative(c_next, m, clamps)
                 states[i + 1] = c
-            out = (dt * np.arange(start, start + k + 1), states[:k + 1].reshape(k + 1, *shape),
+            times = dt * np.arange(start, start + k + 1)
+            _check_trajectory(times, states[:k + 1], J[:k])  # a coarse window as of one species
+            out = (times, states[:k + 1].reshape(k + 1, *shape),
                    J[:k].reshape(k, *shape[:-1], shape[-1] + 1))
             if half:
                 b[:k] /= dt
+                _check_fluxes(J[:k], b[:k])
                 out += (b[:k],)
-                _check_fluxes(*out[2:])
-                _check_trajectory(*out[:3])
-            else:
-                _check_coarse(*out)
             for a in out:
                 a.flags.writeable = False
             self.states = out[1]

@@ -27,6 +27,7 @@ from edpflow import (
     total_mass,
 )
 from edpflow.coarsegrain import optimal_coarse_flux
+from edpflow.solver import _effective_solve
 
 from conftest import cosine_tilt, positive_state
 
@@ -52,6 +53,66 @@ class TestCoarseGrain:
     def test_mass_preserved(self, params, rng):
         st = positive_state(rng, 9)
         assert coarse_grain(st).sum() / 9 == pytest.approx(total_mass(st))
+
+
+def _corrupted(kind, times, states, J):
+    """Copies of coarse trajectory data with the invariant ``kind`` broken."""
+    times, states, J = times.copy(), states.copy(), J.copy()
+    if kind == "non-increasing times":
+        times[1] = times[0]
+    elif kind == "NaN state":
+        states[-1, 2] = np.nan
+    elif kind == "negative state":
+        states[-1, 2] = -1e-3
+    elif kind == "flux shape":
+        J = J[:, :-1]
+    elif kind == "boundary flux":
+        J[-1, -1] = 1e-3
+    return times, states, J
+
+
+class TestCoarseTrajectoryChecks:
+    """A coarse trajectory, stored or a window of a solve, is checked as one of one species."""
+
+    def _solve(self, params):
+        n = 12
+        hat0 = 1 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        return _effective_solve(hat0, params, cosine_tilt(n, [[0.3], [-0.2]]),
+                                SolverConfig(1e-3, 0.02))
+
+    def _sources(self, params):
+        """The stored solve and copies of its windows of 7 steps, the later ones after time 0."""
+        solve = self._solve(params)
+        stored = solve.result()
+        windows = [[a.copy() for a in window] for window in solve.windows(7)]
+        assert [w[0][0] > 0 for w in windows] == [False, True, True]
+        return [(stored.times, stored.states, stored.fluxes)] + windows
+
+    def test_windows_are_coarse_trajectories(self, params):
+        for times, states, J in self._sources(params):
+            hat = CoarseTrajectory(times, states, J)
+            assert hat.times[0] == times[0] and hat.n_cells == 12
+
+    @pytest.mark.parametrize("kind", ["non-increasing times", "NaN state", "negative state",
+                                      "flux shape", "boundary flux"])
+    def test_broken_invariant_raises(self, params, kind):
+        for times, states, J in self._sources(params):
+            with pytest.raises(ValueError):
+                CoarseTrajectory(*_corrupted(kind, times, states, J))
+
+    def test_solve_checks_its_windows(self, params):
+        # a step that leaves flux on the right wall
+        solve = self._solve(params)
+        step = solve.step
+
+        def leaky(c, J):
+            c_next = step(c, J)
+            J[..., -1] = 1e-3
+            return c_next
+
+        solve.step = leaky
+        with pytest.raises(ValueError, match="boundary faces must carry zero flux"):
+            list(solve.windows(7))
 
 
 class TestCoarseParams:

@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 import re
+from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,14 +19,22 @@ from edpflow import (
     SystemParams,
     Tilt,
     Trajectory,
+    default_configs,
+    dissipation_functional,
+    fit_decay_rate,
+    flux_dissipation,
     gce_residual,
+    hat_dissipation,
+    load_config,
     manifold_split,
+    run_experiment,
     solve_eps_system,
     total_mass,
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from edpflow.core import _CSV_BLOCK_ROWS
+from edpflow.core import _CSV_BLOCK_ROWS, _window_unit
+from edpflow.dissipation import _WARM_BLOCK
 from edpflow.solver import _effective_solve, _eps_solve
 
 from conftest import Windowed, cosine_tilt
@@ -391,6 +400,41 @@ class TestStreamedWriter:
         stream = _effective_solve(c0.c.sum(axis=0), params, tilt, self.CONFIG)
         with pytest.raises(ValueError, match="two species"):
             trajectory_to_csv(stream, tmp_path / "coarse.csv")
+
+
+def _windowed_outputs(out):
+    """Every output that a reader streaming a solve in windows produces, as bytes or hex."""
+    out.mkdir()
+    n = 12
+    params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=0.1)
+    tilt = cosine_tilt(n, [[0.3], [-0.2]])
+    hat0 = 1 + 0.5 * np.cos(np.pi * SpatialGrid(n).cell_centers)
+    c0 = State(manifold_split(hat0, params, tilt))
+    config = SolverConfig(1e-3, 0.25)  # 250 steps: a ragged last block and window
+    got = {}
+    for evaluate, solve in ((dissipation_functional, _eps_solve(c0, params, tilt, config)),
+                            (flux_dissipation, _eps_solve(c0, params, tilt, config)),
+                            (hat_dissipation, _effective_solve(hat0, params, tilt, config))):
+        got[evaluate.__name__] = [float(t).hex() for t in astuple(evaluate(solve, params, tilt))]
+    got["fit_decay_rate"] = [fit_decay_rate(solve).hex() for solve in (
+        _eps_solve(c0, params, tilt, config), _effective_solve(hat0, params, tilt, config))]
+    got["csv"] = trajectory_to_csv(_eps_solve(c0, params, tilt, config), out / "t.csv").read_bytes()
+    doc = dict(default_configs()["eps_sweep"], output_dir=str(out / "eps_sweep"),
+               grid={"n_cells": n}, solver={"dt": 1e-3, "t_final": 0.05}, epsilons=[0.1, 0.05])
+    run_experiment(load_config(doc))
+    got["eps_sweep"] = [(out / "eps_sweep" / name).read_bytes()
+                        for name in ("eps_sweep.csv", "summary.json")]
+    return got
+
+
+def test_no_output_depends_on_the_window_budget(tmp_path, monkeypatch):
+    want = _windowed_outputs(tmp_path / "default")
+    # the least budget: every reader's window is one of its blocks
+    monkeypatch.setattr(edpflow.core, "_WINDOW_BUDGET", 1)
+    for block in (_WARM_BLOCK, _CSV_BLOCK_ROWS // 12):  # the evaluators, the CSV writer
+        assert _window_unit(24, block) == block < 125 and 250 % block  # the last one ragged
+    assert _window_unit(24) == 1  # the decay fit and the defect: one level
+    assert _windowed_outputs(tmp_path / "small") == want
 
 
 def test_csv_writer_logs_one_debug_record(tmp_path, rng, caplog):

@@ -52,9 +52,10 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
+from edpflow.core import _window_unit
 from edpflow.dissipation import (
+    _WARM_BLOCK,
     _dual,
-    _window_intervals,
     damped_newton_max,
 )
 from edpflow.functionals import _network_cost
@@ -704,7 +705,7 @@ class TestBatchedEvaluation:
 
     def test_network_matches_sequential_loop(self):
         traj, gen, eps = _network_trajectory()
-        assert traj.n_times - 1 > _window_intervals(3 * traj.n_cells)
+        assert traj.n_times - 1 > _window_unit(3 * traj.n_cells, _WARM_BLOCK)
         bd = multispecies_dissipation(traj, gen, eps)
         got = [bd.vel_diff, bd.vel_react_slow, bd.vel_react_fast,
                bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
@@ -745,7 +746,7 @@ class TestBatchedEvaluation:
         # dt is a power of two, so both halves keep the exact time steps
         dt = 2.0 ** -11
         traj, tilt = _criterion_3_level_0(params, dt, 640 * dt)
-        assert traj.n_times - 1 > _window_intervals(2 * traj.n_cells)
+        assert traj.n_times - 1 > _window_unit(2 * traj.n_cells, _WARM_BLOCK)
         halves = []
         for lo, hi in ((0, 320), (320, 640)):
             fluxes = FluxAssignment(traj.fluxes.J[lo:hi], traj.fluxes.b[lo:hi])
@@ -806,7 +807,7 @@ class TestBatchedEvaluation:
 
         # 625 intervals on 20 cells: a window of 13 blocks and the rest
         traj, tilt = _criterion_3_level_0(params)
-        assert _window_intervals(2 * traj.n_cells) == 13 * dissipation_module._WARM_BLOCK
+        assert _window_unit(2 * traj.n_cells, _WARM_BLOCK) == 13 * _WARM_BLOCK
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
             dissipation_functional(traj, params, tilt)
@@ -1198,7 +1199,7 @@ class TestStreamedEvaluation:
         # trajectories' default windows of one fine, two coarse and one
         # network block on 256 cells; 250 intervals end inside a block
         n = 256
-        assert [_window_intervals(k * n) for k in (2, 1, 4)] == \
+        assert [_window_unit(k * n, _WARM_BLOCK) for k in (2, 1, 4)] == \
             [dissipation_module._WARM_BLOCK * k for k in (1, 2, 1)]
         window = windows * dissipation_module._WARM_BLOCK
         self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), window, window, window)
@@ -1206,10 +1207,11 @@ class TestStreamedEvaluation:
     def test_default_windows_on_a_fine_grid(self, params):
         # windows of 64 fine, 128 coarse and 64 network intervals on 160 cells
         n = 160
-        window = _window_intervals(2 * n)
+        window = _window_unit(2 * n, _WARM_BLOCK)
         config = SolverConfig(2.5e-4, 0.025)
         assert window < config.n_steps < 2 * window  # two windows, the second partial
-        self._compare(params, n, config, window, _window_intervals(n), _window_intervals(4 * n))
+        self._compare(params, n, config, window, _window_unit(n, _WARM_BLOCK),
+                      _window_unit(4 * n, _WARM_BLOCK))
 
     def test_coarse_windows_of_any_length(self, params):
         # the coarse evaluator needs no warm-start blocks, so any window will do
@@ -1353,7 +1355,7 @@ class TestStreamedEvaluation:
         blocked = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
         dt = 0.1
-        window = _window_intervals(8)
+        window = _window_unit(8, _WARM_BLOCK)
         regular = np.full((window + 1, 2, 4), 0.5)
         windows = [(dt * np.arange(window + 1), regular),
                    (dt * np.arange(window, window + 3),

@@ -38,9 +38,9 @@ from edpflow import (
     solve_multispecies,
     trajectory_to_csv,
 )
-from edpflow.cli import _WINDOW_VALUES, _build_initial, _build_tilt
-from edpflow.core import _CSV_BLOCK_ROWS, _CSV_WINDOW_BLOCKS, _g17_tables, _Owned
-from edpflow.dissipation import _window_intervals
+from edpflow.cli import _build_initial, _build_tilt
+from edpflow.core import _CSV_BLOCK_ROWS, _g17_tables, _Owned, _window_unit
+from edpflow.dissipation import _WARM_BLOCK
 from edpflow.multispecies import _multispecies_solve
 
 from conftest import cosine_tilt
@@ -333,7 +333,7 @@ def test_edb_refinement_level_does_not_grow_with_the_steps(tmp_path):
     # levels on 32 and 64 cells: every solve of the shorter run already
     # fills its windows, so only a stored trajectory would grow
     dt = 1e-3
-    steps = max(_window_intervals(u) for u in (32, 64, 128))
+    steps = max(_window_unit(u, _WARM_BLOCK) for u in (32, 64, 128))
 
     def config(n_steps):
         return _sweep_config("edb_refinement", tmp_path / str(n_steps), grid={"n_cells": 32},
@@ -359,7 +359,7 @@ def test_eps_sweep_does_not_grow_with_the_steps(tmp_path):
                                       "fractions": [0.55, 0.45]})
 
     # the sweep reads its solves in windows of its own
-    short, long = _peak_growth(config, _WINDOW_VALUES // n)
+    short, long = _peak_growth(config, _window_unit(2 * n))
     assert long <= STREAMED_PEAK_GROWTH * short, f"peaks {short} and {long} bytes"
 
 
@@ -368,7 +368,7 @@ def test_mixed_diffusion_fit_does_not_grow_with_the_steps(tmp_path, write):
     # two solver windows in the shorter run; the fit keeps one amplitude
     # per time level, a small fraction of one level's densities and fluxes
     dt = 5e-5
-    steps = 2 * _CSV_WINDOW_BLOCKS * _CSV_BLOCK_ROWS // N_CELLS
+    steps = 2 * _window_unit(2 * N_CELLS, _CSV_BLOCK_ROWS // N_CELLS)
 
     def config(n_steps):
         return _sweep_config("mixed_diffusion_fit", tmp_path / str(n_steps),
@@ -389,7 +389,7 @@ def test_streamed_network_evaluation_does_not_grow_with_the_steps():
     gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
     hat = 1 + 0.5 * np.cos(np.pi * SpatialGrid(n).cell_centers)
     c0 = State(gen.stationary(eps)[:, None] * hat[None])
-    window = _window_intervals(4 * n)
+    window = _window_unit(4 * n, _WARM_BLOCK)
 
     def evaluate(n_steps):
         config = SolverConfig(1e-4, n_steps * 1e-4)
