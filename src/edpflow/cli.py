@@ -498,7 +498,7 @@ def _run_edb_refinement(cfg: ExperimentConfig, outdir: Path):
         # each solve hands its windows straight to the evaluator, so no
         # level holds a whole trajectory.  The evaluator is looked up here, so
         # the benchmark's self-test can loosen this module's dual ascent
-        bd, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps,
+        bd, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt,
                                  evaluate=dissipation_functional)
         hbd, hdrop, hres = _hat_balance(_effective_solve(initial.c.sum(axis=0), p, tilt, sc),
                                         p, tilt)
@@ -553,10 +553,10 @@ def _run_recovery_study(cfg: ExperimentConfig, outdir: Path):
 
     rows = []
     for eps in sorted(cfg.epsilons, reverse=True):
-        rec = build_recovery_sequence(limit, cfg.params, tilt, eps,
-                                      lam=cfg.lam, alpha=cfg.alpha_exp,
+        p = replace(cfg.params, epsilon=eps)
+        rec = build_recovery_sequence(limit, p, tilt, lam=cfg.lam, alpha=cfg.alpha_exp,
                                       width_scale=cfg.width_scale)
-        bd = flux_dissipation(rec.trajectory, cfg.params, tilt, eps)
+        bd = flux_dissipation(rec.trajectory, p, tilt)
         rows.append((eps, rec.gamma, bd.vel_react, bd.total, d0, abs(bd.total - d0)))
         del rec  # keep only its scalars: release it before the next one is built
     files = [_write_csv(outdir / "recovery_study.csv",

@@ -48,7 +48,11 @@ __all__ = [
     "optimal_coarse_flux",
     "RecoverySequence",
     "build_recovery_sequence",
+    "SLOW_MANIFOLD_TOL",
 ]
+
+# the largest slow-manifold defect of a trajectory taken to lie on the manifold
+SLOW_MANIFOLD_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +197,17 @@ def _split(fractions, total):
     return out
 
 
-def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, tilt: Tilt,
-                            ce_tol: float = 1e-9) -> Reconstruction:
+def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams,
+                            tilt: Tilt) -> Reconstruction:
     """Reconstruct two-species densities and fluxes from a coarse trajectory.
 
     Densities are distributed by the stationary-weight fractions (so the
     output sits exactly on the slow manifold), diffusion fluxes by the
     mobility fractions delta_i w_i^V / (delta_1 w_1^V + delta_2 w_2^V) sampled
     at faces.  Requires the coarse pair (c, J) to satisfy the discrete
-    continuity equation; raises otherwise.  Its residual, of order
-    (machine epsilon) |c| / dt, is moved into the face fluxes first: the
+    continuity equation to 1e-9 max(1, max |J| / h); raises otherwise.  Its
+    residual, of order (machine epsilon) |c| / dt, is moved into the face
+    fluxes first: the
     states go to a grid on which their differences are exact, each level
     gets exactly the mass of the first, and the residual's running sum
     corrects the fluxes.  Each species' reaction flux is its continuity
@@ -220,7 +225,7 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, ti
     dt = np.diff(hat_traj.times)[:, None]
     ce = (hat_c[1:] - hat_c[:-1]) / dt + (hat_j[:, 1:] - hat_j[:, :-1]) / h
     scale = max(1.0, float(np.max(np.abs(hat_j))) / h)
-    if float(np.max(np.abs(ce))) > ce_tol * scale:
+    if float(np.max(np.abs(ce))) > 1e-9 * scale:
         raise ValueError(
             f"coarse continuity equation violated (max residual {np.max(np.abs(ce)):.3e})"
         )
@@ -258,7 +263,7 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams, ti
 
 
 def flux_equilibration_check(state: State, j1: np.ndarray, j2: np.ndarray,
-                             params: SystemParams, tilt: Tilt) -> float:
+                             params: SystemParams) -> float:
     """Convexity gap between per-species flux costs and the summed-flux cost.
 
     Integrates |J_1|^2/(delta_1 c_1) + |J_2|^2/(delta_2 c_2)
@@ -267,7 +272,6 @@ def flux_equilibration_check(state: State, j1: np.ndarray, j2: np.ndarray,
     split in proportion to the mobilities, which is what the reconstruction
     produces.  Homogeneous of degree two in the fluxes.
     """
-    _ = tilt
     c = state.c
     if np.any(c <= 0):
         raise ValueError("flux equilibration check requires strictly positive densities")
@@ -376,27 +380,28 @@ class RecoverySequence:
 
 
 def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: Tilt,
-                            epsilon: float, lam: float = 0.9, alpha: float = 0.2,
+                            lam: float = 0.9, alpha: float = 0.2,
                             width_scale: float | None = None) -> RecoverySequence:
     """Build the scale-epsilon approximation of a slow-manifold limit trajectory.
 
-    Applies the positive shift with gamma = epsilon**(1 - lam), then temporal
-    mollification with half width (width_scale * epsilon**alpha), then
-    reconstructs two-species densities and fluxes.  The default exponents
-    lam = 0.9, alpha = 0.2 satisfy the one-dimensional admissibility
-    constraint lam / (2 alpha) >= 2 for the joint scaling; the measured rate
-    bound of the smoothed density is reported so epsilon**(-alpha) growth can
-    be verified per run.  If the limit trajectory carries no fluxes, the
-    minimal-cost coarse flux of every interval is taken (:func:`optimal_coarse_flux`).
+    The scale is epsilon = ``params.epsilon``.  Applies the positive shift
+    with gamma = epsilon**(1 - lam), then temporal mollification with half
+    width (width_scale * epsilon**alpha), then reconstructs two-species
+    densities and fluxes.  The default exponents lam = 0.9, alpha = 0.2
+    satisfy the one-dimensional admissibility constraint lam / (2 alpha) >= 2
+    for the joint scaling; the measured rate bound of the smoothed density is
+    reported so epsilon**(-alpha) growth can be verified per run.  If the
+    limit trajectory carries no fluxes, the minimal-cost coarse flux of every
+    interval is taken (:func:`optimal_coarse_flux`).  A limit trajectory whose
+    slow-manifold defect exceeds :data:`SLOW_MANIFOLD_TOL` raises.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = params.epsilon
     if not np.all(np.isfinite(limit_traj.states)):
         raise ValueError("limit trajectory must be finite")
     # off the slow manifold the limit dissipation is not finite (the exchange
     # gate), so there is nothing to approximate
     defect = slow_manifold_defect(limit_traj, params, tilt)
-    if defect > 1e-6:
+    if defect > SLOW_MANIFOLD_TOL:
         raise ValueError(
             f"limit trajectory is off the slow manifold (relative defect {defect:.3e}), "
             "its limit dissipation is not finite"

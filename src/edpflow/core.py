@@ -192,12 +192,11 @@ class SystemParams:
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         if len(self.delta) != 2 or not all(0 < d < np.inf for d in self.delta):
             raise ValueError(f"delta must be two positive finite constants, got {self.delta!r}")
-        # an infinite rate leaves w = [0, nan]
-        for name in ("alpha", "beta"):
+        # an infinite rate leaves w = [0, nan], and an infinite epsilon an
+        # exchange of strength 0 that the dual ascent cannot evaluate
+        for name in ("alpha", "beta", "epsilon"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     @property
     def w(self) -> np.ndarray:

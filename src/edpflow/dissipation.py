@@ -43,6 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .coarsegrain import (
+    SLOW_MANIFOLD_TOL,
     CoarseTrajectory,
     coarse_grain_trajectory,
     coarse_params,
@@ -74,7 +75,6 @@ __all__ = [
     "dissipation_functional",
     "flux_dissipation",
     "edb_residual",
-    "slow_manifold_defect",
     "effective_dissipation",
     "hat_dissipation",
     "hat_flux_dissipation",
@@ -89,6 +89,9 @@ logger = logging.getLogger(__name__)
 # study.  A power of two, so that a trajectory cut at a multiple of it keeps
 # its blocks.
 _WARM_BLOCK = 32
+
+# the most Newton iterations a dual ascent may take
+_MAX_NEWTON_ITER = 200
 
 
 class DualAscentError(RuntimeError):
@@ -115,16 +118,16 @@ class DualMaximizerState:
     iterations: int
 
 
-def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
-                      tol: float = 1e-10, max_iter: int = 200):
+def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
     """Maximize a stack of independent smooth strictly concave functions by Armijo-damped Newton.
 
     Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x, act)``
     returns values and gradients of the problems ``act`` (an index array) at
     the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
     banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
-    between blocks.  Each negative Hessian must be positive definite, as those
-    of :func:`_dual` are; nothing is pinned or projected.
+    between blocks, the diagonal in the last row.  Each negative Hessian must
+    be positive definite, as those of :func:`_dual` are; nothing is pinned or
+    projected.
     Each problem has its own stopping test, line search and iteration count,
     and drops out once converged: its gradient norm is at most ``tol``, or at
     most the rounding level of the gradient, machine epsilon times the
@@ -138,9 +141,9 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
     rounding level: the larger of 1e-12 (1 + |value|) and that gradient
     rounding level times sqrt(size) (1 + max |x|), which is what a gradient
     wrong by its rounding level can misstate over a step the size of x.
-    Returns
-    ``(x, values, gradient_norm, iterations, iterations_per_problem)``, the
-    middle two the largest over the stack; failures raise
+    Returns ``(x, values, gradient_norm, iterations, iterations_per_problem)``,
+    the middle two the largest over the stack; failures, a problem unconverged
+    after ``_MAX_NEWTON_ITER`` iterations among them, raise
     :class:`DualAscentError` with the failing problem's gradient norm.
     """
     x = np.array(x0, dtype=float)
@@ -154,10 +157,10 @@ def damped_newton_max(value_grad, hess_banded, x0, *, bandwidth: int,
         act = np.flatnonzero(~(gnorm <= np.maximum(tol, floor)))
         if act.size == 0:
             return x, val, float(gnorm.max()), int(iters.max()), iters
-        if iters[act[0]] == max_iter:  # every active problem has run every iteration
+        if iters[act[0]] == _MAX_NEWTON_ITER:  # every active problem has run every iteration
             raise DualAscentError("iteration limit reached", float(gnorm[act[0]]))
         ab = hess_banded(x[act], act)
-        dmax = ab[bandwidth].reshape(act.size, size).max(axis=1)
+        dmax = ab[-1].reshape(act.size, size).max(axis=1)
         xmax = np.abs(x[act]).max(axis=1)
         floor[act] = rounding * dmax * (1.0 + xmax)
         chol, info = dpbtrf(ab, overwrite_ab=1)
@@ -225,7 +228,7 @@ def _dual(c, delta, edges, v, h):
     first problem that has one: the full dual's gradient along the potential
     jumps across them, whatever the potentials.
 
-    Returns ``(value_grad, hess_banded, fluxes, bandwidth)`` for
+    Returns ``(value_grad, hess_banded, fluxes)`` for
     :func:`damped_newton_max`; ``fluxes(x)`` reads off the potentials xi
     (M, I, n), xi_0 summed from its jumps s and all shifted to a shared mean
     of zero, the face fluxes J (M, I, n + 1) and the exchange fluxes
@@ -328,7 +331,7 @@ def _dual(c, delta, edges, v, h):
         b = rw / h * cosh_star_prime(exchange(eta))
         return xi, J, b.transpose(1, 0, 2)
 
-    return value_grad, hess_banded, fluxes, band
+    return value_grad, hess_banded, fluxes
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,23 +349,22 @@ def _mass_balance_check(v: np.ndarray, h: float):
         raise ValueError(f"rate must preserve total mass (imbalance {np.max(imbalance):.3e})")
 
 
-def _two_species_edges(traj_or_state, epsilon: float):
+def _two_species_edges(traj_or_state, params: SystemParams):
     if traj_or_state.n_species != 2:
         raise ValueError("two-species evaluation; see multispecies for the general case")
-    return [(0, 1, 1.0 / epsilon)]
+    return [(0, 1, 1.0 / params.epsilon)]
 
 
-def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
-                 epsilon=None, *, xi0=None, tol: float = 1e-10,
-                 max_iter: int = 200) -> PrimalRate:
+def primal_R_eps(state: State, params: SystemParams, v, *, xi0=None) -> PrimalRate:
     """Flux cost of realizing the rate v from the given state.
 
     Maximizes <xi, v> - R*(c, xi) over two-species potential fields by damped
     Newton (the dual of the infimal splitting of v into diffusion and exchange
     fluxes under the generalized continuity equation).  The returned fluxes
     J_j = delta_j c_j grad(xi_j) on faces and b_1 = -b_2 =
-    (sqrt(c_1 c_2)/eps) (C*)'(xi_1 - xi_2) on cells satisfy the discrete
-    continuity equation with rate v up to the dual tolerance.
+    (sqrt(c_1 c_2)/eps) (C*)'(xi_1 - xi_2) on cells, eps = ``params.epsilon``,
+    satisfy the discrete continuity equation with rate v up to the dual
+    tolerance.
 
     The ascent runs on the potential difference xi_1 - xi_2 alone (n
     unknowns, a tridiagonal Hessian), the shared potential maximized out in
@@ -370,9 +372,7 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     at xi0[0] - xi0[1].  The rate must preserve total mass; the potentials
     are returned shifted to a shared mean of zero.
     """
-    _ = tilt
-    eps = params.epsilon if epsilon is None else epsilon
-    edges = _two_species_edges(state, eps)
+    edges = _two_species_edges(state, params)
     c = state.c
     h = 1.0 / state.n_cells
     v = np.asarray(v, dtype=float)
@@ -386,9 +386,8 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
 
     (_, _, kappa), = edges
     delta = params.delta_array
-    vg, hess, fluxes, band = _dual(c[None], delta, edges, v[None], h)
-    x, val, _, iters, _ = damped_newton_max(vg, hess, (x0[0] - x0[1])[None], bandwidth=band,
-                                            tol=tol, max_iter=max_iter)
+    vg, hess, fluxes = _dual(c[None], delta, edges, v[None], h)
+    x, val, _, iters, _ = damped_newton_max(vg, hess, (x0[0] - x0[1])[None])
     xi, J, b_edges = fluxes(x)
     xi, J, b = xi[0], J[0], np.stack([b_edges[0, 0], -b_edges[0, 0]])
     value = float(val[0])
@@ -404,19 +403,17 @@ def primal_R_eps(state: State, params: SystemParams, tilt: Tilt, v,
     return PrimalRate(value=value, fluxes=FluxAssignment(J, b), dual=dual)
 
 
-def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment,
-                     epsilon=None):
+def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment):
     """Primal flux cost of an explicit flux assignment: kinetic plus exchange terms.
 
     Returns ``(vel_diff, vel_react)``: the face-integrated quadratic cost of
     the diffusion fluxes through the mobilities delta_j * cbar_j, and the
     cell-integrated perspective cosh cost of the exchange flux through
-    sqrt(c_1 c_2)/eps.  By weak duality their sum dominates the dual value of
-    any rate the fluxes realize.
+    sqrt(c_1 c_2)/eps, eps = ``params.epsilon``.  By weak duality their sum
+    dominates the dual value of any rate the fluxes realize.
     """
-    eps = params.epsilon if epsilon is None else epsilon
     vel_diff, (vel_react,) = _network_cost(
-        state.c, params.delta_array, _two_species_edges(state, eps),
+        state.c, params.delta_array, _two_species_edges(state, params),
         fluxes.J, [fluxes.b[1]], 1.0 / state.n_cells,
     )
     return float(vel_diff), float(vel_react)
@@ -438,8 +435,7 @@ def _integrate(acc, terms, dts):
     return rows.cumsum(axis=1)[:, -1]
 
 
-def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
-                   log=logger, newton=None):
+def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, newton=None):
     """Time integrals (left-endpoint rule) of the dissipation terms of a trajectory on a network.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of
@@ -472,7 +468,7 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
     def solve(vg, hess, rows, x0, record):
         """The ascents of the window's intervals ``rows``, from ``x0``."""
         x, _, gnorm, _, iters = newton(lambda y, k: vg(y, rows[k]), lambda y, k: hess(y, rows[k]),
-                                       x0, bandwidth=band, tol=tol, max_iter=max_iter)
+                                       x0, tol=tol)
         record.append((gnorm, np.bincount(iters)))
         return x
 
@@ -485,7 +481,7 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
         n = c.shape[2]
         h = 1.0 / n
         if fluxes is None:
-            vg, hess, optimal, band = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
+            vg, hess, optimal = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
             # blocks and interpolation weights: the window starts a block
             index = np.arange(n_int)
             first = index // _WARM_BLOCK * _WARM_BLOCK
@@ -522,10 +518,9 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, max_iter=200,
     return acc
 
 
-def _two_species_args(state: State, params: SystemParams, tilt: Tilt, epsilon):
+def _two_species_args(state: State, params: SystemParams, tilt: Tilt):
     """The arguments of :func:`_network_terms` after the windows, for two species."""
-    eps = params.epsilon if epsilon is None else epsilon
-    edges = _two_species_edges(state, eps)
+    edges = _two_species_edges(state, params)
     _check_shapes(state, tilt)
     w_v, _ = stationary_measure(params, tilt)
     return w_v, params.delta_array, edges, [np.array([True])]
@@ -544,9 +539,8 @@ def _windows(traj, fluxes=None):
         yield states, np.diff(times), None if fluxes is None else fluxes(*carried)
 
 
-def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
-                           epsilon=None, *, tol: float = 1e-10,
-                           max_iter: int = 200) -> DissipationBreakdown:
+def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt, *,
+                           tol: float = 1e-10) -> DissipationBreakdown:
     """Time-integrated dissipation of a trajectory, split into its four terms.
 
     Per interval the velocity part is the primal flux cost of the difference
@@ -560,12 +554,11 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt,
     :meth:`edpflow.solver._Solve.windows`); the terms are those of the
     stored trajectory, bit for bit, and the solve is never stored.
     """
-    args = _two_species_args(traj.initial_state, params, tilt, epsilon)
-    return DissipationBreakdown(*_network_terms(_windows(traj), *args, tol=tol, max_iter=max_iter))
+    args = _two_species_args(traj.initial_state, params, tilt)
+    return DissipationBreakdown(*_network_terms(_windows(traj), *args, tol=tol))
 
 
-def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
-                     epsilon=None) -> DissipationBreakdown:
+def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt) -> DissipationBreakdown:
     """Dissipation of a trajectory with the velocity part taken from its stored fluxes.
 
     No optimization is involved: the kinetic and exchange costs of the carried
@@ -574,13 +567,12 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
     optimal.  ``traj`` may also be a solve, whose windows carry its fluxes,
     read as for :func:`dissipation_functional`.
     """
-    args = _two_species_args(traj.initial_state, params, tilt, epsilon)
+    args = _two_species_args(traj.initial_state, params, tilt)
     windows = _windows(traj, lambda J, b: (J, b[None, :, 1]))  # the exchange flux into species 1
     return DissipationBreakdown(*_network_terms(windows, *args))
 
 
-def _balance(traj, params: SystemParams, tilt: Tilt, epsilon=None, *,
-             evaluate=dissipation_functional, **ascent):
+def _balance(traj, params: SystemParams, tilt: Tilt, *, evaluate=dissipation_functional):
     """``(breakdown, E(start) - E(end), EDB residual)`` of a trajectory or a solve.
 
     ``evaluate`` is the dissipation evaluator, called as
@@ -590,13 +582,12 @@ def _balance(traj, params: SystemParams, tilt: Tilt, epsilon=None, *,
     grid raises the evaluator's error.
     """
     initial = State(traj.states[0])
-    breakdown = evaluate(traj, params, tilt, epsilon, **ascent)
+    breakdown = evaluate(traj, params, tilt)
     drop = energy(initial, params, tilt) - energy(State(traj.states[-1]), params, tilt)
     return breakdown, drop, breakdown.total - drop
 
 
-def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
-                 epsilon=None, *, tol: float = 1e-10, max_iter: int = 200) -> float:
+def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt) -> float:
     """Energy-dissipation-balance defect: dissipation - (E(start) - E(end)).
 
     Zero for exact solutions of the gradient flow; on discrete solver output
@@ -605,7 +596,7 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt,
     also be a solve, read as for :func:`dissipation_functional`.  The
     ``edb_refinement`` experiment reports this value, from the same balance.
     """
-    return _balance(traj, params, tilt, epsilon, tol=tol, max_iter=max_iter)[2]
+    return _balance(traj, params, tilt)[2]
 
 
 def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
@@ -679,17 +670,17 @@ def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,
     return _hat_balance(hat_traj, params, tilt)[2]
 
 
-def effective_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt,
-                          tol_manifold: float = 1e-6) -> float:
+def effective_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt) -> float:
     """Limit dissipation of a slow-manifold trajectory, evaluated in coarse variables.
 
-    Off-manifold input (relative defect above ``tol_manifold``) carries the
+    Off-manifold input (relative defect above
+    :data:`~edpflow.coarsegrain.SLOW_MANIFOLD_TOL`) carries the
     singular exchange constraint and returns +inf; a warning reports the
     measured defect.  On the manifold the value equals the coarse dissipation
     of the summed density by construction.
     """
     defect = slow_manifold_defect(traj, params, tilt)
-    if defect > tol_manifold:
+    if defect > SLOW_MANIFOLD_TOL:
         warnings.warn(
             f"trajectory is off the slow manifold (max relative defect {defect:.3e})",
             stacklevel=2,

@@ -195,24 +195,23 @@ def _diffusion_dual(c: np.ndarray, delta: np.ndarray, xi: np.ndarray, h: float) 
     return 0.5 * float(np.sum(delta[:, None] * cbar * dxi * dxi)) / h
 
 
-def dual_dissipation(state: State, params: SystemParams, tilt: Tilt, xi, epsilon=None) -> float:
+def dual_dissipation(state: State, params: SystemParams, tilt: Tilt, xi) -> float:
     """Dual dissipation potential: diffusion mobility plus cosh exchange term.
 
     The diffusion part is the face-difference form of the weighted Dirichlet
     energy of the potential field xi; the exchange part couples the species
     through C*(xi_1 - xi_2) weighted by the geometric mean density over
-    epsilon.  The value does not depend on the tilt (the tilt enters only
-    through the energy), is nonnegative, and vanishes on constant fields with
-    equal components.
+    ``params.epsilon``.  The value does not depend on the tilt (the tilt
+    enters only through the energy), is nonnegative, and vanishes on constant
+    fields with equal components.
     """
     _check_shapes(state, tilt)
-    eps = params.epsilon if epsilon is None else epsilon
     xi = np.asarray(xi, dtype=float)
     if xi.shape != state.c.shape:
         raise ValueError(f"xi shape {xi.shape} does not match state {state.c.shape}")
     h = 1.0 / state.n_cells
     c = state.c
-    react = float(np.sum(cosh_star(xi[0] - xi[1]) * np.sqrt(c[0] * c[1]))) * h / eps
+    react = float(np.sum(cosh_star(xi[0] - xi[1]) * np.sqrt(c[0] * c[1]))) * h / params.epsilon
     return _diffusion_dual(c, params.delta_array, xi, h) + react
 
 
@@ -252,36 +251,37 @@ def _network_slope(c, w, delta, edges, h):
     return diff, react
 
 
-def slope(state: State, params: SystemParams, tilt: Tilt, epsilon=None):
+def slope(state: State, params: SystemParams, tilt: Tilt):
     """Fisher-information slope terms of the dissipation functional.
 
     Works in the relative densities rho_i = c_i / w_i^V.  The diffusion part
     integrates delta_i w_i^V |grad rho_i|^2 / rho_i / 2 with face gradients and
     arithmetic-mean face values; the reaction part integrates
-    (2/eps) sqrt(w_1^V w_2^V) (sqrt(rho_1) - sqrt(rho_2))^2 on cells.  Both
-    terms are nonnegative and vanish exactly at the stationary measure; the
-    reaction part vanishes exactly on the slow manifold rho_1 = rho_2.
+    (2/eps) sqrt(w_1^V w_2^V) (sqrt(rho_1) - sqrt(rho_2))^2 on cells, with
+    eps = ``params.epsilon``.  Both terms are nonnegative and vanish exactly
+    at the stationary measure; the reaction part vanishes exactly on the slow
+    manifold rho_1 = rho_2.
     """
     _check_shapes(state, tilt)
-    eps = params.epsilon if epsilon is None else epsilon
     w_v, _ = stationary_measure(params, tilt)
     slope_diff, (slope_react,) = _network_slope(
-        state.c, w_v, params.delta_array, [(0, 1, 1.0 / eps)], 1.0 / state.n_cells
+        state.c, w_v, params.delta_array, [(0, 1, 1.0 / params.epsilon)], 1.0 / state.n_cells
     )
     return float(slope_diff), float(slope_react)
 
 
-def r_eff_dual(state: State, params: SystemParams, tilt: Tilt, xi, tol_eq: float = EQUAL_POTENTIAL_TOL) -> float:
+def r_eff_dual(state: State, params: SystemParams, tilt: Tilt, xi) -> float:
     """Effective dual potential: diffusion mobility gated on equal potentials.
 
-    Returns the diffusion term when max |xi_1 - xi_2| <= tol_eq and +inf
-    otherwise (the characteristic-function part of the effective potential).
+    Returns the diffusion term when max |xi_1 - xi_2| <= EQUAL_POTENTIAL_TOL
+    and +inf otherwise (the characteristic-function part of the effective
+    potential).
     """
     _check_shapes(state, tilt)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != state.c.shape:
         raise ValueError(f"xi shape {xi.shape} does not match state {state.c.shape}")
-    if float(np.max(np.abs(xi[0] - xi[1]))) > tol_eq:
+    if float(np.max(np.abs(xi[0] - xi[1]))) > EQUAL_POTENTIAL_TOL:
         return np.inf
     return _diffusion_dual(state.c, params.delta_array, xi, 1.0 / state.n_cells)
 

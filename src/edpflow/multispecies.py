@@ -102,9 +102,9 @@ class MarkovGenerator:
             raise ValueError("degenerate stationary vector")
         return w / total
 
-    def w_limit(self, eps_limit: float = 1e-8) -> np.ndarray:
-        """Small-scale limit of the stationary composition (evaluated numerically)."""
-        return self.stationary(eps_limit)
+    def w_limit(self) -> np.ndarray:
+        """Small-scale limit of the stationary composition, evaluated at epsilon = 1e-8."""
+        return self.stationary(1e-8)
 
     def edge_kind(self, i: int, j: int) -> str | None:
         """"fast", "slow", or None for a non-reacting pair."""
@@ -190,16 +190,16 @@ class GeneratorReport:
     w_by_epsilon: tuple[tuple[float, np.ndarray], ...]
 
 
-def validate_generator(gen: MarkovGenerator,
-                       eps_sweep=(1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                       tol: float = 1e-12) -> GeneratorReport:
+def validate_generator(gen: MarkovGenerator) -> GeneratorReport:
     """Check sign pattern, column sums, detailed balance, and the stationary limit.
 
-    For each scale in the sweep the stationary composition is solved from the
-    null space and detailed balance A_ij w_j = A_ji w_i is verified to ``tol``
-    relative to the entry scale; the sweep must approach a positive limit
-    composition.  Violations are reported itemized, never raised.
+    For each scale epsilon = 1, 1e-1, ..., 1e-6 the stationary composition is
+    solved from the null space and detailed balance A_ij w_j = A_ji w_i is
+    verified to 1e-12 relative to the entry scale, as the column sums are;
+    the sweep must approach a positive limit composition.  Violations are
+    reported itemized, never raised.
     """
+    tol = 1e-12
     failures = []
     for name, mat in (("A_slow", gen.a_slow), ("A_fast", gen.a_fast)):
         off = mat - np.diag(np.diag(mat))
@@ -216,7 +216,7 @@ def validate_generator(gen: MarkovGenerator,
         w_limit = gen.w_limit()
     except ValueError as exc:
         failures.append(f"stationary limit: {exc}")
-    for eps in eps_sweep:
+    for eps in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         try:
             w = gen.stationary(eps)
         except ValueError as exc:
@@ -425,8 +425,8 @@ class MultispeciesBreakdown:
         return self.vel_diff + self.vel_react + self.slope_diff + self.slope_react
 
 
-def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: float,
-                             *, tol: float = 1e-10, max_iter: int = 200) -> MultispeciesBreakdown:
+def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator,
+                             epsilon: float) -> MultispeciesBreakdown:
     """Time-integrated dissipation of an I-species trajectory.
 
     Diffusion slope per species, one cosh exchange term per reacting pair
@@ -445,7 +445,6 @@ def multispecies_dissipation(traj: Trajectory, gen: MarkovGenerator, epsilon: fl
     edges = [(i, j, kappa[i, j]) for i, j, _ in gen.edges()]
     fast = np.array([kind == "fast" for *_, kind in gen.edges()])
     w_cells = np.repeat(w[:, None], traj.n_cells, axis=1)
-    out = _network_terms(_windows(traj), w_cells, gen.delta,
-                         edges, [~fast, fast], tol=tol, max_iter=max_iter, log=logger,
-                         newton=damped_newton_max)
+    out = _network_terms(_windows(traj), w_cells, gen.delta, edges, [~fast, fast],
+                         log=logger, newton=damped_newton_max)
     return MultispeciesBreakdown(*out)

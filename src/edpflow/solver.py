@@ -369,9 +369,16 @@ def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
     return _effective_solve(initial_hat, params, tilt, config).result()
 
 
-def central_first_derivative(f, h):
-    """Cellwise first derivative: central in the interior, one-sided second order at the ends."""
+def _three_cells(f):
     f = np.asarray(f, dtype=float)
+    if f.shape[0] < 3:
+        raise ValueError(f"the derivative stencils need at least 3 cells, got {f.shape[0]}")
+    return f
+
+
+def central_first_derivative(f, h):
+    """Cellwise first derivative, 3 cells or more: central inside, one-sided second order at the ends."""
+    f = _three_cells(f)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
@@ -380,13 +387,10 @@ def central_first_derivative(f, h):
 
 
 def central_second_derivative(f, h):
-    """Cellwise second derivative: central in the interior, neighbor stencil at the ends."""
-    f = np.asarray(f, dtype=float)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return out
+    """Cellwise second derivative, 3 cells or more: central inside, neighbor stencil at the ends."""
+    f = _three_cells(f)
+    inner = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+    return np.concatenate([inner[:1], inner, inner[-1:]])
 
 
 def lagrange_multipliers(hat_state, params: SystemParams, tilt: Tilt):
@@ -397,7 +401,8 @@ def lagrange_multipliers(hat_state, params: SystemParams, tilt: Tilt):
     constants and of potentials) with central second differences for the
     density and exact face differencing for the sampled potentials.  The two
     fields sum to zero up to discretization error, at first order in h under
-    refinement; for constant potentials the cancellation is exact.
+    refinement; for constant potentials the cancellation is exact.  The
+    difference stencils need at least 3 cells; fewer raise ValueError.
     """
     hat_c = np.asarray(hat_state, dtype=float)
     n = hat_c.size

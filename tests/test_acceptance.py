@@ -7,6 +7,7 @@ constants and identities.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,10 +160,10 @@ def test_criterion_4_primal_dual_oracle():
         c = rng.uniform(0.3, 1.5, (2, 3))
         v = rng.normal(size=(2, 3))
         v -= v.mean()
-        res = primal_R_eps(State(c), PARAMS, Tilt.zero(3), v, epsilon=eps)
+        res = primal_R_eps(State(c), replace(PARAMS, epsilon=eps), v)
         oracle = brute_force_three_cell(c, v, PARAMS, eps)
         max_gap_oracle = max(max_gap_oracle, abs(res.value - oracle))
-        vd, vr = primal_objective(State(c), PARAMS, res.fluxes, eps)
+        vd, vr = primal_objective(State(c), replace(PARAMS, epsilon=eps), res.fluxes)
         max_gap_duality = max(max_gap_duality, vd + vr - res.value)
     ok = max_gap_oracle <= 1e-6 and 0 <= max_gap_duality <= 1e-8
     report(4, ok,
@@ -182,7 +183,7 @@ def test_criterion_5_reconstruction_identities():
     gce = float(np.max(np.abs(gce_residual(traj))))
     gap = max(
         abs(flux_equilibration_check(traj.state(m), traj.fluxes.J[m, 0],
-                                     traj.fluxes.J[m, 1], PARAMS, tilt))
+                                     traj.fluxes.J[m, 1], PARAMS))
         for m in range(0, traj.n_times - 1, 10)
     )
     j1_err = float(np.max(np.abs(traj.fluxes.J[:, 0] - 0.6 * htraj.fluxes)))
@@ -227,8 +228,8 @@ def test_criterion_7_recovery_sequence_trend():
     d0 = hat_flux_dissipation(htraj, PARAMS, tilt).total
     costs, gaps = [], []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        rec = build_recovery_sequence(limit, PARAMS, tilt, eps)
-        bd = flux_dissipation(rec.trajectory, PARAMS, tilt, eps)
+        rec = build_recovery_sequence(limit, replace(PARAMS, epsilon=eps), tilt)
+        bd = flux_dissipation(rec.trajectory, replace(PARAMS, epsilon=eps), tilt)
         costs.append(bd.vel_react)
         gaps.append(abs(bd.total - d0))
     cost_monotone = all(b < a for a, b in zip(costs, costs[1:]))

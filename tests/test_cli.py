@@ -332,12 +332,12 @@ class TestRunners:
             sc = SolverConfig(cfg.solver.dt / 2**level, cfg.solver.t_final, cfg.solver.scheme)
             initial = _build_initial(cfg.initial_spec, grid, p, tilt)
             hat0 = initial.c.sum(axis=0)
-            _, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt, eps)
+            _, drop, res = _balance(_eps_solve(initial, p, tilt, sc), p, tilt)
             _, hdrop, hres = _hat_balance(_effective_solve(hat0, p, tilt, sc), p, tilt)
             for system, pair in (("fast_slow", (drop, res)), ("effective", (hdrop, hres))):
                 row = rows[system, level]
                 assert (float(row["energy_drop"]), float(row["edb_residual"])) == pair
-            assert edb_residual(_eps_solve(initial, p, tilt, sc), p, tilt, eps) == res
+            assert edb_residual(_eps_solve(initial, p, tilt, sc), p, tilt) == res
             assert hat_edb_residual(_effective_solve(hat0, p, tilt, sc), p, tilt) == hres
 
     def test_multispecies_check(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from edpflow import (
     State,
     SystemParams,
     Tilt,
+    Trajectory,
     build_recovery_sequence,
     coarse_grain,
     coarse_grain_trajectory,
     coarse_params,
+    effective_dissipation,
     energy,
     flux_dissipation,
     flux_equilibration_check,
@@ -26,7 +30,7 @@ from edpflow import (
     stationary_measure,
     total_mass,
 )
-from edpflow.coarsegrain import optimal_coarse_flux
+from edpflow.coarsegrain import SLOW_MANIFOLD_TOL, optimal_coarse_flux
 from edpflow.solver import _effective_solve
 
 from conftest import cosine_tilt, positive_state
@@ -234,7 +238,7 @@ class TestFluxEquilibration:
         st = positive_state(rng, 10)
         j1 = np.zeros(11)
         j1[1:-1] = rng.normal(size=9)
-        gap = flux_equilibration_check(st, j1, np.zeros(11), params, Tilt.zero(10))
+        gap = flux_equilibration_check(st, j1, np.zeros(11), params)
         assert gap > 0
 
     def test_reconstructed_fluxes_equalize(self, params):
@@ -246,7 +250,6 @@ class TestFluxEquilibration:
             rec.trajectory.fluxes.J[m, 0],
             rec.trajectory.fluxes.J[m, 1],
             params,
-            Tilt.zero(30),
         )
         assert abs(gap) < 1e-12
 
@@ -254,14 +257,14 @@ class TestFluxEquilibration:
         st = positive_state(rng, 8)
         j1 = np.zeros(9); j1[1:-1] = rng.normal(size=7)
         j2 = np.zeros(9); j2[1:-1] = rng.normal(size=7)
-        g1 = flux_equilibration_check(st, j1, j2, params, Tilt.zero(8))
-        g3 = flux_equilibration_check(st, 3 * j1, 3 * j2, params, Tilt.zero(8))
+        g1 = flux_equilibration_check(st, j1, j2, params)
+        g3 = flux_equilibration_check(st, 3 * j1, 3 * j2, params)
         assert g3 == pytest.approx(9 * g1, rel=1e-12)
 
     def test_requires_positive_densities(self, params):
         c = np.full((2, 4), 0.5); c[0, 1] = 0.0
         with pytest.raises(ValueError):
-            flux_equilibration_check(State(c), np.zeros(5), np.zeros(5), params, Tilt.zero(4))
+            flux_equilibration_check(State(c), np.zeros(5), np.zeros(5), params)
 
 
 class TestPositiveShift:
@@ -354,7 +357,7 @@ class TestRecoverySequence:
         tilt = Tilt.zero(30)
         hat = reference_hat_trajectory(params, tilt, n=30, t_final=0.05, amp=0.3)
         limit = reconstruct_from_coarse(hat, params, tilt).trajectory
-        rec = build_recovery_sequence(limit, params, tilt, epsilon=1e-3)
+        rec = build_recovery_sequence(limit, replace(params, epsilon=1e-3), tilt)
         assert rec.gamma == pytest.approx(1e-3 ** 0.1)
         assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
         assert total_mass(rec.trajectory.final_state) == pytest.approx(1.0, abs=1e-12)
@@ -369,8 +372,9 @@ class TestRecoverySequence:
         d0 = hat_flux_dissipation(hat, params, tilt).total
         costs, gaps = [], []
         for eps in (1e-1, 1e-2, 1e-3):
-            rec = build_recovery_sequence(limit, params, tilt, eps)
-            bd = flux_dissipation(rec.trajectory, params, tilt, eps)
+            p = replace(params, epsilon=eps)
+            rec = build_recovery_sequence(limit, p, tilt)
+            bd = flux_dissipation(rec.trajectory, p, tilt)
             costs.append(bd.vel_react)
             gaps.append(abs(bd.total - d0))
         assert costs[0] > costs[1] > costs[2]
@@ -380,14 +384,40 @@ class TestRecoverySequence:
         tilt = Tilt.zero(20)
         hat = reference_hat_trajectory(params, tilt, n=20, t_final=0.03)
         limit_full = reconstruct_from_coarse(hat, params, tilt).trajectory
-        from edpflow import Trajectory
         limit_bare = Trajectory(limit_full.times, limit_full.states)
-        rec = build_recovery_sequence(limit_bare, params, tilt, epsilon=1e-2)
+        rec = build_recovery_sequence(limit_bare, replace(params, epsilon=1e-2), tilt)
         assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
 
+    def test_one_manifold_threshold(self, params):
+        # a slow-manifold trajectory with mass moved from species 2 to species
+        # 1 in one cell: the summed density keeps its values and the defect
+        # grows linearly with the amount moved, to just below and just above
+        # the threshold that the limit dissipation and the recovery share
+        tilt = cosine_tilt(12, [[0.3], [-0.2]])
+        hat = reference_hat_trajectory(params, tilt, n=12, dt=1e-2, t_final=0.05)
+        on = reconstruct_from_coarse(hat, params, tilt).trajectory
+        moved = np.zeros(on.states.shape)
+        moved[:, 0, 5], moved[:, 1, 5] = 1.0, -1.0
+
+        def shifted(amount):
+            return Trajectory(on.times, on.states + amount * moved)
+
+        per_unit = slow_manifold_defect(shifted(1e-3), params, tilt) / 1e-3
+        below = shifted(0.99 * SLOW_MANIFOLD_TOL / per_unit)
+        above = shifted(1.01 * SLOW_MANIFOLD_TOL / per_unit)
+        assert 0.98 * SLOW_MANIFOLD_TOL < slow_manifold_defect(below, params, tilt) < SLOW_MANIFOLD_TOL
+        assert SLOW_MANIFOLD_TOL < slow_manifold_defect(above, params, tilt) < 1.02 * SLOW_MANIFOLD_TOL
+
+        assert np.isfinite(effective_dissipation(below, params, tilt))
+        rec = build_recovery_sequence(below, replace(params, epsilon=1e-2), tilt)
+        assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
+        with pytest.warns(UserWarning, match="off the slow manifold"):
+            assert effective_dissipation(above, params, tilt) == np.inf
+        with pytest.raises(ValueError, match="off the slow manifold"):
+            build_recovery_sequence(above, replace(params, epsilon=1e-2), tilt)
+
     def test_off_manifold_limit_rejected(self, params, rng):
-        from edpflow import Trajectory
         st = positive_state(rng, 12)
         traj = Trajectory(np.array([0.0, 0.1]), np.repeat(st.c[None], 2, axis=0))
         with pytest.raises(ValueError, match="off the slow manifold"):
-            build_recovery_sequence(traj, params, Tilt.zero(12), epsilon=1e-2)
+            build_recovery_sequence(traj, replace(params, epsilon=1e-2), Tilt.zero(12))

@@ -1,8 +1,10 @@
 import ast
+import importlib
+import inspect
 import json
 import logging
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,7 @@ from edpflow import (
     SystemParams,
     Tilt,
     Trajectory,
+    build_recovery_sequence,
     coarse_params,
     default_configs,
     dissipation_functional,
@@ -102,7 +105,7 @@ def brute_force_three_cell(c, v, params, epsilon):
 class TestPrimalRate:
     def test_zero_rate(self, params, rng):
         st = positive_state(rng, 9)
-        res = primal_R_eps(st, params, Tilt.zero(9), np.zeros((2, 9)))
+        res = primal_R_eps(st, params, np.zeros((2, 9)))
         assert res.value == 0.0
         assert np.all(res.fluxes.J == 0.0) and np.all(res.fluxes.b == 0.0)
         assert res.dual.iterations == 0
@@ -119,7 +122,7 @@ class TestPrimalRate:
         J = np.zeros((2, n + 1))
         J[:, 1:-1] = 1.3 * cbar * np.diff(phi)[None, :] / h
         v = -(J[:, 1:] - J[:, :-1]) / h
-        res = primal_R_eps(st, p, Tilt.zero(n), v)
+        res = primal_R_eps(st, p, v)
         expected = 0.5 * np.sum(1.3 * cbar * np.diff(phi)[None, :] ** 2) / h
         assert res.value == pytest.approx(expected, abs=1e-8)
         assert np.max(np.abs(res.fluxes.J - J)) < 1e-8
@@ -128,11 +131,11 @@ class TestPrimalRate:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_cell_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        p = SystemParams((1.0, 2.0), 1.0, 3.0)
+        p = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=0.5)
         c = rng.uniform(0.3, 1.5, (2, 3))
         v = rng.normal(size=(2, 3))
         v -= v.mean()
-        res = primal_R_eps(State(c), p, Tilt.zero(3), v, epsilon=0.5)
+        res = primal_R_eps(State(c), p, v)
         oracle = brute_force_three_cell(c, v, p, 0.5)
         assert res.value == pytest.approx(oracle, abs=1e-6)
 
@@ -141,7 +144,7 @@ class TestPrimalRate:
         st = positive_state(rng, n)
         v = rng.normal(size=(2, n))
         v -= v.mean()
-        res = primal_R_eps(st, params, Tilt.zero(n), v)
+        res = primal_R_eps(st, params, v)
         div = (res.fluxes.J[:, 1:] - res.fluxes.J[:, :-1]) * n
         assert np.max(np.abs(v + div - res.fluxes.b)) < 1e-8
         assert res.dual.gradient_norm <= 1e-10
@@ -160,7 +163,7 @@ class TestPrimalRate:
             b1 = rng.normal(size=n)
             b = np.stack([b1, -b1])
             v = -(J[:, 1:] - J[:, :-1]) * n + b
-            res = primal_R_eps(st, params, Tilt.zero(n), v)
+            res = primal_R_eps(st, params, v)
             vd, vr = primal_objective(st, params, FluxAssignment(J, b))
             assert vd + vr >= res.value - 1e-10
         # at the optimum the gap closes
@@ -171,14 +174,14 @@ class TestPrimalRate:
         st = positive_state(rng, 6)
         v = np.ones((2, 6))
         with pytest.raises(ValueError, match="mass"):
-            primal_R_eps(st, params, Tilt.zero(6), v)
+            primal_R_eps(st, params, v)
 
     @pytest.mark.parametrize("shape", [(6, 2), (2, 7)])
     def test_xi0_of_another_shape_rejected(self, params, rng, shape):
         # an (n, 2) start must not be read as the transpose of a (2, n) one
         st = positive_state(rng, 6)
         with pytest.raises(ValueError, match=r"xi0 shape .* does not match state \(2, 6\)"):
-            primal_R_eps(st, params, Tilt.zero(6), np.zeros((2, 6)), xi0=np.zeros(shape))
+            primal_R_eps(st, params, np.zeros((2, 6)), xi0=np.zeros(shape))
 
     def test_blocked_transport_fails_with_diagnostics(self, params):
         # two adjacent empty cells cut the domain (the face between them has
@@ -187,7 +190,7 @@ class TestPrimalRate:
         c = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
         with pytest.raises(DualAscentError) as err:
-            primal_R_eps(State(c), params, Tilt.zero(4), v)
+            primal_R_eps(State(c), params, v)
         assert err.value.gradient_norm > 0
 
 
@@ -235,6 +238,89 @@ def _full_dual_at(c, delta, edges, v, h, xi):
     return val, np.linalg.norm(grad, axis=1), rounding, full_fluxes(y)[1:]
 
 
+class TestNewtonIterationCap:
+    """``_MAX_NEWTON_ITER`` bounds every ascent, whichever function runs it."""
+
+    def test_one_iteration_is_not_enough(self, monkeypatch):
+        # a mild rate, whose ascent from zero takes two Newton iterations
+        rng = np.random.default_rng(0)
+        p = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=0.5)
+        st = State(rng.uniform(0.5, 1.5, (2, 6)))
+        v = 0.1 * rng.normal(size=(2, 6))
+        v -= v.mean()
+        assert primal_R_eps(st, p, v).dual.iterations == 2
+        # the gradient after one full Newton step from zero, from a dense solve
+        vg, hess, _ = _dual(st.c[None], p.delta_array, [(0, 1, 1.0 / p.epsilon)], v[None], 1.0 / 6)
+        one = np.arange(1)
+        x0 = np.zeros((1, 6))
+        step = np.linalg.solve(_banded_to_dense(hess(x0, one), 1), vg(x0, one)[1][0])
+        expected = np.linalg.norm(vg(x0 + step, one)[1])
+        assert expected > 1e-10
+
+        monkeypatch.setattr(dissipation_module, "_MAX_NEWTON_ITER", 1)
+        with pytest.raises(DualAscentError, match="iteration limit reached") as err:
+            primal_R_eps(st, p, v)
+        assert err.value.gradient_norm == pytest.approx(expected, rel=1e-6)
+        # the evaluators run the same ascent under the same cap
+        traj = Trajectory(np.array([0.0, 0.1]), np.stack([st.c, st.c + 0.1 * v]))
+        with pytest.raises(DualAscentError, match="iteration limit reached"):
+            dissipation_functional(traj, p, Tilt.zero(6))
+
+
+class TestOneEpsilon:
+    """The scale epsilon is read from ``SystemParams`` alone."""
+
+    @pytest.fixture
+    def case(self, params, rng):
+        st = positive_state(rng, 6)
+        tilt = Tilt.zero(6)
+        v = rng.normal(size=(2, 6))
+        v -= v.mean()
+        xi = rng.normal(size=(2, 6))
+        fluxes = primal_R_eps(st, params, v).fluxes
+        traj = Trajectory(np.array([0.0, 0.1]), np.stack([st.c, st.c + 0.1 * v]),
+                          FluxAssignment(fluxes.J[None], fluxes.b[None]))
+        hat = solve_effective(st.c.sum(axis=0), params, tilt, SolverConfig(1e-2, 0.05))
+        limit = reconstruct_from_coarse(hat, params, tilt).trajectory
+        return {
+            "primal_R_eps": (primal_R_eps, (st, params, v)),
+            "primal_objective": (primal_objective, (st, params, fluxes)),
+            "dissipation_functional": (dissipation_functional, (traj, params, tilt)),
+            "flux_dissipation": (flux_dissipation, (traj, params, tilt)),
+            "edb_residual": (edb_residual, (traj, params, tilt)),
+            "_balance": (dissipation_module._balance, (traj, params, tilt)),
+            "dual_dissipation": (dual_dissipation, (st, params, tilt, xi)),
+            "slope": (slope, (st, params, tilt)),
+            "build_recovery_sequence": (build_recovery_sequence, (limit, params, tilt)),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "primal_R_eps", "primal_objective", "dissipation_functional", "flux_dissipation",
+        "edb_residual", "_balance", "dual_dissipation", "slope", "build_recovery_sequence",
+    ])
+    def test_no_epsilon_override(self, case, name):
+        fn, args = case[name]
+        fn(*args)
+        # an override would bypass the check that epsilon > 0
+        with pytest.raises(TypeError, match="epsilon"):
+            fn(*args, epsilon=-1.0)
+
+    def test_params_reject_an_epsilon_out_of_range(self, params):
+        # an infinite epsilon made the dual ascent multiply 0 by inf and stall
+        for eps in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                replace(params, epsilon=eps)
+
+    @pytest.mark.parametrize("module", ["dissipation", "functionals", "coarsegrain"])
+    def test_no_public_function_takes_a_fixed_option(self, module):
+        mod = importlib.import_module(f"edpflow.{module}")
+        fixed = {"epsilon", "max_iter", "bandwidth", "tol_manifold", "ce_tol", "tol_eq"}
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj):
+                assert not fixed & set(inspect.signature(obj).parameters), name
+
+
 class TestNetworkDualKernel:
     """The dual reduced to the potential differences to species 0, for every species count."""
 
@@ -248,13 +334,15 @@ class TestNetworkDualKernel:
         c = rng.uniform(0.3, 1.5, (2, i_sp, n))
         v = rng.normal(size=c.shape)
         v -= v.mean(axis=(1, 2), keepdims=True)
-        value_grad, hess_banded, _, band = _dual(c, rng.uniform(0.5, 2.0, i_sp), edges, v, 1.0 / n)
-        assert band == 2 * i_sp - 3
+        value_grad, hess_banded, _ = _dual(c, rng.uniform(0.5, 2.0, i_sp), edges, v, 1.0 / n)
         size = (i_sp - 1) * n
         x = rng.normal(scale=0.3, size=(2, size))
         both = np.arange(2)
+        ab = hess_banded(x, both)
+        band = ab.shape[0] - 1
+        assert band == 2 * i_sp - 3
 
-        dense = _banded_to_dense(hess_banded(x, both), band)
+        dense = _banded_to_dense(ab, band)
         for m in range(2):
             one = np.array([m])
             grad = value_grad(x[m:m + 1], one)[1][0]
@@ -280,9 +368,8 @@ class TestNetworkDualKernel:
         c = gen.stationary(epsilon)[:, None] * rng.uniform(0.5, 1.5, (3, i_sp, n))
         v = rng.normal(size=c.shape)
         v -= v.mean(axis=(1, 2), keepdims=True)
-        vg, hess, fluxes, band = _dual(c, gen.delta, edges, v, h)
-        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, (i_sp - 1) * n)),
-                                            bandwidth=band, tol=tol)
+        vg, hess, fluxes = _dual(c, gen.delta, edges, v, h)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, (i_sp - 1) * n)), tol=tol)
         xi, J, b = fluxes(x)
         # the reconstructed potentials maximize the full dual: its value there
         # is the reduced one, its gradient is below sqrt(I) times the stopping
@@ -303,8 +390,8 @@ class TestNetworkDualKernel:
         c[..., 1:3] = 0.0
         v = np.zeros_like(c)
         v[0, :, :2] = [[-1.0, 1.0], [0.5, -0.5], [0.2, -0.2]]
-        vg, hess, fluxes, band = _dual(c, gen.delta, edges, v, 0.25)
-        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((1, 8)), bandwidth=band)
+        vg, hess, fluxes = _dual(c, gen.delta, edges, v, 0.25)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((1, 8)))
         _, J, b = fluxes(x)
         assert np.isfinite(val[0]) and val[0] > 0
         assert np.all(J[0, :, 2] == 0.0)
@@ -339,8 +426,8 @@ class TestReducedTwoSpeciesDual:
         c, v = self._problems(rng, n, tilt)
         delta, h, tol = np.array([1.0, 2.0]), 1.0 / n, 1e-10
         edges = [(0, 1, 1.0 / epsilon)]
-        vg, hess, fluxes, band = _dual(c, delta, edges, v, h)
-        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), bandwidth=band, tol=tol)
+        vg, hess, fluxes = _dual(c, delta, edges, v, h)
+        x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), tol=tol)
         xi, J, (b,) = fluxes(x)
         # the reconstructed potentials maximize the full dual: its value there
         # is the reduced one, its gradient is below sqrt(2) times the stopping
@@ -358,12 +445,11 @@ class TestReducedTwoSpeciesDual:
         v = rng.normal(size=c.shape)
         v -= v.mean(axis=(1, 2), keepdims=True)
         edges = [(0, 1, 1.0 / params.epsilon)]
-        value_grad, hess_banded, _, band = _dual(c, params.delta_array, edges, v, 1.0 / n)
-        assert band == 1
+        value_grad, hess_banded, _ = _dual(c, params.delta_array, edges, v, 1.0 / n)
         x = rng.normal(scale=0.3, size=(2, n))
         ab = hess_banded(x, np.arange(2))
         assert ab.shape == (2, 2 * n)
-        dense = _banded_to_dense(ab, band)
+        dense = _banded_to_dense(ab, 1)
         for m in range(2):
             one = np.array([m])
             grad = value_grad(x[m:m + 1], one)[1][0]
@@ -385,7 +471,7 @@ class TestReducedTwoSpeciesDual:
         traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
         dissipation_functional(traj, params, tilt)
         rate = (traj.states[1] - traj.states[0]) / 1e-3
-        primal_R_eps(State(traj.states[0]), params, tilt, rate)
+        primal_R_eps(State(traj.states[0]), params, rate)
         assert factored and set(factored) == {1}
         # networks factor at bandwidth 2 I - 3
         for i_sp in (3, 4):
@@ -402,7 +488,7 @@ class TestReducedTwoSpeciesDual:
         # the rate moves mass on the left half only, so nothing crosses it
         c = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         v = np.array([[-1.0, 1.0, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]])
-        res = primal_R_eps(State(c), params, Tilt.zero(4), v)
+        res = primal_R_eps(State(c), params, v)
         assert np.isfinite(res.value) and res.value > 0
         assert res.fluxes.J[:, 2].tolist() == [0.0, 0.0]
         assert sum(primal_objective(State(c), params, res.fluxes)) == pytest.approx(
@@ -456,8 +542,9 @@ class TestDissipationFunctional:
         traj = Trajectory(0.1 * np.arange(3), states)
         vals = []
         for eps in (0.1, 0.01):
-            bd = dissipation_functional(traj, params, tilt=Tilt.zero(8), epsilon=eps)
-            _, sr = slope(st, params, Tilt.zero(8), eps)
+            p = replace(params, epsilon=eps)
+            bd = dissipation_functional(traj, p, Tilt.zero(8))
+            _, sr = slope(st, p, Tilt.zero(8))
             assert bd.slope_react == pytest.approx(0.2 * sr, rel=1e-12)
             vals.append(bd.slope_react)
         assert vals[1] == pytest.approx(10 * vals[0], rel=1e-12)
@@ -512,7 +599,7 @@ class TestEnergyDissipationBalance:
             for m in range(traj.n_times - 1):
                 st = State(traj.states[m])
                 rate = (traj.states[m + 1] - traj.states[m]) / dt
-                r_val = primal_R_eps(st, params, tilt, rate).value
+                r_val = primal_R_eps(st, params, rate).value
                 sd, sr = slope(st, params, tilt)
                 power = float(np.sum(energy_gradient(st, params, tilt) * rate)) / n
                 total += dt * (r_val + sd + sr + power)
@@ -524,7 +611,7 @@ class TestMonotoneSingularLimit:
     def test_dual_potential_grows_monotonically(self, params, rng):
         st = positive_state(rng, 7)
         xi = rng.normal(size=(2, 7))
-        vals = [dual_dissipation(st, params, Tilt.zero(7), xi, epsilon=e)
+        vals = [dual_dissipation(st, replace(params, epsilon=e), Tilt.zero(7), xi)
                 for e in (1.0, 0.1, 0.01, 0.001)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -616,7 +703,7 @@ class TestGammaTrend:
         htraj = solve_effective(hat0, params, tilt, SolverConfig(1e-3, 0.03))
         rec = reconstruct_from_coarse(htraj, params, tilt)
         d0 = hat_flux_dissipation(htraj, params, tilt).total
-        gaps = [abs(flux_dissipation(rec.trajectory, params, tilt, eps).total - d0)
+        gaps = [abs(flux_dissipation(rec.trajectory, replace(params, epsilon=eps), tilt).total - d0)
                 for eps in (1.0, 0.1, 0.01, 0.001)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4
@@ -638,7 +725,7 @@ def _sequential_breakdown(traj, params, tilt):
     for m, dt in enumerate(np.diff(traj.times)):
         st = State(traj.states[m])
         rate = (traj.states[m + 1] - traj.states[m]) / dt
-        res = primal_R_eps(st, params, tilt, rate, xi0=xi)
+        res = primal_R_eps(st, params, rate, xi0=xi)
         xi = res.dual.xi
         stored = FluxAssignment(traj.fluxes.J[m], traj.fluxes.b[m])
         acc += dt * np.array([*primal_objective(st, params, res.fluxes), *slope(st, params, tilt),
@@ -657,8 +744,8 @@ def _sequential_multispecies(traj, gen, eps):
     for m, dt in enumerate(np.diff(traj.times)):
         c = traj.states[m]
         v = (traj.states[m + 1] - c) / dt
-        vg, hess, fluxes, band = _dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
-        x = damped_newton_max(vg, hess, np.zeros((1, (i_sp - 1) * n)), bandwidth=band)[0]
+        vg, hess, fluxes = _dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
+        x = damped_newton_max(vg, hess, np.zeros((1, (i_sp - 1) * n)))[0]
         _, J, edge_b = fluxes(x)
         terms = np.zeros(6)
         mob = gen.delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
@@ -724,7 +811,7 @@ class TestBatchedEvaluation:
         v[2] = [[2000.0] * n, [-2000.0] * n]
         v -= v.mean(axis=(1, 2), keepdims=True)
         delta, edges = np.array([1.0, 2.0]), [(0, 1, 1.0)]
-        value_grad, hess, _, band = _dual(c, delta, edges, v, 1.0 / n)
+        value_grad, hess, _ = _dual(c, delta, edges, v, 1.0 / n)
         evaluated = []
 
         def counted(x, act):
@@ -732,14 +819,13 @@ class TestBatchedEvaluation:
             return value_grad(x, act)
 
         x, val, gnorm, sweeps, iters = damped_newton_max(
-            counted, hess, np.zeros((3, n)), bandwidth=band)
+            counted, hess, np.zeros((3, n)))
         assert iters[0] == 0 < iters[1] < iters[2] == sweeps and gnorm <= 1e-10
         assert len(evaluated) > 1 + sweeps  # the line search halved
         assert any(len(act) < 3 for act in evaluated[1:])  # converged problems dropped out
         for m in range(3):
             one = _dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
-            x1, val1, _, sweeps1, _ = damped_newton_max(
-                one[0], one[1], np.zeros((1, n)), bandwidth=band)
+            x1, val1, _, sweeps1, _ = damped_newton_max(one[0], one[1], np.zeros((1, n)))
             assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and sweeps1 == iters[m]
 
     def test_chunking_does_not_change_intervals(self, params):
@@ -773,7 +859,7 @@ class TestBatchedEvaluation:
             dissipation_functional(traj, params, Tilt.zero(4))
         assert err.value.gradient_norm > 0
         with pytest.raises(DualAscentError) as alone:
-            primal_R_eps(State(blocked), params, Tilt.zero(4), v)
+            primal_R_eps(State(blocked), params, v)
         # the error is the blocked interval's (its rate differs in the last bit)
         assert err.value.gradient_norm == pytest.approx(alone.value.gradient_norm, rel=1e-12)
 
@@ -897,7 +983,7 @@ class TestWarmStart:
         (iters,) = newton_counts  # the single interval is its block's only anchor
         assert iters.size == 1
         rate = (traj.states[1] - traj.states[0]) / 4e-4
-        res = primal_R_eps(State(traj.states[0]), params, tilt, rate)
+        res = primal_R_eps(State(traj.states[0]), params, rate)
         diff, react = primal_objective(State(traj.states[0]), params, res.fluxes)
         assert bd.vel_diff == pytest.approx(4e-4 * diff, rel=1e-12)
         assert bd.vel_react == pytest.approx(4e-4 * react, rel=1e-9)
@@ -1025,7 +1111,7 @@ class TestRoundoffFloor:
         traj, params = self._slow_manifold_trajectory(1e-8)
         st = State(traj.states[0])
         rate = (traj.states[1] - traj.states[0]) / (traj.times[1] - traj.times[0])
-        res = primal_R_eps(st, params, Tilt.zero(40), rate)
+        res = primal_R_eps(st, params, rate)
         # Newton reaches the rounding level in a few steps; tol alone is out of reach
         assert res.dual.iterations <= 3
         assert 1e-10 < res.dual.gradient_norm < 1e-8

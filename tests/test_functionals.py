@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -185,7 +187,8 @@ class TestDualDissipation:
         st = State(np.ones((2, 8)))
         xi = np.zeros((2, 8))
         xi[0] = 2 * np.log(2)
-        assert dual_dissipation(st, params, Tilt.zero(8), xi, epsilon=1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dual_dissipation(st, replace(params, epsilon=1.0), Tilt.zero(8), xi) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_convex_in_xi(self, params, rng):
         st = positive_state(rng, 6)
@@ -229,8 +232,8 @@ class TestSlope:
 
     def test_off_manifold_scales_inversely(self, params, rng):
         st = positive_state(rng, 8)
-        _, sr1 = slope(st, params, Tilt.zero(8), epsilon=0.1)
-        _, sr2 = slope(st, params, Tilt.zero(8), epsilon=0.01)
+        _, sr1 = slope(st, replace(params, epsilon=0.1), Tilt.zero(8))
+        _, sr2 = slope(st, replace(params, epsilon=0.01), Tilt.zero(8))
         assert sr2 == pytest.approx(10 * sr1, rel=1e-12)
 
 

@@ -256,6 +256,19 @@ class TestLagrangeMultipliers:
         # cancellation is algebraically exact for constant tilts
         assert np.max(np.abs(lam1 + lam2)) < 1e-13
 
+    def test_fewer_than_three_cells_raise(self, params):
+        # a grid of 2 cells is valid, but the end stencils reach 3 cells: the
+        # second derivative would return entries it never wrote
+        for f in ([1.0, 3.0], [5.0, 1.0], [2.0]):
+            for derivative in (central_first_derivative, central_second_derivative):
+                with pytest.raises(ValueError, match="at least 3 cells"):
+                    derivative(f, 0.5)
+        with pytest.raises(ValueError, match="at least 3 cells"):
+            lagrange_multipliers(np.ones(2), params, Tilt.zero(2))
+        second = central_second_derivative([0.0, 1.0, 4.0], 1.0)
+        assert np.array_equal(second, [2.0, 2.0, 2.0])
+        assert np.array_equal(central_first_derivative([0.0, 1.0, 4.0], 1.0), [0.0, 2.0, 4.0])
+
     def test_cancellation_refines_at_first_order(self, params):
         errs = []
         for n in (40, 80):
