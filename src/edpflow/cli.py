@@ -281,6 +281,10 @@ def load_config(source) -> ExperimentConfig:
             problems.append(f"missing key {key!r}")
     if experiment == "edb_refinement" and len(fields.get("epsilons", ())) != 1:
         problems.append("'epsilons' must hold exactly one scale for edb_refinement")
+    if experiment == "eps_sweep" and {"solver", "epsilons"} <= fields.keys():
+        sc, eps = fields["solver"], fields["epsilons"][-1]  # the sweep steps at min(dt, eps / 5)
+        if sc.t_final > (1e7 + 0.5) * min(sc.dt, eps / 5.0):
+            problems.append(f"'epsilons': {eps!r} forces more than 1e7 steps of min(dt, epsilon / 5)")
     if (experiment == "mixed_diffusion_fit" and "initial_spec" in fields
             and abs(fields["initial_spec"]["amplitude"]) <= 1e-12):
         # the decay fit's own floor on the initial mode amplitude

@@ -43,8 +43,8 @@ logger = logging.getLogger(__name__)
 
 # values per window, about, of every reader that streams a trajectory, a
 # solve or an array in windows: bounds its working set whatever the length.
-# Half this, rounded down to whole warm-start blocks, took twice as many
-# stacked Newton solves on the 4-species network benchmark.
+# The evaluators run one stacked Newton solve per window, so a smaller
+# budget means more, smaller solves.
 _WINDOW_BUDGET = 1 << 14
 
 

@@ -18,25 +18,26 @@ The module also evaluates the time-integrated dissipation of trajectories,
 its four-term breakdown, the energy-dissipation-balance residual, and the
 coarse (slow-variable) versions of all three.  Each evaluation costs one
 set of fluxes: the optimal ones of the rates, which is the dissipation, or
-those the trajectory carries, an upper bound of it.  Every block of
-consecutive intervals, counted from the trajectory's start, first solves its
-first and last interval from zero; the intervals between start from the
-interpolation of those two maximizers.
+those the trajectory carries, an upper bound of it.  Every interval's
+ascent starts from the energy gradient of its two states: along a solution
+of the gradient flow the dual maximizer is -DE(c) = -log(c / w) up to
+O(dt), the identity the energy-dissipation balance measures.
 
 The evaluators read a trajectory through its ``windows`` method, in
-consecutive windows of whole blocks, and evaluate one window at a time: its
-block anchors form one stacked Newton solve and its other intervals a
-second.  A stored trajectory and a solve, which hands its windows over as it
-steps without ever being stored, are read alike.  No interval's terms depend
-on the other problems stacked with it, and the terms are added to their
-running sums one interval at a time, so the results do not depend on the
-windows either: a stored trajectory and its solve give the same bits.
+consecutive windows of one budget of values, and evaluate one window at a
+time: its intervals' ascents form one stacked Newton solve.  A stored
+trajectory and a solve, which hands its windows over as it steps without
+ever being stored, are read alike.  No interval's terms depend on the other
+problems stacked with it, and the terms are added to their running sums one
+interval at a time, so the results do not depend on the windows either: a
+stored trajectory and its solve give the same bits.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# intervals per warm-start block of _network_terms: of 8, 16, 32 and 64,
-# 32 took the fewest Newton iterations and the least time on the refinement
-# study.  A power of two, so that a trajectory cut at a multiple of it keeps
-# its blocks.
-_WARM_BLOCK = 32
 
 # the most Newton iterations a dual ascent may take
 _MAX_NEWTON_ITER = 200
@@ -229,10 +224,9 @@ def _dual(c, delta, edges, v, h):
     jumps across them, whatever the potentials.
 
     Returns ``(value_grad, hess_banded, fluxes)`` for
-    :func:`damped_newton_max`; ``fluxes(x)`` reads off the potentials xi
-    (M, I, n), xi_0 summed from its jumps s and all shifted to a shared mean
-    of zero, the face fluxes J (M, I, n + 1) and the exchange fluxes
-    (E, M, n) of the edges, entering species a with + and b with -.
+    :func:`damped_newton_max`; ``fluxes(x)`` reads off the face fluxes J
+    (M, I, n + 1) and the exchange fluxes (E, M, n) of the edges, entering
+    species a with + and b with -.
     """
     n_prob, i_sp, n = c.shape
     size = i_sp - 1  # unknowns per cell
@@ -324,12 +318,8 @@ def _dual(c, delta, edges, v, h):
         J = np.zeros((n_prob, i_sp, n + 1))
         J[:, 0, 1:-1] = w[:, 0] * s
         J[:, 1:, 1:-1] = wr * (s[:, None] - d)
-        xi = np.zeros((n_prob, i_sp, n))
-        xi[:, 0, 1:] = np.cumsum(s, axis=1)
-        xi[:, 1:] = xi[:, :1] - eta
-        xi -= xi.mean(axis=(1, 2), keepdims=True)
         b = rw / h * cosh_star_prime(exchange(eta))
-        return xi, J, b.transpose(1, 0, 2)
+        return J, b.transpose(1, 0, 2)
 
     return value_grad, hess_banded, fluxes
 
@@ -388,13 +378,20 @@ def primal_R_eps(state: State, params: SystemParams, v, *, xi0=None) -> PrimalRa
     delta = params.delta_array
     vg, hess, fluxes = _dual(c[None], delta, edges, v[None], h)
     x, val, _, iters, _ = damped_newton_max(vg, hess, (x0[0] - x0[1])[None])
-    xi, J, b_edges = fluxes(x)
-    xi, J, b = xi[0], J[0], np.stack([b_edges[0, 0], -b_edges[0, 0]])
+    J, b_edges = fluxes(x)
+    J, b = J[0], np.stack([b_edges[0, 0], -b_edges[0, 0]])
     value = float(val[0])
+    # the potentials: xi_0 summed from its face jumps s = (w_1 d(eta) - G) / W (0 where
+    # both species are empty), xi_1 = xi_0 - eta, shifted to a mean of zero
+    w = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h
+    W = np.where(w.sum(axis=0) == 0, 1.0, w.sum(axis=0))
+    s = w[1] / W * np.diff(x[0]) - np.cumsum(h * v.sum(axis=0))[:-1] / W
+    xi = np.concatenate([[0.0], np.cumsum(s)]) - np.stack([np.zeros_like(x[0]), x[0]])
+    xi -= xi.mean()
     # the potentials certify themselves: the full dual's gradient at xi is h v
     # plus the divergence of the face fluxes w d(xi) less the exchange
     flux = np.zeros_like(J)
-    flux[:, 1:-1] = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h * np.diff(xi)
+    flux[:, 1:-1] = w * np.diff(xi)
     with np.errstate(over="ignore"):
         ex = kappa * h * np.sqrt(c[0] * c[1]) * cosh_star_prime(xi[0] - xi[1])
     grad = h * v + np.diff(flux) - np.stack([ex, -ex])
@@ -435,86 +432,67 @@ def _integrate(acc, terms, dts):
     return rows.cumsum(axis=1)[:, -1]
 
 
+def _energy_gradient_start(states, w):
+    """The rows of ``x0`` of the intervals between ``states`` (k + 1, I, n), ``w`` (I, n).
+
+    The dual maximizer is -DE(c) = -log(c / w) up to O(dt) along a solution,
+    so eta_i = xi_0 - xi_i starts at l_i - l_0, l the mean of log(c / w) at
+    the interval's two ends, and at 0 where that is not finite (empty cells).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        level = np.log(states / w)
+        level = 0.5 * (level[:-1] + level[1:])
+        eta = level[:, 1:] - level[:, :1]
+    eta[~np.isfinite(eta)] = 0.0
+    return eta.transpose(0, 2, 1).reshape(eta.shape[0], -1)
+
+
 def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, newton=None):
     """Time integrals (left-endpoint rule) of the dissipation terms of a trajectory on a network.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of
-    the trajectory: the states (k + 1, I, n) at times spaced by ``dts`` (the
-    first the previous window's last) and the fluxes (J (k, I, n + 1),
-    per-edge exchange fluxes (E, k, n)) whose cost is the velocity part, or
-    None for the optimal fluxes of the difference-quotient rates.  Every
-    window but the last holds whole warm-start blocks.  ``w`` (I, n) is the
-    stationary measure on cells and ``edges`` lists (i, j, kappa).  Returns
-    the velocity terms and then the slope terms, each the diffusion term
-    followed by the exchange terms summed over each boolean edge mask in
-    ``groups``.
+    the trajectory, of any lengths: the states (k + 1, I, n) at times spaced
+    by ``dts`` (the first the previous window's last) and the fluxes (J (k,
+    I, n + 1), per-edge exchange fluxes (E, k, n)) whose cost is the
+    velocity part, or None for the optimal fluxes of the difference-quotient
+    rates.  ``w`` (I, n) is the stationary measure on cells and ``edges``
+    lists (i, j, kappa).  Returns the velocity terms and then the slope
+    terms, each the diffusion term followed by the exchange terms summed
+    over each boolean edge mask in ``groups``.
 
-    The dual ascents of a window run as two stacked Newton solves, the block
-    anchors' and then the warm-started intervals' (see the module
-    docstring), on the reduced dual of :func:`_dual`, (I - 1) n unknowns an
-    interval for I species; each interval keeps its own stopping test, so
-    only its start depends on its neighbours.  Each term is integrated on its
-    own by :func:`_integrate`, so its rounding depends neither on the windows
-    nor on which other terms are evaluated with it.  The ascent is logged to
-    ``log``, one record per trajectory; ``newton`` is
-    :func:`damped_newton_max` as the caller's module binds it (this module's
-    by default), so that instrumentation wrapping it per module attributes
-    the solves to the calling evaluator.
+    The dual ascents of a window's intervals run as one stacked Newton
+    solve on the reduced dual of :func:`_dual`, (I - 1) n unknowns an
+    interval for I species, each from the energy gradient of its own two
+    states (:func:`_energy_gradient_start`) and with its own stopping test,
+    so no interval's terms depend on its neighbours or on the windows.  Each
+    term is integrated on its own by :func:`_integrate`, so its rounding
+    depends neither on the windows nor on which other terms are evaluated
+    with it.  The ascent is logged to ``log``, one record per trajectory;
+    ``newton`` is :func:`damped_newton_max` as the caller's module binds it
+    (this module's by default), so that instrumentation wrapping it per
+    module attributes the solves to the calling evaluator.
     """
     newton = newton or damped_newton_max
-    anchor_log, interior_log = [], []  # (gradient norm, histogram of iterations) per solve
-    acc, ragged = 0.0, False
-
-    def solve(vg, hess, rows, x0, record):
-        """The ascents of the window's intervals ``rows``, from ``x0``."""
-        x, _, gnorm, _, iters = newton(lambda y, k: vg(y, rows[k]), lambda y, k: hess(y, rows[k]),
-                                       x0, tol=tol)
-        record.append((gnorm, np.bincount(iters)))
-        return x
-
+    counts, worst, acc = Counter(), 0.0, 0.0  # Newton iterations per interval, largest final gradient
     for n_windows, (states, dts, fluxes) in enumerate(windows, 1):
-        if ragged:
-            raise ValueError("a window of the trajectory ends inside a warm-start block")
-        n_int = dts.size
-        ragged = n_int % _WARM_BLOCK
         c = states[:-1]
-        n = c.shape[2]
-        h = 1.0 / n
+        h = 1.0 / c.shape[2]
         if fluxes is None:
             vg, hess, optimal = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
-            # blocks and interpolation weights: the window starts a block
-            index = np.arange(n_int)
-            first = index // _WARM_BLOCK * _WARM_BLOCK
-            last = np.minimum(first + _WARM_BLOCK, n_int) - 1
-            weight = (index - first) / np.maximum(last - first, 1)
-            anchors = np.union1d(first, last)
-            size = (c.shape[1] - 1) * n  # unknowns per interval
-            x_anchor = solve(vg, hess, anchors, np.zeros((anchors.size, size)), anchor_log)
-            # exact at the anchors themselves: 1 * x_a + 0 * x_b and 0 * x_a + 1 * x_b
-            x = ((1.0 - weight)[:, None] * x_anchor[np.searchsorted(anchors, first)]
-                 + weight[:, None] * x_anchor[np.searchsorted(anchors, last)])
-            inner = np.flatnonzero((weight > 0) & (weight < 1))
-            if inner.size:
-                x[inner] = solve(vg, hess, inner, x[inner], interior_log)
-            fluxes = optimal(x)[1:]
+            x, _, gnorm, _, iters = newton(vg, hess, _energy_gradient_start(states, w), tol=tol)
+            counts.update(iters.tolist())
+            worst = max(worst, gnorm)
+            fluxes = optimal(x)
         terms = []
         for diff, per_edge in (_network_cost(c, delta, edges, *fluxes, h),
                                _network_slope(c, w, delta, edges, h)):
             per_edge = np.array(per_edge)
             terms += [diff, *(per_edge[g].sum(axis=0) for g in groups)]
         acc = _integrate(acc, terms, dts)
-    if anchor_log and log.isEnabledFor(logging.DEBUG):
-        def hist(solves):
-            counts = np.zeros(max((c.size for _, c in solves), default=0), dtype=int)
-            for _, c in solves:
-                counts[:c.size] += c
-            return {k: int(m) for k, m in enumerate(counts) if m}
-
-        solves = anchor_log + interior_log
-        log.debug("dual ascent over %d intervals in %d windows (block anchors %s, warm-started %s): "
-                  "Newton iterations per interval %s, max final gradient norm %.3e",
-                  sum(int(c.sum()) for _, c in solves), n_windows, hist(anchor_log),
-                  hist(interior_log), hist(solves), max(g for g, _ in solves))
+    if counts and log.isEnabledFor(logging.DEBUG):
+        log.debug("dual ascent over %d intervals in %d windows: Newton iterations per interval %s, "
+                  "max final gradient norm %.3e", sum(counts.values()), n_windows,
+                  dict(sorted(counts.items())), worst)
     return acc
 
 
@@ -529,11 +507,11 @@ def _two_species_args(state: State, params: SystemParams, tilt: Tilt):
 def _windows(traj, fluxes=None):
     """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
 
-    Windows of whole warm-start blocks, as :func:`_network_terms` requires,
-    with the evaluation's one velocity source: ``fluxes`` maps the fluxes
-    each window carries to those to cost, and without it the optimal ones are.
+    Windows of the one budget (:func:`~edpflow.core._window_unit`), with the
+    evaluation's one velocity source: ``fluxes`` maps the fluxes each window
+    carries to those to cost, and without it the optimal ones are.
     """
-    for times, states, *carried in traj.windows(_window_unit(traj.states[0].size, _WARM_BLOCK)):
+    for times, states, *carried in traj.windows(_window_unit(traj.states[0].size)):
         if fluxes is not None and not carried:
             raise ValueError("no flux data: the trajectory carries no fluxes")
         yield states, np.diff(times), None if fluxes is None else fluxes(*carried)
@@ -546,9 +524,10 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt, *
     Per interval the velocity part is the primal flux cost of the difference
     quotient rate and the slope part the Fisher-information terms at the left
     endpoint; time integration is the left-endpoint rule.  The dual ascents
-    run as stacked Newton solves, warm-started from block anchors (see the
-    module docstring).  Fluxes the trajectory carries do not enter; their
-    cost is :func:`flux_dissipation`.
+    of a window run as one stacked Newton solve, each interval's from the
+    energy gradient of its two states (see the module docstring).  Fluxes
+    the trajectory carries do not enter; their cost is
+    :func:`flux_dissipation`.
 
     ``traj`` may also be a solve, read window by window (see
     :meth:`edpflow.solver._Solve.windows`); the terms are those of the

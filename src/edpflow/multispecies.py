@@ -83,6 +83,8 @@ class MarkovGenerator:
         return len(self.species)
 
     def assemble(self, epsilon: float) -> np.ndarray:
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         return self.a_slow + self.a_fast / epsilon
 
     def stationary(self, epsilon: float) -> np.ndarray:
@@ -364,11 +366,12 @@ def _multispecies_solve(initial: State, gen: MarkovGenerator, epsilon: float,
         )
     propagator = _generator_exp(gen.assemble(epsilon) * (0.5 * config.dt_effective))
 
-    def half(c):
-        d = propagator @ c - c
+    sums = np.empty(initial.n_cells)
+
+    def half(c, d):
+        np.subtract(np.matmul(propagator, c, d), c, d)
         # centred, so that the propagator's column sums (1 up to roundoff) move no mass
-        d -= d.sum(axis=0) / len(d)
-        return c + d, d
+        np.subtract(d, np.divide(np.add.reduce(d, 0, None, sums), len(d), sums), d)
 
     delta_faces = np.repeat(gen.delta[:, None], initial.n_cells - 1, axis=1)
     return _Solve("solve_multispecies", initial.c, config, delta_faces,

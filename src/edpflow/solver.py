@@ -6,15 +6,16 @@ exchange half step.  Drift-diffusion is advanced implicitly with an
 exponentially fitted face flux (the flux depends on the potential only
 through its face differences), which makes the tilted stationary measure an
 exact fixed point, conserves mass to machine precision, and preserves
-positivity (the implicit matrix is an M-matrix).  The implicit matrix of all
-species is one block-diagonal tridiagonal system, LU-factored once per run;
-each step advances every species with a single triangular solve.  The
-exchange is integrated exactly, so the scale separation costs nothing in
-stability: each solve with an exchange has one half-step map, applied before
-and after the drift-diffusion step, which moves amounts summing to zero over
-the species.  It is per cell the closed-form exponential of the two-state
-generator, or the exponential of an I-species generator shared by all cells;
-the coarse system has none.
+positivity (the implicit matrix is an M-matrix).  The exchange is
+integrated exactly, so the scale separation costs nothing in stability: it
+is per cell the closed-form exponential of the two-state generator, or the
+exponential of an I-species generator shared by all cells; the coarse
+system has none.
+
+Each solve has one fused step kernel (:func:`_kernel`), for both schemes:
+it writes each step in place into the window's buffers, allocating nothing,
+and its results are those of the step's separate array expressions, bit for
+bit.
 
 Per-interval fluxes are recorded from the solves themselves: face fluxes from
 the implicit step's internal fluxes and reaction fluxes from the exchange-step
@@ -111,60 +112,81 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-class _ImplicitStepper:
-    """Fitted drift-diffusion step for a stack of species, factored once per run.
+def _kernel(delta_faces, g, dt, h, crank_nicolson, half=None):
+    """The drift-diffusion matrix of a solve, factored once, and a maker of its step kernels.
 
-    The tridiagonal matrix of I - tau*L (tau = dt for implicit Euler, dt/2
-    for Crank-Nicolson) is LU-factored once; each step advances all species
-    with one triangular solve.  The accepted update is recomputed from the
-    recorded face fluxes (rather than taken from the linear solve directly),
-    so the discrete continuity pairing of states and fluxes holds to the last
-    bit instead of inheriting the solver's algebraic residual divided by dt.
+    ``delta_faces`` and ``g`` (k, n - 1) give the face fluxes -delta/h
+    (c_right g - c_left / g); ``half(c, d)``, if given, is the exchange half
+    step.  I - tau*L (tau = dt, or dt/2 for Crank-Nicolson) is factored with
+    each species padded by a decoupled identity row, so that unknown q and
+    face q of the flat (k, n + 1) stack share their index.  Each kernel, with
+    buffers of its own, advances ``c`` into ``out`` and writes the face fluxes
+    into ``J`` and the half steps' amounts into ``b``; the update is taken
+    from the fluxes, not the solve, so states and fluxes pair to the last bit.
     """
+    k, n = g.shape[0], g.shape[1] + 1
+    m = n + 1  # unknowns per species: its cells and the pad
+    size = k * m
+    r = (0.5 * dt if crank_nicolson else dt) / (h * h)
+    ab = np.zeros((3, k, m))
+    ab[1] = 1.0
+    ab[1, :, :n - 1] += r * delta_faces / g
+    ab[1, :, 1:n] += r * delta_faces * g
+    ab[0, :, 1:n] = -r * delta_faces * g
+    ab[2, :, :n - 1] = -r * delta_faces / g
+    ab = ab.reshape(3, -1)
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0 or not np.all(np.isfinite(ab)):
+        raise IntegrationError(
+            "tilt too large: the drift factors exp(dV/2) leave the floating-point "
+            "range and the implicit matrix is not finite or not invertible", 0)
+    # per flat face 1 .. size - 2: -delta/h and g inside a species, 0 and 1 on its walls
+    neg_dh, gf = np.zeros((k, m)), np.ones((k, m))
+    neg_dh[:, 1:n], gf[:, 1:n] = -(delta_faces / h), g
+    neg_dh, gf = neg_dh.ravel()[1:-1], gf.ravel()[1:-1]
+    dt_h, half_dt = dt / h, 0.5 * dt
 
-    def __init__(self, delta_faces, g, dt, h, crank_nicolson):
-        # delta_faces and g: shape (k, n - 1), one row per species
-        self._neg_dh = -(delta_faces / h)
-        self._g = g
-        self._h = h
-        self._dt_h = dt / h
-        self._half_dt = 0.5 * dt
-        self._cn = crank_nicolson
-        self._J_new = np.zeros((g.shape[0], g.shape[1] + 2))  # end-of-step flux of Crank-Nicolson
-        # I - tau*L, one block of n unknowns per species, no entries coupling two blocks
-        r = (0.5 * dt if crank_nicolson else dt) / (h * h)
-        ab = np.zeros((3, g.shape[0], g.shape[1] + 1))
-        ab[1] = 1.0
-        ab[1, :, :-1] += r * delta_faces / g
-        ab[1, :, 1:] += r * delta_faces * g
-        ab[0, :, 1:] = -r * delta_faces * g
-        ab[2, :, :-1] = -r * delta_faces / g
-        ab = ab.reshape(3, -1)
-        dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        if info != 0 or not np.all(np.isfinite(ab)):
-            raise IntegrationError(
-                "tilt too large: the drift factors exp(dV/2) leave the floating-point "
-                "range and the implicit matrix is not finite or not invertible", 0)
-        self._factors = (dl, d, du, du2, ipiv)
+    def make():
+        # operands are views made here, once: slicing, and a keyword argument
+        # (hence the positional out), cost a good part of a ufunc call
+        x, j, j_end, div = np.zeros((4, size))  # padded stack solved in place, fluxes, divergence
+        x_hi, x_lo, j_hi, j_lo, div_head = x[1:-1], x[:-2], j[1:], j[:-1], div[:-1]
+        x_v, div_v, j_2d = x.reshape(k, m)[:, :n], div.reshape(k, m)[:, :n], j.reshape(k, m)
+        t, s, d2 = np.empty(size - 2), np.empty(size - 2), np.empty((k, n))
+        into = [(f[1:-1], f[n:-1].reshape(k - 1, m)[:, :2]) for f in (j, j_end)]  # inner, walls
 
-    def fluxes(self, c, out):
-        """Internal face fluxes of the fitted operator into ``out``, whose boundary faces stay zero."""
-        out[:, 1:-1] = self._neg_dh * (c[:, 1:] * self._g - c[:, :-1] / self._g)
-        return out
+        def flux(inner, walls):
+            """Face fluxes of the padded stack ``x`` into ``inner``, the walls rewritten to zero."""
+            np.multiply(neg_dh, np.subtract(np.multiply(x_hi, gf, t), np.divide(x_lo, gf, s), t), inner)
+            walls[...] = 0.0
 
-    def _solve(self, rhs):
-        x, _ = dgttrs(*self._factors, rhs.ravel())
-        return x.reshape(rhs.shape)
+        def kernel(c, out, J, b):
+            if half:
+                half(c, b)
+                c = np.add(c, b, out)
+            x_v[...] = c
+            if crank_nicolson:  # x + dt/2 (-div(J) / h), J the fluxes of x, solved; J averaged
+                flux(*into[0])
+                np.subtract(j_hi, j_lo, div_head)
+                np.negative(div, div)  # a whole array: into a 64-byte-strided view numpy 2.4 errs
+                np.add(x, np.multiply(half_dt, np.divide(div, h, div), div), x)
+                dgttrs(dl, d, du, du2, ipiv, x, "N", 1)  # in place
+                flux(*into[1])
+                np.multiply(0.5, np.add(j, j_end, j), j)
+            else:
+                dgttrs(dl, d, du, du2, ipiv, x, "N", 1)  # in place
+                flux(*into[0])
+            J[...] = j_2d
+            np.multiply(dt_h, np.subtract(j_hi, j_lo, div_head), div_head)
+            np.subtract(c, div_v, out)
+            if half:
+                half(out, d2)
+                np.add(out, d2, out)
+                np.add(b, d2, b)
 
-    def step(self, c, J):
-        """Advance the (k, n) stack by dt, writing the interval flux into the zero-bordered ``J``."""
-        if self._cn:
-            self.fluxes(c, J)
-            rhs = c + self._half_dt * (-(J[:, 1:] - J[:, :-1]) / self._h)
-            J[:] = 0.5 * (J + self.fluxes(self._solve(rhs), self._J_new))
-        else:
-            self.fluxes(self._solve(c), J)
-        return c - self._dt_h * (J[:, 1:] - J[:, :-1])
+        return kernel
+
+    return make
 
 
 class _Clamps:
@@ -194,8 +216,10 @@ class _Clamps:
 
 
 def _guard_nonnegative(c, step: int, clamps: _Clamps):
-    """Clamp roundoff-negative cells to zero; genuine negativity is an error."""
-    lowest = float(c.min())
+    """Check that ``c`` is finite; clamp its roundoff negatives to zero in place, raise on others."""
+    lowest, highest = float(np.minimum.reduce(c, None)), float(np.maximum.reduce(c, None))
+    if not -np.inf < lowest <= highest < np.inf:
+        raise IntegrationError("state left the finite range", step)
     if lowest > 0.0:  # not >= 0: the clamp also turns -0.0 into +0.0
         return c
     limit = -1e-12
@@ -204,7 +228,7 @@ def _guard_nonnegative(c, step: int, clamps: _Clamps):
         if lowest < limit:
             raise IntegrationError(f"density went negative ({lowest:.3e})", step)
     clamps.add(lowest, limit)
-    return np.maximum(c, 0.0)
+    return np.maximum(c, 0.0, out=c)
 
 
 def _exchange_rates(params: SystemParams, tilt: Tilt):
@@ -215,29 +239,25 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
     return a, b
 
 
-# c + _SPECIES_SIGN * d gives (c1 + d, c2 - d) bit for bit in one expression
-_SPECIES_SIGN = np.array([[1.0], [-1.0]])
-
-
 class _Solve:
     """A solve of ``config`` from ``initial`` (the (k, n) densities, or the (n,) coarse one).
 
     ``delta_faces`` and ``g`` (k, n - 1) define the drift-diffusion step of
-    :class:`_ImplicitStepper`; ``exchange`` is None for the coarse system,
-    else the half-step map ``half(c) -> (c + d, d)`` of the (k, n) stack
-    ``c``, whose amounts ``d`` sum to zero over the species.  It is applied
-    before and after the diffusion step, and the two amounts over dt are the
-    step's reaction fluxes.  ``solver`` names the solve in its DEBUG record.
+    :func:`_kernel`; ``half`` is None for the coarse system, else the half
+    step ``half(c, d)`` that writes the amounts it moves in the (k, n) stack
+    ``c``, summing to zero over the species, into ``d``.  It is applied before
+    and after the diffusion step, and the two amounts over dt are the step's
+    reaction fluxes.  ``solver`` names the solve in its DEBUG record.
 
     A solve is read as a trajectory is, through :meth:`windows`, whose
     windows carry its fluxes; ``states`` is the window handed out last
     (before the first, the initial state).
     """
 
-    def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, exchange=None):
-        self.solver, self.initial, self.config, self.exchange = solver, initial, config, exchange
-        self.step = _ImplicitStepper(delta_faces, g, config.dt_effective, 1.0 / initial.shape[-1],
-                                     config.scheme == "strang_cn").step
+    def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, half=None):
+        self.solver, self.initial, self.config, self.half = solver, initial, config, half
+        self.kernel = _kernel(delta_faces, g, config.dt_effective, 1.0 / initial.shape[-1],
+                              config.scheme == "strang_cn", half)
         self.n_cells = initial.shape[-1]
         self.states = initial[None]
 
@@ -261,33 +281,25 @@ class _Solve:
         :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
         """
         shape = self.initial.shape
-        c = self.initial.reshape(-1, shape[-1]).copy()
+        k_sp, n = (1, *shape) if len(shape) == 1 else shape
         steps, dt = self.config.n_steps, self.config.dt_effective
-        step, half = self.step, self.exchange
-        clamps = _Clamps()
+        kernel, clamps = self.kernel(), _Clamps()
         width = min(unit, steps)
-        states = np.empty((width + 1, *c.shape))
-        J = np.zeros((width, c.shape[0], c.shape[1] + 1))
-        b = np.empty((width, *c.shape)) if half else None
+        states, k = np.empty((width + 1, k_sp, n)), 0
+        states[0] = self.initial
+        J = np.zeros((width, k_sp, n + 1))
+        b = np.empty((width, k_sp, n)) if self.half else [None] * width
         for start in range(0, steps, width):
-            states[0] = c
+            states[0] = states[k]  # the last window's last state; first, the initial one
             k = min(width, steps - start)
-            for i, m in enumerate(range(start, start + k)):
-                if half:
-                    c_half, d = half(c)
-                    c_next, d_next = half(step(c_half, J[i]))
-                    np.add(d, d_next, out=b[i])
-                else:
-                    c_next = step(c, J[i])
-                if not np.isfinite(c_next).all():
-                    raise IntegrationError("state left the finite range", m)
-                c = _guard_nonnegative(c_next, m, clamps)
-                states[i + 1] = c
+            for m, c, c_next, J_m, b_m in zip(range(start, start + k), states, states[1:], J, b):
+                kernel(c, c_next, J_m, b_m)
+                _guard_nonnegative(c_next, m, clamps)
             times = dt * np.arange(start, start + k + 1)
             _check_trajectory(times, states[:k + 1], J[:k])  # a coarse window as of one species
             out = (times, states[:k + 1].reshape(k + 1, *shape),
-                   J[:k].reshape(k, *shape[:-1], shape[-1] + 1))
-            if half:
+                   J[:k].reshape(k, *shape[:-1], n + 1))
+            if self.half:
                 b[:k] /= dt
                 _check_fluxes(J[:k], b[:k])
                 out += (b[:k],)
@@ -322,9 +334,11 @@ def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverC
         vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
         raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
 
-    def half(c):  # the amounts (d, -d), d moved into species 1
-        d = _SPECIES_SIGN * (theta * (b * c[1] - a * c[0]))
-        return c + d, d
+    u, t, sign = np.empty(initial.n_cells), np.empty(initial.n_cells), np.array([[1.0], [-1.0]])
+
+    def half(c, d):  # the amounts (u, -u), u = theta (b c_2 - a c_1) moved into species 1
+        np.subtract(np.multiply(b, c[1], u), np.multiply(a, c[0], t), u)
+        np.multiply(sign, np.multiply(theta, u, u), d)
 
     delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
     return _Solve("solve_eps_system", initial.c, config, delta_faces, g, half)

@@ -128,6 +128,8 @@ class TestConfigValidation:
         ("multispecies_check", "grid", {"n_cells": 2.5}),
         ("edb_refinement", "levels", 1),
         ("edb_refinement", "levels", True),
+        # epsilon / 5 forces more steps than the sweep's cap
+        ("eps_sweep", "epsilons", [0.1, 1e-300]),
         # an integer beyond the float range raised OverflowError
         ("multispecies_check", "generator", {"species": ["A", "B"], "A_slow": [[0, 0], [0, 0]],
                                              "A_fast": [[-1, 1], [1, -1]], "delta": [10**400, 1]}),

@@ -107,14 +107,18 @@ class TestCoarseTrajectoryChecks:
     def test_solve_checks_its_windows(self, params):
         # a step that leaves flux on the right wall
         solve = self._solve(params)
-        step = solve.step
+        make = solve.kernel
 
-        def leaky(c, J):
-            c_next = step(c, J)
-            J[..., -1] = 1e-3
-            return c_next
+        def leaky():
+            kernel = make()
 
-        solve.step = leaky
+            def step(c, out, J, b):
+                kernel(c, out, J, b)
+                J[..., -1] = 1e-3
+
+            return step
+
+        solve.kernel = leaky
         with pytest.raises(ValueError, match="boundary faces must carry zero flux"):
             list(solve.windows(7))
 

@@ -34,7 +34,6 @@ from edpflow import (
     trajectory_to_csv,
 )
 from edpflow.core import _CSV_BLOCK_ROWS, _window_unit
-from edpflow.dissipation import _WARM_BLOCK
 from edpflow.solver import _effective_solve, _eps_solve
 
 from conftest import Windowed, cosine_tilt
@@ -431,9 +430,9 @@ def test_no_output_depends_on_the_window_budget(tmp_path, monkeypatch):
     want = _windowed_outputs(tmp_path / "default")
     # the least budget: every reader's window is one of its blocks
     monkeypatch.setattr(edpflow.core, "_WINDOW_BUDGET", 1)
-    for block in (_WARM_BLOCK, _CSV_BLOCK_ROWS // 12):  # the evaluators, the CSV writer
-        assert _window_unit(24, block) == block < 125 and 250 % block  # the last one ragged
-    assert _window_unit(24) == 1  # the decay fit and the defect: one level
+    block = _CSV_BLOCK_ROWS // 12  # the CSV writer's
+    assert _window_unit(24, block) == block < 125 and 250 % block  # the last one ragged
+    assert _window_unit(24) == 1  # the evaluators, the decay fit and the defect: one level
     assert _windowed_outputs(tmp_path / "small") == want
 
 

@@ -56,11 +56,7 @@ from edpflow import (
 
 import edpflow.dissipation as dissipation_module
 from edpflow.core import _window_unit
-from edpflow.dissipation import (
-    _WARM_BLOCK,
-    _dual,
-    damped_newton_max,
-)
+from edpflow.dissipation import _dual, damped_newton_max
 from edpflow.functionals import _network_cost
 from edpflow.multispecies import _multispecies_solve, build_detailed_balance_generator
 from edpflow.solver import _effective_solve, _eps_solve
@@ -238,6 +234,21 @@ def _full_dual_at(c, delta, edges, v, h, xi):
     return val, np.linalg.norm(grad, axis=1), rounding, full_fluxes(y)[1:]
 
 
+def _potentials(c, delta, v, h, x):
+    """The potentials xi (M, I, n) of the reduced dual's maximizers ``x``: xi_0 summed from
+    its face jumps s = (sum_i w_i d_i - G) / W, xi_i = xi_0 - eta_i, shifted to a mean of zero."""
+    n_prob, i_sp, n = c.shape
+    eta = x.reshape(n_prob, n, i_sp - 1).transpose(0, 2, 1)
+    w = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1]) / h
+    W = w.sum(axis=1)
+    G = np.cumsum(h * v.sum(axis=1), axis=1)[:, :-1]
+    s = (np.sum(w[:, 1:] * np.diff(eta), axis=1) - G) / np.where(W == 0, 1.0, W)
+    xi = np.zeros_like(c)
+    xi[:, 0, 1:] = np.cumsum(s, axis=1)
+    xi[:, 1:] = xi[:, :1] - eta
+    return xi - xi.mean(axis=(1, 2), keepdims=True)
+
+
 class TestNewtonIterationCap:
     """``_MAX_NEWTON_ITER`` bounds every ascent, whichever function runs it."""
 
@@ -370,7 +381,8 @@ class TestNetworkDualKernel:
         v -= v.mean(axis=(1, 2), keepdims=True)
         vg, hess, fluxes = _dual(c, gen.delta, edges, v, h)
         x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, (i_sp - 1) * n)), tol=tol)
-        xi, J, b = fluxes(x)
+        J, b = fluxes(x)
+        xi = _potentials(c, gen.delta, v, h, x)
         # the reconstructed potentials maximize the full dual: its value there
         # is the reduced one, its gradient is below sqrt(I) times the stopping
         # threshold, and the fluxes it reads off them are the reduced ones
@@ -392,7 +404,7 @@ class TestNetworkDualKernel:
         v[0, :, :2] = [[-1.0, 1.0], [0.5, -0.5], [0.2, -0.2]]
         vg, hess, fluxes = _dual(c, gen.delta, edges, v, 0.25)
         x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((1, 8)))
-        _, J, b = fluxes(x)
+        J, b = fluxes(x)
         assert np.isfinite(val[0]) and val[0] > 0
         assert np.all(J[0, :, 2] == 0.0)
         kinetic, exchange = _network_cost(c[0], gen.delta, edges, J[0], b[:, 0], 0.25)
@@ -428,7 +440,8 @@ class TestReducedTwoSpeciesDual:
         edges = [(0, 1, 1.0 / epsilon)]
         vg, hess, fluxes = _dual(c, delta, edges, v, h)
         x, val, _, _, _ = damped_newton_max(vg, hess, np.zeros((3, n)), tol=tol)
-        xi, J, (b,) = fluxes(x)
+        J, (b,) = fluxes(x)
+        xi = _potentials(c, delta, v, h, x)
         # the reconstructed potentials maximize the full dual: its value there
         # is the reduced one, its gradient is below sqrt(2) times the stopping
         # threshold, and the fluxes it reads off them are the reduced ones
@@ -746,7 +759,7 @@ def _sequential_multispecies(traj, gen, eps):
         v = (traj.states[m + 1] - c) / dt
         vg, hess, fluxes = _dual(c[None], gen.delta, [e[:3] for e in edges], v[None], h)
         x = damped_newton_max(vg, hess, np.zeros((1, (i_sp - 1) * n)))[0]
-        _, J, edge_b = fluxes(x)
+        J, edge_b = fluxes(x)
         terms = np.zeros(6)
         mob = gen.delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1])
         terms[0] = 0.5 * np.sum(J[0, :, 1:-1] ** 2 / mob) * h
@@ -763,7 +776,7 @@ def _sequential_multispecies(traj, gen, eps):
 
 
 def _network_trajectory():
-    """A 3-species solver trajectory spanning two windows and several warm-start blocks."""
+    """A 3-species solver trajectory spanning two windows."""
     gen = random_detailed_balance_generator(np.random.default_rng(11), 3)
     n, eps = 16, 1e-2
     x = (np.arange(n) + 0.5) / n
@@ -792,7 +805,7 @@ class TestBatchedEvaluation:
 
     def test_network_matches_sequential_loop(self):
         traj, gen, eps = _network_trajectory()
-        assert traj.n_times - 1 > _window_unit(3 * traj.n_cells, _WARM_BLOCK)
+        assert traj.n_times - 1 > _window_unit(traj.states[0].size)
         bd = multispecies_dissipation(traj, gen, eps)
         got = [bd.vel_diff, bd.vel_react_slow, bd.vel_react_fast,
                bd.slope_diff, bd.slope_react_slow, bd.slope_react_fast]
@@ -832,7 +845,7 @@ class TestBatchedEvaluation:
         # dt is a power of two, so both halves keep the exact time steps
         dt = 2.0 ** -11
         traj, tilt = _criterion_3_level_0(params, dt, 640 * dt)
-        assert traj.n_times - 1 > _window_unit(2 * traj.n_cells, _WARM_BLOCK)
+        assert traj.n_times - 1 > _window_unit(traj.states[0].size)
         halves = []
         for lo, hi in ((0, 320), (320, 640)):
             fluxes = FluxAssignment(traj.fluxes.J[lo:hi], traj.fluxes.b[lo:hi])
@@ -891,9 +904,9 @@ class TestBatchedEvaluation:
         assert record.name == "edpflow.multispecies"
         assert "over 10 intervals in 1 windows" in record.getMessage()
 
-        # 625 intervals on 20 cells: a window of 13 blocks and the rest
+        # 625 intervals on 20 cells: a window of 410 and the rest
         traj, tilt = _criterion_3_level_0(params)
-        assert _window_unit(2 * traj.n_cells, _WARM_BLOCK) == 13 * _WARM_BLOCK
+        assert _window_unit(2 * traj.n_cells) == 410
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
             dissipation_functional(traj, params, tilt)
@@ -911,14 +924,15 @@ def _network_breakdown_terms(bd):
 
 
 class TestWarmStart:
-    """Block anchors solved from zero, the intervals between them warm-started."""
+    """Every interval's ascent starts at the energy gradient of its own two states."""
 
     @pytest.fixture
     def all_cold(self, monkeypatch):
-        # blocks of one interval: every interval is an anchor, solved from zero
+        # every interval solved from zero
         def evaluate(fn, *args, **kwargs):
             with monkeypatch.context() as m:
-                m.setattr(dissipation_module, "_WARM_BLOCK", 1)
+                m.setattr(dissipation_module, "_energy_gradient_start",
+                          lambda states, w: np.zeros((states.shape[0] - 1, (w.shape[0] - 1) * w.shape[1])))
                 return fn(*args, **kwargs)
         return evaluate
 
@@ -934,13 +948,33 @@ class TestWarmStart:
         monkeypatch.setattr(dissipation_module, "damped_newton_max", recorded)
         return counts
 
-    def test_block_is_a_small_power_of_two(self):
-        block = dissipation_module._WARM_BLOCK
-        assert 2 <= block <= 64 and block & (block - 1) == 0
+    def test_start_is_the_energy_gradient(self, params, monkeypatch):
+        # eta = l_1 - l_0, l the mean of log(c / w) at the interval's ends; a
+        # cell empty at one end starts at zero
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.003)
+        states = np.array(traj.states)
+        states[1:, 1, 4] = 0.0
+        states[1:, 0, 4] += traj.states[1:, 1, 4]  # the mass moves to species 0
+        starts = []
+
+        def recorded(value_grad, hess, x0, **kwargs):
+            starts.append(np.array(x0))
+            return damped_newton_max(value_grad, hess, x0, **kwargs)
+
+        monkeypatch.setattr(dissipation_module, "damped_newton_max", recorded)
+        dissipation_functional(Trajectory(traj.times, states), params, tilt)
+        w_v, _ = stationary_measure(params, tilt)
+        (x0,) = starts
+        with np.errstate(divide="ignore"):
+            level = np.log(states / w_v)
+        level = 0.5 * (level[:-1] + level[1:])
+        want = level[:, 1] - level[:, 0]
+        assert np.all(np.isneginf(want[:, 4])) and np.all(np.isfinite(np.delete(want, 4, 1)))
+        want[:, 4] = 0.0
+        assert x0.shape == (3, 20) and np.array_equal(x0, want)
 
     def test_two_species_matches_all_cold(self, params, all_cold):
         traj, tilt = _criterion_3_level_0(params)
-        assert traj.n_times - 1 > 4 * dissipation_module._WARM_BLOCK
         got = _breakdown_terms(dissipation_functional(traj, params, tilt))
         cold = _breakdown_terms(all_cold(dissipation_functional, traj, params, tilt))
         gaps = _relative_gaps(got, cold)
@@ -957,21 +991,21 @@ class TestWarmStart:
         assert np.all(gaps[:2] <= 5e-9) and np.all(gaps[2:] <= 1e-9), gaps
 
     def test_mean_newton_iterations_per_interval(self, params, newton_counts):
-        # criterion 3 at n = 40 (its second level), about forty blocks
+        # criterion 3 at n = 40 (its second level): one iteration per interval
         traj, tilt = _criterion_3_level_0(params, 2e-4, 0.25, n=40)
         dissipation_functional(traj, params, tilt)
         iters = np.concatenate(newton_counts)
         assert iters.size == traj.n_times - 1  # every interval solved exactly once
-        assert iters.mean() <= 1.25, np.bincount(iters)
+        assert iters.mean() <= 1.05, np.bincount(iters)
 
     @pytest.mark.parametrize("extra", [1, 2, 5])
     def test_partial_last_block(self, params, all_cold, newton_counts, extra):
-        block = dissipation_module._WARM_BLOCK
-        n_int = 2 * block + extra  # the last block has one, two or five intervals
+        # the last window, a block of one, two or five intervals, after two whole ones
+        n_int = 2 * _window_unit(40) + extra
         traj, tilt = _criterion_3_level_0(params, 4e-4, n_int * 4e-4)
         assert traj.n_times - 1 == n_int
         got = _breakdown_terms(dissipation_functional(traj, params, tilt))
-        assert np.concatenate(newton_counts).size == n_int
+        assert [c.size for c in newton_counts] == [_window_unit(40)] * 2 + [extra]
         cold = _breakdown_terms(all_cold(dissipation_functional, traj, params, tilt))
         gaps = _relative_gaps(got, cold)
         assert gaps[1] <= 5e-9 and np.all(np.delete(gaps, 1) <= 1e-9), gaps
@@ -980,13 +1014,41 @@ class TestWarmStart:
         traj, tilt = _criterion_3_level_0(params, 4e-4, 4e-4)
         assert traj.n_times == 2
         bd = dissipation_functional(traj, params, tilt)
-        (iters,) = newton_counts  # the single interval is its block's only anchor
+        (iters,) = newton_counts  # one window of one interval
         assert iters.size == 1
         rate = (traj.states[1] - traj.states[0]) / 4e-4
         res = primal_R_eps(State(traj.states[0]), params, rate)
         diff, react = primal_objective(State(traj.states[0]), params, res.fluxes)
         assert bd.vel_diff == pytest.approx(4e-4 * diff, rel=1e-12)
         assert bd.vel_react == pytest.approx(4e-4 * react, rel=1e-9)
+
+    def test_terms_do_not_depend_on_the_neighbours(self, params, monkeypatch):
+        # intervals 1 and 2 of two trajectories that differ only in their
+        # first and last states give the same bits, two-species and network
+        rows = []
+
+        def recorded(acc, terms, dts):
+            rows.append(np.array(terms))
+            return integrate(acc, terms, dts)
+
+        integrate = dissipation_module._integrate
+        monkeypatch.setattr(dissipation_module, "_integrate", recorded)
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.004)
+        net, gen, eps = _network_trajectory()
+        evaluations = (
+            (traj, lambda t: dissipation_functional(t, params, tilt)),
+            (Trajectory(net.times[:5], net.states[:5]), lambda t: multispecies_dissipation(t, gen, eps)))
+        for stored, evaluate in evaluations:
+            other = np.array(stored.states)
+            x = (np.arange(other.shape[2]) + 0.5) / other.shape[2]
+            for m, shift in ((0, 0.05), (4, -0.02)):  # moves of species 0 between cells
+                other[m, 0] += shift * np.cos(np.pi * x)
+            rows.clear()
+            evaluate(stored)
+            evaluate(Trajectory(stored.times, other))
+            (mine, theirs) = rows
+            assert not np.array_equal(mine[:, [0, 3]], theirs[:, [0, 3]])
+            assert mine[:, 1:3].tobytes() == theirs[:, 1:3].tobytes()
 
     def test_stored_flux_terms_match_flux_dissipation(self, params):
         # the costs of the stored fluxes, one interval at a time
@@ -1010,19 +1072,19 @@ class TestWarmStart:
         stored = flux_dissipation(traj, params, tilt)
         assert (bd.slope_diff, bd.slope_react) == (stored.slope_diff, stored.slope_react)
 
-    def test_debug_log_splits_anchors_and_interior(self, params, caplog):
-        block = dissipation_module._WARM_BLOCK
-        traj, tilt = _criterion_3_level_0(params, 4e-4, (block + 3) * 4e-4)
+    def test_debug_log_reports_one_solve_per_window(self, params, caplog, newton_counts):
+        # two whole windows and three intervals: three stacked solves, one record
+        window = _window_unit(40)
+        traj, tilt = _criterion_3_level_0(params, 4e-4, (2 * window + 3) * 4e-4)
         with caplog.at_level(logging.DEBUG, logger="edpflow.dissipation"):
             dissipation_functional(traj, params, tilt)
         (record,) = caplog.records
-        anchors, interior, total = (
-            ast.literal_eval(h) for h in re.search(
-                r"block anchors (\{.*?\}), warm-started (\{.*?\})\): "
-                r"Newton iterations per interval (\{.*?\})", record.getMessage()).groups())
-        # blocks [0, block) and [block, block + 3): anchors 0, block - 1, block, block + 2
-        assert sum(anchors.values()) == 4 and sum(interior.values()) == block - 1
-        assert {k: anchors.get(k, 0) + interior.get(k, 0) for k in total} == total
+        msg = record.getMessage()
+        assert f"over {2 * window + 3} intervals in 3 windows: Newton iterations per interval" in msg
+        total = ast.literal_eval(re.search(r"per interval (\{.*?\})", msg).group(1))
+        assert [c.size for c in newton_counts] == [window, window, 3]
+        assert total == {k: int(m) for k, m in
+                         enumerate(np.bincount(np.concatenate(newton_counts))) if m}
 
 
 class TestRoundoffFloor:
@@ -1253,7 +1315,7 @@ class TestStreamedEvaluation:
         # the stored trajectories are read in the evaluators' default windows
         c0, tilt = self._initial(params, n)
         steps = config.n_steps
-        assert steps % dissipation_module._WARM_BLOCK and steps % window and steps > window
+        assert steps > window
         traj = solve_eps_system(c0, params, tilt, config)
         # the terms of the fluxes the windows carry, and of the optimal ones
         for evaluate in (flux_dissipation, dissipation_functional):
@@ -1281,26 +1343,25 @@ class TestStreamedEvaluation:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("windows", [1, 3])
     def test_bit_identical_to_the_stored_trajectory(self, params, scheme, windows):
-        # solves read in windows of one or three blocks, against the stored
-        # trajectories' default windows of one fine, two coarse and one
-        # network block on 256 cells; 250 intervals end inside a block
+        # solves read in windows of one or three intervals, against the stored
+        # trajectories' default windows of 32 fine, 64 coarse and 16 network
+        # intervals on 256 cells, none of which divides the 250 intervals
         n = 256
-        assert [_window_unit(k * n, _WARM_BLOCK) for k in (2, 1, 4)] == \
-            [dissipation_module._WARM_BLOCK * k for k in (1, 2, 1)]
-        window = windows * dissipation_module._WARM_BLOCK
-        self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), window, window, window)
+        assert [_window_unit(k * n) for k in (2, 1, 4)] == [32, 64, 16]
+        assert all(250 % w for w in (32, 64, 16, 3))
+        self._compare(params, n, SolverConfig(1e-3, 0.25, scheme), windows, windows, windows)
 
     def test_default_windows_on_a_fine_grid(self, params):
-        # windows of 64 fine, 128 coarse and 64 network intervals on 160 cells
+        # windows of 52 fine, 103 coarse and 26 network intervals on 160 cells
         n = 160
-        window = _window_unit(2 * n, _WARM_BLOCK)
+        window = _window_unit(2 * n)
         config = SolverConfig(2.5e-4, 0.025)
         assert window < config.n_steps < 2 * window  # two windows, the second partial
-        self._compare(params, n, config, window, _window_unit(n, _WARM_BLOCK),
-                      _window_unit(4 * n, _WARM_BLOCK))
+        assert config.n_steps % _window_unit(4 * n)
+        self._compare(params, n, config, window, _window_unit(n), _window_unit(4 * n))
 
     def test_coarse_windows_of_any_length(self, params):
-        # the coarse evaluator needs no warm-start blocks, so any window will do
+        # the coarse evaluator runs no ascent, so any window will do
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
         hat0 = c0.c.sum(axis=0)
@@ -1354,19 +1415,23 @@ class TestStreamedEvaluation:
                        *_effective_solve(c0.c.sum(axis=0), params, tilt, config).windows(64)):
             assert not any(a.flags.writeable for a in window)
 
-    def test_windows_must_hold_whole_blocks(self, params):
-        # two-species and network windows that end inside a warm-start block
+    def test_windows_of_any_length(self, params):
+        # two-species and network solves read in windows of 7 and 33
+        # intervals, neither of which divides the 100 steps, give the stored
+        # trajectories' terms
         c0, tilt = self._initial(params, 12)
         config = SolverConfig(1e-3, 0.1)
         gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
         net0 = State(gen.stationary(params.epsilon)[:, None] * c0.c.sum(axis=0))
+        want = _hex(dissipation_functional(solve_eps_system(c0, params, tilt, config), params, tilt))
+        net_want = astuple(multispecies_dissipation(
+            solve_multispecies(net0, gen, params.epsilon, config), gen, params.epsilon))
         for window in (7, 33):
             stream = Windowed(_eps_solve(c0, params, tilt, config), window)
-            with pytest.raises(ValueError, match="ends inside a warm-start block"):
-                dissipation_functional(stream, params, tilt)
+            assert _hex(dissipation_functional(stream, params, tilt)) == want
             net_stream = Windowed(_multispecies_solve(net0, gen, params.epsilon, config), window)
-            with pytest.raises(ValueError, match="ends inside a warm-start block"):
-                multispecies_dissipation(net_stream, gen, params.epsilon)
+            got = astuple(multispecies_dissipation(net_stream, gen, params.epsilon))
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in net_want]
 
     def test_a_solve_read_twice_gives_the_same_terms(self, params):
         c0, tilt = self._initial(params, 12)
@@ -1415,7 +1480,7 @@ class TestStreamedEvaluation:
         c0, tilt = self._initial(params, 20)
         config = SolverConfig(1e-3, 0.1)
         hat0 = c0.c.sum(axis=0)
-        window = dissipation_module._WARM_BLOCK
+        window = 32
         stream = Windowed(_eps_solve(c0, params, tilt, config), window)
         hat_stream = Windowed(_effective_solve(hat0, params, tilt, config), window)
         assert config.n_steps > 3 * window
@@ -1441,7 +1506,7 @@ class TestStreamedEvaluation:
         blocked = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
         v = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0]])
         dt = 0.1
-        window = _window_unit(8, _WARM_BLOCK)
+        window = _window_unit(8)
         regular = np.full((window + 1, 2, 4), 0.5)
         windows = [(dt * np.arange(window + 1), regular),
                    (dt * np.arange(window, window + 3),

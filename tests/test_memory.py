@@ -40,7 +40,6 @@ from edpflow import (
 )
 from edpflow.cli import _build_initial, _build_tilt
 from edpflow.core import _CSV_BLOCK_ROWS, _g17_tables, _Owned, _window_unit
-from edpflow.dissipation import _WARM_BLOCK
 from edpflow.multispecies import _multispecies_solve
 
 from conftest import cosine_tilt
@@ -333,7 +332,7 @@ def test_edb_refinement_level_does_not_grow_with_the_steps(tmp_path):
     # levels on 32 and 64 cells: every solve of the shorter run already
     # fills its windows, so only a stored trajectory would grow
     dt = 1e-3
-    steps = max(_window_unit(u, _WARM_BLOCK) for u in (32, 64, 128))
+    steps = max(_window_unit(u) for u in (32, 64, 128))
 
     def config(n_steps):
         return _sweep_config("edb_refinement", tmp_path / str(n_steps), grid={"n_cells": 32},
@@ -383,13 +382,13 @@ def test_mixed_diffusion_fit_does_not_grow_with_the_steps(tmp_path, write):
 
 
 def test_streamed_network_evaluation_does_not_grow_with_the_steps():
-    # on 64 cells and 4 species a window is two warm-start blocks, 64
-    # intervals; the shorter run streams two windows
+    # on 64 cells and 4 species a window is 64 intervals; the shorter run
+    # streams two windows
     n, eps = 64, 1e-3
     gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
     hat = 1 + 0.5 * np.cos(np.pi * SpatialGrid(n).cell_centers)
     c0 = State(gen.stationary(eps)[:, None] * hat[None])
-    window = _window_unit(4 * n, _WARM_BLOCK)
+    window = _window_unit(4 * n)
 
     def evaluate(n_steps):
         config = SolverConfig(1e-4, n_steps * 1e-4)

@@ -104,6 +104,34 @@ class TestValidation:
         assert any("column sums" in f for f in rep2.failures)
 
 
+class TestEpsilonRange:
+    """Every network entry point takes its epsilon through ``assemble``, which rejects one
+    that is not positive and finite."""
+
+    @staticmethod
+    def _entry_points(gen):
+        n = 6
+        c0 = State(np.repeat(gen.stationary(0.1)[:, None], n, axis=1))
+        traj = solve_multispecies(c0, gen, 0.1, SolverConfig(1e-3, 0.005))
+        return {
+            "kappa_coefficients": lambda eps: kappa_coefficients(gen, eps),
+            "stationary": gen.stationary,
+            "solve_multispecies": lambda eps: solve_multispecies(
+                c0, gen, eps, SolverConfig(1e-3, 0.005)).states,
+            "multispecies_dissipation": lambda eps: multispecies_dissipation(traj, gen, eps).total,
+        }
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("entry", ["kappa_coefficients", "stationary", "solve_multispecies",
+                                       "multispecies_dissipation"])
+    def test_epsilon_out_of_range_raises(self, entry, epsilon):
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        call = self._entry_points(gen)[entry]
+        assert np.all(np.isfinite(call(0.1)))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            call(epsilon)
+
+
 class TestKappa:
     def test_pair_value_is_inverse_scale(self, pair_gen):
         for eps in (1.0, 1e-2, 1e-5):

@@ -23,9 +23,11 @@ from edpflow import (
     total_mass,
 )
 from edpflow.coarsegrain import coarse_grain_trajectory, coarse_params
-from edpflow.multispecies import _generator_exp
+from edpflow.core import _window_unit
+from edpflow.multispecies import _generator_exp, _multispecies_solve
 from edpflow.solver import (
     _Clamps,
+    _effective_solve,
     _eps_solve,
     _exchange_rates,
     _guard_nonnegative,
@@ -34,6 +36,7 @@ from edpflow.solver import (
 )
 
 from conftest import blow_up_case, cosine_tilt, positive_state
+from reference_step import reference_effective, reference_eps, reference_multispecies
 
 _ALL_SCHEMES = ["strang_exact_reaction", "strang_cn"]
 
@@ -423,6 +426,50 @@ def test_factored_stepper_matches_per_species_solves_multispecies(scheme):
         assert np.array_equal(traj.fluxes.b[m], exch / dt)
         assert np.array_equal(traj.states[m + 1], c_next)
         c = c_next
+
+
+class TestFusedKernel:
+    """Each solve's in-place kernel against the step's separate array expressions, byte for byte."""
+
+    N = 40
+
+    @classmethod
+    def _cases(cls, kind, scheme):
+        """``(solve, reference)`` of a tilted two-species solve with exactly-zero cells, the
+        coarse solve of its summed density, or the seed-0 4-species network."""
+        n = cls.N
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-3)
+        tilt = cosine_tilt(n, [[3.0], [-2.0]])
+        x = SpatialGrid(n).cell_centers
+        c0 = np.stack([1 + 0.5 * np.cos(np.pi * x), 0.5 + 0.3 * np.cos(2 * np.pi * x)])
+        c0[:, n // 3:n // 2] = 0.0
+        c0 = State(c0 / (c0.sum() / n))
+        config = SolverConfig(1e-3, 0.05, scheme)
+        if kind == "eps":
+            return _eps_solve(c0, params, tilt, config), reference_eps(c0, params, tilt, config)
+        hat = c0.c.sum(axis=0)
+        if kind == "effective":
+            return (_effective_solve(hat, params, tilt, config),
+                    reference_effective(hat, params, tilt, config))
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        net0 = State(gen.stationary(1e-3)[:, None] * hat)
+        return (_multispecies_solve(net0, gen, 1e-3, config),
+                reference_multispecies(net0, gen, 1e-3, config))
+
+    @pytest.mark.parametrize("kind", ["eps", "effective", "network"])
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+    @pytest.mark.parametrize("window", [1, 7, None])
+    def test_bytes_match_the_reference_steps(self, kind, scheme, window):
+        solve, (states, J, b) = self._cases(kind, scheme)
+        assert kind == "effective" or np.any(states == 0.0)
+        unit = window or _window_unit(solve.initial.size)  # None: the budget
+        got = [[a.copy() for a in w] for w in solve.windows(unit)]
+        assert len(got) == -(-50 // unit)
+        got_states = np.concatenate([w[1][:-1] for w in got] + [got[-1][1][-1:]])
+        assert got_states.tobytes() == states.tobytes()
+        assert np.concatenate([w[2] for w in got]).tobytes() == J.tobytes()
+        if b is not None:
+            assert np.concatenate([w[3] for w in got]).tobytes() == b.tobytes()
 
 
 class TestClampRecord:
