@@ -228,6 +228,20 @@ class TestEffectiveSolver:
         assert np.max(np.abs(traj.states.sum(axis=1) / n - 1.0)) < 1e-12
         assert np.max(np.abs(gce_coarse(traj))) < 1e-11
 
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
+    def test_two_cells(self, params, scheme):
+        # one interior face: the implicit step is the 2 x 2 system of its flux
+        config = SolverConfig(1e-3, 0.01, scheme)
+        traj = solve_effective(np.array([1.2, 0.8]), params, Tilt.zero(2), config)
+        r = 1.25 * 4 * config.dt  # delta_hat dt / h^2
+        hat = np.array([1.2, 0.8])
+        for _ in range(config.n_steps):
+            jump = hat[0] - hat[1]
+            hat = hat - np.array([1, -1]) * (r * jump / (1 + 2 * r) if scheme == "strang_exact_reaction"
+                                             else r * jump / (1 + r))
+        assert np.allclose(traj.states[-1], hat, rtol=1e-12, atol=0)
+        assert np.max(np.abs(gce_coarse(traj))) < 1e-11
+
 
 def gce_coarse(hat_traj):
     dt = np.diff(hat_traj.times)[:, None]
