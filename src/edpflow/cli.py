@@ -173,8 +173,9 @@ def _params(doc):
 
 def _solver(doc):
     _fields(doc, ("dt", "t_final"), ("scheme",))
-    if not (_real(doc["dt"]) and _real(doc["t_final"])):  # SolverConfig takes a boolean
-        raise TypeError("dt and t_final must be finite numbers")
+    for key in ("dt", "t_final"):  # SolverConfig takes a boolean
+        if not _real(doc[key]):
+            raise TypeError(f"{key} must be a finite number, got {doc[key]!r}")
     return SolverConfig(**doc)
 
 

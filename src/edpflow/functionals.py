@@ -106,20 +106,34 @@ def perspective_eval(base: str, a, x):
     if np.any(a < 0):
         raise ValueError("perspective scale a must be nonnegative")
     a_b, x_b = np.broadcast_arrays(a, x)
-    out = np.empty(a_b.shape, dtype=float)
     pos = a_b > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out[pos] = a_b[pos] * f(x_b[pos] / a_b[pos])
-    out[~pos] = np.where(x_b[~pos] == 0.0, 0.0, np.inf)
+        if pos.all():  # no scale at zero: nothing to gather or scatter
+            out = a_b * f(x_b / a_b)
+        else:
+            out = np.empty(a_b.shape, dtype=float)
+            out[pos] = a_b[pos] * f(x_b[pos] / a_b[pos])
+            out[~pos] = np.where(x_b[~pos] == 0.0, 0.0, np.inf)
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def _face_kinetic(j, mob):
-    """Kinetic cost |J|^2 / mobility per face: 0 for J = 0 and +inf for J != 0 at zero mobility."""
+    """Kinetic cost |J|^2 / mobility per face: 0 for J = 0 and +inf for J != 0 at zero mobility.
+
+    ``j`` and ``mob`` are arrays of one shape.  The quotient is taken on every
+    face and rewritten where the mobility is not positive; the mobilities of
+    trajectories are means of nonnegative densities, so that is where they
+    are zero.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(mob > 0, j * j / np.where(mob > 0, mob, 1.0), np.where(j == 0, 0.0, np.inf))
+        cost = j * j / mob
+    pos = mob > 0
+    if not pos.all():
+        at_rest = ~pos
+        cost[at_rest] = np.where(j[at_rest] == 0, 0.0, np.inf)
+    return cost
 
 
 def _face_fisher(rho):

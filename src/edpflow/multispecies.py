@@ -394,12 +394,14 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
     preserves positivity; recorded fluxes satisfy the discrete continuity
     equation with reaction fluxes summing to zero over the species.
 
-    The stepping loop is that of :func:`~edpflow.solve_eps_system`: each
-    step's state passes its nonnegativity guard (roundoff negatives are
-    clamped to zero, genuine ones raise :class:`~edpflow.IntegrationError`),
-    and each solve writes one DEBUG record on the ``edpflow.solver`` logger:
+    The stepping loop is that of :func:`~edpflow.solve_eps_system`: the
+    states come out as if each had passed the nonnegativity guard (roundoff
+    negatives are clamped to zero, genuine ones raise
+    :class:`~edpflow.IntegrationError`); a window is checked once and stepped
+    again under the guard only if a state in it is not finite and positive.
+    Each solve writes one DEBUG record on the ``edpflow.solver`` logger:
     ``solve_multispecies: N steps in 1 windows``, followed by how many steps
-    the guard clamped.
+    the guard clamped and, if any, how many windows were stepped again.
     """
     return _multispecies_solve(initial, gen, epsilon, config).result()
 

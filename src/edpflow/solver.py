@@ -29,10 +29,14 @@ holds the whole trajectory; a solve has the ``windows`` method of a stored
 trajectory (whose windows are views of its arrays), so the evaluators and
 the CSV writer take either.  A step depends only on the state before it and the times on
 the step index, so a window's values do not depend on the window length;
-the solvers return the single window of all steps without a copy.  Every
-state passes the nonnegativity guard, and each solve writes one DEBUG
-record: steps, windows, and how many steps the guard clamped.  Each run is
-single-threaded and deterministic.
+the solvers return the single window of all steps without a copy.  A
+window is stepped without checks and its new states are then checked at
+once: if all are finite and positive the per-step nonnegativity guard would
+do nothing; otherwise the window is stepped again from its first state with
+the guard on every state, so what it clamps or raises, and at which step, is
+that of a guard on every step.  Each solve writes one DEBUG record: steps,
+windows, how many steps the guard clamped and how many windows it stepped
+again.  Each run is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not self.dt < np.inf:
+            raise ValueError(f"dt must be finite, got {self.dt!r}")
         if not self.dt <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and at least one step, got {self.t_final!r}")
         if self.scheme not in ("strang_exact_reaction", "strang_cn"):
@@ -193,13 +199,14 @@ class _Clamps:
     """Steps whose state :func:`_guard_nonnegative` clamped, and the lowest value it clamped.
 
     ``limit`` is the threshold that lowest value was held against; below it
-    the guard raises instead.
+    the guard raises instead.  ``replayed`` counts the windows stepped again
+    under the guard.
     """
 
-    __slots__ = ("steps", "lowest", "limit")
+    __slots__ = ("steps", "lowest", "limit", "replayed")
 
     def __init__(self):
-        self.steps, self.lowest, self.limit = 0, 0.0, -1e-12
+        self.steps, self.lowest, self.limit, self.replayed = 0, 0.0, -1e-12, 0
 
     def add(self, lowest: float, limit: float):
         self.steps += 1
@@ -212,6 +219,8 @@ class _Clamps:
             return
         clamped = (f"{self.steps} clamped (lowest value {self.lowest:.3e}, limit {self.limit:.3e}, "
                    f"margin {self.lowest - self.limit:.3e})" if self.steps else "none clamped")
+        if self.replayed:
+            clamped += f", {self.replayed} window{'s' * (self.replayed != 1)} replayed"
         logger.debug("%s: %d steps in %d windows, %s", solver, steps, windows, clamped)
 
 
@@ -279,6 +288,14 @@ class _Solve:
         windows are read-only views of the loop's buffers, valid until the
         next is requested, and pass the checks of :class:`Trajectory` and
         :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
+
+        A window is stepped with floating-point errors ignored and no guard,
+        then its new states are checked with one minimum and one maximum.  If
+        one is not finite or not positive, the window is replayed from its
+        first state, with fresh kernel buffers and under the caller's
+        errstate, through :func:`_guard_nonnegative` after every step: the
+        clamps, the :class:`IntegrationError` and its step, and the
+        RuntimeWarnings are those of the guarded step-by-step loop.
         """
         shape = self.initial.shape
         k_sp, n = (1, *shape) if len(shape) == 1 else shape
@@ -292,9 +309,17 @@ class _Solve:
         for start in range(0, steps, width):
             states[0] = states[k]  # the last window's last state; first, the initial one
             k = min(width, steps - start)
-            for m, c, c_next, J_m, b_m in zip(range(start, start + k), states, states[1:], J, b):
-                kernel(c, c_next, J_m, b_m)
-                _guard_nonnegative(c_next, m, clamps)
+            with np.errstate(all="ignore"):
+                for c, c_next, J_m, b_m in zip(states[:k], states[1:], J, b):
+                    kernel(c, c_next, J_m, b_m)
+                lowest = float(np.minimum.reduce(states[1:k + 1], None))
+                highest = float(np.maximum.reduce(states[1:k + 1], None))
+            if not (lowest > 0.0 and highest < np.inf):  # the guard would act: step it again, guarded
+                kernel = self.kernel()  # fresh buffers: a non-finite state may have reached the pads
+                clamps.replayed += 1
+                for m, c, c_next, J_m, b_m in zip(range(start, start + k), states, states[1:], J, b):
+                    kernel(c, c_next, J_m, b_m)
+                    _guard_nonnegative(c_next, m, clamps)
             times = dt * np.arange(start, start + k + 1)
             _check_trajectory(times, states[:k + 1], J[:k])  # a coarse window as of one species
             out = (times, states[:k + 1].reshape(k + 1, *shape),
@@ -334,11 +359,13 @@ def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverC
         vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
         raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
 
-    u, t, sign = np.empty(initial.n_cells), np.empty(initial.n_cells), np.array([[1.0], [-1.0]])
+    rates, signed_theta = np.stack([a, b]), np.stack([theta, -theta])  # -theta u is -(theta u) exactly
+    prod, u = np.empty((2, initial.n_cells)), np.empty(initial.n_cells)
+    ac, bc = prod
 
     def half(c, d):  # the amounts (u, -u), u = theta (b c_2 - a c_1) moved into species 1
-        np.subtract(np.multiply(b, c[1], u), np.multiply(a, c[0], t), u)
-        np.multiply(sign, np.multiply(theta, u, u), d)
+        np.multiply(rates, c, prod)
+        np.multiply(signed_theta, np.subtract(bc, ac, u), d)
 
     delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
     return _Solve("solve_eps_system", initial.c, config, delta_faces, g, half)

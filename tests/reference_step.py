@@ -6,6 +6,8 @@ separate array expressions on the (k, n) stack, and the tests compare the
 two through ``tobytes()``, signed zeros included.  Each ``reference_*``
 function returns the states (N + 1, k, n), the face fluxes (N, k, n + 1)
 and, with an exchange, the reaction fluxes (N, k, n) of a whole solve.
+``inject(m, c)``, if given, alters step m's new state in place before the
+nonnegativity guard sees it.
 """
 
 import numpy as np
@@ -59,7 +61,7 @@ class ReferenceStepper:
         return c - self.dt_h * (J[:, 1:] - J[:, :-1])
 
 
-def _loop(c0, config, delta_faces, g, half=None):
+def _loop(c0, config, delta_faces, g, half=None, inject=None):
     c = np.array(c0, dtype=float).reshape(-1, c0.shape[-1])
     dt = config.dt_effective
     stepper = ReferenceStepper(delta_faces, g, dt, 1.0 / c.shape[1], config.scheme == "strang_cn")
@@ -72,6 +74,8 @@ def _loop(c0, config, delta_faces, g, half=None):
             reactions.append(np.add(d, d_next) / dt)
         else:
             c_next = stepper.step(c, J)
+        if inject:
+            inject(m, c_next)
         if not np.isfinite(c_next).all():
             raise IntegrationError("state left the finite range", m)
         lowest = c_next.min()  # the nonnegativity guard
@@ -83,7 +87,7 @@ def _loop(c0, config, delta_faces, g, half=None):
     return np.array(states), np.array(fluxes), np.array(reactions) if half else None
 
 
-def reference_eps(initial, params, tilt, config):
+def reference_eps(initial, params, tilt, config, inject=None):
     """The steps of :func:`edpflow.solve_eps_system`."""
     dt, eps = config.dt_effective, params.epsilon
     a, b = _exchange_rates(params, tilt)
@@ -96,7 +100,7 @@ def reference_eps(initial, params, tilt, config):
         return c + d, d
 
     delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
-    return _loop(initial.c, config, delta_faces, g, half)
+    return _loop(initial.c, config, delta_faces, g, half, inject)
 
 
 def reference_effective(hat_c, params, tilt, config):

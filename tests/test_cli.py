@@ -145,6 +145,16 @@ class TestConfigValidation:
             assert capsys.readouterr().out.startswith("config error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_infinite_dt_is_blamed_on_dt(self, tmp_path, capsys):
+        # JSON's 1e400 reads as inf
+        doc = small_config("eps_sweep", tmp_path / "out", solver={"dt": 1e-4, "t_final": 0.1})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace('"dt": 0.0001', '"dt": 1e400'))
+        for verb in ("validate", "run"):
+            assert main([verb, str(path)]) == 2
+            assert capsys.readouterr().out == "config error: 'solver': dt must be a finite number, got inf\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestFitDecayRate:
     def test_exact_heat_mode(self):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from edpflow import (
     slope,
     stationary_measure,
 )
-from edpflow.functionals import stationary_measure_faces
+from edpflow.functionals import _face_kinetic, stationary_measure_faces
 
 from conftest import cosine_tilt, positive_state
 
@@ -292,3 +293,68 @@ class TestPerspective:
             mid = perspective_eval(base, 0.5 * (a[0] + a[1]), 0.5 * (x[0] + x[1]))
             ends = 0.5 * (perspective_eval(base, a[0], x[0]) + perspective_eval(base, a[1], x[1]))
             assert np.all(mid <= ends + 1e-10)
+
+
+def face_kinetic_oracle(j, mob):
+    """The masked face cost that :func:`edpflow.functionals._face_kinetic` replaced, as its oracle."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mob > 0, j * j / np.where(mob > 0, mob, 1.0), np.where(j == 0, 0.0, np.inf))
+
+
+def perspective_oracle(base, a, x):
+    """The gathering perspective evaluation that :func:`perspective_eval` replaced, as its oracle."""
+    f = {"quadratic": lambda s: 0.5 * s * s, "cosh": cosh_primal}[base]
+    a_b, x_b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    out = np.empty(a_b.shape, dtype=float)
+    pos = a_b > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out[pos] = a_b[pos] * f(x_b[pos] / a_b[pos])
+    out[~pos] = np.where(x_b[~pos] == 0.0, 0.0, np.inf)
+    return float(out) if out.ndim == 0 else out
+
+
+FLUXES = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, -2.5, 1e150, 1e200, -1e200,
+          np.inf, -np.inf, np.nan]
+POSITIVE = [1.0, 0.25, 1e-300, 5e-324, 1e300]
+NOT_POSITIVE = [0.0, -0.0, np.nan]
+
+
+class TestMasklessParity:
+    """The face costs without masks, against the masked expressions: same bytes, same warnings."""
+
+    @staticmethod
+    def _assert_same(fn, oracle, *args):
+        results = []
+        for f in (fn, oracle):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = f(*args)
+            results.append((type(value), np.asarray(value).shape, np.asarray(value).tobytes(),
+                            [(w.category, str(w.message)) for w in caught]))
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize("mobilities", [POSITIVE, POSITIVE + NOT_POSITIVE], ids=["positive", "mixed"])
+    def test_face_kinetic(self, mobilities):
+        j, mob = np.meshgrid(FLUXES, mobilities)
+        *_, caught = self._assert_same(_face_kinetic, face_kinetic_oracle, j, mob)
+        # 1e200 squared, and 1 over 5e-324
+        assert {m for _, m in caught} == {"overflow encountered in multiply",
+                                          "overflow encountered in divide"}
+        *_, caught = self._assert_same(_face_kinetic, face_kinetic_oracle, j[:, :5], mob[:, :5])
+        assert caught == []  # zero and tiny fluxes
+
+    @pytest.mark.parametrize("base", ["quadratic", "cosh"])
+    @pytest.mark.parametrize("scales", [POSITIVE, POSITIVE + NOT_POSITIVE], ids=["positive", "mixed"])
+    def test_perspective(self, base, scales):
+        x, a = np.meshgrid(FLUXES, scales)
+        self._assert_same(perspective_eval, perspective_oracle, base, a, x)
+
+    @pytest.mark.parametrize("base", ["quadratic", "cosh"])
+    def test_perspective_broadcast_and_scalar(self, base):
+        for scale in (0.3, 0.0):  # a scalar scale broadcast over the fluxes
+            self._assert_same(perspective_eval, perspective_oracle, base, scale, np.array(FLUXES))
+        self._assert_same(perspective_eval, perspective_oracle, base, np.array(POSITIVE), 1.5)
+        for scale, flux in ((2.0, 3.0), (0.0, 0.0), (0.0, -1.0), (np.array(0.5), np.array(-2.0))):
+            kind, *_ = self._assert_same(perspective_eval, perspective_oracle, base, scale, flux)
+            assert kind is float

@@ -51,6 +51,8 @@ def test_config_validation():
     for t_final in (np.inf, np.nan):  # no step count: round() overflows or fails
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(0.1, t_final)
+    with pytest.raises(ValueError, match="dt must be finite, got inf"):
+        SolverConfig(np.inf, 1.0)
     cfg = SolverConfig(0.3, 1.0)
     assert cfg.n_steps == 3
     assert cfg.n_steps * cfg.dt_effective == pytest.approx(1.0)
@@ -486,6 +488,101 @@ class TestFusedKernel:
             assert np.concatenate([w[3] for w in got]).tobytes() == b.tobytes()
 
 
+class TestWindowCheck:
+    """A window is stepped without the guard and stepped again under it only if a new state
+    is not finite and positive, so what the guard does stays that of the per-step loop."""
+
+    STEP, CELL = 10, (1, 5)  # inside windows of 7 steps, and of 64
+
+    @staticmethod
+    def _case():
+        """A tilted two-species solve of 50 steps with positive states."""
+        n = 20
+        params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-3)
+        tilt = cosine_tilt(n, [[3.0], [-2.0]])
+        x = SpatialGrid(n).cell_centers
+        c0 = np.stack([1 + 0.5 * np.cos(np.pi * x), 0.5 + 0.3 * np.cos(2 * np.pi * x)])
+        return State(c0 / (c0.sum() / n)), params, tilt, SolverConfig(1e-3, 0.05)
+
+    def _injected(self, value):
+        """The case's solve and reference steps, step STEP's new state set to ``value`` at CELL.
+
+        The solve's kernel is wrapped and keyed on the state the step starts
+        from, not on a call count: a replayed window calls the kernel again.
+        """
+        c0, params, tilt, config = self._case()
+        start = reference_eps(c0, params, tilt, config)[0][self.STEP]
+        solve = _eps_solve(c0, params, tilt, config)
+        make = solve.kernel
+
+        def injecting():
+            kernel = make()
+
+            def step(c, out, J, b):
+                kernel(c, out, J, b)
+                if np.array_equal(c, start):
+                    out[self.CELL] = value
+
+            return step
+
+        def inject(m, c):
+            if m == self.STEP:
+                c[self.CELL] = value
+
+        solve.kernel = injecting
+        return solve, lambda: reference_eps(c0, params, tilt, config, inject)
+
+    @pytest.mark.parametrize("unit", [1, 7, 64])
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "state left the finite range"),
+        (-1e-3, r"density went negative \(-1.000e-03\)"),
+    ])
+    def test_raises_at_the_step(self, unit, value, message):
+        solve, reference = self._injected(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError, match=message) as err:
+                list(solve.windows(unit))
+            with pytest.raises(IntegrationError) as ref_err:
+                reference()
+        assert err.value.step == ref_err.value.step == self.STEP
+        assert str(err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("unit", [1, 7, 64])
+    def test_clamps_as_the_steps_do(self, unit, caplog):
+        solve, reference = self._injected(-1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+                got = [[a.copy() for a in w] for w in solve.windows(unit)]
+            states, J, b = reference()
+        assert np.concatenate([w[1][:-1] for w in got] + [got[-1][1][-1:]]).tobytes() == states.tobytes()
+        assert np.concatenate([w[2] for w in got]).tobytes() == J.tobytes()
+        assert np.concatenate([w[3] for w in got]).tobytes() == b.tobytes()
+        clamped = np.flatnonzero(states[1:].min(axis=(1, 2)) == 0.0)  # a clamp leaves a zero
+        replayed = np.unique(clamped // unit).size
+        assert clamped.size == 1 and replayed == 1  # the injected roundoff negative alone
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"solve_eps_system: 50 steps in {-(-50 // unit)} windows, 1 clamped "
+            "(lowest value -1.000e-13, limit -1.000e-12, margin 9.000e-13), 1 window replayed")
+
+    @pytest.mark.parametrize("unit", [1, 7, 64])
+    def test_replay_runs_under_the_callers_errstate(self, unit):
+        """The kernel overflows on the step after the injection: a RuntimeWarning where the
+        per-step loop warns, and its IntegrationError where warnings are ignored."""
+        solve, reference = self._injected(1.7e308)
+        for run in (lambda: list(solve.windows(unit)), reference):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    run()
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(IntegrationError, match="finite range") as err:
+                    run()
+            assert err.value.step == self.STEP + 1
+
+
 class TestClampRecord:
     """One DEBUG record per solve: steps, windows and what the nonnegativity guard clamped."""
 
@@ -514,6 +611,10 @@ class TestClampRecord:
         assert record.getMessage() == (
             "solve_eps_system: 100 steps in 2 windows, 1 clamped "
             "(lowest value -2.000e-12, limit -4.000e-12, margin 2.000e-12)")
+        clamps.replayed = 2
+        with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+            clamps.log("solve_eps_system", 100, 2)
+        assert caplog.records[-1].getMessage().endswith("margin 2.000e-12), 2 windows replayed")
 
     def test_one_record_per_solve(self, params, caplog):
         n = 8
