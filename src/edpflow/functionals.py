@@ -106,14 +106,11 @@ def perspective_eval(base: str, a, x):
     if np.any(a < 0):
         raise ValueError("perspective scale a must be nonnegative")
     a_b, x_b = np.broadcast_arrays(a, x)
-    pos = a_b > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if pos.all():  # no scale at zero: nothing to gather or scatter
-            out = a_b * f(x_b / a_b)
-        else:
-            out = np.empty(a_b.shape, dtype=float)
-            out[pos] = a_b[pos] * f(x_b[pos] / a_b[pos])
-            out[~pos] = np.where(x_b[~pos] == 0.0, 0.0, np.inf)
+        out = np.array(a_b * f(x_b / a_b), dtype=float)  # rewritten where a is not positive
+    pos = a_b > 0
+    if not pos.all():
+        out[~pos] = np.where(x_b[~pos] == 0.0, 0.0, np.inf)
     if out.ndim == 0:
         return float(out)
     return out

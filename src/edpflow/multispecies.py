@@ -397,11 +397,12 @@ def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,
     The stepping loop is that of :func:`~edpflow.solve_eps_system`: the
     states come out as if each had passed the nonnegativity guard (roundoff
     negatives are clamped to zero, genuine ones raise
-    :class:`~edpflow.IntegrationError`); a window is checked once and stepped
-    again under the guard only if a state in it is not finite and positive.
-    Each solve writes one DEBUG record on the ``edpflow.solver`` logger:
-    ``solve_multispecies: N steps in 1 windows``, followed by how many steps
-    the guard clamped and, if any, how many windows were stepped again.
+    :class:`~edpflow.IntegrationError`); a block of steps is checked once and
+    stepped again under the guard from the first state in it that is not
+    finite and positive.  Each solve writes one DEBUG record on the
+    ``edpflow.solver`` logger: ``solve_multispecies: N steps in 1 windows``,
+    followed by how many steps the guard clamped and, if it guarded any, how
+    many steps it guarded and how many of those it stepped twice.
     """
     return _multispecies_solve(initial, gen, epsilon, config).result()
 

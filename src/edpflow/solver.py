@@ -30,13 +30,15 @@ trajectory (whose windows are views of its arrays), so the evaluators and
 the CSV writer take either.  A step depends only on the state before it and the times on
 the step index, so a window's values do not depend on the window length;
 the solvers return the single window of all steps without a copy.  A
-window is stepped without checks and its new states are then checked at
-once: if all are finite and positive the per-step nonnegativity guard would
-do nothing; otherwise the window is stepped again from its first state with
-the guard on every state, so what it clamps or raises, and at which step, is
-that of a guard on every step.  Each solve writes one DEBUG record: steps,
-windows, how many steps the guard clamped and how many windows it stepped
-again.  Each run is single-threaded and deterministic.
+block of a window's steps is stepped without checks and its new states are
+then checked at once: if all are finite and positive the per-step
+nonnegativity guard would do nothing; otherwise the block is stepped again
+from the first state that is not, with the guard on every state, so what it
+clamps or raises, and at which step, is that of a guard on every step; a
+block that follows one in which the guard clamped is guarded from its start.
+Each solve writes one DEBUG record: steps, windows, how many steps the guard
+clamped, and how many steps it guarded and of those stepped twice.  Each run
+is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .core import (
     _check_fluxes,
     _check_trajectory,
     _Owned,
+    _window_unit,
     total_mass,
 )
 from .functionals import stationary_measure
@@ -199,14 +202,14 @@ class _Clamps:
     """Steps whose state :func:`_guard_nonnegative` clamped, and the lowest value it clamped.
 
     ``limit`` is the threshold that lowest value was held against; below it
-    the guard raises instead.  ``replayed`` counts the windows stepped again
-    under the guard.
+    the guard raises instead.  ``guarded`` counts the steps taken under the
+    guard, ``replayed`` those of them that had been taken without it before.
     """
 
-    __slots__ = ("steps", "lowest", "limit", "replayed")
+    __slots__ = ("steps", "lowest", "limit", "replayed", "guarded")
 
     def __init__(self):
-        self.steps, self.lowest, self.limit, self.replayed = 0, 0.0, -1e-12, 0
+        self.steps, self.lowest, self.limit, self.replayed, self.guarded = 0, 0.0, -1e-12, 0, 0
 
     def add(self, lowest: float, limit: float):
         self.steps += 1
@@ -219,8 +222,8 @@ class _Clamps:
             return
         clamped = (f"{self.steps} clamped (lowest value {self.lowest:.3e}, limit {self.limit:.3e}, "
                    f"margin {self.lowest - self.limit:.3e})" if self.steps else "none clamped")
-        if self.replayed:
-            clamped += f", {self.replayed} window{'s' * (self.replayed != 1)} replayed"
+        if self.guarded:
+            clamped += f", {self.guarded} step{'s' * (self.guarded != 1)} guarded, {self.replayed} replayed"
         logger.debug("%s: %d steps in %d windows, %s", solver, steps, windows, clamped)
 
 
@@ -289,19 +292,24 @@ class _Solve:
         next is requested, and pass the checks of :class:`Trajectory` and
         :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
 
-        A window is stepped with floating-point errors ignored and no guard,
-        then its new states are checked with one minimum and one maximum.  If
-        one is not finite or not positive, the window is replayed from its
-        first state, with fresh kernel buffers and under the caller's
-        errstate, through :func:`_guard_nonnegative` after every step: the
-        clamps, the :class:`IntegrationError` and its step, and the
-        RuntimeWarnings are those of the guarded step-by-step loop.
+        A window is stepped in blocks of :func:`_window_unit` steps (one
+        block, unless the window is longer), each with floating-point errors
+        ignored and no guard; then the block's new states are checked
+        with one minimum and one maximum.  If one is not finite or not
+        positive, the block is replayed from the first such step, with fresh
+        kernel buffers and under the caller's errstate, through
+        :func:`_guard_nonnegative` after every step: the clamps, the
+        :class:`IntegrationError` and its step, and the RuntimeWarnings are
+        those of the guarded step-by-step loop.  After a block in which the
+        guard clamped, the next is stepped under the guard from the start, so
+        a solve steps at most one block's steps twice per run of clamps.
         """
         shape = self.initial.shape
         k_sp, n = (1, *shape) if len(shape) == 1 else shape
         steps, dt = self.config.n_steps, self.config.dt_effective
-        kernel, clamps = self.kernel(), _Clamps()
+        kernel, clamps, guarded = self.kernel(), _Clamps(), False
         width = min(unit, steps)
+        block = _window_unit(self.initial.size)  # steps per check: the readers' window budget
         states, k = np.empty((width + 1, k_sp, n)), 0
         states[0] = self.initial
         J = np.zeros((width, k_sp, n + 1))
@@ -309,17 +317,27 @@ class _Solve:
         for start in range(0, steps, width):
             states[0] = states[k]  # the last window's last state; first, the initial one
             k = min(width, steps - start)
-            with np.errstate(all="ignore"):
-                for c, c_next, J_m, b_m in zip(states[:k], states[1:], J, b):
-                    kernel(c, c_next, J_m, b_m)
-                lowest = float(np.minimum.reduce(states[1:k + 1], None))
-                highest = float(np.maximum.reduce(states[1:k + 1], None))
-            if not (lowest > 0.0 and highest < np.inf):  # the guard would act: step it again, guarded
-                kernel = self.kernel()  # fresh buffers: a non-finite state may have reached the pads
-                clamps.replayed += 1
-                for m, c, c_next, J_m, b_m in zip(range(start, start + k), states, states[1:], J, b):
-                    kernel(c, c_next, J_m, b_m)
-                    _guard_nonnegative(c_next, m, clamps)
+            for lo in range(0, k, block):
+                hi = min(lo + block, k)
+                first = lo  # the first step taken under the guard
+                if not guarded:
+                    with np.errstate(all="ignore"):
+                        for c, c_next, J_m, b_m in zip(states[lo:hi], states[lo + 1:], J[lo:hi], b[lo:hi]):
+                            kernel(c, c_next, J_m, b_m)
+                        new = states[lo + 1:hi + 1]
+                        first = hi
+                        if not (np.minimum.reduce(new, None) > 0.0 and np.maximum.reduce(new, None) < np.inf):
+                            # the guard would act: step again from where it first does
+                            ok = (new.min(axis=(1, 2)) > 0.0) & (new.max(axis=(1, 2)) < np.inf)
+                            first = lo + int(np.argmin(ok))
+                            kernel = self.kernel()  # fresh buffers: a non-finite state may have reached the pads
+                            clamps.replayed += hi - first
+                clamped = clamps.steps
+                for m in range(first, hi):
+                    kernel(states[m], states[m + 1], J[m], b[m])
+                    _guard_nonnegative(states[m + 1], start + m, clamps)
+                clamps.guarded += hi - first
+                guarded = clamps.steps > clamped
             times = dt * np.arange(start, start + k + 1)
             _check_trajectory(times, states[:k + 1], J[:k])  # a coarse window as of one species
             out = (times, states[:k + 1].reshape(k + 1, *shape),

@@ -103,15 +103,15 @@ def reference_eps(initial, params, tilt, config, inject=None):
     return _loop(initial.c, config, delta_faces, g, half, inject)
 
 
-def reference_effective(hat_c, params, tilt, config):
+def reference_effective(hat_c, params, tilt, config, inject=None):
     """The steps of :func:`edpflow.solve_effective`, the states shaped (N + 1, 1, n)."""
     cp = coarse_params(params, tilt)
     g = np.exp(np.diff(cp.v_hat) / 2.0)
     delta_faces = 0.5 * (cp.delta_hat[1:] + cp.delta_hat[:-1])
-    return _loop(np.asarray(hat_c, dtype=float), config, delta_faces[None], g[None])
+    return _loop(np.asarray(hat_c, dtype=float), config, delta_faces[None], g[None], inject=inject)
 
 
-def reference_multispecies(initial, gen, epsilon, config):
+def reference_multispecies(initial, gen, epsilon, config, inject=None):
     """The steps of :func:`edpflow.solve_multispecies`."""
     propagator = _generator_exp(gen.assemble(epsilon) * (0.5 * config.dt_effective))
 
@@ -121,4 +121,4 @@ def reference_multispecies(initial, gen, epsilon, config):
         return c + d, d
 
     delta_faces = np.repeat(gen.delta[:, None], initial.n_cells - 1, axis=1)
-    return _loop(initial.c, config, delta_faces, np.ones_like(delta_faces), half)
+    return _loop(initial.c, config, delta_faces, np.ones_like(delta_faces), half, inject)

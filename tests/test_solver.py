@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import edpflow.core
 from edpflow import (
     IntegrationError,
     SolverConfig,
@@ -489,56 +490,106 @@ class TestFusedKernel:
 
 
 class TestWindowCheck:
-    """A window is stepped without the guard and stepped again under it only if a new state
-    is not finite and positive, so what the guard does stays that of the per-step loop."""
+    """A block of steps is stepped without the guard and stepped again under it from the first
+    new state that is not finite and positive, so what the guard does stays that of the
+    per-step loop, for both schemes and all three solves."""
 
-    STEP, CELL = 10, (1, 5)  # inside windows of 7 steps, and of 64
+    STEP, CELL = 10, (-1, 5)  # inside windows of 7 steps, and of 64; the last species
 
     @staticmethod
-    def _case():
-        """A tilted two-species solve of 50 steps with positive states."""
+    def _case(kind, scheme):
+        """``(solve, reference)`` of a tilted two-species solve of 50 steps with positive
+        states, the coarse solve of its summed density, or the seed-0 4-species network;
+        ``reference(inject)`` takes the solve's steps through :mod:`reference_step`."""
         n = 20
         params = SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=1e-3)
         tilt = cosine_tilt(n, [[3.0], [-2.0]])
         x = SpatialGrid(n).cell_centers
         c0 = np.stack([1 + 0.5 * np.cos(np.pi * x), 0.5 + 0.3 * np.cos(2 * np.pi * x)])
-        return State(c0 / (c0.sum() / n)), params, tilt, SolverConfig(1e-3, 0.05)
+        c0 = State(c0 / (c0.sum() / n))
+        config = SolverConfig(1e-3, 0.05, scheme)
+        if kind == "eps":
+            return (_eps_solve(c0, params, tilt, config),
+                    lambda inject=None: reference_eps(c0, params, tilt, config, inject))
+        hat = c0.c.sum(axis=0)
+        if kind == "effective":
+            return (_effective_solve(hat, params, tilt, config),
+                    lambda inject=None: reference_effective(hat, params, tilt, config, inject))
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        net0 = State(gen.stationary(1e-3)[:, None] * hat)
+        return (_multispecies_solve(net0, gen, 1e-3, config),
+                lambda inject=None: reference_multispecies(net0, gen, 1e-3, config, inject))
 
-    def _injected(self, value):
-        """The case's solve and reference steps, step STEP's new state set to ``value`` at CELL.
+    def _injected(self, kind, scheme, value, every=False):
+        """The case's solve, its reference steps and a count of the solve's kernel calls, step
+        STEP's new state (with ``every``, that of each step from STEP on) set to ``value`` at CELL.
 
         The solve's kernel is wrapped and keyed on the state the step starts
         from, not on a call count: a replayed window calls the kernel again.
         """
-        c0, params, tilt, config = self._case()
-        start = reference_eps(c0, params, tilt, config)[0][self.STEP]
-        solve = _eps_solve(c0, params, tilt, config)
+        solve, reference = self._case(kind, scheme)
+
+        def inject(m, c):
+            if m == self.STEP or every and m > self.STEP:
+                c[self.CELL] = value
+
+        hit = reference(inject)[0][self.STEP:-1] if every else reference()[0][self.STEP:self.STEP + 1]
+        starts, calls = {c.tobytes() for c in hit}, [0]
         make = solve.kernel
 
         def injecting():
             kernel = make()
 
             def step(c, out, J, b):
+                calls[0] += 1
                 kernel(c, out, J, b)
-                if np.array_equal(c, start):
+                if c.tobytes() in starts:
                     out[self.CELL] = value
 
             return step
 
-        def inject(m, c):
-            if m == self.STEP:
-                c[self.CELL] = value
-
         solve.kernel = injecting
-        return solve, lambda: reference_eps(c0, params, tilt, config, inject)
+        return solve, lambda: reference(inject), calls
 
+    def _assert_clamped_as_the_steps_do(self, solve, reference, calls, unit, every, caplog):
+        """The solve's windows against the reference steps, and its kernel calls and record:
+        the block of STEP is replayed from STEP on, and the block after each block that
+        clamped is stepped under the guard from its start."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+                got = [[a.copy() for a in w] for w in solve.windows(unit)]
+            states, J, b = reference()
+        assert np.concatenate([w[1][:-1] for w in got] + [got[-1][1][-1:]]).tobytes() == states.tobytes()
+        assert np.concatenate([w[2] for w in got]).tobytes() == J.tobytes()
+        if b is not None:
+            assert np.concatenate([w[3] for w in got]).tobytes() == b.tobytes()
+        clamped = np.flatnonzero(states[1:].min(axis=(1, 2)) == 0.0)  # a clamp leaves a zero
+        assert clamped.size == (50 - self.STEP if every else 1)
+        check = _window_unit(solve.initial.size)
+        ends = [min(s + c + check, s + unit, 50) for s in range(0, 50, unit) for c in range(0, unit, check)]
+        end = min(e for e in ends if e > self.STEP)  # of the block of STEP
+        replayed = end - self.STEP
+        guarded = 50 - self.STEP if every else replayed + min([e for e in ends if e > end], default=end) - end
+        assert calls[0] == 50 + replayed
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"{solve.solver}: 50 steps in {-(-50 // unit)} windows, {clamped.size} clamped "
+            "(lowest value -1.000e-13, limit -1.000e-12, margin 9.000e-13), "
+            f"{guarded} step{'s' * (guarded != 1)} guarded, {replayed} replayed")
+
+    @pytest.mark.parametrize("kind", ["eps", "effective", "network"])
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
     @pytest.mark.parametrize("unit", [1, 7, 64])
+    @pytest.mark.parametrize("budget", [None, 200])  # 200 values: blocks of 3 to 10 steps
     @pytest.mark.parametrize("value, message", [
         (np.nan, "state left the finite range"),
         (-1e-3, r"density went negative \(-1.000e-03\)"),
     ])
-    def test_raises_at_the_step(self, unit, value, message):
-        solve, reference = self._injected(value)
+    def test_raises_at_the_step(self, kind, scheme, unit, budget, value, message, monkeypatch):
+        if budget:
+            monkeypatch.setattr(edpflow.core, "_WINDOW_BUDGET", budget)
+        solve, reference, _ = self._injected(kind, scheme, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(IntegrationError, match=message) as err:
@@ -548,34 +599,32 @@ class TestWindowCheck:
         assert err.value.step == ref_err.value.step == self.STEP
         assert str(err.value) == str(ref_err.value)
 
+    @pytest.mark.parametrize("kind", ["eps", "effective", "network"])
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
     @pytest.mark.parametrize("unit", [1, 7, 64])
-    def test_clamps_as_the_steps_do(self, unit, caplog):
-        solve, reference = self._injected(-1e-13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
-                got = [[a.copy() for a in w] for w in solve.windows(unit)]
-            states, J, b = reference()
-        assert np.concatenate([w[1][:-1] for w in got] + [got[-1][1][-1:]]).tobytes() == states.tobytes()
-        assert np.concatenate([w[2] for w in got]).tobytes() == J.tobytes()
-        assert np.concatenate([w[3] for w in got]).tobytes() == b.tobytes()
-        clamped = np.flatnonzero(states[1:].min(axis=(1, 2)) == 0.0)  # a clamp leaves a zero
-        replayed = np.unique(clamped // unit).size
-        assert clamped.size == 1 and replayed == 1  # the injected roundoff negative alone
-        (record,) = caplog.records
-        assert record.getMessage() == (
-            f"solve_eps_system: 50 steps in {-(-50 // unit)} windows, 1 clamped "
-            "(lowest value -1.000e-13, limit -1.000e-12, margin 9.000e-13), 1 window replayed")
+    @pytest.mark.parametrize("budget", [None, 200])  # 200 values: blocks of 3 to 10 steps
+    @pytest.mark.parametrize("every", [False, True], ids=["once", "every_step"])
+    def test_clamps_as_the_steps_do(self, kind, scheme, unit, budget, every, caplog, monkeypatch):
+        """A roundoff negative at STEP alone, or at every step from STEP on."""
+        if budget:
+            monkeypatch.setattr(edpflow.core, "_WINDOW_BUDGET", budget)
+        solve, reference, calls = self._injected(kind, scheme, -1e-13, every)
+        self._assert_clamped_as_the_steps_do(solve, reference, calls, unit, every, caplog)
 
+    @pytest.mark.parametrize("kind", ["eps", "effective", "network"])
+    @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
     @pytest.mark.parametrize("unit", [1, 7, 64])
-    def test_replay_runs_under_the_callers_errstate(self, unit):
+    @pytest.mark.parametrize("budget", [None, 200])
+    def test_replay_runs_under_the_callers_errstate(self, kind, scheme, unit, budget, monkeypatch):
         """The kernel overflows on the step after the injection: a RuntimeWarning where the
         per-step loop warns, and its IntegrationError where warnings are ignored."""
-        solve, reference = self._injected(1.7e308)
+        if budget:
+            monkeypatch.setattr(edpflow.core, "_WINDOW_BUDGET", budget)
+        solve, reference, _ = self._injected(kind, scheme, 1.7e308)
         for run in (lambda: list(solve.windows(unit)), reference):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(RuntimeWarning, match="overflow"):
+                with pytest.raises(RuntimeWarning, match="overflow|invalid value"):
                     run()
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(IntegrationError, match="finite range") as err:
@@ -611,10 +660,11 @@ class TestClampRecord:
         assert record.getMessage() == (
             "solve_eps_system: 100 steps in 2 windows, 1 clamped "
             "(lowest value -2.000e-12, limit -4.000e-12, margin 2.000e-12)")
-        clamps.replayed = 2
-        with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
-            clamps.log("solve_eps_system", 100, 2)
-        assert caplog.records[-1].getMessage().endswith("margin 2.000e-12), 2 windows replayed")
+        for clamps.guarded, clamps.replayed, tail in ((1, 1, "1 step guarded, 1 replayed"),
+                                                      (30, 2, "30 steps guarded, 2 replayed")):
+            with caplog.at_level(logging.DEBUG, logger="edpflow.solver"):
+                clamps.log("solve_eps_system", 100, 2)
+            assert caplog.records[-1].getMessage().endswith(f"margin 2.000e-12), {tail}")
 
     def test_one_record_per_solve(self, params, caplog):
         n = 8
