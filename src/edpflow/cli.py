@@ -37,7 +37,7 @@ from .coarsegrain import (
     manifold_split,
     reconstruct_from_coarse,
 )
-from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _read_json, _window_unit
+from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _fields, _read_json, _window_unit
 from .dissipation import (
     DualAscentError,
     _balance,
@@ -113,18 +113,6 @@ class ExperimentResult:
 
 def _real(v) -> bool:  # a finite float, or an integer within its range; booleans are not numbers
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _fields(doc, required, optional=()):
-    """``doc``, if it is an object with every key of ``required`` and no key outside ``optional``."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"must be an object, got {doc!r}")
-    missing = [k for k in required if k not in doc]
-    unknown = [k for k in doc if k not in required and k not in optional]
-    if missing or unknown:
-        raise ValueError("; ".join(f"{what} {keys}" for what, keys in
-                                   (("missing", missing), ("unknown", unknown)) if keys))
-    return doc
 
 
 # parsers of the config keys: each returns its ExperimentConfig field or
@@ -280,8 +268,15 @@ def load_config(source) -> ExperimentConfig:
                 problems.append(f"{key!r}: {exc}")
         elif required_by is None or experiment in required_by:
             problems.append(f"missing key {key!r}")
-    if experiment == "edb_refinement" and len(fields.get("epsilons", ())) != 1:
+    scales = fields.get("epsilons", ())
+    if experiment == "edb_refinement" and len(scales) != 1:
         problems.append("'epsilons' must hold exactly one scale for edb_refinement")
+    if experiment == "eps_sweep" and len(scales) == 1:
+        problems.append("'epsilons' must hold two scales or more for eps_sweep, to fit its slope")
+    labelled = experiment in ("eps_sweep", "mixed_diffusion_fit")  # its outputs key each scale by %g
+    if labelled and len({f"{e:g}" for e in scales}) < len(scales):
+        problems.append("'epsilons' must differ in their %g labels, which key the outputs of"
+                        f" {experiment}, got {list(scales)!r}")
     if experiment == "eps_sweep" and {"solver", "epsilons"} <= fields.keys():
         sc, eps = fields["solver"], fields["epsilons"][-1]  # the sweep steps at min(dt, eps / 5)
         if sc.t_final > (1e7 + 0.5) * min(sc.dt, eps / 5.0):
@@ -586,8 +581,7 @@ def _run_multispecies_check(cfg: ExperimentConfig, outdir: Path):
     pair_gen = equation_generator(cfg.params)
     pair_report = validate_generator(pair_gen)
     w = pair_gen.stationary(1.0)
-    w_expected = np.array([cfg.params.beta, cfg.params.alpha]) / (cfg.params.alpha + cfg.params.beta)
-    pair_w_ok = bool(np.max(np.abs(w - w_expected)) <= 1e-13)
+    pair_w_ok = bool(np.max(np.abs(w - cfg.params.w)) <= 1e-13)
 
     kappa_rows = []
     kappa_ok = True

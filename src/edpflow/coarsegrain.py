@@ -30,7 +30,7 @@ from .core import (
     _Owned,
     _readonly,
 )
-from .functionals import stationary_measure, stationary_measure_faces
+from .functionals import _face_mobility, stationary_measure, stationary_measure_faces
 
 __all__ = [
     "CoarseParams",
@@ -281,9 +281,7 @@ def flux_equilibration_check(state: State, j1: np.ndarray, j2: np.ndarray,
     if j1.shape != (n + 1,) or j2.shape != (n + 1,):
         raise ValueError("fluxes must be per-face arrays")
     h = 1.0 / n
-    d1, d2 = params.delta
-    m1 = d1 * 0.5 * (c[0, 1:] + c[0, :-1])
-    m2 = d2 * 0.5 * (c[1, 1:] + c[1, :-1])
+    m1, m2 = _face_mobility(c, params.delta_array)
     a, bfl = j1[1:-1], j2[1:-1]
     gap = a * a / m1 + bfl * bfl / m2 - (a + bfl) ** 2 / (m1 + m2)
     return float(np.sum(gap)) * h
@@ -339,24 +337,18 @@ def mollify_in_time(hat_traj: CoarseTrajectory, half_width: float) -> CoarseTraj
     return CoarseTrajectory(hat_traj.times, states, fluxes)
 
 
-def optimal_coarse_flux(weight_faces: np.ndarray, rate: np.ndarray, h: float) -> np.ndarray:
+def optimal_coarse_flux(rate: np.ndarray, h: float) -> np.ndarray:
     """Face flux of minimal quadratic cost transporting the given cell rate.
 
     On an interval with zero boundary flux, rate + div J = 0 has exactly one
-    solution, J_{k+1/2} = -h sum_{i<=k} rate_i, so that is the minimizer for
-    every choice of the interior-face mobilities ``weight_faces``: they enter
-    only its cost, which is +inf where a nonzero flux meets zero mobility.
+    solution, J_{k+1/2} = -h sum_{i<=k} rate_i, so that is the minimizer
+    whatever the face mobilities, which enter only its cost (+inf where a
+    nonzero flux meets zero mobility).
     The rate must sum to zero (it is centered to machine precision first).
     Leading axes stack independent problems.
     """
     rate = np.asarray(rate, dtype=float)
-    w = np.asarray(weight_faces, dtype=float)
-    n = rate.shape[-1]
-    if w.shape != rate.shape[:-1] + (n - 1,):
-        raise ValueError("weight_faces must hold the interior faces")
-    if not np.all(w >= 0):
-        raise ValueError("face mobilities must be nonnegative")
-    J = np.zeros(rate.shape[:-1] + (n + 1,))
+    J = np.zeros(rate.shape[:-1] + (rate.shape[-1] + 1,))
     J[..., 1:-1] = -h * np.cumsum(rate - rate.mean(axis=-1, keepdims=True), axis=-1)[..., :-1]
     return J
 
@@ -408,11 +400,8 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
         )
     hat = coarse_grain_trajectory(limit_traj)
     if hat.fluxes is None:
-        cp = coarse_params(params, tilt)
         rate = np.diff(hat.states, axis=0) / np.diff(hat.times)[:, None]
-        mob = cp.delta_hat * hat.states[:-1]
-        J = optimal_coarse_flux(0.5 * (mob[:, 1:] + mob[:, :-1]), rate, 1.0 / hat.n_cells)
-        hat = CoarseTrajectory(hat.times, hat.states, J)
+        hat = CoarseTrajectory(hat.times, hat.states, optimal_coarse_flux(rate, 1.0 / hat.n_cells))
 
     gamma = float(epsilon ** (1.0 - lam))
     shifted = shift_positive(hat, gamma)

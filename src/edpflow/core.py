@@ -61,12 +61,12 @@ class _Owned:
         self.array = array
 
 
-def _readonly(values, dtype=float):
-    """Read-only array: a copy of ``values``, or an :class:`_Owned` array adopted in place."""
+def _readonly(values):
+    """Read-only float array: a copy of ``values``, or an :class:`_Owned` array adopted in place."""
     if isinstance(values, _Owned):
-        out = np.asarray(values.array, dtype=dtype)
+        out = np.asarray(values.array, dtype=float)
     else:
-        out = np.array(values, dtype=dtype)
+        out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -672,6 +672,18 @@ def _csv_rows(t_fields, states, fluxes, x_fields, width: int) -> tuple[bytes, in
     buf[:, :, 1] = x_fields
     buf[:, :, 2:], count = _format_g17(values, b",")
     return buf.tobytes().translate(None, b"\0"), count
+
+
+def _fields(doc, required, optional=()):
+    """``doc``, if it is an object with every key of ``required`` and no key outside ``optional``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"must be an object, got {doc!r}")
+    missing = [k for k in required if k not in doc]
+    unknown = [k for k in doc if k not in required and k not in optional]
+    if missing or unknown:
+        raise ValueError("; ".join(f"{what} {keys}" for what, keys in
+                                   (("missing", missing), ("unknown", unknown)) if keys))
+    return doc
 
 
 def _read_json(path, what: str):

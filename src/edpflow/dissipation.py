@@ -58,8 +58,10 @@ from .functionals import (
     _check_shapes,
     _face_fisher,
     _face_kinetic,
+    _face_mobility,
     _network_cost,
     _network_slope,
+    _two_species_edges,
     cosh_star,
     cosh_star_prime,
     cosh_star_second,
@@ -234,7 +236,7 @@ def _dual(c, delta, edges, v, h):
     # per-problem data are species-major, (M, I, n - 1) on faces and
     # (M, I - 1, n) on cells, so that elementwise work loops over cells, not
     # over the I - 1 unknowns of a cell
-    w = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1]) / h
+    w = _face_mobility(c, delta) / h
     G = np.cumsum(h * v.sum(axis=1), axis=1)[:, :-1]
     W = w.sum(axis=1)
     empty = W == 0
@@ -339,12 +341,6 @@ def _mass_balance_check(v: np.ndarray, h: float):
         raise ValueError(f"rate must preserve total mass (imbalance {np.max(imbalance):.3e})")
 
 
-def _two_species_edges(traj_or_state, params: SystemParams):
-    if traj_or_state.n_species != 2:
-        raise ValueError("two-species evaluation; see multispecies for the general case")
-    return [(0, 1, 1.0 / params.epsilon)]
-
-
 def primal_R_eps(state: State, params: SystemParams, v, *, xi0=None) -> PrimalRate:
     """Flux cost of realizing the rate v from the given state.
 
@@ -383,7 +379,7 @@ def primal_R_eps(state: State, params: SystemParams, v, *, xi0=None) -> PrimalRa
     value = float(val[0])
     # the potentials: xi_0 summed from its face jumps s = (w_1 d(eta) - G) / W (0 where
     # both species are empty), xi_1 = xi_0 - eta, shifted to a mean of zero
-    w = delta[:, None] * 0.5 * (c[:, 1:] + c[:, :-1]) / h
+    w = _face_mobility(c, delta) / h
     W = np.where(w.sum(axis=0) == 0, 1.0, w.sum(axis=0))
     s = w[1] / W * np.diff(x[0]) - np.cumsum(h * v.sum(axis=0))[:-1] / W
     xi = np.concatenate([[0.0], np.cumsum(s)]) - np.stack([np.zeros_like(x[0]), x[0]])
@@ -578,8 +574,8 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt) -> float:
     return _balance(traj, params, tilt)[2]
 
 
-def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
-    """Time integrals of the coarse velocity and slope terms.
+def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt) -> DissipationBreakdown:
+    """Time integrals of the coarse velocity and slope terms, the exchange terms zero.
 
     ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
     coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them,
@@ -598,11 +594,11 @@ def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt):
         mob = cp.delta_hat * hat_c
         mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
         if fluxes is None:
-            fluxes = optimal_coarse_flux(mob_f, (states[1:] - hat_c) / dts[:, None], h)
+            fluxes = optimal_coarse_flux((states[1:] - hat_c) / dts[:, None], h)
         vel = 0.5 * np.sum(_face_kinetic(fluxes[:, 1:-1], mob_f), axis=1) * h
         slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
         acc = _integrate(acc, [vel, slp], dts)
-    return acc
+    return DissipationBreakdown(acc[0], 0.0, acc[1], 0.0)
 
 
 def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -615,8 +611,7 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
     coarse solve, read window by window as for :func:`dissipation_functional`.
     """
-    vel, slp = _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt)
-    return DissipationBreakdown(vel, 0.0, slp, 0.0)
+    return _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt)
 
 
 def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -625,8 +620,7 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
 
     ``hat_traj`` may also be a coarse solve, read as for :func:`hat_dissipation`.
     """
-    vel, slp = _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt)
-    return DissipationBreakdown(vel, 0.0, slp, 0.0)
+    return _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt)
 
 
 def _hat_balance(hat_traj, params: SystemParams, tilt: Tilt):

@@ -133,9 +133,21 @@ def _face_kinetic(j, mob):
     return cost
 
 
+def _face_mobility(c, delta):
+    """Mobilities delta_i cbar_i on the interior faces (last axis) of ``c`` (..., I, n)."""
+    return delta[:, None] * (0.5 * (c[..., 1:] + c[..., :-1]))
+
+
 def _face_fisher(rho):
     """Fisher quotient |d rho|^2 / rho_bar on interior faces (last axis), same zero convention."""
     return _face_kinetic(rho[..., 1:] - rho[..., :-1], 0.5 * (rho[..., 1:] + rho[..., :-1]))
+
+
+def _two_species_edges(traj_or_state, params: SystemParams):
+    """The two-species system's one exchange edge, (0, 1, 1/epsilon); other species counts raise."""
+    if traj_or_state.n_species != 2:
+        raise ValueError("two-species evaluation; see multispecies for the general case")
+    return [(0, 1, 1.0 / params.epsilon)]
 
 
 def _check_shapes(state: State, tilt: Tilt):
@@ -201,9 +213,8 @@ def stationary_measure_faces(params: SystemParams, tilt: Tilt) -> np.ndarray:
 
 def _diffusion_dual(c: np.ndarray, delta: np.ndarray, xi: np.ndarray, h: float) -> float:
     """Quadratic mobility form: sum over interior faces of delta * cbar * (dxi)^2 / (2h)."""
-    cbar = 0.5 * (c[:, 1:] + c[:, :-1])
     dxi = xi[:, 1:] - xi[:, :-1]
-    return 0.5 * float(np.sum(delta[:, None] * cbar * dxi * dxi)) / h
+    return 0.5 * float(np.sum(_face_mobility(c, delta) * dxi * dxi)) / h
 
 
 def dual_dissipation(state: State, params: SystemParams, tilt: Tilt, xi) -> float:
@@ -235,8 +246,7 @@ def _network_cost(c, delta, edges, J, edge_b, h):
     of perspective cosh costs of the exchange fluxes through
     kappa sqrt(c_i c_j), each with the leading shape of ``c``.
     """
-    mob = delta[:, None] * 0.5 * (c[..., 1:] + c[..., :-1])
-    kinetic = 0.5 * np.sum(_face_kinetic(J[..., 1:-1], mob), axis=(-2, -1)) * h
+    kinetic = 0.5 * np.sum(_face_kinetic(J[..., 1:-1], _face_mobility(c, delta)), axis=(-2, -1)) * h
     exchange = [
         np.sum(perspective_eval("cosh", kappa * np.sqrt(c[..., i, :] * c[..., j, :]), b), axis=-1) * h
         for (i, j, kappa), b in zip(edges, edge_b)
@@ -252,8 +262,7 @@ def _network_slope(c, w, delta, edges, h):
     the list of per-edge exchange parts, each with the leading shape of ``c``.
     """
     rho = c / np.where(c > 0, w, 1.0)  # an empty species is at rest where its measure underflows too
-    wbar = 0.5 * (w[:, 1:] + w[:, :-1])
-    diff = 0.5 * np.sum(delta[:, None] * wbar * _face_fisher(rho), axis=(-2, -1)) / h
+    diff = 0.5 * np.sum(_face_mobility(w, delta) * _face_fisher(rho), axis=(-2, -1)) / h
     sq = np.sqrt(rho)
     react = [
         2.0 * kappa * h * np.sum(np.sqrt(w[i] * w[j]) * (sq[..., i, :] - sq[..., j, :]) ** 2, axis=-1)
@@ -273,11 +282,11 @@ def slope(state: State, params: SystemParams, tilt: Tilt):
     at the stationary measure; the reaction part vanishes exactly on the slow
     manifold rho_1 = rho_2.
     """
+    edges = _two_species_edges(state, params)
     _check_shapes(state, tilt)
     w_v, _ = stationary_measure(params, tilt)
-    slope_diff, (slope_react,) = _network_slope(
-        state.c, w_v, params.delta_array, [(0, 1, 1.0 / params.epsilon)], 1.0 / state.n_cells
-    )
+    slope_diff, (slope_react,) = _network_slope(state.c, w_v, params.delta_array, edges,
+                                                1.0 / state.n_cells)
     return float(slope_diff), float(slope_react)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import State, Trajectory, _read_json, _readonly
+from .core import State, Trajectory, _fields, _read_json, _readonly
 from .dissipation import _network_terms, _windows, damped_newton_max
 from .solver import SolverConfig, _Solve
 
@@ -50,8 +50,8 @@ class MarkovGenerator:
     """Slow/fast generator pair with per-species diffusion constants.
 
     ``a_slow`` and ``a_fast`` are I x I rate matrices in the convention
-    dc/dt = A c (entry (i, j) is the rate from species j into species i);
-    the assembled generator is a_slow + a_fast / epsilon.
+    dc/dt = A c (entry (i, j) is the rate from species j into species i),
+    with finite entries; the assembled generator is a_slow + a_fast / epsilon.
     """
 
     species: tuple[str, ...]
@@ -71,6 +71,8 @@ class MarkovGenerator:
                 f"shape mismatch: {i} species, A_slow {a_s.shape}, "
                 f"A_fast {a_f.shape}, delta {d.shape}"
             )
+        if not (np.all(np.isfinite(a_s)) and np.all(np.isfinite(a_f))):
+            raise ValueError("A_slow and A_fast entries must be finite")
         if not np.all((d > 0) & (d < np.inf)):
             raise ValueError(f"delta must be positive and finite, got {d!r}")
         object.__setattr__(self, "species", tuple(str(s) for s in self.species))
@@ -134,23 +136,19 @@ def load_generator(source) -> MarkovGenerator:
     """Build a generator from a JSON document (path or already-parsed dict).
 
     The schema is strict: exactly the keys ``species`` (names), ``A_slow`` and
-    ``A_fast`` (row-major square matrices), and ``delta`` (positive finite array).
-    Violations raise a ValueError listing every offending key; so does a path
-    that is missing, a directory, not UTF-8 or not JSON.
+    ``A_fast`` (row-major square matrices of finite entries), and ``delta``
+    (positive finite array), checked for missing and unknown keys as the
+    config keys are.  Violations raise a ValueError, "generator spec invalid:
+    ..." listing every offending key; so does a path that is missing, a
+    directory, not UTF-8 or not JSON.
     """
     doc = _read_json(source, "generator file") if isinstance(source, (str, Path)) else source
-    problems = []
-    if not isinstance(doc, dict):
-        raise ValueError("generator spec must be a JSON object")
-    for key in _SPEC_KEYS:
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
-    for key in doc:
-        if key not in _SPEC_KEYS:
-            problems.append(f"unknown key {key!r}")
-    if problems:
-        raise ValueError("generator spec invalid: " + "; ".join(problems))
+    try:
+        _fields(doc, _SPEC_KEYS)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"generator spec invalid: {exc}") from None
 
+    problems = []
     species = doc["species"]
     if not isinstance(species, list) or not all(isinstance(s, str) for s in species):
         problems.append("'species' must be a list of names")
@@ -166,6 +164,8 @@ def load_generator(source) -> MarkovGenerator:
             continue
         if m.shape != (n, n):
             problems.append(f"{key!r} must be a {n}x{n} row-major matrix, got shape {m.shape}")
+        elif not np.all(np.isfinite(m)):
+            problems.append(f"{key!r} entries must be finite")
         else:
             mats[key] = m
     try:
@@ -373,9 +373,7 @@ def _multispecies_solve(initial: State, gen: MarkovGenerator, epsilon: float,
         # centred, so that the propagator's column sums (1 up to roundoff) move no mass
         np.subtract(d, np.divide(np.add.reduce(d, 0, None, sums), len(d), sums), d)
 
-    delta_faces = np.repeat(gen.delta[:, None], initial.n_cells - 1, axis=1)
-    return _Solve("solve_multispecies", initial.c, config, delta_faces,
-                  np.ones_like(delta_faces), half)
+    return _Solve("solve_multispecies", initial.c, config, gen.delta[:, None], 0.0, half)
 
 
 def solve_multispecies(initial: State, gen: MarkovGenerator, epsilon: float,

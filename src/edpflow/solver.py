@@ -254,9 +254,12 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
 class _Solve:
     """A solve of ``config`` from ``initial`` (the (k, n) densities, or the (n,) coarse one).
 
-    ``delta_faces`` and ``g`` (k, n - 1) define the drift-diffusion step of
-    :func:`_kernel`; ``half`` is None for the coarse system, else the half
-    step ``half(c, d)`` that writes the amounts it moves in the (k, n) stack
+    ``delta`` and ``v``, the diffusion constants and the cell potential,
+    broadcast to the (k, n) stack; the drift-diffusion step of :func:`_kernel`
+    takes their face constants (delta_k + delta_{k+1}) / 2 and drift factors
+    exp((v_{k+1} - v_k) / 2), and raises if an overflow leaves those
+    infinite.  ``half`` is None for the coarse system, else the half step
+    ``half(c, d)`` that writes the amounts it moves in the (k, n) stack
     ``c``, summing to zero over the species, into ``d``.  It is applied before
     and after the diffusion step, and the two amounts over dt are the step's
     reaction fluxes.  ``solver`` names the solve in its DEBUG record.
@@ -266,10 +269,13 @@ class _Solve:
     (before the first, the initial state).
     """
 
-    def __init__(self, solver: str, initial, config: SolverConfig, delta_faces, g, half=None):
+    def __init__(self, solver: str, initial, config: SolverConfig, delta, v, half=None):
         self.solver, self.initial, self.config, self.half = solver, initial, config, half
-        self.kernel = _kernel(delta_faces, g, config.dt_effective, 1.0 / initial.shape[-1],
-                              config.scheme == "strang_cn", half)
+        delta, v, _ = np.broadcast_arrays(delta, v, initial.reshape(-1, initial.shape[-1]))
+        with np.errstate(over="ignore"):
+            g = np.exp(np.diff(v) / 2.0)
+        self.kernel = _kernel(0.5 * (delta[:, 1:] + delta[:, :-1]), g, config.dt_effective,
+                              1.0 / initial.shape[-1], config.scheme == "strang_cn", half)
         self.n_cells = initial.shape[-1]
         self.states = initial[None]
 
@@ -372,7 +378,6 @@ def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverC
         a, b = _exchange_rates(params, tilt)
         s = a + b
         theta = -np.expm1(-s * (0.5 * dt) / eps) / s
-        g = np.exp(np.diff(tilt.v_cells) / 2.0)
     if not all(np.all(np.isfinite(x)) for x in (a, b, theta)):
         vdiff = np.max(np.abs(tilt.v_cells[0] - tilt.v_cells[1]))
         raise IntegrationError(f"tilt too large: exchange rates overflow at |V1 - V2| = {vdiff:.4g}", 0)
@@ -385,8 +390,7 @@ def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverC
         np.multiply(rates, c, prod)
         np.multiply(signed_theta, np.subtract(bc, ac, u), d)
 
-    delta_faces = np.repeat(params.delta_array[:, None], initial.n_cells - 1, axis=1)
-    return _Solve("solve_eps_system", initial.c, config, delta_faces, g, half)
+    return _Solve("solve_eps_system", initial.c, config, params.delta_array[:, None], tilt.v_cells, half)
 
 
 def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
@@ -411,9 +415,7 @@ def _effective_solve(initial_hat, params: SystemParams, tilt: Tilt, config: Solv
         raise ValueError("initial coarse density must have unit mass")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cp = coarse_params(params, tilt)
-        g = np.exp(np.diff(cp.v_hat) / 2.0)
-    delta_faces = 0.5 * (cp.delta_hat[1:] + cp.delta_hat[:-1])
-    return _Solve("solve_effective", hat_c, config, delta_faces[None], g[None])
+    return _Solve("solve_effective", hat_c, config, cp.delta_hat, cp.v_hat)
 
 
 def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,

@@ -133,6 +133,13 @@ class TestConfigValidation:
         # an integer beyond the float range raised OverflowError
         ("multispecies_check", "generator", {"species": ["A", "B"], "A_slow": [[0, 0], [0, 0]],
                                              "A_fast": [[-1, 1], [1, -1]], "delta": [10**400, 1]}),
+        # JSON's 1e400, read as inf: the run's null-space solve raised on it
+        ("multispecies_check", "generator", {"species": ["A", "B"], "A_slow": [[0, 0], [0, 0]],
+                                             "A_fast": [[-1, float("inf")], [1, -1]], "delta": [1, 1]}),
+        # a slope fitted through a single point
+        ("eps_sweep", "epsilons", [0.01]),
+        # two scales with one %g label, which keys the summary and the file names
+        ("mixed_diffusion_fit", "epsilons", [1e-2, 1.0000001e-3, 1e-3]),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, capsys, kind, key, value):
         doc = small_config(kind, tmp_path / "out", **{key: value})

@@ -237,6 +237,11 @@ class TestSlope:
         _, sr2 = slope(st, replace(params, epsilon=0.01), Tilt.zero(8))
         assert sr2 == pytest.approx(10 * sr1, rel=1e-12)
 
+    def test_three_species_rejected(self, params):
+        # the two-species slope has one exchange edge; a third species is the network's case
+        with pytest.raises(ValueError, match="two-species evaluation"):
+            slope(State(np.ones((3, 6))), params, Tilt.zero(6, n_species=3))
+
 
 class TestEffectiveDualPotential:
     def test_equal_potentials_finite(self, params, rng):

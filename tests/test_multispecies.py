@@ -82,6 +82,11 @@ class TestValidation:
         assert not report.ok
         assert any("detailed balance" in f for f in report.failures)
 
+    def test_nonfinite_rates_rejected(self):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            MarkovGenerator(("a", "b"), np.zeros((2, 2)), np.array([[np.nan, 1.0], [np.nan, -1.0]]),
+                            np.ones(2))
+
     @pytest.mark.parametrize("delta", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_diffusion_constant_rejected(self, delta):
         # rejected here, not later in a solve as a negative density or as a
@@ -394,10 +399,15 @@ class TestPropagator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_generator_rejected(self, bad):
-        fast = np.array([[-bad, 1.0], [bad, -1.0]])
-        gen = MarkovGenerator(("A", "B"), np.zeros((2, 2)), fast, np.ones(2))
+        # a MarkovGenerator has finite rates, but a_fast / epsilon can overflow
         with pytest.raises(ValueError, match="finite"):
-            solve_multispecies(State(np.ones((2, 6))), gen, 1e-2, SolverConfig(1e-3, 0.002))
+            _generator_exp(np.array([[-bad, 1.0], [bad, -1.0]]))
+
+    def test_overflowing_assembly_rejected(self):
+        gen = MarkovGenerator(("A", "B"), np.zeros((2, 2)), np.array([[-1e300, 1.0], [1e300, -1.0]]),
+                              np.ones(2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            solve_multispecies(State(np.ones((2, 6))), gen, 1e-10, SolverConfig(1e-3, 0.002))
 
 
 def _other_thread_ticks():
