@@ -381,17 +381,24 @@ _CSV_BLOCK_ROWS = 1024
 
 # _format_g17 lays each value out in 32 zero-padded bytes, four little-endian
 # words, and the zero bytes are dropped when the fields are joined:
-#   0-1  separator written before the field
-#   2    '-'
-#   3-7  '0.' and up to three zeros, for values below 1e-1 in fixed notation
-#   8-25 the 17 digits, trailing zeros cleared, with the decimal point inserted
-#   26-30 'e', exponent sign, two or three exponent digits
+#   word 0     bytes 0-1 the separator written before the field, 2 '-', 3-7
+#              '0.' and up to three zeros for values below 1e-1 in fixed
+#              notation
+#   words 1-3  bytes 8-25 the 17 digits, trailing zeros cleared, with the
+#              decimal point inserted; bytes 26-30 'e', exponent sign, two or
+#              three exponent digits
+# Each word costs one table lookup per value and table: word 0 is looked up
+# by (k, sign), the exponent by k, and the masks that keep, shift and insert
+# the point by (notation, trailing zeros), notation a function of k.
 _G17_WORDS = 4
 _G17_WORD = np.dtype("<u8")
 # |v| in this range scales to 17 digits without overflow or subnormals, by
 # 10^p with p in the table's range
 _G17_MIN, _G17_MAX = 1e-290, 1e290
 _G17_POW_MIN, _G17_POW_MAX = -280, 308
+# the k tables' rows: k = 16 - _G17_POW_MAX .. 17 - _G17_POW_MIN, then a row
+# for zeros
+_G17_K_MIN, _G17_K_ZERO = 16 - _G17_POW_MAX, 18 - _G17_POW_MIN
 # fractions of y within this of 1/2 or of an integer are not certified where
 # 10^p is inexact; the double-double's error is below 2^-47 there (y < 2^57)
 _G17_MARGIN = 2.0**-30
@@ -431,35 +438,55 @@ def _g17_tables() -> dict:
     m_hi = t - (t - m)
     g = np.arange(10000)
     digits = ord("0") + np.stack([g // 10 ** (3 - j) % 10 for j in range(4)], axis=1)
-    # bytes j of the digit string (field bytes 8-31) against a count c = 0..17
-    j, c = np.arange(24), np.arange(18)[:, None]
-    # '0.' and -k - 1 zeros at bytes 3-7 for k = -1..-4
-    prefix = np.zeros((5, 8))
+    # trailing zeros of five digits, 5 for 00000: multiples of 10^j have j or more
+    zeros = np.zeros(10**5, np.uint8)
+    for j in range(1, 6):
+        zeros[:: 10**j] += 1
+    k = np.arange(_G17_K_MIN, _G17_K_ZERO + 1)
+    # word 0 by (k, sign): '-' at byte 2, and '0.' and -k - 1 zeros at bytes
+    # 3-7 for k = -1..-4
+    lead = np.zeros((k.size, 2, 8))
+    lead[:, 1, 2] = ord("-")
     for n in range(1, 5):
-        prefix[n, 3:5] = ord("0"), ord(".")
-        prefix[n, 5 : 4 + n] = ord("0")
-    # 'e', sign and exponent digits at bytes 26-30 for k outside the fixed range
-    exponent = np.zeros((_G17_POW_MAX - _G17_POW_MIN + 2, 8))
-    for i, k in enumerate(range(16 - _G17_POW_MAX, 18 - _G17_POW_MIN)):
-        if not -4 <= k < 17:
-            text = b"e%+03d" % k
-            exponent[i, 2 : 2 + len(text)] = list(text)
+        lead[k == -n, :, 3:5] = ord("0"), ord(".")
+        lead[k == -n, :, 5 : 4 + n] = ord("0")
+    # the notation of each k: k for k = 0..16, fixed, which keeps at least
+    # k + 1 digits and puts the point after digit k unless no digit follows;
+    # 17 for '0.ddd', which has no point; 18 for exponent notation, the point
+    # after the first digit; 19 for zeros, the first digit alone
+    notation = np.select([(k >= 0) & (k < 17), (k >= -4) & (k < 0), k == _G17_K_ZERO],
+                         [k, 17, 19], 18)
+    # 'e', sign and exponent digits at bytes 26-30 in exponent notation
+    exponent = np.zeros((k.size, 8))
+    for i in np.flatnonzero(notation == 18):
+        text = b"e%+03d" % k[i]
+        exponent[i, 2 : 2 + len(text)] = list(text)
+    # the digit string's masks by (notation, trailing zeros); bytes past the
+    # digits kept are cleared, whatever the digit words hold there
+    nd = 17 - np.arange(17)[:, None]  # significant digits
+    j = np.arange(24)
+    # per notation, the digits kept and the digit the point follows (17: none)
+    notations = [(np.maximum(nd, row + 1), row) for row in range(17)]
+    notations += [(nd, 17), (nd, 0), (np.ones_like(nd), 17)]
+    masks = []
+    for keep, after in notations:
+        at = np.where(keep > after + 1, after, 17)  # no point before no digit
+        masks.append((
+            255 * ((j < keep) & (j <= at)),  # bytes up to the point stay
+            255 * ((j - 1 < keep) & (j >= at + 2) & (j < 18)),  # later ones move up by one
+            ord(".") * ((j == at + 1) & (at < 17)),
+        ))
+    low, high, point = (_words(np.concatenate(m)).T for m in zip(*masks))
     tables = {
         "hi": hi, "lo": lo, "hi_hi": np.ldexp(m_hi, e), "hi_lo": np.ldexp(m - m_hi, e),
         # four ASCII digits of a group, the first in the lowest byte
         "group": _words(np.pad(digits, ((0, 0), (0, 4))))[:, 0],
-        # trailing zeros of a group, 4 for 0000
-        "zeros": sum((g % 10**n == 0).astype(np.int64) for n in range(1, 5)),
-        # digit string: the first c bytes kept
-        "keep": _words(255 * (j < c)).T,
-        # decimal point after digit c (17: none): bytes 0..c stay, byte c + 1
-        # takes the point, later bytes move up by one
-        "low": _words(255 * (j <= c)).T,
-        "high": _words(255 * ((j >= c + 2) & (j < 18))).T,
-        "point": _words(ord(".") * ((j == c + 1) & (c < 17))).T,
-        "prefix": _words(prefix)[:, 0],
-        "minus": _words(np.outer([0, ord("-")], np.arange(8) == 2))[:, 0],
+        "zeros": zeros,
+        "lead": _words(lead.reshape(-1, 8))[:, 0],
         "exponent": _words(exponent)[:, 0],
+        # the masks' first row of each k, where a trailing-zero count is added
+        "notation": 17 * notation,
+        "low": low, "high": high, "point": point,
     }
     for name, a in tables.items():
         tables[name] = np.ascontiguousarray(a)
@@ -467,16 +494,16 @@ def _g17_tables() -> dict:
     return tables
 
 
-def _scaled(a, p, tab):
-    """``a * 10^p`` as ``hi + lo``: Dekker's exact product with the split ``hi`` of ``10^p``."""
-    i = p - _G17_POW_MIN
-    ph, ph_hi, ph_lo = tab["hi"][i], tab["hi_hi"][i], tab["hi_lo"][i]
+def _scaled(a, k, tab):
+    """``a * 10^(16 - k)`` as ``hi + lo``: Dekker's exact product with the split power."""
+    i = (16 - _G17_POW_MIN) - k
+    ph, ph_hi, ph_lo = tab["hi"].take(i), tab["hi_hi"].take(i), tab["hi_lo"].take(i)
     t = _SPLIT * a
     a_hi = t - (t - a)
     a_lo = a - a_hi
     hi = a * ph
     err = ((a_hi * ph_hi - hi) + a_hi * ph_lo + a_lo * ph_hi) + a_lo * ph_lo
-    return hi, err + a * tab["lo"][i]
+    return hi, err + a * tab["lo"].take(i)
 
 
 def _decade_step(hi, lo):
@@ -489,98 +516,129 @@ def _decade_step(hi, lo):
 def _decimal_digits(v: np.ndarray, tab: dict):
     """17-digit integers ``d`` and exponents ``k`` with ``|v| ~ d * 10^(k - 16)``.
 
-    Also returns which values are certified: zeros (``d = k = 0``) and
-    values whose rounding the double-double product decides.
+    Also returns which values are certified: values whose rounding the
+    double-double product decides, and zeros, which come out as ``d = 1``
+    and ``k = _G17_K_ZERO``.  Each step that only a few values need (out of
+    range, a missed decade, a fraction near 1/2 or an integer, a carry, a
+    zero) runs on those values alone.
     """
     a = np.abs(v)
-    zero = a == 0.0
     ok = (a >= _G17_MIN) & (a <= _G17_MAX)
-    a = np.where(ok, a, 1.0)  # the others run through as 1.0, so nothing overflows
+    zero = ()
+    if not ok.all():
+        zero = np.flatnonzero(a == 0.0)
+        # the others run through as 3.3: nothing overflows, and its digits,
+        # 32999999999999998.22..., take none of the rare steps below
+        a[~ok] = 3.3
     k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _scaled(a, 16 - k, tab)
+    hi, lo = _scaled(a, k, tab)
     # log10 may miss the decade by one next to a power of ten
-    step = _decade_step(hi, lo)
-    fix = np.flatnonzero(step)
-    if fix.size:
-        k[fix] += step[fix]
-        hi[fix], lo[fix] = _scaled(a[fix], 16 - k[fix], tab)
+    edge = np.flatnonzero((hi >= 1e17) | (hi <= 1e16))
+    if edge.size:
+        step = _decade_step(hi[edge], lo[edge])
+        fix = edge[step != 0]
+        k[fix] += step[step != 0]
+        hi[fix], lo[fix] = _scaled(a[fix], k[fix], tab)
         miss = fix[_decade_step(hi[fix], lo[fix]) != 0]
         ok[miss] = False  # not seen; Python formats them
         hi[miss], lo[miss] = 1e16, 0.0
     whole = np.floor(lo)
     f = lo - whole
     half = np.abs(f - 0.5)
-    exact = (k >= -6) & (k <= 16)  # 10^(16 - k) is a double for 0 <= 16 - k <= 22
-    ok &= (half != 0.0) & (exact | ((half >= _G17_MARGIN) & (half <= 0.5 - _G17_MARGIN)))
-    d = hi.astype(np.int64) + whole.astype(np.int64) + (f > 0.5)
-    carry = d == 10**17
-    d[carry] = 10**16
-    k += carry
-    d[zero] = 0
-    k[zero] = 0
-    return d, k, ok | zero
+    # certified: a fraction clear of 1/2 and of an integer by the margin, or,
+    # where 10^(16 - k) is a double (0 <= 16 - k <= 22), anything but a tie
+    near = np.flatnonzero((half < _G17_MARGIN) | (half > 0.5 - _G17_MARGIN))
+    if near.size:
+        ok[near] &= (half[near] != 0.0) & (k[near] >= -6) & (k[near] <= 16)
+    d = hi.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += f > 0.5
+    if edge.size:  # y rounds up to 10^17 only from hi = 1e17, a decade edge
+        carry = edge[d[edge] == 10**17]
+        d[carry] = 10**16
+        k[carry] += 1
+    if len(zero):
+        d[zero], k[zero], ok[zero] = 1, _G17_K_ZERO, True
+    return d, k, ok
 
 
-def _format_g17(values: np.ndarray, sep: bytes) -> tuple[np.ndarray, int]:
+def _format_g17(values: np.ndarray, sep: bytes, out=None) -> tuple[np.ndarray, int]:
     """``sep + '%.17g' % v`` for every value, as zero-padded ASCII fields.
 
     Returns little-endian words of shape ``values.shape + (4,)`` (the layout
-    above; ``sep`` has at most two bytes) and the number of values handed to
-    Python's formatter.  A value with |v| in [1e-290, 1e290] is scaled to
-    ``y = |v| * 10^(16 - k)`` in [1e16, 1e17) as a double-double and rounded
-    to 17 digits; the scaling is exact for 0 <= 16 - k <= 22.  Exact ties,
-    and elsewhere fractions of y within 2^-30 of 1/2 or of an integer, go to
-    Python's formatter, as do inf, NaN and values outside that range.  Zeros
-    are written directly.
+    above; ``sep`` has at most two bytes), written into ``out`` if given,
+    and the number of values handed to Python's formatter.  A value with
+    |v| in [1e-290, 1e290] is scaled to ``y = |v| * 10^(16 - k)`` in
+    [1e16, 1e17) as a double-double and rounded to 17 digits; the scaling
+    is exact for 0 <= 16 - k <= 22.  Exact ties, and elsewhere fractions of
+    y within 2^-30 of 1/2 or of an integer, go to Python's formatter, as do
+    inf, NaN and values outside that range.  Zeros are written directly.
+
+    Every value takes the same array passes: the scaling and the rounding
+    tests, three divisions into the digit groups, and one table lookup per
+    word and table.  The trailing zeros of the last five digits come with
+    their lookup; those of the values whose last five digits are 0, rare in
+    solver output, are counted on through the groups before them.  The rare
+    steps of :func:`_decimal_digits` run on the values that need them.
     """
     tab = _g17_tables()
-    v = np.asarray(values, dtype=float).ravel()
+    v = np.asarray(values, dtype=float)
+    shape = v.shape
+    v = v.ravel()
+    if out is None:
+        out = np.empty(shape + (_G17_WORDS,), _G17_WORD)
     d, k, ok = _decimal_digits(v, tab)
 
-    # 17 digits: the leading one and four groups of four
-    lead = d // 10**16
-    r = d - lead * 10**16
-    groups = []
-    for scale in (10**12, 10**8, 10**4):
-        g = r // scale
-        groups.append(g)
-        r -= g * scale
-    groups.append(r)
-    zeros = tab["zeros"]
-    trailing = zeros[groups[0]]
-    for g in groups[1:]:
-        trailing = np.where(g == 0, trailing + 4, zeros[g])
-    nd = 17 - trailing  # significant digits
+    # the 17 digits: groups g1..g4 of digits 0-3, 4-7, 8-11 and 12-15, and
+    # digit 16; r holds the last five digits
+    r = d.view(np.uint64)
+    g1 = r // 10**13
+    r = r - g1 * 10**13
+    g2 = r // 10**9
+    r -= g2 * 10**9
+    g3 = r // 10**5
+    r -= g3 * 10**5
+    g4 = r // 10
+    group, zeros = tab["group"], tab["zeros"]
     # the digit string as three words, digit j at byte j
-    g1, g2, g3, g4 = (tab["group"][g] for g in groups)
-    s = [(lead + ord("0")).astype(_G17_WORD) | g1 << 8 | g2 << 40,
-         g2 >> 24 | g3 << 8 | g4 << 40,
-         g4 >> 24]
-    # %g: fixed notation for -4 <= k < 17 with all integer digits kept
-    fixed = (k >= -4) & (k < 17)
-    small = fixed & (k < 0)
-    point = fixed & (k >= 0)
-    keep = np.where(point, np.maximum(nd, k + 1), nd)
-    # the digit the decimal point follows, 17 for none
-    at = np.where(point, k, 0)
-    at = np.where(~small & (nd > at + 1), at, 17)
-    s = [word & tab["keep"][w][keep] for w, word in enumerate(s)]
-    shifted = [s[0] << 8, s[1] << 8 | s[0] >> 56, s[2] << 8 | s[1] >> 56]
-    out = np.empty((v.size, _G17_WORDS), _G17_WORD)
-    for w in range(3):
-        out[:, 1 + w] = (s[w] & tab["low"][w][at]) | (shifted[w] & tab["high"][w][at]) | \
-            tab["point"][w][at]
-    out[:, 0] = _words(np.frombuffer(sep.ljust(8, b"\0"), np.uint8))[0] | \
-        tab["minus"][np.signbit(v).view(np.int8)] | tab["prefix"][np.where(small, -k, 0)]
-    out[:, 3] |= tab["exponent"][k - (16 - _G17_POW_MAX)]
+    s = [group.take(g1) | group.take(g2) << 32, group.take(g3) | group.take(g4) << 32,
+         r + ord("0") - g4 * 10]
+    trailing = zeros.take(r)
+    more = np.flatnonzero(r == 0)
+    if more.size:  # the last five digits are 0: count on through g3, g2, g1
+        t = zeros.take(g1[more])  # g1 >= 1000: the first digit is not 0
+        for g in (g2[more], g3[more]):
+            t = np.where(g == 0, t + 4, zeros.take(g))
+        trailing[more] = t + 5
 
+    ik = k - _G17_K_MIN  # the k tables' row
+    row = tab["notation"].take(ik)
+    row += trailing
+    exponent = tab["exponent"].take(ik)
+    ik += ik
+    ik += np.signbit(v)  # word 0's row: (k, sign)
+    lead = tab["lead"] | np.frombuffer(sep.ljust(8, b"\0"), _G17_WORD)[0]
+    out[..., 0] = lead.take(ik).reshape(shape)
+    # the digit string moved up one byte, digit j at byte j + 1
+    shifted = [s[0] << 8, s[1] << 8 | s[0] >> 56, s[2] << 8 | s[1] >> 56]
+    for w in range(3):
+        word = s[w] & tab["low"][w].take(row)
+        word |= shifted[w] & tab["high"][w].take(row)
+        if w == 2:
+            word |= exponent
+        np.bitwise_or(word.reshape(shape), tab["point"][w].take(row).reshape(shape),
+                      out=out[..., 1 + w])
+
+    if ok.all():
+        return out, 0
     rest = np.flatnonzero(~ok)
-    text = out.view(np.uint8).reshape(v.size, 8 * _G17_WORDS)
+    text = out.view(np.uint8)
     for i in rest.tolist():
+        field = text[np.unravel_index(i, shape)]
         python = ("%.17g" % v[i]).encode()
-        text[i, 2:] = 0
-        text[i, 2 : 2 + len(python)] = np.frombuffer(python, np.uint8)
-    return out.reshape(np.shape(values) + (_G17_WORDS,)), rest.size
+        field[2:] = 0
+        field[2 : 2 + len(python)] = np.frombuffer(python, np.uint8)
+    return out, rest.size
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> Path:
@@ -603,14 +661,18 @@ def trajectory_to_csv(traj: Trajectory, path) -> Path:
     The trajectory, stored or solved, is read in windows of whole blocks
     (see :func:`_window_unit`).  Each window's rows are written in blocks of
     whole time levels, and each block's values are formatted with array
-    operations: scaled to 17 digits as a double-double product with a power of ten,
-    rounded, and laid out as ``%g`` does.  A value whose rounding this
-    cannot certify (an exact tie, or a fraction within 2^-30 of 1/2 or of an
-    integer when the power of ten is inexact), inf, NaN, and |values| outside
-    [1e-290, 1e290] (subnormals included) are formatted by Python instead;
-    zeros are written directly.  Times and cell centres are formatted once
-    per file.  One DEBUG record per file gives the values written, how many
-    went to Python, the size and the time taken.
+    operations straight into the block's rows: scaled to 17 digits as a
+    double-double product with a power of ten, rounded, and laid out as
+    ``%g`` does, in the same few passes for every value, one table lookup
+    per output word among them; only the values that need it take the rare
+    steps (a missed decade, a fraction near a tie, five trailing zeros or
+    more, Python's formatter; see :func:`_format_g17`).  A value whose
+    rounding this cannot certify (an exact tie, or a fraction within 2^-30
+    of 1/2 or of an integer when the power of ten is inexact), inf, NaN, and
+    |values| outside [1e-290, 1e290] (subnormals included) are formatted by
+    Python instead; zeros are written directly.  Times and cell centres are
+    formatted once per file.  One DEBUG record per file gives the values
+    written, how many went to Python, the size and the time taken.
     """
     path = Path(path)
     for _ in _csv_windows(traj, path):
@@ -660,17 +722,17 @@ def _csv_rows(t_fields, states, fluxes, x_fields, width: int) -> tuple[bytes, in
     ``t_fields`` and ``x_fields`` are the levels' times and the cell centres
     formatted by :func:`_format_g17`; ``fluxes`` holds the levels' J and b,
     or is empty for zero flux columns (or none, if ``width`` has no room for
-    them).
+    them).  The values are formatted straight into the rows.
     """
     k, n = states.shape[0], states.shape[2]
-    values = np.zeros((k, n, width - 2))
-    values[..., 0:2] = states.transpose(0, 2, 1)
+    values = np.zeros((k, width - 2, n))
+    values[:, 0:2] = states
     for col, f in zip((2, 4), fluxes):
-        values[..., col:col + 2] = f[..., :n].transpose(0, 2, 1)  # J: left faces only
+        values[:, col:col + 2] = f[..., :n]  # J: left faces only
     buf = np.empty((k, n, width, _G17_WORDS), _G17_WORD)
     buf[:, :, 0] = t_fields[:, None]
     buf[:, :, 1] = x_fields
-    buf[:, :, 2:], count = _format_g17(values, b",")
+    _, count = _format_g17(values, b",", buf[:, :, 2:].transpose(0, 2, 1, 3))
     return buf.tobytes().translate(None, b"\0"), count
 
 

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .coarsegrain import (
     SLOW_MANIFOLD_TOL,
@@ -124,7 +124,9 @@ def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
     banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
     between blocks, the diagonal in the last row.  Each negative Hessian must
     be positive definite, as those of :func:`_dual` are; nothing is pinned or
-    projected.
+    projected.  A tridiagonal stack (bandwidth 1, every two-species problem)
+    is factored as L D L^T by LAPACK's ``dpttrf``, a wider one by the banded
+    Cholesky ``dpbtrf``.
     Each problem has its own stopping test, line search and iteration count,
     and drops out once converged: its gradient norm is at most ``tol``, or at
     most the rounding level of the gradient, machine epsilon times the
@@ -160,11 +162,18 @@ def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
         dmax = ab[-1].reshape(act.size, size).max(axis=1)
         xmax = np.abs(x[act]).max(axis=1)
         floor[act] = rounding * dmax * (1.0 + xmax)
-        chol, info = dpbtrf(ab, overwrite_ab=1)
+        # either way, info > 0 is the order of the first leading minor that
+        # is not positive definite
+        if ab.shape[0] == 2:
+            *factor, info = dpttrf(ab[1], ab[0, 1:], overwrite_d=1, overwrite_e=1)
+            solve = dpttrs
+        else:
+            *factor, info = dpbtrf(ab, overwrite_ab=1)
+            solve = dpbtrs
         if info > 0:
             raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
         g = grad[act]
-        step = dpbtrs(chol, g.ravel())[0].reshape(act.size, size)
+        step = solve(*factor, g.ravel())[0].reshape(act.size, size)
         ascent = np.sum(g * step, axis=1)
         bad = ~(np.isfinite(ascent) & (ascent > 0))
         if np.any(bad):

@@ -560,6 +560,51 @@ class TestFormatG17:
         fallback = self._check(values)
         assert fallback == values.size - 4  # zeros are written directly; 1e-290 and 1e290 certified
 
+    def test_trailing_zeros_in_every_layout(self):
+        # few significant digits, so zeros fill the last group or every
+        # group: the doubles nearest to short decimals, where '%.17g' gives
+        # the decimal back
+        counts = (1, 4, 5, 8, 9, 12, 13, 16)
+        short = [float(f"{'1234567890123456'[:count]}e{e}") for count in counts
+                 for e in range(-40, 40)]
+
+        def digits(x):
+            mantissa = ("%.17g" % abs(x)).split("e")[0].replace(".", "").lstrip("0")
+            return len(mantissa)
+
+        def layout(x):
+            text = "%.17g" % x
+            return "exponent" if "e" in text else "0.ddd" if text.startswith("0.") else "fixed"
+
+        # an exact multiple of a power of ten from 1e17 on scales by an
+        # inexact power to an integer, which Python formats: leave it out
+        short = np.array([x for x in short if digits(x) in counts
+                          and not (x >= 1e17 and Decimal(x) == Decimal("%.17g" % x))])
+        # 1 digit: every group is 0000; 13: the last group alone
+        layouts = ("fixed", "0.ddd", "exponent")
+        assert {(digits(x), layout(x)) for x in short} == {(c, w) for c in counts for w in layouts}
+        rng = np.random.default_rng(5)
+        # magnitudes whose doubles have long decimal expansions, so no ties
+        full = rng.uniform(-2.0, 2.0, 2 * short.size) * 10.0 ** rng.integers(-8, 11, 2 * short.size)
+        assert sum(digits(x) == 17 for x in full) > full.size // 2
+        mixed = np.stack([short, -short, full[::2], full[1::2]], axis=1).ravel()
+        # Python's values at known slots: inf, NaN, a subnormal and an exact tie
+        python = {7: np.inf, 30: -np.nan, 61: -1e-310, 100: _ties(rng, False)[0]}
+        for i, x in python.items():
+            mixed[i] = x
+        mixed = np.concatenate([mixed, full[: 240 - mixed.size % 240]])
+        assert mixed.size % 240 == 0
+        assert self._check(mixed) == len(python)
+        # written into the value slots of a row buffer, the fields are the
+        # same and the time and cell fields stay as they were
+        fields, _ = edpflow.core._format_g17(mixed, b",")
+        values = mixed.reshape(-1, 6, 40)
+        buf = np.full((values.shape[0], 40, 8, 4), 0x0101010101010101, np.uint64)
+        _, fallback = edpflow.core._format_g17(values, b",", buf[:, :, 2:].transpose(0, 2, 1, 3))
+        assert fallback == len(python)
+        assert np.all(buf[:, :, :2] == 0x0101010101010101)
+        assert np.array_equal(buf[:, :, 2:].transpose(0, 2, 1, 3).reshape(-1, 4), fields)
+
     def test_shape_and_separator(self):
         values = np.array([[0.5, -2.0], [6.02214076e23, 3.0]])
         fields, fallback = edpflow.core._format_g17(values, b"\r\n")

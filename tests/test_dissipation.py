@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrf, dpttrf
 from scipy.optimize import minimize
 
 from edpflow import (
@@ -278,6 +278,57 @@ class TestNewtonIterationCap:
             dissipation_functional(traj, p, Tilt.zero(6))
 
 
+class TestSingularHessian:
+    """A negative Hessian that is not positive definite raises, naming its own problem."""
+
+    @staticmethod
+    def _quadratics(bw, size=6):
+        """Three concave quadratics g.x - x.A x / 2 with banded A of bandwidth ``bw``."""
+        band = sum(np.eye(size, k=d) + np.eye(size, k=-d) for d in range(1, bw + 1))
+        A = np.stack([(4.0 + m) * np.eye(size) - 0.5 * band for m in range(3)])
+        g = np.arange(1.0, 4.0)[:, None] * np.linspace(1.0, 2.0, size)
+
+        def value_grad(x, act):
+            ax = np.einsum("mij,mj->mi", A[act], x)
+            return np.einsum("mi,mi->m", g[act] - 0.5 * ax, x), g[act] - ax
+
+        def hess_banded(x, act):
+            ab = np.zeros((bw + 1, act.size * size))
+            for m, p in enumerate(act):
+                for d in range(bw + 1):
+                    ab[bw - d, m * size + d:(m + 1) * size] = np.diag(A[p], d)
+            return ab
+
+        return A, g, value_grad, hess_banded
+
+    @pytest.mark.parametrize("bw, routine", [(1, "dpttrf"), (3, "dpbtrf")])
+    def test_zero_pivot_in_the_second_problem(self, bw, routine, monkeypatch):
+        called = []
+
+        def recorded(name):
+            real = getattr(dissipation_module, name)
+
+            def factor(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return factor
+
+        for name in ("dpttrf", "dpbtrf"):
+            monkeypatch.setattr(dissipation_module, name, recorded(name))
+        A, g, value_grad, hess_banded = self._quadratics(bw)
+        # positive definite: the ascent reaches each maximizer
+        x, *_ = damped_newton_max(value_grad, hess_banded, np.zeros_like(g))
+        assert np.allclose(x, np.linalg.solve(A, g[..., None])[..., 0], rtol=1e-12, atol=0)
+        assert set(called) == {routine}
+        # problem 2 loses its last row and column: the zero pivot is the
+        # stack's order 2 * size minor, still problem 2's
+        A[1, -1, :] = A[1, :, -1] = 0.0
+        with pytest.raises(DualAscentError, match="singular dual Hessian") as err:
+            damped_newton_max(value_grad, hess_banded, np.zeros_like(g))
+        assert err.value.gradient_norm == np.linalg.norm(g[1])
+        assert set(called) == {routine}
+
+
 class TestOneEpsilon:
     """The scale epsilon is read from ``SystemParams`` alone."""
 
@@ -474,18 +525,24 @@ class TestReducedTwoSpeciesDual:
         assert np.all(dense[:n, n:] == 0.0)
 
     def test_two_species_paths_factor_tridiagonal_matrices(self, params, monkeypatch):
+        # (routine, bandwidth) of every factorization
         factored = []
 
-        def recorded(ab, **kwargs):
-            factored.append(ab.shape[0] - 1)
+        def tridiagonal(d, e, **kwargs):
+            factored.append(("dpttrf", 1 if e.size == d.size - 1 else None))
+            return dpttrf(d, e, **kwargs)
+
+        def banded(ab, **kwargs):
+            factored.append(("dpbtrf", ab.shape[0] - 1))
             return dpbtrf(ab, **kwargs)
 
-        monkeypatch.setattr(dissipation_module, "dpbtrf", recorded)
+        monkeypatch.setattr(dissipation_module, "dpttrf", tridiagonal)
+        monkeypatch.setattr(dissipation_module, "dpbtrf", banded)
         traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
         dissipation_functional(traj, params, tilt)
         rate = (traj.states[1] - traj.states[0]) / 1e-3
         primal_R_eps(State(traj.states[0]), params, rate)
-        assert factored and set(factored) == {1}
+        assert factored and set(factored) == {("dpttrf", 1)}
         # networks factor at bandwidth 2 I - 3
         for i_sp in (3, 4):
             factored.clear()
@@ -494,7 +551,7 @@ class TestReducedTwoSpeciesDual:
             c0 = gen.stationary(1e-2)[:, None] * (1 + 0.4 * np.cos(np.pi * x))
             net_traj = solve_multispecies(State(c0), gen, 1e-2, SolverConfig(1e-3, 0.01))
             multispecies_dissipation(net_traj, gen, 1e-2)
-            assert factored and set(factored) == {2 * i_sp - 3}
+            assert factored and set(factored) == {("dpbtrf", 2 * i_sp - 3)}
 
     def test_empty_face_without_summed_flux_drops_out(self, params):
         # cells 1 and 2 are empty, so the face between them has no mobility;
