@@ -149,13 +149,21 @@ def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
     """Relative distance of a state or trajectory from the slow manifold.
 
     max over cells (and times) of |rho_1 - rho_2| / (1 + rho_hat) in the
-    relative densities with respect to the tilted stationary measure.
+    relative densities with respect to the tilted stationary measure.  In a
+    cell where a species' weight underflowed to 0, the manifold holds none of
+    it: the defect there is 0 if that species is empty and +inf otherwise.
     """
     states = traj.c[None] if isinstance(traj, State) else traj.states
     w_v, _ = stationary_measure(params, tilt)
-    rho = states / w_v[None]
-    rho_hat = states.sum(axis=1) / w_v.sum(axis=0)[None]
-    return float(np.max(np.abs(rho[:, 0] - rho[:, 1]) / (1.0 + rho_hat)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = states / w_v[None]
+        rho_hat = states.sum(axis=1) / w_v.sum(axis=0)[None]
+        defect = np.abs(rho[:, 0] - rho[:, 1]) / (1.0 + rho_hat)
+    zero = w_v == 0
+    cells = zero.any(axis=0)
+    stray = ((states[..., cells] > 0) & zero[:, cells]).any(axis=1)  # density on a zero weight
+    defect[:, cells] = np.where(stray, np.inf, 0.0)
+    return float(np.max(defect))
 
 
 def manifold_split(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> np.ndarray:
@@ -185,15 +193,21 @@ class Reconstruction:
 
 
 def _split(fractions, total):
-    """Two species' shares ``fractions * total``, adding up to ``total`` exactly.
+    """Two species' shares ``fractions * total``.
 
     The larger share is the product and the other the remainder, which is
-    exact because that product is at least half the total.
+    exact because that product is at least half the total, so the two add up
+    to ``total`` exactly.  Where the smaller fraction is below 2^-20 that
+    remainder would lose too many bits (it is 0 below about 1e-16), so there
+    the smaller share is the product and the larger the remainder, and the
+    two add up to ``total`` to rounding.
     """
-    share = fractions.max(axis=0) * total
+    minor = fractions.min(axis=0)
+    small = minor < 2.0**-20
+    share = np.where(small, minor, fractions.max(axis=0)) * total
     out = np.stack([share, total - share], axis=-2)
-    minor_first = fractions[0] < fractions[1]
-    out[..., minor_first] = out[..., ::-1, :][..., minor_first]
+    second = (fractions[0] < fractions[1]) != small  # where species 1 gets the product
+    out[..., second] = out[..., ::-1, :][..., second]
     return out
 
 
@@ -202,7 +216,7 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams,
     """Reconstruct two-species densities and fluxes from a coarse trajectory.
 
     Densities are distributed by the stationary-weight fractions (so the
-    output sits exactly on the slow manifold), diffusion fluxes by the
+    output sits on the slow manifold, to rounding), diffusion fluxes by the
     mobility fractions delta_i w_i^V / (delta_1 w_1^V + delta_2 w_2^V) sampled
     at faces.  Requires the coarse pair (c, J) to satisfy the discrete
     continuity equation to 1e-9 max(1, max |J| / h); raises otherwise.  Its
@@ -388,8 +402,6 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
     slow-manifold defect exceeds :data:`SLOW_MANIFOLD_TOL` raises.
     """
     epsilon = params.epsilon
-    if not np.all(np.isfinite(limit_traj.states)):
-        raise ValueError("limit trajectory must be finite")
     # off the slow manifold the limit dissipation is not finite (the exchange
     # gate), so there is nothing to approximate
     defect = slow_manifold_defect(limit_traj, params, tilt)

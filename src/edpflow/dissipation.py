@@ -55,18 +55,17 @@ from .coarsegrain import (
 from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _window_unit
 from .functionals import (
     DissipationBreakdown,
-    _check_shapes,
     _face_fisher,
     _face_kinetic,
     _face_mobility,
     _network_cost,
     _network_slope,
+    _two_species_args,
     _two_species_edges,
     cosh_star,
     cosh_star_prime,
     cosh_star_second,
     energy,
-    stationary_measure,
 )
 
 __all__ = [
@@ -499,14 +498,6 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, n
                   "max final gradient norm %.3e", sum(counts.values()), n_windows,
                   dict(sorted(counts.items())), worst)
     return acc
-
-
-def _two_species_args(state: State, params: SystemParams, tilt: Tilt):
-    """The arguments of :func:`_network_terms` after the windows, for two species."""
-    edges = _two_species_edges(state, params)
-    _check_shapes(state, tilt)
-    w_v, _ = stationary_measure(params, tilt)
-    return w_v, params.delta_array, edges, [np.array([True])]
 
 
 def _windows(traj, fluxes=None):

@@ -150,6 +150,15 @@ def _two_species_edges(traj_or_state, params: SystemParams):
     return [(0, 1, 1.0 / params.epsilon)]
 
 
+def _two_species_args(state: State, params: SystemParams, tilt: Tilt):
+    """``(w_v, delta, edges, groups)`` of a two-species state on ``tilt``, as
+    :func:`~edpflow.dissipation._network_terms` takes them after the windows."""
+    edges = _two_species_edges(state, params)
+    _check_shapes(state, tilt)
+    w_v, _ = stationary_measure(params, tilt)
+    return w_v, params.delta_array, edges, [np.array([True])]
+
+
 def _check_shapes(state: State, tilt: Tilt):
     if tilt.v_cells.shape != state.c.shape:
         raise ValueError(
@@ -282,11 +291,8 @@ def slope(state: State, params: SystemParams, tilt: Tilt):
     at the stationary measure; the reaction part vanishes exactly on the slow
     manifold rho_1 = rho_2.
     """
-    edges = _two_species_edges(state, params)
-    _check_shapes(state, tilt)
-    w_v, _ = stationary_measure(params, tilt)
-    slope_diff, (slope_react,) = _network_slope(state.c, w_v, params.delta_array, edges,
-                                                1.0 / state.n_cells)
+    w_v, delta, edges, _ = _two_species_args(state, params, tilt)
+    slope_diff, (slope_react,) = _network_slope(state.c, w_v, delta, edges, 1.0 / state.n_cells)
     return float(slope_diff), float(slope_react)
 
 

@@ -51,7 +51,9 @@ class MarkovGenerator:
 
     ``a_slow`` and ``a_fast`` are I x I rate matrices in the convention
     dc/dt = A c (entry (i, j) is the rate from species j into species i),
-    with finite entries; the assembled generator is a_slow + a_fast / epsilon.
+    with finite entries, and ``delta`` holds one positive finite constant per
+    species; one ValueError lists every violation.  The assembled generator
+    is a_slow + a_fast / epsilon.
     """
 
     species: tuple[str, ...]
@@ -64,17 +66,18 @@ class MarkovGenerator:
         a_f = _readonly(self.a_fast)
         d = _readonly(self.delta)
         i = len(self.species)
-        if i < 2:
-            raise ValueError("need at least two species")
-        if a_s.shape != (i, i) or a_f.shape != (i, i) or d.shape != (i,):
-            raise ValueError(
-                f"shape mismatch: {i} species, A_slow {a_s.shape}, "
-                f"A_fast {a_f.shape}, delta {d.shape}"
-            )
-        if not (np.all(np.isfinite(a_s)) and np.all(np.isfinite(a_f))):
-            raise ValueError("A_slow and A_fast entries must be finite")
-        if not np.all((d > 0) & (d < np.inf)):
-            raise ValueError(f"delta must be positive and finite, got {d!r}")
+        problems = [] if i >= 2 else ["need at least two species"]
+        for key, m in (("A_slow", a_s), ("A_fast", a_f)):
+            if m.shape != (i, i):
+                problems.append(f"{key!r} must be a {i}x{i} row-major matrix, got shape {m.shape}")
+            elif not np.all(np.isfinite(m)):
+                problems.append(f"{key!r} entries must be finite")
+        if d.shape != (i,):
+            problems.append(f"'delta' must have one entry per species, got shape {d.shape}")
+        elif not np.all((d > 0) & (d < np.inf)):
+            problems.append("'delta' entries must be positive and finite")
+        if problems:
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "species", tuple(str(s) for s in self.species))
         object.__setattr__(self, "a_slow", a_s)
         object.__setattr__(self, "a_fast", a_f)
@@ -138,48 +141,27 @@ def load_generator(source) -> MarkovGenerator:
     The schema is strict: exactly the keys ``species`` (names), ``A_slow`` and
     ``A_fast`` (row-major square matrices of finite entries), and ``delta``
     (positive finite array), checked for missing and unknown keys as the
-    config keys are.  Violations raise a ValueError, "generator spec invalid:
-    ..." listing every offending key; so does a path that is missing, a
-    directory, not UTF-8 or not JSON.
+    config keys are, and the values by :class:`MarkovGenerator`.  Violations
+    raise a ValueError, "generator spec invalid: ..." listing every offending
+    key; so does a path that is missing, a directory, not UTF-8 or not JSON.
     """
     doc = _read_json(source, "generator file") if isinstance(source, (str, Path)) else source
     try:
-        _fields(doc, _SPEC_KEYS)
+        species = _fields(doc, _SPEC_KEYS)["species"]
+        problems = []
+        if not isinstance(species, list) or not all(isinstance(s, str) for s in species):
+            problems.append("'species' must be a list of names")
+        arrays = []
+        for key in _SPEC_KEYS[1:]:
+            try:
+                arrays.append(np.array(doc[key], dtype=float))
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{key!r} is not numeric")
+        if problems:
+            raise ValueError("; ".join(problems))
+        return MarkovGenerator(tuple(species), *arrays)  # which checks the values
     except (TypeError, ValueError) as exc:
         raise ValueError(f"generator spec invalid: {exc}") from None
-
-    problems = []
-    species = doc["species"]
-    if not isinstance(species, list) or not all(isinstance(s, str) for s in species):
-        problems.append("'species' must be a list of names")
-        n = 0
-    else:
-        n = len(species)
-    mats = {}
-    for key in ("A_slow", "A_fast"):
-        try:
-            m = np.array(doc[key], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{key!r} is not numeric")
-            continue
-        if m.shape != (n, n):
-            problems.append(f"{key!r} must be a {n}x{n} row-major matrix, got shape {m.shape}")
-        elif not np.all(np.isfinite(m)):
-            problems.append(f"{key!r} entries must be finite")
-        else:
-            mats[key] = m
-    try:
-        delta = np.array(doc["delta"], dtype=float)
-        if delta.shape != (n,):
-            problems.append(f"'delta' must have one entry per species, got shape {delta.shape}")
-        elif not np.all((delta > 0) & (delta < np.inf)):
-            problems.append("'delta' entries must be positive and finite")
-    except (TypeError, ValueError, OverflowError):
-        problems.append("'delta' is not numeric")
-        delta = None
-    if problems:
-        raise ValueError("generator spec invalid: " + "; ".join(problems))
-    return MarkovGenerator(tuple(species), mats["A_slow"], mats["A_fast"], delta)
 
 
 @dataclass(frozen=True)

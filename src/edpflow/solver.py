@@ -60,7 +60,6 @@ from .core import (
     _check_trajectory,
     _Owned,
     _window_unit,
-    total_mass,
 )
 from .functionals import stationary_measure
 
@@ -366,13 +365,19 @@ class _Solve:
         return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b[0])))
 
 
+def _check_unit_mass(c, what: str):
+    """Raise unless the densities ``c`` (..., n) carry a total mass within 1e-6 of one."""
+    mass = float(c.sum() / c.shape[-1])
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"{what} must have unit mass, got {mass!r}")
+
+
 def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:
     if initial.n_species != 2 or tilt.n_species != 2:
         raise ValueError("the fast-slow solver is two-species")
     if tilt.n_cells != initial.n_cells:
         raise ValueError("tilt does not match initial state")
-    if abs(total_mass(initial) - 1.0) > 1e-6:
-        raise ValueError(f"initial state must have unit mass, got {total_mass(initial)!r}")
+    _check_unit_mass(initial.c, "initial state")
     dt, eps = config.dt_effective, params.epsilon
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, b = _exchange_rates(params, tilt)
@@ -411,8 +416,7 @@ def _effective_solve(initial_hat, params: SystemParams, tilt: Tilt, config: Solv
         raise ValueError("initial coarse density does not match the tilt")
     if np.any(hat_c < 0):
         raise ValueError("initial coarse density must be nonnegative")
-    if abs(hat_c.sum() / hat_c.size - 1.0) > 1e-6:
-        raise ValueError("initial coarse density must have unit mass")
+    _check_unit_mass(hat_c, "initial coarse density")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cp = coarse_params(params, tilt)
     return _Solve("solve_effective", hat_c, config, cp.delta_hat, cp.v_hat)

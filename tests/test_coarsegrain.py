@@ -220,6 +220,18 @@ class TestReconstruction:
         rec = reconstruct_from_coarse(hat, params, tilt)
         assert slow_manifold_defect(rec.trajectory, params, tilt) < 1e-14
 
+    def test_minor_species_keeps_its_bits_under_a_large_tilt(self, params):
+        # cosine tilt +-35: species 1's stationary fraction falls to 1e-31, so
+        # a remainder total - share would leave it 0 and the limit off the
+        # manifold; a remainder of a fraction >= 2^-20 loses at most 20 bits
+        tilt = cosine_tilt(60, [[35], [-35]])
+        hat = reference_hat_trajectory(params, tilt, n=60, t_final=0.02)
+        limit = reconstruct_from_coarse(hat, params, tilt).trajectory
+        assert limit.states.min() > 0
+        assert slow_manifold_defect(limit, params, tilt) < 2.0**-32
+        rec = build_recovery_sequence(limit, replace(params, epsilon=1e-3), tilt)
+        assert np.max(np.abs(gce_residual(rec.trajectory))) == 0.0
+
     def test_coarse_grain_is_left_inverse(self, params):
         tilt = cosine_tilt(24, [[0.4], [-0.3]])
         hat = reference_hat_trajectory(params, tilt, n=24)
@@ -414,6 +426,23 @@ class TestRecoverySequence:
             assert effective_dissipation(above, params, tilt) == np.inf
         with pytest.raises(ValueError, match="off the slow manifold"):
             build_recovery_sequence(above, replace(params, epsilon=1e-2), tilt)
+
+    def test_underflowed_weights_keep_the_defect_defined(self, params):
+        # cosine tilt +-400 on 20 cells: w_v underflows to 0 in 6 cells, where
+        # the manifold holds none of that species
+        tilt = cosine_tilt(20, [[400], [-400]])
+        w_v, _ = stationary_measure(params, tilt)
+        assert np.count_nonzero(w_v == 0) == 6
+        on = manifold_split(np.ones(20), params, tilt)
+        off, stray = on.copy(), on.copy()
+        off[:, 10] = 0.7, 0.3
+        stray[0, 0] = 1e-3  # on a zero weight
+        assert slow_manifold_defect(State(on), params, tilt) < 1e-15
+        assert slow_manifold_defect(State(off), params, tilt) > 1e20
+        assert slow_manifold_defect(State(stray), params, tilt) == np.inf
+        traj = Trajectory(np.array([0.0, 0.1]), np.stack([off, off]))
+        with pytest.warns(UserWarning, match="off the slow manifold"):
+            assert effective_dissipation(traj, params, tilt) == np.inf
 
     def test_off_manifold_limit_rejected(self, params, rng):
         st = positive_state(rng, 12)

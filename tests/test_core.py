@@ -310,6 +310,13 @@ def test_csv_read_rejects_unequal_blocks(tmp_path, rng):
         trajectory_from_csv(_write_lines(tmp_path, lines[:-1]))
 
 
+def test_csv_read_rejects_rows_not_grouped_by_time(tmp_path):
+    # cell-major: t = 0 and 0.1 at x = 0.25, then both at x = 0.75
+    rows = [b"t,x,c1,c2", b"0,0.25,1,1", b"0.1,0.25,2,2", b"0,0.75,3,3", b"0.1,0.75,4,4"]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        trajectory_from_csv(_write_lines(tmp_path, rows))
+
+
 def test_csv_read_rejects_ragged_rows(tmp_path, rng):
     lines = _written_lines(tmp_path, rng)
     # one field moved from one row to the next: the total count still fits

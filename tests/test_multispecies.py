@@ -91,9 +91,15 @@ class TestValidation:
     def test_bad_diffusion_constant_rejected(self, delta):
         # rejected here, not later in a solve as a negative density or as a
         # "tilt too large" that networks do not have
-        with pytest.raises(ValueError, match="delta must be positive and finite"):
+        with pytest.raises(ValueError, match="'delta' entries must be positive and finite"):
             MarkovGenerator(("a", "b"), np.zeros((2, 2)), np.zeros((2, 2)),
                             np.array([1.0, delta]))
+
+    def test_every_value_problem_listed(self):
+        with pytest.raises(ValueError) as err:
+            MarkovGenerator(("a", "b"), np.zeros((2, 2)), np.full((2, 2), np.inf), np.ones(1))
+        assert str(err.value) == ("'A_fast' entries must be finite; "
+                                  "'delta' must have one entry per species, got shape (1,)")
 
     def test_sign_and_column_sum_violations_itemized(self):
         a = np.array([[-1.0, 2.0], [1.0, -2.0]])
@@ -216,6 +222,11 @@ class TestJsonSchema:
             load_generator(doc)
         msg = str(err.value)
         assert "A_slow" in msg and "delta" in msg
+
+    def test_one_species_rejected_as_a_spec(self):
+        doc = {"species": ["a"], "A_slow": [[0.0]], "A_fast": [[0.0]], "delta": [1.0]}
+        with pytest.raises(ValueError, match="^generator spec invalid: need at least two species$"):
+            load_generator(doc)
 
     def test_nonpositive_delta_rejected(self):
         doc = {
