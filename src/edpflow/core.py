@@ -761,8 +761,8 @@ def trajectory_from_csv(path) -> Trajectory:
     The file is read in blocks of whole rows, and each block's values are
     converted in one call from the split bytes; the conversion is bit-exact
     for the 17-digit values the writer produces.  The rows must come in
-    blocks of one time each, as many as the first time's, in the writer's
-    order; a file ordered otherwise raises ValueError.
+    blocks of one time each, as many as the first time's, with the x values
+    (k + 0.5) / n in the writer's order; other files raise ValueError.
     """
     blocks = []
     with Path(path).open("rb") as fh:
@@ -792,4 +792,7 @@ def trajectory_from_csv(path) -> Trajectory:
         J[:, :, :n] = cols[:-1, 0:2, :]
         b = cols[:-1, 2:4, :]
         fluxes = FluxAssignment(J, b)
-    return Trajectory(times, c, fluxes)
+    traj = Trajectory(times, c, fluxes)  # the time checks come first
+    if np.any(rows[:, 1].reshape(-1, n) != (np.arange(n) + 0.5) / n):
+        raise ValueError("x values are not the cell centres (k + 0.5) / n in order at every time")
+    return traj

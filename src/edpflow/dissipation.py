@@ -10,9 +10,9 @@ maximized out in closed form, face by face: the ascent runs on the potential
 differences to species 0, I - 1 unknowns per cell for I species, whose
 objective is strictly concave with a banded Hessian of bandwidth 2I - 3
 (tridiagonal for two species) and no constant mode, so a damped Newton
-ascent converges quadratically with nothing to pin.  The coarse problem has
-one species, whose continuity equation fixes its flux: the optimal coarse
-flux is a cumulative sum of the rate, with no ascent at all.
+ascent converges quadratically with nothing to pin.  The coarse problem is
+the network of one species and no edges, its flux fixed by the continuity
+equation (a cumulative sum of the rate); one evaluator serves every system.
 
 The module also evaluates the time-integrated dissipation of trajectories,
 its four-term breakdown, the energy-dissipation-balance residual, and the
@@ -55,8 +55,6 @@ from .coarsegrain import (
 from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _window_unit
 from .functionals import (
     DissipationBreakdown,
-    _face_fisher,
-    _face_kinetic,
     _face_mobility,
     _network_cost,
     _network_slope,
@@ -207,7 +205,8 @@ def _dual(c, delta, edges, v, h):
     """The dual of the flux costs of rates v on a reaction network, one problem per state and rate.
 
     ``c`` and ``v`` have shape (M, I, n), I >= 2.  Species i diffuses with
-    mobility w_i = delta_i cbar_i / h on interior faces, and each edge
+    mobility w_i = (delta_i c_i)bar / h on interior faces, ``delta`` given
+    per species (I,) or per species and cell (I, n), and each edge
     (a, b, kappa), a < b, exchanges through a cosh term of strength
     rw = kappa h sqrt(c_a c_b); the full dual of the potentials xi is
 
@@ -459,10 +458,12 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, n
     by ``dts`` (the first the previous window's last) and the fluxes (J (k,
     I, n + 1), per-edge exchange fluxes (E, k, n)) whose cost is the
     velocity part, or None for the optimal fluxes of the difference-quotient
-    rates.  ``w`` (I, n) is the stationary measure on cells and ``edges``
-    lists (i, j, kappa).  Returns the velocity terms and then the slope
-    terms, each the diffusion term followed by the exchange terms summed
-    over each boolean edge mask in ``groups``.
+    rates.  ``w`` (I, n) is the stationary measure on cells, ``delta`` (I,)
+    or (I, n) the diffusion constants and ``edges`` lists (i, j, kappa).
+    Returns the velocity terms and then the slope terms, each the diffusion
+    term followed by the exchange terms summed over each boolean edge mask
+    in ``groups``.  Without edges (the coarse system, one species) the
+    optimal flux is :func:`~edpflow.coarsegrain.optimal_coarse_flux`'s.
 
     The dual ascents of a window's intervals run as one stacked Newton
     solve on the reduced dual of :func:`_dual`, (I - 1) n unknowns an
@@ -481,7 +482,9 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, n
     for n_windows, (states, dts, fluxes) in enumerate(windows, 1):
         c = states[:-1]
         h = 1.0 / c.shape[2]
-        if fluxes is None:
+        if fluxes is None and not edges:  # one species: the rate fixes the flux
+            fluxes = optimal_coarse_flux((states[1:] - c) / dts[:, None, None], h), []
+        elif fluxes is None:
             vg, hess, optimal = _dual(c, delta, edges, _rates(c, states[1:], dts, h), h)
             x, _, gnorm, _, iters = newton(vg, hess, _energy_gradient_start(states, w), tol=tol)
             counts.update(iters.tolist())
@@ -501,16 +504,18 @@ def _network_terms(windows, w, delta, edges, groups, *, tol=1e-10, log=logger, n
 
 
 def _windows(traj, fluxes=None):
-    """A trajectory as the windows of :func:`_network_terms` and :func:`_hat_terms`.
+    """A trajectory as the windows of :func:`_network_terms`.
 
     Windows of the one budget (:func:`~edpflow.core._window_unit`), with the
     evaluation's one velocity source: ``fluxes`` maps the fluxes each window
-    carries to those to cost, and without it the optimal ones are.
+    carries to those to cost, and without it the optimal ones are.  A coarse
+    window's states (k + 1, n) are read as those of one species, (k + 1, 1, n).
     """
     for times, states, *carried in traj.windows(_window_unit(traj.states[0].size)):
         if fluxes is not None and not carried:
             raise ValueError("no flux data: the trajectory carries no fluxes")
-        yield states, np.diff(times), None if fluxes is None else fluxes(*carried)
+        yield (states.reshape(times.size, -1, states.shape[-1]), np.diff(times),
+               None if fluxes is None else fluxes(*carried))
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt, *,
@@ -574,31 +579,13 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt) -> float:
     return _balance(traj, params, tilt)[2]
 
 
-def _hat_terms(windows, n: int, params: SystemParams, tilt: Tilt) -> DissipationBreakdown:
-    """Time integrals of the coarse velocity and slope terms, the exchange terms zero.
-
-    ``windows`` yields ``(states, dts, fluxes)`` for consecutive windows of a
-    coarse trajectory on ``n`` cells, as :func:`_network_terms` takes them,
-    of any length: the face fluxes (k, n + 1) to cost, or None for the
-    optimal ones, the cumulative sums of the rates.
-    """
-    if tilt.n_cells != n:
+def _hat_args(hat_traj, params: SystemParams, tilt: Tilt):
+    """``(w_hat, delta_hat, edges, groups)`` of the coarse system on ``tilt``, one species and
+    no edges, as :func:`_network_terms` takes them after the windows."""
+    if tilt.n_cells != hat_traj.n_cells:
         raise ValueError("tilt does not match coarse trajectory")
     cp = coarse_params(params, tilt)
-    h = 1.0 / n
-    slope_weight = cp.delta_hat * cp.w_hat
-    swf = 0.5 * (slope_weight[1:] + slope_weight[:-1])
-    acc = 0.0
-    for states, dts, fluxes in windows:
-        hat_c = states[:-1]
-        mob = cp.delta_hat * hat_c
-        mob_f = 0.5 * (mob[:, 1:] + mob[:, :-1])
-        if fluxes is None:
-            fluxes = optimal_coarse_flux((states[1:] - hat_c) / dts[:, None], h)
-        vel = 0.5 * np.sum(_face_kinetic(fluxes[:, 1:-1], mob_f), axis=1) * h
-        slp = 0.5 * np.sum(swf * _face_fisher(hat_c / cp.w_hat), axis=1) / h
-        acc = _integrate(acc, [vel, slp], dts)
-    return DissipationBreakdown(acc[0], 0.0, acc[1], 0.0)
+    return cp.w_hat[None], cp.delta_hat[None], [], []
 
 
 def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -611,7 +598,8 @@ def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
     Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
     coarse solve, read window by window as for :func:`dissipation_functional`.
     """
-    return _hat_terms(_windows(hat_traj), hat_traj.n_cells, params, tilt)
+    vel, slope = _network_terms(_windows(hat_traj), *_hat_args(hat_traj, params, tilt))
+    return DissipationBreakdown(vel, 0.0, slope, 0.0)
 
 
 def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
@@ -620,7 +608,9 @@ def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
 
     ``hat_traj`` may also be a coarse solve, read as for :func:`hat_dissipation`.
     """
-    return _hat_terms(_windows(hat_traj, lambda J: J), hat_traj.n_cells, params, tilt)
+    vel, slope = _network_terms(_windows(hat_traj, lambda J: (J[:, None], [])),  # no edges
+                                *_hat_args(hat_traj, params, tilt))
+    return DissipationBreakdown(vel, 0.0, slope, 0.0)
 
 
 def _hat_balance(hat_traj, params: SystemParams, tilt: Tilt):

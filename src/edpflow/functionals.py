@@ -134,8 +134,10 @@ def _face_kinetic(j, mob):
 
 
 def _face_mobility(c, delta):
-    """Mobilities delta_i cbar_i on the interior faces (last axis) of ``c`` (..., I, n)."""
-    return delta[:, None] * (0.5 * (c[..., 1:] + c[..., :-1]))
+    """Mobilities 1/2 (delta_k c_k + delta_{k+1} c_{k+1}) on the interior faces (last axis) of
+    ``c`` (..., I, n), with ``delta`` per species (I,) or per species and cell (I, n)."""
+    dc = np.reshape(delta, (len(delta), -1)) * c
+    return 0.5 * (dc[..., 1:] + dc[..., :-1])
 
 
 def _face_fisher(rho):
@@ -251,8 +253,8 @@ def _network_cost(c, delta, edges, J, edge_b, h):
 
     ``c`` has shape (..., I, n), ``J`` (..., I, n + 1) and ``edge_b`` holds one
     exchange flux (..., n) per edge (i, j, kappa).  Returns the kinetic cost of
-    the interior face fluxes through the mobilities delta_i cbar_i and the list
-    of perspective cosh costs of the exchange fluxes through
+    the interior face fluxes through the mobilities of :func:`_face_mobility`
+    and the list of perspective cosh costs of the exchange fluxes through
     kappa sqrt(c_i c_j), each with the leading shape of ``c``.
     """
     kinetic = 0.5 * np.sum(_face_kinetic(J[..., 1:-1], _face_mobility(c, delta)), axis=(-2, -1)) * h

@@ -317,6 +317,15 @@ def test_csv_read_rejects_rows_not_grouped_by_time(tmp_path):
         trajectory_from_csv(_write_lines(tmp_path, rows))
 
 
+@pytest.mark.parametrize("xs", [(b"0.75", b"0.25"), (b"0.25", b"0.25")], ids=["permuted", "repeated"])
+def test_csv_read_rejects_x_other_than_the_cell_centres(tmp_path, xs):
+    # two cells per time, whose x values are out of order or name one cell twice
+    rows = [b"t,x,c1,c2"] + [b"%s,%s,%d,1" % (t, x, c1) for t in (b"0", b"0.1")
+                             for x, c1 in zip(xs, (3, 1))]
+    with pytest.raises(ValueError, match="cell centres"):
+        trajectory_from_csv(_write_lines(tmp_path, rows))
+
+
 def test_csv_read_rejects_ragged_rows(tmp_path, rng):
     lines = _written_lines(tmp_path, rng)
     # one field moved from one row to the next: the total count still fits

@@ -55,6 +55,7 @@ from edpflow import (
 )
 
 import edpflow.dissipation as dissipation_module
+import edpflow.multispecies as multispecies_module
 from edpflow.core import _window_unit
 from edpflow.dissipation import _dual, damped_newton_max
 from edpflow.functionals import _network_cost
@@ -565,6 +566,40 @@ class TestReducedTwoSpeciesDual:
             res.value, rel=1e-8)
 
 
+class TestCellwiseDiffusion:
+    """Diffusion constants per species and cell, (I, n), as tilted and lumped networks have
+    them: with equal columns the terms are those of the per-species form, bit for bit."""
+
+    @staticmethod
+    def _cellwise(monkeypatch, module):
+        # the evaluator behind ``module`` receives delta repeated over the cells
+        terms = module._network_terms
+
+        def cellwise(windows, w, delta, *args, **kwargs):
+            delta = np.repeat(np.asarray(delta)[:, None], w.shape[1], axis=1)
+            return terms(windows, w, delta, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_network_terms", cellwise)
+
+    def test_tilted_two_species(self, monkeypatch):
+        params = SystemParams((1.3, 0.7), 1.0, 3.0, epsilon=1e-2)
+        traj, tilt = _criterion_3_level_0(params, 1e-3, 0.05)
+        evaluators = (dissipation_functional, flux_dissipation)
+        want = [_hex(evaluate(traj, params, tilt)) for evaluate in evaluators]
+        self._cellwise(monkeypatch, dissipation_module)
+        assert [_hex(evaluate(traj, params, tilt)) for evaluate in evaluators] == want
+
+    def test_network(self, monkeypatch):
+        # the benchmark's network, generator seed 0, on a coarser grid
+        gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+        n, eps = 20, 1e-3
+        c0 = gen.stationary(eps)[:, None] * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+        traj = solve_multispecies(State(c0), gen, eps, SolverConfig(1e-3, 0.1))
+        want = [float(t).hex() for t in astuple(multispecies_dissipation(traj, gen, eps))]
+        self._cellwise(monkeypatch, multispecies_module)
+        assert [float(t).hex() for t in astuple(multispecies_dissipation(traj, gen, eps))] == want
+
+
 class TestZeroMobility:
     """Zero flux through zero mobility costs nothing; any other flux costs +inf."""
 
@@ -594,6 +629,14 @@ class TestZeroMobility:
         fluxes[0, 3] = 0.05
         hat = CoarseTrajectory(times, np.stack([hat_c, hat_c]), fluxes)
         bd = hat_flux_dissipation(hat, params, tilt)
+        assert bd.vel_diff == np.inf and np.isfinite(bd.slope_diff)
+
+    def test_coarse_optimal_flux_across_an_empty_run(self, params):
+        # the rate moves mass from cell 1 to cell 4, across the empty cells 2
+        # and 3; RuntimeWarnings are errors
+        states = np.array([[1.5, 2.0, 0.0, 0.0, 1.9, 0.6], [1.5, 1.5, 0.0, 0.0, 2.4, 0.6]])
+        hat = CoarseTrajectory(np.array([0.0, 0.01]), states)
+        bd = hat_dissipation(hat, params, Tilt.zero(6))
         assert bd.vel_diff == np.inf and np.isfinite(bd.slope_diff)
 
 

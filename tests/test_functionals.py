@@ -23,7 +23,7 @@ from edpflow import (
     slope,
     stationary_measure,
 )
-from edpflow.functionals import _face_kinetic, stationary_measure_faces
+from edpflow.functionals import _face_kinetic, _face_mobility, stationary_measure_faces
 
 from conftest import cosine_tilt, positive_state
 
@@ -298,6 +298,19 @@ class TestPerspective:
             mid = perspective_eval(base, 0.5 * (a[0] + a[1]), 0.5 * (x[0] + x[1]))
             ends = 0.5 * (perspective_eval(base, a[0], x[0]) + perspective_eval(base, a[1], x[1]))
             assert np.all(mid <= ends + 1e-10)
+
+
+@pytest.mark.parametrize("c, delta, want", [
+    ([[1.0, 3.0, 2.0], [4.0, 0.0, 2.0]], [1.0, 0.25], [[2.0, 2.5], [0.5, 0.25]]),
+    ([[1.0, 3.0, 2.0], [4.0, 0.0, 2.0]], [[1.0, 2.0, 0.5], [0.25, 3.0, 1.0]], [[3.5, 3.5], [0.5, 1.0]]),
+    ([[0.1, 0.3, 0.7]], [[1.3, 0.7, 0.37]], [[0.5 * (1.3 * 0.1 + 0.7 * 0.3), 0.5 * (0.7 * 0.3 + 0.37 * 0.7)]]),
+], ids=["per_species", "per_cell", "per_cell_rounded"])
+def test_face_mobility_is_the_face_mean_of_delta_c(c, delta, want):
+    # 1/2 (delta_k c_k + delta_{k+1} c_{k+1}) on each interior face, bit for bit, for each
+    # state of a stack
+    c, delta, want = np.array(c), np.array(delta), np.array(want)
+    assert np.array_equal(_face_mobility(c, delta), want)
+    assert np.array_equal(_face_mobility(np.stack([c, 2.0 * c]), delta), [want, 2.0 * want])
 
 
 def face_kinetic_oracle(j, mob):
