@@ -35,7 +35,6 @@ from .functionals import (
 )
 from .coarsegrain import (
     CoarseParams,
-    CoarseTrajectory,
     RecoverySequence,
     build_recovery_sequence,
     coarse_grain,

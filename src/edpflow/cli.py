@@ -31,13 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .coarsegrain import (
-    CoarseTrajectory,
-    build_recovery_sequence,
-    manifold_split,
-    reconstruct_from_coarse,
-)
-from .core import SpatialGrid, State, SystemParams, Tilt, _csv_windows, _fields, _read_json, _window_unit
+from .coarsegrain import build_recovery_sequence, manifold_split, reconstruct_from_coarse
+from .core import (SpatialGrid, State, SystemParams, Tilt, Trajectory, _csv_windows, _fields,
+                   _read_json, _window_unit)
 from .dissipation import (
     DualAscentError,
     _balance,
@@ -355,13 +351,13 @@ def _write_summary(outdir: Path, summary: dict) -> list[Path]:
 
 
 def _cosine_modes(states) -> np.ndarray:
-    """Amplitudes of cos(pi x) in the density of each time level of ``states``.
+    """Amplitudes of cos(pi x) in the density of each time level of ``states`` (T, I, n).
 
-    Two-species states are summed over the species first, as coarse-graining
-    sums them.  Each level is reduced on its own, so its amplitude does not
-    depend on which other levels, or how many, are projected with it.
+    The species are summed first, as coarse-graining sums them.  Each level
+    is reduced on its own, so its amplitude does not depend on which other
+    levels, or how many, are projected with it.
     """
-    dens = states if states.ndim == 2 else states.sum(axis=1)
+    dens = states.sum(axis=1)
     n = dens.shape[-1]
     return (2.0 / n) * (dens * np.cos(np.pi * ((np.arange(n) + 0.5) / n))).sum(axis=1)
 
@@ -382,7 +378,7 @@ def _fit_mode_decay(times, windows) -> float:
     return float(-slope_fit / np.pi**2)
 
 
-def fit_decay_rate(hat_traj: CoarseTrajectory) -> float:
+def fit_decay_rate(hat_traj: Trajectory) -> float:
     """Diffusion coefficient measured from the decay of the first cosine mode.
 
     Projects the coarse density on cos(pi x), fits log |amplitude| against

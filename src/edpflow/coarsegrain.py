@@ -8,7 +8,9 @@ two-species densities and fluxes from coarse data, and the approximation
 pipeline (positive shift plus temporal mollification) used to build
 scale-indexed trajectories from a limit trajectory.
 
-All transformations are pure.
+Coarse data are a :class:`~edpflow.core.Trajectory` of one species: states
+(T, 1, n), and face fluxes (T - 1, 1, n + 1) with exchange amounts that are
+zero by definition.  All transformations are pure.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .core import (
     SystemParams,
     Tilt,
     Trajectory,
-    _check_trajectory,
-    _interval_windows,
     _Owned,
     _readonly,
 )
@@ -34,7 +34,6 @@ from .functionals import _face_mobility, stationary_measure, stationary_measure_
 
 __all__ = [
     "CoarseParams",
-    "CoarseTrajectory",
     "coarse_grain",
     "coarse_grain_trajectory",
     "coarse_params",
@@ -76,38 +75,16 @@ class CoarseParams:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-@dataclass(frozen=True, eq=False)
-class CoarseTrajectory:
-    """Time series of the coarse density, optionally with face fluxes per interval."""
+def _check_coarse(traj):
+    """Raise unless ``traj``, a trajectory or a solve, has the one species of coarse data."""
+    if traj.states.shape[1] != 1:
+        raise ValueError(f"coarse data have one species, got {traj.states.shape[1]}")
 
-    times: np.ndarray
-    states: np.ndarray
-    fluxes: np.ndarray | None = None
 
-    def __post_init__(self):
-        t = _readonly(self.times)
-        s = _readonly(self.states)
-        J = None if self.fluxes is None else _readonly(self.fluxes)
-        # checked as a trajectory of one species
-        _check_trajectory(t, s.reshape(s.shape[:1] + (1,) + s.shape[1:]),
-                          None if J is None else J.reshape(J.shape[:1] + (1,) + J.shape[1:]))
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "fluxes", J)
-
-    @property
-    def n_times(self) -> int:
-        return self.times.size
-
-    @property
-    def n_cells(self) -> int:
-        return self.states.shape[1]
-
-    def windows(self, unit: int):
-        """Views ``(times, states[, fluxes])`` of ``unit`` intervals (see
-        :meth:`Trajectory.windows`)."""
-        fluxes = () if self.fluxes is None else (self.fluxes,)
-        return _interval_windows(unit, self.times, self.states, *fluxes)
+def _coarse_fluxes(J: np.ndarray) -> FluxAssignment:
+    """Fluxes of one species: the face fluxes ``J`` (T - 1, 1, n + 1), adopted, and
+    exchange amounts b = 0, a read-only zero-stride view that holds no memory."""
+    return FluxAssignment(_Owned(J), _Owned(np.broadcast_to(0.0, J.shape[:-1] + (J.shape[-1] - 1,))))
 
 
 def coarse_grain(state: State) -> np.ndarray:
@@ -115,10 +92,10 @@ def coarse_grain(state: State) -> np.ndarray:
     return state.c.sum(axis=0)
 
 
-def coarse_grain_trajectory(traj: Trajectory) -> CoarseTrajectory:
-    """Coarse-grain a two-species trajectory; summed fluxes carry over when present."""
-    hat_j = _Owned(traj.fluxes.J.sum(axis=1)) if traj.fluxes is not None else None
-    return CoarseTrajectory(traj.times, _Owned(traj.states.sum(axis=1)), hat_j)
+def coarse_grain_trajectory(traj: Trajectory) -> Trajectory:
+    """Coarse-grain a trajectory to one species; summed face fluxes carry over when present."""
+    fluxes = None if traj.fluxes is None else _coarse_fluxes(traj.fluxes.J.sum(axis=1, keepdims=True))
+    return Trajectory(traj.times, _Owned(traj.states.sum(axis=1, keepdims=True)), fluxes)
 
 
 def coarse_params(params: SystemParams, tilt: Tilt) -> CoarseParams:
@@ -135,9 +112,14 @@ def hat_energy(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> float:
     """Coarse free energy: entropy of the coarse density plus the mixed potential term.
 
     Equals the two-species tilted energy of the slow-manifold state that
-    coarse-grains to ``hat_c``.
+    coarse-grains to ``hat_c``, the density (n,) on the tilt's cells.
     """
     hat_c = np.asarray(hat_c, dtype=float)
+    if hat_c.shape != (tilt.n_cells,):
+        raise ValueError(f"coarse density shape {hat_c.shape} does not match the tilt's "
+                         f"{tilt.n_cells} cells")
+    if not np.all(np.isfinite(hat_c)):
+        raise ValueError("coarse density must be finite")
     if np.any(hat_c < 0):
         raise ValueError(f"negative density (min {hat_c.min():g})")
     cp = coarse_params(params, tilt)
@@ -211,7 +193,7 @@ def _split(fractions, total):
     return out
 
 
-def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams,
+def reconstruct_from_coarse(hat_traj: Trajectory, params: SystemParams,
                             tilt: Tilt) -> Reconstruction:
     """Reconstruct two-species densities and fluxes from a coarse trajectory.
 
@@ -228,12 +210,13 @@ def reconstruct_from_coarse(hat_traj: CoarseTrajectory, params: SystemParams,
     residual, so that equation holds to the last bit, and the reaction
     fluxes sum to zero to the rounding of the rates, whatever the step.
     """
+    _check_coarse(hat_traj)
     if hat_traj.fluxes is None:
         raise ValueError("coarse trajectory carries no fluxes")
     if tilt.n_cells != hat_traj.n_cells:
         raise ValueError("tilt does not match coarse trajectory")
-    hat_c = hat_traj.states
-    hat_j = hat_traj.fluxes
+    hat_c = hat_traj.states[:, 0]
+    hat_j = hat_traj.fluxes.J[:, 0]
     n = hat_traj.n_cells
     h = 1.0 / n
     dt = np.diff(hat_traj.times)[:, None]
@@ -301,18 +284,19 @@ def flux_equilibration_check(state: State, j1: np.ndarray, j2: np.ndarray,
     return float(np.sum(gap)) * h
 
 
-def shift_positive(hat_traj: CoarseTrajectory, gamma: float) -> CoarseTrajectory:
+def shift_positive(hat_traj: Trajectory, gamma: float) -> Trajectory:
     """Controlled positive shift: c -> (c + 2 gamma) / (1 + 2 gamma), fluxes rescaled.
 
     Preserves unit mass and the discrete continuity equation exactly; for
     gamma <= 1/2 the shifted density is bounded below by gamma cellwise.
     """
+    _check_coarse(hat_traj)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     z = 1.0 + 2.0 * gamma
     states = (hat_traj.states + 2.0 * gamma) / z
-    fluxes = None if hat_traj.fluxes is None else hat_traj.fluxes / z
-    return CoarseTrajectory(hat_traj.times, states, fluxes)
+    fluxes = None if hat_traj.fluxes is None else _coarse_fluxes(hat_traj.fluxes.J / z)
+    return Trajectory(hat_traj.times, _Owned(states), fluxes)
 
 
 def _bump_kernel(half_steps: int) -> np.ndarray:
@@ -321,13 +305,14 @@ def _bump_kernel(half_steps: int) -> np.ndarray:
     return k / k.sum()
 
 
-def mollify_in_time(hat_traj: CoarseTrajectory, half_width: float) -> CoarseTrajectory:
+def mollify_in_time(hat_traj: Trajectory, half_width: float) -> Trajectory:
     """Temporal mollification with a compactly supported polynomial bump.
 
     States are extended constantly beyond the time window and fluxes by zero,
     which keeps the discrete continuity equation exact after smoothing.
     Requires a uniform time grid; a half width below one step is a no-op.
     """
+    _check_coarse(hat_traj)
     dts = np.diff(hat_traj.times)
     dt = float(dts[0])
     if not np.allclose(dts, dt, rtol=1e-10, atol=0.0):
@@ -336,19 +321,19 @@ def mollify_in_time(hat_traj: CoarseTrajectory, half_width: float) -> CoarseTraj
     if half_steps < 1:
         return hat_traj
     k = _bump_kernel(half_steps)
-    padded = np.pad(hat_traj.states, ((half_steps, half_steps), (0, 0)), mode="edge")
+    padded = np.pad(hat_traj.states, ((half_steps, half_steps), (0, 0), (0, 0)), mode="edge")
     states = np.stack([
         np.tensordot(k, padded[m:m + k.size], axes=(0, 0))
         for m in range(hat_traj.n_times)
     ])
     fluxes = None
     if hat_traj.fluxes is not None:
-        jp = np.pad(hat_traj.fluxes, ((half_steps, half_steps), (0, 0)), mode="constant")
-        fluxes = np.stack([
+        jp = np.pad(hat_traj.fluxes.J, ((half_steps, half_steps), (0, 0), (0, 0)), mode="constant")
+        fluxes = _coarse_fluxes(np.stack([
             np.tensordot(k, jp[m:m + k.size], axes=(0, 0))
             for m in range(hat_traj.n_times - 1)
-        ])
-    return CoarseTrajectory(hat_traj.times, states, fluxes)
+        ]))
+    return Trajectory(hat_traj.times, _Owned(states), fluxes)
 
 
 def optimal_coarse_flux(rate: np.ndarray, h: float) -> np.ndarray:
@@ -412,8 +397,9 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
         )
     hat = coarse_grain_trajectory(limit_traj)
     if hat.fluxes is None:
-        rate = np.diff(hat.states, axis=0) / np.diff(hat.times)[:, None]
-        hat = CoarseTrajectory(hat.times, hat.states, optimal_coarse_flux(rate, 1.0 / hat.n_cells))
+        rate = np.diff(hat.states, axis=0) / np.diff(hat.times)[:, None, None]
+        hat = Trajectory(hat.times, _Owned(hat.states),
+                         _coarse_fluxes(optimal_coarse_flux(rate, 1.0 / hat.n_cells)))
 
     gamma = float(epsilon ** (1.0 - lam))
     shifted = shift_positive(hat, gamma)
@@ -421,7 +407,7 @@ def build_recovery_sequence(limit_traj: Trajectory, params: SystemParams, tilt: 
     scale = 0.25 * t_final if width_scale is None else width_scale
     half_width = scale * float(epsilon ** alpha)
     smooth = mollify_in_time(shifted, half_width)
-    dts = np.diff(smooth.times)[:, None]
+    dts = np.diff(smooth.times)[:, None, None]
     rate_bound = float(np.max(np.abs((smooth.states[1:] - smooth.states[:-1]) / dts)))
     recon = reconstruct_from_coarse(smooth, params, tilt)
     return RecoverySequence(

@@ -82,11 +82,13 @@ def _abs_max(a: np.ndarray) -> float:
 
 
 def _species_sums(b: np.ndarray):
-    """``b.sum(axis=-2)`` in chunks over the leading axes, without a full-size temporary."""
+    """``b.sum(axis=-2)`` in chunks over the leading axes, without a full-size temporary;
+    one species is its own sum, a view of ``b``."""
     flat = b.reshape((-1,) + b.shape[-2:])
     step = _window_unit(b.shape[-1])
     for i in range(0, flat.shape[0], step):
-        yield flat[i : i + step].sum(axis=-2)
+        chunk = flat[i : i + step]
+        yield chunk[:, 0] if chunk.shape[1] == 1 else chunk.sum(axis=-2)
 
 
 def _window_unit(values_per_level: int, block: int = 1) -> int:
@@ -123,8 +125,7 @@ def _check_fluxes(J: np.ndarray, b: np.ndarray):
 
 
 def _check_trajectory(t: np.ndarray, s: np.ndarray, J):
-    """The invariants of a :class:`Trajectory` but its start at time 0, and of a
-    coarse trajectory read as one of one species.
+    """The invariants of a :class:`Trajectory` but its start at time 0.
 
     So a solver can check each window of a trajectory it hands out without
     storing the whole.  ``J`` is the face flux array, or None.

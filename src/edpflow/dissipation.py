@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .coarsegrain import (
     SLOW_MANIFOLD_TOL,
-    CoarseTrajectory,
+    _check_coarse,
     coarse_grain_trajectory,
     coarse_params,
     hat_energy,
@@ -508,14 +508,12 @@ def _windows(traj, fluxes=None):
 
     Windows of the one budget (:func:`~edpflow.core._window_unit`), with the
     evaluation's one velocity source: ``fluxes`` maps the fluxes each window
-    carries to those to cost, and without it the optimal ones are.  A coarse
-    window's states (k + 1, n) are read as those of one species, (k + 1, 1, n).
+    carries to those to cost, and without it the optimal ones are.
     """
     for times, states, *carried in traj.windows(_window_unit(traj.states[0].size)):
         if fluxes is not None and not carried:
             raise ValueError("no flux data: the trajectory carries no fluxes")
-        yield (states.reshape(times.size, -1, states.shape[-1]), np.diff(times),
-               None if fluxes is None else fluxes(*carried))
+        yield states, np.diff(times), None if fluxes is None else fluxes(*carried)
 
 
 def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt, *,
@@ -581,34 +579,37 @@ def edb_residual(traj: Trajectory, params: SystemParams, tilt: Tilt) -> float:
 
 def _hat_args(hat_traj, params: SystemParams, tilt: Tilt):
     """``(w_hat, delta_hat, edges, groups)`` of the coarse system on ``tilt``, one species and
-    no edges, as :func:`_network_terms` takes them after the windows."""
+    no edges, as :func:`_network_terms` takes them after the windows; ``hat_traj`` of
+    another species count raises."""
+    _check_coarse(hat_traj)
     if tilt.n_cells != hat_traj.n_cells:
         raise ValueError("tilt does not match coarse trajectory")
     cp = coarse_params(params, tilt)
     return cp.w_hat[None], cp.delta_hat[None], [], []
 
 
-def hat_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
+def hat_dissipation(hat_traj: Trajectory, params: SystemParams,
                     tilt: Tilt) -> DissipationBreakdown:
     """Coarse dissipation: minimal kinetic cost of the coarse rate plus coarse slope.
 
     The velocity part is the kinetic cost of the one flux that realizes the
     coarse rate (:func:`~edpflow.coarsegrain.optimal_coarse_flux`); the slope
     part is the coarse Fisher information with the mixing-weighted mobility.
-    Exchange terms vanish on the coarse level.  ``hat_traj`` may also be a
-    coarse solve, read window by window as for :func:`dissipation_functional`.
+    Exchange terms vanish on the coarse level.  ``hat_traj`` is a trajectory
+    of one species, or a coarse solve, read window by window as for
+    :func:`dissipation_functional`.
     """
     vel, slope = _network_terms(_windows(hat_traj), *_hat_args(hat_traj, params, tilt))
     return DissipationBreakdown(vel, 0.0, slope, 0.0)
 
 
-def hat_flux_dissipation(hat_traj: CoarseTrajectory, params: SystemParams,
+def hat_flux_dissipation(hat_traj: Trajectory, params: SystemParams,
                          tilt: Tilt) -> DissipationBreakdown:
     """Coarse dissipation with the kinetic term evaluated on the stored coarse fluxes.
 
     ``hat_traj`` may also be a coarse solve, read as for :func:`hat_dissipation`.
     """
-    vel, slope = _network_terms(_windows(hat_traj, lambda J: (J[:, None], [])),  # no edges
+    vel, slope = _network_terms(_windows(hat_traj, lambda J, b: (J, [])),  # no edges
                                 *_hat_args(hat_traj, params, tilt))
     return DissipationBreakdown(vel, 0.0, slope, 0.0)
 
@@ -618,13 +619,13 @@ def _hat_balance(hat_traj, params: SystemParams, tilt: Tilt):
 
     Read as :func:`_balance` reads a trajectory.
     """
-    initial = hat_traj.states[0]
+    initial = hat_traj.states[0, 0]
     breakdown = hat_dissipation(hat_traj, params, tilt)
-    drop = hat_energy(initial, params, tilt) - hat_energy(hat_traj.states[-1], params, tilt)
+    drop = hat_energy(initial, params, tilt) - hat_energy(hat_traj.states[-1, 0], params, tilt)
     return breakdown, drop, breakdown.total - drop
 
 
-def hat_edb_residual(hat_traj: CoarseTrajectory, params: SystemParams,
+def hat_edb_residual(hat_traj: Trajectory, params: SystemParams,
                      tilt: Tilt) -> float:
     """Energy-dissipation-balance defect of the coarse problem, as :func:`edb_residual`.
 

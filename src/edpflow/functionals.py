@@ -274,7 +274,7 @@ def _network_slope(c, w, delta, edges, h):
     """
     rho = c / np.where(c > 0, w, 1.0)  # an empty species is at rest where its measure underflows too
     diff = 0.5 * np.sum(_face_mobility(w, delta) * _face_fisher(rho), axis=(-2, -1)) / h
-    sq = np.sqrt(rho)
+    sq = np.sqrt(rho) if edges else None  # a system without edges, the coarse one, takes no root
     react = [
         2.0 * kappa * h * np.sum(np.sqrt(w[i] * w[j]) * (sq[..., i, :] - sq[..., j, :]) ** 2, axis=-1)
         for i, j, kappa in edges

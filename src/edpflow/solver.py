@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .coarsegrain import CoarseTrajectory, coarse_params
+from .coarsegrain import coarse_params
 from .core import (
     FluxAssignment,
     State,
@@ -251,10 +251,10 @@ def _exchange_rates(params: SystemParams, tilt: Tilt):
 
 
 class _Solve:
-    """A solve of ``config`` from ``initial`` (the (k, n) densities, or the (n,) coarse one).
+    """A solve of ``config`` from ``initial``, the (k, n) densities (k = 1 for the coarse system).
 
     ``delta`` and ``v``, the diffusion constants and the cell potential,
-    broadcast to the (k, n) stack; the drift-diffusion step of :func:`_kernel`
+    broadcast to ``initial``; the drift-diffusion step of :func:`_kernel`
     takes their face constants (delta_k + delta_{k+1}) / 2 and drift factors
     exp((v_{k+1} - v_k) / 2), and raises if an overflow leaves those
     infinite.  ``half`` is None for the coarse system, else the half step
@@ -270,7 +270,7 @@ class _Solve:
 
     def __init__(self, solver: str, initial, config: SolverConfig, delta, v, half=None):
         self.solver, self.initial, self.config, self.half = solver, initial, config, half
-        delta, v, _ = np.broadcast_arrays(delta, v, initial.reshape(-1, initial.shape[-1]))
+        delta, v, _ = np.broadcast_arrays(delta, v, initial)
         with np.errstate(over="ignore"):
             g = np.exp(np.diff(v) / 2.0)
         self.kernel = _kernel(0.5 * (delta[:, 1:] + delta[:, :-1]), g, config.dt_effective,
@@ -290,12 +290,13 @@ class _Solve:
     def windows(self, unit: int):
         """The stepping loop, stepped afresh on each call, ``unit`` steps at a time.
 
-        Yields ``(times, states, J)``, and ``b`` if the system exchanges, per
-        window of ``unit`` intervals (the last the rest), shaped as
-        ``initial``; its first state is the previous window's last.  The
-        windows are read-only views of the loop's buffers, valid until the
-        next is requested, and pass the checks of :class:`Trajectory` and
-        :class:`FluxAssignment`, or of :class:`CoarseTrajectory`.
+        Yields ``(times, states, J, b)`` per window of ``unit`` intervals
+        (the last the rest), shaped as ``initial``; its first state is the
+        previous window's last.  The windows are read-only views of the
+        loop's buffers, valid until the next is requested, and pass the
+        checks of :class:`Trajectory` and :class:`FluxAssignment`.  A system
+        without exchange (the coarse one) moves no amounts: its ``b`` is a
+        zero-stride view of 0.
 
         A window is stepped in blocks of :func:`_window_unit` steps (one
         block, unless the window is longer), each with floating-point errors
@@ -309,8 +310,7 @@ class _Solve:
         guard clamped, the next is stepped under the guard from the start, so
         a solve steps at most one block's steps twice per run of clamps.
         """
-        shape = self.initial.shape
-        k_sp, n = (1, *shape) if len(shape) == 1 else shape
+        k_sp, n = self.initial.shape
         steps, dt = self.config.n_steps, self.config.dt_effective
         kernel, clamps, guarded = self.kernel(), _Clamps(), False
         width = min(unit, steps)
@@ -318,7 +318,7 @@ class _Solve:
         states, k = np.empty((width + 1, k_sp, n)), 0
         states[0] = self.initial
         J = np.zeros((width, k_sp, n + 1))
-        b = np.empty((width, k_sp, n)) if self.half else [None] * width
+        b = np.empty((width, k_sp, n)) if self.half else np.broadcast_to(0.0, (width, k_sp, n))
         for start in range(0, steps, width):
             states[0] = states[k]  # the last window's last state; first, the initial one
             k = min(width, steps - start)
@@ -344,13 +344,11 @@ class _Solve:
                 clamps.guarded += hi - first
                 guarded = clamps.steps > clamped
             times = dt * np.arange(start, start + k + 1)
-            _check_trajectory(times, states[:k + 1], J[:k])  # a coarse window as of one species
-            out = (times, states[:k + 1].reshape(k + 1, *shape),
-                   J[:k].reshape(k, *shape[:-1], n + 1))
+            _check_trajectory(times, states[:k + 1], J[:k])
             if self.half:
                 b[:k] /= dt
                 _check_fluxes(J[:k], b[:k])
-                out += (b[:k],)
+            out = (times, states[:k + 1], J[:k], b[:k])
             for a in out:
                 a.flags.writeable = False
             self.states = out[1]
@@ -359,10 +357,8 @@ class _Solve:
 
     def result(self):
         """The stored trajectory: the single window of all steps, adopted without a copy."""
-        ((times, states, J, *b),) = self.windows(self.config.n_steps)
-        if not b:
-            return CoarseTrajectory(_Owned(times), _Owned(states), _Owned(J))
-        return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b[0])))
+        ((times, states, J, b),) = self.windows(self.config.n_steps)
+        return Trajectory(_Owned(times), _Owned(states), FluxAssignment(_Owned(J), _Owned(b)))
 
 
 def _check_unit_mass(c, what: str):
@@ -419,12 +415,15 @@ def _effective_solve(initial_hat, params: SystemParams, tilt: Tilt, config: Solv
     _check_unit_mass(hat_c, "initial coarse density")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cp = coarse_params(params, tilt)
-    return _Solve("solve_effective", hat_c, config, cp.delta_hat, cp.v_hat)
+    return _Solve("solve_effective", hat_c[None], config, cp.delta_hat, cp.v_hat)
 
 
 def solve_effective(initial_hat, params: SystemParams, tilt: Tilt,
-                    config: SolverConfig) -> CoarseTrajectory:
+                    config: SolverConfig) -> Trajectory:
     """Integrate the coarse drift-diffusion problem with the mixed coefficients.
+
+    Takes the coarse density (n,) and returns a trajectory of one species,
+    with its face fluxes and no exchange.
 
     Face diffusion coefficients are arithmetic means of the cell values of the
     mixing-weighted coefficient; the drift enters through face differences of

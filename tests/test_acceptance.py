@@ -14,7 +14,6 @@ import pytest
 from scipy.optimize import brentq
 
 from edpflow import (
-    CoarseTrajectory,
     MarkovGenerator,
     SolverConfig,
     SpatialGrid,
@@ -135,7 +134,7 @@ def test_criterion_3_energy_dissipation_balance_refinement():
         res_eps.append(abs(e1 + bd.total - e0))
         htraj = solve_effective(c0.sum(axis=0), p, tilt, SolverConfig(dt, 0.25))
         res_eff.append(abs(hat_edb_residual(htraj, p, tilt)))
-        hdrop = hat_energy(htraj.states[0], p, tilt) - hat_energy(htraj.states[-1], p, tilt)
+        hdrop = hat_energy(htraj.states[0, 0], p, tilt) - hat_energy(htraj.states[-1, 0], p, tilt)
         drops.append((e0 - e1, hdrop))
     lv = np.arange(4.0)
     order_eps = float(-np.polyfit(lv, np.log2(res_eps), 1)[0])
@@ -186,9 +185,9 @@ def test_criterion_5_reconstruction_identities():
                                      traj.fluxes.J[m, 1], PARAMS))
         for m in range(0, traj.n_times - 1, 10)
     )
-    j1_err = float(np.max(np.abs(traj.fluxes.J[:, 0] - 0.6 * htraj.fluxes)))
-    j2_err = float(np.max(np.abs(traj.fluxes.J[:, 1] - 0.4 * htraj.fluxes)))
-    div = (htraj.fluxes[:, 1:] - htraj.fluxes[:, :-1]) * n
+    j1_err = float(np.max(np.abs(traj.fluxes.J[:, 0] - 0.6 * htraj.fluxes.J[:, 0])))
+    j2_err = float(np.max(np.abs(traj.fluxes.J[:, 1] - 0.4 * htraj.fluxes.J[:, 0])))
+    div = (htraj.fluxes.J[:, 0, 1:] - htraj.fluxes.J[:, 0, :-1]) * n
     b_err = float(np.max(np.abs(traj.fluxes.b[:, 0] + 0.15 * div)))
     ok = gce <= 1e-12 and gap <= 1e-12 and max(j1_err, j2_err, b_err) <= 1e-12
     report(5, ok,
@@ -208,7 +207,7 @@ def test_criterion_6_lagrange_multiplier_cancellation():
         hat0 = cp.w_hat * (1 + 0.4 * np.cos(np.pi * grid.cell_centers))
         hat0 /= hat0.sum() / n
         htraj = solve_effective(hat0, PARAMS, tilt, SolverConfig(2e-3 * 40 / n, 0.05))
-        lam1, lam2 = lagrange_multipliers(htraj.states[-1], PARAMS, tilt)
+        lam1, lam2 = lagrange_multipliers(htraj.states[-1, 0], PARAMS, tilt)
         errs.append(float(np.max(np.abs(lam1 + lam2))))
     ratios = [errs[k] / errs[k + 1] for k in range(2)]
     ok = all(r >= 1.8 for r in ratios)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from edpflow import (
-    CoarseTrajectory,
     ConfigError,
     DecayFitError,
     DualAscentError,
@@ -19,6 +18,7 @@ from edpflow import (
     State,
     SystemParams,
     Tilt,
+    Trajectory,
     coarse_grain_trajectory,
     default_configs,
     edb_residual,
@@ -170,7 +170,7 @@ class TestFitDecayRate:
         x = (np.arange(n) + 0.5) / n
         times = np.linspace(0.0, 0.05, 21)
         states = 1 + 0.4 * np.exp(-delta * np.pi**2 * times)[:, None] * np.cos(np.pi * x)[None, :]
-        traj = CoarseTrajectory(times, states)
+        traj = Trajectory(times, states[:, None])
         assert fit_decay_rate(traj) == pytest.approx(delta, abs=1e-6)
 
     def test_effective_solver_recovers_mixed_coefficient(self, params):
@@ -181,7 +181,7 @@ class TestFitDecayRate:
         assert fit_decay_rate(traj) == pytest.approx(1.25, rel=2e-3)
 
     def test_degenerate_amplitude_rejected(self):
-        traj = CoarseTrajectory(np.array([0.0, 0.1]), np.ones((2, 10)))
+        traj = Trajectory(np.array([0.0, 0.1]), np.ones((2, 1, 10)))
         with pytest.raises(DecayFitError, match="initial cosine content too small"):
             fit_decay_rate(traj)
 
@@ -189,7 +189,7 @@ class TestFitDecayRate:
         # the mode falls below 1e-12 of its start within the first step
         n = 10
         mode = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        traj = CoarseTrajectory(np.array([0.0, 0.1, 0.2]), 1 + np.outer([0.5, 1e-14, 0.0], mode))
+        traj = Trajectory(np.array([0.0, 0.1, 0.2]), 1 + np.outer([0.5, 1e-14, 0.0], mode)[:, None])
         with pytest.raises(DecayFitError, match="decay too fast to fit"):
             fit_decay_rate(traj)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edpflow import (
-    CoarseTrajectory,
+    FluxAssignment,
     SolverConfig,
     State,
     SystemParams,
@@ -19,6 +19,8 @@ from edpflow import (
     flux_dissipation,
     flux_equilibration_check,
     gce_residual,
+    hat_dissipation,
+    hat_edb_residual,
     hat_energy,
     hat_flux_dissipation,
     manifold_split,
@@ -27,10 +29,12 @@ from edpflow import (
     shift_positive,
     slow_manifold_defect,
     solve_effective,
+    solve_eps_system,
     stationary_measure,
     total_mass,
 )
 from edpflow.coarsegrain import SLOW_MANIFOLD_TOL, optimal_coarse_flux
+from edpflow.core import _check_trajectory
 from edpflow.solver import _effective_solve
 
 from conftest import cosine_tilt, positive_state
@@ -58,6 +62,37 @@ class TestCoarseGrain:
         st = positive_state(rng, 9)
         assert coarse_grain(st).sum() / 9 == pytest.approx(total_mass(st))
 
+    def test_trajectory_sums_states_and_face_fluxes(self, params, rng):
+        # one species: the species sums, bit for bit, and exchange amounts of 0
+        # that hold no memory
+        n = 16
+        traj = solve_eps_system(positive_state(rng, n), params, cosine_tilt(n, [[0.3], [-0.2]]),
+                                SolverConfig(1e-3, 0.02))
+        hat = coarse_grain_trajectory(traj)
+        assert hat.n_species == 1 and hat.times.tobytes() == traj.times.tobytes()
+        assert hat.states[:, 0].tobytes() == traj.states.sum(axis=1).tobytes()
+        assert hat.fluxes.J[:, 0].tobytes() == traj.fluxes.J.sum(axis=1).tobytes()
+        assert hat.fluxes.b.shape == (20, 1, n) and not hat.fluxes.b.any()
+        assert not any(hat.fluxes.b.strides) and not hat.fluxes.b.flags.writeable
+        FluxAssignment(hat.fluxes.J, hat.fluxes.b)  # its checks, on copies
+
+
+@pytest.mark.parametrize("entry", [
+    lambda traj, params, tilt: hat_dissipation(traj, params, tilt),
+    lambda traj, params, tilt: hat_flux_dissipation(traj, params, tilt),
+    lambda traj, params, tilt: hat_edb_residual(traj, params, tilt),
+    lambda traj, params, tilt: reconstruct_from_coarse(traj, params, tilt),
+    lambda traj, params, tilt: shift_positive(traj, 0.1),
+    lambda traj, params, tilt: mollify_in_time(traj, 0.005),
+], ids=["hat_dissipation", "hat_flux_dissipation", "hat_edb_residual", "reconstruct_from_coarse",
+        "shift_positive", "mollify_in_time"])
+def test_coarse_entry_points_reject_two_species(params, rng, entry):
+    n = 16
+    tilt = cosine_tilt(n, [[0.3], [-0.2]])
+    traj = solve_eps_system(positive_state(rng, n), params, tilt, SolverConfig(1e-3, 0.02))
+    with pytest.raises(ValueError, match="coarse data have one species, got 2"):
+        entry(traj, params, tilt)
+
 
 def _corrupted(kind, times, states, J):
     """Copies of coarse trajectory data with the invariant ``kind`` broken."""
@@ -65,18 +100,19 @@ def _corrupted(kind, times, states, J):
     if kind == "non-increasing times":
         times[1] = times[0]
     elif kind == "NaN state":
-        states[-1, 2] = np.nan
+        states[-1, 0, 2] = np.nan
     elif kind == "negative state":
-        states[-1, 2] = -1e-3
+        states[-1, 0, 2] = -1e-3
     elif kind == "flux shape":
-        J = J[:, :-1]
+        J = J[..., :-1]
     elif kind == "boundary flux":
-        J[-1, -1] = 1e-3
+        J[-1, 0, -1] = 1e-3
     return times, states, J
 
 
 class TestCoarseTrajectoryChecks:
-    """A coarse trajectory, stored or a window of a solve, is checked as one of one species."""
+    """A coarse trajectory, stored or a window of a solve, is checked as a trajectory of one
+    species, the windows after the first but for their start at time 0."""
 
     def _solve(self, params):
         n = 12
@@ -90,19 +126,19 @@ class TestCoarseTrajectoryChecks:
         stored = solve.result()
         windows = [[a.copy() for a in window] for window in solve.windows(7)]
         assert [w[0][0] > 0 for w in windows] == [False, True, True]
-        return [(stored.times, stored.states, stored.fluxes)] + windows
+        return [(stored.times, stored.states, stored.fluxes.J)] + [w[:3] for w in windows]
 
     def test_windows_are_coarse_trajectories(self, params):
         for times, states, J in self._sources(params):
-            hat = CoarseTrajectory(times, states, J)
-            assert hat.times[0] == times[0] and hat.n_cells == 12
+            _check_trajectory(times, states, J)
+            assert states.shape[1:] == (1, 12)
 
     @pytest.mark.parametrize("kind", ["non-increasing times", "NaN state", "negative state",
                                       "flux shape", "boundary flux"])
     def test_broken_invariant_raises(self, params, kind):
         for times, states, J in self._sources(params):
             with pytest.raises(ValueError):
-                CoarseTrajectory(*_corrupted(kind, times, states, J))
+                _check_trajectory(*_corrupted(kind, times, states, J))
 
     def test_solve_checks_its_windows(self, params):
         # a step that leaves flux on the right wall
@@ -169,19 +205,30 @@ class TestHatEnergy:
         with pytest.raises(ValueError):
             hat_energy(np.array([-0.1, 2.1]), params, Tilt.zero(2))
 
+    @pytest.mark.parametrize("hat, match", [
+        (np.array([1, 1, 1, np.nan, 1, 1, 1, 1]), "coarse density must be finite"),
+        (np.array([1, 1, 1, np.inf, 1, 1, 1, 1]), "coarse density must be finite"),
+        (np.ones(7), r"shape \(7,\) does not match the tilt's 8 cells"),
+    ], ids=["nan", "inf", "7 cells"])
+    def test_rejects_what_energy_rejects(self, params, hat, match):
+        # as energy does through State and its shape check; NaN evaluated to
+        # nan, inf to a RuntimeWarning and 7 cells to numpy's broadcast error
+        with pytest.raises(ValueError, match=match):
+            hat_energy(hat, params, Tilt.zero(8))
+
 
 class TestReconstruction:
     def test_requires_fluxes(self, params):
-        hat = CoarseTrajectory(np.array([0.0, 0.1]), np.ones((2, 5)))
+        hat = Trajectory(np.array([0.0, 0.1]), np.ones((2, 1, 5)))
         with pytest.raises(ValueError, match="no fluxes"):
             reconstruct_from_coarse(hat, params, Tilt.zero(5))
 
     def test_rejects_broken_continuity(self, params):
         n = 5
-        states = np.ones((2, n))
-        states[1, 2] += 0.1  # mass appears from nowhere
-        J = np.zeros((1, n + 1))
-        hat = CoarseTrajectory(np.array([0.0, 0.1]), states, J)
+        states = np.ones((2, 1, n))
+        states[1, 0, 2] += 0.1  # mass appears from nowhere
+        J = np.zeros((1, 1, n + 1))
+        hat = Trajectory(np.array([0.0, 0.1]), states, FluxAssignment(J, np.zeros((1, 1, n))))
         with pytest.raises(ValueError, match="continuity"):
             reconstruct_from_coarse(hat, params, Tilt.zero(n))
 
@@ -191,9 +238,9 @@ class TestReconstruction:
         hat = reference_hat_trajectory(params, Tilt.zero(40), n=40)
         rec = reconstruct_from_coarse(hat, params, Tilt.zero(40))
         J, b = rec.trajectory.fluxes.J, rec.trajectory.fluxes.b
-        assert np.max(np.abs(J[:, 0] - 0.6 * hat.fluxes)) < 1e-12
-        assert np.max(np.abs(J[:, 1] - 0.4 * hat.fluxes)) < 1e-12
-        div = (hat.fluxes[:, 1:] - hat.fluxes[:, :-1]) * 40
+        assert np.max(np.abs(J[:, 0] - 0.6 * hat.fluxes.J[:, 0])) < 1e-12
+        assert np.max(np.abs(J[:, 1] - 0.4 * hat.fluxes.J[:, 0])) < 1e-12
+        div = (hat.fluxes.J[:, 0, 1:] - hat.fluxes.J[:, 0, :-1]) * 40
         assert np.max(np.abs(b[:, 0] + 0.15 * div)) < 1e-12
         assert np.max(np.abs(b - rec.b_closed_form)) < 1e-12
 
@@ -288,11 +335,11 @@ class TestPositiveShift:
         n = 12
         states = rng.uniform(0.0, 2.0, (4, n))
         states /= states.sum(axis=1, keepdims=True) / n
-        hat = CoarseTrajectory(0.1 * np.arange(4), states)
+        hat = Trajectory(0.1 * np.arange(4), states[:, None])
         for gamma in (1e-4, 0.01, 0.2, 0.5):
             shifted = shift_positive(hat, gamma)
             assert shifted.states.min() >= gamma - 1e-15
-            assert np.max(np.abs(shifted.states.sum(axis=1) / n - 1.0)) < 1e-12
+            assert np.max(np.abs(shifted.states.sum(axis=2) / n - 1.0)) < 1e-12
 
     def test_energy_control(self, params, rng):
         # energy of shifted states stays bounded by original + O(gamma)
@@ -312,9 +359,9 @@ class TestPositiveShift:
     def test_preserves_continuity(self, params):
         hat = reference_hat_trajectory(params, Tilt.zero(20), n=20)
         shifted = shift_positive(hat, 0.3)
-        dt = np.diff(shifted.times)[:, None]
+        dt = np.diff(shifted.times)[:, None, None]
         ce = (shifted.states[1:] - shifted.states[:-1]) / dt + (
-            shifted.fluxes[:, 1:] - shifted.fluxes[:, :-1]
+            shifted.fluxes.J[..., 1:] - shifted.fluxes.J[..., :-1]
         ) * 20
         assert np.max(np.abs(ce)) < 1e-11
 
@@ -323,10 +370,10 @@ class TestMollification:
     def test_preserves_continuity_and_mass(self, params):
         hat = reference_hat_trajectory(params, Tilt.zero(20), n=20, t_final=0.04)
         sm = mollify_in_time(hat, half_width=0.006)
-        dt = np.diff(sm.times)[:, None]
-        ce = (sm.states[1:] - sm.states[:-1]) / dt + (sm.fluxes[:, 1:] - sm.fluxes[:, :-1]) * 20
+        dt = np.diff(sm.times)[:, None, None]
+        ce = (sm.states[1:] - sm.states[:-1]) / dt + (sm.fluxes.J[..., 1:] - sm.fluxes.J[..., :-1]) * 20
         assert np.max(np.abs(ce)) < 1e-11
-        assert np.max(np.abs(sm.states.sum(axis=1) / 20 - 1.0)) < 1e-12
+        assert np.max(np.abs(sm.states.sum(axis=2) / 20 - 1.0)) < 1e-12
 
     def test_tiny_width_is_noop(self, params):
         hat = reference_hat_trajectory(params, Tilt.zero(20), n=20, t_final=0.04)
@@ -336,7 +383,7 @@ class TestMollification:
     def test_smooths_rate(self, params):
         hat = reference_hat_trajectory(params, Tilt.zero(20), n=20, t_final=0.04)
         sm = mollify_in_time(hat, half_width=0.01)
-        dt = np.diff(hat.times)[:, None]
+        dt = np.diff(hat.times)[:, None, None]
         raw = np.max(np.abs((hat.states[1:] - hat.states[:-1]) / dt))
         smooth = np.max(np.abs((sm.states[1:] - sm.states[:-1]) / dt))
         assert smooth < raw

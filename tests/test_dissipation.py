@@ -13,7 +13,6 @@ from scipy.linalg.lapack import dpbtrf, dpttrf
 from scipy.optimize import minimize
 
 from edpflow import (
-    CoarseTrajectory,
     DualAscentError,
     FluxAssignment,
     IntegrationError,
@@ -624,10 +623,11 @@ class TestZeroMobility:
         fluxes[0, 1:-1] = [0.1, 0.0, 0.0, 0.0, -0.2]
         times = np.array([0.0, 0.01])
         tilt = Tilt.zero(6)
-        hat = CoarseTrajectory(times, np.stack([hat_c, hat_c]), fluxes)
+        states, b = np.stack([hat_c, hat_c])[:, None], np.zeros((1, 1, 6))
+        hat = Trajectory(times, states, FluxAssignment(fluxes[:, None], b))
         assert np.isfinite(hat_flux_dissipation(hat, params, tilt).total)
         fluxes[0, 3] = 0.05
-        hat = CoarseTrajectory(times, np.stack([hat_c, hat_c]), fluxes)
+        hat = Trajectory(times, states, FluxAssignment(fluxes[:, None], b))
         bd = hat_flux_dissipation(hat, params, tilt)
         assert bd.vel_diff == np.inf and np.isfinite(bd.slope_diff)
 
@@ -635,7 +635,7 @@ class TestZeroMobility:
         # the rate moves mass from cell 1 to cell 4, across the empty cells 2
         # and 3; RuntimeWarnings are errors
         states = np.array([[1.5, 2.0, 0.0, 0.0, 1.9, 0.6], [1.5, 1.5, 0.0, 0.0, 2.4, 0.6]])
-        hat = CoarseTrajectory(np.array([0.0, 0.01]), states)
+        hat = Trajectory(np.array([0.0, 0.01]), states[:, None])
         bd = hat_dissipation(hat, params, Tilt.zero(6))
         assert bd.vel_diff == np.inf and np.isfinite(bd.slope_diff)
 
@@ -733,7 +733,7 @@ class TestEffectiveDissipation:
     def test_stationary_zero(self, params):
         tilt = cosine_tilt(10, [[0.3], [-0.1]])
         cp = coarse_params(params, tilt)
-        hat = CoarseTrajectory(0.05 * np.arange(3), np.repeat(cp.w_hat[None], 3, axis=0))
+        hat = Trajectory(0.05 * np.arange(3), np.repeat(cp.w_hat[None, None], 3, axis=0))
         assert hat_dissipation(hat, params, tilt).total == pytest.approx(0.0, abs=1e-12)
         st = manifold_split(cp.w_hat, params, tilt)
         traj = Trajectory(0.05 * np.arange(3), np.repeat(st[None], 3, axis=0))
@@ -754,7 +754,7 @@ class TestEffectiveDissipation:
         htraj = solve_effective(hat0, params, tilt, SolverConfig(1e-3, 0.03))
         rec = reconstruct_from_coarse(htraj, params, tilt)
         d_two = effective_dissipation(rec.trajectory, params, tilt)
-        d_hat = hat_dissipation(CoarseTrajectory(htraj.times, htraj.states), params, tilt).total
+        d_hat = hat_dissipation(Trajectory(htraj.times, htraj.states), params, tilt).total
         assert d_two == pytest.approx(d_hat, abs=1e-8)
 
     def test_hat_edb_first_order(self, params):
@@ -1482,7 +1482,8 @@ class TestStreamedEvaluation:
                      _effective_solve(c0.c.sum(axis=0), params, tilt, config).windows(32)]
         assert [p[2].shape[0] for p in parts] == [32, 32, 32, 4]
         for got, want in ((parts, [traj.times, traj.states, traj.fluxes.J, traj.fluxes.b]),
-                          (hat_parts, [hat_traj.times, hat_traj.states, hat_traj.fluxes])):
+                          (hat_parts, [hat_traj.times, hat_traj.states, hat_traj.fluxes.J,
+                                       hat_traj.fluxes.b])):
             # each window starts at the last time level of the one before
             for p, q in zip(got, got[1:]):
                 assert p[0][-1] == q[0][0] and np.array_equal(p[1][-1], q[1][0])
@@ -1547,7 +1548,7 @@ class TestStreamedEvaluation:
     def test_no_carried_fluxes_raise(self, params):
         c0, tilt = self._initial(params, 12)
         traj = solve_eps_system(c0, params, tilt, SolverConfig(1e-3, 0.1))
-        hat = CoarseTrajectory(traj.times, traj.states.sum(axis=1))
+        hat = Trajectory(traj.times, traj.states.sum(axis=1, keepdims=True))
         for evaluate, stored in ((flux_dissipation, Trajectory(traj.times, traj.states)),
                                  (hat_flux_dissipation, hat)):
             with pytest.raises(ValueError, match="no flux data"):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from edpflow import (
-    CoarseTrajectory,
     FluxAssignment,
     SolverConfig,
     SpatialGrid,
@@ -72,8 +71,6 @@ def _traced_peak(fn):
 
 def _arrays(result):
     """Every array a trajectory-like result carries."""
-    if isinstance(result, CoarseTrajectory):
-        return [result.times, result.states] + ([result.fluxes] if result.fluxes is not None else [])
     out = [result.times, result.states]
     if result.fluxes is not None:
         out += [result.fluxes.J, result.fluxes.b]
@@ -114,7 +111,8 @@ SOLVERS = {"eps": _run_eps, "effective": _run_effective, "multispecies": _run_mu
 def test_solver_peak_is_close_to_its_output(solver):
     run = SOLVERS[solver]()
     result, peak = _traced_peak(run)
-    output = sum(a.nbytes for a in _arrays(result))
+    # one species' exchange amounts, 0, are a zero-stride view that holds no memory
+    output = sum(a.nbytes for a in _arrays(result) if any(a.strides))
     assert output > 1_000_000  # large enough that fixed overheads do not matter
     # a copy of the output on construction would make the peak about twice it
     assert peak <= PEAK_OVER_OUTPUT * output, f"peak {peak / output:.3f} x output"
@@ -159,14 +157,14 @@ def test_public_constructors_copy_their_inputs():
     states = np.full((3, 2, 4), 0.25)
     J = np.zeros((2, 2, 5))
     b = np.zeros((2, 2, 4))
-    hat_states = np.full((3, 4), 0.5)
-    hat_J = np.zeros((2, 5))
+    hat_states = np.full((3, 1, 4), 0.5)
+    hat_J = np.zeros((2, 1, 5))
     fl = FluxAssignment(J, b)
     traj = Trajectory(times, states, fl)
-    hat = CoarseTrajectory(times, hat_states, hat_J)
+    hat = Trajectory(times, hat_states, FluxAssignment(hat_J, np.zeros((2, 1, 4))))
     state = State(states[0])
     pairs = [(traj.times, times), (traj.states, states), (fl.J, J), (fl.b, b),
-             (hat.times, times), (hat.states, hat_states), (hat.fluxes, hat_J),
+             (hat.times, times), (hat.states, hat_states), (hat.fluxes.J, hat_J),
              (state.c, states[0])]
     for held, given in pairs:
         assert not np.shares_memory(held, given)
@@ -191,14 +189,14 @@ class TestReductionChecks:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             Trajectory(np.array([0.0, 0.1]), s)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            CoarseTrajectory(np.array([0.0, 0.1]), s[:, 1])
+            Trajectory(np.array([0.0, 0.1]), s[:, 1:])
 
     def test_negative_zero_and_empty_cells_pass(self):
         s = np.full((2, 2, 3), 0.5)
         s[0, 0, 0] = -0.0
         s[1, :, 1] = 0.0
         Trajectory(np.array([0.0, 0.1]), s)
-        CoarseTrajectory(np.array([0.0, 0.1]), s[:, 0])
+        Trajectory(np.array([0.0, 0.1]), s[:, :1])
 
     def test_reaction_sum_tolerance_is_relative_to_max_abs_b(self):
         J = np.zeros((1, 3, 4))

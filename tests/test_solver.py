@@ -90,7 +90,7 @@ def test_equal_diffusion_sum_solves_heat_equation():
         sums.append(traj.states.sum(axis=1))
     heat = solve_effective(hat0, SystemParams((1.4, 1.4), 1.0, 3.0), tilt, cfg)
     for hat in sums:
-        assert np.max(np.abs(hat - heat.states)) < 1e-12
+        assert np.max(np.abs(hat - heat.states[:, 0])) < 1e-12
 
 
 @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
@@ -189,7 +189,7 @@ def test_coarse_solution_approaches_effective_monotonically(params):
         c0 = State(manifold_split(hat0, p, tilt))
         traj = solve_eps_system(c0, p, tilt, cfg)
         hat = traj.states.sum(axis=1)
-        dists.append(float(np.abs(hat - eff.states).mean()) * cfg.t_final)
+        dists.append(float(np.abs(hat - eff.states[:, 0]).mean()) * cfg.t_final)
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
@@ -205,7 +205,7 @@ class TestEffectiveSolver:
         # analytic single-mode decay of the heat problem with coefficient 1.25
         lam = 1.25 * (2 * n * np.sin(np.pi / (2 * n))) ** 2  # discrete mode eigenvalue
         mode0 = 2.0 / n * hat0 @ np.cos(np.pi * x)
-        mode_T = 2.0 / n * traj.states[-1] @ np.cos(np.pi * x)
+        mode_T = 2.0 / n * traj.states[-1, 0] @ np.cos(np.pi * x)
         assert mode_T == pytest.approx(mode0 * np.exp(-lam * 0.02), rel=2e-3)
 
     def test_common_tilt_keeps_each_coefficient(self):
@@ -228,7 +228,7 @@ class TestEffectiveSolver:
         hat0 = 1 + 0.45 * np.cos(np.pi * x)
         hat0 /= hat0.sum() / n
         traj = solve_effective(hat0, params, tilt, SolverConfig(1e-3, 0.05))
-        assert np.max(np.abs(traj.states.sum(axis=1) / n - 1.0)) < 1e-12
+        assert np.max(np.abs(traj.states.sum(axis=2) / n - 1.0)) < 1e-12
         assert np.max(np.abs(gce_coarse(traj))) < 1e-11
 
     @pytest.mark.parametrize("scheme", _ALL_SCHEMES)
@@ -242,15 +242,15 @@ class TestEffectiveSolver:
             jump = hat[0] - hat[1]
             hat = hat - np.array([1, -1]) * (r * jump / (1 + 2 * r) if scheme == "strang_exact_reaction"
                                              else r * jump / (1 + r))
-        assert np.allclose(traj.states[-1], hat, rtol=1e-12, atol=0)
+        assert np.allclose(traj.states[-1, 0], hat, rtol=1e-12, atol=0)
         assert np.max(np.abs(gce_coarse(traj))) < 1e-11
 
 
 def gce_coarse(hat_traj):
-    dt = np.diff(hat_traj.times)[:, None]
+    dt = np.diff(hat_traj.times)[:, None, None]
     n = hat_traj.n_cells
     return (hat_traj.states[1:] - hat_traj.states[:-1]) / dt + (
-        hat_traj.fluxes[:, 1:] - hat_traj.fluxes[:, :-1]
+        hat_traj.fluxes.J[..., 1:] - hat_traj.fluxes.J[..., :-1]
     ) * n
 
 
@@ -297,7 +297,7 @@ class TestLagrangeMultipliers:
             hat = cp.w_hat * (1 + 0.4 * np.cos(np.pi * (np.arange(n) + 0.5) / n))
             hat /= hat.sum() / n
             traj = solve_effective(hat, params, tilt, SolverConfig(1e-3 * 40 / n, 0.02))
-            lam1, lam2 = lagrange_multipliers(traj.states[-1], params, tilt)
+            lam1, lam2 = lagrange_multipliers(traj.states[-1, 0], params, tilt)
             errs.append(np.max(np.abs(lam1 + lam2)))
         assert errs[1] < errs[0] / 1.8
 
@@ -316,10 +316,10 @@ class TestLagrangeMultipliers:
             m = traj.n_times // 2
             w_v, _ = stationary_measure(params, tilt)
             theta = w_v / w_v.sum(axis=0)
-            c = theta[None] * traj.states[:, None, :]
+            c = theta[None] * traj.states
             cdot = (c[m + 1] - c[m - 1]) / (2 * dt)
             grad_v = (tilt.v_faces[:, 1:] - tilt.v_faces[:, :-1]) / h
-            lam1, lam2 = lagrange_multipliers(traj.states[m], params, tilt)
+            lam1, lam2 = lagrange_multipliers(traj.states[m, 0], params, tilt)
             res = []
             for j, lam in ((0, lam1), (1, lam2)):
                 dj = params.delta[j]
@@ -408,8 +408,8 @@ def test_factored_stepper_matches_per_species_solves(params, scheme, rng):
         hat, J_hat = _reference_diffusion_step(hat, delta_faces, g, config.dt_effective,
                                                1.0 / n, scheme == "strang_cn")
         hat = np.maximum(hat, 0.0)
-        assert np.array_equal(coarse.fluxes[m], J_hat)
-        assert np.array_equal(coarse.states[m + 1], hat)
+        assert np.array_equal(coarse.fluxes.J[m, 0], J_hat)
+        assert np.array_equal(coarse.states[m + 1, 0], hat)
 
 
 @pytest.mark.parametrize("scheme", ["strang_exact_reaction", "strang_cn"])
