@@ -27,6 +27,7 @@ from .core import (
     SystemParams,
     Tilt,
     Trajectory,
+    _check_two_species,
     _Owned,
     _readonly,
 )
@@ -75,10 +76,27 @@ class CoarseParams:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
-def _check_coarse(traj):
-    """Raise unless ``traj``, a trajectory or a solve, has the one species of coarse data."""
+def _check_coarse(traj, tilt: Tilt | None = None):
+    """Raise unless ``traj``, a trajectory or a solve, is coarse data (on ``tilt``, if given)."""
     if traj.states.shape[1] != 1:
         raise ValueError(f"coarse data have one species, got {traj.states.shape[1]}")
+    if tilt is not None and tilt.v_cells.shape != (2, traj.states.shape[-1]):
+        raise ValueError("tilt does not match coarse trajectory")
+
+
+def _coarse_density(hat_c, tilt: Tilt) -> np.ndarray:
+    """``hat_c`` as floats, checked: a finite nonnegative density on the cells of ``tilt``."""
+    hat_c = np.asarray(hat_c, dtype=float)
+    if hat_c.shape != (tilt.n_cells,):
+        raise ValueError(f"coarse density shape {hat_c.shape} does not match the tilt's "
+                         f"{tilt.n_cells} cells")
+    if tilt.n_species != 2:
+        raise ValueError(f"the coarse system's tilt has two species, got {tilt.n_species}")
+    if not np.all(np.isfinite(hat_c)):
+        raise ValueError("coarse density must be finite")
+    if np.any(hat_c < 0):
+        raise ValueError(f"negative density (min {hat_c.min():g})")
+    return hat_c
 
 
 def _coarse_fluxes(J: np.ndarray) -> FluxAssignment:
@@ -114,17 +132,9 @@ def hat_energy(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> float:
     Equals the two-species tilted energy of the slow-manifold state that
     coarse-grains to ``hat_c``, the density (n,) on the tilt's cells.
     """
-    hat_c = np.asarray(hat_c, dtype=float)
-    if hat_c.shape != (tilt.n_cells,):
-        raise ValueError(f"coarse density shape {hat_c.shape} does not match the tilt's "
-                         f"{tilt.n_cells} cells")
-    if not np.all(np.isfinite(hat_c)):
-        raise ValueError("coarse density must be finite")
-    if np.any(hat_c < 0):
-        raise ValueError(f"negative density (min {hat_c.min():g})")
+    hat_c = _coarse_density(hat_c, tilt)
     cp = coarse_params(params, tilt)
-    h = 1.0 / hat_c.size
-    return float(np.sum(xlogy(hat_c, hat_c) + hat_c * cp.v_hat)) * h
+    return float(np.sum(xlogy(hat_c, hat_c) + hat_c * cp.v_hat)) * (1.0 / hat_c.size)
 
 
 def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
@@ -136,6 +146,7 @@ def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
     it: the defect there is 0 if that species is empty and +inf otherwise.
     """
     states = traj.c[None] if isinstance(traj, State) else traj.states
+    _check_two_species(states, tilt)
     w_v, _ = stationary_measure(params, tilt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = states / w_v[None]
@@ -148,11 +159,16 @@ def slow_manifold_defect(traj, params: SystemParams, tilt: Tilt) -> float:
     return float(np.max(defect))
 
 
+def _manifold_fractions(params: SystemParams, tilt: Tilt) -> np.ndarray:
+    """Each species' share w_i^V / (w_1^V + w_2^V) of the slow manifold, shape (2, n_cells)."""
+    w_v, _ = stationary_measure(params, tilt)
+    return w_v / w_v.sum(axis=0)
+
+
 def manifold_split(hat_c: np.ndarray, params: SystemParams, tilt: Tilt) -> np.ndarray:
     """Distribute a coarse density onto the slow manifold, shape (2, n_cells)."""
-    w_v, _ = stationary_measure(params, tilt)
-    theta = w_v / w_v.sum(axis=0)
-    return theta * np.asarray(hat_c, dtype=float)
+    hat_c = _coarse_density(hat_c, tilt)
+    return _manifold_fractions(params, tilt) * hat_c
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,11 +226,9 @@ def reconstruct_from_coarse(hat_traj: Trajectory, params: SystemParams,
     residual, so that equation holds to the last bit, and the reaction
     fluxes sum to zero to the rounding of the rates, whatever the step.
     """
-    _check_coarse(hat_traj)
+    _check_coarse(hat_traj, tilt)
     if hat_traj.fluxes is None:
         raise ValueError("coarse trajectory carries no fluxes")
-    if tilt.n_cells != hat_traj.n_cells:
-        raise ValueError("tilt does not match coarse trajectory")
     hat_c = hat_traj.states[:, 0]
     hat_j = hat_traj.fluxes.J[:, 0]
     n = hat_traj.n_cells

@@ -130,8 +130,9 @@ def _check_trajectory(t: np.ndarray, s: np.ndarray, J):
     So a solver can check each window of a trajectory it hands out without
     storing the whole.  ``J`` is the face flux array, or None.
     """
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
+    # diff > 0 is False at a NaN, and increasing times are finite if both ends are
+    if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0) or np.isinf(t[[0, -1]]).any():
+        raise ValueError("times must be strictly increasing and finite")
     if s.ndim != 3 or s.shape[0] != t.size:
         raise ValueError(f"states shape {s.shape} does not match {t.size} times")
     if not _finite_nonnegative(s):
@@ -141,6 +142,16 @@ def _check_trajectory(t: np.ndarray, s: np.ndarray, J):
             raise ValueError(f"flux shape {J.shape} does not match trajectory {s.shape}")
         if np.any(J[..., 0] != 0.0) or np.any(J[..., -1] != 0.0):
             raise ValueError("boundary faces must carry zero flux")
+
+
+def _check_two_species(c, tilt: Tilt | None = None):
+    """Raise unless the densities ``c`` (..., I, n) of a state, a trajectory or a solve are
+    the fast-slow system's two species and, given ``tilt``, lie on its grid."""
+    if c.shape[-2] != 2:
+        raise ValueError(f"two-species evaluation, got {c.shape[-2]} species: coarse data go to "
+                         "the hat_* functions, networks to multispecies")
+    if tilt is not None and tilt.v_cells.shape != c.shape[-2:]:
+        raise ValueError(f"tilt shape {tilt.v_cells.shape} does not match state {c.shape[-2:]}")
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ def primal_R_eps(state: State, params: SystemParams, v, *, xi0=None) -> PrimalRa
     at xi0[0] - xi0[1].  The rate must preserve total mass; the potentials
     are returned shifted to a shared mean of zero.
     """
-    edges = _two_species_edges(state, params)
+    edges = _two_species_edges(state.c, params)
     c = state.c
     h = 1.0 / state.n_cells
     v = np.asarray(v, dtype=float)
@@ -413,7 +413,7 @@ def primal_objective(state: State, params: SystemParams, fluxes: FluxAssignment)
     dominates the dual value of any rate the fluxes realize.
     """
     vel_diff, (vel_react,) = _network_cost(
-        state.c, params.delta_array, _two_species_edges(state, params),
+        state.c, params.delta_array, _two_species_edges(state.c, params),
         fluxes.J, [fluxes.b[1]], 1.0 / state.n_cells,
     )
     return float(vel_diff), float(vel_react)
@@ -532,7 +532,7 @@ def dissipation_functional(traj: Trajectory, params: SystemParams, tilt: Tilt, *
     :meth:`edpflow.solver._Solve.windows`); the terms are those of the
     stored trajectory, bit for bit, and the solve is never stored.
     """
-    args = _two_species_args(traj.initial_state, params, tilt)
+    args = _two_species_args(traj.states, params, tilt)
     return DissipationBreakdown(*_network_terms(_windows(traj), *args, tol=tol))
 
 
@@ -545,7 +545,7 @@ def flux_dissipation(traj: Trajectory, params: SystemParams, tilt: Tilt) -> Diss
     optimal.  ``traj`` may also be a solve, whose windows carry its fluxes,
     read as for :func:`dissipation_functional`.
     """
-    args = _two_species_args(traj.initial_state, params, tilt)
+    args = _two_species_args(traj.states, params, tilt)
     windows = _windows(traj, lambda J, b: (J, b[None, :, 1]))  # the exchange flux into species 1
     return DissipationBreakdown(*_network_terms(windows, *args))
 
@@ -556,12 +556,12 @@ def _balance(traj, params: SystemParams, tilt: Tilt, *, evaluate=dissipation_fun
     ``evaluate`` is the dissipation evaluator, called as
     :func:`dissipation_functional`.  A solve's initial state is read before
     the evaluation takes its windows, and its final state, in its last
-    window, after; both energies are evaluated after it, so a tilt of another
-    grid raises the evaluator's error.
+    window, after; both energies are evaluated after it, so data of another
+    species count or grid raise the evaluator's error.
     """
-    initial = State(traj.states[0])
+    initial = traj.states[0]
     breakdown = evaluate(traj, params, tilt)
-    drop = energy(initial, params, tilt) - energy(State(traj.states[-1]), params, tilt)
+    drop = energy(State(initial), params, tilt) - energy(State(traj.states[-1]), params, tilt)
     return breakdown, drop, breakdown.total - drop
 
 
@@ -581,9 +581,7 @@ def _hat_args(hat_traj, params: SystemParams, tilt: Tilt):
     """``(w_hat, delta_hat, edges, groups)`` of the coarse system on ``tilt``, one species and
     no edges, as :func:`_network_terms` takes them after the windows; ``hat_traj`` of
     another species count raises."""
-    _check_coarse(hat_traj)
-    if tilt.n_cells != hat_traj.n_cells:
-        raise ValueError("tilt does not match coarse trajectory")
+    _check_coarse(hat_traj, tilt)
     cp = coarse_params(params, tilt)
     return cp.w_hat[None], cp.delta_hat[None], [], []
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .core import State, SystemParams, Tilt
+from .core import State, SystemParams, Tilt, _check_two_species
 
 __all__ = [
     "cosh_star",
@@ -145,27 +145,18 @@ def _face_fisher(rho):
     return _face_kinetic(rho[..., 1:] - rho[..., :-1], 0.5 * (rho[..., 1:] + rho[..., :-1]))
 
 
-def _two_species_edges(traj_or_state, params: SystemParams):
-    """The two-species system's one exchange edge, (0, 1, 1/epsilon); other species counts raise."""
-    if traj_or_state.n_species != 2:
-        raise ValueError("two-species evaluation; see multispecies for the general case")
+def _two_species_edges(c, params: SystemParams, tilt: Tilt | None = None):
+    """The two-species system's one exchange edge, (0, 1, 1/epsilon), once ``c`` is checked."""
+    _check_two_species(c, tilt)
     return [(0, 1, 1.0 / params.epsilon)]
 
 
-def _two_species_args(state: State, params: SystemParams, tilt: Tilt):
-    """``(w_v, delta, edges, groups)`` of a two-species state on ``tilt``, as
-    :func:`~edpflow.dissipation._network_terms` takes them after the windows."""
-    edges = _two_species_edges(state, params)
-    _check_shapes(state, tilt)
+def _two_species_args(c, params: SystemParams, tilt: Tilt):
+    """``(w_v, delta, edges, groups)`` of two-species densities ``c`` (..., 2, n) on ``tilt``,
+    as :func:`~edpflow.dissipation._network_terms` takes them after the windows."""
+    edges = _two_species_edges(c, params, tilt)
     w_v, _ = stationary_measure(params, tilt)
     return w_v, params.delta_array, edges, [np.array([True])]
-
-
-def _check_shapes(state: State, tilt: Tilt):
-    if tilt.v_cells.shape != state.c.shape:
-        raise ValueError(
-            f"tilt shape {tilt.v_cells.shape} does not match state {state.c.shape}"
-        )
 
 
 def energy(state: State, params: SystemParams, tilt: Tilt) -> float:
@@ -176,7 +167,7 @@ def energy(state: State, params: SystemParams, tilt: Tilt) -> float:
     density state.  Adding a common constant to both potentials shifts the
     energy by exactly that constant for unit-mass states.
     """
-    _check_shapes(state, tilt)
+    _check_two_species(state.c, tilt)
     c = state.c
     w = params.w[:, None]
     h = 1.0 / state.n_cells
@@ -190,7 +181,7 @@ def energy_gradient(state: State, params: SystemParams, tilt: Tilt) -> np.ndarra
 
     Only defined cellwise where c > 0; empty cells produce -inf.
     """
-    _check_shapes(state, tilt)
+    _check_two_species(state.c, tilt)
     with np.errstate(divide="ignore"):
         return np.log(state.c / params.w[:, None]) + tilt.v_cells
 
@@ -238,7 +229,7 @@ def dual_dissipation(state: State, params: SystemParams, tilt: Tilt, xi) -> floa
     enters only through the energy), is nonnegative, and vanishes on constant
     fields with equal components.
     """
-    _check_shapes(state, tilt)
+    _check_two_species(state.c, tilt)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != state.c.shape:
         raise ValueError(f"xi shape {xi.shape} does not match state {state.c.shape}")
@@ -293,7 +284,7 @@ def slope(state: State, params: SystemParams, tilt: Tilt):
     at the stationary measure; the reaction part vanishes exactly on the slow
     manifold rho_1 = rho_2.
     """
-    w_v, delta, edges, _ = _two_species_args(state, params, tilt)
+    w_v, delta, edges, _ = _two_species_args(state.c, params, tilt)
     slope_diff, (slope_react,) = _network_slope(state.c, w_v, delta, edges, 1.0 / state.n_cells)
     return float(slope_diff), float(slope_react)
 
@@ -305,7 +296,7 @@ def r_eff_dual(state: State, params: SystemParams, tilt: Tilt, xi) -> float:
     and +inf otherwise (the characteristic-function part of the effective
     potential).
     """
-    _check_shapes(state, tilt)
+    _check_two_species(state.c, tilt)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != state.c.shape:
         raise ValueError(f"xi shape {xi.shape} does not match state {state.c.shape}")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .coarsegrain import coarse_params
+from .coarsegrain import _coarse_density, _manifold_fractions, coarse_params
 from .core import (
     FluxAssignment,
     State,
@@ -58,10 +58,10 @@ from .core import (
     Trajectory,
     _check_fluxes,
     _check_trajectory,
+    _check_two_species,
     _Owned,
     _window_unit,
 )
-from .functionals import stationary_measure
 
 __all__ = [
     "SolverConfig",
@@ -283,10 +283,6 @@ class _Solve:
         """The time grid, built when asked for: a solve holds nothing that grows with its steps."""
         return self.config.dt_effective * np.arange(self.config.n_steps + 1)
 
-    @property
-    def initial_state(self) -> State:
-        return State(self.initial)
-
     def windows(self, unit: int):
         """The stepping loop, stepped afresh on each call, ``unit`` steps at a time.
 
@@ -369,10 +365,7 @@ def _check_unit_mass(c, what: str):
 
 
 def _eps_solve(initial: State, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:
-    if initial.n_species != 2 or tilt.n_species != 2:
-        raise ValueError("the fast-slow solver is two-species")
-    if tilt.n_cells != initial.n_cells:
-        raise ValueError("tilt does not match initial state")
+    _check_two_species(initial.c, tilt)
     _check_unit_mass(initial.c, "initial state")
     dt, eps = config.dt_effective, params.epsilon
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -407,11 +400,7 @@ def solve_eps_system(initial: State, params: SystemParams, tilt: Tilt,
 
 
 def _effective_solve(initial_hat, params: SystemParams, tilt: Tilt, config: SolverConfig) -> _Solve:
-    hat_c = np.asarray(initial_hat, dtype=float)
-    if hat_c.ndim != 1 or hat_c.size != tilt.n_cells:
-        raise ValueError("initial coarse density does not match the tilt")
-    if np.any(hat_c < 0):
-        raise ValueError("initial coarse density must be nonnegative")
+    hat_c = _coarse_density(initial_hat, tilt)
     _check_unit_mass(hat_c, "initial coarse density")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cp = coarse_params(params, tilt)
@@ -468,14 +457,10 @@ def lagrange_multipliers(hat_state, params: SystemParams, tilt: Tilt):
     refinement; for constant potentials the cancellation is exact.  The
     difference stencils need at least 3 cells; fewer raise ValueError.
     """
-    hat_c = np.asarray(hat_state, dtype=float)
-    n = hat_c.size
-    if tilt.n_cells != n or tilt.n_species != 2:
-        raise ValueError("tilt does not match coarse state")
-    h = 1.0 / n
-    w_v, _ = stationary_measure(params, tilt)
-    theta = w_v / w_v.sum(axis=0)
-    c1, c2 = theta[0] * hat_c, theta[1] * hat_c
+    hat_c = _coarse_density(hat_state, tilt)
+    h = 1.0 / hat_c.size
+    theta = _manifold_fractions(params, tilt)
+    c1, c2 = theta * hat_c
     d1c, d2c = params.delta
     dbar = d1c - d2c
     grad_v = (tilt.v_faces[:, 1:] - tilt.v_faces[:, :-1]) / h

@@ -14,6 +14,8 @@ from edpflow import (
     coarse_grain,
     coarse_grain_trajectory,
     coarse_params,
+    dissipation_functional,
+    edb_residual,
     effective_dissipation,
     energy,
     flux_dissipation,
@@ -23,6 +25,7 @@ from edpflow import (
     hat_edb_residual,
     hat_energy,
     hat_flux_dissipation,
+    lagrange_multipliers,
     manifold_split,
     mollify_in_time,
     reconstruct_from_coarse,
@@ -91,6 +94,53 @@ def test_coarse_entry_points_reject_two_species(params, rng, entry):
     tilt = cosine_tilt(n, [[0.3], [-0.2]])
     traj = solve_eps_system(positive_state(rng, n), params, tilt, SolverConfig(1e-3, 0.02))
     with pytest.raises(ValueError, match="coarse data have one species, got 2"):
+        entry(traj, params, tilt)
+
+
+_NAN = np.array([1, 1, 1, np.nan, 1, 1, 1, 1])
+_NEGATIVE = np.array([1, 1, 1, -0.5, 1.5, 1, 1, 1])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda hat, params, tilt: solve_effective(hat, params, tilt, SolverConfig(1e-3, 0.01)),
+    manifold_split,
+    lagrange_multipliers,
+    hat_energy,
+], ids=["solve_effective", "manifold_split", "lagrange_multipliers", "hat_energy"])
+@pytest.mark.parametrize("hat, tilt, match", [
+    (_NAN, Tilt.zero(8), "coarse density must be finite"),
+    (_NEGATIVE, Tilt.zero(8), r"negative density \(min -0\.5\)"),
+    (np.ones(7), Tilt.zero(8), r"coarse density shape \(7,\) does not match the tilt's 8 cells"),
+    (np.ones(8), Tilt.zero(8, n_species=3), "the coarse system's tilt has two species, got 3"),
+], ids=["nan", "negative", "7 cells on 8", "three-species tilt"])
+def test_coarse_density_entry_points_share_one_check(params, entry, hat, tilt, match):
+    # a NaN cell ran into the solver's time loop (IntegrationError) and gave
+    # NaN splits and multipliers; a negative one split into negative species;
+    # 7 cells gave numpy's broadcast error
+    with pytest.raises(ValueError, match=match):
+        entry(hat, params, tilt)
+
+
+@pytest.mark.parametrize("entry", [
+    dissipation_functional, flux_dissipation, edb_residual, slow_manifold_defect,
+    effective_dissipation, build_recovery_sequence,
+])
+@pytest.mark.parametrize("data, tilt, match", [
+    ("coarse", Tilt.zero(8), "two-species evaluation, got 1 species: coarse data go to the "
+                             r"hat_\* functions, networks to multispecies"),
+    ("three", Tilt.zero(8), "two-species evaluation, got 3 species"),
+    ("two", Tilt.zero(10), r"tilt shape \(2, 10\) does not match state \(2, 8\)"),
+], ids=["one species", "three species", "tilt of another grid"])
+def test_fast_slow_entry_points_share_one_species_check(params, entry, data, tilt, match):
+    # a coarse solve gave a defect of 1.333, so inf and "off the slow
+    # manifold", or State's shape message; three species gave numpy's
+    # broadcast error
+    traj = {
+        "coarse": lambda: solve_effective(np.ones(8), params, Tilt.zero(8), SolverConfig(1e-3, 0.01)),
+        "three": lambda: Trajectory(np.array([0.0, 0.01]), np.full((2, 3, 8), 1 / 3)),
+        "two": lambda: Trajectory(np.array([0.0, 0.01]), np.full((2, 2, 8), 0.5)),
+    }[data]()
+    with pytest.raises(ValueError, match=match):
         entry(traj, params, tilt)
 
 

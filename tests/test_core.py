@@ -170,6 +170,14 @@ def test_trajectory_shape_errors():
         )
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 0.02], [0.0, 0.01, np.inf]], ids=["nan", "inf"])
+def test_trajectory_times_must_be_finite(times):
+    # both were accepted, and the evaluators then raised DualAscentError,
+    # returned nan or raised a RuntimeWarning
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        Trajectory(np.array(times), np.full((3, 2, 8), 0.5))
+
+
 def test_csv_round_trip(tmp_path, rng):
     n, steps = 6, 4
     c = rng.uniform(0.1, 1.0, (steps + 1, 2, n))
