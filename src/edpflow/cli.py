@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -273,10 +274,23 @@ def load_config(source) -> ExperimentConfig:
     if labelled and len({f"{e:g}" for e in scales}) < len(scales):
         problems.append("'epsilons' must differ in their %g labels, which key the outputs of"
                         f" {experiment}, got {list(scales)!r}")
-    if experiment == "eps_sweep" and {"solver", "epsilons"} <= fields.keys():
-        sc, eps = fields["solver"], fields["epsilons"][-1]  # the sweep steps at min(dt, eps / 5)
-        if sc.t_final > (1e7 + 0.5) * min(sc.dt, eps / 5.0):
-            problems.append(f"'epsilons': {eps!r} forces more than 1e7 steps of min(dt, epsilon / 5)")
+    if experiment in _PDE and "solver" in fields:
+        # no solve takes more than 1e7 steps; the finest solve's step decides
+        sc = fields["solver"]
+        levels = fields.get("levels", ExperimentConfig.levels)
+
+        def too_many(dt):  # SolverConfig.n_steps, round(t_final / dt), above 1e7
+            return sc.t_final > (1e7 + 0.5) * dt
+
+        if too_many(sc.dt):
+            problems.append(f"'solver': dt = {sc.dt!r} forces more than 1e7 steps up to"
+                            f" t_final = {sc.t_final!r}")
+        elif experiment == "eps_sweep" and scales and too_many(min(sc.dt, scales[-1] / 5.0)):
+            problems.append(f"'epsilons': {scales[-1]!r} forces more than 1e7 steps of"
+                            " min(dt, epsilon / 5)")
+        elif experiment == "edb_refinement" and too_many(math.ldexp(sc.dt, 1 - levels)):
+            problems.append(f"'levels': {levels} forces more than 1e7 steps of"
+                            " dt / 2^(levels - 1) at the finest level")
     if (experiment == "mixed_diffusion_fit" and "initial_spec" in fields
             and abs(fields["initial_spec"]["amplitude"]) <= 1e-12):
         # the decay fit's own floor on the initial mode amplitude

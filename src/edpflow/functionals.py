@@ -12,10 +12,10 @@ faces never enter, matching the no-flux condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import State, SystemParams, Tilt, _check_two_species
 
@@ -76,10 +76,32 @@ def cosh_primal_prime(s):
     return 2.0 * np.arcsinh(np.asarray(s, dtype=float) / 2.0)
 
 
+def _xlogx(r: np.ndarray) -> np.ndarray:
+    """r log r of each value of the float array ``r``: 0 at r = 0, nan at r < 0 and at nan.
+
+    The log is the C library's, value by value (:func:`math.log`), as in
+    ``scipy.special.xlogy``, so the result has xlogy's bits; numpy's
+    vectorised log differs from it in the last bit of some values.
+    """
+    out = np.where(r == 0.0, 0.0, np.nan)
+    pos = r > 0.0
+    rp = r[pos]
+    with np.errstate(over="ignore"):  # inf near the largest double, silently, as xlogy gives it
+        out[pos] = rp * np.fromiter(map(math.log, rp.tolist()), dtype=float, count=rp.size)
+    return out
+
+
 def boltzmann(r):
-    """Boltzmann entropy density r log r - r + 1, continuously extended by 1 at r = 0."""
+    """Boltzmann entropy density r log r - r + 1, continuously extended by 1 at r = 0.
+
+    At r = inf it is its limit inf, and at r < 0 and at nan it is nan, with
+    no warning.  r log r uses the C library's log value by value, which gives
+    the bits of ``scipy.special.xlogy(r, r)``.
+    """
     r = np.asarray(r, dtype=float)
-    return xlogy(r, r) - r + 1.0
+    with np.errstate(invalid="ignore"):  # inf - inf at r = inf, replaced by the limit
+        out = _xlogx(r) - r + 1.0
+    return np.where(r == np.inf, np.inf, out)[()]
 
 
 _PERSPECTIVE_BASES = {
@@ -165,7 +187,9 @@ def energy(state: State, params: SystemParams, tilt: Tilt) -> float:
     Empty cells contribute the continuous extension value (Boltzmann density 1
     per unit stationary weight), so the energy is finite on every admissible
     density state.  Adding a common constant to both potentials shifts the
-    energy by exactly that constant for unit-mass states.
+    energy by exactly that constant for unit-mass states.  r log r uses the C
+    library's log value by value (:func:`boltzmann`), which gives the bits of
+    ``scipy.special.xlogy``.
     """
     _check_two_species(state.c, tilt)
     c = state.c

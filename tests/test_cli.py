@@ -130,6 +130,13 @@ class TestConfigValidation:
         ("edb_refinement", "levels", True),
         # epsilon / 5 forces more steps than the sweep's cap
         ("eps_sweep", "epsilons", [0.1, 1e-300]),
+        # so do a configured dt and the refinement's halvings of it, which
+        # allocated terabytes, broke mass balance or ran without end
+        ("eps_sweep", "solver", {"dt": 1e-12, "t_final": 0.1}),
+        ("mixed_diffusion_fit", "solver", {"dt": 1e-12, "t_final": 0.1, "scheme": "strang_cn"}),
+        ("recovery_study", "solver", {"dt": 1e-12, "t_final": 0.1}),
+        ("edb_refinement", "solver", {"dt": 1e-12, "t_final": 0.25}),
+        ("edb_refinement", "levels", 30),
         # an integer beyond the float range raised OverflowError
         ("multispecies_check", "generator", {"species": ["A", "B"], "A_slow": [[0, 0], [0, 0]],
                                              "A_fast": [[-1, 1], [1, -1]], "delta": [10**400, 1]}),

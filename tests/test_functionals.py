@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import xlogy
+
+import edpflow
 
 from edpflow import (
     SpatialGrid,
@@ -11,6 +18,7 @@ from edpflow import (
     SystemParams,
     Tilt,
     boltzmann,
+    coarse_params,
     cosh_primal,
     cosh_primal_prime,
     cosh_star,
@@ -18,12 +26,13 @@ from edpflow import (
     dual_dissipation,
     energy,
     energy_gradient,
+    hat_energy,
     perspective_eval,
     r_eff_dual,
     slope,
     stationary_measure,
 )
-from edpflow.functionals import _face_kinetic, _face_mobility, stationary_measure_faces
+from edpflow.functionals import _face_kinetic, _face_mobility, _xlogx, stationary_measure_faces
 
 from conftest import cosine_tilt, positive_state
 
@@ -75,6 +84,60 @@ def test_boltzmann_extension():
     assert boltzmann(1.0) == 0.0
     assert boltzmann(0.0) == 1.0
     assert boltzmann(2.0) == pytest.approx(2 * np.log(2) - 1)
+
+
+@pytest.mark.parametrize("r, expected", [
+    (np.inf, np.inf),  # the limit of r log r - r + 1, not inf - inf
+    (np.nan, np.nan),
+    (-1.0, np.nan),
+    (-np.inf, np.nan),
+    (0.0, 1.0),
+])
+def test_boltzmann_at_the_edge_of_its_domain(r, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = boltzmann(r)
+    np.testing.assert_equal(value, expected)
+
+
+def test_import_loads_no_scipy_special():
+    # r log r is the one function the package would take from scipy.special
+    src = str(Path(edpflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, edpflow; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_xlogx_has_the_bits_of_xlogy():
+    rng = np.random.default_rng(35)
+    big = np.finfo(float).max
+    edge = np.array([0.0, -0.0, 1.0, big, 5e-324, 2.5e-320, np.finfo(float).tiny / 3,
+                     np.finfo(float).tiny])
+    for r in (rng.uniform(0.0, 3.0, 10**6), rng.lognormal(0.0, 5.0, 10**6), edge):
+        np.testing.assert_array_equal(_xlogx(r).view(np.int64), xlogy(r, r).view(np.int64))
+
+
+@pytest.mark.parametrize("delta", [(1.0, 2.0), (1.3, 0.7)])
+def test_energies_have_the_bits_of_the_xlogy_formulas(rng, delta):
+    params = SystemParams(delta, 1.0, 3.0, epsilon=0.1)
+    tilt = cosine_tilt(40, [[0.3], [-0.2]])
+    c = positive_state(rng, 40).c.copy()
+    c[1, :3] = 0.0  # empty cells take the extension at r = 0
+    h = 1.0 / 40
+    w = params.w[:, None]
+    r = c / w
+    expected = (float(np.sum((xlogy(r, r) - r + 1.0) * w)) * h
+                + float(np.sum(tilt.v_cells * c)) * h)
+    assert energy(State(c), params, tilt).hex() == expected.hex()
+    hat_c = c.sum(axis=0)
+    v_hat = coarse_params(params, tilt).v_hat
+    expected = float(np.sum(xlogy(hat_c, hat_c) + hat_c * v_hat)) * (1.0 / 40)
+    assert hat_energy(hat_c, params, tilt).hex() == expected.hex()
 
 
 def test_exchange_derivative_identity(rng):
