@@ -17,8 +17,12 @@ holds the only copy.  Either way the arrays are read-only.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
 import logging
+import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +44,49 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, ``scipy/linalg/_flapack``, without importing scipy.
+
+    The package calls seven of their routines, while ``import scipy.linalg``
+    loads some 300 modules (0.25 s and 29 MiB of peak resident memory with
+    SciPy 1.17 on a 2-vCPU x86-64 machine).  The extension is found in
+    SciPy's directory, which ``find_spec`` gives without importing scipy, and
+    loaded as ``edpflow._flapack``: its routines are the objects that
+    ``scipy.linalg.lapack`` exports.  Only without that file is it imported
+    through ``scipy.linalg``.
+
+    Loading it starts SciPy's OpenBLAS, whose worker threads spin for 2**28
+    time-stamp counter cycles (about 0.13 s at 2 GHz) before they sleep,
+    although no routine the package calls runs on them.  So unless the
+    environment sets it, ``OPENBLAS_THREAD_TIMEOUT`` is 4 (2**4 cycles) while
+    OpenBLAS starts, and removed again afterwards.
+    """
+    timeout = "OPENBLAS_THREAD_TIMEOUT"
+    unset = timeout not in os.environ
+    if unset:
+        os.environ[timeout] = "4"
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        for directory in getattr(scipy, "submodule_search_locations", None) or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = Path(directory, "linalg", "_flapack" + suffix)
+                if path.is_file():
+                    spec = importlib.util.spec_from_file_location("edpflow._flapack", path)
+                    module = importlib.util.module_from_spec(spec)
+                    sys.modules[spec.name] = module
+                    spec.loader.exec_module(module)
+                    return module
+        from scipy.linalg import _flapack
+
+        return _flapack
+    finally:
+        if unset:
+            os.environ.pop(timeout, None)
+
+
+_flapack = _load_flapack()
 
 # values per window, about, of every reader that streams a trajectory, a
 # solve or an array in windows: bounds its working set whatever the length.

@@ -41,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .coarsegrain import (
     SLOW_MANIFOLD_TOL,
@@ -52,7 +51,7 @@ from .coarsegrain import (
     optimal_coarse_flux,
     slow_manifold_defect,
 )
-from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _window_unit
+from .core import FluxAssignment, State, SystemParams, Tilt, Trajectory, _flapack, _window_unit
 from .functionals import (
     DissipationBreakdown,
     _face_mobility,
@@ -81,6 +80,8 @@ __all__ = [
     "hat_edb_residual",
     "damped_newton_max",
 ]
+
+dpbtrf, dpbtrs, dpttrf, dpttrs = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dpttrf, _flapack.dpttrs
 
 logger = logging.getLogger(__name__)
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import null_space
 
-from .core import State, Trajectory, _fields, _read_json, _readonly
+from .core import State, Trajectory, _fields, _flapack, _read_json, _readonly
 from .dissipation import _network_terms, _windows, damped_newton_max
 from .solver import SolverConfig, _Solve
 
@@ -43,6 +42,28 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _null_space(a) -> np.ndarray:
+    """Orthonormal basis of the null space of the matrix ``a``, one vector per column.
+
+    The steps of ``scipy.linalg.null_space`` with its defaults, and so its
+    bits: the full SVD by LAPACK's ``dgesdd`` at the work size it asks for,
+    and the right singular vectors past the singular values above
+    max(s)·eps·max(m, n).
+    """
+    a = np.asarray_chkfinite(a)  # ValueError on inf or NaN
+    m, n = a.shape
+    work, info = _flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    _, s, vt, info = _flapack.dgesdd(a, compute_uv=1, lwork=int(work), full_matrices=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n))
+    return vt[np.sum(s > tol, dtype=int):].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +118,7 @@ class MarkovGenerator:
 
         Raises if the null space is not one-dimensional (degenerate network).
         """
-        ns = null_space(self.assemble(epsilon))
+        ns = _null_space(self.assemble(epsilon))
         if ns.shape[1] != 1:
             raise ValueError(
                 f"stationary space has dimension {ns.shape[1]}, expected 1"

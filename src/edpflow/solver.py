@@ -47,7 +47,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coarsegrain import _coarse_density, _manifold_fractions, coarse_params
 from .core import (
@@ -59,6 +58,7 @@ from .core import (
     _check_fluxes,
     _check_trajectory,
     _check_two_species,
+    _flapack,
     _Owned,
     _window_unit,
 )
@@ -72,6 +72,8 @@ __all__ = [
     "central_first_derivative",
     "central_second_derivative",
 ]
+
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 
 logger = logging.getLogger(__name__)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import edpflow
 from edpflow import SolverConfig, SpatialGrid, State, SystemParams, Tilt
 
 
@@ -57,3 +63,15 @@ class Windowed:
 
     def windows(self, unit):
         return self._traj.windows(self._steps)
+
+
+def fresh_python(code, *args, env=None):
+    """Standard output of ``code`` run with ``args`` in a fresh interpreter that
+    imports this edpflow; ``env`` replaces the environment, PYTHONPATH aside."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(edpflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

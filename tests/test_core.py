@@ -36,7 +36,7 @@ from edpflow import (
 from edpflow.core import _CSV_BLOCK_ROWS, _window_unit
 from edpflow.solver import _effective_solve, _eps_solve
 
-from conftest import Windowed, cosine_tilt
+from conftest import Windowed, cosine_tilt, fresh_python
 
 
 def test_grid_unit_measure():
@@ -635,3 +635,49 @@ class TestFormatG17:
         assert fields.shape == (2, 2, 4) and fallback == 0
         text = fields.view(np.uint8).ravel()
         assert text[text != 0].tobytes() == b"\r\n0.5\r\n-2\r\n6.0221407599999999e+23\r\n3"
+
+
+# A short two-species solve and its dissipation, from LAPACK's dgttrf/dgttrs
+# and dpttrf/dpttrs, saved to argv[2]; with argv[1] not empty, find_spec("scipy")
+# gives that directory, where no compiled _flapack lies
+_LAPACK_RUN = r"""
+import importlib.machinery, importlib.util, sys
+
+empty, out = sys.argv[1:]
+if empty:
+    find_spec = importlib.util.find_spec
+
+    def scipy_elsewhere(name, package=None):
+        if name != "scipy":
+            return find_spec(name, package)
+        spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+        spec.submodule_search_locations = [empty]
+        return spec
+
+    importlib.util.find_spec = scipy_elsewhere
+
+import numpy as np
+import edpflow
+
+n = 16
+params = edpflow.SystemParams((1.0, 2.0), 1.0, 3.0, epsilon=0.1)
+tilt = edpflow.Tilt.zero(n)
+c0 = edpflow.State(edpflow.manifold_split(
+    1 + 0.3 * np.cos(np.pi * (np.arange(n) + 0.5) / n), params, tilt))
+traj = edpflow.solve_eps_system(c0, params, tilt, edpflow.SolverConfig(1e-3, 0.02))
+d = edpflow.dissipation_functional(traj, params, tilt)
+np.save(out, np.concatenate([traj.states.ravel(), traj.fluxes.J.ravel(),
+                             [d.vel_diff, d.vel_react, d.slope_diff, d.slope_react]]))
+print(edpflow.core._flapack.__name__)
+"""
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
+    empty = tmp_path / "scipy"
+    empty.mkdir()
+    assert fresh_python(_LAPACK_RUN, "", str(tmp_path / "direct.npy")) == "edpflow._flapack\n"
+    assert (fresh_python(_LAPACK_RUN, str(empty), str(tmp_path / "fallback.npy"))
+            == "scipy.linalg._flapack\n")
+    direct, fallback = np.load(tmp_path / "direct.npy"), np.load(tmp_path / "fallback.npy")
+    assert direct.size > 1000
+    assert np.array_equal(direct.view(np.int64), fallback.view(np.int64))

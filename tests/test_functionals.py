@@ -1,16 +1,11 @@
 import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import xlogy
-
-import edpflow
 
 from edpflow import (
     SpatialGrid,
@@ -34,7 +29,7 @@ from edpflow import (
 )
 from edpflow.functionals import _face_kinetic, _face_mobility, _xlogx, stationary_measure_faces
 
-from conftest import cosine_tilt, positive_state
+from conftest import cosine_tilt, fresh_python, positive_state
 
 
 def legendre_of_cosh_star(s):
@@ -101,16 +96,17 @@ def test_boltzmann_at_the_edge_of_its_domain(r, expected):
 
 
 def test_import_loads_no_scipy_special():
-    # r log r is the one function the package would take from scipy.special
-    src = str(Path(edpflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, edpflow; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # r log r is the one function the package would take from scipy.special, and
+    # its LAPACK routines come from SciPy's extension without scipy.linalg;
+    # OPENBLAS_THREAD_TIMEOUT, set or not, is as the import found it
+    code = ("import os, sys; before = dict(os.environ); import edpflow; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(dict(os.environ) == before, edpflow.core._flapack.__name__)")
+    for timeout in (None, "28"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        assert fresh_python(code, env=env) == "[]\nTrue edpflow._flapack\n"
 
 
 def test_xlogx_has_the_bits_of_xlogy():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import os
@@ -6,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from edpflow import (
     MarkovGenerator,
@@ -31,13 +32,48 @@ from edpflow import (
 )
 from edpflow.cli import equation_generator
 from edpflow.coarsegrain import coarse_grain_trajectory
-from edpflow.multispecies import _generator_exp
+from edpflow.multispecies import _generator_exp, _null_space
 from edpflow.solver import _eps_solve
+
+from conftest import fresh_python
 
 
 @pytest.fixture
 def pair_gen(params):
     return equation_generator(params)
+
+
+class TestNullSpace:
+    """``_null_space``, behind ``MarkovGenerator.stationary``, has the bits of
+    ``scipy.linalg.null_space``, the oracle."""
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-8])
+    @pytest.mark.parametrize("n_species", range(3, 8))
+    def test_matches_scipy_null_space(self, n_species, eps):
+        for seed in range(12):
+            gen = random_detailed_balance_generator(np.random.default_rng(seed), n_species)
+            a = gen.assemble(eps)
+            ns = _null_space(a)
+            assert ns.shape == (n_species, 1)
+            assert np.array_equal(ns.view(np.int64), null_space(a).view(np.int64))
+
+    def test_two_dimensional_null_space(self):
+        # two disconnected pairs: the stationary space has dimension 2
+        pair = np.array([[-1.0, 2.0], [1.0, -2.0]])
+        a_slow = np.kron(np.eye(2), pair)
+        gen = MarkovGenerator(tuple("abcd"), a_slow, np.zeros((4, 4)), np.ones(4))
+        ns = _null_space(gen.assemble(1.0))
+        assert ns.shape == (4, 2)
+        assert np.array_equal(ns.view(np.int64), null_space(gen.assemble(1.0)).view(np.int64))
+        with pytest.raises(ValueError, match="dimension 2"):
+            gen.stationary(1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_rejected(self, bad):
+        a = random_detailed_balance_generator(np.random.default_rng(0), 3).assemble(1e-3)
+        a[0, 1] = bad
+        with pytest.raises(ValueError):
+            _null_space(a)
 
 
 class TestValidation:
@@ -459,6 +495,24 @@ class TestWorkerThreads:
             multispecies_dissipation(traj, gen, 1e-3)
 
         assert self._worker_ticks(run) <= 2
+
+    def test_fresh_import_solve_and_dissipation(self):
+        # numpy's pool is asleep when edpflow's import loads SciPy's OpenBLAS;
+        # the run that follows at once must not find a new worker spinning
+        code = "import os, threading, time\n" + inspect.getsource(_other_thread_ticks) + """
+import numpy as np
+time.sleep(0.3)
+before = _other_thread_ticks()
+from edpflow import (SolverConfig, State, multispecies_dissipation,
+                     random_detailed_balance_generator, solve_multispecies)
+gen = random_detailed_balance_generator(np.random.default_rng(0), 4)
+c0 = np.random.default_rng(1).uniform(0.5, 1.5, (4, 20))
+traj = solve_multispecies(State(c0 / (c0.sum() / 20)), gen, 1e-3, SolverConfig(1e-3, 0.02))
+multispecies_dissipation(traj, gen, 1e-3)
+time.sleep(0.1)
+print(_other_thread_ticks() - before)
+"""
+        assert int(fresh_python(code)) <= 2
 
     def test_two_species_solve_and_dissipation(self, params):
         n = 20
