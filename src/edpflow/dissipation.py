@@ -116,23 +116,25 @@ class DualMaximizerState:
 def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
     """Maximize a stack of independent smooth strictly concave functions by Armijo-damped Newton.
 
-    Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x, act)``
-    returns values and gradients of the problems ``act`` (an index array) at
-    the rows of ``x``; ``hess_banded(x, act)`` their negative Hessians in upper
-    banded storage (bandwidth + 1, len(act) * size), block-diagonal with zeros
+    Row m of ``x0`` (shape (M, size)) starts problem m.  ``value_grad(x)``
+    returns the values (M,) and gradients (M, size) of the problems at the
+    rows of ``x``, and ``hess_banded(x)`` their negative Hessians in upper
+    banded storage (bandwidth + 1, M * size), block-diagonal with zeros
     between blocks, the diagonal in the last row.  Each negative Hessian must
     be positive definite, as those of :func:`_dual` are; nothing is pinned or
     projected.  A tridiagonal stack (bandwidth 1, every two-species problem)
-    is factored as L D L^T by LAPACK's ``dpttrf``, a wider one by the banded
-    Cholesky ``dpbtrf``.
-    Each problem has its own stopping test, line search and iteration count,
-    and drops out once converged: its gradient norm is at most ``tol``, or at
-    most the rounding level of the gradient, machine epsilon times the
-    largest negative-Hessian diagonal times (1 + max |x|) at the last Newton
-    point (an exchange weight of order h/epsilon amplifies the rounding of a
+    is factored whole as L D L^T by LAPACK's ``dpttrf``, a wider one by the
+    banded Cholesky ``dpbtrf``.
+    Each problem has its own stopping test, line search and iteration count.
+    It converges once its gradient norm is at most ``tol``, or at most the
+    rounding level of the gradient, machine epsilon times the largest
+    negative-Hessian diagonal times (1 + max |x|) at the last Newton point
+    (an exchange weight of order h/epsilon amplifies the rounding of a
     potential difference by as much, which is what binds for epsilon near
     1e-8), times sqrt(size): that is the rounding level of one entry, and the
-    norm adds up ``size`` of them.
+    norm adds up ``size`` of them.  It is then frozen, its gradient taken as 0
+    and its block as the identity, so its step is exactly 0; with no coupling
+    between the blocks, each problem gets the bits of its own ascent.
     A step is terminal, taken whole without a line search, once its predicted
     gain (the gradient against the Newton step) is at most the value's
     rounding level: the larger of 1e-12 (1 + |value|) and that gradient
@@ -145,23 +147,24 @@ def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
     """
     x = np.array(x0, dtype=float)
     n_prob, size = x.shape
-    val, grad = value_grad(x, np.arange(n_prob))
+    val, grad = value_grad(x)
     gnorm = np.linalg.norm(grad, axis=1)
     iters = np.zeros(n_prob, dtype=int)
     floor = np.zeros(n_prob)
     rounding = np.finfo(float).eps * np.sqrt(size)  # per entry, summed in the 2-norm
     while True:
-        act = np.flatnonzero(~(gnorm <= np.maximum(tol, floor)))
-        if act.size == 0:
+        active = ~(gnorm <= np.maximum(tol, floor))
+        if not active.any():
             return x, val, float(gnorm.max()), int(iters.max()), iters
-        if iters[act[0]] == _MAX_NEWTON_ITER:  # every active problem has run every iteration
-            raise DualAscentError("iteration limit reached", float(gnorm[act[0]]))
-        ab = hess_banded(x[act], act)
-        dmax = ab[-1].reshape(act.size, size).max(axis=1)
-        xmax = np.abs(x[act]).max(axis=1)
-        floor[act] = rounding * dmax * (1.0 + xmax)
-        # either way, info > 0 is the order of the first leading minor that
-        # is not positive definite
+        if iters.max() == _MAX_NEWTON_ITER:  # every active problem has run every iteration
+            raise DualAscentError("iteration limit reached", float(gnorm[np.argmax(active)]))
+        ab = hess_banded(x)
+        xmax = np.abs(x).max(axis=1)
+        dmax = ab[-1].reshape(n_prob, size).max(axis=1)
+        floor = np.where(active, rounding * dmax * (1.0 + xmax), floor)
+        np.copyto(ab, np.arange(len(ab))[:, None] == len(ab) - 1, where=np.repeat(~active, size))
+        # frozen blocks are the identity; either way, info > 0 is the order
+        # of the first leading minor that is not positive definite
         if ab.shape[0] == 2:
             *factor, info = dpttrf(ab[1], ab[0, 1:], overwrite_d=1, overwrite_e=1)
             solve = dpttrs
@@ -169,37 +172,36 @@ def damped_newton_max(value_grad, hess_banded, x0, *, tol: float = 1e-10):
             *factor, info = dpbtrf(ab, overwrite_ab=1)
             solve = dpbtrs
         if info > 0:
-            raise DualAscentError("singular dual Hessian", float(gnorm[act[(info - 1) // size]]))
-        g = grad[act]
-        step = solve(*factor, g.ravel())[0].reshape(act.size, size)
+            raise DualAscentError("singular dual Hessian", float(gnorm[(info - 1) // size]))
+        g = np.where(active[:, None], grad, 0.0)
+        step = solve(*factor, g.ravel())[0].reshape(n_prob, size)
         ascent = np.sum(g * step, axis=1)
-        bad = ~(np.isfinite(ascent) & (ascent > 0))
+        bad = active & ~(np.isfinite(ascent) & (ascent > 0))
         if np.any(bad):
-            raise DualAscentError("dual Hessian lost definiteness", float(gnorm[act[bad][0]]))
+            raise DualAscentError("dual Hessian lost definiteness", float(gnorm[np.argmax(bad)]))
         # terminal steps: the predicted gain is below the objective's
         # floating-point resolution, so the value can no longer gate progress,
         # but the raw Newton step still contracts the gradient quadratically
-        terminal = ascent <= np.maximum(1e-12 * (1.0 + np.abs(val[act])),
-                                        floor[act] * np.sqrt(size) * (1.0 + xmax))
+        terminal = ascent <= np.maximum(1e-12 * (1.0 + np.abs(val)),
+                                        floor * np.sqrt(size) * (1.0 + xmax))
         # every problem still searching has been halved equally often
-        t = 1.0
-        todo = np.arange(act.size)
-        while todo.size:
-            k = act[todo]
-            cand = x[k] + t * step[todo]
-            cval, cgrad = value_grad(cand, k)
+        t, search = 1.0, active
+        while search.any():
+            cand = x + (t * search)[:, None] * step  # the other rows as they stand
+            cval, cgrad = value_grad(cand)
             finite = np.isfinite(cval)
-            if not np.all(finite[terminal[todo]]):
+            if np.any(search & terminal & ~finite):
                 raise DualAscentError("terminal Newton step left the finite range",
-                                      float(gnorm[k[terminal[todo] & ~finite][0]]))
-            ok = terminal[todo] | (finite & (cval >= val[k] + 1e-4 * t * ascent[todo]))
-            x[k[ok]], val[k[ok]], grad[k[ok]] = cand[ok], cval[ok], cgrad[ok]
-            todo = todo[~ok]
+                                      float(gnorm[np.argmax(search & terminal & ~finite)]))
+            ok = search & (terminal | (finite & (cval >= val + 1e-4 * t * ascent)))
+            x, val = np.where(ok[:, None], cand, x), np.where(ok, cval, val)
+            grad = np.where(ok[:, None], cgrad, grad)
+            search = search & ~ok
             t *= 0.5
-            if todo.size and t < 1e-14:
-                raise DualAscentError("line search stalled", float(gnorm[act[todo[0]]]))
-        gnorm[act] = np.linalg.norm(grad[act], axis=1)
-        iters[act] += 1
+            if search.any() and t < 1e-14:
+                raise DualAscentError("line search stalled", float(gnorm[np.argmax(search)]))
+        gnorm = np.linalg.norm(grad, axis=1)
+        iters += active
 
 
 def _dual(c, delta, edges, v, h):
@@ -233,10 +235,10 @@ def _dual(c, delta, edges, v, h):
     first problem that has one: the full dual's gradient along the potential
     jumps across them, whatever the potentials.
 
-    Returns ``(value_grad, hess_banded, fluxes)`` for
-    :func:`damped_newton_max`; ``fluxes(x)`` reads off the face fluxes J
-    (M, I, n + 1) and the exchange fluxes (E, M, n) of the edges, entering
-    species a with + and b with -.
+    Returns ``(value_grad, hess_banded, fluxes)``, functions of the whole
+    stack's x (M, (I - 1) n), the first two for :func:`damped_newton_max`;
+    ``fluxes(x)`` reads off the face fluxes J (M, I, n + 1) and the exchange
+    fluxes (E, M, n) of the edges, entering species a with + and b with -.
     """
     n_prob, i_sp, n = c.shape
     size = i_sp - 1  # unknowns per cell
@@ -293,28 +295,26 @@ def _dual(c, delta, edges, v, h):
             u[:, inner] -= eta[:, ea[inner] - 1]
         return u
 
-    def value_grad(x, act):
-        eta = x.reshape(act.size, n, size).transpose(0, 2, 1)
+    def value_grad(x):
+        eta = x.reshape(n_prob, n, size).transpose(0, 2, 1)
         d = eta[..., 1:] - eta[..., :-1]
-        s = np.einsum("mif,mif->mf", wW.take(act, 0), d) - GW.take(act, 0)
-        J = wr.take(act, 0) * (s[:, None] - d)
+        s = np.einsum("mif,mif->mf", wW, d) - GW
+        J = wr * (s[:, None] - d)
         u = exchange(eta)
-        rwa, hva = rw.take(act, 0), hv.take(act, 0)
         with np.errstate(over="ignore"):
             # the faces' -G s - 1/2 sum_i w_i (s - d_i)^2 is 1/2 G^2 / W + 1/2 (J - beta) . d
-            val = (level[act] + 0.5 * np.sum(((J - beta.take(act, 0)) * d).reshape(act.size, -1), 1)
-                   - np.sum((hva * eta).reshape(act.size, -1), 1)
-                   - np.sum((rwa * cosh_star(u)).reshape(act.size, -1), 1))
-            grad = -hva - np.einsum("je,men->mjn", inc, rwa * cosh_star_prime(u))
+            val = (level + 0.5 * np.sum(((J - beta) * d).reshape(n_prob, -1), 1)
+                   - np.sum((hv * eta).reshape(n_prob, -1), 1)
+                   - np.sum((rw * cosh_star(u)).reshape(n_prob, -1), 1))
+            grad = -hv - np.einsum("je,men->mjn", inc, rw * cosh_star_prime(u))
         grad[..., 1:] += J
         grad[..., :-1] -= J
-        return val, grad.transpose(0, 2, 1).reshape(act.size, -1)
+        return val, grad.transpose(0, 2, 1).reshape(n_prob, -1)
 
-    def hess_banded(x, act):
-        ab = face.take(act, 0)
+    def hess_banded(x):
+        ab = face.copy()
         with np.errstate(over="ignore"):
-            r2 = rw.take(act, 0) * cosh_star_second(
-                exchange(x.reshape(act.size, n, size).transpose(0, 2, 1)))
+            r2 = rw * cosh_star_second(exchange(x.reshape(n_prob, n, size).transpose(0, 2, 1)))
         b = ab.transpose(3, 0, 1, 2)  # [band row, problem, cell, unknown of the column]
         b[band] += np.einsum("je,men->mnj", np.abs(inc), r2)
         if inner.size:
@@ -344,6 +344,8 @@ class PrimalRate:
 
 
 def _mass_balance_check(v: np.ndarray, h: float):
+    if not np.all(np.isfinite(v)):  # a NaN passes the bound below, and infs sum to NaN
+        raise ValueError("rate must be finite")
     imbalance = np.abs(v.sum(axis=(-2, -1))) * h  # one per rate along the leading axes
     if np.any(imbalance > 1e-7 * np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))):
         raise ValueError(f"rate must preserve total mass (imbalance {np.max(imbalance):.3e})")

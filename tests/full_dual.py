@@ -33,38 +33,34 @@ def full_dual(c, delta, edges, v, h):
     hv = (h * v).transpose(0, 2, 1).reshape(n_prob, n * i_sp)
     ew = [(i, j, kappa * h * np.sqrt(c[:, i] * c[:, j])) for i, j, kappa in edges]
 
-    def value_grad(x, act):
-        xi = x.reshape(act.size, n, i_sp)
+    def value_grad(x):
+        xi = x.reshape(n_prob, n, i_sp)
         dxi = xi[:, 1:] - xi[:, :-1]
-        t = wdiff[act] * dxi
-        hva = hv[act]
-        val = np.sum(hva * x, axis=1) - 0.5 * np.sum((t * dxi).reshape(act.size, -1), axis=1)
+        t = wdiff * dxi
+        val = np.sum(hv * x, axis=1) - 0.5 * np.sum((t * dxi).reshape(n_prob, -1), axis=1)
         grad_r = np.zeros_like(xi)
         grad_r[:, 1:] += t
         grad_r[:, :-1] -= t
         for i, j, rw in ew:
             u = xi[..., i] - xi[..., j]
-            rwa = rw[act]
             with np.errstate(over="ignore"):
-                val -= np.sum(rwa * cosh_star(u), axis=1)
-                s = rwa * cosh_star_prime(u)
+                val -= np.sum(rw * cosh_star(u), axis=1)
+                s = rw * cosh_star_prime(u)
             grad_r[..., i] += s
             grad_r[..., j] -= s
-        hva -= grad_r.reshape(act.size, -1)
-        return val, hva
+        return val, hv - grad_r.reshape(n_prob, -1)
 
-    def hess_banded(x, act):
-        xi = x.reshape(act.size, n, i_sp)
-        wd = wdiff[act]
+    def hess_banded(x):
+        xi = x.reshape(n_prob, n, i_sp)
         ab = np.zeros((i_sp + 1, x.size), order="F")
-        bands = ab.reshape(i_sp + 1, act.size, n, i_sp)
+        bands = ab.reshape(i_sp + 1, n_prob, n, i_sp)
         diag = bands[i_sp]
-        diag[:, 1:] += wd
-        diag[:, :-1] += wd
-        bands[0, :, 1:] = -wd  # same species in the next cell; zero on each block's first cell
+        diag[:, 1:] += wdiff
+        diag[:, :-1] += wdiff
+        bands[0, :, 1:] = -wdiff  # same species in the next cell; zero on each block's first cell
         for i, j, rw in ew:
             with np.errstate(over="ignore"):
-                r2 = rw[act] * cosh_star_second(xi[..., i] - xi[..., j])
+                r2 = rw * cosh_star_second(xi[..., i] - xi[..., j])
             diag[..., i] += r2
             diag[..., j] += r2
             bands[i_sp - (j - i), ..., j] -= r2

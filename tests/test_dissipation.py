@@ -172,6 +172,18 @@ class TestPrimalRate:
         with pytest.raises(ValueError, match="mass"):
             primal_R_eps(st, params, v)
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "minus_inf", "both_infs"])
+    def test_non_finite_rate_rejected(self, params, rng, bad):
+        # a NaN compares False against the mass bound, and +inf beside -inf
+        # sums to NaN: either must be a ValueError before the sum, not a
+        # failed ascent or a RuntimeWarning
+        st = positive_state(rng, 6)
+        v = np.zeros((2, 6))
+        v[0, :len(bad)] = bad
+        with pytest.raises(ValueError, match="rate must be finite"):
+            primal_R_eps(st, params, v)
+
     @pytest.mark.parametrize("shape", [(6, 2), (2, 7)])
     def test_xi0_of_another_shape_rejected(self, params, rng, shape):
         # an (n, 2) start must not be read as the transpose of a (2, n) one
@@ -225,11 +237,10 @@ def _full_dual_at(c, delta, edges, v, h, xi):
     """The full dual's value, gradient without its constant mode, rounding level and
     fluxes at the potentials ``xi`` (M, I, n)."""
     full_vg, full_hess, full_fluxes = full_dual(c, delta, edges, v, h)
-    everyone = np.arange(c.shape[0])
     y = xi.transpose(0, 2, 1).reshape(c.shape[0], -1)
-    val, grad = full_vg(y, everyone)
+    val, grad = full_vg(y)
     grad -= grad.mean(axis=1, keepdims=True)
-    dmax = full_hess(y, everyone)[c.shape[1]].reshape(c.shape[0], -1).max(axis=1)
+    dmax = full_hess(y)[c.shape[1]].reshape(c.shape[0], -1).max(axis=1)
     rounding = np.finfo(float).eps * np.sqrt(y.shape[1]) * dmax * (1.0 + np.abs(y).max(axis=1))
     return val, np.linalg.norm(grad, axis=1), rounding, full_fluxes(y)[1:]
 
@@ -262,10 +273,9 @@ class TestNewtonIterationCap:
         assert primal_R_eps(st, p, v).dual.iterations == 2
         # the gradient after one full Newton step from zero, from a dense solve
         vg, hess, _ = _dual(st.c[None], p.delta_array, [(0, 1, 1.0 / p.epsilon)], v[None], 1.0 / 6)
-        one = np.arange(1)
         x0 = np.zeros((1, 6))
-        step = np.linalg.solve(_banded_to_dense(hess(x0, one), 1), vg(x0, one)[1][0])
-        expected = np.linalg.norm(vg(x0 + step, one)[1])
+        step = np.linalg.solve(_banded_to_dense(hess(x0), 1), vg(x0)[1][0])
+        expected = np.linalg.norm(vg(x0 + step)[1])
         assert expected > 1e-10
 
         monkeypatch.setattr(dissipation_module, "_MAX_NEWTON_ITER", 1)
@@ -288,15 +298,15 @@ class TestSingularHessian:
         A = np.stack([(4.0 + m) * np.eye(size) - 0.5 * band for m in range(3)])
         g = np.arange(1.0, 4.0)[:, None] * np.linspace(1.0, 2.0, size)
 
-        def value_grad(x, act):
-            ax = np.einsum("mij,mj->mi", A[act], x)
-            return np.einsum("mi,mi->m", g[act] - 0.5 * ax, x), g[act] - ax
+        def value_grad(x):
+            ax = np.einsum("mij,mj->mi", A, x)
+            return np.einsum("mi,mi->m", g - 0.5 * ax, x), g - ax
 
-        def hess_banded(x, act):
-            ab = np.zeros((bw + 1, act.size * size))
-            for m, p in enumerate(act):
+        def hess_banded(x):
+            ab = np.zeros((bw + 1, x.size))
+            for m in range(len(A)):
                 for d in range(bw + 1):
-                    ab[bw - d, m * size + d:(m + 1) * size] = np.diag(A[p], d)
+                    ab[bw - d, m * size + d:(m + 1) * size] = np.diag(A[m], d)
             return ab
 
         return A, g, value_grad, hess_banded
@@ -327,6 +337,40 @@ class TestSingularHessian:
             damped_newton_max(value_grad, hess_banded, np.zeros_like(g))
         assert err.value.gradient_norm == np.linalg.norm(g[1])
         assert set(called) == {routine}
+
+    @pytest.mark.parametrize("bw", [1, 3])
+    def test_converged_problem_with_a_singular_hessian(self, bw):
+        # problem 1 has no gradient at its start and a singular Hessian, as a
+        # network with one species empty everywhere has: it is converged from
+        # the start, so its block is never factored, and the others still
+        # reach their maximizers
+        A, g, value_grad, hess_banded = self._quadratics(bw)
+        A[1, -1, :] = A[1, :, -1] = 0.0
+        g[1] = 0.0
+        x, val, _, _, iters = damped_newton_max(value_grad, hess_banded, np.zeros_like(g))
+        assert iters[1] == 0 and np.all(x[1] == 0.0) and val[1] == 0.0
+        for m in (0, 2):
+            assert np.allclose(x[m], np.linalg.solve(A[m], g[m]), rtol=1e-12, atol=0)
+
+    def test_dual_with_one_species_empty_everywhere(self, rng):
+        # species 1 of problem 1 is empty and stays so: its reduced Hessian is
+        # 0 and so is its gradient, at any start; the problem converges at
+        # its start, and the others ascend as they would alone
+        n = 8
+        c = rng.uniform(0.5, 1.5, (3, 2, n))
+        c[1, 1] = 0.0
+        v = np.zeros_like(c)
+        v[:, 0] = rng.normal(size=(3, n))
+        v[:, 0] -= v[:, 0].mean(axis=1, keepdims=True)
+        delta, edges = np.array([1.0, 2.0]), [(0, 1, 100.0)]
+        value_grad, hess, _ = _dual(c, delta, edges, v, 1.0 / n)
+        assert np.all(hess(np.zeros((3, n)))[:, n:2 * n] == 0.0)
+        x, val, _, _, iters = damped_newton_max(value_grad, hess, np.zeros((3, n)))
+        assert iters[1] == 0 and np.all(x[1] == 0.0)
+        for m in (0, 2):
+            one_vg, one_hess, _ = _dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
+            x1, val1, _, _, iters1 = damped_newton_max(one_vg, one_hess, np.zeros((1, n)))
+            assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and iters1[0] == iters[m] > 0
 
 
 class TestOneEpsilon:
@@ -396,24 +440,26 @@ class TestNetworkDualKernel:
         c = rng.uniform(0.3, 1.5, (2, i_sp, n))
         v = rng.normal(size=c.shape)
         v -= v.mean(axis=(1, 2), keepdims=True)
-        value_grad, hess_banded, _ = _dual(c, rng.uniform(0.5, 2.0, i_sp), edges, v, 1.0 / n)
+        delta = rng.uniform(0.5, 2.0, i_sp)
+        value_grad, hess_banded, _ = _dual(c, delta, edges, v, 1.0 / n)
         size = (i_sp - 1) * n
         x = rng.normal(scale=0.3, size=(2, size))
-        both = np.arange(2)
-        ab = hess_banded(x, both)
+        ab = hess_banded(x)
         band = ab.shape[0] - 1
         assert band == 2 * i_sp - 3
 
         dense = _banded_to_dense(ab, band)
         for m in range(2):
-            one = np.array([m])
-            grad = value_grad(x[m:m + 1], one)[1][0]
-            assert np.array_equal(grad, value_grad(x, both)[1][m])
-            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
+            # problem m alone: the stacked rows are its own, bit for bit
+            one_vg, one_hess, _ = _dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
+            grad = one_vg(x[m:m + 1])[1][0]
+            assert np.array_equal(grad, value_grad(x)[1][m])
+            assert np.array_equal(one_hess(x[m:m + 1]), ab[:, m * size:(m + 1) * size])
+            fd_grad = _central_jacobian(lambda y: one_vg(y[None])[0], x[m])[0]
             assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
 
             block = dense[m * size:(m + 1) * size, m * size:(m + 1) * size]
-            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
+            fd_hess = -_central_jacobian(lambda y: one_vg(y[None])[1][0], x[m])
             assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
             # every band offset up to the bandwidth carries a coupling
             assert all(np.any(np.diag(block, d) != 0) for d in range(1, band + 1))
@@ -511,16 +557,19 @@ class TestReducedTwoSpeciesDual:
         edges = [(0, 1, 1.0 / params.epsilon)]
         value_grad, hess_banded, _ = _dual(c, params.delta_array, edges, v, 1.0 / n)
         x = rng.normal(scale=0.3, size=(2, n))
-        ab = hess_banded(x, np.arange(2))
+        ab = hess_banded(x)
         assert ab.shape == (2, 2 * n)
         dense = _banded_to_dense(ab, 1)
         for m in range(2):
-            one = np.array([m])
-            grad = value_grad(x[m:m + 1], one)[1][0]
-            fd_grad = _central_jacobian(lambda y: value_grad(y[None], one)[0], x[m])[0]
+            # problem m alone: the stacked rows are its own, bit for bit
+            one_vg, one_hess, _ = _dual(c[m:m + 1], params.delta_array, edges, v[m:m + 1], 1.0 / n)
+            grad = one_vg(x[m:m + 1])[1][0]
+            assert np.array_equal(grad, value_grad(x)[1][m])
+            assert np.array_equal(one_hess(x[m:m + 1]), ab[:, m * n:(m + 1) * n])
+            fd_grad = _central_jacobian(lambda y: one_vg(y[None])[0], x[m])[0]
             assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
             block = dense[m * n:(m + 1) * n, m * n:(m + 1) * n]
-            fd_hess = -_central_jacobian(lambda y: value_grad(y[None], one)[1][0], x[m])
+            fd_hess = -_central_jacobian(lambda y: one_vg(y[None])[1][0], x[m])
             assert np.max(np.abs(block - fd_hess)) <= 1e-6 * np.max(np.abs(block))
         assert np.all(dense[:n, n:] == 0.0)
 
@@ -914,6 +963,33 @@ class TestBatchedEvaluation:
         gaps = _relative_gaps(got, want)
         assert np.all(gaps[[1, 2]] <= 5e-9) and np.all(gaps[[0, 3, 4, 5]] <= 1e-9), gaps
 
+    @staticmethod
+    def _stacked_against_single(dual, c, v, x0):
+        """Run the stacked ascent of ``dual(c, v)`` and each problem's own, and check that every
+        callback call sees the whole stack and that each problem's row, value and iteration
+        count are those of its single-problem run, bit for bit.  Returns the stacked result and
+        the number of value evaluations of each single-problem run."""
+        def counted(callback, rows):
+            def call(x):
+                rows.append(x.shape[0])
+                return callback(x)
+            return call
+
+        value_grad, hess, _ = dual(c, v)
+        rows = []
+        result = damped_newton_max(counted(value_grad, rows), counted(hess, rows), x0)
+        x, val, gnorm, sweeps, iters = result
+        assert set(rows) == {len(c)}  # every call sees every problem, converged or not
+        evaluations = []
+        for m in range(len(c)):
+            one_vg, one_hess, _ = dual(c[m:m + 1], v[m:m + 1])
+            calls = []
+            x1, val1, _, sweeps1, _ = damped_newton_max(counted(one_vg, calls), one_hess,
+                                                        x0[m:m + 1])
+            assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and sweeps1 == iters[m]
+            evaluations.append(len(calls))
+        return result, evaluations
+
     def test_stacked_newton_matches_single_problems(self, rng):
         # a converged start, a mild rate and a strong exchange rate whose full
         # Newton step overflows, so only that problem backtracks
@@ -924,22 +1000,42 @@ class TestBatchedEvaluation:
         v[2] = [[2000.0] * n, [-2000.0] * n]
         v -= v.mean(axis=(1, 2), keepdims=True)
         delta, edges = np.array([1.0, 2.0]), [(0, 1, 1.0)]
-        value_grad, hess, _ = _dual(c, delta, edges, v, 1.0 / n)
-        evaluated = []
-
-        def counted(x, act):
-            evaluated.append(act.copy())
-            return value_grad(x, act)
-
-        x, val, gnorm, sweeps, iters = damped_newton_max(
-            counted, hess, np.zeros((3, n)))
+        x0 = np.zeros((3, n))
+        (x, _, gnorm, sweeps, iters), evaluations = self._stacked_against_single(
+            lambda c, v: _dual(c, delta, edges, v, 1.0 / n), c, v, x0)
         assert iters[0] == 0 < iters[1] < iters[2] == sweeps and gnorm <= 1e-10
-        assert len(evaluated) > 1 + sweeps  # the line search halved
-        assert any(len(act) < 3 for act in evaluated[1:])  # converged problems dropped out
-        for m in range(3):
-            one = _dual(c[m:m + 1], delta, edges, v[m:m + 1], 1.0 / n)
-            x1, val1, _, sweeps1, _ = damped_newton_max(one[0], one[1], np.zeros((1, n)))
-            assert np.array_equal(x1[0], x[m]) and val1[0] == val[m] and sweeps1 == iters[m]
+        assert np.array_equal(x[0], x0[0])
+        assert evaluations[2] > 1 + iters[2]  # its line search halved
+
+    def test_four_species_stack_matches_single_problems(self, monkeypatch):
+        # the banded path (dpbtrf, bandwidth 5): a problem at equilibrium with
+        # no rate, converged at its start; a rate of 1e-7, one Newton
+        # iteration; and a strong rate along the fastest edge, whose full
+        # Newton step overflows, so it halves its step
+        factored = []
+
+        def banded(ab, **kwargs):
+            factored.append(ab.shape[0] - 1)
+            return dpbtrf(ab, **kwargs)
+
+        monkeypatch.setattr(dissipation_module, "dpbtrf", banded)
+        rng = np.random.default_rng(4)
+        n, i_sp, eps = 5, 4, 1e-2
+        gen, edges = _network(rng, i_sp, eps)
+        shapes = np.concatenate([np.ones((1, i_sp, n)), rng.uniform(0.5, 1.5, (2, i_sp, n))])
+        c = gen.stationary(eps)[:, None] * shapes
+        v = np.zeros_like(c)
+        v[1] = 1e-7 * rng.normal(size=(i_sp, n))
+        a, b, _ = max(edges, key=lambda e: e[2])
+        v[2, a], v[2, b] = 2000.0, -2000.0
+        v -= v.mean(axis=(1, 2), keepdims=True)
+        x0 = np.zeros((3, (i_sp - 1) * n))
+        (x, _, gnorm, sweeps, iters), evaluations = self._stacked_against_single(
+            lambda c, v: _dual(c, gen.delta, edges, v, 1.0 / n), c, v, x0)
+        assert list(iters[:2]) == [0, 1] and iters[2] == sweeps > 1 and gnorm <= 1e-10
+        assert np.array_equal(x[0], x0[0])
+        assert evaluations[1] == 2 and evaluations[2] > 1 + iters[2]  # only the third halved
+        assert factored and set(factored) == {2 * i_sp - 3}
 
     def test_chunking_does_not_change_intervals(self, params):
         # dt is a power of two, so both halves keep the exact time steps
